@@ -13,7 +13,7 @@ Run:  python3 demos/gumbel_race_tour.py
 import math
 
 from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitReader, MessageFrame, read_message, write_message
-from reckit.coders import decode, encode_astar, encode_dad, encode_mrc, encode_pfr
+from reckit.coders import decode, encode_astar, encode_dad, encode_mrc
 from reckit.distributions import Gaussian, PairSpec
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.tree import PartitionKind
@@ -31,7 +31,7 @@ print("exact coders (the regenerated sample follows the target exactly)")
 for label, run in [
     ("sample-split search", lambda: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, SEED)),
     ("dyadic search      ", lambda: encode_astar(pair, PartitionKind.DYADIC, SEED)),
-    ("global-bound race  ", lambda: encode_pfr(pair, SEED)),
+    ("global-bound race  ", lambda: encode_astar(pair, PartitionKind.GLOBAL_BOUND, SEED)),
 ]:
     code, x, st = run()
     mode = MODE_EXACT

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .coders import encode_astar, encode_dad, encode_mrc, encode_pfr
+from .coders import CODERS, MAX_STEPS, Variant
 from .distributions import (
     Distribution1D,
     MixtureComponent,
@@ -53,9 +52,6 @@ CSV_COLUMNS = (
     "error",
 )
 
-PFR_DINF_CEILING = 7.0  # nats; expected arrivals e^7 ~ 1100 per trial
-
-
 @dataclass(frozen=True)
 class ResultRow:
     algorithm: str
@@ -82,6 +78,9 @@ class ResultRow:
         return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
 
 
+_EXACT_NAMES = tuple(v.value for v, spec in CODERS.items() if not spec.fixed_width)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grids and knobs for one harness run.
@@ -102,7 +101,7 @@ class ExperimentConfig:
     extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4)
     repeats: int = 50
     batch: int = 100
-    max_steps: int = 1_000_000
+    max_steps: int = MAX_STEPS
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -110,7 +109,7 @@ class ExperimentConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not (self.gaussian_cells or self.uniform_cells or self.mixture_cells):
             raise DomainError("config needs at least one grid cell")
-        unknown = set(self.algorithms) - {"as", "ad", "pfr", "dad", "mrc"}
+        unknown = set(self.algorithms) - {v.value for v in Variant}
         if unknown:
             raise DomainError(f"unknown algorithms {sorted(unknown)}")
         for name in ("algorithms", "gaussian_cells", "uniform_cells",
@@ -121,7 +120,7 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         try:
             return ExperimentConfig(
-                algorithms=tuple(data.get("algorithms", ("as", "ad", "pfr"))),
+                algorithms=tuple(data.get("algorithms", _EXACT_NAMES)),
                 trials=int(data["trials"]),
                 seed=int(data["seed"]),
                 gaussian_cells=tuple(
@@ -138,7 +137,7 @@ class ExperimentConfig:
                 extra_bits=tuple(data.get("extra_bits", (0, 1, 2, 3, 4))),
                 repeats=int(data.get("repeats", 50)),
                 batch=int(data.get("batch", 100)),
-                max_steps=int(data.get("max_steps", 1_000_000)),
+                max_steps=int(data.get("max_steps", MAX_STEPS)),
                 output=data.get("output"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -206,6 +205,19 @@ def _cells_for(config: ExperimentConfig, *, mixtures_only: bool = False) -> list
 # -- the k-NN divergence estimator -------------------------------------------
 
 
+def _kth_distance(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each query to its k-th nearest of the sorted ``points``.
+
+    In one dimension the k nearest lie within k slots of the query's
+    insertion point, so a window of k + 1 slots on either side holds them.
+    """
+    pos = np.searchsorted(points, queries)
+    idx = pos[:, None] + np.arange(-(k + 1), k + 2)
+    dist = np.abs(points[np.clip(idx, 0, len(points) - 1)] - queries[:, None])
+    dist[(idx < 0) | (idx >= len(points))] = np.inf
+    return np.sort(dist, axis=1)[:, k - 1]
+
+
 def knn_kl_estimate(
     samples_p: Sequence[float], samples_q: Sequence[float], k: int = 1
 ) -> float:
@@ -236,10 +248,8 @@ def knn_kl_estimate(
         )
         x = x + 1e-12 * np.arange(n)
         y = y + 1e-12 * math.sqrt(2.0) * np.arange(m)
-    rho = cKDTree(x[:, None]).query(x[:, None], k=k + 1)[0][:, k]
-    nu = cKDTree(y[:, None]).query(x[:, None], k=k)[0]
-    if k > 1:
-        nu = nu[:, k - 1]
+    rho = _kth_distance(np.sort(x), x, k + 1)  # the nearest is the point itself
+    nu = _kth_distance(np.sort(y), x, k)
     return float(np.mean(np.log(nu / rho)) + math.log(m / (n - 1)))
 
 
@@ -253,17 +263,17 @@ def _trial_seed(config_seed: int, cell_idx: int, alg_idx: int, trial: int) -> in
 def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
     """One exact encode per (cell, algorithm, trial) with step counting.
 
-    PFR is skipped above its tractability ceiling of 7 nats of
-    D-infinity; per-trial failures become rows carrying an error flag.
+    A coder is skipped above its tractable D-infinity (``max_dinf`` in its
+    table entry: 7 nats for PFR); per-trial failures become rows carrying
+    an error flag.
     """
     rows: list[ResultRow] = []
     cells = _cells_for(config)
     for ci, cell in enumerate(cells):
         for ai, alg in enumerate(config.algorithms):
-            if alg not in ("as", "ad", "pfr"):
-                continue  # depth-limited coders have no exact-runtime cell
-            if alg == "pfr" and cell.dinf > PFR_DINF_CEILING:
-                continue
+            spec = CODERS[Variant(alg)]
+            if spec.fixed_width or cell.dinf > spec.max_dinf:
+                continue  # fixed-width coders have no exact-runtime cell
             for trial in range(config.trials):
                 seed = _trial_seed(config.seed, ci, ai, trial)
                 base = dict(
@@ -275,18 +285,7 @@ def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
                     trial_index=trial,
                 )
                 try:
-                    if alg == "as":
-                        _, _, st = encode_astar(
-                            cell.pair, PartitionKind.SAMPLE_SPLIT, seed,
-                            max_steps=config.max_steps,
-                        )
-                    elif alg == "ad":
-                        _, _, st = encode_astar(
-                            cell.pair, PartitionKind.DYADIC, seed,
-                            max_steps=config.max_steps,
-                        )
-                    else:
-                        _, _, st = encode_pfr(cell.pair, seed, max_steps=config.max_steps)
+                    _, _, st = spec.encode(cell.pair, seed, None, config.max_steps)
                     rows.append(
                         ResultRow(
                             **base,
@@ -354,11 +353,11 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                 budget = base_bits + t
                 if budget < 1:
                     budget = 1
-                for alg in ("dad", "mrc"):
-                    if alg not in config.algorithms:
+                for variant, spec in CODERS.items():
+                    if not spec.fixed_width or variant.value not in config.algorithms:
                         continue
                     base = dict(
-                        algorithm=alg,
+                        algorithm=variant.value,
                         family=cell.family,
                         d_kl_nats=cell.kl,
                         d_inf_nats=cell.dinf,
@@ -371,10 +370,7 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                         steps = 0
                         for b in range(config.batch):
                             seed = derive_seed(enc_base, b)
-                            if alg == "dad":
-                                _, x, st = encode_dad(cell.pair, seed, budget)
-                            else:
-                                _, x, st = encode_mrc(cell.pair, seed, budget)
+                            _, x, st = spec.encode(cell.pair, seed, budget, config.max_steps)
                             encoded.append(x)
                             steps += st.steps
                         bias = knn_kl_estimate(encoded, fresh)

@@ -13,6 +13,7 @@ Wire format (MSB-first within each byte, final byte zero-padded):
                       mode 1 (exact per symbol): gamma(count), count units
                       mode 2 (block tied): one block body
     variant tags    1=AS_STAR 2=AD_STAR 3=PFR 4=DAD_STAR 5=MRC
+                    (``coders.CODERS`` holds each coder's tag and unit layout)
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
@@ -23,20 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coders import Code, Variant
+from .coders import CODERS, Code, Unit, Variant
 from .errors import DomainError, InvalidCodeError, MalformedMessageError
+from .tree import MAX_DEPTH
 
 MODE_EXACT = "exact_per_symbol"
 MODE_BLOCK = "block_tied"
-
-_VARIANT_TAG = {
-    Variant.AS_STAR: 1,
-    Variant.AD_STAR: 2,
-    Variant.PFR: 3,
-    Variant.DAD_STAR: 4,
-    Variant.MRC: 5,
-}
-_TAG_VARIANT = {v: k for k, v in _VARIANT_TAG.items()}
+_MODE_TAGS = {MODE_EXACT: 1, MODE_BLOCK: 2}
 
 
 class BitWriter:
@@ -143,7 +137,7 @@ def write_elias_gamma(n: int) -> bytes:
 
 def pack_exact(code: Code, writer: BitWriter | None = None) -> BitWriter:
     """gamma(depth) then the heap index without its leading bit."""
-    if code.variant not in (Variant.AS_STAR, Variant.AD_STAR):
+    if CODERS[code.variant].unit is not Unit.HEAP_INDEX:
         raise InvalidCodeError(f"pack_exact takes heap-coded variants, got {code.variant}")
     w = writer or BitWriter()
     depth = code.depth_or_budget
@@ -154,7 +148,7 @@ def pack_exact(code: Code, writer: BitWriter | None = None) -> BitWriter:
 
 def unpack_exact(reader: BitReader, variant: Variant = Variant.AD_STAR) -> Code:
     depth = reader.read_elias_gamma()
-    if depth > 62:
+    if depth > MAX_DEPTH:
         raise MalformedMessageError(f"depth field {depth} exceeds packable range")
     index = (1 << (depth - 1)) | reader.read_bits(depth - 1)
     return Code(variant, depth, index)
@@ -162,16 +156,16 @@ def unpack_exact(reader: BitReader, variant: Variant = Variant.AD_STAR) -> Code:
 
 def pack_pfr(code: Code, writer: BitWriter | None = None) -> BitWriter:
     """delta(K): the arrival index has a larger dynamic range than depths."""
-    if code.variant is not Variant.PFR:
+    if CODERS[code.variant].unit is not Unit.ARRIVAL_INDEX:
         raise InvalidCodeError(f"pack_pfr takes PFR codes, got {code.variant}")
     w = writer or BitWriter()
     w.write_elias_delta(code.payload)
     return w
 
 
-def unpack_pfr(reader: BitReader) -> Code:
+def unpack_pfr(reader: BitReader, variant: Variant = Variant.PFR) -> Code:
     k = reader.read_elias_delta()
-    return Code(Variant.PFR, k, k)
+    return Code(variant, k, k)
 
 
 def pack_block(
@@ -190,7 +184,7 @@ def pack_block(
     w.write_elias_gamma(budget)
     w.write_elias_gamma(len(codes) + 1)
     for code in codes:
-        if code.variant not in (Variant.DAD_STAR, Variant.MRC):
+        if not CODERS[code.variant].fixed_width:
             raise InvalidCodeError(
                 f"pack_block takes fixed-width variants, got {code.variant}"
             )
@@ -206,7 +200,7 @@ def unpack_block(
     reader: BitReader, variant: Variant = Variant.DAD_STAR
 ) -> tuple[int, list[Code]]:
     budget = reader.read_elias_gamma()
-    if budget > 62:
+    if budget > MAX_DEPTH:
         raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     count = reader.read_elias_gamma() - 1
     codes = [
@@ -215,21 +209,11 @@ def unpack_block(
     return budget, codes
 
 
-def unpack(data: bytes, mode: str, variant: Variant | None = None):
-    """Inverse of the matching pack operation on a standalone buffer.
-
-    mode "exact" reads one heap-coded unit (variant defaults to AD_STAR
-    since the exact layout does not name its variant), "pfr" one delta
-    unit, "block" one block body returning (budget, codes).
-    """
-    reader = BitReader(data)
-    if mode == "exact":
-        return unpack_exact(reader, variant or Variant.AD_STAR)
-    if mode == "pfr":
-        return unpack_pfr(reader)
-    if mode == "block":
-        return unpack_block(reader, variant or Variant.DAD_STAR)
-    raise DomainError(f"unknown unpack mode {mode!r}")
+# pack and unpack of the units an exact-per-symbol frame can carry
+_EXACT_UNITS = {
+    Unit.HEAP_INDEX: (pack_exact, unpack_exact),
+    Unit.ARRIVAL_INDEX: (pack_pfr, unpack_pfr),
+}
 
 
 @dataclass(frozen=True)
@@ -246,7 +230,7 @@ class MessageFrame:
     budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_EXACT, MODE_BLOCK):
+        if self.mode not in _MODE_TAGS:
             raise DomainError(f"unknown frame mode {self.mode!r}")
         if self.mode == MODE_BLOCK and self.budget is None:
             raise DomainError("block frames need a budget")
@@ -258,44 +242,40 @@ class MessageFrame:
 
 
 def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
+    spec = CODERS[frame.variant]
+    if spec.fixed_width != (frame.mode == MODE_BLOCK):
+        raise InvalidCodeError(f"{frame.variant} cannot appear in a {frame.mode} frame")
+    if any(code.variant is not frame.variant for code in frame.codes):
+        raise InvalidCodeError("frame variant does not match its codes")
     w = writer or BitWriter()
-    if frame.mode == MODE_EXACT:
-        w.write_elias_gamma(1)
-        w.write_elias_gamma(_VARIANT_TAG[frame.variant])
+    w.write_elias_gamma(_MODE_TAGS[frame.mode])
+    w.write_elias_gamma(spec.tag)
+    if spec.fixed_width:
+        pack_block(frame.codes, frame.budget, w)
+    else:
+        pack = _EXACT_UNITS[spec.unit][0]
         w.write_elias_gamma(len(frame.codes) + 1)
         for code in frame.codes:
-            if code.variant is not frame.variant:
-                raise InvalidCodeError("frame variant does not match its codes")
-            if frame.variant is Variant.PFR:
-                pack_pfr(code, w)
-            else:
-                pack_exact(code, w)
-    else:
-        w.write_elias_gamma(2)
-        w.write_elias_gamma(_VARIANT_TAG[frame.variant])
-        pack_block(frame.codes, frame.budget, w)
+            pack(code, w)
     return w
 
 
 def read_message(reader: BitReader) -> MessageFrame:
     mode_tag = reader.read_elias_gamma()
     variant_tag = reader.read_elias_gamma()
-    try:
-        variant = _TAG_VARIANT[variant_tag]
-    except KeyError:
-        raise MalformedMessageError(f"unknown variant tag {variant_tag}") from None
-    if mode_tag == 1:
-        count = reader.read_elias_gamma() - 1
-        if variant is Variant.PFR:
-            codes = tuple(unpack_pfr(reader) for _ in range(count))
-        elif variant in (Variant.AS_STAR, Variant.AD_STAR):
-            codes = tuple(unpack_exact(reader, variant) for _ in range(count))
-        else:
-            raise MalformedMessageError(f"{variant} cannot appear in an exact frame")
-        return MessageFrame(MODE_EXACT, variant, codes)
-    if mode_tag == 2:
-        if variant not in (Variant.DAD_STAR, Variant.MRC):
-            raise MalformedMessageError(f"{variant} cannot appear in a block frame")
+    variant = next((v for v, spec in CODERS.items() if spec.tag == variant_tag), None)
+    if variant is None:
+        raise MalformedMessageError(f"unknown variant tag {variant_tag}")
+    mode = next((m for m, tag in _MODE_TAGS.items() if tag == mode_tag), None)
+    if mode is None:
+        raise MalformedMessageError(f"unknown mode tag {mode_tag}")
+    spec = CODERS[variant]
+    if spec.fixed_width != (mode == MODE_BLOCK):
+        raise MalformedMessageError(f"{variant} cannot appear in a {mode} frame")
+    if spec.fixed_width:
         budget, codes = unpack_block(reader, variant)
-        return MessageFrame(MODE_BLOCK, variant, tuple(codes), budget)
-    raise MalformedMessageError(f"unknown mode tag {mode_tag}")
+        return MessageFrame(mode, variant, tuple(codes), budget)
+    unpack = _EXACT_UNITS[spec.unit][1]
+    count = reader.read_elias_gamma() - 1
+    codes = tuple(unpack(reader, variant) for _ in range(count))
+    return MessageFrame(mode, variant, codes)

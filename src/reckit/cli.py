@@ -36,22 +36,20 @@ from .bench import (
 )
 from .bitstream import (
     BitReader,
-    BitWriter,
     MODE_BLOCK,
     MODE_EXACT,
     MessageFrame,
     read_message,
     write_message,
 )
-from .coders import (
-    Variant,
-    decode,
-    encode_astar,
-    encode_dad,
-    encode_mrc,
-    encode_pfr,
+from .coders import CODERS, MAX_STEPS, Variant, decode
+from .distributions import (
+    Distribution1D,
+    Gaussian,
+    PairSpec,
+    Uniform,
+    distribution_from_dict,
 )
-from .distributions import Gaussian, PairSpec, Uniform, distribution_from_dict
 from .errors import DomainError, RecError
 from .isokl import (
     BlockCodecConfig,
@@ -65,11 +63,9 @@ from .isokl import (
 from .randomness import derive_seed
 from .tree import PartitionKind
 
-_EXACT_KINDS = {
-    "as": PartitionKind.SAMPLE_SPLIT,
-    "ad": PartitionKind.DYADIC,
-    "pfr": PartitionKind.GLOBAL_BOUND,
-}
+
+def _coder_names(fixed_width: bool) -> list[str]:
+    return sorted(v.value for v, spec in CODERS.items() if spec.fixed_width == fixed_width)
 
 
 def _load_json(path: str) -> dict:
@@ -80,15 +76,21 @@ def _load_json(path: str) -> dict:
             raise DomainError(f"{path}: {exc}") from None
 
 
-def _load_model(path: str) -> PairSpec:
+def _load_pair(path: str) -> PairSpec:
     data = _load_json(path)
     if "target" in data and "proposal" in data:
         return PairSpec.from_dict(data)
+    raise DomainError(f"{path}: encoding needs a pair model (target and proposal)")
+
+
+def _load_proposal(path: str) -> Distribution1D:
+    """Decoding never touches the target: take a bare distribution or the
+    proposal of a pair."""
+    data = _load_json(path)
+    if "proposal" in data:
+        return distribution_from_dict(data["proposal"])
     if "family" in data:
-        # A bare distribution acts as the proposal of a degenerate pair;
-        # enough for decoding, which never touches the target.
-        dist = distribution_from_dict(data)
-        return PairSpec(dist, dist)
+        return distribution_from_dict(data)
     raise DomainError(f"{path}: expected a pair or a single distribution object")
 
 
@@ -116,36 +118,24 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         print(f"wrote {len(data)} bytes ({sum(len(b) for b in blocks)} coordinates)")
         return 0
 
-    pair = _load_model(args.model)
-    if args.exact is None and args.limited is None:
+    pair = _load_pair(args.model)
+    name = args.exact or args.limited
+    if name is None:
         raise DomainError("encode needs --exact or --limited (or --block-model)")
-    writer = BitWriter()
-    samples: list[float] = []
-    if args.exact is not None:
-        kind = _EXACT_KINDS[args.exact]
-        codes = []
-        for i in range(args.count):
-            code, x, _ = encode_astar(pair, kind, derive_seed(args.seed, i))
-            codes.append(code)
-            samples.append(x)
-        write_message(MessageFrame(MODE_EXACT, codes[0].variant, tuple(codes)), writer)
+    if args.limited and args.budget is None:
+        raise DomainError("--limited needs --budget")
+    variant = Variant(name)
+    spec = CODERS[variant]
+    codes, samples = [], []
+    for i in range(args.count):
+        code, x, _ = spec.encode(pair, derive_seed(args.seed, i), args.budget, MAX_STEPS)
+        codes.append(code)
+        samples.append(x)
+    if spec.fixed_width:
+        frame = MessageFrame(MODE_BLOCK, variant, tuple(codes), args.budget)
     else:
-        if args.budget is None:
-            raise DomainError("--limited needs --budget")
-        variant = Variant.DAD_STAR if args.limited == "dad" else Variant.MRC
-        codes = []
-        for i in range(args.count):
-            seed_i = derive_seed(args.seed, i)
-            if variant is Variant.DAD_STAR:
-                code, x, _ = encode_dad(pair, seed_i, args.budget)
-            else:
-                code, x, _ = encode_mrc(pair, seed_i, args.budget)
-            codes.append(code)
-            samples.append(x)
-        write_message(
-            MessageFrame(MODE_BLOCK, variant, tuple(codes), args.budget), writer
-        )
-    data = writer.getvalue()
+        frame = MessageFrame(MODE_EXACT, variant, tuple(codes))
+    data = write_message(frame).getvalue()
     with open(args.out, "wb") as fh:
         fh.write(data)
     if args.samples:
@@ -171,10 +161,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             decode_block_vector(blocks, config, data, args.seed), permutation
         )
     else:
-        pair = _load_model(args.model)
+        proposal = _load_proposal(args.model)
         frame = read_message(BitReader(data))
         samples = [
-            decode(pair.proposal, code, derive_seed(args.seed, i))
+            decode(proposal, code, derive_seed(args.seed, i))
             for i, code in enumerate(frame.codes)
         ]
     _write_samples(args.samples, samples)
@@ -238,18 +228,12 @@ def _verify_roundtrip(trials: int, seed: int) -> int:
     bad = 0
     for i in range(n):
         s = derive_seed(seed, i)
-        for name, enc in (
-            ("as", lambda: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, s)),
-            ("ad", lambda: encode_astar(pair, PartitionKind.DYADIC, s)),
-            ("pfr", lambda: encode_pfr(pair, s)),
-            ("dad", lambda: encode_dad(pair, s, 8)),
-            ("mrc", lambda: encode_mrc(pair, s, 8)),
-        ):
-            code, x, _ = enc()
+        for variant, spec in CODERS.items():
+            code, x, _ = spec.encode(pair, s, 8, MAX_STEPS)
             if decode(pair.proposal, code, s) != x:
-                print(f"roundtrip {name}: MISMATCH at trial {i}")
+                print(f"roundtrip {variant.value}: MISMATCH at trial {i}")
                 bad += 1
-    print(f"roundtrip: {'ok' if bad == 0 else 'VIOLATED'} ({n} seeds x 5 coders)")
+    print(f"roundtrip: {'ok' if bad == 0 else 'VIOLATED'} ({n} seeds x {len(CODERS)} coders)")
     return 1 if bad else 0
 
 
@@ -304,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--model", help="pair model JSON (target + proposal)")
     enc.add_argument("--block-model", help="blocked coordinate model JSON")
     enc.add_argument("--seed", type=int, required=True, help="shared randomness seed")
-    enc.add_argument("--exact", choices=sorted(_EXACT_KINDS), help="exact coder")
-    enc.add_argument("--limited", choices=("dad", "mrc"), help="depth-limited coder")
+    enc.add_argument("--exact", choices=_coder_names(fixed_width=False), help="exact coder")
+    enc.add_argument("--limited", choices=_coder_names(fixed_width=True), help="depth-limited coder")
     enc.add_argument("--budget", type=int, help="bit budget for --limited")
     enc.add_argument("--count", type=int, default=1, help="symbols to encode")
     enc.add_argument("--extra-bits", type=int, default=2,

@@ -13,6 +13,10 @@ regenerate from the seed alone:
   the 1-based arrival index of the winner.
 * MRC: importance selection among 2^bits independent proposal draws.
 
+``CODERS`` is the one place that says what each coder is: its wire tag,
+its unit layout and its encode/decode pair. Every caller that picks a
+coder by name or tag reads it.
+
 The search loop follows the branch-and-bound schedule: a priority queue
 ordered by realized Gumbel plus the region's ratio bound, an incumbent
 lower bound from scored samples, and pruning of children whose bound
@@ -25,6 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .distributions import FULL_LINE, Distribution1D, PairSpec, Region, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, UnboundedRatioError
@@ -42,12 +47,44 @@ class Variant(Enum):
     MRC = "mrc"
 
 
-_KIND_TO_VARIANT = {
-    PartitionKind.SAMPLE_SPLIT: Variant.AS_STAR,
-    PartitionKind.DYADIC: Variant.AD_STAR,
-    PartitionKind.GLOBAL_BOUND: Variant.PFR,
-}
-_VARIANT_TO_KIND = {v: k for k, v in _KIND_TO_VARIANT.items()}
+# Step budget of the exact searches that the CLI and the bench grids run.
+MAX_STEPS = 1_000_000
+
+
+def _gamma_bits(n: int) -> int:
+    return 2 * (n.bit_length() - 1) + 1
+
+
+def _delta_bits(n: int) -> int:
+    return (n.bit_length() - 1) + _gamma_bits(n.bit_length())
+
+
+class Unit(Enum):
+    """How one codeword sits on the wire."""
+
+    HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
+    ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
+    CODEWORD = "codeword"  # budget bits under a block's shared header
+
+    def check(self, width: int, payload: int) -> None:
+        """Refuse a payload this layout cannot carry at depth/budget ``width``."""
+        if self is Unit.HEAP_INDEX:
+            if payload < 1 or depth_of(payload) != width:
+                raise InvalidCodeError(f"heap index {payload} does not sit at depth {width}")
+        elif self is Unit.ARRIVAL_INDEX:
+            if payload < 1:
+                raise InvalidCodeError(f"arrival index must be >= 1, got {payload}")
+        elif not 0 <= payload < (1 << width):
+            raise InvalidCodeError(f"codeword {payload} outside budget of {width} bits")
+
+    def cost(self, width: int, payload: int) -> tuple[int, int]:
+        """(payload bits, standalone framing bits) of one unit."""
+        if self is Unit.HEAP_INDEX:
+            return width, _gamma_bits(width) - 1  # pack_exact drops the leading index bit
+        if self is Unit.ARRIVAL_INDEX:
+            bits = payload.bit_length()
+            return bits, _delta_bits(payload) - bits
+        return width, 0  # fixed-width codeword at the budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,18 +101,9 @@ class Code:
     payload: int
 
     def __post_init__(self) -> None:
-        v, d, h = self.variant, self.depth_or_budget, self.payload
-        if d < 1:
-            raise InvalidCodeError(f"depth/budget must be >= 1, got {d}")
-        if v in (Variant.AS_STAR, Variant.AD_STAR):
-            if h < 1 or depth_of(h) != d:
-                raise InvalidCodeError(f"heap index {h} does not sit at depth {d}")
-        elif v in (Variant.DAD_STAR, Variant.MRC):
-            if not 0 <= h < (1 << d):
-                raise InvalidCodeError(f"codeword {h} outside budget of {d} bits")
-        elif v is Variant.PFR:
-            if h < 1:
-                raise InvalidCodeError(f"arrival index must be >= 1, got {h}")
+        if self.depth_or_budget < 1:
+            raise InvalidCodeError(f"depth/budget must be >= 1, got {self.depth_or_budget}")
+        CODERS[self.variant].unit.check(self.depth_or_budget, self.payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,25 +118,9 @@ class TrialStats:
     lower_bound: float
 
 
-def _gamma_bits(n: int) -> int:
-    return 2 * (n.bit_length() - 1) + 1
-
-
-def _delta_bits(n: int) -> int:
-    return (n.bit_length() - 1) + _gamma_bits(n.bit_length())
-
-
-def _stats_for(variant: Variant, steps: int, depth: int, payload: int, lb: float) -> TrialStats:
-    if variant in (Variant.AS_STAR, Variant.AD_STAR):
-        payload_bits = depth
-        overhead = _gamma_bits(depth) - 1  # pack_exact drops the leading index bit
-    elif variant is Variant.PFR:
-        payload_bits = payload.bit_length()
-        overhead = _delta_bits(payload) - payload_bits
-    else:
-        payload_bits = depth  # fixed-width codeword at the budget
-        overhead = 0
-    return TrialStats(steps, depth, payload_bits, overhead, lb)
+def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
+    bits = CODERS[code.variant].unit.cost(code.depth_or_budget, code.payload)
+    return TrialStats(steps, depth, *bits, lb)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,6 +200,10 @@ def encode_astar(
 ) -> tuple[Code, float, TrialStats]:
     """Race the tree for a target sample; code the winner's identity.
 
+    With ``PartitionKind.GLOBAL_BOUND`` this is the PFR race, which never
+    shrinks a region and codes the winner's 1-based arrival index; its
+    expected arrival count is exp of the ratio supremum.
+
     Without a depth limit the search requires a finite ratio bound
     (sup log dQ/dP < inf); it refuses to start otherwise.
     """
@@ -197,16 +213,15 @@ def encode_astar(
         )
     if max_depth != INF and (max_depth < 1 or int(max_depth) != max_depth):
         raise DomainError(f"depth limit must be a positive integer, got {max_depth}")
-    variant = _KIND_TO_VARIANT[kind]
+    variant = _VARIANT_OF_KIND[kind]
     root = make_root(pair.proposal, seed)
     index, depth, x, steps, lb = _astar_search(
         pair, kind, seed, max_depth, max_steps, (), root
     )
-    if variant is Variant.PFR:
-        code = Code(variant, depth, depth)  # arrival index == chain depth
-    else:
-        code = Code(variant, depth, index)
-    return code, x, _stats_for(variant, steps, depth, code.payload, lb)
+    if CODERS[variant].unit is Unit.ARRIVAL_INDEX:
+        index = depth  # arrival index == chain depth
+    code = Code(variant, depth, index)
+    return code, x, _stats(code, steps, depth, lb)
 
 
 def decode_astar(
@@ -219,10 +234,13 @@ def decode_astar(
     ancestor's region with the same CDF arithmetic the encoder used; the
     dyadic walk never touches the target. Bit-exact against encoding.
     """
-    if code.variant is not _KIND_TO_VARIANT[kind]:
+    if CODERS[code.variant].kind is not kind:
         raise InvalidCodeError(f"{code.variant} code does not match partition {kind}")
-    if kind is PartitionKind.GLOBAL_BOUND:
-        return _regenerate_arrival_sample(proposal, code.payload, seed)
+    if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by arrival counter
+        return sample_restricted_u(
+            proposal, 0.0, 1.0,
+            keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), code.payload - 1)),
+        )
     index = code.payload
     if index < 1:
         raise InvalidCodeError(f"heap index must be >= 1, got {index}")
@@ -243,15 +261,6 @@ def decode_astar(
     return sample_restricted_u(
         proposal, ulow, uhigh,
         keyed_uniform(StreamKey(seed, index, int(DrawSlot.SAMPLE), 0)),
-    )
-
-
-def _regenerate_arrival_sample(proposal: Distribution1D, k: int, seed: int) -> float:
-    if k < 1:
-        raise InvalidCodeError(f"arrival index must be >= 1, got {k}")
-    return sample_restricted_u(
-        proposal, 0.0, 1.0,
-        keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), k - 1)),
     )
 
 
@@ -287,7 +296,7 @@ def encode_dad(
     )
     code = Code(Variant.DAD_STAR, budget, index)
     # transmitted width is the budget regardless of where the winner sat
-    return code, x, TrialStats(steps, depth, budget, 0, lb)
+    return code, x, _stats(code, steps, depth, lb)
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -301,26 +310,6 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
         )
     inner = Code(Variant.AD_STAR, depth_of(code.payload), code.payload)
     return decode_astar(proposal, PartitionKind.DYADIC, inner, seed)
-
-
-def encode_pfr(
-    pair: PairSpec, seed: int, max_steps: float = INF
-) -> tuple[Code, float, TrialStats]:
-    """Race without region shrinking; code the winner's arrival index.
-
-    Expected arrival count is exp of the ratio supremum, so this refuses
-    pairs with an infinite supremum outright. ``max_steps`` turns a
-    runaway search into a budget-exhausted error.
-    """
-    return encode_astar(
-        pair, PartitionKind.GLOBAL_BOUND, seed, max_depth=INF, max_steps=max_steps
-    )
-
-
-def decode_pfr(proposal: Distribution1D, code: Code, seed: int) -> float:
-    if code.variant is not Variant.PFR:
-        raise InvalidCodeError(f"expected a PFR code, got {code.variant}")
-    return _regenerate_arrival_sample(proposal, code.payload, seed)
 
 
 def encode_mrc(
@@ -358,7 +347,7 @@ def encode_mrc(
             chosen = i
             break
     code = Code(Variant.MRC, bits, chosen)
-    return code, xs[chosen], _stats_for(Variant.MRC, n, bits, chosen, log_w[chosen])
+    return code, xs[chosen], _stats(code, n, bits, log_w[chosen])
 
 
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -371,15 +360,59 @@ def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:
-    """Variant-dispatching decode."""
-    if code.variant is Variant.AS_STAR:
-        return decode_astar(proposal, PartitionKind.SAMPLE_SPLIT, code, seed)
-    if code.variant is Variant.AD_STAR:
-        return decode_astar(proposal, PartitionKind.DYADIC, code, seed)
-    if code.variant is Variant.DAD_STAR:
-        return decode_dad(proposal, code, seed)
-    if code.variant is Variant.PFR:
-        return decode_pfr(proposal, code, seed)
-    if code.variant is Variant.MRC:
-        return decode_mrc(proposal, code, seed)
-    raise InvalidCodeError(f"unknown variant {code.variant}")  # pragma: no cover
+    """Regenerate the sample of any codeword through its coder's entry."""
+    return CODERS[code.variant].decode(proposal, code, seed)
+
+
+@dataclass(frozen=True)
+class CoderSpec:
+    """What a coder is: its frozen wire tag, how its codewords sit on the
+    wire, and its encode/decode pair.
+
+    ``encode(pair, seed, budget, max_steps)`` returns (code, sample,
+    stats): ``budget`` is the bit budget of a fixed-width coder and
+    ``max_steps`` the step budget of an exact search; each coder ignores
+    the one it has no use for. ``kind`` is the partition rule of an exact
+    search (None for the fixed-width coders); ``max_dinf`` is the largest
+    D-infinity in nats at which the runtime grid runs the coder.
+    """
+
+    tag: int
+    unit: Unit
+    encode: Callable[[PairSpec, int, int | None, float], tuple[Code, float, TrialStats]]
+    decode: Callable[[Distribution1D, Code, int], float]
+    kind: PartitionKind | None = None
+    max_dinf: float = INF
+
+    @property
+    def fixed_width(self) -> bool:
+        return self.unit is Unit.CODEWORD
+
+
+def _exact_spec(tag: int, unit: Unit, kind: PartitionKind, max_dinf: float = INF) -> CoderSpec:
+    def encode(pair, seed, budget, max_steps):
+        return encode_astar(pair, kind, seed, max_steps=max_steps)
+
+    def decode(proposal, code, seed):
+        return decode_astar(proposal, kind, code, seed)
+
+    return CoderSpec(tag, unit, encode, decode, kind, max_dinf)
+
+
+CODERS: dict[Variant, CoderSpec] = {
+    Variant.AS_STAR: _exact_spec(1, Unit.HEAP_INDEX, PartitionKind.SAMPLE_SPLIT),
+    Variant.AD_STAR: _exact_spec(2, Unit.HEAP_INDEX, PartitionKind.DYADIC),
+    # expected arrivals grow like e^D-infinity: e^7 ~ 1100 per encode
+    Variant.PFR: _exact_spec(3, Unit.ARRIVAL_INDEX, PartitionKind.GLOBAL_BOUND, max_dinf=7.0),
+    Variant.DAD_STAR: CoderSpec(
+        4, Unit.CODEWORD,
+        lambda pair, seed, budget, max_steps: encode_dad(pair, seed, budget),
+        decode_dad,
+    ),
+    Variant.MRC: CoderSpec(
+        5, Unit.CODEWORD,
+        lambda pair, seed, budget, max_steps: encode_mrc(pair, seed, budget),
+        decode_mrc,
+    ),
+}
+_VARIANT_OF_KIND = {spec.kind: v for v, spec in CODERS.items() if spec.kind is not None}

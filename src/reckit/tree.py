@@ -35,7 +35,7 @@ from .randomness import (
     trunc_gumbel,
 )
 
-_MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
+MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
 
 
 class PartitionKind(Enum):
@@ -76,9 +76,9 @@ def depth_of(heap_index: int) -> int:
 
 def heap_children(heap_index: int) -> tuple[int, int]:
     """Child indices (2H, 2H+1), refusing to grow past packable depth."""
-    if heap_index.bit_length() + 1 > _MAX_DEPTH:
+    if heap_index.bit_length() + 1 > MAX_DEPTH:
         raise DepthExceededError(
-            f"children of node {heap_index} exceed depth {_MAX_DEPTH}"
+            f"children of node {heap_index} exceed depth {MAX_DEPTH}"
         )
     return 2 * heap_index, 2 * heap_index + 1
 

@@ -46,7 +46,6 @@ from reckit.coders import (
     encode_astar,
     encode_dad,
     encode_mrc,
-    encode_pfr,
 )
 from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
 from reckit.isokl import (
@@ -116,7 +115,9 @@ def test_criterion_01_encoded_samples_follow_the_target():
             coders.append(
                 ("as", lambda s: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, s)[1])
             )
-            coders.append(("pfr", lambda s: encode_pfr(pair, s)[1]))
+            coders.append(
+                ("pfr", lambda s: encode_astar(pair, PartitionKind.GLOBAL_BOUND, s)[1])
+            )
         start = time.monotonic()
         for ai, (name, enc) in enumerate(coders):
             xs = [enc(derive_seed(10_000 + 10 * ci + ai, j)) for j in range(5000)]
@@ -208,7 +209,8 @@ def test_criterion_04_global_bound_steps_near_exp_dinf():
     for ci, dinf in enumerate((math.log(2.0), math.log(4.0), 2.0, 4.0)):
         pair = gauss_pair(0.7 * kl_ceiling(dinf), dinf)
         steps = [
-            encode_pfr(pair, derive_seed(40_000 + ci, j))[2].steps for j in range(1000)
+            encode_astar(pair, PartitionKind.GLOBAL_BOUND, derive_seed(40_000 + ci, j))[2].steps
+            for j in range(1000)
         ]
         mean = float(np.mean(steps))
         lo, hi = math.exp(dinf) / 2.0, 2.0 * math.exp(dinf)
@@ -528,7 +530,7 @@ def test_criterion_11_serialization_roundtrips_and_block_overhead():
         encoded = (
             (MODE_EXACT, None, encode_astar(pair, PartitionKind.SAMPLE_SPLIT, seed)),
             (MODE_EXACT, None, encode_astar(pair, PartitionKind.DYADIC, seed)),
-            (MODE_EXACT, None, encode_pfr(pair, seed)),
+            (MODE_EXACT, None, encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)),
             (MODE_BLOCK, 6, encode_dad(pair, seed, 6)),
             (MODE_BLOCK, 5, encode_mrc(pair, seed, 5)),
         )

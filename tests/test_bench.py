@@ -85,6 +85,31 @@ def test_knn_higher_k():
     assert est == pytest.approx(0.5, abs=0.15)
 
 
+def test_knn_matches_kdtree_reference():
+    # the estimator finds neighbours by sorting; scipy's k-d tree is the
+    # reference it must match exactly, jittered duplicates included
+    from scipy.spatial import cKDTree
+
+    def reference(x, y, k):
+        rho = cKDTree(x[:, None]).query(x[:, None], k=k + 1)[0][:, k]
+        nu = cKDTree(y[:, None]).query(x[:, None], k=k)[0]
+        nu = nu[:, k - 1] if k > 1 else nu
+        return float(np.mean(np.log(nu / rho)) + math.log(len(y) / (len(x) - 1)))
+
+    rng = np.random.default_rng(5)
+    for scale in (1e-6, 1.0, 1e3):
+        for k in (1, 2, 3):
+            x = rng.normal(0.0, scale, 300)
+            y = rng.normal(0.3 * scale, 1.2 * scale, 200)
+            assert knn_kl_estimate(x, y, k=k) == reference(x, y, k)
+    x = np.round(rng.normal(size=200), 2)  # many exact ties
+    y = rng.normal(size=100)
+    x_jit = x + 1e-12 * np.arange(len(x))
+    y_jit = y + 1e-12 * math.sqrt(2.0) * np.arange(len(y))
+    with pytest.warns(UserWarning, match="jitter"):
+        assert knn_kl_estimate(x, y) == reference(x_jit, y_jit, 1)
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_validation():

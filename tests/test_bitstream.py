@@ -17,13 +17,12 @@ from reckit.bitstream import (
     pack_exact,
     pack_pfr,
     read_message,
-    unpack,
     unpack_block,
     unpack_exact,
     unpack_pfr,
     write_message,
 )
-from reckit.coders import Code, Variant
+from reckit.coders import CODERS, Code, Unit, Variant
 from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError
 
 GAMMA_GOLDEN = {1: "1", 2: "010", 3: "011", 4: "00100", 5: "00101",
@@ -150,16 +149,24 @@ def test_pack_block_validation():
         pack_block([], 0)
 
 
-def test_unpack_dispatcher():
-    code = Code(Variant.AS_STAR, 4, 9)
-    assert unpack(pack_exact(code).getvalue(), "exact", Variant.AS_STAR) == code
-    code = Code(Variant.PFR, 7, 7)
-    assert unpack(pack_pfr(code).getvalue(), "pfr") == code
-    budget, codes = unpack(pack_block([Code(Variant.MRC, 4, 11)], 4).getvalue(),
-                           "block", Variant.MRC)
-    assert budget == 4 and codes == [Code(Variant.MRC, 4, 11)]
-    with pytest.raises(DomainError):
-        unpack(b"\x80", "bogus")
+def test_coder_table_wire_tags():
+    # the tags and unit layouts are frozen parts of the wire format
+    assert {v: (spec.tag, spec.unit) for v, spec in CODERS.items()} == {
+        Variant.AS_STAR: (1, Unit.HEAP_INDEX),
+        Variant.AD_STAR: (2, Unit.HEAP_INDEX),
+        Variant.PFR: (3, Unit.ARRIVAL_INDEX),
+        Variant.DAD_STAR: (4, Unit.CODEWORD),
+        Variant.MRC: (5, Unit.CODEWORD),
+    }
+    # each layout reads back its own unit: heap index, arrival index, codeword
+    for code, mode, budget in [
+        (Code(Variant.AS_STAR, 4, 9), MODE_EXACT, None),
+        (Code(Variant.PFR, 7, 7), MODE_EXACT, None),
+        (Code(Variant.MRC, 4, 11), MODE_BLOCK, 4),
+    ]:
+        data = write_message(MessageFrame(mode, code.variant, (code,), budget)).getvalue()
+        frame = read_message(BitReader(data))
+        assert (frame.mode, frame.variant, frame.codes) == (mode, code.variant, (code,))
 
 
 @pytest.mark.parametrize("variant,codes", [
@@ -224,6 +231,30 @@ def test_message_rejects_unknown_tags():
     w.write_elias_gamma(1)
     with pytest.raises(MalformedMessageError):
         read_message(BitReader(w.getvalue()))
+
+
+def test_read_rejects_frame_of_the_wrong_layout():
+    for mode_tag, variant_tag in ((1, 4), (1, 5), (2, 1), (2, 3)):
+        w = BitWriter()
+        w.write_elias_gamma(mode_tag)
+        w.write_elias_gamma(variant_tag)
+        w.write_elias_gamma(2)
+        w.write_elias_gamma(2)
+        with pytest.raises(MalformedMessageError):
+            read_message(BitReader(w.getvalue()))
+
+
+def test_unpack_depth_cap_is_the_tree_cap():
+    from reckit.tree import MAX_DEPTH
+
+    for unpack in (unpack_exact, unpack_block):
+        w = BitWriter()
+        w.write_elias_gamma(MAX_DEPTH + 1)
+        w.write_bits(0, 64 + 8)
+        with pytest.raises(MalformedMessageError):
+            unpack(BitReader(w.getvalue()))
+    code = Code(Variant.AD_STAR, MAX_DEPTH, (1 << (MAX_DEPTH - 1)) + 5)
+    assert unpack_exact(BitReader(pack_exact(code).getvalue())) == code
 
 
 def test_block_mode_rejects_exact_variants():

@@ -11,6 +11,23 @@ import pytest
 from reckit.cli import main
 from reckit.tree import PartitionKind
 
+# Frozen messages of three symbols at seed 7 on the `isokl --kl 1 --dinf 2`
+# pair, one per coder: (encode flags, message hex, float.hex of each sample).
+# They pin the variant tags 1-5 and the heap-index, arrival-index and
+# codeword unit layouts.
+WIRE_GOLDEN = {
+    "as": (["--exact", "as"], "c8fbc0",
+           ["0x1.11cd55ec550c3p+1", "0x1.09e0c1580f934p+1", "0x1.10c1f71f06d1bp+1"]),
+    "ad": (["--exact", "ad"], "a23ea0",
+           ["0x1.025dc110686d8p+1", "0x1.09e0c1580f934p+1", "0x1.a3fa0142a15d8p+0"]),
+    "pfr": (["--exact", "pfr"], "b232a0",
+            ["0x1.addcc776fc644p-2", "0x1.09e0c1580f934p+1", "0x1.7b5df85521066p+0"]),
+    "dad": (["--limited", "dad", "--budget", "6"], "4431070430",
+            ["0x1.025dc110686d8p+1", "0x1.09e0c1580f934p+1", "0x1.a3fa0142a15d8p+0"]),
+    "mrc": (["--limited", "mrc", "--budget", "6"], "453108a620",
+            ["0x1.2181a2210c06bp-1", "0x1.e0c98965a466ep+0", "0x1.347ee4243145cp+0"]),
+}
+
 GOLDEN_HEADER = (
     "algorithm,family,d_kl_nats,d_inf_nats,n_modes,t_extra_bits,"
     "trial_index,steps,depth,payload_bits,kl_bias_estimate,error"
@@ -63,6 +80,34 @@ def test_encode_decode_byte_identical(tmp_path, model, flags):
     enc, dec, _ = run_roundtrip(tmp_path, model, flags)
     assert enc == dec
     assert len(enc.splitlines()) == 5
+
+
+@pytest.mark.parametrize("coder", sorted(WIRE_GOLDEN))
+def test_wire_format_golden(tmp_path, model, coder):
+    flags, message, samples = WIRE_GOLDEN[coder]
+    enc, dec, msg = run_roundtrip(tmp_path, model, flags, count="3")
+    assert msg.read_bytes().hex() == message
+    assert [line.split()[0] for line in enc.splitlines()] == [s.encode() for s in samples]
+    assert dec == enc
+
+
+def test_exact_encode_is_step_bounded(tmp_path, model, monkeypatch, capsys):
+    msg = str(tmp_path / "m.bin")
+    # the budget reaches the search (checked first, on a pair that finishes
+    # anyway, so an unbounded encode fails here instead of running on)
+    monkeypatch.setattr("reckit.cli.MAX_STEPS", 1)
+    assert main(["encode", "--model", str(model), "--exact", "ad", "--seed", "7",
+                 "--count", "5", "--out", msg]) == 2
+    # D-infinity ~ 450 nats: the global-bound race would need ~e^450 arrivals
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({
+        "target": {"family": "gaussian", "mean": 3.0, "variance": 0.99 ** 2},
+        "proposal": {"family": "gaussian", "mean": 0.0, "variance": 1.0},
+    }))
+    monkeypatch.setattr("reckit.cli.MAX_STEPS", 1000)
+    assert main(["encode", "--model", str(far), "--exact", "pfr", "--seed", "1",
+                 "--out", msg]) == 2
+    assert "exceeded 1000 steps" in capsys.readouterr().err
 
 
 def test_decode_needs_only_the_proposal(tmp_path, model):
@@ -187,7 +232,12 @@ def test_usage_exit_codes(tmp_path, model, capsys):
     # --limited without --budget
     assert main(["encode", "--model", str(model), "--seed", "1",
                  "--limited", "dad", "--out", str(msg)]) == 2
-    capsys.readouterr()
+    # encoding needs a target: a bare distribution is not a pair
+    bare = tmp_path / "proposal.json"
+    bare.write_text('{"family": "gaussian", "mean": 0.0, "variance": 1.0}')
+    assert main(["encode", "--model", str(bare), "--seed", "1",
+                 "--exact", "ad", "--out", str(msg)]) == 2
+    assert "needs a pair model" in capsys.readouterr().err
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from reckit.coders import (
+    CODERS,
     Code,
     TrialStats,
     Variant,
@@ -20,11 +21,9 @@ from reckit.coders import (
     decode_astar,
     decode_dad,
     decode_mrc,
-    decode_pfr,
     encode_astar,
     encode_dad,
     encode_mrc,
-    encode_pfr,
 )
 from reckit.distributions import (
     FULL_LINE,
@@ -158,14 +157,14 @@ def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: in
 def test_pfr_matches_arrival_chain(pair):
     for seed in range(300, 420):
         want_k, want_x, want_score, want_steps = pfr_arrival_oracle(pair, seed)
-        code, x, stats = encode_pfr(pair, seed)
+        code, x, stats = encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)
         assert code.variant is Variant.PFR
         assert code.payload == want_k
         assert code.depth_or_budget == want_k
         assert x == want_x
         assert stats.steps == want_steps
         assert stats.lower_bound == want_score
-        assert decode_pfr(pair.proposal, code, seed) == x
+        assert decode_astar(pair.proposal, PartitionKind.GLOBAL_BOUND, code, seed) == x
 
 
 @pytest.mark.parametrize("kind,variant", [
@@ -240,14 +239,9 @@ def test_mrc_all_miss_falls_back_to_uniform():
 @pytest.mark.parametrize("pair", ALL_PAIRS)
 def test_roundtrip_every_variant(pair):
     for seed in range(7000, 7150):
-        for encoder in (
-            lambda s: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, s),
-            lambda s: encode_astar(pair, PartitionKind.DYADIC, s),
-            lambda s: encode_pfr(pair, s),
-            lambda s: encode_dad(pair, s, 6),
-            lambda s: encode_mrc(pair, s, 5),
-        ):
-            code, x, _ = encoder(seed)
+        for variant, spec in CODERS.items():
+            code, x, _ = spec.encode(pair, seed, 6, math.inf)
+            assert code.variant is variant
             assert decode(pair.proposal, code, seed) == x
 
 
@@ -335,7 +329,7 @@ def test_stats_bit_accounting():
             assert stats.payload_bits == d
             assert stats.overhead_bits == gamma_bits(d) - 1
             assert pack_exact(code).bit_length == stats.payload_bits + stats.overhead_bits
-        code, _, stats = encode_pfr(PAIR_GG, seed)
+        code, _, stats = encode_astar(PAIR_GG, PartitionKind.GLOBAL_BOUND, seed)
         assert stats.payload_bits == code.payload.bit_length()
         assert stats.overhead_bits == delta_bits(code.payload) - stats.payload_bits
         assert pack_pfr(code).bit_length == stats.payload_bits + stats.overhead_bits
@@ -351,7 +345,7 @@ def test_exact_search_refuses_unbounded_ratio():
     with pytest.raises(UnboundedRatioError):
         encode_astar(fat, PartitionKind.DYADIC, 1)
     with pytest.raises(UnboundedRatioError):
-        encode_pfr(fat, 1)
+        encode_astar(fat, PartitionKind.GLOBAL_BOUND, 1)
     # a finite depth limit restores a well-defined (approximate) race
     code, x, _ = encode_astar(fat, PartitionKind.DYADIC, 1, max_depth=8)
     assert decode(fat.proposal, code, 1) == x
@@ -372,10 +366,11 @@ def test_parameter_validation():
 
 def test_budget_exhaustion():
     seed = next(
-        s for s in range(100) if encode_pfr(PAIR_GG, s)[2].steps > 3
+        s for s in range(100)
+        if encode_astar(PAIR_GG, PartitionKind.GLOBAL_BOUND, s)[2].steps > 3
     )
     with pytest.raises(BudgetExhaustedError):
-        encode_pfr(PAIR_GG, seed, max_steps=1)
+        encode_astar(PAIR_GG, PartitionKind.GLOBAL_BOUND, seed, max_steps=1)
     with pytest.raises(BudgetExhaustedError):
         encode_astar(PAIR_GG, PartitionKind.DYADIC, seed, max_steps=1)
 
@@ -402,6 +397,6 @@ def test_decode_variant_mismatch():
     with pytest.raises(InvalidCodeError):
         decode_dad(PAIR_GG.proposal, ad_code, 1)
     with pytest.raises(InvalidCodeError):
-        decode_pfr(PAIR_GG.proposal, ad_code, 1)
+        decode_astar(PAIR_GG.proposal, PartitionKind.GLOBAL_BOUND, ad_code, 1)
     with pytest.raises(InvalidCodeError):
         decode_mrc(PAIR_GG.proposal, ad_code, 1)
