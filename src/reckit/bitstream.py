@@ -129,12 +129,6 @@ class BitReader:
         return (1 << (length - 1)) | self.read_bits(length - 1)
 
 
-def write_elias_gamma(n: int) -> bytes:
-    w = BitWriter()
-    w.write_elias_gamma(n)
-    return w.getvalue()
-
-
 def pack_exact(code: Code, writer: BitWriter | None = None) -> BitWriter:
     """gamma(depth) then the heap index without its leading bit."""
     if CODERS[code.variant].unit is not Unit.HEAP_INDEX:

@@ -70,10 +70,6 @@ class Distribution1D:
     def support(self) -> Region:
         raise NotImplementedError
 
-    def pdf(self, x: float) -> float:
-        lp = self.log_pdf(x)
-        return math.exp(lp) if lp > -INF else 0.0
-
     def mass(self, region: Region) -> float:
         return self.cdf(region.high) - self.cdf(region.low)
 
@@ -342,25 +338,13 @@ def distribution_from_json(text: str) -> Distribution1D:
     return distribution_from_dict(json.loads(text))
 
 
-def sample_restricted(dist: Distribution1D, region: Region, u: float) -> float:
-    """Draw the u-quantile of ``dist`` conditioned on ``region``.
-
-    Computes x = inv_cdf(cdf(low) + u * (cdf(high) - cdf(low))). The result
-    lies strictly inside the region except where float resolution collapses
-    the quantile onto an endpoint.
-    """
-    Distribution1D._check_unit(u)
-    ulow = dist.cdf(region.low)
-    uhigh = dist.cdf(region.high)
-    return sample_restricted_u(dist, ulow, uhigh, u)
-
-
 def sample_restricted_u(dist: Distribution1D, ulow: float, uhigh: float, u: float) -> float:
-    """Restricted sampling given precomputed CDF endpoints.
+    """Draw the u-quantile of ``dist`` conditioned on the region whose
+    proposal-CDF endpoints are ``ulow`` and ``uhigh``.
 
-    The search tree caches CDF values of region endpoints; routing both the
-    public entry point and the tree through this one expression keeps
-    encoder and decoder bit-identical.
+    Computes x = inv_cdf(ulow + u * (uhigh - ulow)). The search tree
+    caches the CDF values of region endpoints; routing the encoder and
+    the decoder through this one expression keeps them bit-identical.
     """
     span = uhigh - ulow
     if not span > 0.0:
@@ -370,56 +354,170 @@ def sample_restricted_u(dist: Distribution1D, ulow: float, uhigh: float, u: floa
     return dist.inv_cdf(ulow + u * span)
 
 
+# -- family-pair kernels --------------------------------------------------------
+# A kernel holds what one family pair knows about r = dQ/dP, computed once
+# when the pair is built: ``mode`` (a point attaining sup log r, or None
+# where the ratio is unbounded), ``kl`` and ``dinf`` in nats,
+# ``log_ratio(x)`` for x inside the proposal support, and
+# ``bound(low, high)``, the supremum of log r over the open interval.
+
+
+class _GaussianPair:
+    """Gaussian target under a Gaussian proposal. log r is a quadratic, so
+    its supremum over an interval sits at the mode (when the target variance
+    is the smaller one) or at an end, an infinite end giving its limit."""
+
+    def __init__(self, q: Gaussian, p: Gaussian):
+        self.q_mean, self.p_mean = q.mean, p.mean
+        self.two_qv, self.two_pv = 2.0 * q.variance, 2.0 * p.variance
+        ratio = p.variance / q.variance
+        if not 0.0 < ratio < INF:
+            raise DomainError(f"variance ratio {p.variance} / {q.variance} leaves the float range")
+        self.half_log_vr = 0.5 * math.log(ratio)
+        dm = q.mean - p.mean
+        self.kl = self.half_log_vr + (q.variance + dm * dm) / (2.0 * p.variance) - 0.5
+        if q.variance < p.variance:
+            self.mode = (q.mean * p.variance - p.mean * q.variance) / (p.variance - q.variance)
+            self.dinf = self.half_log_vr + dm * dm / (2.0 * (p.variance - q.variance))
+            self.tails = (-INF, -INF)
+        elif q == p:
+            self.mode, self.dinf, self.tails = p.mean, 0.0, (0.0, 0.0)
+        elif q.variance > p.variance:
+            self.mode, self.dinf, self.tails = None, INF, (INF, INF)
+        else:  # equal variances: log r is linear, the sign of its slope decides
+            slope = (q.mean - p.mean) / q.variance
+            self.mode, self.dinf = None, INF
+            self.tails = ((-INF, INF) if slope > 0.0 else (INF, -INF) if slope < 0.0
+                          else (0.0, 0.0))
+        self.at_mode = None if self.mode is None else self.log_ratio(self.mode)
+
+    def log_ratio(self, x: float) -> float:
+        zs = x - self.q_mean
+        zp = x - self.p_mean
+        return self.half_log_vr + zp * zp / self.two_pv - zs * zs / self.two_qv
+
+    def bound(self, low: float, high: float) -> float:
+        lo = self.tails[0] if low == -INF else self.log_ratio(low)
+        hi = self.tails[1] if high == INF else self.log_ratio(high)
+        best = lo if lo >= hi else hi
+        if self.mode is not None and low < self.mode < high and self.at_mode > best:
+            return self.at_mode
+        return best
+
+
+class _UniformTarget:
+    """Uniform target: log r = -log(width) - log p(x) on its support, convex
+    for both supported proposals, so its supremum over an interval sits at an
+    end of the interval's overlap with the support (-inf if they miss)."""
+
+    def __init__(self, q: Uniform, p: Distribution1D):
+        self.low, self.high = q.low, q.high
+        self.log_q = -math.log(q.width)
+        self.p_log_pdf = p.log_pdf
+        self.dinf = self.bound(-INF, INF)
+
+    def log_ratio(self, x: float) -> float:
+        if self.low <= x <= self.high:
+            return self.log_q - self.p_log_pdf(x)
+        return -INF
+
+    def bound(self, low: float, high: float) -> float:
+        a = low if low > self.low else self.low
+        b = high if high < self.high else self.high
+        if a > b:
+            return -INF
+        ra, rb = self.log_ratio(a), self.log_ratio(b)
+        return ra if ra >= rb else rb
+
+
+class _UniformUniform(_UniformTarget):
+    def __init__(self, q: Uniform, p: Uniform):
+        super().__init__(q, p)
+        self.mode = p.center if q == p else q.center  # log r is flat
+        self.kl = math.log(p.width / q.width)
+
+
+class _UniformGaussian(_UniformTarget):
+    def __init__(self, q: Uniform, p: Gaussian):
+        super().__init__(q, p)
+        a, b = q.low, q.high  # the support endpoint farther from the proposal mean
+        self.mode = a if abs(a - p.mean) >= abs(b - p.mean) else b
+        # E_Q[(x - mean_p)^2] for uniform Q has a cubic closed form.
+        a, b = q.low - p.mean, q.high - p.mean
+        second_moment = (b * b * b - a * a * a) / (3.0 * (b - a))
+        self.kl = (-math.log(q.width) + math.log(p.std) + _LOG_SQRT_2PI
+                   + second_moment / (2.0 * p.variance))
+
+
+class _MixtureUniform:
+    """Uniform-mixture target under a uniform proposal: log r is one
+    constant per component, so the bound over an interval is the largest
+    constant among the components it overlaps."""
+
+    def __init__(self, q: UniformMixture, p: Uniform):
+        log_p = -math.log(p.width)
+        self.pieces = tuple(
+            (c.low, c.high, math.log(c.weight) - math.log(c.length) - log_p)
+            for c in q.components
+        )
+        densest = max(q.components, key=lambda c: c.weight / c.length)
+        self.mode = 0.5 * (densest.low + densest.high)
+        self.kl = math.fsum(c.weight * math.log(c.weight * p.width / c.length)
+                            for c in q.components)
+        self.dinf = self.bound(-INF, INF)
+
+    def log_ratio(self, x: float) -> float:
+        for low, high, value in self.pieces:
+            if low <= x <= high:
+                return value
+        return -INF
+
+    def bound(self, low: float, high: float) -> float:
+        best = -INF
+        for c_low, c_high, value in self.pieces:
+            if c_high > low and c_low < high and value > best:
+                best = value
+        return best
+
+
+_KERNELS = {
+    (Gaussian, Gaussian): _GaussianPair,
+    (Uniform, Uniform): _UniformUniform,
+    (Uniform, Gaussian): _UniformGaussian,
+    (UniformMixture, Uniform): _MixtureUniform,
+}
+
+
 class PairSpec:
     """A target distribution Q paired with a proposal P, Q << P.
 
     Owns everything the coders need about the density ratio r = dQ/dP:
     pointwise log ratio, the maximizing point, supremum bounds over
-    regions, and closed-form divergences.
+    regions, and closed-form divergences. The family pair picks its kernel
+    from ``_KERNELS`` once, here.
     """
 
     def __init__(self, target: Distribution1D, proposal: Distribution1D):
-        if isinstance(proposal, UniformMixture):
-            raise DomainError("uniform-mixture proposals are not supported")
-        if isinstance(proposal, Uniform):
-            sup_q = target.support()
-            if isinstance(target, Gaussian):
-                raise AbsoluteContinuityError(
-                    "gaussian target has unbounded support; uniform proposal cannot cover it"
-                )
-            if sup_q.low < proposal.low or sup_q.high > proposal.high:
-                raise AbsoluteContinuityError(
-                    f"target support ({sup_q.low}, {sup_q.high}) not inside "
-                    f"proposal support ({proposal.low}, {proposal.high})"
-                )
-        if isinstance(target, UniformMixture) and not isinstance(proposal, Uniform):
+        kernel = _KERNELS.get((type(target), type(proposal)))
+        if kernel is None:
+            error = DomainError if type(proposal) is UniformMixture else AbsoluteContinuityError
+            raise error(f"no kernel for a {type(target).__name__} target under a "
+                        f"{type(proposal).__name__} proposal")
+        sup_q, sup_p = target.support(), proposal.support()
+        if sup_q.low < sup_p.low or sup_q.high > sup_p.high:
             raise AbsoluteContinuityError(
-                "uniform-mixture targets require a covering uniform proposal"
+                f"target support ({sup_q.low}, {sup_q.high}) not inside "
+                f"proposal support ({sup_p.low}, {sup_p.high})"
             )
-        self.target = target
-        self.proposal = proposal
-
-    # -- pointwise ratio ---------------------------------------------------
+        self.target, self.proposal = target, proposal
+        self._low, self._high = sup_p.low, sup_p.high
+        self._kernel = kernel(target, proposal)
 
     def log_ratio(self, x: float) -> float:
         """log(dQ/dP)(x); -inf where q(x) = 0 inside the proposal support."""
-        p = self.proposal
-        sup_p = p.support()
-        if not (sup_p.low <= x <= sup_p.high) or not math.isfinite(x):
+        if not self._low <= x <= self._high or not math.isfinite(x):
             raise DomainError(f"x={x} outside proposal support")
-        q = self.target
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            zs = (x - q.mean)
-            zp = (x - p.mean)
-            return (
-                0.5 * math.log(p.variance / q.variance)
-                + zp * zp / (2.0 * p.variance)
-                - zs * zs / (2.0 * q.variance)
-            )
-        lq = q.log_pdf(x)
-        if lq == -INF:
-            return -INF
-        return lq - p.log_pdf(x)
+        return self._kernel.log_ratio(x)
 
     def ratio_mode(self) -> float:
         """A point attaining sup log r over the proposal support.
@@ -428,113 +526,25 @@ class PairSpec:
         variance (otherwise the ratio is unbounded). Identical target and
         proposal return the proposal mean by convention.
         """
-        q, p = self.target, self.proposal
-        if q == p:
-            if isinstance(p, Gaussian):
-                return p.mean
-            if isinstance(p, Uniform):
-                return p.center
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            if q.variance >= p.variance:
-                raise UnboundedRatioError(
-                    "density ratio is unbounded unless target variance < proposal variance"
-                )
-            return (q.mean * p.variance - p.mean * q.variance) / (p.variance - q.variance)
-        if isinstance(q, Uniform) and isinstance(p, Uniform):
-            return q.center
-        if isinstance(q, Uniform) and isinstance(p, Gaussian):
-            # log r is convex on the target support: max at the endpoint
-            # farther from the proposal mean.
-            a, b = q.low, q.high
-            return a if abs(a - p.mean) >= abs(b - p.mean) else b
-        if isinstance(q, UniformMixture):
-            best = max(q.components, key=lambda c: c.weight / c.length)
-            return 0.5 * (best.low + best.high)
-        raise DomainError("unsupported pair")  # pragma: no cover
-
-    def _endpoint_log_ratio(self, x: float) -> float:
-        """Limit of log r approaching x from inside the proposal support."""
-        q, p = self.target, self.proposal
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            if not math.isfinite(x):
-                if q.variance < p.variance:
-                    return -INF
-                if q.variance > p.variance:
-                    return INF
-                # equal variances: linear log ratio, sign of the slope decides
-                slope = (q.mean - p.mean) / q.variance
-                if slope == 0.0:
-                    return 0.0
-                return INF if (slope > 0.0) == (x == INF) else -INF
-            return self.log_ratio(x)
-        sup_p = p.support()
-        xc = min(max(x, sup_p.low), sup_p.high)
-        if not math.isfinite(xc):
-            return -INF
-        lq = q.log_pdf(xc)
-        return -INF if lq == -INF else lq - p.log_pdf(xc)
+        mode = self._kernel.mode
+        if mode is None:
+            raise UnboundedRatioError(
+                "density ratio is unbounded unless target variance < proposal variance"
+            )
+        return mode
 
     def bound_M(self, region: Region) -> float:
-        """sup of log r over the region (intersected with proposal support).
+        """sup of log r over the region's overlap with the target support.
 
-        Exact for every supported pair: the supremum of the ratio on an
-        interval sits either at the ratio mode or at an interval endpoint,
-        and for mixture targets it is a maximum of per-component constants.
+        Exact for every supported pair: the supremum sits at the ratio mode
+        or at an end of that overlap, and for mixture targets it is a
+        maximum of per-component constants.
         """
-        q = self.target
-        if isinstance(q, UniformMixture):
-            best = -INF
-            for c in q.components:
-                if c.high > region.low and c.low < region.high:
-                    val = math.log(c.weight) - math.log(c.length) \
-                        - self.proposal.log_pdf(0.5 * (max(c.low, region.low)
-                                                       + min(c.high, region.high)))
-                    if val > best:
-                        best = val
-            return best
-        lo = self._endpoint_log_ratio(region.low)
-        hi = self._endpoint_log_ratio(region.high)
-        best = lo if lo >= hi else hi
-        try:
-            mode = self.ratio_mode()
-        except UnboundedRatioError:
-            return best
-        if region.contains(mode):
-            val = self.log_ratio(mode)
-            if val > best:
-                best = val
-        return best
-
-    # -- divergences ---------------------------------------------------------
+        return self._kernel.bound(region.low, region.high)
 
     def analytic_kl(self) -> float:
         """KL(Q || P) in nats, closed form per family pair."""
-        q, p = self.target, self.proposal
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            dm = q.mean - p.mean
-            return (
-                0.5 * math.log(p.variance / q.variance)
-                + (q.variance + dm * dm) / (2.0 * p.variance)
-                - 0.5
-            )
-        if isinstance(q, Uniform) and isinstance(p, Uniform):
-            return math.log(p.width / q.width)
-        if isinstance(q, UniformMixture) and isinstance(p, Uniform):
-            return math.fsum(
-                c.weight * math.log(c.weight * p.width / c.length)
-                for c in q.components
-            )
-        if isinstance(q, Uniform) and isinstance(p, Gaussian):
-            # E_Q[(x - mean_p)^2] for uniform Q has a cubic closed form.
-            a, b = q.low - p.mean, q.high - p.mean
-            second_moment = (b * b * b - a * a * a) / (3.0 * (b - a))
-            return (
-                -math.log(q.width)
-                + math.log(p.std)
-                + _LOG_SQRT_2PI
-                + second_moment / (2.0 * p.variance)
-            )
-        raise DomainError("unsupported pair")  # pragma: no cover
+        return self._kernel.kl
 
     def analytic_dinf(self) -> float:
         """Renyi divergence of order infinity, sup log r, in nats.
@@ -542,18 +552,7 @@ class PairSpec:
         +inf is a legitimate value (Gaussian pair with target variance
         >= proposal variance and different means).
         """
-        q, p = self.target, self.proposal
-        if isinstance(q, Gaussian) and isinstance(p, Gaussian):
-            if q.variance < p.variance:
-                dm = q.mean - p.mean
-                return (
-                    0.5 * math.log(p.variance / q.variance)
-                    + dm * dm / (2.0 * (p.variance - q.variance))
-                )
-            if q.variance == p.variance and q.mean == p.mean:
-                return 0.0
-            return INF
-        return self.bound_M(FULL_LINE)
+        return self._kernel.dinf
 
     # -- serialization -------------------------------------------------------
 

@@ -99,19 +99,6 @@ def gaussian_from_mean_kl(
     return -(prior_std * prior_std) * w
 
 
-def gaussian_unconstrained(
-    prior_mean: float, prior_std: float, alpha: float, beta: float
-) -> tuple[float, float]:
-    """Map unconstrained reals (alpha, beta) to a feasible (mean, variance).
-
-    kappa = exp(alpha) and the mean sits at tanh(beta) of its allowed
-    radius, so the constraints hold for any input.
-    """
-    kappa = math.exp(alpha)
-    mean = prior_mean + prior_std * math.sqrt(2.0 * kappa) * math.tanh(beta)
-    return mean, gaussian_from_mean_kl(prior_mean, prior_std, mean, kappa)
-
-
 def gaussian_from_kl_dinf(kl: float, dinf: float) -> tuple[float, float]:
     """Invert (KL, sup log ratio) jointly under a standard normal proposal.
 

@@ -91,22 +91,18 @@ class GumbelValue(NamedTuple):
     truncation: float
 
 
-def gumbel(u: float, location: float = 0.0) -> GumbelValue:
-    """Gumbel(location) variate from a unit uniform: location - log(-log u)."""
-    return GumbelValue(location - math.log(-math.log(u)), location, math.inf)
-
-
 def trunc_gumbel(u: float, location: float, bound: float) -> GumbelValue:
     """Gumbel(location) conditioned to lie below ``bound``.
 
     Inverse-CDF form: value = location - log(exp(-(bound - location)) - log u).
     Evaluated as -logaddexp(-g, -bound) with g the untruncated variate,
     which stays stable when bound - location is very large or very
-    negative.
+    negative. An infinite bound gives the plain Gumbel(location) variate
+    g = location - log(-log u).
     """
-    if bound == math.inf:
-        return gumbel(u, location)
     g = location - math.log(-math.log(u))
+    if bound == math.inf:
+        return GumbelValue(g, location, math.inf)
     a = -g
     b = -bound
     if a > b:
@@ -114,8 +110,3 @@ def trunc_gumbel(u: float, location: float, bound: float) -> GumbelValue:
     else:
         value = -(b + math.log1p(math.exp(a - b)))
     return GumbelValue(value, location, bound)
-
-
-def gumbel_to_arrival(g: float) -> float:
-    """Map a Gumbel variate to its exponential-race arrival time exp(-g)."""
-    return math.exp(-g)

@@ -20,10 +20,9 @@ reproduce region arithmetic bit for bit.
 
 from __future__ import annotations
 
-import heapq
 import math
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .distributions import Distribution1D, Region, sample_restricted_u
 from .errors import DepthExceededError, DomainError
@@ -81,19 +80,6 @@ def heap_children(heap_index: int) -> tuple[int, int]:
             f"children of node {heap_index} exceed depth {MAX_DEPTH}"
         )
     return 2 * heap_index, 2 * heap_index + 1
-
-
-def partition(
-    kind: PartitionKind,
-    region: Region,
-    x: float,
-    proposal: Distribution1D,
-) -> tuple[Region | None, Region | None]:
-    """Split a region into (left, right) children; None marks an empty slot."""
-    ulow = proposal.cdf(region.low)
-    uhigh = proposal.cdf(region.high)
-    pieces = _partition_u(kind, region, ulow, uhigh, x, proposal)
-    return pieces[0][0] if pieces[0] else None, pieces[1][0] if pieces[1] else None
 
 
 def _partition_u(
@@ -184,31 +170,3 @@ def expand(
             NodeRecord(child_index, depth, region, ulow, uhigh, x, g, node.g.value)
         )
     return children
-
-
-def top_down_process(
-    proposal: Distribution1D,
-    kind: PartitionKind,
-    seed: int,
-    max_yields: int | None = None,
-    depth_limit: float = math.inf,
-) -> Iterator[NodeRecord]:
-    """Yield realized nodes in strictly decreasing Gumbel order.
-
-    This is the top-down construction of the Gumbel race: a priority
-    queue ordered by the realized Gumbel alone. The first yield is the
-    root (Gumbel(0) arrival, sample from the whole proposal); nodes at
-    the depth limit are yielded but not expanded. The stream ends early
-    only when a depth limit makes the tree finite.
-    """
-    heap: list[tuple[float, int, NodeRecord]] = []
-    root = make_root(proposal, seed)
-    heapq.heappush(heap, (-root.g.value, root.heap_index, root))
-    yielded = 0
-    while heap and (max_yields is None or yielded < max_yields):
-        _, _, node = heapq.heappop(heap)
-        if node.depth < depth_limit:
-            for child in expand(node, kind, proposal, seed):
-                heapq.heappush(heap, (-child.g.value, child.heap_index, child))
-        yielded += 1
-        yield node

@@ -6,6 +6,8 @@ to the bit layout fails loudly here.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reckit.bitstream import (
     BitReader,
@@ -22,8 +24,9 @@ from reckit.bitstream import (
     unpack_pfr,
     write_message,
 )
-from reckit.coders import CODERS, Code, Unit, Variant
-from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError
+from reckit.coders import CODERS, Code, Unit, Variant, decode
+from reckit.distributions import Gaussian, Uniform
+from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError, RecError
 
 GAMMA_GOLDEN = {1: "1", 2: "010", 3: "011", 4: "00100", 5: "00101",
                 6: "00110", 7: "00111", 8: "0001000", 9: "0001001"}
@@ -261,3 +264,37 @@ def test_block_mode_rejects_exact_variants():
     with pytest.raises((InvalidCodeError, MalformedMessageError)):
         write_message(MessageFrame(MODE_BLOCK, Variant.AD_STAR,
                                    (Code(Variant.AD_STAR, 3, 5),), budget=3))
+
+
+# Well-formed message heads of every coder, so that fuzzed tails also reach
+# the unit readers and the decoders past the tag checks.
+_FUZZ_HEADS = [
+    write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AD_STAR, 3, 5),))),
+    write_message(MessageFrame(MODE_EXACT, Variant.AS_STAR, ())),
+    write_message(MessageFrame(MODE_EXACT, Variant.PFR, (Code(Variant.PFR, 4, 4),))),
+    write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), budget=3)),
+    write_message(MessageFrame(MODE_BLOCK, Variant.MRC, (), budget=5)),
+]
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda head, cut, tail: head.getvalue()[:cut] + tail,
+        st.sampled_from(_FUZZ_HEADS), st.integers(0, 3), st.binary(max_size=48),
+    ),
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(data=_FUZZ_BYTES)
+def test_malformed_messages_raise_only_rec_errors(data):
+    """Arbitrary bytes either read and decode, or fail with a RecError."""
+    try:
+        frame = read_message(BitReader(data))
+    except RecError:
+        return
+    for code in frame.codes:
+        for proposal in (Gaussian(0.0, 1.0), Uniform(0.5, 1.0)):
+            try:
+                decode(proposal, code, 7)
+            except RecError:
+                pass

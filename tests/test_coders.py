@@ -52,6 +52,7 @@ PAIR_MIX = PairSpec(
     UniformMixture((MixtureComponent(0.3, 0.1, 0.2), MixtureComponent(0.7, 0.5, 0.9))),
     Uniform(1.0, 2.0),
 )
+PAIR_UG_NEAR = PairSpec(Uniform(0.5, 1.0), Gaussian(0.4, 0.05))
 ALL_PAIRS = [PAIR_GG, PAIR_UG, PAIR_MIX]
 
 
@@ -172,22 +173,26 @@ def test_pfr_matches_arrival_chain(pair):
     (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR),
 ])
 def test_exact_search_matches_exhaustive_race(kind, variant):
+    # PAIR_UG_NEAR: the ratio peaks at the target-support endpoint nearer
+    # the proposal mean, inside regions that straddle it
+    cases = [(PAIR_GG, range(40, 55)), (PAIR_UG_NEAR, range(20, 80))]
     certified = 0
-    for seed in range(40, 55):
-        want_index, want_x, want_score, frontier = enumerate_race(
-            PAIR_GG, kind, seed, depth_max=12
-        )
-        # the enumeration only witnesses the true winner when its score
-        # already dominates everything reachable below the frontier
-        assert want_score >= frontier, "frontier too shallow for this seed"
-        certified += 1
-        code, x, stats = encode_astar(PAIR_GG, kind, seed)
-        assert code.variant is variant
-        assert code.payload == want_index
-        assert code.depth_or_budget == depth_of(want_index)
-        assert x == want_x
-        assert stats.lower_bound == want_score
-    assert certified == 15
+    for pair, seeds in cases:
+        for seed in seeds:
+            want_index, want_x, want_score, frontier = enumerate_race(
+                pair, kind, seed, depth_max=12
+            )
+            # the enumeration only witnesses the true winner when its score
+            # already dominates everything reachable below the frontier
+            assert want_score >= frontier, "frontier too shallow for this seed"
+            certified += 1
+            code, x, stats = encode_astar(pair, kind, seed)
+            assert code.variant is variant
+            assert code.payload == want_index, (pair.target, seed)
+            assert code.depth_or_budget == depth_of(want_index)
+            assert x == want_x
+            assert stats.lower_bound == want_score
+    assert certified == 75
 
 
 def test_mrc_matches_selection_law():

@@ -23,7 +23,6 @@ from reckit.distributions import (
     UniformMixture,
     distribution_from_dict,
     distribution_from_json,
-    sample_restricted,
     sample_restricted_u,
 )
 from reckit.errors import (
@@ -154,21 +153,19 @@ def test_serialization_roundtrip():
 
 def test_sample_restricted_stays_inside():
     g = Gaussian(0.0, 1.0)
-    region = Region(-0.5, 2.0)
+    ulow, uhigh = g.cdf(-0.5), g.cdf(2.0)
     for i in range(500):
         u = (i + 0.5) / 500
-        x = sample_restricted(g, region, u)
+        x = sample_restricted_u(g, ulow, uhigh, u)
         assert -0.5 <= x <= 2.0
-    # u-space entry point agrees with the public one bit for bit
-    ulow, uhigh = g.cdf(-0.5), g.cdf(2.0)
-    for u in (0.01, 0.5, 0.99):
-        assert sample_restricted(g, region, u) == sample_restricted_u(g, ulow, uhigh, u)
+        # the u-quantile of the proposal conditioned on the region
+        assert x == g.inv_cdf(ulow + u * (uhigh - ulow))
 
 
 def test_sample_restricted_zero_mass():
     u = Uniform(0.0, 1.0)
     with pytest.raises(DegenerateRegionError):
-        sample_restricted(u, Region(5.0, 6.0), 0.5)
+        sample_restricted_u(u, u.cdf(5.0), u.cdf(6.0), 0.5)
 
 
 def test_pair_validation():
@@ -180,6 +177,14 @@ def test_pair_validation():
         PairSpec(MIX, Gaussian(0.0, 1.0))
     with pytest.raises(DomainError):
         PairSpec(Gaussian(0.0, 0.5), MIX)
+
+
+def test_pair_refuses_unrepresentable_variance_ratio():
+    # every Gaussian-pair constant uses log(p.variance / q.variance)
+    for q, p in ((Gaussian(0.0, 1e200), Gaussian(0.0, 1e-200)),
+                 (Gaussian(0.0, 1e-200), Gaussian(0.0, 1e200))):
+        with pytest.raises(DomainError):
+            PairSpec(q, p)
 
 
 def test_log_ratio_gaussian_matches_logpdf_difference():
@@ -225,6 +230,8 @@ def test_bound_M_dominates_log_ratio():
     pairs = [
         PairSpec(Gaussian(1.3, 0.45), Gaussian(0.0, 1.0)),
         PairSpec(Uniform(0.25, 1.5), Gaussian(0.0, 1.0)),
+        # ratio peaks at the near target endpoint 0, inside (-1, 0.5)
+        PairSpec(Uniform(0.5, 1.0), Gaussian(0.4, 0.05)),
         PairSpec(Uniform(1.2, 0.5), Uniform(1.0, 2.0)),
         PairSpec(MIX, Uniform(0.5, 1.0)),
     ]

@@ -20,7 +20,6 @@ from reckit.isokl import (
     encode_block_vector,
     gaussian_from_kl_dinf,
     gaussian_from_mean_kl,
-    gaussian_unconstrained,
     lambert_w0,
     load_block_model,
     load_block_model_json,
@@ -120,15 +119,17 @@ def test_mean_kl_edges():
 
 
 def test_unconstrained_map_always_feasible():
+    """kappa = exp(alpha) and a mean at tanh(beta) of its allowed radius
+    is feasible for any real (alpha, beta)."""
     rng = np.random.default_rng(99)
     for _ in range(200):
         alpha = rng.uniform(-5, 2)
         beta = rng.uniform(-6, 6)
-        mean, var = gaussian_unconstrained(1.0, 2.0, alpha, beta)
+        kappa = math.exp(alpha)
+        mean = 1.0 + 2.0 * math.sqrt(2.0 * kappa) * math.tanh(beta)
+        var = gaussian_from_mean_kl(1.0, 2.0, mean, kappa)
         pair = PairSpec(Gaussian(mean, var), Gaussian(1.0, 4.0))
-        assert pair.analytic_kl() == pytest.approx(math.exp(alpha), rel=1e-9, abs=1e-12)
-    mean, var = gaussian_unconstrained(-1.0, 2.0, 0.3, 0.0)
-    assert mean == -1.0  # beta = 0 keeps the prior mean
+        assert pair.analytic_kl() == pytest.approx(kappa, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------- joint (kl, dinf) solve

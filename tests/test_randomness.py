@@ -18,13 +18,16 @@ from reckit.randomness import (
     GumbelValue,
     StreamKey,
     derive_seed,
-    gumbel,
-    gumbel_to_arrival,
     keyed_uniform,
     trunc_gumbel,
 )
 
 MASK = (1 << 64) - 1
+
+
+def gumbel(u: float, location: float = 0.0) -> GumbelValue:
+    """The untruncated Gumbel(location) draw."""
+    return trunc_gumbel(u, location, math.inf)
 
 # reference splitmix64 outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -127,7 +130,8 @@ def test_trunc_gumbel_respects_bound():
 
 def test_trunc_gumbel_infinite_bound_is_plain_gumbel():
     for u in (0.01, 0.37, 0.99):
-        assert trunc_gumbel(u, 1.2, math.inf) == gumbel(u, 1.2)
+        want = GumbelValue(1.2 - math.log(-math.log(u)), 1.2, math.inf)
+        assert trunc_gumbel(u, 1.2, math.inf) == want
 
 
 def test_trunc_gumbel_extreme_bounds_stay_finite():
@@ -157,12 +161,13 @@ def test_trunc_gumbel_distribution():
 
 
 def test_arrival_map():
-    assert gumbel_to_arrival(0.0) == 1.0
-    assert gumbel_to_arrival(math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
+    # the first arrival of the exponential race, exp(-g), is -log u
+    for u in (0.05, 0.5, 0.73):
+        assert math.exp(-gumbel(u).value) == pytest.approx(-math.log(u), rel=1e-14)
     # racing chain: decreasing Gumbels are increasing arrival times
     g1 = gumbel(0.73).value
     g2 = trunc_gumbel(0.21, 0.0, g1).value
-    assert gumbel_to_arrival(g2) >= gumbel_to_arrival(g1)
+    assert math.exp(-g2) >= math.exp(-g1)
 
 
 def test_gumbel_value_fields():

@@ -1,5 +1,6 @@
 """Search tree tests: indexing, partition rules, and the top-down race."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,15 +12,42 @@ from reckit.randomness import derive_seed
 from reckit.tree import (
     NodeRecord,
     PartitionKind,
+    _partition_u,
     depth_of,
     expand,
     heap_children,
     make_root,
-    partition,
-    top_down_process,
 )
 
 GAUSS = Gaussian(0.0, 1.0)
+
+
+def partition(kind, region, x, proposal):
+    """(left, right) child regions of a split; None marks an empty slot."""
+    pieces = _partition_u(
+        kind, region, proposal.cdf(region.low), proposal.cdf(region.high), x, proposal
+    )
+    return tuple(piece[0] if piece else None for piece in pieces)
+
+
+def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
+    """Oracle: yield realized nodes in strictly decreasing Gumbel order.
+
+    This is the top-down construction of the Gumbel race: a priority
+    queue ordered by the realized Gumbel alone. The first yield is the
+    root (Gumbel(0) arrival, sample from the whole proposal); nodes at
+    the depth limit are yielded but not expanded.
+    """
+    root = make_root(proposal, seed)
+    heap = [(-root.g.value, root.heap_index, root)]
+    yielded = 0
+    while heap and (max_yields is None or yielded < max_yields):
+        _, _, node = heapq.heappop(heap)
+        if node.depth < depth_limit:
+            for child in expand(node, kind, proposal, seed):
+                heapq.heappush(heap, (-child.g.value, child.heap_index, child))
+        yielded += 1
+        yield node
 
 
 def test_depth_of():
