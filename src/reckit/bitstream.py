@@ -100,16 +100,14 @@ class BitReader:
     def read_bits(self, width: int) -> int:
         if width < 0:
             raise DomainError(f"width must be >= 0, got {width}")
-        if self._pos + width > self._nbits:
+        end = self._pos + width
+        if end > self._nbits:
             raise MalformedMessageError("bitstream truncated")
-        value = 0
-        pos = self._pos
-        for _ in range(width):
-            byte = self._data[pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
-        return value
+        # the bytes the span touches, as one integer, less the bits past its end
+        stop = (end + 7) >> 3
+        span = int.from_bytes(self._data[self._pos >> 3:stop], "big")
+        self._pos = end
+        return (span >> ((stop << 3) - end)) & ((1 << width) - 1)
 
     def read_bit(self) -> int:
         return self.read_bits(1)

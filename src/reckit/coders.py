@@ -33,10 +33,18 @@ from typing import Callable
 
 from .distributions import FULL_LINE, Distribution1D, PairSpec, Region, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, UnboundedRatioError
-from .randomness import DrawSlot, StreamKey, keyed_uniform, trunc_gumbel
+from .randomness import (
+    DrawSlot,
+    absorb,
+    keyed_uniform,  # noqa: F401  (benchmarks/run.py traces coders.keyed_uniform)
+    seed_state,
+    state_uniform,
+    trunc_gumbel,
+)
 from .tree import NodeRecord, PartitionKind, _partition_u, depth_of, expand, make_root
 
 INF = math.inf
+_SAMPLE = int(DrawSlot.SAMPLE)
 
 
 class Variant(Enum):
@@ -45,6 +53,10 @@ class Variant(Enum):
     DAD_STAR = "dad"
     PFR = "pfr"
     MRC = "mrc"
+
+    # Members are singletons and compare by identity, so identity hashing
+    # keeps every dict and set the same and skips Enum's Python-level hash.
+    __hash__ = object.__hash__
 
 
 # Step budget of the exact searches that the CLI and the bench grids run.
@@ -65,6 +77,8 @@ class Unit(Enum):
     HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
     ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
     CODEWORD = "codeword"  # budget bits under a block's shared header
+
+    __hash__ = object.__hash__  # as for Variant
 
     def check(self, width: int, payload: int) -> None:
         """Refuse a payload this layout cannot carry at depth/budget ``width``."""
@@ -237,44 +251,35 @@ def decode_astar(
     if CODERS[code.variant].kind is not kind:
         raise InvalidCodeError(f"{code.variant} code does not match partition {kind}")
     if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by arrival counter
-        return sample_restricted_u(
-            proposal, 0.0, 1.0,
-            keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), code.payload - 1)),
-        )
+        chain = absorb(absorb(seed_state(seed), 1), _SAMPLE)
+        u = state_uniform(absorb(chain, code.payload - 1))
+        return sample_restricted_u(proposal, 0.0, 1.0, u)
     index = code.payload
     if index < 1:
         raise InvalidCodeError(f"heap index must be >= 1, got {index}")
+    stream = seed_state(seed)
     region = FULL_LINE
     ulow, uhigh = 0.0, 1.0
     prefix = 1
     for ch in bin(index)[3:]:
-        x = sample_restricted_u(
-            proposal, ulow, uhigh,
-            keyed_uniform(StreamKey(seed, prefix, int(DrawSlot.SAMPLE), 0)),
-        )
+        u = state_uniform(absorb(absorb(absorb(stream, prefix), _SAMPLE), 0))
+        x = sample_restricted_u(proposal, ulow, uhigh, u)
         left, right = _partition_u(kind, region, ulow, uhigh, x, proposal)
         piece = right if ch == "1" else left
         if piece is None:
             raise InvalidCodeError(f"path bit {ch} leads into an empty partition slot")
         region, ulow, uhigh = piece
         prefix = 2 * prefix + (1 if ch == "1" else 0)
-    return sample_restricted_u(
-        proposal, ulow, uhigh,
-        keyed_uniform(StreamKey(seed, index, int(DrawSlot.SAMPLE), 0)),
-    )
+    u = state_uniform(absorb(absorb(absorb(stream, index), _SAMPLE), 0))
+    return sample_restricted_u(proposal, ulow, uhigh, u)
 
 
 def _extra_root_candidate(proposal: Distribution1D, seed: int, root_g: float) -> _ExtraCandidate:
-    g = trunc_gumbel(
-        keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
-        0.0,
-        root_g,
-    )
-    x = sample_restricted_u(
-        proposal, 0.0, 1.0,
-        keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_SAMPLE), 0)),
-    )
-    return _ExtraCandidate(0, g.value, x)
+    state = absorb(seed_state(seed), 0)
+    u_g = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_GUMBEL)), 0))
+    u_x = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_SAMPLE)), 0))
+    g = trunc_gumbel(u_g, 0.0, root_g)
+    return _ExtraCandidate(0, g.value, sample_restricted_u(proposal, 0.0, 1.0, u_x))
 
 
 def encode_dad(
@@ -304,10 +309,9 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.DAD_STAR:
         raise InvalidCodeError(f"expected a DAD_STAR code, got {code.variant}")
     if code.payload == 0:
-        return sample_restricted_u(
-            proposal, 0.0, 1.0,
-            keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_SAMPLE), 0)),
-        )
+        state = absorb(seed_state(seed), 0)  # as in _extra_root_candidate
+        u = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_SAMPLE)), 0))
+        return sample_restricted_u(proposal, 0.0, 1.0, u)
     inner = Code(Variant.AD_STAR, depth_of(code.payload), code.payload)
     return decode_astar(proposal, PartitionKind.DYADIC, inner, seed)
 
@@ -326,18 +330,17 @@ def encode_mrc(
         raise DomainError(f"bit budget must be >= 1, got {bits}")
     n = 1 << bits
     proposal = pair.proposal
+    root = absorb(seed_state(seed), 0)
+    draws = absorb(root, _SAMPLE)  # candidate i is keyed (seed, 0, SAMPLE, i)
     xs = [
-        sample_restricted_u(
-            proposal, 0.0, 1.0,
-            keyed_uniform(StreamKey(seed, 0, int(DrawSlot.SAMPLE), i)),
-        )
+        sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, i)))
         for i in range(n)
     ]
     log_w = [pair.log_ratio(x) for x in xs]
     top = max(log_w)
     weights = [math.exp(lw - top) for lw in log_w] if top > -INF else [1.0] * n
     total = math.fsum(weights)
-    u_sel = keyed_uniform(StreamKey(seed, 0, int(DrawSlot.GUMBEL), 0))
+    u_sel = state_uniform(absorb(absorb(root, int(DrawSlot.GUMBEL)), 0))
     threshold = u_sel * total
     acc = 0.0
     chosen = n - 1
@@ -353,10 +356,8 @@ def encode_mrc(
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    return sample_restricted_u(
-        proposal, 0.0, 1.0,
-        keyed_uniform(StreamKey(seed, 0, int(DrawSlot.SAMPLE), code.payload)),
-    )
+    draws = absorb(absorb(seed_state(seed), 0), _SAMPLE)  # as in encode_mrc
+    return sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, code.payload)))
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:

@@ -21,6 +21,12 @@ into a 64-bit state with the splitmix64 finalizer:
 
 The uniform is ((state >> 11) + 0.5) * 2^-53, which lies strictly inside
 (0, 1), so log(u) and log(-log u) are always finite.
+
+Draws that share a key prefix absorb it once. :func:`absorb` is the one
+mixing step and :func:`keyed_uniform` is written on it; a search keeps
+the state after (seed, node) to branch both of a node's draws from it,
+or the state after (seed, node, slot) to branch a run of counters. The
+values, and so the format, are the same as absorbing every field afresh.
 """
 
 from __future__ import annotations
@@ -55,27 +61,38 @@ class StreamKey(NamedTuple):
     counter: int = 0
 
 
-def _mix64(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK64
+def absorb(state: int, field: int) -> int:
+    """Absorb one key field into a mixing state:
+    mix64(state XOR (field + GOLDEN)). The one copy of mix64."""
+    z = ((state ^ ((field + _GOLDEN) & _MASK64)) + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
+def seed_state(seed: int) -> int:
+    """The mixing state of a stream before any key field: mix64(seed)."""
+    return absorb(seed & _MASK64, -_GOLDEN)  # the field -GOLDEN XORs in zero
+
+
+def state_uniform(state: int) -> float:
+    """The uniform of a fully absorbed key."""
+    return ((state >> 11) + 0.5) * _TO_UNIT
+
+
 def keyed_uniform(key: StreamKey) -> float:
     """Deterministic uniform in the open interval (0, 1) for a key."""
-    state = _mix64(key.seed & _MASK64)
-    state = _mix64(state ^ ((key.node_heap_index + _GOLDEN) & _MASK64))
-    state = _mix64(state ^ ((key.slot + _GOLDEN) & _MASK64))
-    state = _mix64(state ^ ((key.counter + _GOLDEN) & _MASK64))
-    return ((state >> 11) + 0.5) * _TO_UNIT
+    seed, node_heap_index, slot, counter = key
+    return state_uniform(
+        absorb(absorb(absorb(seed_state(seed), node_heap_index), slot), counter)
+    )
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for an independent stream (used per coordinate in
     block coding). Also splitmix64-based and part of the wire format:
     mix64(mix64(seed) XOR (index + GOLDEN))."""
-    return _mix64(_mix64(seed & _MASK64) ^ ((index + _GOLDEN) & _MASK64))
+    return absorb(seed_state(seed), index)
 
 
 class GumbelValue(NamedTuple):

@@ -29,12 +29,17 @@ from .errors import DepthExceededError, DomainError
 from .randomness import (
     DrawSlot,
     GumbelValue,
-    StreamKey,
-    keyed_uniform,
+    absorb,
+    keyed_uniform,  # noqa: F401  (benchmarks/run.py traces tree.keyed_uniform)
+    seed_state,
+    state_uniform,
     trunc_gumbel,
 )
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
+
+_GUMBEL = int(DrawSlot.GUMBEL)
+_SAMPLE = int(DrawSlot.SAMPLE)
 
 
 class PartitionKind(Enum):
@@ -105,25 +110,28 @@ def _partition_u(
     return left, right
 
 
-def _child_key(
-    kind: PartitionKind, seed: int, child_index: int, child_depth: int, slot: DrawSlot
-) -> StreamKey:
-    # The global-bound chain's virtual heap index 2^k - 1 would alias once
-    # folded to 64 bits, so that chain is keyed by its counter instead.
-    if kind is PartitionKind.GLOBAL_BOUND:
-        return StreamKey(seed, 1, int(slot), child_depth - 1)
-    return StreamKey(seed, child_index, int(slot), 0)
+def _realize(
+    proposal: Distribution1D,
+    index: int,
+    depth: int,
+    piece: tuple[Region, float, float],
+    bound: float,
+    state: int,
+    counter: int,
+) -> NodeRecord:
+    """A node's Gumbel and sample, both drawn from the node's key state."""
+    region, ulow, uhigh = piece
+    u_g = state_uniform(absorb(absorb(state, _GUMBEL), counter))
+    u_x = state_uniform(absorb(absorb(state, _SAMPLE), counter))
+    g = trunc_gumbel(u_g, math.log(uhigh - ulow), bound)
+    x = sample_restricted_u(proposal, ulow, uhigh, u_x)
+    return NodeRecord(index, depth, region, ulow, uhigh, x, g, bound)
 
 
 def make_root(proposal: Distribution1D, seed: int) -> NodeRecord:
     """Realize the root node: the full line, mass one, untruncated Gumbel."""
-    g = trunc_gumbel(
-        keyed_uniform(StreamKey(seed, 1, int(DrawSlot.GUMBEL), 0)), 0.0, math.inf
-    )
-    x = sample_restricted_u(
-        proposal, 0.0, 1.0, keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), 0))
-    )
-    return NodeRecord(1, 1, Region(-math.inf, math.inf), 0.0, 1.0, x, g, math.inf)
+    piece = (Region(-math.inf, math.inf), 0.0, 1.0)
+    return _realize(proposal, 1, 1, piece, math.inf, absorb(seed_state(seed), 1), 0)
 
 
 def expand(
@@ -142,31 +150,16 @@ def expand(
     pieces = _partition_u(
         kind, node.region, node.ulow, node.uhigh, node.x, proposal
     )
+    stream = seed_state(seed)
+    depth = node.depth + 1
     if kind is PartitionKind.GLOBAL_BOUND:
-        child_indices = (None, 2 * node.heap_index + 1)
-    else:
-        child_indices = heap_children(node.heap_index)
+        # The chain's virtual heap index 2^k - 1 would alias once folded to
+        # 64 bits, so the chain is keyed by node 1 and its counter instead.
+        return [_realize(proposal, 2 * node.heap_index + 1, depth, pieces[1],
+                         node.g.value, absorb(stream, 1), depth - 1)]
     children: list[NodeRecord] = []
-    for piece, child_index in zip(pieces, child_indices):
-        if piece is None or child_index is None:
-            continue
-        region, ulow, uhigh = piece
-        mass = uhigh - ulow
-        if not mass > 0.0:
-            continue
-        depth = node.depth + 1
-        g = trunc_gumbel(
-            keyed_uniform(_child_key(kind, seed, child_index, depth, DrawSlot.GUMBEL)),
-            math.log(mass),
-            node.g.value,
-        )
-        x = sample_restricted_u(
-            proposal,
-            ulow,
-            uhigh,
-            keyed_uniform(_child_key(kind, seed, child_index, depth, DrawSlot.SAMPLE)),
-        )
-        children.append(
-            NodeRecord(child_index, depth, region, ulow, uhigh, x, g, node.g.value)
-        )
+    for piece, child_index in zip(pieces, heap_children(node.heap_index)):
+        if piece is not None and piece[2] - piece[1] > 0.0:
+            children.append(_realize(proposal, child_index, depth, piece,
+                                     node.g.value, absorb(stream, child_index), 0))
     return children

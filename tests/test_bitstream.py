@@ -99,6 +99,24 @@ def test_reader_truncation():
         r.read_elias_gamma()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=24), widths=st.lists(st.integers(0, 70), max_size=12))
+def test_read_bits_matches_bit_by_bit_reading(data, widths):
+    bits = "".join(f"{byte:08b}" for byte in data)
+    r = BitReader(data)
+    pos = 0
+    for width in widths:
+        if pos + width > len(bits):
+            with pytest.raises(MalformedMessageError):
+                r.read_bits(width)
+            assert r.bits_left == len(bits) - pos  # a refused read consumes nothing
+            continue
+        assert r.read_bits(width) == int(bits[pos:pos + width] or "0", 2)
+        pos += width
+    with pytest.raises(DomainError):
+        r.read_bits(-1)
+
+
 def test_pack_exact_golden():
     # depth 1, index 1: bare gamma(1)
     assert bits_of(pack_exact(Code(Variant.AD_STAR, 1, 1))) == "1"

@@ -152,6 +152,16 @@ def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: in
     return best_index, best_x, best_score, frontier_bound
 
 
+def test_coder_table_lookup_by_value_finds_the_same_spec():
+    # Variant and Unit hash by identity; a member rebuilt from its value
+    # is the same object, so it finds the same table entry.
+    for v in Variant:
+        assert CODERS[Variant(v.value)] is CODERS[v]
+        unit = CODERS[v].unit
+        assert {unit: v}[type(unit)(unit.value)] is v
+    assert [v.value for v in CODERS] == ["as", "ad", "pfr", "dad", "mrc"]
+
+
 # ----------------------------------------------------------------- races
 
 @pytest.mark.parametrize("pair", ALL_PAIRS)

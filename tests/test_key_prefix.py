@@ -1,0 +1,149 @@
+"""Prefix-absorbed draws equal the per-key draws they replace.
+
+The search tree, MRC, the decode walks and the depth-limited coder's
+extra root candidate absorb a key's shared prefix once and branch from
+the mixing state; the single-draw decodes absorb their key field by field. Every such draw must equal ``keyed_uniform`` of its
+full ``StreamKey``, and ``keyed_uniform`` must equal the recipe in the
+``reckit.randomness`` docstring, written out below without the library's
+helpers.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reckit import coders
+from reckit.coders import Code, Variant, decode, decode_astar, encode_mrc
+from reckit.distributions import FULL_LINE, Gaussian, PairSpec, Uniform, sample_restricted_u
+from reckit.randomness import (
+    DrawSlot,
+    StreamKey,
+    absorb,
+    derive_seed,
+    keyed_uniform,
+    seed_state,
+    state_uniform,
+    trunc_gumbel,
+)
+from reckit.tree import PartitionKind, _partition_u, expand, make_root
+
+MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+GAUSS = Gaussian(0.0, 1.0)
+
+SEEDS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -1, MASK, MASK + 1, 2**63, -(2**64), 3**60]),
+)
+FIELDS = st.one_of(st.integers(0, 2**70), st.sampled_from([0, 1, MASK, MASK + 1, 2**64 + 7]))
+
+
+def reference_mix64(z: int) -> int:
+    z = (z + GOLDEN) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def reference_uniform(seed: int, node: int, slot: int, counter: int) -> float:
+    state = reference_mix64(seed & MASK)
+    for field in (node, slot, counter):
+        state = reference_mix64(state ^ ((field + GOLDEN) & MASK))
+    return ((state >> 11) + 0.5) * 2.0 ** -53
+
+
+def per_key(seed: int, node: int, slot: DrawSlot, counter: int = 0) -> float:
+    return keyed_uniform(StreamKey(seed, node, int(slot), counter))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=SEEDS, node=FIELDS, slot=st.integers(0, 3), counter=st.integers(0, 2**64))
+def test_prefix_path_matches_keyed_uniform(seed, node, slot, counter):
+    want = reference_uniform(seed, node, slot, counter)
+    assert keyed_uniform(StreamKey(seed, node, slot, counter)) == want
+    node_state = absorb(seed_state(seed), node)
+    assert state_uniform(absorb(absorb(node_state, slot), counter)) == want
+    assert seed_state(seed) == reference_mix64(seed & MASK)
+    assert node_state == derive_seed(seed, node) == reference_mix64(
+        reference_mix64(seed & MASK) ^ ((node + GOLDEN) & MASK))
+
+
+def _check_node(node, proposal, seed, kind):
+    if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by its counter
+        key_node, counter = 1, node.depth - 1
+    else:
+        key_node, counter = node.heap_index, 0
+    u_g = per_key(seed, key_node, DrawSlot.GUMBEL, counter)
+    u_x = per_key(seed, key_node, DrawSlot.SAMPLE, counter)
+    assert node.g == trunc_gumbel(u_g, math.log(node.mass), node.parent_gumbel)
+    assert node.x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_tree_draws_match_per_key_calls(seed):
+    for proposal in (GAUSS, Uniform(0.5, 1.0)):
+        for kind in PartitionKind:
+            level = [make_root(proposal, seed)]
+            for _ in range(5):
+                for node in level:
+                    _check_node(node, proposal, seed, kind)
+                level = [c for node in level for c in expand(node, kind, proposal, seed)]
+            assert level
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=SEEDS, bits=st.integers(1, 7))
+def test_mrc_candidate_uniforms_match_per_key_calls(seed, bits):
+    seen = []
+
+    def recording(dist, ulow, uhigh, u):
+        seen.append(u)
+        return sample_restricted_u(dist, ulow, uhigh, u)
+
+    original = coders.sample_restricted_u
+    coders.sample_restricted_u = recording
+    try:
+        encode_mrc(PairSpec(Gaussian(0.4, 0.5), GAUSS), seed, bits)
+    finally:
+        coders.sample_restricted_u = original
+    assert seen == [per_key(seed, 0, DrawSlot.SAMPLE, i) for i in range(1 << bits)]
+
+
+def per_key_walk(proposal, kind, index, seed):
+    """decode_astar's walk, with every draw made from its full key."""
+    region, ulow, uhigh = FULL_LINE, 0.0, 1.0
+    node = 1
+    for bit in bin(index)[3:]:
+        x = sample_restricted_u(proposal, ulow, uhigh, per_key(seed, node, DrawSlot.SAMPLE))
+        left, right = _partition_u(kind, region, ulow, uhigh, x, proposal)
+        region, ulow, uhigh = right if bit == "1" else left
+        node = 2 * node + int(bit)
+    return sample_restricted_u(proposal, ulow, uhigh, per_key(seed, index, DrawSlot.SAMPLE))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, depth=st.integers(1, 12), path=st.integers(0, 2**11 - 1))
+def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
+    index = (1 << (depth - 1)) | (path & ((1 << (depth - 1)) - 1))
+    for kind, variant in ((PartitionKind.DYADIC, Variant.AD_STAR),
+                          (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
+        got = decode_astar(GAUSS, kind, Code(variant, depth, index), seed)
+        assert got == per_key_walk(GAUSS, kind, index, seed)
+    root_g = make_root(GAUSS, seed).g.value
+    extra = coders._extra_root_candidate(GAUSS, seed, root_g)
+    want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root_g)
+    want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
+    assert (extra.g_value, extra.x) == (want_g.value, want_x)
+    assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, k=st.integers(1, 2**64))
+def test_single_draw_decodes_match_per_key_calls(seed, k):
+    """MRC's codeword and PFR's arrival index name one draw each."""
+    mrc = decode(GAUSS, Code(Variant.MRC, 64, k - 1), seed)
+    assert mrc == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.SAMPLE, k - 1))
+    pfr = decode(GAUSS, Code(Variant.PFR, k, k), seed)
+    assert pfr == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 1, DrawSlot.SAMPLE, k - 1))
