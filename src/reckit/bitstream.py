@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coders import CODERS, Code, Unit, Variant
+from .coders import CODERS, Code, Unit, Variant, check_budget
 from .errors import DomainError, InvalidCodeError, MalformedMessageError
 from .tree import MAX_DEPTH
 
@@ -170,8 +170,7 @@ def pack_block(
     One header serves the whole block; per-symbol overhead is zero. An
     empty block is legal and writes the header only.
     """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     w = writer or BitWriter()
     w.write_elias_gamma(budget)
     w.write_elias_gamma(len(codes) + 1)

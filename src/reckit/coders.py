@@ -31,19 +31,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .distributions import FULL_LINE, Distribution1D, PairSpec, Region, sample_restricted_u
+from .distributions import FULL_LINE, Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, UnboundedRatioError
-from .randomness import (
-    DrawSlot,
-    absorb,
-    keyed_uniform,  # noqa: F401  (benchmarks/run.py traces coders.keyed_uniform)
-    seed_state,
-    state_uniform,
-    trunc_gumbel,
-)
-from .tree import NodeRecord, PartitionKind, _partition_u, depth_of, expand, make_root
+from .randomness import DrawSlot, absorb, seed_state, state_uniform
+from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
+from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
+from .tree import make_root
 
 INF = math.inf
+_GUMBEL = int(DrawSlot.GUMBEL)
 _SAMPLE = int(DrawSlot.SAMPLE)
 
 
@@ -61,6 +57,13 @@ class Variant(Enum):
 
 # Step budget of the exact searches that the CLI and the bench grids run.
 MAX_STEPS = 1_000_000
+
+
+def check_budget(budget: int) -> None:
+    """Refuse a fixed-width bit budget the wire cannot carry: a block
+    header holds at most ``tree.MAX_DEPTH`` bits per codeword."""
+    if not (1 <= budget <= MAX_DEPTH and int(budget) == budget):
+        raise DomainError(f"budget must be an integer of 1 to {MAX_DEPTH} bits, got {budget}")
 
 
 def _gamma_bits(n: int) -> int:
@@ -137,80 +140,45 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
     return TrialStats(steps, depth, *bits, lb)
 
 
-@dataclass(frozen=True, slots=True)
-class _ExtraCandidate:
-    """A leaf candidate outside the tree (the depth-limited coder's second
-    root-level draw). Competes in incumbent updates but is never enqueued:
-    a node that cannot be expanded costs no search step."""
-
-    heap_index: int
-    g_value: float
-    x: float
-
-
-def _astar_search(
-    pair: PairSpec,
-    kind: PartitionKind,
-    seed: int,
-    max_depth: float,
-    max_steps: float,
-    extras: tuple[_ExtraCandidate, ...],
-    root: NodeRecord,
-):
+def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: float,
+                  max_steps: float, root: NodeRecord, incumbent: NodeRecord | None = None):
     """Branch-and-bound core shared by every race variant.
 
-    Returns (winner_heap_index, winner_depth, winner_x, steps, LB).
+    ``incumbent`` is a starting candidate outside the tree (the
+    depth-limited coder's extra root): it competes in incumbent updates
+    but is never enqueued, so it costs no search step. Nodes at
+    ``max_depth`` are scored but not expanded. Returns (winner, steps, LB).
     """
     proposal = pair.proposal
     root_bound = pair.bound_M(FULL_LINE)
-    lb = -INF
-    best_index = best_x = None
-    best_depth = 0
-    for cand in extras:
-        score = cand.g_value + pair.log_ratio(cand.x)
-        if score > lb or (
-            score == lb and (best_index is None or cand.heap_index < best_index)
-        ):
-            lb = score
-            best_index = cand.heap_index
-            best_x = cand.x
-            best_depth = 1
-    # heap items: (-(g + M), heap_index, g, x, M, node)
-    heap: list = [(-(root.g.value + root_bound), root.heap_index,
-                   root.g.value, root.x, root_bound, root)]
+    lb, best = -INF, None
+    if incumbent is not None:
+        lb, best = incumbent.g + pair.log_ratio(incumbent.x), incumbent
+    # heap items: (-(g + M), heap_index, M, node)
+    heap: list = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
     while heap and lb < -heap[0][0]:
-        _, index, g_value, x, bound, node = heapq.heappop(heap)
+        _, index, bound, node = heapq.heappop(heap)
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        score = g_value + pair.log_ratio(x)
-        if score > lb or (
-            score == lb and (best_index is None or index < best_index)
-        ):
-            lb = score
-            best_index = index
-            best_x = x
-            best_depth = node.depth
+        score = node.g + pair.log_ratio(node.x)
+        if score > lb or (score == lb and (best is None or index < best.heap_index)):
+            lb, best = score, node
         if node.depth < max_depth:
             for child in expand(node, kind, proposal, seed):
-                if lb < child.g.value + bound:
+                g = child.g
+                if lb < g + bound:
                     child_bound = pair.bound_M(child.region)
-                    if lb < child.g.value + child_bound:
+                    if lb < g + child_bound:
                         heapq.heappush(
-                            heap,
-                            (-(child.g.value + child_bound), child.heap_index,
-                             child.g.value, child.x, child_bound, child),
+                            heap, (-(g + child_bound), child.heap_index, child_bound, child)
                         )
-    return best_index, best_depth, best_x, steps, lb
+    return best, steps, lb
 
 
 def encode_astar(
-    pair: PairSpec,
-    kind: PartitionKind,
-    seed: int,
-    max_depth: float = INF,
-    max_steps: float = INF,
+    pair: PairSpec, kind: PartitionKind, seed: int, max_steps: float = INF
 ) -> tuple[Code, float, TrialStats]:
     """Race the tree for a target sample; code the winner's identity.
 
@@ -218,68 +186,28 @@ def encode_astar(
     shrinks a region and codes the winner's 1-based arrival index; its
     expected arrival count is exp of the ratio supremum.
 
-    Without a depth limit the search requires a finite ratio bound
-    (sup log dQ/dP < inf); it refuses to start otherwise.
+    The search requires a finite ratio bound (sup log dQ/dP < inf); it
+    refuses to start otherwise. ``encode_dad`` is the depth-limited race.
     """
-    if max_depth == INF and pair.analytic_dinf() == INF:
-        raise UnboundedRatioError(
-            "exact search requires a finite density-ratio supremum; set a depth limit"
-        )
-    if max_depth != INF and (max_depth < 1 or int(max_depth) != max_depth):
-        raise DomainError(f"depth limit must be a positive integer, got {max_depth}")
+    if pair.analytic_dinf() == INF:
+        raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
+                                  "use the depth-limited coder")
     variant = _VARIANT_OF_KIND[kind]
     root = make_root(pair.proposal, seed)
-    index, depth, x, steps, lb = _astar_search(
-        pair, kind, seed, max_depth, max_steps, (), root
-    )
-    if CODERS[variant].unit is Unit.ARRIVAL_INDEX:
-        index = depth  # arrival index == chain depth
-    code = Code(variant, depth, index)
-    return code, x, _stats(code, steps, depth, lb)
+    best, steps, lb = _astar_search(pair, kind, seed, INF, max_steps, root)
+    # a chain node's arrival index is its depth
+    index = best.depth if CODERS[variant].unit is Unit.ARRIVAL_INDEX else best.heap_index
+    code = Code(variant, best.depth, index)
+    return code, best.x, _stats(code, steps, best.depth, lb)
 
 
 def decode_astar(
     proposal: Distribution1D, kind: PartitionKind, code: Code, seed: int
 ) -> float:
-    """Regenerate the sample named by an exact-search codeword.
-
-    Walks the heap path given by the payload's binary digits after the
-    leading 1 (0 = left child, 1 = right child), rebuilding each
-    ancestor's region with the same CDF arithmetic the encoder used; the
-    dyadic walk never touches the target. Bit-exact against encoding.
-    """
+    """The sample named by an exact-search codeword: the node ``tree.locate`` walks to."""
     if CODERS[code.variant].kind is not kind:
         raise InvalidCodeError(f"{code.variant} code does not match partition {kind}")
-    if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by arrival counter
-        chain = absorb(absorb(seed_state(seed), 1), _SAMPLE)
-        u = state_uniform(absorb(chain, code.payload - 1))
-        return sample_restricted_u(proposal, 0.0, 1.0, u)
-    index = code.payload
-    if index < 1:
-        raise InvalidCodeError(f"heap index must be >= 1, got {index}")
-    stream = seed_state(seed)
-    region = FULL_LINE
-    ulow, uhigh = 0.0, 1.0
-    prefix = 1
-    for ch in bin(index)[3:]:
-        u = state_uniform(absorb(absorb(absorb(stream, prefix), _SAMPLE), 0))
-        x = sample_restricted_u(proposal, ulow, uhigh, u)
-        left, right = _partition_u(kind, region, ulow, uhigh, x, proposal)
-        piece = right if ch == "1" else left
-        if piece is None:
-            raise InvalidCodeError(f"path bit {ch} leads into an empty partition slot")
-        region, ulow, uhigh = piece
-        prefix = 2 * prefix + (1 if ch == "1" else 0)
-    u = state_uniform(absorb(absorb(absorb(stream, index), _SAMPLE), 0))
-    return sample_restricted_u(proposal, ulow, uhigh, u)
-
-
-def _extra_root_candidate(proposal: Distribution1D, seed: int, root_g: float) -> _ExtraCandidate:
-    state = absorb(seed_state(seed), 0)
-    u_g = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_GUMBEL)), 0))
-    u_x = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_SAMPLE)), 0))
-    g = trunc_gumbel(u_g, 0.0, root_g)
-    return _ExtraCandidate(0, g.value, sample_restricted_u(proposal, 0.0, 1.0, u_x))
+    return locate(proposal, kind, seed, code.payload, code.depth_or_budget)
 
 
 def encode_dad(
@@ -292,55 +220,52 @@ def encode_dad(
     the root's Gumbel). The extra candidate takes codeword 0; tree
     winners take their heap index, which fits in ``budget`` bits.
     """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1 bit, got {budget}")
+    check_budget(budget)
     root = make_root(pair.proposal, seed)
-    extra = _extra_root_candidate(pair.proposal, seed, root.g.value)
-    index, depth, x, steps, lb = _astar_search(
-        pair, PartitionKind.DYADIC, seed, budget, INF, (extra,), root
-    )
-    code = Code(Variant.DAD_STAR, budget, index)
+    extra = extra_root(pair.proposal, seed, root)
+    best, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed, budget, INF, root, extra)
+    code = Code(Variant.DAD_STAR, budget, best.heap_index)
     # transmitted width is the budget regardless of where the winner sat
-    return code, x, _stats(code, steps, depth, lb)
+    return code, best.x, _stats(code, steps, best.depth, lb)
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
     """Regenerate the sample for a depth-limited dyadic codeword."""
     if code.variant is not Variant.DAD_STAR:
         raise InvalidCodeError(f"expected a DAD_STAR code, got {code.variant}")
-    if code.payload == 0:
-        state = absorb(seed_state(seed), 0)  # as in _extra_root_candidate
-        u = state_uniform(absorb(absorb(state, int(DrawSlot.EXTRA_ROOT_SAMPLE)), 0))
-        return sample_restricted_u(proposal, 0.0, 1.0, u)
-    inner = Code(Variant.AD_STAR, depth_of(code.payload), code.payload)
-    return decode_astar(proposal, PartitionKind.DYADIC, inner, seed)
+    depth = code.payload.bit_length() or 1  # the extra root, index 0, sits at depth 1
+    return locate(proposal, PartitionKind.DYADIC, seed, code.payload, depth)
+
+
+def _mrc_draws(seed: int) -> int:
+    """The state after (seed, 0, SAMPLE): MRC's candidate i absorbs i into it."""
+    return absorb(absorb(seed_state(seed), 0), _SAMPLE)
 
 
 def encode_mrc(
-    pair: PairSpec, seed: int, bits: int
+    pair: PairSpec, seed: int, bits: int, max_steps: float = INF
 ) -> tuple[Code, float, TrialStats]:
     """Importance selection among 2^bits independent proposal draws.
 
     Draw x_0 .. x_{N-1} from the proposal, weight each by the density
     ratio, and sample an index from the normalized weights with one
-    additional keyed uniform. If every draw misses the target support the
-    selection falls back to uniform over the N draws.
+    additional keyed uniform (seed, 0, GUMBEL, 0). If every draw misses
+    the target support the selection falls back to uniform over the N
+    draws. Each draw counts as one step, so N > ``max_steps`` is refused
+    before any is made.
     """
-    if bits < 1:
-        raise DomainError(f"bit budget must be >= 1, got {bits}")
+    check_budget(bits)
     n = 1 << bits
-    proposal = pair.proposal
-    root = absorb(seed_state(seed), 0)
-    draws = absorb(root, _SAMPLE)  # candidate i is keyed (seed, 0, SAMPLE, i)
-    xs = [
-        sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, i)))
-        for i in range(n)
-    ]
+    if n > max_steps:
+        raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
+    proposal, draws = pair.proposal, _mrc_draws(seed)
+    xs = [sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, i)))
+          for i in range(n)]
     log_w = [pair.log_ratio(x) for x in xs]
     top = max(log_w)
     weights = [math.exp(lw - top) for lw in log_w] if top > -INF else [1.0] * n
     total = math.fsum(weights)
-    u_sel = state_uniform(absorb(absorb(root, int(DrawSlot.GUMBEL)), 0))
+    u_sel = state_uniform(absorb(absorb(absorb(seed_state(seed), 0), _GUMBEL), 0))
     threshold = u_sel * total
     acc = 0.0
     chosen = n - 1
@@ -356,8 +281,8 @@ def encode_mrc(
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    draws = absorb(absorb(seed_state(seed), 0), _SAMPLE)  # as in encode_mrc
-    return sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, code.payload)))
+    u = state_uniform(absorb(_mrc_draws(seed), code.payload))
+    return sample_restricted_u(proposal, 0.0, 1.0, u)
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -372,8 +297,8 @@ class CoderSpec:
 
     ``encode(pair, seed, budget, max_steps)`` returns (code, sample,
     stats): ``budget`` is the bit budget of a fixed-width coder and
-    ``max_steps`` the step budget of an exact search; each coder ignores
-    the one it has no use for. ``kind`` is the partition rule of an exact
+    ``max_steps`` the step budget of an exact search or of MRC's draws;
+    each coder ignores what it has no use for. ``kind`` is the partition rule of an exact
     search (None for the fixed-width coders); ``max_dinf`` is the largest
     D-infinity in nats at which the runtime grid runs the coder.
     """
@@ -412,7 +337,7 @@ CODERS: dict[Variant, CoderSpec] = {
     ),
     Variant.MRC: CoderSpec(
         5, Unit.CODEWORD,
-        lambda pair, seed, budget, max_steps: encode_mrc(pair, seed, budget),
+        lambda pair, seed, budget, max_steps: encode_mrc(pair, seed, budget, max_steps),
         decode_mrc,
     ),
 }

@@ -27,6 +27,8 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
+Which key each draw uses is said once: ``reckit.tree`` keys the search
+nodes and ``reckit.coders`` the MRC candidates.
 """
 
 from __future__ import annotations
@@ -95,20 +97,7 @@ def derive_seed(seed: int, index: int) -> int:
     return absorb(seed_state(seed), index)
 
 
-class GumbelValue(NamedTuple):
-    """A (possibly truncated) Gumbel draw.
-
-    value      realized variate
-    location   location parameter the draw was made with
-    truncation upper truncation bound (+inf when untruncated)
-    """
-
-    value: float
-    location: float
-    truncation: float
-
-
-def trunc_gumbel(u: float, location: float, bound: float) -> GumbelValue:
+def trunc_gumbel(u: float, location: float, bound: float) -> float:
     """Gumbel(location) conditioned to lie below ``bound``.
 
     Inverse-CDF form: value = location - log(exp(-(bound - location)) - log u).
@@ -119,11 +108,9 @@ def trunc_gumbel(u: float, location: float, bound: float) -> GumbelValue:
     """
     g = location - math.log(-math.log(u))
     if bound == math.inf:
-        return GumbelValue(g, location, math.inf)
+        return g
     a = -g
     b = -bound
     if a > b:
-        value = -(a + math.log1p(math.exp(b - a)))
-    else:
-        value = -(b + math.log1p(math.exp(a - b)))
-    return GumbelValue(value, location, bound)
+        return -(a + math.log1p(math.exp(b - a)))
+    return -(b + math.log1p(math.exp(a - b)))

@@ -276,7 +276,7 @@ def _extra_candidate_score(pair: PairSpec, seed: int) -> float:
     g = trunc_gumbel(
         keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
         0.0,
-        root.g.value,
+        root.g,
     )
     x = sample_restricted_u(
         pair.proposal,
@@ -284,7 +284,7 @@ def _extra_candidate_score(pair: PairSpec, seed: int) -> float:
         1.0,
         keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_SAMPLE), 0)),
     )
-    return g.value + pair.log_ratio(x)
+    return g + pair.log_ratio(x)
 
 
 def test_criterion_07_codeword_monotone_in_budget_and_stabilizes():

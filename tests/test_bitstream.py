@@ -278,6 +278,19 @@ def test_unpack_depth_cap_is_the_tree_cap():
     assert unpack_exact(BitReader(pack_exact(code).getvalue())) == code
 
 
+def test_pack_block_refuses_budgets_unpack_cannot_read():
+    # the writer stops where unpack_block's depth cap does, so no block
+    # message can be written that its own reader refuses
+    from reckit.tree import MAX_DEPTH
+
+    code = Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1)
+    assert unpack_block(BitReader(pack_block([code], MAX_DEPTH).getvalue())) == (
+        MAX_DEPTH, [code])
+    for budget in (MAX_DEPTH + 1, 70, 2.5):
+        with pytest.raises(DomainError):
+            pack_block([], budget)
+
+
 def test_block_mode_rejects_exact_variants():
     with pytest.raises((InvalidCodeError, MalformedMessageError)):
         write_message(MessageFrame(MODE_BLOCK, Variant.AD_STAR,

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from reckit.cli import main
-from reckit.tree import PartitionKind
+from reckit.tree import MAX_DEPTH
 
 # Frozen messages of three symbols at seed 7 on the `isokl --kl 1 --dinf 2`
 # pair, one per coder: (encode flags, message hex, float.hex of each sample).
@@ -108,6 +108,32 @@ def test_exact_encode_is_step_bounded(tmp_path, model, monkeypatch, capsys):
     assert main(["encode", "--model", str(far), "--exact", "pfr", "--seed", "1",
                  "--out", msg]) == 2
     assert "exceeded 1000 steps" in capsys.readouterr().err
+
+
+def test_mrc_encode_is_step_bounded(tmp_path, model, capsys):
+    # 2^40 draws would not finish; the CLI's step budget refuses them up front
+    msg = tmp_path / "m.bin"
+    assert main(["encode", "--model", str(model), "--limited", "mrc", "--budget", "40",
+                 "--seed", "1", "--out", str(msg)]) == 2
+    assert "exceed the budget of 1000000 steps" in capsys.readouterr().err
+    assert not msg.exists()
+
+
+def test_limited_budget_beyond_the_block_header_is_refused(tmp_path, model, capsys):
+    # a block header carries at most MAX_DEPTH bits per codeword: encode
+    # refuses any budget its own decoder could not read back
+    msg = tmp_path / "m.bin"
+    for budget in ("70", str(MAX_DEPTH + 1)):
+        for coder in ("dad", "mrc"):
+            assert main(["encode", "--model", str(model), "--limited", coder,
+                         "--budget", budget, "--seed", "1", "--out", str(msg)]) == 2
+            assert not msg.exists()
+        assert main(["encode", "--model", str(model), "--limited", "dad", "--budget",
+                     budget, "--count", "0", "--seed", "1", "--out", str(msg)]) == 2
+    assert "budget must be" in capsys.readouterr().err
+    enc, dec, _ = run_roundtrip(tmp_path, model, ["--limited", "dad", "--budget",
+                                                  str(MAX_DEPTH)], count="2")
+    assert enc == dec
 
 
 def test_decode_needs_only_the_proposal(tmp_path, model):

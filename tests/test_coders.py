@@ -42,7 +42,7 @@ from reckit.errors import (
     UnboundedRatioError,
 )
 from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, trunc_gumbel
-from reckit.tree import PartitionKind, depth_of, make_root
+from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, make_root
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
 # distribution tests against quadrature).
@@ -83,7 +83,7 @@ def pfr_arrival_oracle(pair: PairSpec, seed: int):
     while True:
         k += 1
         u_g = keyed_uniform(StreamKey(seed, 1, int(DrawSlot.GUMBEL), k - 1))
-        g = trunc_gumbel(u_g, 0.0, g_prev).value
+        g = trunc_gumbel(u_g, 0.0, g_prev)
         gs.append(g)
         if k > 1 and best_score >= g + bound:
             return best_k, best_x, best_score, k - 1
@@ -108,7 +108,7 @@ def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: in
     proposal = pair.proposal
     root_g = trunc_gumbel(
         keyed_uniform(StreamKey(seed, 1, int(DrawSlot.GUMBEL), 0)), 0.0, math.inf
-    ).value
+    )
     root_x = sample_restricted_u(
         proposal, 0.0, 1.0, keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), 0))
     )
@@ -137,7 +137,7 @@ def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: in
                     keyed_uniform(StreamKey(seed, child, int(DrawSlot.GUMBEL), 0)),
                     math.log(mass),
                     g,
-                ).value
+                )
                 cx = sample_restricted_u(
                     proposal, culow, cuhigh,
                     keyed_uniform(StreamKey(seed, child, int(DrawSlot.SAMPLE), 0)),
@@ -260,6 +260,30 @@ def test_roundtrip_every_variant(pair):
             assert decode(pair.proposal, code, seed) == x
 
 
+def test_dyadic_decode_inverts_the_cdf_once_per_level(monkeypatch):
+    """A dyadic decode of a depth-d code calls the proposal's inv_cdf d
+    times: d - 1 cuts and one sample. A dyadic cut reads no sample, so
+    the walk draws none for the ancestors."""
+    calls = []
+    inv_cdf = Gaussian.inv_cdf
+
+    def counting(self, u):
+        calls.append(u)
+        return inv_cdf(self, u)
+
+    monkeypatch.setattr(Gaussian, "inv_cdf", counting)
+    depths = set()
+    for seed in range(40):
+        for code, x in (encode_astar(PAIR_GG, PartitionKind.DYADIC, seed)[:2],
+                        encode_dad(PAIR_GG, seed, 8)[:2]):
+            depth = code.payload.bit_length() or 1  # DAD codeword 0 is a root draw
+            calls.clear()
+            assert decode(PAIR_GG.proposal, code, seed) == x
+            assert len(calls) == depth, (code, seed)
+            depths.add(depth)
+    assert len(depths) >= 4
+
+
 def test_decode_is_target_blind():
     # two different targets over the same proposal: decoding needs only
     # the proposal, so a code from either target decodes identically
@@ -294,11 +318,11 @@ def test_dad_stabilizes_to_exact_winner_or_extra():
             PAIR_GG, PartitionKind.DYADIC, seed
         )
         code, x, _ = encode_dad(PAIR_GG, seed, 18)
-        root_g = make_root(PAIR_GG.proposal, seed).g.value
+        root_g = make_root(PAIR_GG.proposal, seed).g
         extra_g = trunc_gumbel(
             keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
             0.0, root_g,
-        ).value
+        )
         extra_x = sample_restricted_u(
             PAIR_GG.proposal, 0.0, 1.0,
             keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_SAMPLE), 0)),
@@ -323,10 +347,11 @@ def test_dad_payload_zero_decodes_extra_sample():
     assert decode_dad(PAIR_GG.proposal, Code(Variant.DAD_STAR, 4, 0), seed) == want
 
 
-def test_depth_limit_caps_exact_search():
+def test_depth_limit_caps_dyadic_search():
     for seed in range(30):
-        code, x, stats = encode_astar(PAIR_GG, PartitionKind.DYADIC, seed, max_depth=3)
-        assert code.depth_or_budget <= 3
+        code, x, stats = encode_dad(PAIR_GG, seed, 3)
+        assert code.depth_or_budget == 3 and code.payload < 8
+        assert stats.returned_depth <= 3
         assert stats.steps <= 7  # a depth-3 dyadic tree has 7 nodes
         assert decode(PAIR_GG.proposal, code, seed) == x
 
@@ -362,21 +387,35 @@ def test_exact_search_refuses_unbounded_ratio():
     with pytest.raises(UnboundedRatioError):
         encode_astar(fat, PartitionKind.GLOBAL_BOUND, 1)
     # a finite depth limit restores a well-defined (approximate) race
-    code, x, _ = encode_astar(fat, PartitionKind.DYADIC, 1, max_depth=8)
-    assert decode(fat.proposal, code, 1) == x
     code, x, _ = encode_dad(fat, 1, 8)
     assert decode(fat.proposal, code, 1) == x
 
 
 def test_parameter_validation():
     with pytest.raises(DomainError):
-        encode_astar(PAIR_GG, PartitionKind.DYADIC, 1, max_depth=0)
-    with pytest.raises(DomainError):
-        encode_astar(PAIR_GG, PartitionKind.DYADIC, 1, max_depth=2.5)
-    with pytest.raises(DomainError):
         encode_dad(PAIR_GG, 1, 0)
     with pytest.raises(DomainError):
+        encode_dad(PAIR_GG, 1, 2.5)
+    with pytest.raises(DomainError):
         encode_mrc(PAIR_GG, 1, 0)
+    with pytest.raises(DomainError):
+        encode_mrc(PAIR_GG, 1, 2.5)
+
+
+def test_fixed_width_budgets_stop_at_the_wire_limit():
+    # a block header carries at most MAX_DEPTH bits per codeword
+    for encode in (encode_dad, encode_mrc):
+        with pytest.raises(DomainError):
+            encode(PAIR_GG, 1, MAX_DEPTH + 1)
+    code, x, _ = encode_dad(PAIR_GG, 1, MAX_DEPTH)
+    assert decode(PAIR_GG.proposal, code, 1) == x
+    # MRC's 2^bits draws are its steps: a budget below them refuses up front
+    with pytest.raises(BudgetExhaustedError):
+        encode_mrc(PAIR_GG, 1, 10, max_steps=1023)
+    code, x, stats = encode_mrc(PAIR_GG, 1, 10, max_steps=1024)
+    assert stats.steps == 1024 and decode(PAIR_GG.proposal, code, 1) == x
+    with pytest.raises(BudgetExhaustedError):
+        CODERS[Variant.MRC].encode(PAIR_GG, 1, 40, 10**6)
 
 
 def test_budget_exhaustion():

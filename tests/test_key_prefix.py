@@ -1,11 +1,13 @@
 """Prefix-absorbed draws equal the per-key draws they replace.
 
-The search tree, MRC, the decode walks and the depth-limited coder's
-extra root candidate absorb a key's shared prefix once and branch from
-the mixing state; the single-draw decodes absorb their key field by field. Every such draw must equal ``keyed_uniform`` of its
-full ``StreamKey``, and ``keyed_uniform`` must equal the recipe in the
-``reckit.randomness`` docstring, written out below without the library's
-helpers.
+Every draw absorbs its key's shared prefix once and branches from the
+mixing state. ``reckit.tree`` keys every search node, the depth-limited
+coder's extra root candidate (heap index 0) included, and ``tree.locate``
+is the decode walk back to a node; MRC's candidates share one helper in
+``reckit.coders`` for encoding and decoding. Every such draw must equal
+``keyed_uniform`` of its full ``StreamKey``, and ``keyed_uniform`` must
+equal the recipe in the ``reckit.randomness`` docstring, written out
+below without the library's helpers.
 """
 
 import math
@@ -26,7 +28,7 @@ from reckit.randomness import (
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import PartitionKind, _partition_u, expand, make_root
+from reckit.tree import PartitionKind, _partition_u, expand, extra_root, make_root
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,14 +71,15 @@ def test_prefix_path_matches_keyed_uniform(seed, node, slot, counter):
         reference_mix64(seed & MASK) ^ ((node + GOLDEN) & MASK))
 
 
-def _check_node(node, proposal, seed, kind):
+def _check_node(node, proposal, seed, kind, bound):
+    """``bound`` is the parent's Gumbel (+inf at the root)."""
     if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by its counter
         key_node, counter = 1, node.depth - 1
     else:
         key_node, counter = node.heap_index, 0
     u_g = per_key(seed, key_node, DrawSlot.GUMBEL, counter)
     u_x = per_key(seed, key_node, DrawSlot.SAMPLE, counter)
-    assert node.g == trunc_gumbel(u_g, math.log(node.mass), node.parent_gumbel)
+    assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
     assert node.x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
 
 
@@ -85,11 +88,12 @@ def _check_node(node, proposal, seed, kind):
 def test_tree_draws_match_per_key_calls(seed):
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
         for kind in PartitionKind:
-            level = [make_root(proposal, seed)]
+            level = [(make_root(proposal, seed), math.inf)]
             for _ in range(5):
-                for node in level:
-                    _check_node(node, proposal, seed, kind)
-                level = [c for node in level for c in expand(node, kind, proposal, seed)]
+                for node, bound in level:
+                    _check_node(node, proposal, seed, kind, bound)
+                level = [(c, node.g) for node, _ in level
+                         for c in expand(node, kind, proposal, seed)]
             assert level
 
 
@@ -112,7 +116,7 @@ def test_mrc_candidate_uniforms_match_per_key_calls(seed, bits):
 
 
 def per_key_walk(proposal, kind, index, seed):
-    """decode_astar's walk, with every draw made from its full key."""
+    """tree.locate's walk, with every draw made from its full key."""
     region, ulow, uhigh = FULL_LINE, 0.0, 1.0
     node = 1
     for bit in bin(index)[3:]:
@@ -131,11 +135,11 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
         got = decode_astar(GAUSS, kind, Code(variant, depth, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
-    root_g = make_root(GAUSS, seed).g.value
-    extra = coders._extra_root_candidate(GAUSS, seed, root_g)
-    want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root_g)
+    root = make_root(GAUSS, seed)
+    extra = extra_root(GAUSS, seed, root)
+    want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
-    assert (extra.g_value, extra.x) == (want_g.value, want_x)
+    assert (extra.heap_index, extra.depth, extra.g, extra.x) == (0, 1, want_g, want_x)
     assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
 
 

@@ -14,7 +14,6 @@ import pytest
 from reckit.randomness import (
     _GOLDEN,
     DrawSlot,
-    GumbelValue,
     StreamKey,
     derive_seed,
     keyed_uniform,
@@ -25,7 +24,7 @@ from reckit.randomness import (
 MASK = (1 << 64) - 1
 
 
-def gumbel(u: float, location: float = 0.0) -> GumbelValue:
+def gumbel(u: float, location: float = 0.0) -> float:
     """The untruncated Gumbel(location) draw."""
     return trunc_gumbel(u, location, math.inf)
 
@@ -97,16 +96,14 @@ def test_derive_seed_decorrelates():
 
 def test_gumbel_closed_forms():
     # -log(-log(e^-e)) = -1 and location shifts additively
-    assert gumbel(math.exp(-math.e)).value == pytest.approx(-1.0, abs=1e-12)
-    assert gumbel(math.exp(-1.0)).value == pytest.approx(0.0, abs=1e-12)
-    g = gumbel(0.3, location=2.5)
-    assert g.value == pytest.approx(2.5 + gumbel(0.3).value, abs=1e-12)
-    assert g.location == 2.5 and g.truncation == math.inf
+    assert gumbel(math.exp(-math.e)) == pytest.approx(-1.0, abs=1e-12)
+    assert gumbel(math.exp(-1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert gumbel(0.3, location=2.5) == pytest.approx(2.5 + gumbel(0.3), abs=1e-12)
 
 
 def test_gumbel_moments():
     us = [keyed_uniform(StreamKey(999, i, 0, 0)) for i in range(40000)]
-    vals = np.array([gumbel(u).value for u in us])
+    vals = np.array([gumbel(u) for u in us])
     assert abs(vals.mean() - 0.5772156649015329) < 0.02  # Euler-Mascheroni
     assert abs(vals.var() - math.pi**2 / 6.0) < 0.06
 
@@ -114,8 +111,7 @@ def test_gumbel_moments():
 def test_trunc_gumbel_analytic_point():
     # u = 1/e at bound 0: - log(exp(0) - log(1/e)) = -log 2
     g = trunc_gumbel(math.exp(-1.0), 0.0, 0.0)
-    assert g.value == pytest.approx(-math.log(2.0), abs=1e-12)
-    assert g.truncation == 0.0
+    assert g == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_trunc_gumbel_respects_bound():
@@ -123,22 +119,19 @@ def test_trunc_gumbel_respects_bound():
         u = keyed_uniform(StreamKey(5, i, 0, 0))
         bound = (i % 7) - 3.0
         loc = (i % 5) - 2.0
-        g = trunc_gumbel(u, loc, bound)
-        assert g.value <= bound
-        assert g.location == loc
+        assert trunc_gumbel(u, loc, bound) <= bound
 
 
 def test_trunc_gumbel_infinite_bound_is_plain_gumbel():
     for u in (0.01, 0.37, 0.99):
-        want = GumbelValue(1.2 - math.log(-math.log(u)), 1.2, math.inf)
-        assert trunc_gumbel(u, 1.2, math.inf) == want
+        assert trunc_gumbel(u, 1.2, math.inf) == 1.2 - math.log(-math.log(u))
 
 
 def test_trunc_gumbel_extreme_bounds_stay_finite():
     g = trunc_gumbel(0.5, 0.0, -700.0)
-    assert math.isfinite(g.value) and g.value <= -700.0
+    assert math.isfinite(g) and g <= -700.0
     g = trunc_gumbel(0.5, 0.0, 700.0)
-    assert g.value == pytest.approx(gumbel(0.5).value, abs=1e-12)
+    assert g == pytest.approx(gumbel(0.5), abs=1e-12)
 
 
 def test_trunc_gumbel_distribution():
@@ -148,11 +141,11 @@ def test_trunc_gumbel_distribution():
     kept = []
     for i in range(60000):
         u = keyed_uniform(StreamKey(77, i, 0, 0))
-        g = gumbel(u).value
+        g = gumbel(u)
         if g <= bound:
             kept.append(g)
     trunc = [
-        trunc_gumbel(keyed_uniform(StreamKey(78, i, 0, 0)), 0.0, bound).value
+        trunc_gumbel(keyed_uniform(StreamKey(78, i, 0, 0)), 0.0, bound)
         for i in range(len(kept))
     ]
     kept, trunc = np.array(kept), np.array(trunc)
@@ -163,13 +156,8 @@ def test_trunc_gumbel_distribution():
 def test_arrival_map():
     # the first arrival of the exponential race, exp(-g), is -log u
     for u in (0.05, 0.5, 0.73):
-        assert math.exp(-gumbel(u).value) == pytest.approx(-math.log(u), rel=1e-14)
+        assert math.exp(-gumbel(u)) == pytest.approx(-math.log(u), rel=1e-14)
     # racing chain: decreasing Gumbels are increasing arrival times
-    g1 = gumbel(0.73).value
-    g2 = trunc_gumbel(0.21, 0.0, g1).value
+    g1 = gumbel(0.73)
+    g2 = trunc_gumbel(0.21, 0.0, g1)
     assert math.exp(-g2) >= math.exp(-g1)
-
-
-def test_gumbel_value_fields():
-    g = GumbelValue(1.0, 2.0, 3.0)
-    assert g.value == 1.0 and g.location == 2.0 and g.truncation == 3.0

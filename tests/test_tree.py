@@ -8,7 +8,7 @@ import pytest
 
 from reckit.distributions import Gaussian, PairSpec, Region, Uniform
 from reckit.errors import DepthExceededError, DomainError
-from reckit.randomness import derive_seed
+from reckit.randomness import StreamKey, derive_seed, keyed_uniform, trunc_gumbel
 from reckit.tree import (
     NodeRecord,
     PartitionKind,
@@ -39,13 +39,13 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
     the depth limit are yielded but not expanded.
     """
     root = make_root(proposal, seed)
-    heap = [(-root.g.value, root.heap_index, root)]
+    heap = [(-root.g, root.heap_index, root)]
     yielded = 0
     while heap and (max_yields is None or yielded < max_yields):
         _, _, node = heapq.heappop(heap)
         if node.depth < depth_limit:
             for child in expand(node, kind, proposal, seed):
-                heapq.heappush(heap, (-child.g.value, child.heap_index, child))
+                heapq.heappush(heap, (-child.g, child.heap_index, child))
         yielded += 1
         yield node
 
@@ -103,7 +103,8 @@ def test_make_root():
     assert root.region == Region(-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
     assert root.mass == 1.0
-    assert root.g.truncation == math.inf
+    # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
+    assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(root.x)
     assert make_root(GAUSS, 7) == root  # deterministic
     assert make_root(GAUSS, 8) != root
@@ -119,8 +120,7 @@ def test_expand_children_tile_parent():
             for c in children:
                 assert c.depth == node.depth + 1
                 assert c.heap_index in heap_children(node.heap_index)
-                assert c.g.value <= node.g.value  # race order
-                assert c.parent_gumbel == node.g.value
+                assert c.g <= node.g  # race order
                 assert node.region.low <= c.region.low < c.region.high <= node.region.high
                 assert c.region.contains(c.x)
                 # cached endpoints match fresh CDF evaluation
@@ -149,7 +149,7 @@ def test_expand_global_bound_is_a_chain():
         assert child.depth == k
         assert child.region == Region(-math.inf, math.inf)
         assert child.mass == 1.0
-        assert child.g.value <= node.g.value
+        assert child.g <= node.g
         assert child.x not in seen  # fresh sample per arrival
         seen.add(child.x)
         node = child
@@ -159,8 +159,8 @@ def test_top_down_gumbels_strictly_decrease():
     for kind in PartitionKind:
         last = math.inf
         for node in top_down_process(GAUSS, kind, seed=11, max_yields=200):
-            assert node.g.value < last
-            last = node.g.value
+            assert node.g < last
+            last = node.g
 
 
 def test_top_down_is_deterministic():
@@ -197,7 +197,7 @@ def test_top_down_matches_exchangeable_race_across_kinds():
         out = []
         for i in range(n):
             nodes = top_down_process(GAUSS, kind, derive_seed(base, i), max_yields=k)
-            out.append(list(nodes)[-1].g.value)
+            out.append(list(nodes)[-1].g)
         return np.array(out)
 
     split = kth_gumbel(PartitionKind.SAMPLE_SPLIT, 1000)
@@ -208,6 +208,5 @@ def test_top_down_matches_exchangeable_race_across_kinds():
 
 
 def test_node_record_mass_property():
-    node = NodeRecord(1, 1, Region(-1.0, 1.0), 0.2, 0.7, 0.0,
-                      make_root(GAUSS, 0).g, math.inf)
+    node = NodeRecord(1, 1, Region(-1.0, 1.0), 0.2, 0.7, 0.0, make_root(GAUSS, 0).g)
     assert node.mass == pytest.approx(0.5)
