@@ -32,8 +32,8 @@ from .distributions import (
 )
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
-from .randomness import derive_seed
-from .tree import PartitionKind, expand, make_root
+from .randomness import derive_seed, seed_state
+from .tree import PartitionKind, expand, make_root, node_sample
 
 _LN2 = math.log(2.0)
 
@@ -418,9 +418,12 @@ def verify_shrinkage(
     proposal = Gaussian(0.0, 1.0)
     masses = np.ones((trials, depth_max))
     for trial in range(trials):
-        node = make_root(proposal, derive_seed(seed, trial))
+        trial_seed = derive_seed(seed, trial)
+        node, stream = make_root(proposal, trial_seed), seed_state(trial_seed)
         for d in range(1, depth_max):
-            children = expand(node, kind, proposal, derive_seed(seed, trial))
+            x = node_sample(proposal, kind, node.key, node.heap_index, node.depth,
+                            node.ulow, node.uhigh)
+            children = expand(node, kind, proposal, stream, x)
             if not children:
                 break
             node = max(children, key=lambda c: c.mass)

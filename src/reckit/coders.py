@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .distributions import FULL_LINE, Distribution1D, PairSpec, sample_restricted_u
+from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, UnboundedRatioError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
-from .tree import make_root
+from .tree import make_root, node_sample
 
 INF = math.inf
 _GUMBEL = int(DrawSlot.GUMBEL)
@@ -147,13 +147,18 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
     ``incumbent`` is a starting candidate outside the tree (the
     depth-limited coder's extra root): it competes in incumbent updates
     but is never enqueued, so it costs no search step. Nodes at
-    ``max_depth`` are scored but not expanded. Returns (winner, steps, LB).
+    ``max_depth`` are scored but not expanded. A node's sample is drawn
+    when it is popped (or, for ``incumbent``, when it takes the lead).
+    Returns (winner, winner's sample, steps, LB).
     """
     proposal = pair.proposal
-    root_bound = pair.bound_M(FULL_LINE)
-    lb, best = -INF, None
+    stream = seed_state(seed)
+    root_bound = pair.bound_M(-INF, INF)
+    lb, best, best_x = -INF, None, math.nan
     if incumbent is not None:
-        lb, best = incumbent.g + pair.log_ratio(incumbent.x), incumbent
+        best_x = node_sample(proposal, kind, incumbent.key, incumbent.heap_index,
+                             incumbent.depth, incumbent.ulow, incumbent.uhigh)
+        lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
     # heap items: (-(g + M), heap_index, M, node)
     heap: list = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
@@ -162,19 +167,20 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        score = node.g + pair.log_ratio(node.x)
+        x = node_sample(proposal, kind, node.key, index, node.depth, node.ulow, node.uhigh)
+        score = node.g + pair.log_ratio(x)
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
-            lb, best = score, node
+            lb, best, best_x = score, node, x
         if node.depth < max_depth:
-            for child in expand(node, kind, proposal, seed):
+            for child in expand(node, kind, proposal, stream, x):
                 g = child.g
                 if lb < g + bound:
-                    child_bound = pair.bound_M(child.region)
+                    child_bound = pair.bound_M(child.low, child.high)
                     if lb < g + child_bound:
                         heapq.heappush(
                             heap, (-(g + child_bound), child.heap_index, child_bound, child)
                         )
-    return best, steps, lb
+    return best, best_x, steps, lb
 
 
 def encode_astar(
@@ -194,11 +200,11 @@ def encode_astar(
                                   "use the depth-limited coder")
     variant = _VARIANT_OF_KIND[kind]
     root = make_root(pair.proposal, seed)
-    best, steps, lb = _astar_search(pair, kind, seed, INF, max_steps, root)
+    best, x, steps, lb = _astar_search(pair, kind, seed, INF, max_steps, root)
     # a chain node's arrival index is its depth
     index = best.depth if CODERS[variant].unit is Unit.ARRIVAL_INDEX else best.heap_index
     code = Code(variant, best.depth, index)
-    return code, best.x, _stats(code, steps, best.depth, lb)
+    return code, x, _stats(code, steps, best.depth, lb)
 
 
 def decode_astar(
@@ -223,10 +229,10 @@ def encode_dad(
     check_budget(budget)
     root = make_root(pair.proposal, seed)
     extra = extra_root(pair.proposal, seed, root)
-    best, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed, budget, INF, root, extra)
+    best, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed, budget, INF, root, extra)
     code = Code(Variant.DAD_STAR, budget, best.heap_index)
     # transmitted width is the budget regardless of where the winner sat
-    return code, best.x, _stats(code, steps, best.depth, lb)
+    return code, x, _stats(code, steps, best.depth, lb)
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AbsoluteContinuityError,
@@ -109,10 +109,9 @@ def _std_normal_sf(z: float) -> float:
 
 
 def _std_normal_quantile(u: float) -> float:
-    """Standard normal inverse CDF: rational approximation plus one
-    residual correction step evaluated through erfc."""
-    if u <= 0.0 or u >= 1.0:
-        raise DomainError(f"standard normal quantile needs u in (0, 1), got {u}")
+    """Standard normal inverse CDF for u in (0, 1), which the caller
+    checks: rational approximation plus one residual correction step
+    evaluated through erfc."""
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
     if u < _ACK_LOW:
         q = math.sqrt(-2.0 * math.log(u))
@@ -139,10 +138,12 @@ def _std_normal_quantile(u: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Gaussian(Distribution1D):
-    """Normal distribution with given mean and variance."""
+    """Normal distribution with given mean and variance. ``std`` is
+    derived once, here, and takes no part in equality or ``to_dict``."""
 
     mean: float
     variance: float
+    std: float = field(init=False, compare=False, repr=False)
     family = "gaussian"
 
     def __post_init__(self) -> None:
@@ -150,10 +151,7 @@ class Gaussian(Distribution1D):
             raise DomainError(f"variance must be finite and positive, got {self.variance}")
         if not math.isfinite(self.mean):
             raise DomainError(f"mean must be finite, got {self.mean}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
+        object.__setattr__(self, "std", math.sqrt(self.variance))
 
     def cdf(self, x: float) -> float:
         if x == -INF:
@@ -163,7 +161,8 @@ class Gaussian(Distribution1D):
         return _std_normal_cdf((x - self.mean) / self.std)
 
     def inv_cdf(self, u: float) -> float:
-        self._check_unit(u)
+        if not 0.0 < u < 1.0:  # also refuses NaN
+            raise DomainError(f"inverse CDF needs u in (0, 1), got {u}")
         return self.mean + self.std * _std_normal_quantile(u)
 
     def log_pdf(self, x: float) -> float:
@@ -533,14 +532,14 @@ class PairSpec:
             )
         return mode
 
-    def bound_M(self, region: Region) -> float:
-        """sup of log r over the region's overlap with the target support.
+    def bound_M(self, low: float, high: float) -> float:
+        """sup of log r over the interval (low, high)'s overlap with the target support.
 
         Exact for every supported pair: the supremum sits at the ratio mode
         or at an end of that overlap, and for mixture targets it is a
         maximum of per-component constants.
         """
-        return self._kernel.bound(region.low, region.high)
+        return self._kernel.bound(low, high)
 
     def analytic_kl(self) -> float:
         """KL(Q || P) in nats, closed form per family pair."""

@@ -17,9 +17,13 @@ sampling arithmetic runs through those cached values, which makes dyadic
 masses exactly 2^-(D-1) and lets a decoder walking the same path
 reproduce region arithmetic bit for bit.
 
+A node carries its Gumbel and the key state its draws branch from, but
+not its sample: pruning reads only the Gumbel and the region, so the
+search draws a node's sample (``node_sample``) when it pops the node.
+
 This module is the one place that says how a node's draws are keyed
-(``_node_key``) and how a decoder finds a node again (``locate``): the
-encoder's ``make_root``/``expand`` and the decoder's walk share both.
+(``node_sample``) and how a decoder finds a node again (``locate``):
+the encoder's ``make_root``/``expand`` and the decoder's walk share both.
 """
 
 from __future__ import annotations
@@ -28,17 +32,17 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .distributions import FULL_LINE, Distribution1D, Region, sample_restricted_u
+from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
 
-# (Gumbel slot, sample slot) of a tree node and of the extra root candidate
-_NODE_SLOTS = (int(DrawSlot.GUMBEL), int(DrawSlot.SAMPLE))
-_EXTRA_SLOTS = (int(DrawSlot.EXTRA_ROOT_GUMBEL), int(DrawSlot.EXTRA_ROOT_SAMPLE))
-_ROOT_PIECE = (FULL_LINE, 0.0, 1.0)
+INF = math.inf
+_GUMBEL, _SAMPLE = int(DrawSlot.GUMBEL), int(DrawSlot.SAMPLE)
+_EXTRA_GUMBEL, _EXTRA_SAMPLE = int(DrawSlot.EXTRA_ROOT_GUMBEL), int(DrawSlot.EXTRA_ROOT_SAMPLE)
+_ROOT_PIECE = (-INF, INF, 0.0, 1.0)
 
 
 class PartitionKind(Enum):
@@ -50,17 +54,20 @@ class PartitionKind(Enum):
 class NodeRecord(NamedTuple):
     """One realized search node.
 
-    ``ulow``/``uhigh`` are the proposal CDF values of the region
-    endpoints; ``g`` is the node's Gumbel, located at the log of the
-    region's proposal mass and truncated at its parent's ``g``.
+    ``low``/``high`` are the region endpoints and ``ulow``/``uhigh`` their
+    proposal CDF values; ``key`` is the state after (seed, key node) that
+    the node's draws branch from (see ``node_sample``); ``g`` is the node's
+    Gumbel, located at the log of the region's proposal mass and
+    truncated at its parent's ``g``.
     """
 
     heap_index: int
     depth: int
-    region: Region
+    low: float
+    high: float
     ulow: float
     uhigh: float
-    x: float
+    key: int
     g: float
 
     @property
@@ -84,17 +91,14 @@ def heap_children(heap_index: int) -> tuple[int, int]:
     return 2 * heap_index, 2 * heap_index + 1
 
 
-def _partition_u(
-    kind: PartitionKind,
-    region: Region,
-    ulow: float,
-    uhigh: float,
-    x: float,
-    proposal: Distribution1D,
-) -> tuple[tuple[Region, float, float] | None, tuple[Region, float, float] | None]:
+Piece = tuple[float, float, float, float]  # (low, high, ulow, uhigh)
+
+
+def _partition_u(kind: PartitionKind, low: float, high: float, ulow: float, uhigh: float,
+                 x: float, proposal: Distribution1D) -> tuple[Piece | None, Piece | None]:
     """Partition with cached CDF endpoints carried through to children."""
     if kind is PartitionKind.GLOBAL_BOUND:
-        return None, (region, ulow, uhigh)
+        return None, (low, high, ulow, uhigh)
     if kind is PartitionKind.SAMPLE_SPLIT:
         cut, ucut = x, proposal.cdf(x)
     elif kind is PartitionKind.DYADIC:
@@ -102,86 +106,67 @@ def _partition_u(
         cut = proposal.inv_cdf(ucut)
     else:  # pragma: no cover
         raise DomainError(f"unknown partition kind {kind}")
-    left = (Region(region.low, cut), ulow, ucut) if region.low < cut else None
-    right = (Region(cut, region.high), ucut, uhigh) if cut < region.high else None
+    left = (low, cut, ulow, ucut) if low < cut else None
+    right = (cut, high, ucut, uhigh) if cut < high else None
     return left, right
 
 
-def _node_key(kind: PartitionKind, stream: int, index: int, depth: int):
-    """The key of a node's draws: the state after (seed, key node) given
-    ``stream = seed_state(seed)``, the counter and the (Gumbel, sample)
-    slots. A split-tree node is keyed by its heap index. The chain's
-    virtual heap index 2^k - 1 would alias once folded to 64 bits, so a
-    chain node is keyed by node 1 and counter depth - 1. Heap index 0,
-    the extra root, draws from node 0's EXTRA_ROOT slots.
-    """
+def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: int,
+                depth: int, ulow: float, uhigh: float) -> float:
+    """A node's sample, drawn from its key state ``key``, the state after
+    (seed, key node). The key node is the heap index, but the chain's
+    virtual index 2^k - 1 would alias once folded to 64 bits, so every
+    chain node is keyed by node 1 and draws at counter depth - 1 (else 0).
+    Heap index 0, the extra root, draws from the EXTRA_ROOT slots."""
     if kind is PartitionKind.GLOBAL_BOUND:
-        return absorb(stream, 1), depth - 1, _NODE_SLOTS
-    if index == 0:
-        return absorb(stream, 0), 0, _EXTRA_SLOTS
-    return absorb(stream, index), 0, _NODE_SLOTS
+        state = absorb(absorb(key, _SAMPLE), depth - 1)
+    else:
+        state = absorb(absorb(key, _SAMPLE if index else _EXTRA_SAMPLE), 0)
+    return sample_restricted_u(proposal, ulow, uhigh, state_uniform(state))
 
 
-def _realize(proposal: Distribution1D, kind: PartitionKind, stream: int, index: int,
-             depth: int, piece: tuple[Region, float, float], bound: float) -> NodeRecord:
-    """A node's Gumbel and sample, both drawn from the node's key state."""
-    region, ulow, uhigh = piece
-    state, counter, (g_slot, x_slot) = _node_key(kind, stream, index, depth)
-    u_g = state_uniform(absorb(absorb(state, g_slot), counter))
-    u_x = state_uniform(absorb(absorb(state, x_slot), counter))
-    g = trunc_gumbel(u_g, math.log(uhigh - ulow), bound)
-    x = sample_restricted_u(proposal, ulow, uhigh, u_x)
-    return NodeRecord(index, depth, region, ulow, uhigh, x, g)
-
-
-def _sample(proposal: Distribution1D, kind: PartitionKind, stream: int, index: int,
-            depth: int, ulow: float, uhigh: float) -> float:
-    """A node's sample alone, drawn as ``_realize`` draws it."""
-    state, counter, (_, x_slot) = _node_key(kind, stream, index, depth)
-    u_x = state_uniform(absorb(absorb(state, x_slot), counter))
-    return sample_restricted_u(proposal, ulow, uhigh, u_x)
+def _realize(index: int, depth: int, piece: Piece, key: int, slot: int, counter: int,
+             bound: float) -> NodeRecord:
+    """A node with its Gumbel drawn from ``key`` at (slot, counter)."""
+    low, high, ulow, uhigh = piece
+    u = state_uniform(absorb(absorb(key, slot), counter))
+    g = trunc_gumbel(u, math.log(uhigh - ulow), bound)
+    return NodeRecord(index, depth, low, high, ulow, uhigh, key, g)
 
 
 def make_root(proposal: Distribution1D, seed: int) -> NodeRecord:
     """Realize the root node: the full line, mass one, untruncated Gumbel.
     Every partition rule keys the root alike (node 1, counter 0)."""
-    return _realize(proposal, PartitionKind.DYADIC, seed_state(seed), 1, 1,
-                    _ROOT_PIECE, math.inf)
+    return _realize(1, 1, _ROOT_PIECE, absorb(seed_state(seed), 1), _GUMBEL, 0, INF)
 
 
 def extra_root(proposal: Distribution1D, seed: int, root: NodeRecord) -> NodeRecord:
     """The depth-limited coder's second root-level candidate, heap index
     0: a full-line draw whose Gumbel is truncated at the root's."""
-    return _realize(proposal, PartitionKind.DYADIC, seed_state(seed), 0, 1,
-                    _ROOT_PIECE, root.g)
+    return _realize(0, 1, _ROOT_PIECE, absorb(seed_state(seed), 0), _EXTRA_GUMBEL, 0,
+                    root.g)
 
 
-def expand(
-    node: NodeRecord,
-    kind: PartitionKind,
-    proposal: Distribution1D,
-    seed: int,
-) -> list[NodeRecord]:
+def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D, stream: int,
+           x: float) -> list[NodeRecord]:
     """Realize the children of a node.
 
-    Children with zero proposal mass are skipped, as are slots emptied by
-    the partition rule. Each child draws its truncated Gumbel (location =
-    log child mass, bound = parent's realized value) and its sample from
-    the keyed stream.
+    ``stream`` is the search's ``seed_state(seed)`` and ``x`` the node's
+    sample, which a sample-split cut reads. Children with zero proposal
+    mass are skipped, as are slots emptied by the partition rule. Each
+    child draws its truncated Gumbel (location = log child mass, bound =
+    parent's realized value); its sample waits for ``node_sample``.
     """
-    pieces = _partition_u(
-        kind, node.region, node.ulow, node.uhigh, node.x, proposal
-    )
-    stream = seed_state(seed)
     depth = node.depth + 1
-    if kind is PartitionKind.GLOBAL_BOUND:
-        return [_realize(proposal, kind, stream, 2 * node.heap_index + 1, depth,
-                         pieces[1], node.g)]
+    if kind is PartitionKind.GLOBAL_BOUND:  # every chain node shares node 1's key state
+        return [_realize(2 * node.heap_index + 1, depth, node[2:6], node.key, _GUMBEL,
+                         depth - 1, node.g)]
+    pieces = _partition_u(kind, node.low, node.high, node.ulow, node.uhigh, x, proposal)
     children: list[NodeRecord] = []
-    for piece, child_index in zip(pieces, heap_children(node.heap_index)):
-        if piece is not None and piece[2] - piece[1] > 0.0:
-            children.append(_realize(proposal, kind, stream, child_index, depth,
-                                     piece, node.g))
+    for piece, index in zip(pieces, heap_children(node.heap_index)):
+        if piece is not None and piece[3] - piece[2] > 0.0:
+            children.append(_realize(index, depth, piece, absorb(stream, index), _GUMBEL, 0,
+                                     node.g))
     return children
 
 
@@ -194,18 +179,23 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
     arithmetic and node keys of ``make_root`` and ``expand``, so it is
     bit-exact against encoding. Only a sample-split cut reads an
     ancestor's sample, so only that walk draws one. A chain node is found
-    by its depth alone; index 0 at depth 1 is ``extra_root``.
+    by its depth alone; index 0 at depth 1 is ``extra_root``. Both, and
+    the root, are one full-line draw straight from the node's key.
     """
     stream = seed_state(seed)
-    region, ulow, uhigh = _ROOT_PIECE
-    if kind is not PartitionKind.GLOBAL_BOUND:
+    low, high, ulow, uhigh = _ROOT_PIECE
+    if kind is not PartitionKind.GLOBAL_BOUND and depth > 1:
         split_at_sample = kind is PartitionKind.SAMPLE_SPLIT
         x = math.nan  # a dyadic cut reads no sample
         for shift in range(depth - 1, 0, -1):
             if split_at_sample:
-                x = _sample(proposal, kind, stream, index >> shift, depth - shift, ulow, uhigh)
-            piece = _partition_u(kind, region, ulow, uhigh, x, proposal)[(index >> (shift - 1)) & 1]
+                node = index >> shift
+                x = node_sample(proposal, kind, absorb(stream, node), node, depth - shift,
+                                ulow, uhigh)
+            piece = _partition_u(kind, low, high, ulow, uhigh, x, proposal)[
+                (index >> (shift - 1)) & 1]
             if piece is None:
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-            region, ulow, uhigh = piece
-    return _sample(proposal, kind, stream, index, depth, ulow, uhigh)
+            low, high, ulow, uhigh = piece
+    key = absorb(stream, 1 if kind is PartitionKind.GLOBAL_BOUND else index)
+    return node_sample(proposal, kind, key, index, depth, ulow, uhigh)

@@ -23,7 +23,6 @@ from reckit.distributions import (
     Gaussian,
     MixtureComponent,
     PairSpec,
-    Region,
     Uniform,
     UniformMixture,
 )
@@ -121,7 +120,7 @@ def _record(pair: PairSpec, rng: random.Random, pin_bound: bool) -> dict:
     }
     if pin_bound:
         out["bound_M"] = [
-            [float.hex(a), float.hex(b), _outcome(pair.bound_M, Region(a, b))]
+            [float.hex(a), float.hex(b), _outcome(pair.bound_M, a, b)]
             for a, b in regions
         ]
     return out

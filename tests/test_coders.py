@@ -26,11 +26,9 @@ from reckit.coders import (
     encode_mrc,
 )
 from reckit.distributions import (
-    FULL_LINE,
     Gaussian,
     MixtureComponent,
     PairSpec,
-    Region,
     Uniform,
     UniformMixture,
     sample_restricted_u,
@@ -42,6 +40,7 @@ from reckit.errors import (
     UnboundedRatioError,
 )
 from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, trunc_gumbel
+from reckit.isokl import gaussian_from_kl_dinf
 from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, make_root
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
@@ -73,7 +72,7 @@ def pfr_arrival_oracle(pair: PairSpec, seed: int):
     stops after arrival T once the incumbent dominates the next arrival
     plus the global ratio bound.
     """
-    bound = pair.bound_M(FULL_LINE)
+    bound = pair.bound_M(-math.inf, math.inf)
     proposal = pair.proposal
     g_prev = math.inf
     best_score = -math.inf
@@ -148,7 +147,7 @@ def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: in
                 nxt.append((child, clow, chigh, culow, cuhigh, cx, cg))
         level = nxt
     for index, low, high, ulow, uhigh, x, g in level:
-        frontier_bound = max(frontier_bound, g + pair.bound_M(Region(low, high)))
+        frontier_bound = max(frontier_bound, g + pair.bound_M(low, high))
     return best_index, best_x, best_score, frontier_bound
 
 
@@ -282,6 +281,42 @@ def test_dyadic_decode_inverts_the_cdf_once_per_level(monkeypatch):
             assert len(calls) == depth, (code, seed)
             depths.add(depth)
     assert len(depths) >= 4
+
+
+def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
+    """Pruning reads a child's Gumbel and region alone, so the search
+    draws a node's sample (one inv_cdf) when it pops the node. An AS*
+    step also cuts at that sample (one cdf), an AD* step at the region's
+    proposal median (one more inv_cdf); a PFR step draws the sample only."""
+    mean, variance = gaussian_from_kl_dinf(2.1, 4.0)
+    pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
+    calls = {"inv_cdf": 0, "cdf": 0}
+    inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
+
+    def counting_inv_cdf(self, u):
+        calls["inv_cdf"] += 1
+        return inv_cdf(self, u)
+
+    def counting_cdf(self, x):
+        calls["cdf"] += 1
+        return cdf(self, x)
+
+    monkeypatch.setattr(Gaussian, "inv_cdf", counting_inv_cdf)
+    monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
+    per_step = {  # kind: (inv_cdf, cdf) calls per step
+        PartitionKind.SAMPLE_SPLIT: (1, 1),
+        PartitionKind.DYADIC: (2, 0),
+        PartitionKind.GLOBAL_BOUND: (1, 0),
+    }
+    for kind, (inv_per_step, cdf_per_step) in per_step.items():
+        total_steps = 0
+        for seed in range(200):
+            calls.update(inv_cdf=0, cdf=0)
+            steps = encode_astar(pair, kind, seed)[2].steps
+            assert calls == {"inv_cdf": inv_per_step * steps, "cdf": cdf_per_step * steps}, (
+                kind, seed)
+            total_steps += steps
+        assert total_steps > 400, kind  # the searches went past the root
 
 
 def test_decode_is_target_blind():

@@ -105,6 +105,25 @@ def test_gaussian_validation():
         Gaussian(0.0, 1.0).inv_cdf(1.0)
 
 
+@pytest.mark.parametrize("dist", [Gaussian(0.5, 2.0), Uniform(1.0, 4.0), MIX],
+                         ids=["gaussian", "uniform", "mixture"])
+def test_inv_cdf_refuses_u_outside_the_open_unit_interval(dist):
+    # NaN fails every comparison, so only a check of the form
+    # `not 0 < u < 1` refuses it
+    for u in (math.nan, 0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(DomainError):
+            dist.inv_cdf(u)
+
+
+def test_gaussian_caches_std_outside_its_identity():
+    g = Gaussian(0.5, 2.0)
+    assert g.std == math.sqrt(2.0)
+    assert g == Gaussian(0.5, 2.0) and hash(g) == hash(Gaussian(0.5, 2.0))
+    assert g.to_dict() == {"family": "gaussian", "mean": 0.5, "variance": 2.0}
+    assert repr(g) == "Gaussian(mean=0.5, variance=2.0)"
+    assert distribution_from_dict(g.to_dict()).std == g.std
+
+
 def test_uniform_basics():
     u = Uniform(1.0, 4.0)
     assert u.low == -1.0 and u.high == 3.0
@@ -246,7 +265,7 @@ def test_bound_M_dominates_log_ratio():
     for pair in pairs:
         sup = pair.proposal.support()
         for region in regions:
-            m = pair.bound_M(region)
+            m = pair.bound_M(region.low, region.high)
             lo = max(region.low, sup.low)
             hi = min(region.high, sup.high)
             if not lo < hi:
@@ -259,10 +278,10 @@ def test_bound_M_dominates_log_ratio():
 
 def test_bound_M_is_tight_on_full_line():
     pair = PairSpec(Gaussian(1.3, 0.45), Gaussian(0.0, 1.0))
-    assert pair.bound_M(FULL_LINE) == pytest.approx(pair.analytic_dinf(), abs=1e-12)
+    assert pair.bound_M(-math.inf, math.inf) == pytest.approx(pair.analytic_dinf(), abs=1e-12)
     pair = PairSpec(MIX, Uniform(1.0, 2.0))
     # densest component: weight 0.3 over length 0.1 against density 0.5
-    assert pair.bound_M(FULL_LINE) == pytest.approx(math.log(6.0), abs=1e-12)
+    assert pair.bound_M(-math.inf, math.inf) == pytest.approx(math.log(6.0), abs=1e-12)
 
 
 def test_analytic_kl_against_quad():

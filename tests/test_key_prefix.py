@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from reckit import coders
 from reckit.coders import Code, Variant, decode, decode_astar, encode_mrc
-from reckit.distributions import FULL_LINE, Gaussian, PairSpec, Uniform, sample_restricted_u
+from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
 from reckit.randomness import (
     DrawSlot,
     StreamKey,
@@ -28,7 +28,7 @@ from reckit.randomness import (
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import PartitionKind, _partition_u, expand, extra_root, make_root
+from reckit.tree import PartitionKind, _partition_u, expand, extra_root, make_root, node_sample
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -72,28 +72,33 @@ def test_prefix_path_matches_keyed_uniform(seed, node, slot, counter):
 
 
 def _check_node(node, proposal, seed, kind, bound):
-    """``bound`` is the parent's Gumbel (+inf at the root)."""
+    """``bound`` is the parent's Gumbel (+inf at the root). Returns the
+    node's sample."""
     if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by its counter
         key_node, counter = 1, node.depth - 1
     else:
         key_node, counter = node.heap_index, 0
+    assert node.key == absorb(seed_state(seed), key_node)
     u_g = per_key(seed, key_node, DrawSlot.GUMBEL, counter)
     u_x = per_key(seed, key_node, DrawSlot.SAMPLE, counter)
     assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
-    assert node.x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
+    x = node_sample(proposal, kind, node.key, node.heap_index, node.depth, node.ulow,
+                    node.uhigh)
+    assert x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
+    return x
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=SEEDS)
 def test_tree_draws_match_per_key_calls(seed):
+    stream = seed_state(seed)
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
         for kind in PartitionKind:
             level = [(make_root(proposal, seed), math.inf)]
             for _ in range(5):
-                for node, bound in level:
-                    _check_node(node, proposal, seed, kind, bound)
-                level = [(c, node.g) for node, _ in level
-                         for c in expand(node, kind, proposal, seed)]
+                level = [(c, node.g) for node, bound in level
+                         for c in expand(node, kind, proposal, stream,
+                                         _check_node(node, proposal, seed, kind, bound))]
             assert level
 
 
@@ -117,12 +122,12 @@ def test_mrc_candidate_uniforms_match_per_key_calls(seed, bits):
 
 def per_key_walk(proposal, kind, index, seed):
     """tree.locate's walk, with every draw made from its full key."""
-    region, ulow, uhigh = FULL_LINE, 0.0, 1.0
+    low, high, ulow, uhigh = -math.inf, math.inf, 0.0, 1.0
     node = 1
     for bit in bin(index)[3:]:
         x = sample_restricted_u(proposal, ulow, uhigh, per_key(seed, node, DrawSlot.SAMPLE))
-        left, right = _partition_u(kind, region, ulow, uhigh, x, proposal)
-        region, ulow, uhigh = right if bit == "1" else left
+        left, right = _partition_u(kind, low, high, ulow, uhigh, x, proposal)
+        low, high, ulow, uhigh = right if bit == "1" else left
         node = 2 * node + int(bit)
     return sample_restricted_u(proposal, ulow, uhigh, per_key(seed, index, DrawSlot.SAMPLE))
 
@@ -139,7 +144,9 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     extra = extra_root(GAUSS, seed, root)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
-    assert (extra.heap_index, extra.depth, extra.g, extra.x) == (0, 1, want_g, want_x)
+    extra_x = node_sample(GAUSS, PartitionKind.DYADIC, extra.key, 0, 1, 0.0, 1.0)
+    assert (extra.heap_index, extra.depth, extra.key) == (0, 1, absorb(seed_state(seed), 0))
+    assert (extra.g, extra_x) == (want_g, want_x)
     assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
 
 

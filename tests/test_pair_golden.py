@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reckit.distributions import PairSpec, Region
+from reckit.distributions import PairSpec
 from reckit.errors import RecError
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "pair_golden.json").read_text())
@@ -41,8 +41,8 @@ def test_pair_values_match_golden(record):
     for x, want in record["log_ratio"]:
         assert _outcome(pair.log_ratio, float.fromhex(x)) == want, x
     for low, high, want in record["bound_M"]:
-        region = Region(float.fromhex(low), float.fromhex(high))
-        assert _outcome(pair.bound_M, region) == want, (low, high)
+        assert _outcome(pair.bound_M, float.fromhex(low), float.fromhex(high)) == want, (
+            low, high)
 
 
 def test_golden_covers_every_pinned_family_pair():

@@ -8,7 +8,14 @@ import pytest
 
 from reckit.distributions import Gaussian, PairSpec, Region, Uniform
 from reckit.errors import DepthExceededError, DomainError
-from reckit.randomness import StreamKey, derive_seed, keyed_uniform, trunc_gumbel
+from reckit.randomness import (
+    StreamKey,
+    absorb,
+    derive_seed,
+    keyed_uniform,
+    seed_state,
+    trunc_gumbel,
+)
 from reckit.tree import (
     NodeRecord,
     PartitionKind,
@@ -17,6 +24,7 @@ from reckit.tree import (
     expand,
     heap_children,
     make_root,
+    node_sample,
 )
 
 GAUSS = Gaussian(0.0, 1.0)
@@ -24,10 +32,20 @@ GAUSS = Gaussian(0.0, 1.0)
 
 def partition(kind, region, x, proposal):
     """(left, right) child regions of a split; None marks an empty slot."""
-    pieces = _partition_u(
-        kind, region, proposal.cdf(region.low), proposal.cdf(region.high), x, proposal
-    )
-    return tuple(piece[0] if piece else None for piece in pieces)
+    pieces = _partition_u(kind, region.low, region.high, proposal.cdf(region.low),
+                          proposal.cdf(region.high), x, proposal)
+    return tuple(Region(*piece[:2]) if piece else None for piece in pieces)
+
+
+def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
+    return node_sample(proposal, kind, node.key, node.heap_index, node.depth,
+                       node.ulow, node.uhigh)
+
+
+def pop_and_expand(node, kind, proposal, seed):
+    """What the search does with a popped node: draw its sample, then
+    realize its children (a sample-split cut reads the sample)."""
+    return expand(node, kind, proposal, seed_state(seed), sample(node, kind, proposal))
 
 
 def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
@@ -44,7 +62,7 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
     while heap and (max_yields is None or yielded < max_yields):
         _, _, node = heapq.heappop(heap)
         if node.depth < depth_limit:
-            for child in expand(node, kind, proposal, seed):
+            for child in pop_and_expand(node, kind, proposal, seed):
                 heapq.heappush(heap, (-child.g, child.heap_index, child))
         yielded += 1
         yield node
@@ -100,12 +118,13 @@ def test_partition_empty_side():
 def test_make_root():
     root = make_root(GAUSS, 7)
     assert root.heap_index == 1 and root.depth == 1
-    assert root.region == Region(-math.inf, math.inf)
+    assert (root.low, root.high) == (-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
     assert root.mass == 1.0
+    assert root.key == absorb(seed_state(7), 1)  # the state after (seed, node 1)
     # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
-    assert math.isfinite(root.x)
+    assert math.isfinite(sample(root))
     assert make_root(GAUSS, 7) == root  # deterministic
     assert make_root(GAUSS, 8) != root
 
@@ -114,25 +133,25 @@ def test_expand_children_tile_parent():
     for seed in range(20):
         node = make_root(GAUSS, seed)
         for _ in range(6):
-            children = expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed)
+            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed)
             assert 1 <= len(children) <= 2
             assert sum(c.mass for c in children) == pytest.approx(node.mass, abs=1e-12)
             for c in children:
                 assert c.depth == node.depth + 1
                 assert c.heap_index in heap_children(node.heap_index)
                 assert c.g <= node.g  # race order
-                assert node.region.low <= c.region.low < c.region.high <= node.region.high
-                assert c.region.contains(c.x)
+                assert node.low <= c.low < c.high <= node.high
+                assert c.low < sample(c, PartitionKind.SAMPLE_SPLIT) < c.high
                 # cached endpoints match fresh CDF evaluation
-                assert c.ulow == pytest.approx(GAUSS.cdf(c.region.low), abs=1e-15)
-                assert c.uhigh == pytest.approx(GAUSS.cdf(c.region.high), abs=1e-15)
+                assert c.ulow == pytest.approx(GAUSS.cdf(c.low), abs=1e-15)
+                assert c.uhigh == pytest.approx(GAUSS.cdf(c.high), abs=1e-15)
             node = children[0]
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
     node = make_root(GAUSS, 99)
     for d in range(2, 24):
-        children = expand(node, PartitionKind.DYADIC, GAUSS, 99)
+        children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, 99)
         assert len(children) == 2
         for c in children:
             assert c.mass == 2.0 ** -(d - 1)  # exact, not approximate
@@ -140,18 +159,21 @@ def test_expand_dyadic_mass_is_exact_power_of_two():
 
 
 def test_expand_global_bound_is_a_chain():
+    chain = PartitionKind.GLOBAL_BOUND
     node = make_root(GAUSS, 5)
-    seen = {node.x}
+    seen = {sample(node, chain)}
     for k in range(2, 12):
-        children = expand(node, PartitionKind.GLOBAL_BOUND, GAUSS, 5)
+        children = pop_and_expand(node, chain, GAUSS, 5)
         assert len(children) == 1
         child = children[0]
         assert child.depth == k
-        assert child.region == Region(-math.inf, math.inf)
+        assert (child.low, child.high) == (-math.inf, math.inf)
         assert child.mass == 1.0
         assert child.g <= node.g
-        assert child.x not in seen  # fresh sample per arrival
-        seen.add(child.x)
+        assert child.key == node.key  # every arrival branches from node 1's state
+        x = sample(child, chain)
+        assert x not in seen  # fresh sample per arrival
+        seen.add(x)
         node = child
 
 
@@ -183,7 +205,7 @@ def test_top_down_race_samples_proposal():
     over seeds it must reproduce the proposal distribution."""
     from scipy import stats
 
-    xs = [make_root(GAUSS, derive_seed(13, i)).x for i in range(4000)]
+    xs = [sample(make_root(GAUSS, derive_seed(13, i))) for i in range(4000)]
     assert stats.kstest(xs, "norm").pvalue > 0.01
 
 
@@ -208,5 +230,6 @@ def test_top_down_matches_exchangeable_race_across_kinds():
 
 
 def test_node_record_mass_property():
-    node = NodeRecord(1, 1, Region(-1.0, 1.0), 0.2, 0.7, 0.0, make_root(GAUSS, 0).g)
+    root = make_root(GAUSS, 0)
+    node = NodeRecord(1, 1, -1.0, 1.0, 0.2, 0.7, root.key, root.g)
     assert node.mass == pytest.approx(0.5)
