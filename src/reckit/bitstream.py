@@ -4,16 +4,21 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 
     gamma(n)        floor(log2 n) zero bits, then the binary digits of n
     delta(n)        gamma(bit_length(n)), then the low bit_length(n)-1 bits
-    exact unit      gamma(D), then the low D-1 bits of the heap index
-                    (the index's leading 1 bit is implied by D)
-    pfr unit        delta(K) for the 1-based arrival index
-    block body      gamma(D), gamma(len + 1), then len codewords of D bits
-                    each (gamma cannot carry 0, hence the +1 on length)
+    heap unit       gamma(D), then the low D-1 bits of the heap index
+                    (the index's leading 1 bit is implied by D; D <= 62)
+    arrival unit    delta(K) for the 1-based arrival index (K < 2^64)
+    codeword unit   the payload in D bits, D the block's budget (D <= 62)
     message frame   gamma(mode), gamma(variant), then the body:
-                      mode 1 (exact per symbol): gamma(count), count units
-                      mode 2 (block tied): one block body
+                      mode 1 (exact per symbol): gamma(count + 1), count
+                        heap or arrival units
+                      mode 2 (block tied): gamma(D), gamma(count + 1),
+                        count codeword units
+                    (gamma cannot carry 0, hence the +1 on count)
     variant tags    1=AS_STAR 2=AD_STAR 3=PFR 4=DAD_STAR 5=MRC
-                    (``coders.CODERS`` holds each coder's tag and unit layout)
+
+``coders.CODERS`` holds each coder's tag and unit layout, and
+``coders.Unit`` implements the three unit layouts: it checks, prices,
+writes and reads one unit. This module owns the bit codes and the frame.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coders import CODERS, Code, Unit, Variant, check_budget
+from .coders import CODERS, Code, Variant, check_budget
 from .errors import DomainError, InvalidCodeError, MalformedMessageError
 from .tree import MAX_DEPTH
 
@@ -127,86 +132,6 @@ class BitReader:
         return (1 << (length - 1)) | self.read_bits(length - 1)
 
 
-def pack_exact(code: Code, writer: BitWriter | None = None) -> BitWriter:
-    """gamma(depth) then the heap index without its leading bit."""
-    if CODERS[code.variant].unit is not Unit.HEAP_INDEX:
-        raise InvalidCodeError(f"pack_exact takes heap-coded variants, got {code.variant}")
-    w = writer or BitWriter()
-    depth = code.depth_or_budget
-    w.write_elias_gamma(depth)
-    w.write_bits(code.payload - (1 << (depth - 1)), depth - 1)
-    return w
-
-
-def unpack_exact(reader: BitReader, variant: Variant = Variant.AD_STAR) -> Code:
-    depth = reader.read_elias_gamma()
-    if depth > MAX_DEPTH:
-        raise MalformedMessageError(f"depth field {depth} exceeds packable range")
-    index = (1 << (depth - 1)) | reader.read_bits(depth - 1)
-    return Code(variant, depth, index)
-
-
-def pack_pfr(code: Code, writer: BitWriter | None = None) -> BitWriter:
-    """delta(K): the arrival index has a larger dynamic range than depths."""
-    if CODERS[code.variant].unit is not Unit.ARRIVAL_INDEX:
-        raise InvalidCodeError(f"pack_pfr takes PFR codes, got {code.variant}")
-    w = writer or BitWriter()
-    w.write_elias_delta(code.payload)
-    return w
-
-
-def unpack_pfr(reader: BitReader, variant: Variant = Variant.PFR) -> Code:
-    k = reader.read_elias_delta()
-    return Code(variant, k, k)
-
-
-def pack_block(
-    codes: list[Code] | tuple[Code, ...],
-    budget: int,
-    writer: BitWriter | None = None,
-) -> BitWriter:
-    """gamma(budget), gamma(len + 1), then fixed-width codewords.
-
-    One header serves the whole block; per-symbol overhead is zero. An
-    empty block is legal and writes the header only.
-    """
-    check_budget(budget)
-    w = writer or BitWriter()
-    w.write_elias_gamma(budget)
-    w.write_elias_gamma(len(codes) + 1)
-    for code in codes:
-        if not CODERS[code.variant].fixed_width:
-            raise InvalidCodeError(
-                f"pack_block takes fixed-width variants, got {code.variant}"
-            )
-        if code.depth_or_budget != budget:
-            raise InvalidCodeError(
-                f"code budget {code.depth_or_budget} != block budget {budget}"
-            )
-        w.write_bits(code.payload, budget)
-    return w
-
-
-def unpack_block(
-    reader: BitReader, variant: Variant = Variant.DAD_STAR
-) -> tuple[int, list[Code]]:
-    budget = reader.read_elias_gamma()
-    if budget > MAX_DEPTH:
-        raise MalformedMessageError(f"budget field {budget} exceeds packable range")
-    count = reader.read_elias_gamma() - 1
-    codes = [
-        Code(variant, budget, reader.read_bits(budget)) for _ in range(count)
-    ]
-    return budget, codes
-
-
-# pack and unpack of the units an exact-per-symbol frame can carry
-_EXACT_UNITS = {
-    Unit.HEAP_INDEX: (pack_exact, unpack_exact),
-    Unit.ARRIVAL_INDEX: (pack_pfr, unpack_pfr),
-}
-
-
 @dataclass(frozen=True)
 class MessageFrame:
     """A self-delimiting message: mode, variant, and the codewords.
@@ -233,21 +158,25 @@ class MessageFrame:
 
 
 def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
+    """Write ``frame``: its header, then each code through its coder's ``Unit``."""
     spec = CODERS[frame.variant]
     if spec.fixed_width != (frame.mode == MODE_BLOCK):
         raise InvalidCodeError(f"{frame.variant} cannot appear in a {frame.mode} frame")
     if any(code.variant is not frame.variant for code in frame.codes):
         raise InvalidCodeError("frame variant does not match its codes")
+    if spec.fixed_width:
+        check_budget(frame.budget)
+        if any(code.depth_or_budget != frame.budget for code in frame.codes):
+            raise InvalidCodeError(f"a code's budget differs from the block's {frame.budget}")
     w = writer or BitWriter()
     w.write_elias_gamma(_MODE_TAGS[frame.mode])
     w.write_elias_gamma(spec.tag)
     if spec.fixed_width:
-        pack_block(frame.codes, frame.budget, w)
-    else:
-        pack = _EXACT_UNITS[spec.unit][0]
-        w.write_elias_gamma(len(frame.codes) + 1)
-        for code in frame.codes:
-            pack(code, w)
+        w.write_elias_gamma(frame.budget)
+    w.write_elias_gamma(len(frame.codes) + 1)
+    write = spec.unit.write
+    for code in frame.codes:
+        write(w, code.depth_or_budget, code.payload)
     return w
 
 
@@ -263,10 +192,12 @@ def read_message(reader: BitReader) -> MessageFrame:
     spec = CODERS[variant]
     if spec.fixed_width != (mode == MODE_BLOCK):
         raise MalformedMessageError(f"{variant} cannot appear in a {mode} frame")
+    budget = None
     if spec.fixed_width:
-        budget, codes = unpack_block(reader, variant)
-        return MessageFrame(mode, variant, tuple(codes), budget)
-    unpack = _EXACT_UNITS[spec.unit][1]
+        budget = reader.read_elias_gamma()
+        if budget > MAX_DEPTH:
+            raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     count = reader.read_elias_gamma() - 1
-    codes = tuple(unpack(reader, variant) for _ in range(count))
-    return MessageFrame(mode, variant, codes)
+    read = spec.unit.read
+    codes = [Code(variant, *read(reader, budget)) for _ in range(count)]
+    return MessageFrame(mode, variant, codes, budget)

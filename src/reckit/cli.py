@@ -124,6 +124,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         raise DomainError("encode needs --exact or --limited (or --block-model)")
     if args.limited and args.budget is None:
         raise DomainError("--limited needs --budget")
+    if args.count < 0:
+        raise DomainError(f"--count must be >= 0, got {args.count}")
     variant = Variant(name)
     spec = CODERS[variant]
     codes, samples = [], []

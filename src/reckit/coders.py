@@ -32,7 +32,8 @@ from enum import Enum
 from typing import Callable
 
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
-from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, UnboundedRatioError
+from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, MalformedMessageError
+from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
@@ -75,7 +76,9 @@ def _delta_bits(n: int) -> int:
 
 
 class Unit(Enum):
-    """How one codeword sits on the wire."""
+    """How one codeword sits on the wire: the one statement of each layout.
+    ``write``/``read`` take a ``bitstream.BitWriter``/``BitReader``, and
+    ``check`` admits exactly the (width, payload) pairs ``read`` returns."""
 
     HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
     ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
@@ -85,23 +88,50 @@ class Unit(Enum):
 
     def check(self, width: int, payload: int) -> None:
         """Refuse a payload this layout cannot carry at depth/budget ``width``."""
-        if self is Unit.HEAP_INDEX:
-            if payload < 1 or depth_of(payload) != width:
-                raise InvalidCodeError(f"heap index {payload} does not sit at depth {width}")
-        elif self is Unit.ARRIVAL_INDEX:
-            if payload < 1:
-                raise InvalidCodeError(f"arrival index must be >= 1, got {payload}")
-        elif not 0 <= payload < (1 << width):
-            raise InvalidCodeError(f"codeword {payload} outside budget of {width} bits")
+        if self is _HEAP_INDEX:
+            if payload < 1 or depth_of(payload) != width or width > MAX_DEPTH:
+                raise InvalidCodeError(f"heap index {payload} not at depth {width} <= {MAX_DEPTH}")
+        elif self is _ARRIVAL_INDEX:  # delta's length field stops at 64 bits
+            if not 1 <= payload < (1 << 64) or width != payload:
+                raise InvalidCodeError(f"arrival index {payload} not in [1, 2^64) or != {width}")
+        elif width > MAX_DEPTH or not 0 <= payload < (1 << width):
+            raise InvalidCodeError(f"codeword {payload} not in a budget {width} <= {MAX_DEPTH}")
 
     def cost(self, width: int, payload: int) -> tuple[int, int]:
         """(payload bits, standalone framing bits) of one unit."""
-        if self is Unit.HEAP_INDEX:
-            return width, _gamma_bits(width) - 1  # pack_exact drops the leading index bit
-        if self is Unit.ARRIVAL_INDEX:
+        if self is _HEAP_INDEX:
+            return width, _gamma_bits(width) - 1  # write drops the leading index bit
+        if self is _ARRIVAL_INDEX:
             bits = payload.bit_length()
             return bits, _delta_bits(payload) - bits
         return width, 0  # fixed-width codeword at the budget
+
+    def write(self, writer, width: int, payload: int) -> None:
+        """Put one unit on ``writer``; a codeword's budget is in its frame's header."""
+        if self is _HEAP_INDEX:
+            writer.write_elias_gamma(width)
+            writer.write_bits(payload - (1 << (width - 1)), width - 1)
+        elif self is _ARRIVAL_INDEX:
+            writer.write_elias_delta(payload)
+        else:
+            writer.write_bits(payload, width)
+
+    def read(self, reader, budget: int | None) -> tuple[int, int]:
+        """Take one unit off ``reader``: (width, payload). ``budget`` is the
+        frame header's codeword width; the self-sized units ignore it."""
+        if self is _CODEWORD:
+            return budget, reader.read_bits(budget)
+        if self is _HEAP_INDEX:
+            depth = reader.read_elias_gamma()
+            if depth > MAX_DEPTH:
+                raise MalformedMessageError(f"depth field {depth} exceeds packable range")
+            return depth, (1 << (depth - 1)) | reader.read_bits(depth - 1)
+        index = reader.read_elias_delta()
+        return index, index
+
+
+# Unit's methods compare with these: a class lookup of a member costs ~0.2 us
+_HEAP_INDEX, _ARRIVAL_INDEX, _CODEWORD = Unit.HEAP_INDEX, Unit.ARRIVAL_INDEX, Unit.CODEWORD
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +140,8 @@ class Code:
 
     depth_or_budget is the winner's depth for the exact heap-coded
     variants, the fixed bit budget for DAD_STAR / MRC, and the arrival
-    index again for PFR (whose payload is that index, not a heap index).
+    index again for PFR (whose payload, the chain node's heap index, is
+    that index).
     """
 
     variant: Variant
@@ -198,12 +229,9 @@ def encode_astar(
     if pair.analytic_dinf() == INF:
         raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
                                   "use the depth-limited coder")
-    variant = _VARIANT_OF_KIND[kind]
     root = make_root(pair.proposal, seed)
     best, x, steps, lb = _astar_search(pair, kind, seed, INF, max_steps, root)
-    # a chain node's arrival index is its depth
-    index = best.depth if CODERS[variant].unit is Unit.ARRIVAL_INDEX else best.heap_index
-    code = Code(variant, best.depth, index)
+    code = Code(_VARIANT_OF_KIND[kind], best.depth, best.heap_index)
     return code, x, _stats(code, steps, best.depth, lb)
 
 
@@ -318,7 +346,7 @@ class CoderSpec:
 
     @property
     def fixed_width(self) -> bool:
-        return self.unit is Unit.CODEWORD
+        return self.unit is _CODEWORD
 
 
 def _exact_spec(tag: int, unit: Unit, kind: PartitionKind, max_dinf: float = INF) -> CoderSpec:

@@ -246,7 +246,7 @@ def decode_block_vector(
     index = 0
     for block in blocks:
         frame = read_message(reader)
-        if frame.mode != MODE_BLOCK or frame.variant is not Variant.DAD_STAR:
+        if frame.variant is not Variant.DAD_STAR:  # a DAD_STAR frame is a block frame
             raise MalformedMessageError("expected a tied-budget block frame")
         if frame.budget != config.budget(block.kappa):
             raise MalformedMessageError(

@@ -1,13 +1,13 @@
 """Heap-indexed search tree over proposal regions.
 
-Nodes are identified ahnentafel-style: the root is 1 and node H has
-children 2H and 2H+1, so a node at depth D (root depth 1) has an index
-in [2^(D-1), 2^D) and the index fits in D bits once D is known. Three
-partition rules are supported:
+Split-tree nodes are identified ahnentafel-style: the root is 1 and
+node H has children 2H and 2H+1, so a node at depth D (root depth 1)
+has an index in [2^(D-1), 2^D) and the index fits in D bits once D is
+known. Three partition rules are supported:
 
-* GLOBAL_BOUND: never shrink; one child carrying the parent's region
-  (assigned through the right-child rule). Turns the search into a plain
-  rejection race.
+* GLOBAL_BOUND: never shrink; one child carrying the parent's region.
+  Turns the search into a plain rejection race, a chain whose node at
+  depth k has heap index k, its 1-based arrival index.
 * SAMPLE_SPLIT: split the region at the node's own sample.
 * DYADIC: split at the proposal median of the region, so the two
   children carry exactly half the parent's proposal mass each.
@@ -114,10 +114,10 @@ def _partition_u(kind: PartitionKind, low: float, high: float, ulow: float, uhig
 def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: int,
                 depth: int, ulow: float, uhigh: float) -> float:
     """A node's sample, drawn from its key state ``key``, the state after
-    (seed, key node). The key node is the heap index, but the chain's
-    virtual index 2^k - 1 would alias once folded to 64 bits, so every
-    chain node is keyed by node 1 and draws at counter depth - 1 (else 0).
-    Heap index 0, the extra root, draws from the EXTRA_ROOT slots."""
+    (seed, key node). The key node is the heap index, but a chain node's
+    index (its depth) would name a split-tree node, so every chain node
+    is keyed by node 1 and draws at counter depth - 1 (else 0). Heap
+    index 0, the extra root, draws from the EXTRA_ROOT slots."""
     if kind is PartitionKind.GLOBAL_BOUND:
         state = absorb(absorb(key, _SAMPLE), depth - 1)
     else:
@@ -159,8 +159,7 @@ def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D, stre
     """
     depth = node.depth + 1
     if kind is PartitionKind.GLOBAL_BOUND:  # every chain node shares node 1's key state
-        return [_realize(2 * node.heap_index + 1, depth, node[2:6], node.key, _GUMBEL,
-                         depth - 1, node.g)]
+        return [_realize(depth, depth, node[2:6], node.key, _GUMBEL, depth - 1, node.g)]
     pieces = _partition_u(kind, node.low, node.high, node.ulow, node.uhigh, x, proposal)
     children: list[NodeRecord] = []
     for piece, index in zip(pieces, heap_children(node.heap_index)):

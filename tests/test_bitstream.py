@@ -2,7 +2,8 @@
 
 Golden patterns for the universal codes come from the classic code
 tables (gamma: 1->1, 2->010, 5->00101; delta: 5->01101), so any change
-to the bit layout fails loudly here.
+to the bit layout fails loudly here. The pack/unpack tests pin each unit
+layout as ``coders.Unit`` writes and reads it.
 """
 
 import pytest
@@ -15,13 +16,7 @@ from reckit.bitstream import (
     MODE_BLOCK,
     MODE_EXACT,
     MessageFrame,
-    pack_block,
-    pack_exact,
-    pack_pfr,
     read_message,
-    unpack_block,
-    unpack_exact,
-    unpack_pfr,
     write_message,
 )
 from reckit.coders import CODERS, Code, Unit, Variant, decode
@@ -117,57 +112,74 @@ def test_read_bits_matches_bit_by_bit_reading(data, widths):
         r.read_bits(-1)
 
 
+def unit_bits(code: Code) -> str:
+    w = BitWriter()
+    CODERS[code.variant].unit.write(w, code.depth_or_budget, code.payload)
+    return bits_of(w)
+
+
+def unit_roundtrip(code: Code, budget: int | None = None) -> Code:
+    w = BitWriter()
+    unit = CODERS[code.variant].unit
+    unit.write(w, code.depth_or_budget, code.payload)
+    reader = BitReader(w.getvalue())
+    return Code(code.variant, *unit.read(reader, budget))
+
+
 def test_pack_exact_golden():
     # depth 1, index 1: bare gamma(1)
-    assert bits_of(pack_exact(Code(Variant.AD_STAR, 1, 1))) == "1"
+    assert unit_bits(Code(Variant.AD_STAR, 1, 1)) == "1"
     # depth 3, index 5: gamma(3) then the two trailing index bits
-    assert bits_of(pack_exact(Code(Variant.AD_STAR, 3, 5))) == "01101"
-    assert bits_of(pack_exact(Code(Variant.AS_STAR, 2, 3))) == "0101"
+    assert unit_bits(Code(Variant.AD_STAR, 3, 5)) == "01101"
+    assert unit_bits(Code(Variant.AS_STAR, 2, 3)) == "0101"
 
 
 def test_pack_exact_roundtrip():
     for depth, index in [(1, 1), (2, 2), (2, 3), (5, 21), (20, (1 << 19) + 12345)]:
         code = Code(Variant.AD_STAR, depth, index)
-        reader = BitReader(pack_exact(code).getvalue())
-        assert unpack_exact(reader) == code
+        assert unit_roundtrip(code) == code
 
 
 def test_pack_exact_rejects_fixed_width_variants():
-    with pytest.raises(InvalidCodeError):
-        pack_exact(Code(Variant.DAD_STAR, 3, 5))
-    with pytest.raises(InvalidCodeError):
-        pack_exact(Code(Variant.PFR, 3, 3))
+    # an exact heap-index frame takes no codeword and no arrival index
+    for other in (Code(Variant.DAD_STAR, 3, 5), Code(Variant.PFR, 3, 3)):
+        with pytest.raises(InvalidCodeError):
+            write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (other,)))
 
 
 def test_pack_pfr_golden_and_roundtrip():
-    assert bits_of(pack_pfr(Code(Variant.PFR, 5, 5))) == DELTA_GOLDEN[5]
+    assert unit_bits(Code(Variant.PFR, 5, 5)) == DELTA_GOLDEN[5]
     for k in (1, 2, 3, 17, 1000):
         code = Code(Variant.PFR, k, k)
-        assert unpack_pfr(BitReader(pack_pfr(code).getvalue())) == code
+        assert unit_roundtrip(code) == code
 
 
 def test_pack_block_layout():
-    codes = [Code(Variant.DAD_STAR, 3, 5), Code(Variant.DAD_STAR, 3, 0)]
-    w = pack_block(codes, 3)
-    # gamma(3) + gamma(3) + two 3-bit payloads
-    assert bits_of(w) == "011" + "011" + "101" + "000"
-    budget, out = unpack_block(BitReader(w.getvalue()))
-    assert budget == 3 and out == codes
+    codes = (Code(Variant.DAD_STAR, 3, 5), Code(Variant.DAD_STAR, 3, 0))
+    w = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, codes, 3))
+    # gamma(mode 2) + gamma(tag 4) + gamma(3) + gamma(3) + two 3-bit payloads
+    assert bits_of(w) == "010" + "00100" + "011" + "011" + "101" + "000"
+    assert [unit_bits(code) for code in codes] == ["101", "000"]
+    assert unit_roundtrip(codes[0], 3) == codes[0]
+    frame = read_message(BitReader(w.getvalue()))
+    assert frame.budget == 3 and frame.codes == codes
 
 
 def test_pack_block_empty():
-    w = pack_block([], 4)
-    budget, out = unpack_block(BitReader(w.getvalue()))
-    assert budget == 4 and out == []
+    w = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), 4))
+    frame = read_message(BitReader(w.getvalue()))
+    assert frame.budget == 4 and frame.codes == ()
 
 
 def test_pack_block_validation():
+    with pytest.raises(InvalidCodeError):  # an exact code in a block frame
+        write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
+                                   (Code(Variant.AD_STAR, 3, 5),), 3))
     with pytest.raises(InvalidCodeError):
-        pack_block([Code(Variant.AD_STAR, 3, 5)], 3)
-    with pytest.raises(InvalidCodeError):
-        pack_block([Code(Variant.DAD_STAR, 2, 1)], 3)  # budget mismatch
+        write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
+                                   (Code(Variant.DAD_STAR, 2, 1),), 3))  # budget mismatch
     with pytest.raises(DomainError):
-        pack_block([], 0)
+        write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), 0))
 
 
 def test_coder_table_wire_tags():
@@ -268,33 +280,67 @@ def test_read_rejects_frame_of_the_wrong_layout():
 def test_unpack_depth_cap_is_the_tree_cap():
     from reckit.tree import MAX_DEPTH
 
-    for unpack in (unpack_exact, unpack_block):
+    for mode_tag, variant_tag in ((1, 2), (2, 4)):  # an AD_STAR depth, a DAD_STAR budget
         w = BitWriter()
+        w.write_elias_gamma(mode_tag)
+        w.write_elias_gamma(variant_tag)
+        if mode_tag == 1:
+            w.write_elias_gamma(2)  # one unit
         w.write_elias_gamma(MAX_DEPTH + 1)
         w.write_bits(0, 64 + 8)
         with pytest.raises(MalformedMessageError):
-            unpack(BitReader(w.getvalue()))
+            read_message(BitReader(w.getvalue()))
+    w = BitWriter()
+    w.write_elias_gamma(MAX_DEPTH + 1)
+    w.write_bits(0, 64 + 8)
+    with pytest.raises(MalformedMessageError):
+        Unit.HEAP_INDEX.read(BitReader(w.getvalue()), None)
     code = Code(Variant.AD_STAR, MAX_DEPTH, (1 << (MAX_DEPTH - 1)) + 5)
-    assert unpack_exact(BitReader(pack_exact(code).getvalue())) == code
+    assert unit_roundtrip(code) == code
 
 
 def test_pack_block_refuses_budgets_unpack_cannot_read():
-    # the writer stops where unpack_block's depth cap does, so no block
+    # the writer stops where read_message's budget cap does, so no block
     # message can be written that its own reader refuses
     from reckit.tree import MAX_DEPTH
 
     code = Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1)
-    assert unpack_block(BitReader(pack_block([code], MAX_DEPTH).getvalue())) == (
-        MAX_DEPTH, [code])
+    data = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (code,), MAX_DEPTH))
+    assert read_message(BitReader(data.getvalue())).codes == (code,)
     for budget in (MAX_DEPTH + 1, 70, 2.5):
         with pytest.raises(DomainError):
-            pack_block([], budget)
+            write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), budget))
 
 
 def test_block_mode_rejects_exact_variants():
     with pytest.raises((InvalidCodeError, MalformedMessageError)):
         write_message(MessageFrame(MODE_BLOCK, Variant.AD_STAR,
                                    (Code(Variant.AD_STAR, 3, 5),), budget=3))
+
+
+def _near_extremes(width):
+    """Payloads at and around the edges of every layout at ``width``."""
+    near = [0, 1, width - 1, width, width + 1]  # an arrival index is its own width
+    if width <= 70:
+        near += [(1 << width) - 1, 1 << width, 1 << max(width - 1, 0)]
+    return st.one_of(st.sampled_from(near), st.integers(0, 2**70))
+
+
+_WIDTHS = st.one_of(st.integers(0, 70), st.sampled_from([2**62, 2**63, 2**64 - 1, 2**64]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(list(Variant)),
+       case=_WIDTHS.flatmap(lambda w: st.tuples(st.just(w), _near_extremes(w))))
+def test_every_code_that_constructs_roundtrips(variant, case):
+    """``Code`` admits exactly what the frame reader can return."""
+    try:
+        code = Code(variant, *case)
+    except InvalidCodeError:
+        return
+    budget = code.depth_or_budget if CODERS[variant].fixed_width else None
+    frame = MessageFrame(MODE_BLOCK if budget else MODE_EXACT, variant, (code,), budget)
+    assert read_message(BitReader(write_message(frame).getvalue())) == frame
 
 
 # Well-formed message heads of every coder, so that fuzzed tails also reach

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from reckit.bitstream import BitReader, read_message
 from reckit.cli import main
 from reckit.tree import MAX_DEPTH
 
@@ -258,6 +259,13 @@ def test_usage_exit_codes(tmp_path, model, capsys):
     # --limited without --budget
     assert main(["encode", "--model", str(model), "--seed", "1",
                  "--limited", "dad", "--out", str(msg)]) == 2
+    # a negative symbol count
+    assert main(["encode", "--model", str(model), "--seed", "1",
+                 "--exact", "ad", "--count", "-3", "--out", str(msg)]) == 2
+    # a zero count writes an empty frame
+    assert main(["encode", "--model", str(model), "--seed", "1",
+                 "--exact", "ad", "--count", "0", "--out", str(msg)]) == 0
+    assert read_message(BitReader(msg.read_bytes())).codes == ()
     # encoding needs a target: a bare distribution is not a pair
     bare = tmp_path / "proposal.json"
     bare.write_text('{"family": "gaussian", "mean": 0.0, "variance": 1.0}')

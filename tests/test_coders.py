@@ -393,9 +393,16 @@ def test_depth_limit_caps_dyadic_search():
 
 # ------------------------------------------------------------- accounting
 
-def test_stats_bit_accounting():
-    from reckit.bitstream import pack_exact, pack_pfr
+def written_bits(code):
+    """The bits ``Unit.write`` puts down for one code."""
+    from reckit.bitstream import BitWriter
 
+    w = BitWriter()
+    CODERS[code.variant].unit.write(w, code.depth_or_budget, code.payload)
+    return w.bit_length
+
+
+def test_stats_bit_accounting():
     for seed in range(40):
         for kind in (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC):
             code, _, stats = encode_astar(PAIR_GG, kind, seed)
@@ -403,13 +410,14 @@ def test_stats_bit_accounting():
             assert stats.returned_depth == d == depth_of(code.payload)
             assert stats.payload_bits == d
             assert stats.overhead_bits == gamma_bits(d) - 1
-            assert pack_exact(code).bit_length == stats.payload_bits + stats.overhead_bits
+            assert written_bits(code) == stats.payload_bits + stats.overhead_bits
         code, _, stats = encode_astar(PAIR_GG, PartitionKind.GLOBAL_BOUND, seed)
         assert stats.payload_bits == code.payload.bit_length()
         assert stats.overhead_bits == delta_bits(code.payload) - stats.payload_bits
-        assert pack_pfr(code).bit_length == stats.payload_bits + stats.overhead_bits
+        assert written_bits(code) == stats.payload_bits + stats.overhead_bits
         code, _, stats = encode_dad(PAIR_GG, seed, 7)
         assert stats.payload_bits == 7 and stats.overhead_bits == 0
+        assert written_bits(code) == 7
         assert isinstance(stats, TrialStats)
 
 

@@ -28,7 +28,8 @@ from reckit.randomness import (
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import PartitionKind, _partition_u, expand, extra_root, make_root, node_sample
+from reckit.tree import MAX_DEPTH, PartitionKind, _partition_u, expand, extra_root, make_root
+from reckit.tree import node_sample
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -151,10 +152,12 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=SEEDS, k=st.integers(1, 2**64))
+@given(seed=SEEDS, k=st.integers(1, 2**64 - 1))
 def test_single_draw_decodes_match_per_key_calls(seed, k):
-    """MRC's codeword and PFR's arrival index name one draw each."""
-    mrc = decode(GAUSS, Code(Variant.MRC, 64, k - 1), seed)
-    assert mrc == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.SAMPLE, k - 1))
+    """MRC's codeword and PFR's arrival index name one draw each, up to the
+    widest a code carries: a MAX_DEPTH-bit codeword, an index below 2^64."""
+    i = (k - 1) & ((1 << MAX_DEPTH) - 1)
+    mrc = decode(GAUSS, Code(Variant.MRC, MAX_DEPTH, i), seed)
+    assert mrc == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.SAMPLE, i))
     pfr = decode(GAUSS, Code(Variant.PFR, k, k), seed)
     assert pfr == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 1, DrawSlot.SAMPLE, k - 1))

@@ -167,6 +167,7 @@ def test_expand_global_bound_is_a_chain():
         assert len(children) == 1
         child = children[0]
         assert child.depth == k
+        assert child.heap_index == k  # the arrival index, coded as the PFR payload
         assert (child.low, child.high) == (-math.inf, math.inf)
         assert child.mass == 1.0
         assert child.g <= node.g
