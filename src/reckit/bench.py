@@ -33,7 +33,7 @@ from .distributions import (
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
-from .tree import PartitionKind, expand, make_root, node_sample
+from .tree import PartitionKind, expand, make_root, node_sample, realize
 
 _LN2 = math.log(2.0)
 
@@ -423,10 +423,10 @@ def verify_shrinkage(
         for d in range(1, depth_max):
             x = node_sample(proposal, kind, node.key, node.heap_index, node.depth,
                             node.ulow, node.uhigh)
-            children = expand(node, kind, proposal, stream, x)
+            children = expand(node, kind, proposal, x)
             if not children:
                 break
-            node = max(children, key=lambda c: c.mass)
+            node = realize(max(children, key=lambda c: c.mass), kind, stream)
             masses[trial, d] = node.mass
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(float(np.mean(masses[:, d - 1])) for d in depths)

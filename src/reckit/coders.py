@@ -18,9 +18,11 @@ its unit layout and its encode/decode pair. Every caller that picks a
 coder by name or tag reads it.
 
 The search loop follows the branch-and-bound schedule: a priority queue
-ordered by realized Gumbel plus the region's ratio bound, an incumbent
-lower bound from scored samples, and pruning of children whose bound
-cannot beat the incumbent. Ties are broken toward smaller heap indices.
+ordered by Gumbel plus the region's ratio bound, an incumbent lower
+bound from scored samples, and pruning of children whose bound cannot
+beat the incumbent. Ties are broken toward smaller heap indices. A
+queued child may not have its Gumbel yet: it waits at its parent's
+Gumbel, an upper bound on its own, and draws when it reaches the top.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
-from .tree import make_root, node_sample
+from .tree import make_root, node_sample, realize
 
 INF = math.inf
 _GUMBEL = int(DrawSlot.GUMBEL)
@@ -178,23 +180,36 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
     ``incumbent`` is a starting candidate outside the tree (the
     depth-limited coder's extra root): it competes in incumbent updates
     but is never enqueued, so it costs no search step. Nodes at
-    ``max_depth`` are scored but not expanded. A node's sample is drawn
-    when it is popped (or, for ``incumbent``, when it takes the lead).
+    ``max_depth`` are scored but not expanded. A child is queued before
+    its Gumbel is drawn, at its parent's Gumbel plus its own bound; when
+    it reaches the top, ``realize`` draws its Gumbel and it is requeued
+    at its true priority or pruned. A Gumbel never exceeds the bound it
+    is truncated at, so the steps, their order and every result are those
+    of drawing each child at expansion. A node's sample is drawn when it is
+    popped (or, for ``incumbent``, when it takes the lead).
     Returns (winner, winner's sample, steps, LB).
     """
-    proposal = pair.proposal
+    proposal, bound_M = pair.proposal, pair.bound_M
     stream = seed_state(seed)
-    root_bound = pair.bound_M(-INF, INF)
+    root_bound = bound_M(-INF, INF)
     lb, best, best_x = -INF, None, math.nan
     if incumbent is not None:
         best_x = node_sample(proposal, kind, incumbent.key, incumbent.heap_index,
                              incumbent.depth, incumbent.ulow, incumbent.uhigh)
         lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
-    # heap items: (-(g + M), heap_index, M, node)
+    # heap items: (-(g + M), heap_index, M, node); an undrawn child's g bounds its own
     heap: list = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
     while heap and lb < -heap[0][0]:
         _, index, bound, node = heapq.heappop(heap)
+        if node.key is None:  # its Gumbel is still to draw
+            node = realize(node, kind, stream)
+            key = node.g + bound
+            if not lb < key:
+                continue
+            if heap and heap[0] < (-key, index):  # no longer on top: requeue it
+                heapq.heappush(heap, (-key, index, bound, node))
+                continue
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
@@ -203,14 +218,19 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
-            for child in expand(node, kind, proposal, stream, x):
-                g = child.g
-                if lb < g + bound:
-                    child_bound = pair.bound_M(child.low, child.high)
-                    if lb < g + child_bound:
-                        heapq.heappush(
-                            heap, (-(g + child_bound), child.heap_index, child_bound, child)
-                        )
+            for child in expand(node, kind, proposal, x):
+                child_bound = bound_M(child.low, child.high)
+                if child_bound > bound:
+                    # Rounding put a sub-region's bound above its region's. The
+                    # child must then also beat lb under the parent's bound,
+                    # which needs its own Gumbel now.
+                    child = realize(child, kind, stream)
+                    if not lb < child.g + bound:
+                        continue
+                if lb < child.g + child_bound:
+                    heapq.heappush(
+                        heap, (-(child.g + child_bound), child.heap_index, child_bound, child)
+                    )
     return best, best_x, steps, lb
 
 

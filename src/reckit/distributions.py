@@ -88,51 +88,55 @@ class Distribution1D:
 # Acklam's rational approximation to the standard normal quantile.
 # Max relative error ~1.15e-9 on its own; one residual correction step
 # against the erfc-based CDF below pushes |cdf(inv_cdf(u)) - u| to the
-# 1e-15 scale away from the extreme tails.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+# 1e-15 scale away from the extreme tails. The quantile runs once per
+# Gaussian draw, so its coefficients are literals and its constants and
+# math functions module globals. Its operations and their order must not
+# change: decoded samples depend on every bit, and a test pins them
+# against a frozen copy of the formula.
 _ACK_LOW = 0.02425
+_ACK_HIGH = 1.0 - _ACK_LOW
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_sqrt, _log, _log1p, _exp, _erfc = math.sqrt, math.log, math.log1p, math.exp, math.erfc
 
 
 def _std_normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _std_normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / _SQRT2)
+    return 0.5 * _erfc(-z / _SQRT2)
 
 
 def _std_normal_quantile(u: float) -> float:
     """Standard normal inverse CDF for u in (0, 1), which the caller
     checks: rational approximation plus one residual correction step
     evaluated through erfc."""
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
     if u < _ACK_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        z = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif u <= 1.0 - _ACK_LOW:
+        q = _sqrt(-2.0 * _log(u))
+        z = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                 - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+               + 4.374664141464968e+00) * q + 2.938163982698783e+00)
+             / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+                  + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
+    elif u <= _ACK_HIGH:
         q = u - 0.5
         r = q * q
-        z = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+        z = ((((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r
+                 - 2.759285104469687e+02) * r + 1.383577518672690e+02) * r
+               - 3.066479806614716e+01) * r + 2.506628277459239e+00) * q
+             / (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
+                   - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
+                 - 1.328068155288572e+01) * r + 1.0))
     else:
-        q = math.sqrt(-2.0 * math.log1p(-u))
-        z = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+        q = _sqrt(-2.0 * _log1p(-u))
+        z = -((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                  - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+                + 4.374664141464968e+00) * q + 2.938163982698783e+00)
+              / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+                   + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
     # Residual in probability, formed on whichever side avoids cancellation.
     if u <= 0.5:
-        resid = _std_normal_cdf(z) - u
+        resid = 0.5 * _erfc(-z / _SQRT2) - u
     else:
-        resid = (1.0 - u) - _std_normal_sf(z)
+        resid = (1.0 - u) - 0.5 * _erfc(z / _SQRT2)
     # One Newton-type step with a second-order (Halley) correction term.
-    t = resid * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+    t = resid * _SQRT_2PI * _exp(0.5 * z * z)
     return z - t / (1.0 + 0.5 * z * t)
 
 

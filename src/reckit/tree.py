@@ -17,13 +17,18 @@ sampling arithmetic runs through those cached values, which makes dyadic
 masses exactly 2^-(D-1) and lets a decoder walking the same path
 reproduce region arithmetic bit for bit.
 
-A node carries its Gumbel and the key state its draws branch from, but
-not its sample: pruning reads only the Gumbel and the region, so the
-search draws a node's sample (``node_sample``) when it pops the node.
+Draws are made as late as the search allows. ``expand`` returns a
+node's children with their regions only: a child has no key state yet,
+and its ``g`` is its parent's Gumbel, the bound its own is truncated at.
+The search queues it at that upper bound and ``realize`` draws its key
+state and Gumbel when it reaches the top of the queue. A node's sample
+(``node_sample``) waits until the node itself is popped, since pruning
+reads only the Gumbel and the region.
 
 This module is the one place that says how a node's draws are keyed
-(``node_sample``) and how a decoder finds a node again (``locate``):
-the encoder's ``make_root``/``expand`` and the decoder's walk share both.
+(``realize``, ``node_sample``) and how a decoder finds a node again
+(``locate``): the encoder's ``make_root``/``expand``/``realize`` and the
+decoder's walk share both.
 """
 
 from __future__ import annotations
@@ -51,14 +56,21 @@ class PartitionKind(Enum):
     DYADIC = "dyadic"
 
 
+# The hot path compares with these: a class lookup of a member costs ~0.2 us
+_GLOBAL_BOUND, _SAMPLE_SPLIT, _DYADIC = (
+    PartitionKind.GLOBAL_BOUND, PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC)
+
+
 class NodeRecord(NamedTuple):
-    """One realized search node.
+    """One search node.
 
     ``low``/``high`` are the region endpoints and ``ulow``/``uhigh`` their
     proposal CDF values; ``key`` is the state after (seed, key node) that
     the node's draws branch from (see ``node_sample``); ``g`` is the node's
     Gumbel, located at the log of the region's proposal mass and
-    truncated at its parent's ``g``.
+    truncated at its parent's ``g``. A child fresh from ``expand`` has no
+    key (None) and its parent's ``g``, an upper bound on its own, until
+    ``realize`` draws both.
     """
 
     heap_index: int
@@ -67,7 +79,7 @@ class NodeRecord(NamedTuple):
     high: float
     ulow: float
     uhigh: float
-    key: int
+    key: int | None
     g: float
 
     @property
@@ -97,11 +109,11 @@ Piece = tuple[float, float, float, float]  # (low, high, ulow, uhigh)
 def _partition_u(kind: PartitionKind, low: float, high: float, ulow: float, uhigh: float,
                  x: float, proposal: Distribution1D) -> tuple[Piece | None, Piece | None]:
     """Partition with cached CDF endpoints carried through to children."""
-    if kind is PartitionKind.GLOBAL_BOUND:
+    if kind is _GLOBAL_BOUND:
         return None, (low, high, ulow, uhigh)
-    if kind is PartitionKind.SAMPLE_SPLIT:
+    if kind is _SAMPLE_SPLIT:
         cut, ucut = x, proposal.cdf(x)
-    elif kind is PartitionKind.DYADIC:
+    elif kind is _DYADIC:
         ucut = 0.5 * (ulow + uhigh)
         cut = proposal.inv_cdf(ucut)
     else:  # pragma: no cover
@@ -118,7 +130,7 @@ def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: 
     index (its depth) would name a split-tree node, so every chain node
     is keyed by node 1 and draws at counter depth - 1 (else 0). Heap
     index 0, the extra root, draws from the EXTRA_ROOT slots."""
-    if kind is PartitionKind.GLOBAL_BOUND:
+    if kind is _GLOBAL_BOUND:
         state = absorb(absorb(key, _SAMPLE), depth - 1)
     else:
         state = absorb(absorb(key, _SAMPLE if index else _EXTRA_SAMPLE), 0)
@@ -147,26 +159,37 @@ def extra_root(proposal: Distribution1D, seed: int, root: NodeRecord) -> NodeRec
                     root.g)
 
 
-def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D, stream: int,
+def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D,
            x: float) -> list[NodeRecord]:
-    """Realize the children of a node.
+    """The children of a node, with nothing drawn yet.
 
-    ``stream`` is the search's ``seed_state(seed)`` and ``x`` the node's
-    sample, which a sample-split cut reads. Children with zero proposal
-    mass are skipped, as are slots emptied by the partition rule. Each
-    child draws its truncated Gumbel (location = log child mass, bound =
-    parent's realized value); its sample waits for ``node_sample``.
+    ``x`` is the node's sample, which a sample-split cut reads. Children
+    with zero proposal mass are skipped, as are slots emptied by the
+    partition rule. Each child carries its region, no key state, and the
+    node's Gumbel as its ``g``: the bound that ``realize`` truncates the
+    child's own Gumbel at, and so an upper bound on it.
     """
-    depth = node.depth + 1
-    if kind is PartitionKind.GLOBAL_BOUND:  # every chain node shares node 1's key state
-        return [_realize(depth, depth, node[2:6], node.key, _GUMBEL, depth - 1, node.g)]
+    depth, g = node.depth + 1, node.g
+    if kind is _GLOBAL_BOUND:
+        return [NodeRecord(depth, depth, node.low, node.high, node.ulow, node.uhigh, None, g)]
     pieces = _partition_u(kind, node.low, node.high, node.ulow, node.uhigh, x, proposal)
     children: list[NodeRecord] = []
     for piece, index in zip(pieces, heap_children(node.heap_index)):
         if piece is not None and piece[3] - piece[2] > 0.0:
-            children.append(_realize(index, depth, piece, absorb(stream, index), _GUMBEL, 0,
-                                     node.g))
+            children.append(NodeRecord(index, depth, *piece, None, g))
     return children
+
+
+def realize(child: NodeRecord, kind: PartitionKind, stream: int) -> NodeRecord:
+    """A child from ``expand`` with its key state and its Gumbel drawn:
+    location the log of its proposal mass, truncated at its ``g`` (the
+    parent's Gumbel). ``stream`` is the search's ``seed_state(seed)``."""
+    index, depth = child.heap_index, child.depth
+    if kind is _GLOBAL_BOUND:  # every chain node shares node 1's key state
+        key, counter = absorb(stream, 1), depth - 1
+    else:
+        key, counter = absorb(stream, index), 0
+    return _realize(index, depth, child[2:6], key, _GUMBEL, counter, child.g)
 
 
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
@@ -175,16 +198,16 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
 
     Rebuilds the regions on the heap path from the root (the index's
     digits after its leading 1; 0 = left, 1 = right) with the partition
-    arithmetic and node keys of ``make_root`` and ``expand``, so it is
-    bit-exact against encoding. Only a sample-split cut reads an
+    arithmetic and node keys of ``make_root``, ``expand`` and ``realize``,
+    so it is bit-exact against encoding. Only a sample-split cut reads an
     ancestor's sample, so only that walk draws one. A chain node is found
     by its depth alone; index 0 at depth 1 is ``extra_root``. Both, and
     the root, are one full-line draw straight from the node's key.
     """
     stream = seed_state(seed)
     low, high, ulow, uhigh = _ROOT_PIECE
-    if kind is not PartitionKind.GLOBAL_BOUND and depth > 1:
-        split_at_sample = kind is PartitionKind.SAMPLE_SPLIT
+    if kind is not _GLOBAL_BOUND and depth > 1:
+        split_at_sample = kind is _SAMPLE_SPLIT
         x = math.nan  # a dyadic cut reads no sample
         for shift in range(depth - 1, 0, -1):
             if split_at_sample:
@@ -196,5 +219,5 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
             if piece is None:
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
             low, high, ulow, uhigh = piece
-    key = absorb(stream, 1 if kind is PartitionKind.GLOBAL_BOUND else index)
+    key = absorb(stream, 1 if kind is _GLOBAL_BOUND else index)
     return node_sample(proposal, kind, key, index, depth, ulow, uhigh)

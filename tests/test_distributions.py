@@ -8,6 +8,7 @@ independently computed numbers.
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy import special, stats
 
 from reckit.distributions import (
     FULL_LINE,
+    _std_normal_quantile,
     Gaussian,
     MixtureComponent,
     PairSpec,
@@ -75,6 +77,51 @@ def test_gaussian_quantile_against_ndtri():
         ref = special.ndtri(u)
         worst = max(worst, abs(z - ref) / max(1.0, abs(ref)))
     assert worst < 5e-14
+
+
+def frozen_std_normal_quantile(u):
+    """The standard normal quantile as first written, with its
+    coefficients in tuples: the reference the folded one must match."""
+    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+         6.680131188771972e+01, -1.328068155288572e+01)
+    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+         3.754408661907416e+00)
+    low = 0.02425
+    if u < low:
+        q = math.sqrt(-2.0 * math.log(u))
+        z = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    elif u <= 1.0 - low:
+        q = u - 0.5
+        r = q * q
+        z = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
+             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+    else:
+        q = math.sqrt(-2.0 * math.log1p(-u))
+        z = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    if u <= 0.5:
+        resid = 0.5 * math.erfc(-z / math.sqrt(2.0)) - u
+    else:
+        resid = (1.0 - u) - 0.5 * math.erfc(z / math.sqrt(2.0))
+    t = resid * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+    return z - t / (1.0 + 0.5 * z * t)
+
+
+def test_std_normal_quantile_is_bit_identical_to_the_frozen_formula():
+    rng = random.Random(20260817)
+    us = [rng.random() or 0.5 for _ in range(100_000)]
+    us += [10.0 ** -rng.uniform(2.0, 300.0) for _ in range(5_000)]  # deep lower tail
+    us += [1.0 - 10.0 ** -rng.uniform(2.0, 16.0) for _ in range(5_000)]  # deep upper tail
+    for edge in (0.02425, 0.5, 1.0 - 0.02425):  # the branch and residual-side switches
+        us += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    assert sum(u < 0.02425 for u in us) > 5_000 and sum(u > 1.0 - 0.02425 for u in us) > 5_000
+    assert [_std_normal_quantile(u).hex() for u in us] == [
+        frozen_std_normal_quantile(u).hex() for u in us]
 
 
 def test_gaussian_quantile_roundtrip():

@@ -29,7 +29,7 @@ from reckit.randomness import (
     trunc_gumbel,
 )
 from reckit.tree import MAX_DEPTH, PartitionKind, _partition_u, expand, extra_root, make_root
-from reckit.tree import node_sample
+from reckit.tree import node_sample, realize
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -97,8 +97,8 @@ def test_tree_draws_match_per_key_calls(seed):
         for kind in PartitionKind:
             level = [(make_root(proposal, seed), math.inf)]
             for _ in range(5):
-                level = [(c, node.g) for node, bound in level
-                         for c in expand(node, kind, proposal, stream,
+                level = [(realize(c, kind, stream), node.g) for node, bound in level
+                         for c in expand(node, kind, proposal,
                                          _check_node(node, proposal, seed, kind, bound))]
             assert level
 

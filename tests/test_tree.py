@@ -25,6 +25,7 @@ from reckit.tree import (
     heap_children,
     make_root,
     node_sample,
+    realize,
 )
 
 GAUSS = Gaussian(0.0, 1.0)
@@ -43,9 +44,11 @@ def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
 
 
 def pop_and_expand(node, kind, proposal, seed):
-    """What the search does with a popped node: draw its sample, then
-    realize its children (a sample-split cut reads the sample)."""
-    return expand(node, kind, proposal, seed_state(seed), sample(node, kind, proposal))
+    """A popped node's children, all drawn: its sample, then its children
+    (a sample-split cut reads the sample), each realized as the search
+    realizes a child that reaches the top of its queue."""
+    children = expand(node, kind, proposal, sample(node, kind, proposal))
+    return [realize(child, kind, seed_state(seed)) for child in children]
 
 
 def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
@@ -146,6 +149,17 @@ def test_expand_children_tile_parent():
                 assert c.ulow == pytest.approx(GAUSS.cdf(c.low), abs=1e-15)
                 assert c.uhigh == pytest.approx(GAUSS.cdf(c.high), abs=1e-15)
             node = children[0]
+
+
+def test_expand_leaves_children_undrawn():
+    """expand gives regions only; realize draws the key and the Gumbel
+    truncated at the parent's, which the child carries until then."""
+    node = make_root(GAUSS, 4)
+    for kind in PartitionKind:
+        for child in expand(node, kind, GAUSS, sample(node, kind)):
+            assert child.key is None and child.g == node.g
+            drawn = realize(child, kind, seed_state(4))
+            assert drawn[:6] == child[:6] and drawn.key is not None and drawn.g <= node.g
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
