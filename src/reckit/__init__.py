@@ -6,25 +6,15 @@ KL(Q||P) bits: the encoder runs a race of keyed random draws and sends
 only the winner's identity, and the decoder regenerates the same draw
 from the shared stream. Exact searches (sample-split, dyadic, and the
 unshrunk rejection race) are joined by two fixed-budget coders and the
-constant-divergence parameterizations used to build test pairs, plus a
-benchmark harness.
+constant-divergence parameterizations used to build test pairs.
+
+The codec imports only the standard library. The experiment harness,
+``reckit.bench`` (behind the ``bench-*`` and ``verify`` commands), needs
+numpy and is not imported here: ``from reckit import bench``. The search
+and randomness internals live in ``reckit.tree`` and
+``reckit.randomness``.
 """
 
-from .bench import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    ResultRow,
-    ShrinkageReport,
-    knn_kl_estimate,
-    mixture_pair,
-    rows_to_csv,
-    run_bias_grid,
-    run_mode_sweep,
-    run_runtime_grid,
-    summarize_rows,
-    verify_shrinkage,
-    write_rows,
-)
 from .bitstream import (
     BitReader,
     BitWriter,
@@ -83,21 +73,8 @@ from .isokl import (
     load_block_model_json,
     uniform_from_mean_kl,
 )
-from .randomness import (
-    DrawSlot,
-    StreamKey,
-    derive_seed,
-    keyed_uniform,
-    trunc_gumbel,
-)
-from .tree import (
-    NodeRecord,
-    PartitionKind,
-    depth_of,
-    expand,
-    heap_children,
-    make_root,
-)
+from .randomness import derive_seed
+from .tree import PartitionKind
 
 __version__ = "0.1.0"
 
@@ -108,14 +85,11 @@ __all__ = [
     "BlockCodecConfig",
     "BudgetExhaustedError",
     "CODERS",
-    "CSV_COLUMNS",
     "Code",
     "DegenerateRegionError",
     "DepthExceededError",
     "Distribution1D",
     "DomainError",
-    "DrawSlot",
-    "ExperimentConfig",
     "FULL_LINE",
     "Gaussian",
     "InfeasibleParameterError",
@@ -126,14 +100,10 @@ __all__ = [
     "MalformedMessageError",
     "MessageFrame",
     "MixtureComponent",
-    "NodeRecord",
     "PairSpec",
     "PartitionKind",
     "RecError",
     "Region",
-    "ResultRow",
-    "ShrinkageReport",
-    "StreamKey",
     "TrialStats",
     "UnboundedRatioError",
     "Uniform",
@@ -144,7 +114,6 @@ __all__ = [
     "decode_block_vector",
     "decode_dad",
     "decode_mrc",
-    "depth_of",
     "derive_seed",
     "distribution_from_dict",
     "distribution_from_json",
@@ -152,26 +121,12 @@ __all__ = [
     "encode_block_vector",
     "encode_dad",
     "encode_mrc",
-    "expand",
     "gaussian_from_kl_dinf",
     "gaussian_from_mean_kl",
-    "heap_children",
-    "keyed_uniform",
-    "knn_kl_estimate",
     "lambert_w0",
     "load_block_model",
     "load_block_model_json",
-    "make_root",
-    "mixture_pair",
     "read_message",
-    "rows_to_csv",
-    "run_bias_grid",
-    "run_mode_sweep",
-    "run_runtime_grid",
-    "summarize_rows",
-    "trunc_gumbel",
     "uniform_from_mean_kl",
-    "verify_shrinkage",
     "write_message",
-    "write_rows",
 ]

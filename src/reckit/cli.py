@@ -25,15 +25,6 @@ import math
 import sys
 from typing import Sequence
 
-from .bench import (
-    ExperimentConfig,
-    run_bias_grid,
-    run_mode_sweep,
-    run_runtime_grid,
-    rows_to_csv,
-    summarize_rows,
-    verify_shrinkage,
-)
 from .bitstream import (
     BitReader,
     MODE_BLOCK,
@@ -104,6 +95,8 @@ def _write_samples(path: str, xs: Sequence[float]) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    if args.budget is not None and not args.limited:
+        raise DomainError("--budget goes only with --limited")
     if args.block_model:
         blocks, permutation = load_block_model(_load_json(args.block_model))
         config = BlockCodecConfig(args.extra_bits)
@@ -174,22 +167,19 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_out(args: argparse.Namespace, config: ExperimentConfig) -> str:
+def _run_bench(args: argparse.Namespace, runner: str) -> int:
+    from . import bench  # the harness needs numpy; the codec commands never load it
+
+    config = bench.ExperimentConfig.from_dict(_load_json(args.config))
     out = args.out or config.output
     if not out:
         raise DomainError("no output path: pass --out or set 'output' in the config")
-    return out
-
-
-def _run_bench(args: argparse.Namespace, runner) -> int:
-    config = ExperimentConfig.from_dict(_load_json(args.config))
-    out = _resolve_out(args, config)
-    rows = runner(config)
+    rows = getattr(bench, runner)(config)
     with open(out, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+        fh.write(bench.rows_to_csv(rows))
     errors = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {out}" + (f" ({errors} errored)" if errors else ""))
-    for entry in summarize_rows(rows):
+    for entry in bench.summarize_rows(rows):
         cell = "{algorithm:>4} {family:<15} kl={d_kl_nats:<8g} dinf={d_inf_nats:<8g}".format(
             **entry
         )
@@ -208,10 +198,12 @@ def _run_bench(args: argparse.Namespace, runner) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import bench
+
     failures = 0
     if args.suite in ("shrinkage", "all"):
         for kind in (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC):
-            report = verify_shrinkage(kind, args.depth_max, args.trials, args.seed)
+            report = bench.verify_shrinkage(kind, args.depth_max, args.trials, args.seed)
             status = "ok" if report.passed else "VIOLATED"
             print(f"shrinkage {kind.value}: {status}")
             for d, mass, bound in zip(report.depths, report.mean_mass, report.bounds):
@@ -290,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--model", help="pair model JSON (target + proposal)")
     enc.add_argument("--block-model", help="blocked coordinate model JSON")
     enc.add_argument("--seed", type=int, required=True, help="shared randomness seed")
-    enc.add_argument("--exact", choices=_coder_names(fixed_width=False), help="exact coder")
-    enc.add_argument("--limited", choices=_coder_names(fixed_width=True), help="depth-limited coder")
+    coder = enc.add_mutually_exclusive_group()
+    coder.add_argument("--exact", choices=_coder_names(fixed_width=False), help="exact coder")
+    coder.add_argument("--limited", choices=_coder_names(fixed_width=True), help="depth-limited coder")
     enc.add_argument("--budget", type=int, help="bit budget for --limited")
     enc.add_argument("--count", type=int, default=1, help="symbols to encode")
     enc.add_argument("--extra-bits", type=int, default=2,
@@ -310,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(func=_cmd_decode)
 
     for name, runner, desc in (
-        ("bench-runtime", run_runtime_grid, "steps/codelength grid"),
-        ("bench-bias", run_bias_grid, "bias vs extra-bit slack grid"),
-        ("bench-modes", run_mode_sweep, "steps vs mode count sweep"),
+        ("bench-runtime", "run_runtime_grid", "steps/codelength grid"),
+        ("bench-bias", "run_bias_grid", "bias vs extra-bit slack grid"),
+        ("bench-modes", "run_mode_sweep", "steps vs mode count sweep"),
     ):
-        bench = sub.add_parser(name, help=desc)
-        bench.add_argument("--config", required=True, help="experiment config JSON")
-        bench.add_argument("--out", help="CSV output path (default: config 'output')")
-        bench.set_defaults(func=lambda a, r=runner: _run_bench(a, r))
+        grid = sub.add_parser(name, help=desc)
+        grid.add_argument("--config", required=True, help="experiment config JSON")
+        grid.add_argument("--out", help="CSV output path (default: config 'output')")
+        grid.set_defaults(func=lambda a, r=runner: _run_bench(a, r))
 
     ver = sub.add_parser("verify", help="run Monte-Carlo property suites")
     ver.add_argument("--suite", choices=("shrinkage", "roundtrip", "all"),

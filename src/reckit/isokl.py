@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitstream import (
     MODE_BLOCK,
@@ -167,7 +167,7 @@ class IsoKLGaussianBlock:
     prior_stds: tuple[float, ...]
     target_means: tuple[float, ...]
     kappa: float
-    target_variances: tuple[float, ...] = ()
+    target_variances: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.prior_means)

@@ -240,7 +240,7 @@ def test_verify_exit_code_on_violation(monkeypatch):
     def broken(kind, depth_max, trials, seed):
         return ShrinkageReport(kind, (1,), (1.0,), (0.5,), passed=False)
 
-    monkeypatch.setattr("reckit.cli.verify_shrinkage", broken)
+    monkeypatch.setattr("reckit.bench.verify_shrinkage", broken)
     assert main(["verify", "--suite", "shrinkage"]) == 1
 
 
@@ -259,6 +259,13 @@ def test_usage_exit_codes(tmp_path, model, capsys):
     # --limited without --budget
     assert main(["encode", "--model", str(model), "--seed", "1",
                  "--limited", "dad", "--out", str(msg)]) == 2
+    # one coder only: --exact and --limited are exclusive
+    assert main(["encode", "--model", str(model), "--seed", "1", "--exact", "ad",
+                 "--limited", "dad", "--budget", "4", "--out", str(msg)]) == 2
+    # --budget without --limited
+    assert main(["encode", "--model", str(model), "--seed", "1", "--exact", "ad",
+                 "--budget", "4", "--out", str(msg)]) == 2
+    assert "--budget goes only with --limited" in capsys.readouterr().err
     # a negative symbol count
     assert main(["encode", "--model", str(model), "--seed", "1",
                  "--exact", "ad", "--count", "-3", "--out", str(msg)]) == 2

@@ -231,6 +231,13 @@ def test_block_derives_variances():
         IsoKLGaussianBlock((), (), (), 0.5)
 
 
+def test_block_refuses_supplied_variances():
+    with pytest.raises(TypeError):
+        IsoKLGaussianBlock((0.0,), (1.0,), (0.1,), 0.5, target_variances=(2.0,))
+    with pytest.raises(TypeError):
+        IsoKLGaussianBlock((0.0,), (1.0,), (0.1,), 0.5, (2.0,))
+
+
 def test_codec_budget():
     assert BlockCodecConfig().budget(1.0) == 4  # ceil(1/ln2) = 2, plus 2
     assert BlockCodecConfig(extra_bits=0).budget(0.5) == 1
