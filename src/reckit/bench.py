@@ -419,14 +419,16 @@ def verify_shrinkage(
     masses = np.ones((trials, depth_max))
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
-        node, stream = make_root(proposal, trial_seed), seed_state(trial_seed)
+        stream = seed_state(trial_seed)
+        node = make_root(stream)
+        base = node.key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
         for d in range(1, depth_max):
             x = node_sample(proposal, kind, node.key, node.heap_index, node.depth,
                             node.ulow, node.uhigh)
             children = expand(node, kind, proposal, x)
             if not children:
                 break
-            node = realize(max(children, key=lambda c: c.mass), kind, stream)
+            node = realize(max(children, key=lambda c: c.mass), kind, base)
             masses[trial, d] = node.mass
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(float(np.mean(masses[:, d - 1])) for d in depths)

@@ -5,7 +5,8 @@ Wire format (MSB-first within each byte, final byte zero-padded):
     gamma(n)        floor(log2 n) zero bits, then the binary digits of n
     delta(n)        gamma(bit_length(n)), then the low bit_length(n)-1 bits
     heap unit       gamma(D), then the low D-1 bits of the heap index
-                    (the index's leading 1 bit is implied by D; D <= 62)
+                    (the index's leading 1 bit is implied by D; D <= 62),
+                    which is delta of the index
     arrival unit    delta(K) for the 1-based arrival index (K < 2^64)
     codeword unit   the payload in D bits, D the block's budget (D <= 62)
     message frame   gamma(mode), gamma(variant), then the body:
@@ -22,7 +23,15 @@ writes and reads one unit. This module owns the bit codes and the frame.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
-well-formed gamma.
+well-formed gamma. A refused read of bits, a gamma or a delta consumes
+nothing.
+
+A gamma is read from one window of at most 17 bytes: the cap of 64 zeros
+bounds it at 129 bits, plus up to 7 bits of offset into the first byte.
+``int.bit_length`` counts its zero run and one shift takes its value. A
+delta, and so a heap or arrival unit, fits in the same window (at most
+13 + 63 bits). No read materialises more of the message than that, so
+the cost of a read does not grow with the message.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ from .tree import MAX_DEPTH
 MODE_EXACT = "exact_per_symbol"
 MODE_BLOCK = "block_tied"
 _MODE_TAGS = {MODE_EXACT: 1, MODE_BLOCK: 2}
+_MODE_OF_TAG = {tag: mode for mode, tag in _MODE_TAGS.items()}
+_VARIANT_OF_TAG = {spec.tag: variant for variant, spec in CODERS.items()}
+# A gamma spans at most 129 bits (64 zeros and 65 digits), 17 bytes from any bit offset
+_WINDOW = 17
+_from_bytes = int.from_bytes  # a bound alias skips a ~0.1 us attribute lookup per read
 
 
 class BitWriter:
@@ -66,9 +80,7 @@ class BitWriter:
     def write_elias_gamma(self, n: int) -> None:
         if n < 1:
             raise DomainError(f"gamma codes need n >= 1, got {n}")
-        length = n.bit_length()
-        self.write_bits(0, length - 1)
-        self.write_bits(n, length)
+        self.write_bits(n, 2 * n.bit_length() - 1)  # the zero run is n's own leading zeros
 
     def write_elias_delta(self, n: int) -> None:
         if n < 1:
@@ -114,22 +126,40 @@ class BitReader:
         self._pos = end
         return (span >> ((stop << 3) - end)) & ((1 << width) - 1)
 
-    def read_bit(self) -> int:
-        return self.read_bits(1)
+    def _gamma_window(self) -> tuple[int, int, int]:
+        """The next bits, at most ``_WINDOW`` bytes' worth less the offset
+        into the first, as (bits, their count, the end of the gamma they
+        open). Refuses a gamma cut short or of over 64 zeros; nothing is
+        consumed."""
+        pos = self._pos
+        chunk = self._data[pos >> 3:(pos >> 3) + _WINDOW]
+        avail = (len(chunk) << 3) - (pos & 7)
+        window = _from_bytes(chunk, "big") & ((1 << avail) - 1)
+        zeros = avail - window.bit_length()
+        end = 2 * zeros + 1
+        if end > avail or zeros > 64:
+            raise MalformedMessageError(
+                "gamma prefix exceeds 64 zeros" if zeros > 64 else "bitstream truncated")
+        return window, avail, end
 
     def read_elias_gamma(self) -> int:
-        zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-            if zeros > 64:
-                raise MalformedMessageError("gamma prefix exceeds 64 zeros")
-        return (1 << zeros) | self.read_bits(zeros)
+        window, avail, end = self._gamma_window()
+        self._pos += end
+        return window >> (avail - end)
 
-    def read_elias_delta(self) -> int:
-        length = self.read_elias_gamma()
-        if length > 64:
-            raise MalformedMessageError("delta length field exceeds 64 bits")
-        return (1 << (length - 1)) | self.read_bits(length - 1)
+    def read_elias_delta(self, max_length: int = 64) -> int:
+        """A delta code whose length field is at most ``max_length``
+        (<= 64): gamma(length), then the value's low length - 1 bits."""
+        window, avail, end = self._gamma_window()
+        length = window >> (avail - end)
+        if length > max_length:
+            raise MalformedMessageError(f"delta length field {length} exceeds {max_length} bits")
+        end += length - 1
+        if end > avail:
+            raise MalformedMessageError("bitstream truncated")
+        self._pos += end
+        top = 1 << (length - 1)
+        return top | (window >> (avail - end)) & (top - 1)
 
 
 @dataclass(frozen=True)
@@ -183,10 +213,10 @@ def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWr
 def read_message(reader: BitReader) -> MessageFrame:
     mode_tag = reader.read_elias_gamma()
     variant_tag = reader.read_elias_gamma()
-    variant = next((v for v, spec in CODERS.items() if spec.tag == variant_tag), None)
+    variant = _VARIANT_OF_TAG.get(variant_tag)
     if variant is None:
         raise MalformedMessageError(f"unknown variant tag {variant_tag}")
-    mode = next((m for m, tag in _MODE_TAGS.items() if tag == mode_tag), None)
+    mode = _MODE_OF_TAG.get(mode_tag)
     if mode is None:
         raise MalformedMessageError(f"unknown mode tag {mode_tag}")
     spec = CODERS[variant]

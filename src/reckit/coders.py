@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Callable
 
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
-from .errors import BudgetExhaustedError, DomainError, InvalidCodeError, MalformedMessageError
+from .errors import BudgetExhaustedError, DomainError, InvalidCodeError
 from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
@@ -110,13 +110,10 @@ class Unit(Enum):
 
     def write(self, writer, width: int, payload: int) -> None:
         """Put one unit on ``writer``; a codeword's budget is in its frame's header."""
-        if self is _HEAP_INDEX:
-            writer.write_elias_gamma(width)
-            writer.write_bits(payload - (1 << (width - 1)), width - 1)
-        elif self is _ARRIVAL_INDEX:
-            writer.write_elias_delta(payload)
-        else:
+        if self is _CODEWORD:
             writer.write_bits(payload, width)
+        else:  # gamma(depth) and the index below its leading 1 is delta(index)
+            writer.write_elias_delta(payload)
 
     def read(self, reader, budget: int | None) -> tuple[int, int]:
         """Take one unit off ``reader``: (width, payload). ``budget`` is the
@@ -124,10 +121,8 @@ class Unit(Enum):
         if self is _CODEWORD:
             return budget, reader.read_bits(budget)
         if self is _HEAP_INDEX:
-            depth = reader.read_elias_gamma()
-            if depth > MAX_DEPTH:
-                raise MalformedMessageError(f"depth field {depth} exceeds packable range")
-            return depth, (1 << (depth - 1)) | reader.read_bits(depth - 1)
+            index = reader.read_elias_delta(MAX_DEPTH)
+            return index.bit_length(), index
         index = reader.read_elias_delta()
         return index, index
 
@@ -173,7 +168,7 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
     return TrialStats(steps, depth, *bits, lb)
 
 
-def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: float,
+def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
                   max_steps: float, root: NodeRecord, incumbent: NodeRecord | None = None):
     """Branch-and-bound core shared by every race variant.
 
@@ -186,11 +181,12 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
     at its true priority or pruned. A Gumbel never exceeds the bound it
     is truncated at, so the steps, their order and every result are those
     of drawing each child at expansion. A node's sample is drawn when it is
-    popped (or, for ``incumbent``, when it takes the lead).
+    popped (or, for ``incumbent``, when it takes the lead). ``stream`` is
+    ``seed_state(seed)``, mixed once by the caller for ``root`` and the search.
     Returns (winner, winner's sample, steps, LB).
     """
     proposal, bound_M = pair.proposal, pair.bound_M
-    stream = seed_state(seed)
+    base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
     root_bound = bound_M(-INF, INF)
     lb, best, best_x = -INF, None, math.nan
     if incumbent is not None:
@@ -203,7 +199,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
     while heap and lb < -heap[0][0]:
         _, index, bound, node = heapq.heappop(heap)
         if node.key is None:  # its Gumbel is still to draw
-            node = realize(node, kind, stream)
+            node = realize(node, kind, base)
             key = node.g + bound
             if not lb < key:
                 continue
@@ -224,7 +220,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, seed: int, max_depth: flo
                     # Rounding put a sub-region's bound above its region's. The
                     # child must then also beat lb under the parent's bound,
                     # which needs its own Gumbel now.
-                    child = realize(child, kind, stream)
+                    child = realize(child, kind, base)
                     if not lb < child.g + bound:
                         continue
                 if lb < child.g + child_bound:
@@ -249,8 +245,8 @@ def encode_astar(
     if pair.analytic_dinf() == INF:
         raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
                                   "use the depth-limited coder")
-    root = make_root(pair.proposal, seed)
-    best, x, steps, lb = _astar_search(pair, kind, seed, INF, max_steps, root)
+    stream = seed_state(seed)
+    best, x, steps, lb = _astar_search(pair, kind, stream, INF, max_steps, make_root(stream))
     code = Code(_VARIANT_OF_KIND[kind], best.depth, best.heap_index)
     return code, x, _stats(code, steps, best.depth, lb)
 
@@ -275,9 +271,10 @@ def encode_dad(
     winners take their heap index, which fits in ``budget`` bits.
     """
     check_budget(budget)
-    root = make_root(pair.proposal, seed)
-    extra = extra_root(pair.proposal, seed, root)
-    best, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed, budget, INF, root, extra)
+    stream = seed_state(seed)
+    root = make_root(stream)
+    best, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, stream, budget, INF, root,
+                                       extra_root(stream, root))
     code = Code(Variant.DAD_STAR, budget, best.heap_index)
     # transmitted width is the budget regardless of where the winner sat
     return code, x, _stats(code, steps, best.depth, lb)

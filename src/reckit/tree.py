@@ -146,17 +146,17 @@ def _realize(index: int, depth: int, piece: Piece, key: int, slot: int, counter:
     return NodeRecord(index, depth, low, high, ulow, uhigh, key, g)
 
 
-def make_root(proposal: Distribution1D, seed: int) -> NodeRecord:
+def make_root(stream: int) -> NodeRecord:
     """Realize the root node: the full line, mass one, untruncated Gumbel.
-    Every partition rule keys the root alike (node 1, counter 0)."""
-    return _realize(1, 1, _ROOT_PIECE, absorb(seed_state(seed), 1), _GUMBEL, 0, INF)
+    ``stream`` is the search's ``seed_state(seed)``. Every partition rule
+    keys the root alike (node 1, counter 0)."""
+    return _realize(1, 1, _ROOT_PIECE, absorb(stream, 1), _GUMBEL, 0, INF)
 
 
-def extra_root(proposal: Distribution1D, seed: int, root: NodeRecord) -> NodeRecord:
+def extra_root(stream: int, root: NodeRecord) -> NodeRecord:
     """The depth-limited coder's second root-level candidate, heap index
     0: a full-line draw whose Gumbel is truncated at the root's."""
-    return _realize(0, 1, _ROOT_PIECE, absorb(seed_state(seed), 0), _EXTRA_GUMBEL, 0,
-                    root.g)
+    return _realize(0, 1, _ROOT_PIECE, absorb(stream, 0), _EXTRA_GUMBEL, 0, root.g)
 
 
 def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D,
@@ -180,15 +180,18 @@ def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D,
     return children
 
 
-def realize(child: NodeRecord, kind: PartitionKind, stream: int) -> NodeRecord:
+def realize(child: NodeRecord, kind: PartitionKind, base: int) -> NodeRecord:
     """A child from ``expand`` with its key state and its Gumbel drawn:
     location the log of its proposal mass, truncated at its ``g`` (the
-    parent's Gumbel). ``stream`` is the search's ``seed_state(seed)``."""
+    parent's Gumbel). ``base`` is the state the child's key branches
+    from: in a split tree the search's ``seed_state(seed)``, which absorbs
+    the child's heap index; on the chain the root's ``key``, node 1's key
+    state, which every chain node shares."""
     index, depth = child.heap_index, child.depth
-    if kind is _GLOBAL_BOUND:  # every chain node shares node 1's key state
-        key, counter = absorb(stream, 1), depth - 1
+    if kind is _GLOBAL_BOUND:
+        key, counter = base, depth - 1
     else:
-        key, counter = absorb(stream, index), 0
+        key, counter = absorb(base, index), 0
     return _realize(index, depth, child[2:6], key, _GUMBEL, counter, child.g)
 
 

@@ -63,6 +63,7 @@ from reckit.randomness import (
     StreamKey,
     derive_seed,
     keyed_uniform,
+    seed_state,
     trunc_gumbel,
 )
 from reckit.tree import PartitionKind, make_root
@@ -272,7 +273,7 @@ def test_criterion_06_region_mass_shrinkage_rates():
 
 def _extra_candidate_score(pair: PairSpec, seed: int) -> float:
     """Mirror the depth-limited coder's extra root candidate."""
-    root = make_root(pair.proposal, seed)
+    root = make_root(seed_state(seed))
     g = trunc_gumbel(
         keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
         0.0,

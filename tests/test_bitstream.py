@@ -22,6 +22,7 @@ from reckit.bitstream import (
 from reckit.coders import CODERS, Code, Unit, Variant, decode
 from reckit.distributions import Gaussian, Uniform
 from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError, RecError
+from reckit.tree import MAX_DEPTH
 
 GAMMA_GOLDEN = {1: "1", 2: "010", 3: "011", 4: "00100", 5: "00101",
                 6: "00110", 7: "00111", 8: "0001000", 9: "0001001"}
@@ -110,6 +111,118 @@ def test_read_bits_matches_bit_by_bit_reading(data, widths):
         pos += width
     with pytest.raises(DomainError):
         r.read_bits(-1)
+
+
+def reference_gamma(reader: BitReader) -> int:
+    """The bit-at-a-time gamma reader that the windowed one replaced."""
+    zeros = 0
+    while reader.read_bits(1) == 0:
+        zeros += 1
+        if zeros > 64:
+            raise MalformedMessageError("gamma prefix exceeds 64 zeros")
+    return (1 << zeros) | reader.read_bits(zeros)
+
+
+def reference_delta(reader: BitReader) -> int:
+    length = reference_gamma(reader)
+    if length > 64:
+        raise MalformedMessageError("delta length field exceeds 64 bits")
+    return (1 << (length - 1)) | reader.read_bits(length - 1)
+
+
+# long zero runs reach the 64-zero cap and the window's far end
+_GAMMA_BYTES = st.one_of(
+    st.binary(max_size=24),
+    st.builds(lambda zeros, tail: bytes(zeros) + tail, st.integers(0, 18), st.binary(max_size=20)),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=_GAMMA_BYTES, start=st.integers(0, 200))
+def test_windowed_codes_match_bit_by_bit_reading(data, start):
+    """Each windowed read returns the reference's value and consumes the
+    same bits, or refuses where the reference does and consumes nothing."""
+    start = min(start, 8 * len(data))
+    for read, reference in ((BitReader.read_elias_gamma, reference_gamma),
+                            (BitReader.read_elias_delta, reference_delta)):
+        want = BitReader(data)
+        want.read_bits(start)
+        try:
+            value = reference(want)
+        except MalformedMessageError:
+            value = None
+        got = BitReader(data)
+        got.read_bits(start)
+        if value is None:
+            with pytest.raises(MalformedMessageError):
+                read(got)
+            assert got.bits_left == 8 * len(data) - start
+        else:
+            assert read(got) == value
+            assert got.bits_left == want.bits_left
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_widest_gamma_at_every_offset(offset):
+    """64 zeros read back from any bit offset; a 65th is refused, as is a
+    delta length field above its cap."""
+    for n in (1 << 64, (1 << 65) - 1):
+        w = BitWriter()
+        w.write_bits(0, offset)
+        w.write_elias_gamma(n)
+        r = BitReader(w.getvalue())
+        r.read_bits(offset)
+        assert r.read_elias_gamma() == n and r.bits_left < 8
+    w = BitWriter()
+    w.write_bits((1 << 70) - 1, offset + 65 + 70)  # 65 zeros from the offset, then ones
+    for data in (bytes(20), w.getvalue()):
+        r = BitReader(data)
+        r.read_bits(offset)
+        with pytest.raises(MalformedMessageError):
+            r.read_elias_gamma()
+        assert r.bits_left == 8 * len(data) - offset
+    w = BitWriter()
+    w.write_bits(0, offset)
+    w.write_elias_delta(1 << 62)  # length 63
+    w.write_bits(0, 8)
+    r = BitReader(w.getvalue())
+    r.read_bits(offset)
+    with pytest.raises(MalformedMessageError):
+        r.read_elias_delta(62)
+    assert r.read_elias_delta() == 1 << 62
+
+
+class _RecordingBytes(bytes):
+    """Bytes that remember the widest slice taken of them."""
+
+    widest = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            type(self).widest = max(type(self).widest, len(got))
+        return got
+
+
+def test_long_frames_roundtrip_through_fixed_windows():
+    """An exact frame of 100 000 heap-index units and a block frame at the
+    widest budget read back, and no read slices more than one window."""
+    depths = [1 + (7 * i) % MAX_DEPTH for i in range(100_000)]
+    codes = tuple(Code(Variant.AD_STAR, d, (1 << (d - 1)) | (i * 2654435761) % (1 << (d - 1)))
+                  for i, d in enumerate(depths))
+    frames = [
+        MessageFrame(MODE_EXACT, Variant.AD_STAR, codes),
+        MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
+                     tuple(Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1 - i)
+                           for i in range(1000)), MAX_DEPTH),
+    ]
+    for frame in frames:
+        data = _RecordingBytes(write_message(frame).getvalue())
+        _RecordingBytes.widest = 0
+        reader = BitReader(data)
+        assert read_message(reader) == frame
+        assert reader.bits_left < 8
+        assert _RecordingBytes.widest <= 17
 
 
 def unit_bits(code: Code) -> str:
@@ -278,8 +391,6 @@ def test_read_rejects_frame_of_the_wrong_layout():
 
 
 def test_unpack_depth_cap_is_the_tree_cap():
-    from reckit.tree import MAX_DEPTH
-
     for mode_tag, variant_tag in ((1, 2), (2, 4)):  # an AD_STAR depth, a DAD_STAR budget
         w = BitWriter()
         w.write_elias_gamma(mode_tag)
@@ -302,8 +413,6 @@ def test_unpack_depth_cap_is_the_tree_cap():
 def test_pack_block_refuses_budgets_unpack_cannot_read():
     # the writer stops where read_message's budget cap does, so no block
     # message can be written that its own reader refuses
-    from reckit.tree import MAX_DEPTH
-
     code = Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1)
     data = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (code,), MAX_DEPTH))
     assert read_message(BitReader(data.getvalue())).codes == (code,)

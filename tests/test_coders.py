@@ -39,7 +39,7 @@ from reckit.errors import (
     InvalidCodeError,
     UnboundedRatioError,
 )
-from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, trunc_gumbel
+from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, seed_state, trunc_gumbel
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, make_root
 
@@ -353,7 +353,7 @@ def test_dad_stabilizes_to_exact_winner_or_extra():
             PAIR_GG, PartitionKind.DYADIC, seed
         )
         code, x, _ = encode_dad(PAIR_GG, seed, 18)
-        root_g = make_root(PAIR_GG.proposal, seed).g
+        root_g = make_root(seed_state(seed)).g
         extra_g = trunc_gumbel(
             keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
             0.0, root_g,

@@ -95,9 +95,11 @@ def test_tree_draws_match_per_key_calls(seed):
     stream = seed_state(seed)
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
         for kind in PartitionKind:
-            level = [(make_root(proposal, seed), math.inf)]
+            root = make_root(stream)
+            base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream
+            level = [(root, math.inf)]
             for _ in range(5):
-                level = [(realize(c, kind, stream), node.g) for node, bound in level
+                level = [(realize(c, kind, base), node.g) for node, bound in level
                          for c in expand(node, kind, proposal,
                                          _check_node(node, proposal, seed, kind, bound))]
             assert level
@@ -141,8 +143,8 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
         got = decode_astar(GAUSS, kind, Code(variant, depth, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
-    root = make_root(GAUSS, seed)
-    extra = extra_root(GAUSS, seed, root)
+    root = make_root(seed_state(seed))
+    extra = extra_root(seed_state(seed), root)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
     extra_x = node_sample(GAUSS, PartitionKind.DYADIC, extra.key, 0, 1, 0.0, 1.0)

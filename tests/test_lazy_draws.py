@@ -45,7 +45,8 @@ PAIRS = {
 
 
 def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
-    """The branch-and-bound loop with every child drawn at expansion."""
+    """The branch-and-bound loop with every child drawn at expansion. A
+    chain child copies its parent's key state, which is node 1's."""
     proposal = pair.proposal
     stream = seed_state(seed)
     root_bound = pair.bound_M(-INF, INF)
@@ -67,7 +68,8 @@ def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
             for child in expand(node, kind, proposal, x):
-                child = realize(child, kind, stream)
+                child = realize(child, kind, node.key if kind is PartitionKind.GLOBAL_BOUND
+                                else stream)
                 g = child.g
                 if lb < g + bound:
                     child_bound = pair.bound_M(child.low, child.high)
@@ -85,14 +87,14 @@ def eager_encode(coder, pair, seed, max_steps):
         if pair.analytic_dinf() == INF:
             raise UnboundedRatioError("unbounded ratio")
         kind = KINDS[coder]
-        root = make_root(pair.proposal, seed)
+        root = make_root(seed_state(seed))
         best, x, steps, lb = eager_search(pair, kind, seed, INF, max_steps, root)
         code = Code(coders._VARIANT_OF_KIND[kind], best.depth, best.heap_index)
     else:
         budget = coder[1]
         check_budget(budget)
-        root = make_root(pair.proposal, seed)
-        extra = extra_root(pair.proposal, seed, root)
+        root = make_root(seed_state(seed))
+        extra = extra_root(seed_state(seed), root)
         best, x, steps, lb = eager_search(pair, PartitionKind.DYADIC, seed, budget, INF, root,
                                           extra)
         code = Code(Variant.DAD_STAR, budget, best.heap_index)

@@ -48,7 +48,8 @@ def pop_and_expand(node, kind, proposal, seed):
     (a sample-split cut reads the sample), each realized as the search
     realizes a child that reaches the top of its queue."""
     children = expand(node, kind, proposal, sample(node, kind, proposal))
-    return [realize(child, kind, seed_state(seed)) for child in children]
+    base = node.key if kind is PartitionKind.GLOBAL_BOUND else seed_state(seed)  # chain keys: node 1
+    return [realize(child, kind, base) for child in children]
 
 
 def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
@@ -59,7 +60,7 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
     root (Gumbel(0) arrival, sample from the whole proposal); nodes at
     the depth limit are yielded but not expanded.
     """
-    root = make_root(proposal, seed)
+    root = make_root(seed_state(seed))
     heap = [(-root.g, root.heap_index, root)]
     yielded = 0
     while heap and (max_yields is None or yielded < max_yields):
@@ -119,7 +120,7 @@ def test_partition_empty_side():
 
 
 def test_make_root():
-    root = make_root(GAUSS, 7)
+    root = make_root(seed_state(7))
     assert root.heap_index == 1 and root.depth == 1
     assert (root.low, root.high) == (-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
@@ -128,13 +129,13 @@ def test_make_root():
     # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(sample(root))
-    assert make_root(GAUSS, 7) == root  # deterministic
-    assert make_root(GAUSS, 8) != root
+    assert make_root(seed_state(7)) == root  # deterministic
+    assert make_root(seed_state(8)) != root
 
 
 def test_expand_children_tile_parent():
     for seed in range(20):
-        node = make_root(GAUSS, seed)
+        node = make_root(seed_state(seed))
         for _ in range(6):
             children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed)
             assert 1 <= len(children) <= 2
@@ -154,16 +155,17 @@ def test_expand_children_tile_parent():
 def test_expand_leaves_children_undrawn():
     """expand gives regions only; realize draws the key and the Gumbel
     truncated at the parent's, which the child carries until then."""
-    node = make_root(GAUSS, 4)
+    node = make_root(seed_state(4))
     for kind in PartitionKind:
         for child in expand(node, kind, GAUSS, sample(node, kind)):
             assert child.key is None and child.g == node.g
-            drawn = realize(child, kind, seed_state(4))
+            drawn = realize(child, kind, node.key if kind is PartitionKind.GLOBAL_BOUND
+                            else seed_state(4))
             assert drawn[:6] == child[:6] and drawn.key is not None and drawn.g <= node.g
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
-    node = make_root(GAUSS, 99)
+    node = make_root(seed_state(99))
     for d in range(2, 24):
         children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, 99)
         assert len(children) == 2
@@ -174,7 +176,7 @@ def test_expand_dyadic_mass_is_exact_power_of_two():
 
 def test_expand_global_bound_is_a_chain():
     chain = PartitionKind.GLOBAL_BOUND
-    node = make_root(GAUSS, 5)
+    node = make_root(seed_state(5))
     seen = {sample(node, chain)}
     for k in range(2, 12):
         children = pop_and_expand(node, chain, GAUSS, 5)
@@ -220,7 +222,7 @@ def test_top_down_race_samples_proposal():
     over seeds it must reproduce the proposal distribution."""
     from scipy import stats
 
-    xs = [sample(make_root(GAUSS, derive_seed(13, i))) for i in range(4000)]
+    xs = [sample(make_root(seed_state(derive_seed(13, i)))) for i in range(4000)]
     assert stats.kstest(xs, "norm").pvalue > 0.01
 
 
@@ -245,6 +247,6 @@ def test_top_down_matches_exchangeable_race_across_kinds():
 
 
 def test_node_record_mass_property():
-    root = make_root(GAUSS, 0)
+    root = make_root(seed_state(0))
     node = NodeRecord(1, 1, -1.0, 1.0, 0.2, 0.7, root.key, root.g)
     assert node.mass == pytest.approx(0.5)
