@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coders import CODERS, Code, Variant, check_budget
+from .coders import CODERS, Code, Variant, _read_code, check_budget
 from .errors import DomainError, InvalidCodeError, MalformedMessageError
 from .tree import MAX_DEPTH
 
@@ -229,5 +229,5 @@ def read_message(reader: BitReader) -> MessageFrame:
             raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     count = reader.read_elias_gamma() - 1
     read = spec.unit.read
-    codes = [Code(variant, *read(reader, budget)) for _ in range(count)]
+    codes = [_read_code(variant, *read(reader, budget)) for _ in range(count)]
     return MessageFrame(mode, variant, codes, budget)

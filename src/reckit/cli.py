@@ -51,7 +51,7 @@ from .isokl import (
     load_block_model,
     uniform_from_mean_kl,
 )
-from .randomness import derive_seed
+from .randomness import absorb, derive_seed, seed_state
 from .tree import PartitionKind
 
 
@@ -122,8 +122,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     variant = Variant(name)
     spec = CODERS[variant]
     codes, samples = [], []
+    stream = seed_state(args.seed)  # symbol i draws from derive_seed(seed, i)
     for i in range(args.count):
-        code, x, _ = spec.encode(pair, derive_seed(args.seed, i), args.budget, MAX_STEPS)
+        code, x, _ = spec.encode(pair, absorb(stream, i), args.budget, MAX_STEPS)
         codes.append(code)
         samples.append(x)
     if spec.fixed_width:
@@ -158,10 +159,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     else:
         proposal = _load_proposal(args.model)
         frame = read_message(BitReader(data))
-        samples = [
-            decode(proposal, code, derive_seed(args.seed, i))
-            for i, code in enumerate(frame.codes)
-        ]
+        stream = seed_state(args.seed)
+        samples = [decode(proposal, code, absorb(stream, i)) for i, code in enumerate(frame.codes)]
     _write_samples(args.samples, samples)
     print(f"decoded {len(samples)} symbols")
     return 0

@@ -151,6 +151,22 @@ class Code:
         CODERS[self.variant].unit.check(self.depth_or_budget, self.payload)
 
 
+_new = object.__new__
+_set_variant, _set_width, _set_payload = (
+    Code.__dict__[name].__set__ for name in ("variant", "depth_or_budget", "payload"))
+
+
+def _read_code(variant: Variant, width: int, payload: int) -> Code:
+    """A ``Code`` of a (width, payload) that its unit's ``read`` returned,
+    built without ``__post_init__``: ``Unit.read`` returns only what
+    ``Unit.check`` admits, so the check would refuse nothing."""
+    code = _new(Code)
+    _set_variant(code, variant)
+    _set_width(code, width)
+    _set_payload(code, payload)
+    return code
+
+
 @dataclass(frozen=True, slots=True)
 class TrialStats:
     """Search accounting for one encode: queue pops, winner depth, payload

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bitstream import (
     MODE_BLOCK,
@@ -26,7 +27,8 @@ from .bitstream import (
 from .coders import Variant, decode_dad, encode_dad
 from .distributions import Gaussian, PairSpec, Uniform
 from .errors import DomainError, InfeasibleParameterError, MalformedMessageError
-from .randomness import derive_seed
+from .randomness import absorb, seed_state
+from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it here)
 
 _LN2 = math.log(2.0)
 _BRANCH_POINT = -math.exp(-1.0)
@@ -160,7 +162,8 @@ class IsoKLGaussianBlock:
     """Gaussian coordinates sharing one KL divergence from their priors.
 
     Target variances are derived, never supplied: each coordinate's
-    variance is the Lambert W solution for its (mean shift, kappa).
+    variance is the Lambert W solution for its (mean shift, kappa). The
+    prior of each coordinate is built on first use and kept.
     """
 
     prior_means: tuple[float, ...]
@@ -182,14 +185,13 @@ class IsoKLGaussianBlock:
     def __len__(self) -> int:
         return len(self.prior_means)
 
-    def pair(self, i: int) -> PairSpec:
-        return PairSpec(
-            Gaussian(self.target_means[i], self.target_variances[i]),
-            Gaussian(self.prior_means[i], self.prior_stds[i] ** 2),
-        )
+    @cached_property
+    def proposals(self) -> tuple[Gaussian, ...]:
+        return tuple(Gaussian(nu, rho**2) for nu, rho in zip(self.prior_means, self.prior_stds))
 
-    def proposal(self, i: int) -> Gaussian:
-        return Gaussian(self.prior_means[i], self.prior_stds[i] ** 2)
+    def pair(self, i: int) -> PairSpec:
+        return PairSpec(Gaussian(self.target_means[i], self.target_variances[i]),
+                        self.proposals[i])
 
 
 @dataclass(frozen=True)
@@ -216,15 +218,17 @@ def encode_block_vector(
 
     Coordinate i (in block-major order) draws from the stream derived as
     derive_seed(seed, i), so coordinates are independent and the decoder
-    can regenerate any of them in isolation.
+    can regenerate any of them in isolation. The vector's seed is mixed
+    once; each coordinate absorbs its index into that state.
     """
     writer = BitWriter()
+    stream = seed_state(seed)
     index = 0
     for block in blocks:
         budget = config.budget(block.kappa)
         codes = []
         for i in range(len(block)):
-            code, _, _ = encode_dad(block.pair(i), derive_seed(seed, index), budget)
+            code, _, _ = encode_dad(block.pair(i), absorb(stream, index), budget)
             codes.append(code)
             index += 1
         write_message(
@@ -242,6 +246,7 @@ def decode_block_vector(
     """Exact inverse of encode_block_vector (target means are not needed
     to decode; only priors, kappas, and block sizes are read)."""
     reader = BitReader(data)
+    stream = seed_state(seed)
     samples: list[float] = []
     index = 0
     for block in blocks:
@@ -256,8 +261,8 @@ def decode_block_vector(
             raise MalformedMessageError(
                 f"frame holds {frame.symbol_count} codes, block has {len(block)}"
             )
-        for j, code in enumerate(frame.codes):
-            samples.append(decode_dad(block.proposal(j), code, derive_seed(seed, index)))
+        for proposal, code in zip(block.proposals, frame.codes):
+            samples.append(decode_dad(proposal, code, absorb(stream, index)))
             index += 1
     return samples
 

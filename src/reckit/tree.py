@@ -15,7 +15,13 @@ known. Three partition rules are supported:
 Every node caches the proposal-CDF images of its endpoints. All mass and
 sampling arithmetic runs through those cached values, which makes dyadic
 masses exactly 2^-(D-1) and lets a decoder walking the same path
-reproduce region arithmetic bit for bit.
+reproduce region arithmetic bit for bit. A dyadic decoder need not walk:
+the node at depth D with heap index H has the CDF ends k * 2^-(D-1) and
+(k+1) * 2^-(D-1), k = H - 2^(D-1), which are the walk's own floats while
+D <= ``EXACT_DYADIC_DEPTH`` (54), since halving a sum of dyadic rationals
+is exact up to 53 bits. Its x-ends are the proposal quantiles of those
+ends, and a code whose two quantiles meet names an emptied slot, which
+the walk refuses too.
 
 Draws are made as late as the search allows. ``expand`` returns a
 node's children with their regions only: a child has no key state yet,
@@ -28,7 +34,7 @@ reads only the Gumbel and the region.
 This module is the one place that says how a node's draws are keyed
 (``realize``, ``node_sample``) and how a decoder finds a node again
 (``locate``): the encoder's ``make_root``/``expand``/``realize`` and the
-decoder's walk share both.
+decoder share both.
 """
 
 from __future__ import annotations
@@ -43,8 +49,12 @@ from .randomness import DrawSlot, absorb, seed_state, state_uniform, trunc_gumbe
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
+# The deepest dyadic node whose CDF ends, k * 2^-(d-1) and (k+1) * 2^-(d-1),
+# the partition arithmetic computes exactly (d - 1 <= 53 bits)
+EXACT_DYADIC_DEPTH = 54
 
 INF = math.inf
+_ldexp = math.ldexp
 _GUMBEL, _SAMPLE = int(DrawSlot.GUMBEL), int(DrawSlot.SAMPLE)
 _EXTRA_GUMBEL, _EXTRA_SAMPLE = int(DrawSlot.EXTRA_ROOT_GUMBEL), int(DrawSlot.EXTRA_ROOT_SAMPLE)
 _ROOT_PIECE = (-INF, INF, 0.0, 1.0)
@@ -197,17 +207,36 @@ def realize(child: NodeRecord, kind: PartitionKind, base: int) -> NodeRecord:
 
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
            depth: int) -> float:
-    """The sample of the node at ``index`` and ``depth``: the decode walk.
+    """The sample of the node at ``index`` and ``depth`` (an index at that
+    depth), bit-exact against encoding.
 
-    Rebuilds the regions on the heap path from the root (the index's
-    digits after its leading 1; 0 = left, 1 = right) with the partition
-    arithmetic and node keys of ``make_root``, ``expand`` and ``realize``,
-    so it is bit-exact against encoding. Only a sample-split cut reads an
-    ancestor's sample, so only that walk draws one. A chain node is found
-    by its depth alone; index 0 at depth 1 is ``extra_root``. Both, and
-    the root, are one full-line draw straight from the node's key.
+    A dyadic node at depth 1 < d <= 54 reads its region off its index: with
+    k = index - 2^(d-1) its CDF ends are k * 2^-(d-1) and (k+1) * 2^-(d-1),
+    the very floats the partition arithmetic gives, since halving a sum of
+    dyadic rationals is exact while d - 1 <= 53. Its x-ends are the
+    proposal quantiles q of those ends (q(0) = -inf, q(1) = +inf), and the
+    code is refused, as an empty partition slot, unless q(ulow) < q(uhigh):
+    q does not decrease, so a slot emptied on the way down empties every
+    node below it. The decode is one draw and at most two more ``inv_cdf``
+    calls.
+
+    Any other code takes the decode walk: it rebuilds the regions on the
+    heap path from the root (the index's digits after its leading 1;
+    0 = left, 1 = right) with the partition arithmetic and node keys of
+    ``make_root``, ``expand`` and ``realize``, refusing a step into an
+    empty slot. Only a sample-split cut reads an ancestor's sample, so only
+    that walk draws one. A chain node is found by its depth alone; index 0
+    at depth 1 is ``extra_root``. Both, and the root, are one full-line
+    draw straight from the node's key.
     """
     stream = seed_state(seed)
+    if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:
+        k = index - (1 << (depth - 1))
+        ulow, uhigh = _ldexp(k, 1 - depth), _ldexp(k + 1, 1 - depth)
+        # an end at 0 or 1 has an infinite quantile, so only two inner ends can meet
+        if 0.0 < ulow and uhigh < 1.0 and not proposal.inv_cdf(ulow) < proposal.inv_cdf(uhigh):
+            raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
+        return node_sample(proposal, kind, absorb(stream, index), index, depth, ulow, uhigh)
     low, high, ulow, uhigh = _ROOT_PIECE
     if kind is not _GLOBAL_BOUND and depth > 1:
         split_at_sample = kind is _SAMPLE_SPLIT

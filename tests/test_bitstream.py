@@ -484,3 +484,20 @@ def test_malformed_messages_raise_only_rec_errors(data):
                 decode(proposal, code, 7)
             except RecError:
                 pass
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=64), unit=st.sampled_from(list(Unit)),
+       budget=st.integers(1, MAX_DEPTH))
+def test_every_unit_read_passes_its_check(data, unit, budget):
+    """``read_message`` builds the codes it reads without ``Code``'s check,
+    which is redundant: every (width, payload) a unit reads off arbitrary
+    bytes is one its ``check`` admits. ``budget`` is a block header's
+    codeword width, which ``read_message`` refuses above MAX_DEPTH."""
+    reader = BitReader(data)
+    while True:
+        try:
+            width, payload = unit.read(reader, budget)
+        except MalformedMessageError:
+            return
+        unit.check(width, payload)

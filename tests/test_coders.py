@@ -259,10 +259,11 @@ def test_roundtrip_every_variant(pair):
             assert decode(pair.proposal, code, seed) == x
 
 
-def test_dyadic_decode_inverts_the_cdf_once_per_level(monkeypatch):
-    """A dyadic decode of a depth-d code calls the proposal's inv_cdf d
-    times: d - 1 cuts and one sample. A dyadic cut reads no sample, so
-    the walk draws none for the ancestors."""
+def test_dyadic_decode_inverts_the_cdf_at_most_three_times(monkeypatch):
+    """A dyadic decode of a depth-d code calls the proposal's inv_cdf at
+    most min(d, 3) times: the node reads its CDF ends off its heap index,
+    so it needs the quantiles of its two inner ends (an end at 0 or 1 needs
+    none) to refuse an empty slot, and one for its sample."""
     calls = []
     inv_cdf = Gaussian.inv_cdf
 
@@ -278,7 +279,7 @@ def test_dyadic_decode_inverts_the_cdf_once_per_level(monkeypatch):
             depth = code.payload.bit_length() or 1  # DAD codeword 0 is a root draw
             calls.clear()
             assert decode(PAIR_GG.proposal, code, seed) == x
-            assert len(calls) == depth, (code, seed)
+            assert len(calls) <= min(depth, 3), (code, seed)
             depths.add(depth)
     assert len(depths) >= 4
 

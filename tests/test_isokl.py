@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
+from reckit.bitstream import MODE_BLOCK, BitWriter, MessageFrame, write_message
+from reckit.coders import Variant, encode_dad
 from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DomainError, InfeasibleParameterError, MalformedMessageError
 from reckit.isokl import (
@@ -25,6 +27,7 @@ from reckit.isokl import (
     load_block_model_json,
     uniform_from_mean_kl,
 )
+from reckit.randomness import absorb, derive_seed, seed_state
 
 # brentq on KL(N(1, v) || N(0, 1)) = 1 over v in (1e-8, 1), frozen
 BRENTQ_VAR_SHIFT1_KL1 = 0.1585943395630394
@@ -224,7 +227,7 @@ def test_block_derives_variances():
         )
         assert block.target_variances[i] == want
         assert block.pair(i).analytic_kl() == pytest.approx(1.2, rel=1e-10)
-        assert block.proposal(i).mean == block.prior_means[i]
+        assert block.proposals[i].mean == block.prior_means[i]
     with pytest.raises(DomainError):
         IsoKLGaussianBlock((0.0,), (1.0, 1.0), (0.1,), 0.5)
     with pytest.raises(DomainError):
@@ -259,6 +262,39 @@ def test_block_vector_roundtrip():
             blocks[:1], config, encode_block_vector(blocks[:1], config, seed), seed
         )
         assert out[:4] == solo
+
+
+def test_block_vector_coordinate_i_draws_from_derive_seed():
+    """The codec mixes the vector's seed once and absorbs each coordinate's
+    index into that state, which is derive_seed(seed, i): the frames equal
+    those of coding every coordinate alone from its derived seed."""
+    blocks = [make_block(0.8, 4, 1), make_block(2.5, 3, 2)]
+    config = BlockCodecConfig(extra_bits=2)
+    for seed in (0, -3, 2**64 + 5, 20260817):
+        assert all(absorb(seed_state(seed), i) == derive_seed(seed, i) for i in range(7))
+        writer, samples, index = BitWriter(), [], 0
+        for block in blocks:
+            budget = config.budget(block.kappa)
+            codes = []
+            for i in range(len(block)):
+                code, x, _ = encode_dad(block.pair(i), derive_seed(seed, index), budget)
+                codes.append(code)
+                samples.append(x)
+                index += 1
+            write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, tuple(codes), budget),
+                          writer)
+        data = encode_block_vector(blocks, config, seed)
+        assert data == writer.getvalue()
+        assert decode_block_vector(blocks, config, data, seed) == samples
+
+
+def test_block_builds_its_proposals_once_on_first_use():
+    block = make_block(1.2, 5, 3)
+    assert "proposals" not in vars(block)  # construction builds no proposal
+    assert block.proposals == tuple(
+        Gaussian(m, s**2) for m, s in zip(block.prior_means, block.prior_stds))
+    assert all(block.proposals[i] is block.pair(i).proposal for i in range(len(block)))
+    assert block == make_block(1.2, 5, 3) and hash(block) == hash(make_block(1.2, 5, 3))
 
 
 def test_block_vector_decode_validation():
