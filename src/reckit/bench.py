@@ -420,16 +420,17 @@ def verify_shrinkage(
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
         stream = seed_state(trial_seed)
-        node = make_root(stream)
-        base = node.key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
+        index, depth, low, high, ulow, uhigh, key, g = make_root(stream)
+        base = key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
         for d in range(1, depth_max):
-            x = node_sample(proposal, kind, node.key, node.heap_index, node.depth,
-                            node.ulow, node.uhigh)
-            children = expand(node, kind, proposal, x)
+            x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
+            children = expand(kind, proposal, x, index, depth, low, high, ulow, uhigh)
             if not children:
                 break
-            node = realize(max(children, key=lambda c: c.mass), kind, base)
-            masses[trial, d] = node.mass
+            index, low, high, ulow, uhigh = max(children, key=lambda c: c[4] - c[3])
+            depth += 1
+            key, g = realize(kind, base, index, depth, ulow, uhigh, g)
+            masses[trial, d] = uhigh - ulow
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(float(np.mean(masses[:, d - 1])) for d in depths)
     if kind is PartitionKind.DYADIC or kind is PartitionKind.GLOBAL_BOUND:

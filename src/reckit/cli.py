@@ -95,9 +95,12 @@ def _write_samples(path: str, xs: Sequence[float]) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    if args.budget is not None and not args.limited:
-        raise DomainError("--budget goes only with --limited")
     if args.block_model:
+        given = [flag for flag, value in (("--exact", args.exact), ("--limited", args.limited),
+                                          ("--budget", args.budget), ("--count", args.count))
+                 if value is not None]
+        if given:  # a block model names its coordinates and their budgets itself
+            raise DomainError(f"--block-model does not take {', '.join(given)}")
         blocks, permutation = load_block_model(_load_json(args.block_model))
         config = BlockCodecConfig(args.extra_bits)
         data = encode_block_vector(blocks, config, args.seed)
@@ -111,19 +114,22 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         print(f"wrote {len(data)} bytes ({sum(len(b) for b in blocks)} coordinates)")
         return 0
 
+    if args.budget is not None and not args.limited:
+        raise DomainError("--budget goes only with --limited")
     pair = _load_pair(args.model)
     name = args.exact or args.limited
     if name is None:
         raise DomainError("encode needs --exact or --limited (or --block-model)")
     if args.limited and args.budget is None:
         raise DomainError("--limited needs --budget")
-    if args.count < 0:
-        raise DomainError(f"--count must be >= 0, got {args.count}")
+    count = 1 if args.count is None else args.count
+    if count < 0:
+        raise DomainError(f"--count must be >= 0, got {count}")
     variant = Variant(name)
     spec = CODERS[variant]
     codes, samples = [], []
     stream = seed_state(args.seed)  # symbol i draws from derive_seed(seed, i)
-    for i in range(args.count):
+    for i in range(count):
         code, x, _ = spec.encode(pair, absorb(stream, i), args.budget, MAX_STEPS)
         codes.append(code)
         samples.append(x)
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     coder.add_argument("--exact", choices=_coder_names(fixed_width=False), help="exact coder")
     coder.add_argument("--limited", choices=_coder_names(fixed_width=True), help="depth-limited coder")
     enc.add_argument("--budget", type=int, help="bit budget for --limited")
-    enc.add_argument("--count", type=int, default=1, help="symbols to encode")
+    enc.add_argument("--count", type=int, help="symbols to encode (default 1)")
     enc.add_argument("--extra-bits", type=int, default=2,
                      help="block-model slack bits over ceil(kappa/ln 2)")
     enc.add_argument("--out", required=True, help="binary message output path")

@@ -21,8 +21,11 @@ The search loop follows the branch-and-bound schedule: a priority queue
 ordered by Gumbel plus the region's ratio bound, an incumbent lower
 bound from scored samples, and pruning of children whose bound cannot
 beat the incumbent. Ties are broken toward smaller heap indices. A
-queued child may not have its Gumbel yet: it waits at its parent's
-Gumbel, an upper bound on its own, and draws when it reaches the top.
+queue entry is the node itself, as flat fields (priority, heap index,
+bound, depth, region ends, their CDF values, key state, Gumbel), unpacked
+once per pop. A queued child may not have its Gumbel yet: it waits at
+its parent's Gumbel, an upper bound on its own, with no key state, and
+draws both when it reaches the top.
 """
 
 from __future__ import annotations
@@ -191,59 +194,69 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     ``incumbent`` is a starting candidate outside the tree (the
     depth-limited coder's extra root): it competes in incumbent updates
     but is never enqueued, so it costs no search step. Nodes at
-    ``max_depth`` are scored but not expanded. A child is queued before
-    its Gumbel is drawn, at its parent's Gumbel plus its own bound; when
-    it reaches the top, ``realize`` draws its Gumbel and it is requeued
-    at its true priority or pruned. A Gumbel never exceeds the bound it
-    is truncated at, so the steps, their order and every result are those
-    of drawing each child at expansion. A node's sample is drawn when it is
-    popped (or, for ``incumbent``, when it takes the lead). ``stream`` is
-    ``seed_state(seed)``, mixed once by the caller for ``root`` and the search.
-    Returns (winner, winner's sample, steps, LB).
+    ``max_depth`` are scored but not expanded.
+
+    A queue entry is the node itself, as flat fields:
+    (-(g + M), heap_index, M, depth, low, high, ulow, uhigh, key, g), M
+    the ratio bound over (low, high). Heap indices are unique in a search,
+    so no comparison reaches past the index. A child from ``expand`` is
+    queued before its Gumbel is drawn, with key None and its parent's
+    Gumbel as g, an upper bound on its own; at the top, ``realize`` draws
+    both and it is requeued at its true priority or pruned. A Gumbel never
+    exceeds the bound it is truncated at, so the steps, their order and
+    every result are those of drawing each child at expansion. A node's
+    sample is drawn when it is popped (or, for ``incumbent``, when it
+    takes the lead). ``stream`` is ``seed_state(seed)``, mixed once by the
+    caller for ``root`` and the search.
+    Returns (winner's heap index, winner's depth, winner's sample, steps, LB).
     """
-    proposal, bound_M = pair.proposal, pair.bound_M
+    proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
     base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
     root_bound = bound_M(-INF, INF)
-    lb, best, best_x = -INF, None, math.nan
+    lb, best_index, best_depth, best_x = -INF, None, 0, math.nan
     if incumbent is not None:
-        best_x = node_sample(proposal, kind, incumbent.key, incumbent.heap_index,
-                             incumbent.depth, incumbent.ulow, incumbent.uhigh)
-        lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
-    # heap items: (-(g + M), heap_index, M, node); an undrawn child's g bounds its own
-    heap: list = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
+        best_index, best_depth = incumbent.heap_index, incumbent.depth
+        best_x = node_sample(proposal, kind, incumbent.key, best_index, best_depth,
+                             incumbent.ulow, incumbent.uhigh)
+        lb = incumbent.g + log_ratio(best_x)
+    heap = [(-(root.g + root_bound), 1, root_bound, *root[1:])]
+    heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap and lb < -heap[0][0]:
-        _, index, bound, node = heapq.heappop(heap)
-        if node.key is None:  # its Gumbel is still to draw
-            node = realize(node, kind, base)
-            key = node.g + bound
-            if not lb < key:
+        _, index, bound, depth, low, high, ulow, uhigh, key, g = heappop(heap)
+        if key is None:  # its Gumbel is still to draw
+            key, g = realize(kind, base, index, depth, ulow, uhigh, g)
+            top = g + bound
+            if not lb < top:
                 continue
-            if heap and heap[0] < (-key, index):  # no longer on top: requeue it
-                heapq.heappush(heap, (-key, index, bound, node))
+            if heap and heap[0] < (-top, index):  # no longer on top: requeue it
+                heappush(heap, (-top, index, bound, depth, low, high, ulow, uhigh, key, g))
                 continue
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, kind, node.key, index, node.depth, node.ulow, node.uhigh)
-        score = node.g + pair.log_ratio(x)
-        if score > lb or (score == lb and (best is None or index < best.heap_index)):
-            lb, best, best_x = score, node, x
-        if node.depth < max_depth:
-            for child in expand(node, kind, proposal, x):
-                child_bound = bound_M(child.low, child.high)
+        x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
+        score = g + log_ratio(x)
+        if score > lb or (score == lb and (best_index is None or index < best_index)):
+            lb, best_index, best_depth, best_x = score, index, depth, x
+        if depth < max_depth:
+            child_depth = depth + 1
+            for cindex, clow, chigh, culow, cuhigh in expand(kind, proposal, x, index, depth,
+                                                              low, high, ulow, uhigh):
+                child_bound = bound_M(clow, chigh)
                 if child_bound > bound:
                     # Rounding put a sub-region's bound above its region's. The
                     # child must then also beat lb under the parent's bound,
                     # which needs its own Gumbel now.
-                    child = realize(child, kind, base)
-                    if not lb < child.g + bound:
+                    ckey, cg = realize(kind, base, cindex, child_depth, culow, cuhigh, g)
+                    if not lb < cg + bound:
                         continue
-                if lb < child.g + child_bound:
-                    heapq.heappush(
-                        heap, (-(child.g + child_bound), child.heap_index, child_bound, child)
-                    )
-    return best, best_x, steps, lb
+                else:
+                    ckey, cg = None, g
+                if lb < cg + child_bound:
+                    heappush(heap, (-(cg + child_bound), cindex, child_bound, child_depth,
+                                    clow, chigh, culow, cuhigh, ckey, cg))
+    return best_index, best_depth, best_x, steps, lb
 
 
 def encode_astar(
@@ -262,9 +275,10 @@ def encode_astar(
         raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
                                   "use the depth-limited coder")
     stream = seed_state(seed)
-    best, x, steps, lb = _astar_search(pair, kind, stream, INF, max_steps, make_root(stream))
-    code = Code(_VARIANT_OF_KIND[kind], best.depth, best.heap_index)
-    return code, x, _stats(code, steps, best.depth, lb)
+    index, depth, x, steps, lb = _astar_search(pair, kind, stream, INF, max_steps,
+                                               make_root(stream))
+    code = Code(_VARIANT_OF_KIND[kind], depth, index)
+    return code, x, _stats(code, steps, depth, lb)
 
 
 def decode_astar(
@@ -289,11 +303,11 @@ def encode_dad(
     check_budget(budget)
     stream = seed_state(seed)
     root = make_root(stream)
-    best, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, stream, budget, INF, root,
-                                       extra_root(stream, root))
-    code = Code(Variant.DAD_STAR, budget, best.heap_index)
+    index, depth, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, stream, budget,
+                                               INF, root, extra_root(stream, root))
+    code = Code(Variant.DAD_STAR, budget, index)
     # transmitted width is the budget regardless of where the winner sat
-    return code, x, _stats(code, steps, best.depth, lb)
+    return code, x, _stats(code, steps, depth, lb)
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:

@@ -23,18 +23,22 @@ is exact up to 53 bits. Its x-ends are the proposal quantiles of those
 ends, and a code whose two quantiles meet names an emptied slot, which
 the walk refuses too.
 
-Draws are made as late as the search allows. ``expand`` returns a
-node's children with their regions only: a child has no key state yet,
-and its ``g`` is its parent's Gumbel, the bound its own is truncated at.
-The search queues it at that upper bound and ``realize`` draws its key
-state and Gumbel when it reaches the top of the queue. A node's sample
-(``node_sample``) waits until the node itself is popped, since pruning
-reads only the Gumbel and the region.
+Draws are made as late as the search allows. The search holds a node
+as the flat fields of its queue entry, not as an object: ``expand``
+takes a node's (heap_index, depth, low, high, ulow, uhigh) and returns
+its children as (heap_index, low, high, ulow, uhigh) tuples, regions
+only, at depth + 1. A child has no key state yet; the search queues it
+at its parent's Gumbel, the bound its own is truncated at, and
+``realize`` returns its (key, g), the key state and the Gumbel, when it
+reaches the top of the queue. A node's sample (``node_sample``) waits
+until the node itself is popped, since pruning reads only the Gumbel
+and the region. ``NodeRecord`` holds the two realized root-level nodes,
+``make_root``'s and ``extra_root``'s.
 
 This module is the one place that says how a node's draws are keyed
-(``realize``, ``node_sample``) and how a decoder finds a node again
-(``locate``): the encoder's ``make_root``/``expand``/``realize`` and the
-decoder share both.
+(``realize``, ``node_sample``), how a region is cut (``expand``,
+``_partition_u``) and how a decoder finds a node again (``locate``): the
+encoder's ``make_root``/``expand``/``realize`` and the decoder share them.
 """
 
 from __future__ import annotations
@@ -72,15 +76,15 @@ _GLOBAL_BOUND, _SAMPLE_SPLIT, _DYADIC = (
 
 
 class NodeRecord(NamedTuple):
-    """One search node.
+    """A realized root-level node: ``make_root``'s root or ``extra_root``.
 
     ``low``/``high`` are the region endpoints and ``ulow``/``uhigh`` their
     proposal CDF values; ``key`` is the state after (seed, key node) that
     the node's draws branch from (see ``node_sample``); ``g`` is the node's
-    Gumbel, located at the log of the region's proposal mass and
-    truncated at its parent's ``g``. A child fresh from ``expand`` has no
-    key (None) and its parent's ``g``, an upper bound on its own, until
-    ``realize`` draws both.
+    Gumbel, located at the log of the region's proposal mass (zero, as
+    both span the full line): untruncated for the root and truncated at
+    the root's ``g`` for the extra root. The search holds every node
+    below them as flat fields of its queue entry (see ``expand``).
     """
 
     heap_index: int
@@ -89,7 +93,7 @@ class NodeRecord(NamedTuple):
     high: float
     ulow: float
     uhigh: float
-    key: int | None
+    key: int
     g: float
 
     @property
@@ -147,62 +151,68 @@ def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: 
     return sample_restricted_u(proposal, ulow, uhigh, state_uniform(state))
 
 
-def _realize(index: int, depth: int, piece: Piece, key: int, slot: int, counter: int,
-             bound: float) -> NodeRecord:
-    """A node with its Gumbel drawn from ``key`` at (slot, counter)."""
-    low, high, ulow, uhigh = piece
-    u = state_uniform(absorb(absorb(key, slot), counter))
-    g = trunc_gumbel(u, math.log(uhigh - ulow), bound)
-    return NodeRecord(index, depth, low, high, ulow, uhigh, key, g)
+def _root_level(index: int, key: int, slot: int, bound: float) -> NodeRecord:
+    """A full-line node at depth 1, its Gumbel drawn from ``key`` at
+    (slot, 0) and located at log 1 = 0."""
+    g = trunc_gumbel(state_uniform(absorb(absorb(key, slot), 0)), 0.0, bound)
+    return NodeRecord(index, 1, *_ROOT_PIECE, key, g)
 
 
 def make_root(stream: int) -> NodeRecord:
     """Realize the root node: the full line, mass one, untruncated Gumbel.
     ``stream`` is the search's ``seed_state(seed)``. Every partition rule
     keys the root alike (node 1, counter 0)."""
-    return _realize(1, 1, _ROOT_PIECE, absorb(stream, 1), _GUMBEL, 0, INF)
+    return _root_level(1, absorb(stream, 1), _GUMBEL, INF)
 
 
 def extra_root(stream: int, root: NodeRecord) -> NodeRecord:
     """The depth-limited coder's second root-level candidate, heap index
     0: a full-line draw whose Gumbel is truncated at the root's."""
-    return _realize(0, 1, _ROOT_PIECE, absorb(stream, 0), _EXTRA_GUMBEL, 0, root.g)
+    return _root_level(0, absorb(stream, 0), _EXTRA_GUMBEL, root.g)
 
 
-def expand(node: NodeRecord, kind: PartitionKind, proposal: Distribution1D,
-           x: float) -> list[NodeRecord]:
-    """The children of a node, with nothing drawn yet.
+Child = tuple[int, float, float, float, float]  # (heap_index, low, high, ulow, uhigh)
+
+
+def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, depth: int,
+           low: float, high: float, ulow: float, uhigh: float) -> list[Child]:
+    """The children of the node at ``index`` and ``depth`` whose region is
+    (``low``, ``high``) with CDF ends ``ulow`` and ``uhigh``, as
+    (heap_index, low, high, ulow, uhigh) at depth ``depth + 1``.
 
     ``x`` is the node's sample, which a sample-split cut reads. Children
     with zero proposal mass are skipped, as are slots emptied by the
-    partition rule. Each child carries its region, no key state, and the
-    node's Gumbel as its ``g``: the bound that ``realize`` truncates the
-    child's own Gumbel at, and so an upper bound on it.
+    partition rule. Nothing is drawn: ``realize`` draws a child's key
+    state and Gumbel, truncated at the node's own Gumbel.
     """
-    depth, g = node.depth + 1, node.g
     if kind is _GLOBAL_BOUND:
-        return [NodeRecord(depth, depth, node.low, node.high, node.ulow, node.uhigh, None, g)]
-    pieces = _partition_u(kind, node.low, node.high, node.ulow, node.uhigh, x, proposal)
-    children: list[NodeRecord] = []
-    for piece, index in zip(pieces, heap_children(node.heap_index)):
-        if piece is not None and piece[3] - piece[2] > 0.0:
-            children.append(NodeRecord(index, depth, *piece, None, g))
+        return [(depth + 1, low, high, ulow, uhigh)]
+    left, right = _partition_u(kind, low, high, ulow, uhigh, x, proposal)
+    lindex, rindex = heap_children(index)
+    children: list[Child] = []
+    if left is not None and left[3] - left[2] > 0.0:
+        children.append((lindex, *left))
+    if right is not None and right[3] - right[2] > 0.0:
+        children.append((rindex, *right))
     return children
 
 
-def realize(child: NodeRecord, kind: PartitionKind, base: int) -> NodeRecord:
-    """A child from ``expand`` with its key state and its Gumbel drawn:
-    location the log of its proposal mass, truncated at its ``g`` (the
-    parent's Gumbel). ``base`` is the state the child's key branches
-    from: in a split tree the search's ``seed_state(seed)``, which absorbs
-    the child's heap index; on the chain the root's ``key``, node 1's key
-    state, which every chain node shares."""
-    index, depth = child.heap_index, child.depth
+def realize(kind: PartitionKind, base: int, index: int, depth: int, ulow: float,
+            uhigh: float, bound: float) -> tuple[int, float]:
+    """The key state and Gumbel of a child from ``expand``, the node at
+    ``index`` and ``depth`` with CDF ends ``ulow`` and ``uhigh``: its
+    Gumbel is located at the log of its proposal mass and truncated at
+    ``bound``, its parent's Gumbel. ``base`` is the state the child's key
+    branches from: in a split tree the search's ``seed_state(seed)``,
+    which absorbs the child's heap index; on the chain the root's
+    ``key``, node 1's key state, which every chain node shares and draws
+    from at counter depth - 1."""
     if kind is _GLOBAL_BOUND:
         key, counter = base, depth - 1
     else:
         key, counter = absorb(base, index), 0
-    return _realize(index, depth, child[2:6], key, _GUMBEL, counter, child.g)
+    u = state_uniform(absorb(absorb(key, _GUMBEL), counter))
+    return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,

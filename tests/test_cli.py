@@ -174,6 +174,32 @@ def test_block_model_roundtrip(tmp_path):
                  "--extra-bits", "3"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--exact", "ad"],
+    ["--limited", "dad"],
+    ["--budget", "3"],
+    ["--limited", "dad", "--budget", "3"],
+    ["--count", "5"],
+    ["--count", "1"],
+])
+def test_block_model_refuses_coder_budget_and_count(tmp_path, flags, capsys):
+    """A block model names its coordinates, and kappa their budgets: the
+    per-symbol coder flags would be ignored, so encode refuses them."""
+    bm = tmp_path / "blocks.json"
+    bm.write_text(json.dumps({
+        "coordinates": [
+            {"block_id": "a", "prior_mean": 0.0, "prior_std": 1.0, "target_mean": 0.4}],
+        "block_kappa": {"a": 0.9},
+    }))
+    msg = tmp_path / "msg.bin"
+    assert main(["encode", "--block-model", str(bm), "--seed", "3", "--out", str(msg)]
+                + flags) == 2
+    err = capsys.readouterr().err
+    assert "--block-model does not take" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not msg.exists()
+
+
 def test_bench_runtime_cli(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({

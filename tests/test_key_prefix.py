@@ -28,8 +28,8 @@ from reckit.randomness import (
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import MAX_DEPTH, PartitionKind, _partition_u, expand, extra_root, make_root
-from reckit.tree import node_sample, realize
+from reckit.tree import MAX_DEPTH, NodeRecord, PartitionKind, _partition_u, expand, extra_root
+from reckit.tree import make_root, node_sample, realize
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -89,6 +89,14 @@ def _check_node(node, proposal, seed, kind, bound):
     return x
 
 
+def realized_children(node, kind, proposal, base, x):
+    """``expand``'s children of ``node``, each realized, as ``NodeRecord``s."""
+    depth = node.depth + 1
+    return [NodeRecord(index, depth, low, high, ulow, uhigh,
+                       *realize(kind, base, index, depth, ulow, uhigh, node.g))
+            for index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6])]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=SEEDS)
 def test_tree_draws_match_per_key_calls(seed):
@@ -99,9 +107,9 @@ def test_tree_draws_match_per_key_calls(seed):
             base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream
             level = [(root, math.inf)]
             for _ in range(5):
-                level = [(realize(c, kind, base), node.g) for node, bound in level
-                         for c in expand(node, kind, proposal,
-                                         _check_node(node, proposal, seed, kind, bound))]
+                level = [(c, node.g) for node, bound in level
+                         for c in realized_children(node, kind, proposal, base,
+                                                    _check_node(node, proposal, seed, kind, bound))]
             assert level
 
 

@@ -22,7 +22,8 @@ from reckit.distributions import Gaussian, PairSpec
 from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import seed_state
-from reckit.tree import PartitionKind, expand, extra_root, make_root, node_sample, realize
+from reckit.tree import NodeRecord, PartitionKind, expand, extra_root, make_root, node_sample
+from reckit.tree import realize
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -45,8 +46,9 @@ PAIRS = {
 
 
 def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
-    """The branch-and-bound loop with every child drawn at expansion. A
-    chain child copies its parent's key state, which is node 1's."""
+    """The branch-and-bound loop with every child drawn at expansion and
+    held as a ``NodeRecord``. A chain child copies its parent's key state,
+    which is node 1's."""
     proposal = pair.proposal
     stream = seed_state(seed)
     root_bound = pair.bound_M(-INF, INF)
@@ -67,9 +69,11 @@ def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
-            for child in expand(node, kind, proposal, x):
-                child = realize(child, kind, node.key if kind is PartitionKind.GLOBAL_BOUND
-                                else stream)
+            base = node.key if kind is PartitionKind.GLOBAL_BOUND else stream
+            depth = node.depth + 1
+            for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6]):
+                child = NodeRecord(child_index, depth, low, high, ulow, uhigh,
+                                   *realize(kind, base, child_index, depth, ulow, uhigh, node.g))
                 g = child.g
                 if lb < g + bound:
                     child_bound = pair.bound_M(child.low, child.high)

@@ -46,10 +46,14 @@ def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
 def pop_and_expand(node, kind, proposal, seed):
     """A popped node's children, all drawn: its sample, then its children
     (a sample-split cut reads the sample), each realized as the search
-    realizes a child that reaches the top of its queue."""
-    children = expand(node, kind, proposal, sample(node, kind, proposal))
+    realizes a child that reaches the top of its queue, and held as a
+    ``NodeRecord``."""
+    children = expand(kind, proposal, sample(node, kind, proposal), *node[:6])
     base = node.key if kind is PartitionKind.GLOBAL_BOUND else seed_state(seed)  # chain keys: node 1
-    return [realize(child, kind, base) for child in children]
+    depth = node.depth + 1
+    return [NodeRecord(index, depth, low, high, ulow, uhigh,
+                       *realize(kind, base, index, depth, ulow, uhigh, node.g))
+            for index, low, high, ulow, uhigh in children]
 
 
 def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
@@ -153,15 +157,16 @@ def test_expand_children_tile_parent():
 
 
 def test_expand_leaves_children_undrawn():
-    """expand gives regions only; realize draws the key and the Gumbel
-    truncated at the parent's, which the child carries until then."""
+    """expand gives regions only, (heap_index, low, high, ulow, uhigh);
+    realize draws the key and the Gumbel truncated at the parent's."""
     node = make_root(seed_state(4))
     for kind in PartitionKind:
-        for child in expand(node, kind, GAUSS, sample(node, kind)):
-            assert child.key is None and child.g == node.g
-            drawn = realize(child, kind, node.key if kind is PartitionKind.GLOBAL_BOUND
-                            else seed_state(4))
-            assert drawn[:6] == child[:6] and drawn.key is not None and drawn.g <= node.g
+        base = node.key if kind is PartitionKind.GLOBAL_BOUND else seed_state(4)
+        for child in expand(kind, GAUSS, sample(node, kind), *node[:6]):
+            index, low, high, ulow, uhigh = child
+            assert node.low <= low < high <= node.high and ulow < uhigh
+            key, g = realize(kind, base, index, 2, ulow, uhigh, node.g)
+            assert isinstance(key, int) and g <= node.g
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
