@@ -7,6 +7,11 @@ emits :class:`ResultRow` records with a fixed CSV schema. Runs are fully
 deterministic: every trial's stream seed is derived from the config seed
 and the trial's position, and rows are sorted before writing, so a given
 config always produces byte-identical CSV.
+
+numpy loads only when a statistic runs: the k-NN estimator, the bias
+grid's fresh target samples, shrinkage verification and ``summarize_rows``
+import it where they compute. The pair builders, configs, grid set-up and
+CSV writing run on the codec alone.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .coders import CODERS, MAX_STEPS, Variant
 from .distributions import (
@@ -33,7 +36,7 @@ from .distributions import (
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
-from .tree import PartitionKind, expand, make_root, node_sample, realize
+from .tree import PartitionKind, expand, make_root, node_sample, realize, search_keys
 
 _LN2 = math.log(2.0)
 
@@ -211,6 +214,8 @@ def _kth_distance(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray
     In one dimension the k nearest lie within k slots of the query's
     insertion point, so a window of k + 1 slots on either side holds them.
     """
+    import numpy as np
+
     pos = np.searchsorted(points, queries)
     idx = pos[:, None] + np.arange(-(k + 1), k + 2)
     dist = np.abs(points[np.clip(idx, 0, len(points) - 1)] - queries[:, None])
@@ -229,6 +234,8 @@ def knn_kl_estimate(
     values would produce zero distances; they are perturbed by
     index-proportional 1e-12 offsets (with a warning) before querying.
     """
+    import numpy as np
+
     x = np.asarray(samples_p, dtype=float)
     y = np.asarray(samples_q, dtype=float)
     n, m = len(x), len(y)
@@ -319,6 +326,8 @@ def run_mode_sweep(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _fresh_target_samples(target: Distribution1D, seed: int, count: int) -> list[float]:
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     return [target.inv_cdf(u) for u in rng.random(count)]
 
@@ -413,6 +422,8 @@ def verify_shrinkage(
     mass against (3/4)^(d-1) + 3 SE; the dyadic rule must halve exactly,
     so its masses are compared to 2^-(d-1) directly.
     """
+    import numpy as np
+
     if trials < 1:
         raise DomainError("trials must be >= 1")
     proposal = Gaussian(0.0, 1.0)
@@ -421,7 +432,7 @@ def verify_shrinkage(
         trial_seed = derive_seed(seed, trial)
         stream = seed_state(trial_seed)
         index, depth, low, high, ulow, uhigh, key, g = make_root(stream)
-        base = key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
+        base, key = search_keys(kind, stream, key)
         for d in range(1, depth_max):
             x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
             children = expand(kind, proposal, x, index, depth, low, high, ulow, uhigh)
@@ -483,6 +494,8 @@ def write_rows(rows: Iterable[ResultRow], path: str) -> None:
 def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:
     """Per-cell mean and quartiles of steps / payload bits (and bias when
     present), mirroring how the grids are usually plotted."""
+    import numpy as np
+
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         if row.error is not None:

@@ -173,7 +173,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace, runner: str) -> int:
-    from . import bench  # the harness needs numpy; the codec commands never load it
+    from . import bench  # the codec commands never load the harness; its statistics load numpy
 
     config = bench.ExperimentConfig.from_dict(_load_json(args.config))
     out = args.out or config.output

@@ -42,7 +42,7 @@ from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, seed_state, state_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
-from .tree import make_root, node_sample, realize
+from .tree import make_root, node_sample, realize, search_keys
 
 INF = math.inf
 _GUMBEL = int(DrawSlot.GUMBEL)
@@ -211,7 +211,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     Returns (winner's heap index, winner's depth, winner's sample, steps, LB).
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream  # see tree.realize
+    base, root_key = search_keys(kind, stream, root.key)
     root_bound = bound_M(-INF, INF)
     lb, best_index, best_depth, best_x = -INF, None, 0, math.nan
     if incumbent is not None:
@@ -219,7 +219,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         best_x = node_sample(proposal, kind, incumbent.key, best_index, best_depth,
                              incumbent.ulow, incumbent.uhigh)
         lb = incumbent.g + log_ratio(best_x)
-    heap = [(-(root.g + root_bound), 1, root_bound, *root[1:])]
+    heap = [(-(root.g + root_bound), 1, root_bound, *root[1:6], root_key, root.g)]
     heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap and lb < -heap[0][0]:

@@ -36,9 +36,10 @@ and the region. ``NodeRecord`` holds the two realized root-level nodes,
 ``make_root``'s and ``extra_root``'s.
 
 This module is the one place that says how a node's draws are keyed
-(``realize``, ``node_sample``), how a region is cut (``expand``,
-``_partition_u``) and how a decoder finds a node again (``locate``): the
-encoder's ``make_root``/``expand``/``realize`` and the decoder share them.
+(``search_keys``, ``realize``, ``node_sample``), how a region is cut
+(``expand``, ``_partition_u``) and how a decoder finds a node again
+(``locate``): the encoder's ``make_root``/``expand``/``realize`` and the
+decoder share them.
 """
 
 from __future__ import annotations
@@ -79,12 +80,14 @@ class NodeRecord(NamedTuple):
     """A realized root-level node: ``make_root``'s root or ``extra_root``.
 
     ``low``/``high`` are the region endpoints and ``ulow``/``uhigh`` their
-    proposal CDF values; ``key`` is the state after (seed, key node) that
-    the node's draws branch from (see ``node_sample``); ``g`` is the node's
-    Gumbel, located at the log of the region's proposal mass (zero, as
-    both span the full line): untruncated for the root and truncated at
-    the root's ``g`` for the extra root. The search holds every node
-    below them as flat fields of its queue entry (see ``expand``).
+    proposal CDF values; ``key`` is the state after (seed, heap index)
+    that the node's draws branch from (see ``node_sample``; a chain search
+    holds the root under node 1's SAMPLE slot state, see ``search_keys``);
+    ``g`` is the node's Gumbel, located at the log of the region's
+    proposal mass (zero, as both span the full line): untruncated for the
+    root and truncated at the root's ``g`` for the extra root. The search
+    holds every node below them as flat fields of its queue entry (see
+    ``expand``).
     """
 
     heap_index: int
@@ -139,13 +142,15 @@ def _partition_u(kind: PartitionKind, low: float, high: float, ulow: float, uhig
 
 def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: int,
                 depth: int, ulow: float, uhigh: float) -> float:
-    """A node's sample, drawn from its key state ``key``, the state after
-    (seed, key node). The key node is the heap index, but a chain node's
-    index (its depth) would name a split-tree node, so every chain node
-    is keyed by node 1 and draws at counter depth - 1 (else 0). Heap
-    index 0, the extra root, draws from the EXTRA_ROOT slots."""
+    """A node's sample, drawn from its key state ``key``. In a split tree
+    that is the state after (seed, heap index), and the draw takes the
+    SAMPLE slot at counter 0; heap index 0, the extra root, takes the
+    EXTRA_ROOT slots. A chain node's index (its depth) would name a
+    split-tree node, so every chain node is keyed by node 1 and draws at
+    counter depth - 1: its ``key`` is the state after (seed, 1, SAMPLE)
+    (see ``search_keys``)."""
     if kind is _GLOBAL_BOUND:
-        state = absorb(absorb(key, _SAMPLE), depth - 1)
+        state = absorb(key, depth - 1)
     else:
         state = absorb(absorb(key, _SAMPLE if index else _EXTRA_SAMPLE), 0)
     return sample_restricted_u(proposal, ulow, uhigh, state_uniform(state))
@@ -197,21 +202,38 @@ def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, 
     return children
 
 
-def realize(kind: PartitionKind, base: int, index: int, depth: int, ulow: float,
-            uhigh: float, bound: float) -> tuple[int, float]:
+def search_keys(kind: PartitionKind, stream: int,
+                root_key: int) -> tuple[int | tuple[int, int], int]:
+    """``realize``'s base and the root's key as a search holds them, from
+    ``stream``, the search's ``seed_state(seed)``, and ``root_key``,
+    ``make_root``'s key. A split tree keys each node afresh, so these are
+    ``stream`` and ``root_key`` themselves. Every chain node draws from
+    node 1's GUMBEL and SAMPLE slots at counter depth - 1, so the chain
+    branches node 1's key into those two states once per search: the
+    states after (seed, 1, GUMBEL) and (seed, 1, SAMPLE) are its base,
+    and the second is the key of every chain node, the root included."""
+    if kind is _GLOBAL_BOUND:
+        sample_state = absorb(root_key, _SAMPLE)
+        return (absorb(root_key, _GUMBEL), sample_state), sample_state
+    return stream, root_key
+
+
+def realize(kind: PartitionKind, base: int | tuple[int, int], index: int, depth: int,
+            ulow: float, uhigh: float, bound: float) -> tuple[int, float]:
     """The key state and Gumbel of a child from ``expand``, the node at
     ``index`` and ``depth`` with CDF ends ``ulow`` and ``uhigh``: its
     Gumbel is located at the log of its proposal mass and truncated at
-    ``bound``, its parent's Gumbel. ``base`` is the state the child's key
+    ``bound``, its parent's Gumbel. ``base`` is what the child's key
     branches from: in a split tree the search's ``seed_state(seed)``,
-    which absorbs the child's heap index; on the chain the root's
-    ``key``, node 1's key state, which every chain node shares and draws
-    from at counter depth - 1."""
+    which absorbs the child's heap index; on the chain node 1's two slot
+    states (see ``search_keys``), which every chain node shares, so a
+    chain draw absorbs only its counter."""
     if kind is _GLOBAL_BOUND:
-        key, counter = base, depth - 1
+        gumbels, key = base
+        u = state_uniform(absorb(gumbels, depth - 1))
     else:
-        key, counter = absorb(base, index), 0
-    u = state_uniform(absorb(absorb(key, _GUMBEL), counter))
+        key = absorb(base, index)
+        u = state_uniform(absorb(absorb(key, _GUMBEL), 0))
     return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
@@ -261,5 +283,8 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
             if piece is None:
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
             low, high, ulow, uhigh = piece
-    key = absorb(stream, 1 if kind is _GLOBAL_BOUND else index)
+    if kind is _GLOBAL_BOUND:
+        key = absorb(absorb(stream, 1), _SAMPLE)  # see search_keys
+    else:
+        key = absorb(stream, index)
     return node_sample(proposal, kind, key, index, depth, ulow, uhigh)

@@ -1,9 +1,12 @@
 """The codec path loads neither numpy nor the experiment harness.
 
 ``import reckit`` and the CLI's ``isokl``, ``encode`` and ``decode``
-commands run on the standard library alone; only ``reckit.bench`` (the
-``bench-*`` and ``verify`` commands) needs numpy. Each check runs in a
-fresh interpreter, since the test process itself has numpy loaded.
+commands run on the standard library alone. numpy serves only the
+harness's statistics: ``reckit.bench`` imports it where the k-NN
+estimator, the bias grid's fresh samples, shrinkage verification and the
+row summaries compute, so its pair builders, configs and CSV writing
+load none. Each check runs in a fresh interpreter, since the test
+process itself has numpy loaded.
 """
 
 import json
@@ -12,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from reckit.bench import knn_kl_estimate
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 BLOCK_MODEL = {
     "coordinates": [
@@ -45,15 +51,45 @@ print(json.dumps({"codes": codes, "missing": missing,
 """
 
 
+def run_fresh(script, *args, cwd):
+    """The last stdout line of ``script`` run in a fresh interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def test_codec_path_loads_no_numpy(tmp_path):
     model = tmp_path / "blocks.json"
     model.write_text(json.dumps(BLOCK_MODEL))
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(model)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result = run_fresh(_SCRIPT, model, cwd=tmp_path)
     assert result["codes"] == [0] * 7
     assert result["missing"] == []
     assert result["loaded"] == []
+
+
+SAMPLES_P = [0.1, 0.7, -0.4, 1.9, 0.25, -1.3, 0.9, 0.05]
+SAMPLES_Q = [0.3, -0.2, 1.1, 0.6, -0.9, 2.2]
+
+_HARNESS_SCRIPT = """\
+import json, sys
+from reckit.bench import ExperimentConfig, knn_kl_estimate, mixture_pair, rows_to_csv
+
+mixture_pair(8, 1.0)
+with open(sys.argv[1]) as fh:
+    ExperimentConfig.from_dict(json.load(fh))
+rows_to_csv([])
+before = "numpy" in sys.modules
+estimate = knn_kl_estimate(json.loads(sys.argv[2]), json.loads(sys.argv[3]))
+print(json.dumps({"before": before, "after": "numpy" in sys.modules, "estimate": estimate}))
+"""
+
+
+def test_harness_loads_numpy_only_for_statistics(tmp_path):
+    result = run_fresh(_HARNESS_SCRIPT, ROOT / "configs" / "runtime_grid.json",
+                       json.dumps(SAMPLES_P), json.dumps(SAMPLES_Q), cwd=tmp_path)
+    assert result["before"] is False
+    assert result["after"] is True
+    assert result["estimate"] == knn_kl_estimate(SAMPLES_P, SAMPLES_Q)

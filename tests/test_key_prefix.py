@@ -15,9 +15,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckit import coders
-from reckit.coders import Code, Variant, decode, decode_astar, encode_mrc
+from reckit import coders, tree
+from reckit.coders import Code, Variant, decode, decode_astar, encode_astar, encode_mrc
 from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
+from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import (
     DrawSlot,
     StreamKey,
@@ -29,7 +30,7 @@ from reckit.randomness import (
     trunc_gumbel,
 )
 from reckit.tree import MAX_DEPTH, NodeRecord, PartitionKind, _partition_u, expand, extra_root
-from reckit.tree import make_root, node_sample, realize
+from reckit.tree import make_root, node_sample, realize, search_keys
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -77,9 +78,10 @@ def _check_node(node, proposal, seed, kind, bound):
     node's sample."""
     if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by its counter
         key_node, counter = 1, node.depth - 1
+        assert node.key == absorb(absorb(seed_state(seed), 1), DrawSlot.SAMPLE)
     else:
         key_node, counter = node.heap_index, 0
-    assert node.key == absorb(seed_state(seed), key_node)
+        assert node.key == absorb(seed_state(seed), key_node)
     u_g = per_key(seed, key_node, DrawSlot.GUMBEL, counter)
     u_x = per_key(seed, key_node, DrawSlot.SAMPLE, counter)
     assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
@@ -104,7 +106,8 @@ def test_tree_draws_match_per_key_calls(seed):
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
         for kind in PartitionKind:
             root = make_root(stream)
-            base = root.key if kind is PartitionKind.GLOBAL_BOUND else stream
+            base, key = search_keys(kind, stream, root.key)
+            root = root._replace(key=key)
             level = [(root, math.inf)]
             for _ in range(5):
                 level = [(c, node.g) for node, bound in level
@@ -171,3 +174,26 @@ def test_single_draw_decodes_match_per_key_calls(seed, k):
     assert mrc == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.SAMPLE, i))
     pfr = decode(GAUSS, Code(Variant.PFR, k, k), seed)
     assert pfr == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 1, DrawSlot.SAMPLE, k - 1))
+
+
+def test_chain_step_absorbs_only_its_counters(monkeypatch):
+    """A PFR search branches node 1's key into its GUMBEL and SAMPLE slot
+    states once, so a step absorbs two counters, one per draw: the root,
+    those two states and the last arrival, drawn and pruned, are the
+    constant."""
+    calls = 0
+
+    def counting(state, field):
+        nonlocal calls
+        calls += 1
+        return absorb(state, field)
+
+    monkeypatch.setattr(tree, "absorb", counting)
+    pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(2.1, 4.0)), GAUSS)
+    total_steps = 0
+    for seed in range(200):
+        calls = 0
+        steps = encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)[2].steps
+        assert calls <= 2 * steps + 6
+        total_steps += steps
+    assert total_steps > 2000  # about e^4 arrivals per search

@@ -23,7 +23,7 @@ from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import seed_state
 from reckit.tree import NodeRecord, PartitionKind, expand, extra_root, make_root, node_sample
-from reckit.tree import realize
+from reckit.tree import realize, search_keys
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -48,9 +48,11 @@ PAIRS = {
 def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
     """The branch-and-bound loop with every child drawn at expansion and
     held as a ``NodeRecord``. A chain child copies its parent's key state,
-    which is node 1's."""
+    which is node 1's SAMPLE slot state."""
     proposal = pair.proposal
     stream = seed_state(seed)
+    base, root_key = search_keys(kind, stream, root.key)
+    root = root._replace(key=root_key)
     root_bound = pair.bound_M(-INF, INF)
     lb, best, best_x = -INF, None, math.nan
     if incumbent is not None:
@@ -69,7 +71,6 @@ def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
-            base = node.key if kind is PartitionKind.GLOBAL_BOUND else stream
             depth = node.depth + 1
             for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6]):
                 child = NodeRecord(child_index, depth, low, high, ulow, uhigh,

@@ -26,6 +26,7 @@ from reckit.tree import (
     make_root,
     node_sample,
     realize,
+    search_keys,
 )
 
 GAUSS = Gaussian(0.0, 1.0)
@@ -43,13 +44,21 @@ def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
                        node.ulow, node.uhigh)
 
 
-def pop_and_expand(node, kind, proposal, seed):
+def search_root(kind, seed):
+    """The root and ``realize``'s base as a search holds them: on the chain
+    the root's key is node 1's SAMPLE slot state (see ``tree.search_keys``)."""
+    stream = seed_state(seed)
+    root = make_root(stream)
+    base, key = search_keys(kind, stream, root.key)
+    return root._replace(key=key), base
+
+
+def pop_and_expand(node, kind, proposal, base):
     """A popped node's children, all drawn: its sample, then its children
     (a sample-split cut reads the sample), each realized as the search
     realizes a child that reaches the top of its queue, and held as a
-    ``NodeRecord``."""
+    ``NodeRecord``. ``base`` is ``search_root``'s."""
     children = expand(kind, proposal, sample(node, kind, proposal), *node[:6])
-    base = node.key if kind is PartitionKind.GLOBAL_BOUND else seed_state(seed)  # chain keys: node 1
     depth = node.depth + 1
     return [NodeRecord(index, depth, low, high, ulow, uhigh,
                        *realize(kind, base, index, depth, ulow, uhigh, node.g))
@@ -64,13 +73,13 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
     root (Gumbel(0) arrival, sample from the whole proposal); nodes at
     the depth limit are yielded but not expanded.
     """
-    root = make_root(seed_state(seed))
+    root, base = search_root(kind, seed)
     heap = [(-root.g, root.heap_index, root)]
     yielded = 0
     while heap and (max_yields is None or yielded < max_yields):
         _, _, node = heapq.heappop(heap)
         if node.depth < depth_limit:
-            for child in pop_and_expand(node, kind, proposal, seed):
+            for child in pop_and_expand(node, kind, proposal, base):
                 heapq.heappush(heap, (-child.g, child.heap_index, child))
         yielded += 1
         yield node
@@ -141,7 +150,7 @@ def test_expand_children_tile_parent():
     for seed in range(20):
         node = make_root(seed_state(seed))
         for _ in range(6):
-            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed)
+            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed_state(seed))
             assert 1 <= len(children) <= 2
             assert sum(c.mass for c in children) == pytest.approx(node.mass, abs=1e-12)
             for c in children:
@@ -159,9 +168,8 @@ def test_expand_children_tile_parent():
 def test_expand_leaves_children_undrawn():
     """expand gives regions only, (heap_index, low, high, ulow, uhigh);
     realize draws the key and the Gumbel truncated at the parent's."""
-    node = make_root(seed_state(4))
     for kind in PartitionKind:
-        base = node.key if kind is PartitionKind.GLOBAL_BOUND else seed_state(4)
+        node, base = search_root(kind, 4)
         for child in expand(kind, GAUSS, sample(node, kind), *node[:6]):
             index, low, high, ulow, uhigh = child
             assert node.low <= low < high <= node.high and ulow < uhigh
@@ -170,9 +178,9 @@ def test_expand_leaves_children_undrawn():
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
-    node = make_root(seed_state(99))
+    node, base = search_root(PartitionKind.DYADIC, 99)
     for d in range(2, 24):
-        children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, 99)
+        children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, base)
         assert len(children) == 2
         for c in children:
             assert c.mass == 2.0 ** -(d - 1)  # exact, not approximate
@@ -181,10 +189,10 @@ def test_expand_dyadic_mass_is_exact_power_of_two():
 
 def test_expand_global_bound_is_a_chain():
     chain = PartitionKind.GLOBAL_BOUND
-    node = make_root(seed_state(5))
+    node, base = search_root(chain, 5)
     seen = {sample(node, chain)}
     for k in range(2, 12):
-        children = pop_and_expand(node, chain, GAUSS, 5)
+        children = pop_and_expand(node, chain, GAUSS, base)
         assert len(children) == 1
         child = children[0]
         assert child.depth == k
@@ -192,7 +200,7 @@ def test_expand_global_bound_is_a_chain():
         assert (child.low, child.high) == (-math.inf, math.inf)
         assert child.mass == 1.0
         assert child.g <= node.g
-        assert child.key == node.key  # every arrival branches from node 1's state
+        assert child.key == node.key  # every arrival draws from node 1's SAMPLE slot state
         x = sample(child, chain)
         assert x not in seen  # fresh sample per arrival
         seen.add(x)
