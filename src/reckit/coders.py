@@ -39,7 +39,7 @@ from typing import Callable
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError
 from .errors import UnboundedRatioError
-from .randomness import DrawSlot, absorb, seed_state, state_uniform
+from .randomness import DrawSlot, absorb, counter_uniform, seed_state, slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
 from .tree import make_root, node_sample, realize, search_keys
@@ -318,9 +318,9 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
     return locate(proposal, PartitionKind.DYADIC, seed, code.payload, depth)
 
 
-def _mrc_draws(seed: int) -> int:
-    """The state after (seed, 0, SAMPLE): MRC's candidate i absorbs i into it."""
-    return absorb(absorb(seed_state(seed), 0), _SAMPLE)
+def _mrc_node(seed: int) -> int:
+    """The state after (seed, 0), which MRC's SAMPLE and GUMBEL draws branch from."""
+    return absorb(seed_state(seed), 0)
 
 
 def encode_mrc(
@@ -339,15 +339,15 @@ def encode_mrc(
     n = 1 << bits
     if n > max_steps:
         raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
-    proposal, draws = pair.proposal, _mrc_draws(seed)
-    xs = [sample_restricted_u(proposal, 0.0, 1.0, state_uniform(absorb(draws, i)))
+    proposal, node = pair.proposal, _mrc_node(seed)
+    draws = absorb(node, _SAMPLE)
+    xs = [sample_restricted_u(proposal, 0.0, 1.0, counter_uniform(draws, i))
           for i in range(n)]
     log_w = [pair.log_ratio(x) for x in xs]
     top = max(log_w)
     weights = [math.exp(lw - top) for lw in log_w] if top > -INF else [1.0] * n
     total = math.fsum(weights)
-    u_sel = state_uniform(absorb(absorb(absorb(seed_state(seed), 0), _GUMBEL), 0))
-    threshold = u_sel * total
+    threshold = slot_uniform(node, _GUMBEL) * total
     acc = 0.0
     chosen = n - 1
     for i, w in enumerate(weights):
@@ -362,7 +362,7 @@ def encode_mrc(
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    u = state_uniform(absorb(_mrc_draws(seed), code.payload))
+    u = counter_uniform(absorb(_mrc_node(seed), _SAMPLE), code.payload)
     return sample_restricted_u(proposal, 0.0, 1.0, u)
 
 

@@ -27,8 +27,13 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Which key each draw uses is said once: ``reckit.tree`` keys the search
-nodes and ``reckit.coders`` the MRC candidates.
+Draws take two shapes, each one call with the rounds written out and a
+test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
+slot at counter 0 after (seed, node): split-tree and root-level draws) and
+:func:`counter_uniform` (a counter after (seed, node, slot): chain draws
+and MRC candidates). Which key each draw uses is said once:
+``reckit.tree`` keys the search nodes and ``reckit.coders`` the MRC
+candidates.
 """
 
 from __future__ import annotations
@@ -80,6 +85,28 @@ def seed_state(seed: int) -> int:
 def state_uniform(state: int) -> float:
     """The uniform of a fully absorbed key."""
     return ((state >> 11) + 0.5) * _TO_UNIT
+
+
+def slot_uniform(key: int, slot: int) -> float:
+    """state_uniform(absorb(absorb(key, slot), 0)) in one call."""
+    z = ((key ^ ((slot + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
+         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    # counter 0 XORs in GOLDEN itself
+    z = ((z ^ (z >> 31) ^ 0x9E3779B97F4A7C15) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16  # 2^-53
+
+
+def counter_uniform(state: int, counter: int) -> float:
+    """state_uniform(absorb(state, counter)) in one call."""
+    z = ((state ^ ((counter + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
+         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16
 
 
 def keyed_uniform(key: StreamKey) -> float:

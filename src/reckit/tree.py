@@ -36,10 +36,10 @@ and the region. ``NodeRecord`` holds the two realized root-level nodes,
 ``make_root``'s and ``extra_root``'s.
 
 This module is the one place that says how a node's draws are keyed
-(``search_keys``, ``realize``, ``node_sample``), how a region is cut
-(``expand``, ``_partition_u``) and how a decoder finds a node again
-(``locate``): the encoder's ``make_root``/``expand``/``realize`` and the
-decoder share them.
+(``search_keys``, ``realize``, ``node_sample``), where a region is cut
+(``_cut``; ``expand`` keeps both sides, the decode walk the one its code
+names) and how a decoder finds a node again (``locate``): the encoder's
+``make_root``/``expand``/``realize`` and the decoder share them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, seed_state, state_uniform, trunc_gumbel
+from .randomness import DrawSlot, absorb, counter_uniform, seed_state, slot_uniform, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -120,24 +120,15 @@ def heap_children(heap_index: int) -> tuple[int, int]:
     return 2 * heap_index, 2 * heap_index + 1
 
 
-Piece = tuple[float, float, float, float]  # (low, high, ulow, uhigh)
-
-
-def _partition_u(kind: PartitionKind, low: float, high: float, ulow: float, uhigh: float,
-                 x: float, proposal: Distribution1D) -> tuple[Piece | None, Piece | None]:
-    """Partition with cached CDF endpoints carried through to children."""
-    if kind is _GLOBAL_BOUND:
-        return None, (low, high, ulow, uhigh)
+def _cut(kind: PartitionKind, proposal: Distribution1D, ulow: float, uhigh: float,
+         x: float) -> tuple[float, float]:
+    """(cut, its CDF value) of a split region with CDF ends ``ulow`` and ``uhigh``:
+    a sample-split node cuts at its sample ``x``, a dyadic node at the
+    proposal median. A side (low, cut) or (cut, high) whose ends meet is empty."""
     if kind is _SAMPLE_SPLIT:
-        cut, ucut = x, proposal.cdf(x)
-    elif kind is _DYADIC:
-        ucut = 0.5 * (ulow + uhigh)
-        cut = proposal.inv_cdf(ucut)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown partition kind {kind}")
-    left = (low, cut, ulow, ucut) if low < cut else None
-    right = (cut, high, ucut, uhigh) if cut < high else None
-    return left, right
+        return x, proposal.cdf(x)
+    ucut = 0.5 * (ulow + uhigh)
+    return proposal.inv_cdf(ucut), ucut
 
 
 def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: int,
@@ -150,16 +141,16 @@ def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: 
     counter depth - 1: its ``key`` is the state after (seed, 1, SAMPLE)
     (see ``search_keys``)."""
     if kind is _GLOBAL_BOUND:
-        state = absorb(key, depth - 1)
+        u = counter_uniform(key, depth - 1)
     else:
-        state = absorb(absorb(key, _SAMPLE if index else _EXTRA_SAMPLE), 0)
-    return sample_restricted_u(proposal, ulow, uhigh, state_uniform(state))
+        u = slot_uniform(key, _SAMPLE if index else _EXTRA_SAMPLE)
+    return sample_restricted_u(proposal, ulow, uhigh, u)
 
 
 def _root_level(index: int, key: int, slot: int, bound: float) -> NodeRecord:
     """A full-line node at depth 1, its Gumbel drawn from ``key`` at
     (slot, 0) and located at log 1 = 0."""
-    g = trunc_gumbel(state_uniform(absorb(absorb(key, slot), 0)), 0.0, bound)
+    g = trunc_gumbel(slot_uniform(key, slot), 0.0, bound)
     return NodeRecord(index, 1, *_ROOT_PIECE, key, g)
 
 
@@ -192,13 +183,13 @@ def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, 
     """
     if kind is _GLOBAL_BOUND:
         return [(depth + 1, low, high, ulow, uhigh)]
-    left, right = _partition_u(kind, low, high, ulow, uhigh, x, proposal)
+    cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
     lindex, rindex = heap_children(index)
     children: list[Child] = []
-    if left is not None and left[3] - left[2] > 0.0:
-        children.append((lindex, *left))
-    if right is not None and right[3] - right[2] > 0.0:
-        children.append((rindex, *right))
+    if low < cut and ulow < ucut:
+        children.append((lindex, low, cut, ulow, ucut))
+    if cut < high and ucut < uhigh:
+        children.append((rindex, cut, high, ucut, uhigh))
     return children
 
 
@@ -230,10 +221,10 @@ def realize(kind: PartitionKind, base: int | tuple[int, int], index: int, depth:
     chain draw absorbs only its counter."""
     if kind is _GLOBAL_BOUND:
         gumbels, key = base
-        u = state_uniform(absorb(gumbels, depth - 1))
+        u = counter_uniform(gumbels, depth - 1)
     else:
         key = absorb(base, index)
-        u = state_uniform(absorb(absorb(key, _GUMBEL), 0))
+        u = slot_uniform(key, _GUMBEL)
     return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
@@ -254,12 +245,13 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
 
     Any other code takes the decode walk: it rebuilds the regions on the
     heap path from the root (the index's digits after its leading 1;
-    0 = left, 1 = right) with the partition arithmetic and node keys of
-    ``make_root``, ``expand`` and ``realize``, refusing a step into an
-    empty slot. Only a sample-split cut reads an ancestor's sample, so only
-    that walk draws one. A chain node is found by its depth alone; index 0
-    at depth 1 is ``extra_root``. Both, and the root, are one full-line
-    draw straight from the node's key.
+    0 = left, 1 = right) with the cuts and node keys of ``make_root``,
+    ``expand`` and ``realize``, keeping the side each digit names and
+    refusing a step into an empty slot. Only a sample-split cut reads an
+    ancestor's sample, so only that walk draws one: a level costs one
+    absorb, one ``slot_uniform``, one inv_cdf and one cdf. A chain node
+    is found by its depth alone; index 0 at depth 1 is ``extra_root``.
+    Both, and the root, are one full-line draw straight from the node's key.
     """
     stream = seed_state(seed)
     if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:
@@ -274,15 +266,16 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
         split_at_sample = kind is _SAMPLE_SPLIT
         x = math.nan  # a dyadic cut reads no sample
         for shift in range(depth - 1, 0, -1):
-            if split_at_sample:
-                node = index >> shift
-                x = node_sample(proposal, kind, absorb(stream, node), node, depth - shift,
-                                ulow, uhigh)
-            piece = _partition_u(kind, low, high, ulow, uhigh, x, proposal)[
-                (index >> (shift - 1)) & 1]
-            if piece is None:
+            if split_at_sample:  # node_sample of the ancestor index >> shift
+                x = sample_restricted_u(proposal, ulow, uhigh,
+                                        slot_uniform(absorb(stream, index >> shift), _SAMPLE))
+            cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
+            if (index >> (shift - 1)) & 1:
+                low, ulow = cut, ucut
+            else:
+                high, uhigh = cut, ucut
+            if not low < high:
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-            low, high, ulow, uhigh = piece
     if kind is _GLOBAL_BOUND:
         key = absorb(absorb(stream, 1), _SAMPLE)  # see search_keys
     else:

@@ -8,6 +8,7 @@ with a bound certificate proving no deeper node can win.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from reckit.errors import (
 )
 from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, seed_state, trunc_gumbel
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, make_root
+from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, make_root
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
 # distribution tests against quadrature).
@@ -282,6 +283,43 @@ def test_dyadic_decode_inverts_the_cdf_at_most_three_times(monkeypatch):
             assert len(calls) <= min(depth, 3), (code, seed)
             depths.add(depth)
     assert len(depths) >= 4
+
+
+def test_decode_walk_costs_one_cut_per_level(monkeypatch):
+    """What ``locate`` calls: a sample-split code at depth d draws the
+    samples of its d - 1 ancestors and cuts at each (one inv_cdf and one
+    cdf a level), then draws its own sample; a dyadic code at depth 2..54
+    reads its region off its index and makes at most three inv_cdf calls."""
+    calls = {"inv_cdf": 0, "cdf": 0}
+    inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
+
+    def counting_inv_cdf(self, u):
+        calls["inv_cdf"] += 1
+        return inv_cdf(self, u)
+
+    def counting_cdf(self, x):
+        calls["cdf"] += 1
+        return cdf(self, x)
+
+    monkeypatch.setattr(Gaussian, "inv_cdf", counting_inv_cdf)
+    monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
+    proposal = PAIR_GG.proposal
+    rng = random.Random(20260817)
+    for depth in range(1, 31):
+        for _ in range(4):
+            index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
+            calls.update(inv_cdf=0, cdf=0)
+            locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index, depth)
+            assert calls == {"inv_cdf": depth, "cdf": depth - 1}, (index, depth)
+    for depth in range(2, 55):
+        for _ in range(4):
+            index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
+            calls.update(inv_cdf=0, cdf=0)
+            try:
+                locate(proposal, PartitionKind.DYADIC, rng.getrandbits(64), index, depth)
+            except InvalidCodeError:
+                pass  # an emptied slot is refused after its two quantiles
+            assert calls["inv_cdf"] <= 3 and calls["cdf"] == 0, (index, depth)
 
 
 def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):

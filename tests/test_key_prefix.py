@@ -23,13 +23,15 @@ from reckit.randomness import (
     DrawSlot,
     StreamKey,
     absorb,
+    counter_uniform,
     derive_seed,
     keyed_uniform,
     seed_state,
+    slot_uniform,
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import MAX_DEPTH, NodeRecord, PartitionKind, _partition_u, expand, extra_root
+from reckit.tree import MAX_DEPTH, NodeRecord, PartitionKind, _cut, expand, extra_root
 from reckit.tree import make_root, node_sample, realize, search_keys
 
 MASK = (1 << 64) - 1
@@ -140,8 +142,12 @@ def per_key_walk(proposal, kind, index, seed):
     node = 1
     for bit in bin(index)[3:]:
         x = sample_restricted_u(proposal, ulow, uhigh, per_key(seed, node, DrawSlot.SAMPLE))
-        left, right = _partition_u(kind, low, high, ulow, uhigh, x, proposal)
-        low, high, ulow, uhigh = right if bit == "1" else left
+        cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
+        if bit == "1":
+            low, ulow = cut, ucut
+        else:
+            high, uhigh = cut, ucut
+        assert low < high  # no step into an empty slot
         node = 2 * node + int(bit)
     return sample_restricted_u(proposal, ulow, uhigh, per_key(seed, index, DrawSlot.SAMPLE))
 
@@ -180,15 +186,19 @@ def test_chain_step_absorbs_only_its_counters(monkeypatch):
     """A PFR search branches node 1's key into its GUMBEL and SAMPLE slot
     states once, so a step absorbs two counters, one per draw: the root,
     those two states and the last arrival, drawn and pruned, are the
-    constant."""
+    constant. A fused draw counts the fields it absorbs."""
     calls = 0
 
-    def counting(state, field):
-        nonlocal calls
-        calls += 1
-        return absorb(state, field)
+    def counting(draw, fields):
+        def counted(*args):
+            nonlocal calls
+            calls += fields
+            return draw(*args)
+        return counted
 
-    monkeypatch.setattr(tree, "absorb", counting)
+    monkeypatch.setattr(tree, "absorb", counting(absorb, 1))
+    monkeypatch.setattr(tree, "counter_uniform", counting(counter_uniform, 1))
+    monkeypatch.setattr(tree, "slot_uniform", counting(slot_uniform, 2))
     pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(2.1, 4.0)), GAUSS)
     total_steps = 0
     for seed in range(200):

@@ -7,6 +7,7 @@ output k+1 of the reference generator).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from reckit.randomness import (
     _GOLDEN,
     DrawSlot,
     StreamKey,
+    absorb,
+    counter_uniform,
     derive_seed,
     keyed_uniform,
     seed_state,
+    slot_uniform,
+    state_uniform,
     trunc_gumbel,
 )
 
@@ -49,6 +54,24 @@ def test_mix64_matches_published_splitmix64_outputs():
 def test_keyed_uniform_anchors():
     for key, expected in KEYED_ANCHORS:
         assert keyed_uniform(StreamKey(*key)) == expected
+
+
+def test_draw_shapes_match_the_absorb_chain():
+    rng = random.Random(20260817)
+    states = [0, 1, MASK, 1 << 63] + [rng.getrandbits(64) for _ in range(500)]
+    for state in states:
+        for slot in range(4):
+            assert slot_uniform(state, slot) == state_uniform(absorb(absorb(state, slot), 0))
+        for counter in (0, 1, 1 << 62, MASK):
+            assert counter_uniform(state, counter) == state_uniform(absorb(state, counter))
+
+
+def test_draw_shapes_reproduce_the_keyed_anchors():
+    for (seed, node, slot, counter), expected in KEYED_ANCHORS:
+        node_state = absorb(seed_state(seed), node)
+        assert counter_uniform(absorb(node_state, slot), counter) == expected
+        if counter == 0:
+            assert slot_uniform(node_state, slot) == expected
 
 
 def test_keyed_uniform_is_pure():

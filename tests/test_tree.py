@@ -19,7 +19,7 @@ from reckit.randomness import (
 from reckit.tree import (
     NodeRecord,
     PartitionKind,
-    _partition_u,
+    _cut,
     depth_of,
     expand,
     heap_children,
@@ -33,10 +33,16 @@ GAUSS = Gaussian(0.0, 1.0)
 
 
 def partition(kind, region, x, proposal):
-    """(left, right) child regions of a split; None marks an empty slot."""
-    pieces = _partition_u(kind, region.low, region.high, proposal.cdf(region.low),
-                          proposal.cdf(region.high), x, proposal)
-    return tuple(Region(*piece[:2]) if piece else None for piece in pieces)
+    """(left, right) child regions of a split; None marks an empty slot.
+    The chain's one child, from ``expand``, takes the right slot."""
+    low, high = region.low, region.high
+    ulow, uhigh = proposal.cdf(low), proposal.cdf(high)
+    if kind is PartitionKind.GLOBAL_BOUND:
+        [(_, *child, _, _)] = expand(kind, proposal, x, 1, 1, low, high, ulow, uhigh)
+        return None, Region(*child)
+    cut, _ = _cut(kind, proposal, ulow, uhigh, x)
+    return (Region(low, cut) if low < cut else None,
+            Region(cut, high) if cut < high else None)
 
 
 def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
@@ -130,6 +136,22 @@ def test_partition_empty_side():
     # splitting at the region edge leaves one empty slot
     left, right = partition(PartitionKind.SAMPLE_SPLIT, Region(0.0, 1.0), 0.0, Uniform(0.5, 1.0))
     assert left is None and right == Region(0.0, 1.0)
+
+
+def test_cut_rounding_onto_a_region_end_empties_that_side():
+    # a dyadic cut of a region one float wide: the median CDF value is a
+    # tie, which rounds to the even end, and the cut lands on that end
+    uniform = Uniform(0.5, 1.0)  # on (0, 1): cdf and inv_cdf are the identity
+    a = 0.5  # even
+    b = math.nextafter(a, 1.0)
+    c = math.nextafter(b, 1.0)  # even
+    assert _cut(PartitionKind.DYADIC, uniform, a, b, math.nan) == (a, a)
+    assert partition(PartitionKind.DYADIC, Region(a, b), math.nan, uniform) == (None, Region(a, b))
+    assert _cut(PartitionKind.DYADIC, uniform, b, c, math.nan) == (c, c)
+    assert partition(PartitionKind.DYADIC, Region(b, c), math.nan, uniform) == (Region(b, c), None)
+    # expand drops exactly the emptied child
+    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, a, b, a, b) == [(11, a, b, a, b)]
+    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, b, c, b, c) == [(10, b, c, b, c)]
 
 
 def test_make_root():
