@@ -7,6 +7,10 @@ only the winner's identity, and the decoder regenerates the same draw
 from the shared stream. Exact searches (sample-split, dyadic, and the
 unshrunk rejection race) are joined by two fixed-budget coders and the
 constant-divergence parameterizations used to build test pairs.
+``decode(proposal, code, seed)`` decodes every coder's codes. Models and
+configs come in as dicts (``PairSpec.from_dict``,
+``distribution_from_dict``, ``load_block_model``); only ``reckit.cli``
+reads files.
 
 The codec imports only the standard library. The experiment harness,
 ``reckit.bench`` (behind the ``bench-*`` and ``verify`` commands), needs
@@ -30,24 +34,18 @@ from .coders import (
     TrialStats,
     Variant,
     decode,
-    decode_astar,
-    decode_dad,
-    decode_mrc,
     encode_astar,
     encode_dad,
     encode_mrc,
 )
 from .distributions import (
-    FULL_LINE,
     Distribution1D,
     Gaussian,
     MixtureComponent,
     PairSpec,
-    Region,
     Uniform,
     UniformMixture,
     distribution_from_dict,
-    distribution_from_json,
 )
 from .errors import (
     AbsoluteContinuityError,
@@ -70,7 +68,6 @@ from .isokl import (
     gaussian_from_mean_kl,
     lambert_w0,
     load_block_model,
-    load_block_model_json,
     uniform_from_mean_kl,
 )
 from .randomness import derive_seed
@@ -90,7 +87,6 @@ __all__ = [
     "DepthExceededError",
     "Distribution1D",
     "DomainError",
-    "FULL_LINE",
     "Gaussian",
     "InfeasibleParameterError",
     "InvalidCodeError",
@@ -103,20 +99,15 @@ __all__ = [
     "PairSpec",
     "PartitionKind",
     "RecError",
-    "Region",
     "TrialStats",
     "UnboundedRatioError",
     "Uniform",
     "UniformMixture",
     "Variant",
     "decode",
-    "decode_astar",
     "decode_block_vector",
-    "decode_dad",
-    "decode_mrc",
     "derive_seed",
     "distribution_from_dict",
-    "distribution_from_json",
     "encode_astar",
     "encode_block_vector",
     "encode_dad",
@@ -125,7 +116,6 @@ __all__ = [
     "gaussian_from_mean_kl",
     "lambert_w0",
     "load_block_model",
-    "load_block_model_json",
     "read_message",
     "uniform_from_mean_kl",
     "write_message",

@@ -2,7 +2,7 @@
 mode sweep, Monte-Carlo shrinkage verification, and the k-NN divergence
 estimator that scores encoded batches.
 
-Everything is driven by an :class:`ExperimentConfig` (JSON-loadable) and
+Everything is driven by an :class:`ExperimentConfig` (built from a dict) and
 emits :class:`ResultRow` records with a fixed CSV schema. Runs are fully
 deterministic: every trial's stream seed is derived from the config seed
 and the trial's position, and rows are sorted before writing, so a given
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -121,7 +120,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        """The config a dict describes (the CLI reads it from a JSON file).
+        A missing key or a value of the wrong type raises DomainError."""
         try:
+            extra_bits = tuple(data.get("extra_bits", (0, 1, 2, 3, 4)))
+            if not all(type(t) is int for t in extra_bits):
+                raise TypeError(f"extra_bits must be integers, got {list(extra_bits)}")
             return ExperimentConfig(
                 algorithms=tuple(data.get("algorithms", _EXACT_NAMES)),
                 trials=int(data["trials"]),
@@ -137,7 +141,7 @@ class ExperimentConfig:
                     (int(c["n_modes"]), float(c["dinf_nats"]))
                     for c in data.get("mixture_cells", ())
                 ),
-                extra_bits=tuple(data.get("extra_bits", (0, 1, 2, 3, 4))),
+                extra_bits=extra_bits,
                 repeats=int(data.get("repeats", 50)),
                 batch=int(data.get("batch", 100)),
                 max_steps=int(data.get("max_steps", MAX_STEPS)),
@@ -145,10 +149,6 @@ class ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad experiment config: {exc}") from None
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
 
 
 # -- cell construction -------------------------------------------------------
@@ -484,11 +484,6 @@ def rows_to_csv(rows: Iterable[ResultRow]) -> str:
     ):
         writer.writerow(row.as_record())
     return buf.getvalue()
-
-
-def write_rows(rows: Iterable[ResultRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:

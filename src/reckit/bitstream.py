@@ -74,9 +74,6 @@ class BitWriter:
             self._buf.append((self._acc >> self._nacc) & 0xFF)
         self._acc &= (1 << self._nacc) - 1
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit, 1)
-
     def write_elias_gamma(self, n: int) -> None:
         if n < 1:
             raise DomainError(f"gamma codes need n >= 1, got {n}")

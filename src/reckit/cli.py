@@ -59,16 +59,20 @@ def _coder_names(fixed_width: bool) -> list[str]:
     return sorted(v.value for v, spec in CODERS.items() if spec.fixed_width == fixed_width)
 
 
-def _load_json(path: str) -> dict:
+def _load_object(path: str) -> dict:
+    """The object a model or config file holds; the library parses it."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_pair(path: str) -> PairSpec:
-    data = _load_json(path)
+    data = _load_object(path)
     if "target" in data and "proposal" in data:
         return PairSpec.from_dict(data)
     raise DomainError(f"{path}: encoding needs a pair model (target and proposal)")
@@ -77,7 +81,7 @@ def _load_pair(path: str) -> PairSpec:
 def _load_proposal(path: str) -> Distribution1D:
     """Decoding never touches the target: take a bare distribution or the
     proposal of a pair."""
-    data = _load_json(path)
+    data = _load_object(path)
     if "proposal" in data:
         return distribution_from_dict(data["proposal"])
     if "family" in data:
@@ -101,7 +105,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                  if value is not None]
         if given:  # a block model names its coordinates and their budgets itself
             raise DomainError(f"--block-model does not take {', '.join(given)}")
-        blocks, permutation = load_block_model(_load_json(args.block_model))
+        blocks, permutation = load_block_model(_load_object(args.block_model))
         config = BlockCodecConfig(args.extra_bits)
         data = encode_block_vector(blocks, config, args.seed)
         with open(args.out, "wb") as fh:
@@ -157,7 +161,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read()
     if args.block_model:
-        blocks, permutation = load_block_model(_load_json(args.block_model))
+        blocks, permutation = load_block_model(_load_object(args.block_model))
         config = BlockCodecConfig(args.extra_bits)
         samples = _file_order(
             decode_block_vector(blocks, config, data, args.seed), permutation
@@ -175,7 +179,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _run_bench(args: argparse.Namespace, runner: str) -> int:
     from . import bench  # the codec commands never load the harness; its statistics load numpy
 
-    config = bench.ExperimentConfig.from_dict(_load_json(args.config))
+    config = bench.ExperimentConfig.from_dict(_load_object(args.config))
     out = args.out or config.output
     if not out:
         raise DomainError("no output path: pass --out or set 'output' in the config")

@@ -281,15 +281,6 @@ def encode_astar(
     return code, x, _stats(code, steps, depth, lb)
 
 
-def decode_astar(
-    proposal: Distribution1D, kind: PartitionKind, code: Code, seed: int
-) -> float:
-    """The sample named by an exact-search codeword: the node ``tree.locate`` walks to."""
-    if CODERS[code.variant].kind is not kind:
-        raise InvalidCodeError(f"{code.variant} code does not match partition {kind}")
-    return locate(proposal, kind, seed, code.payload, code.depth_or_budget)
-
-
 def encode_dad(
     pair: PairSpec, seed: int, budget: int
 ) -> tuple[Code, float, TrialStats]:
@@ -400,8 +391,8 @@ def _exact_spec(tag: int, unit: Unit, kind: PartitionKind, max_dinf: float = INF
     def encode(pair, seed, budget, max_steps):
         return encode_astar(pair, kind, seed, max_steps=max_steps)
 
-    def decode(proposal, code, seed):
-        return decode_astar(proposal, kind, code, seed)
+    def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
+        return locate(proposal, kind, seed, code.payload, code.depth_or_budget)
 
     return CoderSpec(tag, unit, encode, decode, kind, max_dinf)
 

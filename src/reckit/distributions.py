@@ -8,7 +8,7 @@ the density-ratio machinery (pointwise log ratio, ratio mode, regional
 upper bounds, and closed-form KL / Renyi-infinity divergences) that the
 search coders consume.
 
-Regions are open intervals with extended-real endpoints. Restricted
+Regions are open intervals (low, high) with extended-real endpoints. Restricted
 sampling maps a unit uniform through the proposal CDF, so an encoder and
 a decoder that walk the same region arithmetic reproduce samples bit for
 bit.
@@ -16,7 +16,6 @@ bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,30 +32,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class Region:
-    """Open interval (low, high); endpoints may be +-inf."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise DegenerateRegionError(
-                f"region requires low < high, got ({self.low}, {self.high})"
-            )
-
-    def contains(self, x: float) -> bool:
-        return self.low < x < self.high
-
-
-FULL_LINE = Region(-INF, INF)
-
-
 class Distribution1D:
     """Base class: CDF/inverse-CDF/log-density over the real line."""
-
-    family = "abstract"
 
     def cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -67,17 +44,12 @@ class Distribution1D:
     def log_pdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def support(self) -> Region:
+    def support(self) -> tuple[float, float]:
+        """(low, high), the ends of the support; either may be infinite."""
         raise NotImplementedError
-
-    def mass(self, region: Region) -> float:
-        return self.cdf(region.high) - self.cdf(region.low)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @staticmethod
     def _check_unit(u: float) -> None:
@@ -148,7 +120,6 @@ class Gaussian(Distribution1D):
     mean: float
     variance: float
     std: float = field(init=False, compare=False, repr=False)
-    family = "gaussian"
 
     def __post_init__(self) -> None:
         if not self.variance > 0.0 or not math.isfinite(self.variance):
@@ -175,8 +146,8 @@ class Gaussian(Distribution1D):
         z = (x - self.mean) / self.std
         return -0.5 * z * z - math.log(self.std) - _LOG_SQRT_2PI
 
-    def support(self) -> Region:
-        return FULL_LINE
+    def support(self) -> tuple[float, float]:
+        return -INF, INF
 
     def to_dict(self) -> dict:
         return {"family": "gaussian", "mean": self.mean, "variance": self.variance}
@@ -188,7 +159,6 @@ class Uniform(Distribution1D):
 
     center: float
     width: float
-    family = "uniform"
 
     def __post_init__(self) -> None:
         if not self.width > 0.0 or not math.isfinite(self.width):
@@ -220,8 +190,8 @@ class Uniform(Distribution1D):
             return -math.log(self.width)
         return -INF
 
-    def support(self) -> Region:
-        return Region(self.low, self.high)
+    def support(self) -> tuple[float, float]:
+        return self.low, self.high
 
     def to_dict(self) -> dict:
         return {"family": "uniform", "center": self.center, "width": self.width}
@@ -253,7 +223,6 @@ class UniformMixture(Distribution1D):
     """
 
     components: tuple[MixtureComponent, ...]
-    family = "uniform_mixture"
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -268,14 +237,6 @@ class UniformMixture(Distribution1D):
         total = math.fsum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"component weights sum to {total}, expected 1")
-
-    def _cum_weights(self) -> list[float]:
-        out, acc = [], 0.0
-        for c in self.components:
-            acc += c.weight
-            out.append(acc)
-        out[-1] = 1.0
-        return out
 
     def cdf(self, x: float) -> float:
         if x <= self.components[0].low:
@@ -306,8 +267,8 @@ class UniformMixture(Distribution1D):
                 return math.log(c.weight) - math.log(c.length)
         return -INF
 
-    def support(self) -> Region:
-        return Region(self.components[0].low, self.components[-1].high)
+    def support(self) -> tuple[float, float]:
+        return self.components[0].low, self.components[-1].high
 
     def to_dict(self) -> dict:
         return {
@@ -320,25 +281,25 @@ class UniformMixture(Distribution1D):
 
 
 def distribution_from_dict(data: dict) -> Distribution1D:
+    """The distribution a ``to_dict`` layout describes. A missing key or a
+    non-numeric parameter raises DomainError, as a bad value does."""
     try:
         family = data["family"]
-    except (KeyError, TypeError):
-        raise DomainError(f"distribution dict needs a 'family' key: {data!r}") from None
-    if family == "gaussian":
-        return Gaussian(float(data["mean"]), float(data["variance"]))
-    if family == "uniform":
-        return Uniform(float(data["center"]), float(data["width"]))
-    if family == "uniform_mixture":
-        comps = tuple(
-            MixtureComponent(float(c["weight"]), float(c["low"]), float(c["high"]))
-            for c in data["components"]
-        )
-        return UniformMixture(comps)
+        if family == "gaussian":
+            return Gaussian(float(data["mean"]), float(data["variance"]))
+        if family == "uniform":
+            return Uniform(float(data["center"]), float(data["width"]))
+        if family == "uniform_mixture":
+            comps = tuple(
+                MixtureComponent(float(c["weight"]), float(c["low"]), float(c["high"]))
+                for c in data["components"]
+            )
+            return UniformMixture(comps)
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed distribution {data!r}: {exc!r}") from None
     raise DomainError(f"unknown family {family!r}")
-
-
-def distribution_from_json(text: str) -> Distribution1D:
-    return distribution_from_dict(json.loads(text))
 
 
 def sample_restricted_u(dist: Distribution1D, ulow: float, uhigh: float, u: float) -> float:
@@ -506,14 +467,14 @@ class PairSpec:
             error = DomainError if type(proposal) is UniformMixture else AbsoluteContinuityError
             raise error(f"no kernel for a {type(target).__name__} target under a "
                         f"{type(proposal).__name__} proposal")
-        sup_q, sup_p = target.support(), proposal.support()
-        if sup_q.low < sup_p.low or sup_q.high > sup_p.high:
+        (q_low, q_high), (p_low, p_high) = target.support(), proposal.support()
+        if q_low < p_low or q_high > p_high:
             raise AbsoluteContinuityError(
-                f"target support ({sup_q.low}, {sup_q.high}) not inside "
-                f"proposal support ({sup_p.low}, {sup_p.high})"
+                f"target support ({q_low}, {q_high}) not inside "
+                f"proposal support ({p_low}, {p_high})"
             )
         self.target, self.proposal = target, proposal
-        self._low, self._high = sup_p.low, sup_p.high
+        self._low, self._high = p_low, p_high
         self._kernel = kernel(target, proposal)
 
     def log_ratio(self, x: float) -> float:
@@ -562,16 +523,9 @@ class PairSpec:
     def to_dict(self) -> dict:
         return {"target": self.target.to_dict(), "proposal": self.proposal.to_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @staticmethod
     def from_dict(data: dict) -> "PairSpec":
         return PairSpec(
             distribution_from_dict(data["target"]),
             distribution_from_dict(data["proposal"]),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "PairSpec":
-        return PairSpec.from_dict(json.loads(text))

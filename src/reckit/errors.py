@@ -14,7 +14,7 @@ class DomainError(RecError):
 
 
 class DegenerateRegionError(RecError):
-    """Region carries no proposal mass (or collapsed to a point)."""
+    """A region carries no proposal mass (or collapsed to a point)."""
 
 
 class UnboundedRatioError(RecError):

@@ -11,7 +11,6 @@ one budget header then serves an entire block of coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -268,11 +267,12 @@ def decode_block_vector(
 
 
 def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
-    """Build blocks from the JSON model layout.
+    """Build blocks from a block model dict (the CLI reads it from a JSON file).
 
-    The file is an array of per-coordinate records plus a kappa per
+    The model is a list of per-coordinate records plus a kappa per
     block id. Blocks come out in order of first appearance; the returned
     permutation maps block-major coordinate order back to file order.
+    A missing key or a non-numeric entry raises DomainError.
     """
     try:
         coords = data["coordinates"]
@@ -281,31 +281,21 @@ def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
         raise DomainError(
             "block model needs 'coordinates' and 'block_kappa' entries"
         ) from None
-    order: list[str] = []
-    grouped: dict[str, list[tuple[int, dict]]] = {}
-    for pos, rec in enumerate(coords):
-        bid = str(rec["block_id"])
-        if bid not in grouped:
-            grouped[bid] = []
-            order.append(bid)
-        grouped[bid].append((pos, rec))
+    grouped: dict[str, list[tuple[int, float, float, float]]] = {}  # in order of appearance
+    try:
+        for pos, rec in enumerate(coords):
+            grouped.setdefault(str(rec["block_id"]), []).append(
+                (pos, float(rec["prior_mean"]), float(rec["prior_std"]),
+                 float(rec["target_mean"])))
+        kappa_of = {bid: float(kappas[bid]) for bid in grouped if bid in kappas}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed block model: {exc!r}") from None
     blocks: list[IsoKLGaussianBlock] = []
     permutation: list[int] = []
-    for bid in order:
-        if bid not in kappas:
+    for bid, members in grouped.items():
+        if bid not in kappa_of:
             raise DomainError(f"block {bid!r} has no kappa")
-        members = grouped[bid]
-        blocks.append(
-            IsoKLGaussianBlock(
-                prior_means=tuple(float(r["prior_mean"]) for _, r in members),
-                prior_stds=tuple(float(r["prior_std"]) for _, r in members),
-                target_means=tuple(float(r["target_mean"]) for _, r in members),
-                kappa=float(kappas[bid]),
-            )
-        )
-        permutation.extend(pos for pos, _ in members)
+        positions, prior_means, prior_stds, target_means = zip(*members)
+        blocks.append(IsoKLGaussianBlock(prior_means, prior_stds, target_means, kappa_of[bid]))
+        permutation.extend(positions)
     return blocks, permutation
-
-
-def load_block_model_json(text: str) -> tuple[list[IsoKLGaussianBlock], list[int]]:
-    return load_block_model(json.loads(text))

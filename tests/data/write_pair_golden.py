@@ -75,7 +75,7 @@ def _outcome(fn, *args) -> str:
 
 def _special_points(pair: PairSpec) -> list[float]:
     q, p = pair.target, pair.proposal
-    pts = [q.support().low, q.support().high, p.support().low, p.support().high]
+    pts = [*q.support(), *p.support()]
     if isinstance(q, UniformMixture):
         for c in q.components:
             pts += [c.low, c.high, 0.5 * (c.low + c.high)]

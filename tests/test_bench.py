@@ -1,5 +1,6 @@
 """Harness tests: estimator calibration, grid semantics, CSV stability."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from reckit.bench import (
     run_runtime_grid,
     summarize_rows,
     verify_shrinkage,
-    write_rows,
 )
 from reckit.errors import DomainError
 from reckit.tree import PartitionKind
@@ -132,7 +132,7 @@ def test_config_from_json():
         "extra_bits": [0, 2],
         "batch": 64
     }"""
-    config = ExperimentConfig.from_json(text)
+    config = ExperimentConfig.from_dict(json.loads(text))
     assert config.algorithms == ("ad", "pfr")
     assert config.gaussian_cells == ((0.5, 1.0),)
     assert config.uniform_cells == (0.25,)
@@ -140,9 +140,13 @@ def test_config_from_json():
     assert config.extra_bits == (0, 2)
     assert config.batch == 64 and config.repeats == 50
     with pytest.raises(DomainError):
-        ExperimentConfig.from_json('{"seed": 1}')  # trials missing
+        ExperimentConfig.from_dict({"seed": 1})  # trials missing
     with pytest.raises(DomainError):
-        ExperimentConfig.from_json('{"trials": "many", "seed": 1}')
+        ExperimentConfig.from_dict({"trials": "many", "seed": 1})
+    for extra_bits in (["1"], [1.5], [True], 3):
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict({"trials": 1, "seed": 1, "extra_bits": extra_bits,
+                                        "gaussian_cells": [{"kl_nats": 1, "dinf_nats": 2}]})
 
 
 def test_mixture_pair_properties():
@@ -310,9 +314,9 @@ def test_summarize_rows():
     assert entry["bias_se"] > 0.0
 
 
-def test_write_rows(tmp_path):
+def test_write_rows():
+    # the CLI writes rows_to_csv's text as the CSV file
     rows = run_runtime_grid(small_config(trials=3))
-    path = tmp_path / "out.csv"
-    write_rows(rows, str(path))
-    assert path.read_text() == rows_to_csv(rows)
-    assert path.read_text().startswith(GOLDEN_HEADER + "\n")
+    text = rows_to_csv(rows)
+    assert text.startswith(GOLDEN_HEADER + "\n")
+    assert rows_to_csv(reversed(rows)) == text

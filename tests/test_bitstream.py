@@ -39,7 +39,7 @@ def bits_of(writer: BitWriter) -> str:
 def test_write_bits_msb_first():
     w = BitWriter()
     w.write_bits(0b1011, 4)
-    w.write_bit(1)
+    w.write_bits(1, 1)
     assert bits_of(w) == "10111"
     assert w.getvalue() == bytes([0b10111000])  # zero padded
 

@@ -330,3 +330,41 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert main(["decode", "--model", str(model2), "--seed", "1",
                  "--in", str(stub), "--samples", str(sink)]) == 2
     capsys.readouterr()
+
+
+_GAUSS = {"family": "gaussian", "mean": 0.0, "variance": 1.0}
+_RECORD = {"block_id": "a", "prior_mean": 0.0, "prior_std": 1.0, "target_mean": 0.4}
+_BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "repeats": 1, "batch": 20,
+         "gaussian_cells": [{"kl_nats": 1.0, "dinf_nats": 2.0}]}
+
+
+@pytest.mark.parametrize("command,flag,content", [
+    # a pair whose gaussian target has no variance
+    ("encode", "--model", {"target": {"family": "gaussian", "mean": 0.5}, "proposal": _GAUSS}),
+    # a proposal with a non-numeric center
+    ("decode", "--model", {"family": "uniform", "center": "x", "width": 1}),
+    # a mixture component with no high end
+    ("encode", "--model", {"target": {"family": "uniform_mixture",
+                                      "components": [{"weight": 1.0, "low": 0.2}]},
+                           "proposal": {"family": "uniform", "center": 0.5, "width": 1.0}}),
+    # block-model coordinates with no target mean, or a non-numeric prior mean
+    ("encode", "--block-model", {"coordinates": [{k: v for k, v in _RECORD.items()
+                                                  if k != "target_mean"}],
+                                 "block_kappa": {"a": 1.0}}),
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "prior_mean": "zero"}],
+                                 "block_kappa": {"a": 1.0}}),
+    # a bias config whose extra bits are not integers
+    ("bench-bias", "--config", {**_BIAS, "extra_bits": ["1"]}),
+    # a file that holds no JSON object
+    ("bench-runtime", "--config", [_BIAS]),
+])
+def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    out = str(tmp_path / "out")
+    rest = {
+        "encode": ["--seed", "1", "--out", out] + (["--exact", "ad"] if flag == "--model" else []),
+        "decode": ["--seed", "1", "--in", str(path), "--samples", out],
+    }.get(command, ["--out", out])
+    assert main([command, flag, str(path), *rest]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

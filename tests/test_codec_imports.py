@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import reckit
 from reckit.bench import knn_kl_estimate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +69,33 @@ def test_codec_path_loads_no_numpy(tmp_path):
     assert result["codes"] == [0] * 7
     assert result["missing"] == []
     assert result["loaded"] == []
+
+
+PUBLIC_NAMES = {
+    "AbsoluteContinuityError", "BitReader", "BitWriter", "BlockCodecConfig",
+    "BudgetExhaustedError", "CODERS", "Code", "DegenerateRegionError",
+    "DepthExceededError", "Distribution1D", "DomainError", "Gaussian",
+    "InfeasibleParameterError", "InvalidCodeError", "IsoKLGaussianBlock",
+    "MODE_BLOCK", "MODE_EXACT", "MalformedMessageError", "MessageFrame",
+    "MixtureComponent", "PairSpec", "PartitionKind", "RecError", "TrialStats",
+    "UnboundedRatioError", "Uniform", "UniformMixture", "Variant", "decode",
+    "decode_block_vector", "derive_seed", "distribution_from_dict", "encode_astar",
+    "encode_block_vector", "encode_dad", "encode_mrc", "gaussian_from_kl_dinf",
+    "gaussian_from_mean_kl", "lambert_w0", "load_block_model", "read_message",
+    "uniform_from_mean_kl", "write_message",
+}
+
+
+def test_public_names_are_pinned():
+    # one decoder, dict-based model loading: no per-coder decoders, no JSON wrappers
+    assert len(reckit.__all__) == len(PUBLIC_NAMES) == 43
+    assert set(reckit.__all__) == PUBLIC_NAMES
+
+
+def test_import_loads_no_json(tmp_path):
+    # only the CLI reads model and config files
+    script = 'import sys, reckit\nprint("true" if "json" in sys.modules else "false")'
+    assert run_fresh(script, cwd=tmp_path) is False
 
 
 SAMPLES_P = [0.1, 0.7, -0.4, 1.9, 0.25, -1.3, 0.9, 0.05]

@@ -19,7 +19,6 @@ from reckit.coders import (
     TrialStats,
     Variant,
     decode,
-    decode_astar,
     decode_dad,
     decode_mrc,
     encode_astar,
@@ -175,7 +174,7 @@ def test_pfr_matches_arrival_chain(pair):
         assert x == want_x
         assert stats.steps == want_steps
         assert stats.lower_bound == want_score
-        assert decode_astar(pair.proposal, PartitionKind.GLOBAL_BOUND, code, seed) == x
+        assert decode(pair.proposal, code, seed) == x
 
 
 @pytest.mark.parametrize("kind,variant", [
@@ -364,9 +363,9 @@ def test_decode_is_target_blind():
     other = PairSpec(Gaussian(-0.5, 0.7), Gaussian(0.0, 1.0))
     for seed in range(60):
         code, x, _ = encode_astar(PAIR_GG, PartitionKind.DYADIC, seed)
-        assert decode_astar(Gaussian(0.0, 1.0), PartitionKind.DYADIC, code, seed) == x
+        assert decode(Gaussian(0.0, 1.0), code, seed) == x
         code2, x2, _ = encode_astar(other, PartitionKind.DYADIC, seed)
-        assert decode_astar(Gaussian(0.0, 1.0), PartitionKind.DYADIC, code2, seed) == x2
+        assert decode(Gaussian(0.0, 1.0), code2, seed) == x2
 
 
 # ------------------------------------------------------- depth-limited race
@@ -529,10 +528,6 @@ def test_code_validation():
 def test_decode_variant_mismatch():
     ad_code = Code(Variant.AD_STAR, 3, 5)
     with pytest.raises(InvalidCodeError):
-        decode_astar(PAIR_GG.proposal, PartitionKind.SAMPLE_SPLIT, ad_code, 1)
-    with pytest.raises(InvalidCodeError):
         decode_dad(PAIR_GG.proposal, ad_code, 1)
-    with pytest.raises(InvalidCodeError):
-        decode_astar(PAIR_GG.proposal, PartitionKind.GLOBAL_BOUND, ad_code, 1)
     with pytest.raises(InvalidCodeError):
         decode_mrc(PAIR_GG.proposal, ad_code, 1)

@@ -5,6 +5,7 @@ root-finding oracles computed independently (brentq on the KL equation,
 fsolve on the joint KL / sup-ratio system) and frozen here as constants.
 """
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from reckit.isokl import (
     gaussian_from_mean_kl,
     lambert_w0,
     load_block_model,
-    load_block_model_json,
     uniform_from_mean_kl,
 )
 from reckit.randomness import absorb, derive_seed, seed_state
@@ -324,8 +324,7 @@ def test_load_block_model():
     assert blocks[0].prior_means == (0.0, 0.5)
     # block-major order a0, a2, b1 maps back to file rows 0, 2, 1
     assert permutation == [0, 2, 1]
-    import json
-    blocks2, perm2 = load_block_model_json(json.dumps(model))
+    blocks2, perm2 = load_block_model(json.loads(json.dumps(model)))
     assert perm2 == permutation and blocks2[0].target_means == blocks[0].target_means
     with pytest.raises(DomainError):
         load_block_model({"coordinates": []})
@@ -333,3 +332,11 @@ def test_load_block_model():
         load_block_model({"coordinates": [{"block_id": "x", "prior_mean": 0,
                                           "prior_std": 1, "target_mean": 0}],
                           "block_kappa": {}})
+    # a record with a key missing or a non-numeric entry
+    record = {"block_id": "x", "prior_mean": 0, "prior_std": 1, "target_mean": 0}
+    missing = {k: v for k, v in record.items() if k != "target_mean"}
+    for bad in (missing, {**record, "prior_mean": "zero"}, "x"):
+        with pytest.raises(DomainError):
+            load_block_model({"coordinates": [bad], "block_kappa": {"x": 1.0}})
+    with pytest.raises(DomainError):
+        load_block_model({"coordinates": [record], "block_kappa": {"x": "big"}})

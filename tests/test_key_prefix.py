@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reckit import coders, tree
-from reckit.coders import Code, Variant, decode, decode_astar, encode_astar, encode_mrc
+from reckit.coders import Code, Variant, decode, encode_astar, encode_mrc
 from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import (
@@ -158,7 +158,7 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     index = (1 << (depth - 1)) | (path & ((1 << (depth - 1)) - 1))
     for kind, variant in ((PartitionKind.DYADIC, Variant.AD_STAR),
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
-        got = decode_astar(GAUSS, kind, Code(variant, depth, index), seed)
+        got = decode(GAUSS, Code(variant, depth, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
     root = make_root(seed_state(seed))
     extra = extra_root(seed_state(seed), root)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from reckit.distributions import Gaussian, PairSpec, Region, Uniform
+from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DepthExceededError, DomainError
 from reckit.randomness import (
     StreamKey,
@@ -33,16 +33,21 @@ GAUSS = Gaussian(0.0, 1.0)
 
 
 def partition(kind, region, x, proposal):
-    """(left, right) child regions of a split; None marks an empty slot.
-    The chain's one child, from ``expand``, takes the right slot."""
-    low, high = region.low, region.high
+    """(left, right) child regions (low, high) of a split; None marks an
+    empty slot. The chain's one child, from ``expand``, takes the right slot."""
+    low, high = region
     ulow, uhigh = proposal.cdf(low), proposal.cdf(high)
     if kind is PartitionKind.GLOBAL_BOUND:
         [(_, *child, _, _)] = expand(kind, proposal, x, 1, 1, low, high, ulow, uhigh)
-        return None, Region(*child)
+        return None, tuple(child)
     cut, _ = _cut(kind, proposal, ulow, uhigh, x)
-    return (Region(low, cut) if low < cut else None,
-            Region(cut, high) if cut < high else None)
+    return ((low, cut) if low < cut else None,
+            (cut, high) if cut < high else None)
+
+
+def mass(dist, region):
+    low, high = region
+    return dist.cdf(high) - dist.cdf(low)
 
 
 def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
@@ -112,21 +117,21 @@ def test_heap_children():
 
 
 def test_partition_sample_split():
-    left, right = partition(PartitionKind.SAMPLE_SPLIT, Region(-1.0, 2.0), 0.5, GAUSS)
-    assert left == Region(-1.0, 0.5)
-    assert right == Region(0.5, 2.0)
+    left, right = partition(PartitionKind.SAMPLE_SPLIT, (-1.0, 2.0), 0.5, GAUSS)
+    assert left == (-1.0, 0.5)
+    assert right == (0.5, 2.0)
 
 
 def test_partition_dyadic_halves_mass():
-    region = Region(-0.7, 1.9)
+    region = (-0.7, 1.9)
     left, right = partition(PartitionKind.DYADIC, region, 0.123, GAUSS)
-    assert left.high == right.low
-    assert GAUSS.mass(left) == pytest.approx(GAUSS.mass(region) / 2, abs=1e-15)
-    assert GAUSS.mass(right) == pytest.approx(GAUSS.mass(region) / 2, abs=1e-15)
+    assert left[1] == right[0]
+    assert mass(GAUSS, left) == pytest.approx(mass(GAUSS, region) / 2, abs=1e-15)
+    assert mass(GAUSS, right) == pytest.approx(mass(GAUSS, region) / 2, abs=1e-15)
 
 
 def test_partition_global_bound_keeps_region():
-    region = Region(-math.inf, math.inf)
+    region = (-math.inf, math.inf)
     left, right = partition(PartitionKind.GLOBAL_BOUND, region, 0.0, GAUSS)
     assert left is None
     assert right == region
@@ -134,8 +139,8 @@ def test_partition_global_bound_keeps_region():
 
 def test_partition_empty_side():
     # splitting at the region edge leaves one empty slot
-    left, right = partition(PartitionKind.SAMPLE_SPLIT, Region(0.0, 1.0), 0.0, Uniform(0.5, 1.0))
-    assert left is None and right == Region(0.0, 1.0)
+    left, right = partition(PartitionKind.SAMPLE_SPLIT, (0.0, 1.0), 0.0, Uniform(0.5, 1.0))
+    assert left is None and right == (0.0, 1.0)
 
 
 def test_cut_rounding_onto_a_region_end_empties_that_side():
@@ -146,9 +151,9 @@ def test_cut_rounding_onto_a_region_end_empties_that_side():
     b = math.nextafter(a, 1.0)
     c = math.nextafter(b, 1.0)  # even
     assert _cut(PartitionKind.DYADIC, uniform, a, b, math.nan) == (a, a)
-    assert partition(PartitionKind.DYADIC, Region(a, b), math.nan, uniform) == (None, Region(a, b))
+    assert partition(PartitionKind.DYADIC, (a, b), math.nan, uniform) == (None, (a, b))
     assert _cut(PartitionKind.DYADIC, uniform, b, c, math.nan) == (c, c)
-    assert partition(PartitionKind.DYADIC, Region(b, c), math.nan, uniform) == (Region(b, c), None)
+    assert partition(PartitionKind.DYADIC, (b, c), math.nan, uniform) == ((b, c), None)
     # expand drops exactly the emptied child
     assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, a, b, a, b) == [(11, a, b, a, b)]
     assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, b, c, b, c) == [(10, b, c, b, c)]
