@@ -10,7 +10,8 @@ gamma(depth) extra bits per coordinate to a few header bits per block.
 Run:  python3 demos/isokl_block_codec.py
 """
 
-import numpy as np
+import math
+import random
 
 from reckit.bitstream import MODE_EXACT, MessageFrame, write_message
 from reckit.coders import Variant, encode_astar
@@ -19,19 +20,20 @@ from reckit.randomness import derive_seed
 from reckit.tree import PartitionKind
 
 SEED = 20260817
-rng = np.random.Generator(np.random.PCG64(7))
+rng = random.Random(7)
 
 blocks = []
 for kappa, size in [(0.7, 24), (1.3, 16), (2.0, 10)]:
-    prior_means = rng.uniform(-1.0, 1.0, size)
-    prior_stds = np.exp(rng.uniform(-0.4, 0.4, size))
+    prior_means = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+    prior_stds = [math.exp(rng.uniform(-0.4, 0.4)) for _ in range(size)]
     # keep each mean shift inside its feasible radius prior_std * sqrt(2 kappa)
-    shifts = prior_stds * np.sqrt(2.0 * kappa) * np.tanh(rng.standard_normal(size)) * 0.95
+    shifts = [s * math.sqrt(2.0 * kappa) * math.tanh(rng.gauss(0.0, 1.0)) * 0.95
+              for s in prior_stds]
     blocks.append(
         IsoKLGaussianBlock(
             tuple(prior_means),
             tuple(prior_stds),
-            tuple(prior_means + shifts),
+            tuple(m + d for m, d in zip(prior_means, shifts)),
             kappa,
         )
     )

@@ -8,10 +8,10 @@ deterministic: every trial's stream seed is derived from the config seed
 and the trial's position, and rows are sorted before writing, so a given
 config always produces byte-identical CSV.
 
-numpy loads only when a statistic runs: the k-NN estimator, the bias
-grid's fresh target samples, shrinkage verification and ``summarize_rows``
-import it where they compute. The pair builders, configs, grid set-up and
-CSV writing run on the codec alone.
+numpy serves the bias grid alone (the ``bench`` extra): the k-NN estimator
+and its fresh target samples import it where they compute. Everything else,
+shrinkage verification and ``summarize_rows`` included, runs on the standard
+library and loads nothing beyond ``math`` until a statistic runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .coders import CODERS, MAX_STEPS, Variant
@@ -31,6 +31,7 @@ from .distributions import (
     Uniform,
     UniformMixture,
     Gaussian,
+    as_number,
 )
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
@@ -123,28 +124,27 @@ class ExperimentConfig:
         """The config a dict describes (the CLI reads it from a JSON file).
         A missing key or a value of the wrong type raises DomainError."""
         try:
-            extra_bits = tuple(data.get("extra_bits", (0, 1, 2, 3, 4)))
-            if not all(type(t) is int for t in extra_bits):
-                raise TypeError(f"extra_bits must be integers, got {list(extra_bits)}")
             return ExperimentConfig(
                 algorithms=tuple(data.get("algorithms", _EXACT_NAMES)),
-                trials=int(data["trials"]),
-                seed=int(data["seed"]),
+                trials=as_number(data["trials"], int),
+                seed=as_number(data["seed"], int),
                 gaussian_cells=tuple(
-                    (float(c["kl_nats"]), float(c["dinf_nats"]))
+                    (as_number(c["kl_nats"]), as_number(c["dinf_nats"]))
                     for c in data.get("gaussian_cells", ())
                 ),
                 uniform_cells=tuple(
-                    float(c["kl_nats"]) for c in data.get("uniform_cells", ())
+                    as_number(c["kl_nats"]) for c in data.get("uniform_cells", ())
                 ),
                 mixture_cells=tuple(
-                    (int(c["n_modes"]), float(c["dinf_nats"]))
+                    (as_number(c["n_modes"], int), as_number(c["dinf_nats"]))
                     for c in data.get("mixture_cells", ())
                 ),
-                extra_bits=extra_bits,
-                repeats=int(data.get("repeats", 50)),
-                batch=int(data.get("batch", 100)),
-                max_steps=int(data.get("max_steps", MAX_STEPS)),
+                extra_bits=tuple(
+                    as_number(t, int) for t in data.get("extra_bits", (0, 1, 2, 3, 4))
+                ),
+                repeats=as_number(data.get("repeats", 50), int),
+                batch=as_number(data.get("batch", 100), int),
+                max_steps=as_number(data.get("max_steps", MAX_STEPS), int),
                 output=data.get("output"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -186,19 +186,18 @@ def mixture_pair(n_modes: int, dinf: float) -> PairSpec:
     return PairSpec(UniformMixture(tuple(comps)), Uniform(0.5, 1.0))
 
 
-def _cells_for(config: ExperimentConfig, *, mixtures_only: bool = False) -> list[_Cell]:
+def _cells_for(config: ExperimentConfig) -> list[_Cell]:
     cells: list[_Cell] = []
-    if not mixtures_only:
-        for kl, dinf in config.gaussian_cells:
-            mean, variance = gaussian_from_kl_dinf(kl, dinf)
-            pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
-            cells.append(_Cell("gaussian", pair, kl, dinf))
-        for kl in config.uniform_cells:
-            target = uniform_from_mean_kl(
-                _UNIFORM_PRIOR.center, _UNIFORM_PRIOR.width, kl, _UNIFORM_BETA
-            )
-            pair = PairSpec(target, _UNIFORM_PRIOR)
-            cells.append(_Cell("uniform", pair, kl, kl))
+    for kl, dinf in config.gaussian_cells:
+        mean, variance = gaussian_from_kl_dinf(kl, dinf)
+        pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
+        cells.append(_Cell("gaussian", pair, kl, dinf))
+    for kl in config.uniform_cells:
+        target = uniform_from_mean_kl(
+            _UNIFORM_PRIOR.center, _UNIFORM_PRIOR.width, kl, _UNIFORM_BETA
+        )
+        pair = PairSpec(target, _UNIFORM_PRIOR)
+        cells.append(_Cell("uniform", pair, kl, kl))
     for n_modes, dinf in config.mixture_cells:
         pair = mixture_pair(n_modes, dinf)
         cells.append(_Cell("uniform_mixture", pair, dinf, dinf, n_modes))
@@ -308,21 +307,13 @@ def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
 
 def run_mode_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Runtime grid over the mixture cells only, validating that every
-    cell sits at the same D-infinity."""
-    cells = _cells_for(config, mixtures_only=True)
-    if not cells:
-        raise DomainError("mode sweep needs mixture_cells")
-    dinfs = {round(c.pair.analytic_dinf(), 9) for c in cells}
+    cell sits at the same D-infinity. A config without mixture cells has
+    no cell left and raises DomainError."""
+    config = replace(config, gaussian_cells=(), uniform_cells=())
+    dinfs = {round(c.pair.analytic_dinf(), 9) for c in _cells_for(config)}
     if len(dinfs) != 1:
         raise DomainError(f"mode sweep cells must share one dinf, got {sorted(dinfs)}")
-    mix_config = ExperimentConfig(
-        algorithms=config.algorithms,
-        trials=config.trials,
-        seed=config.seed,
-        mixture_cells=config.mixture_cells,
-        max_steps=config.max_steps,
-    )
-    return run_runtime_grid(mix_config)
+    return run_runtime_grid(config)
 
 
 def _fresh_target_samples(target: Distribution1D, seed: int, count: int) -> list[float]:
@@ -422,12 +413,10 @@ def verify_shrinkage(
     mass against (3/4)^(d-1) + 3 SE; the dyadic rule must halve exactly,
     so its masses are compared to 2^-(d-1) directly.
     """
-    import numpy as np
-
     if trials < 1:
         raise DomainError("trials must be >= 1")
     proposal = Gaussian(0.0, 1.0)
-    masses = np.ones((trials, depth_max))
+    masses = [[1.0] * trials for _ in range(depth_max)]  # masses[d - 1][trial]: mass at depth d
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
         stream = seed_state(trial_seed)
@@ -441,23 +430,22 @@ def verify_shrinkage(
             index, low, high, ulow, uhigh = max(children, key=lambda c: c[4] - c[3])
             depth += 1
             key, g = realize(kind, base, index, depth, ulow, uhigh, g)
-            masses[trial, d] = uhigh - ulow
+            masses[d][trial] = uhigh - ulow
     depths = tuple(range(1, depth_max + 1))
-    mean_mass = tuple(float(np.mean(masses[:, d - 1])) for d in depths)
+    mean_mass = tuple(math.fsum(col) / trials for col in masses)
     if kind is PartitionKind.DYADIC or kind is PartitionKind.GLOBAL_BOUND:
         bounds = tuple(
             1.0 if kind is PartitionKind.GLOBAL_BOUND else 2.0 ** -(d - 1)
             for d in depths
         )
-        passed = all(
-            bool(np.all(masses[:, d - 1] == bounds[d - 1])) for d in depths
-        )
+        passed = all(m == bounds[d - 1] for d in depths for m in masses[d - 1])
     else:
+        from statistics import stdev
+
         bound_list = []
         passed = True
         for d in depths:
-            col = masses[:, d - 1]
-            se = float(np.std(col, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            se = stdev(masses[d - 1]) / math.sqrt(trials) if trials > 1 else 0.0
             bound = 0.75 ** (d - 1) + 3.0 * se
             bound_list.append(bound)
             if mean_mass[d - 1] > bound:
@@ -486,11 +474,22 @@ def rows_to_csv(rows: Iterable[ResultRow]) -> str:
     return buf.getvalue()
 
 
+def _quantile(xs: Sequence[float], q: float) -> float:
+    """The q-quantile of the sorted ``xs``, equal to ``np.quantile(xs, q)``
+    bit for bit: numpy's default linear method, with its ``_lerp``
+    interpolating from the nearer neighbour."""
+    pos = (len(xs) - 1) * q
+    i = int(pos)
+    if i >= len(xs) - 1:
+        return xs[-1]
+    t = pos - i
+    diff = xs[i + 1] - xs[i]
+    return xs[i + 1] - diff * (1 - t) if t >= 0.5 else xs[i] + diff * t
+
+
 def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:
     """Per-cell mean and quartiles of steps / payload bits (and bias when
     present), mirroring how the grids are usually plotted."""
-    import numpy as np
-
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         if row.error is not None:
@@ -501,7 +500,7 @@ def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
         rows_g = groups[key]
-        steps = np.array([r.steps for r in rows_g], dtype=float)
+        steps = sorted(float(r.steps) for r in rows_g)
         entry = {
             "algorithm": key[0],
             "family": key[1],
@@ -510,25 +509,19 @@ def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:
             "n_modes": key[4],
             "t_extra_bits": key[5],
             "trials": len(rows_g),
-            "steps_mean": float(np.mean(steps)),
-            "steps_q1": float(np.quantile(steps, 0.25)),
-            "steps_median": float(np.quantile(steps, 0.5)),
-            "steps_q3": float(np.quantile(steps, 0.75)),
+            "steps_mean": math.fsum(steps) / len(steps),
+            "steps_q1": _quantile(steps, 0.25),
+            "steps_median": _quantile(steps, 0.5),
+            "steps_q3": _quantile(steps, 0.75),
         }
-        bits = np.array(
-            [r.payload_bits for r in rows_g if r.payload_bits is not None], dtype=float
-        )
-        if len(bits):
-            entry["payload_bits_mean"] = float(np.mean(bits))
-        biases = np.array(
-            [r.kl_bias_estimate for r in rows_g if r.kl_bias_estimate is not None],
-            dtype=float,
-        )
-        if len(biases):
-            entry["bias_mean"] = float(np.mean(biases))
-            entry["bias_se"] = (
-                float(np.std(biases, ddof=1) / math.sqrt(len(biases)))
-                if len(biases) > 1 else 0.0
-            )
+        bits = [r.payload_bits for r in rows_g if r.payload_bits is not None]
+        if bits:
+            entry["payload_bits_mean"] = math.fsum(bits) / len(bits)
+        biases = [r.kl_bias_estimate for r in rows_g if r.kl_bias_estimate is not None]
+        if biases:
+            from statistics import stdev
+
+            entry["bias_mean"] = math.fsum(biases) / len(biases)
+            entry["bias_se"] = stdev(biases) / math.sqrt(len(biases)) if len(biases) > 1 else 0.0
         out.append(entry)
     return out

@@ -8,7 +8,7 @@ Subcommands:
   compared byte for byte). Symbol i of a multi-symbol message uses the
   stream derived from the seed by its index.
 * ``bench-runtime`` / ``bench-bias`` / ``bench-modes``: read an
-  experiment config JSON and write the result CSV.
+  experiment config JSON and write the result CSV (``bench-bias`` needs numpy).
 * ``verify``: run Monte-Carlo property suites; exits 1 on violation.
 * ``isokl``: solve the constant-divergence parameterizations and print
   the resulting pair as JSON.
@@ -177,7 +177,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace, runner: str) -> int:
-    from . import bench  # the codec commands never load the harness; its statistics load numpy
+    from . import bench  # the codec commands never load the harness; its bias grid needs numpy
 
     config = bench.ExperimentConfig.from_dict(_load_object(args.config))
     out = args.out or config.output
@@ -361,11 +361,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except RecError as exc:
+    except (RecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ModuleNotFoundError as exc:  # bench-bias without the bench extra
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy: pip install 'reckit[bench]'", file=sys.stderr)
         return 2
 
 

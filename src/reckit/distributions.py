@@ -280,18 +280,28 @@ class UniformMixture(Distribution1D):
         }
 
 
+def as_number(value, kind: type = float):
+    """``value`` as ``kind``, where a model or config dict gives a number: an
+    integer field takes an int, a real field an int or a float. Anything
+    else, a bool or a numeric string included, raises TypeError rather than
+    being coerced; the dict loaders report it as DomainError."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def distribution_from_dict(data: dict) -> Distribution1D:
     """The distribution a ``to_dict`` layout describes. A missing key or a
-    non-numeric parameter raises DomainError, as a bad value does."""
+    parameter that is not a number raises DomainError, as a bad value does."""
     try:
         family = data["family"]
         if family == "gaussian":
-            return Gaussian(float(data["mean"]), float(data["variance"]))
+            return Gaussian(as_number(data["mean"]), as_number(data["variance"]))
         if family == "uniform":
-            return Uniform(float(data["center"]), float(data["width"]))
+            return Uniform(as_number(data["center"]), as_number(data["width"]))
         if family == "uniform_mixture":
             comps = tuple(
-                MixtureComponent(float(c["weight"]), float(c["low"]), float(c["high"]))
+                MixtureComponent(as_number(c["weight"]), as_number(c["low"]), as_number(c["high"]))
                 for c in data["components"]
             )
             return UniformMixture(comps)

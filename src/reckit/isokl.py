@@ -24,7 +24,7 @@ from .bitstream import (
     write_message,
 )
 from .coders import Variant, decode_dad, encode_dad
-from .distributions import Gaussian, PairSpec, Uniform
+from .distributions import Gaussian, PairSpec, Uniform, as_number
 from .errors import DomainError, InfeasibleParameterError, MalformedMessageError
 from .randomness import absorb, seed_state
 from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it here)
@@ -272,7 +272,7 @@ def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
     The model is a list of per-coordinate records plus a kappa per
     block id. Blocks come out in order of first appearance; the returned
     permutation maps block-major coordinate order back to file order.
-    A missing key or a non-numeric entry raises DomainError.
+    A missing key or an entry that is not a number raises DomainError.
     """
     try:
         coords = data["coordinates"]
@@ -285,9 +285,9 @@ def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
     try:
         for pos, rec in enumerate(coords):
             grouped.setdefault(str(rec["block_id"]), []).append(
-                (pos, float(rec["prior_mean"]), float(rec["prior_std"]),
-                 float(rec["target_mean"])))
-        kappa_of = {bid: float(kappas[bid]) for bid in grouped if bid in kappas}
+                (pos, as_number(rec["prior_mean"]), as_number(rec["prior_std"]),
+                 as_number(rec["target_mean"])))
+        kappa_of = {bid: as_number(kappas[bid]) for bid in grouped if bid in kappas}
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed block model: {exc!r}") from None
     blocks: list[IsoKLGaussianBlock] = []

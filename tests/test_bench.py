@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -139,6 +140,9 @@ def test_config_from_json():
     assert config.mixture_cells == ((2, 0.7),)
     assert config.extra_bits == (0, 2)
     assert config.batch == 64 and config.repeats == 50
+    # an integer where a real is expected loads as a float
+    config = ExperimentConfig.from_dict({"trials": 1, "seed": 1, "uniform_cells": [{"kl_nats": 1}]})
+    assert config.uniform_cells == (1.0,) and type(config.uniform_cells[0]) is float
     with pytest.raises(DomainError):
         ExperimentConfig.from_dict({"seed": 1})  # trials missing
     with pytest.raises(DomainError):
@@ -312,6 +316,25 @@ def test_summarize_rows():
     assert entry["payload_bits_mean"] == 3.0
     assert entry["bias_mean"] == pytest.approx(0.15)
     assert entry["bias_se"] > 0.0
+
+
+def test_summary_statistics_match_numpy():
+    # the standard-library port keeps numpy's figures. Quartiles match bit for
+    # bit. Means of integer steps match too (both sums are exact); for real
+    # steps math.fsum rounds once, where np.mean's running sums err by up to
+    # about n ulps of the mean on positive data
+    rng = random.Random(16)
+    for n in range(1, 51):
+        for steps in ([rng.randrange(1, 300) for _ in range(n)],
+                      [rng.uniform(0.0, 40.0) for _ in range(n)]):
+            rows = [ResultRow("ad", "gaussian", 1.0, 2.0, trial_index=i, steps=s)
+                    for i, s in enumerate(steps)]
+            (entry,) = summarize_rows(rows)
+            for key, q in (("steps_q1", 0.25), ("steps_median", 0.5), ("steps_q3", 0.75)):
+                assert entry[key] == float(np.quantile(np.array(steps, dtype=float), q))
+            mean = float(np.mean(np.array(steps, dtype=float)))
+            tolerance = 0.0 if type(steps[0]) is int else 2 * n * math.ulp(mean)
+            assert abs(entry["steps_mean"] - mean) <= tolerance
 
 
 def test_write_rows():

@@ -336,6 +336,8 @@ _GAUSS = {"family": "gaussian", "mean": 0.0, "variance": 1.0}
 _RECORD = {"block_id": "a", "prior_mean": 0.0, "prior_std": 1.0, "target_mean": 0.4}
 _BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "repeats": 1, "batch": 20,
          "gaussian_cells": [{"kl_nats": 1.0, "dinf_nats": 2.0}]}
+_RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
+            "gaussian_cells": [{"kl_nats": 0.34, "dinf_nats": 1.0}]}
 
 
 @pytest.mark.parametrize("command,flag,content", [
@@ -355,6 +357,22 @@ _BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "repeats": 1, "batch": 2
                                  "block_kappa": {"a": 1.0}}),
     # a bias config whose extra bits are not integers
     ("bench-bias", "--config", {**_BIAS, "extra_bits": ["1"]}),
+    # a number of the wrong type, which no loader coerces: an integer config
+    # field takes no float, a real model or config field no bool or string
+    ("bench-runtime", "--config", {**_RUNTIME, "trials": 2.9}),
+    ("bench-runtime", "--config", {**_RUNTIME, "seed": "7"}),
+    ("bench-runtime", "--config", {**_RUNTIME, "repeats": 1.9}),
+    ("bench-runtime", "--config", {**_RUNTIME, "gaussian_cells": [{"kl_nats": "0.34",
+                                                                   "dinf_nats": 1.0}]}),
+    ("bench-runtime", "--config", {**_RUNTIME, "gaussian_cells": [{"kl_nats": 0.34,
+                                                                   "dinf_nats": True}]}),
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "prior_std": True}],
+                                 "block_kappa": {"a": 1.0}}),
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "prior_mean": "0.0"}],
+                                 "block_kappa": {"a": 1.0}}),
+    ("encode", "--model", {"target": {**_GAUSS, "mean": "0.5", "variance": 0.8},
+                           "proposal": _GAUSS}),
+    ("encode", "--model", {"target": {**_GAUSS, "variance": True}, "proposal": _GAUSS}),
     # a file that holds no JSON object
     ("bench-runtime", "--config", [_BIAS]),
 ])

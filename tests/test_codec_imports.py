@@ -1,14 +1,17 @@
-"""The codec path loads neither numpy nor the experiment harness.
+"""reckit runs without numpy, and the codec path loads no harness.
 
 ``import reckit`` and the CLI's ``isokl``, ``encode`` and ``decode``
-commands run on the standard library alone. numpy serves only the
-harness's statistics: ``reckit.bench`` imports it where the k-NN
-estimator, the bias grid's fresh samples, shrinkage verification and the
-row summaries compute, so its pair builders, configs and CSV writing
-load none. Each check runs in a fresh interpreter, since the test
-process itself has numpy loaded.
+commands load neither numpy nor ``reckit.bench``. numpy serves only the
+harness's bias grid: ``reckit.bench`` imports it where the k-NN
+estimator and the grid's fresh target samples compute, so its pair
+builders, configs and CSV writing load none, and ``verify``,
+``bench-runtime`` and ``bench-modes`` run where numpy is not installed.
+Each check runs in a fresh interpreter, since the test process itself
+has numpy loaded.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import reckit
 from reckit.bench import knn_kl_estimate
+from reckit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -109,7 +113,7 @@ mixture_pair(8, 1.0)
 with open(sys.argv[1]) as fh:
     ExperimentConfig.from_dict(json.load(fh))
 rows_to_csv([])
-before = "numpy" in sys.modules
+before = [m for m in ("numpy", "statistics") if m in sys.modules]
 estimate = knn_kl_estimate(json.loads(sys.argv[2]), json.loads(sys.argv[3]))
 print(json.dumps({"before": before, "after": "numpy" in sys.modules, "estimate": estimate}))
 """
@@ -118,6 +122,61 @@ print(json.dumps({"before": before, "after": "numpy" in sys.modules, "estimate":
 def test_harness_loads_numpy_only_for_statistics(tmp_path):
     result = run_fresh(_HARNESS_SCRIPT, ROOT / "configs" / "runtime_grid.json",
                        json.dumps(SAMPLES_P), json.dumps(SAMPLES_Q), cwd=tmp_path)
-    assert result["before"] is False
+    assert result["before"] == []
     assert result["after"] is True
     assert result["estimate"] == knn_kl_estimate(SAMPLES_P, SAMPLES_Q)
+
+
+_NO_NUMPY_SCRIPT = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy fails, as where it is not installed
+import reckit.bench
+from reckit.cli import main
+
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+
+HARNESS_CONFIGS = {
+    "runtime.json": {"algorithms": ["as", "ad", "pfr"], "trials": 4, "seed": 3,
+                     "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}],
+                     "uniform_cells": [{"kl_nats": 1.0}]},
+    "modes.json": {"algorithms": ["as", "ad"], "trials": 4, "seed": 3,
+                   "mixture_cells": [{"n_modes": 1, "dinf_nats": 1.0},
+                                     {"n_modes": 4, "dinf_nats": 1.0}]},
+    "bias.json": {"algorithms": ["dad"], "trials": 1, "seed": 3, "repeats": 1,
+                  "batch": 20, "extra_bits": [2],
+                  "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}]},
+}
+HARNESS_COMMANDS = {
+    "verify": ["verify", "--suite", "all", "--trials", "50"],
+    "runtime": ["bench-runtime", "--config", "runtime.json", "--out", "runtime.csv"],
+    "modes": ["bench-modes", "--config", "modes.json", "--out", "modes.csv"],
+    "bias": ["bench-bias", "--config", "bias.json", "--out", "bias.csv"],
+}
+
+
+def test_harness_runs_without_numpy_but_the_bias_grid(tmp_path, monkeypatch):
+    without, with_numpy = tmp_path / "without", tmp_path / "with"
+    for folder in (without, with_numpy):
+        folder.mkdir()
+        for name, config in HARNESS_CONFIGS.items():
+            (folder / name).write_text(json.dumps(config))
+    result = run_fresh(_NO_NUMPY_SCRIPT, json.dumps(HARNESS_COMMANDS), cwd=without)
+    monkeypatch.chdir(with_numpy)
+    for name in ("verify", "runtime", "modes"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(HARNESS_COMMANDS[name]) == 0
+        assert result[name] == [0, out.getvalue(), ""]
+    for csv_name in ("runtime.csv", "modes.csv"):
+        assert (without / csv_name).read_bytes() == (with_numpy / csv_name).read_bytes()
+    code, out, err = result["bias"]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "reckit[bench]" in err
+    assert not (without / "bias.csv").exists()
