@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from .coders import CODERS, MAX_STEPS, Variant
@@ -36,24 +36,9 @@ from .distributions import (
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
-from .tree import PartitionKind, expand, make_root, node_sample, realize, search_keys
+from .tree import PartitionKind, expand, node_sample, realize, search_keys
 
 _LN2 = math.log(2.0)
-
-CSV_COLUMNS = (
-    "algorithm",
-    "family",
-    "d_kl_nats",
-    "d_inf_nats",
-    "n_modes",
-    "t_extra_bits",
-    "trial_index",
-    "steps",
-    "depth",
-    "payload_bits",
-    "kl_bias_estimate",
-    "error",
-)
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -79,6 +64,9 @@ class ResultRow:
             return str(v)
 
         return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 _EXACT_NAMES = tuple(v.value for v, spec in CODERS.items() if not spec.fixed_width)
@@ -122,33 +110,42 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         """The config a dict describes (the CLI reads it from a JSON file).
-        A missing key or a value of the wrong type raises DomainError."""
+        A key the dict leaves out keeps its default. A missing required
+        key or a value of the wrong type raises DomainError."""
         try:
             return ExperimentConfig(
                 algorithms=tuple(data.get("algorithms", _EXACT_NAMES)),
                 trials=as_number(data["trials"], int),
                 seed=as_number(data["seed"], int),
-                gaussian_cells=tuple(
-                    (as_number(c["kl_nats"]), as_number(c["dinf_nats"]))
-                    for c in data.get("gaussian_cells", ())
-                ),
-                uniform_cells=tuple(
-                    as_number(c["kl_nats"]) for c in data.get("uniform_cells", ())
-                ),
-                mixture_cells=tuple(
-                    (as_number(c["n_modes"], int), as_number(c["dinf_nats"]))
-                    for c in data.get("mixture_cells", ())
-                ),
-                extra_bits=tuple(
-                    as_number(t, int) for t in data.get("extra_bits", (0, 1, 2, 3, 4))
-                ),
-                repeats=as_number(data.get("repeats", 50), int),
-                batch=as_number(data.get("batch", 100), int),
-                max_steps=as_number(data.get("max_steps", MAX_STEPS), int),
-                output=data.get("output"),
+                **{key: read(data[key]) for key, read in _OPTIONAL_KEYS.items() if key in data},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad experiment config: {exc}") from None
+
+
+def _int(value) -> int:
+    return as_number(value, int)
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):  # open() takes an integer as a file descriptor
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
+
+
+# How ``from_dict`` reads each optional key of a config dict
+_OPTIONAL_KEYS = {
+    "gaussian_cells": lambda cells: tuple(
+        (as_number(c["kl_nats"]), as_number(c["dinf_nats"])) for c in cells),
+    "uniform_cells": lambda cells: tuple(as_number(c["kl_nats"]) for c in cells),
+    "mixture_cells": lambda cells: tuple(
+        (_int(c["n_modes"]), as_number(c["dinf_nats"])) for c in cells),
+    "extra_bits": lambda bits: tuple(_int(t) for t in bits),
+    "repeats": _int,
+    "batch": _int,
+    "max_steps": _int,
+    "output": _path,
+}
 
 
 # -- cell construction -------------------------------------------------------
@@ -418,10 +415,9 @@ def verify_shrinkage(
     proposal = Gaussian(0.0, 1.0)
     masses = [[1.0] * trials for _ in range(depth_max)]  # masses[d - 1][trial]: mass at depth d
     for trial in range(trials):
-        trial_seed = derive_seed(seed, trial)
-        stream = seed_state(trial_seed)
-        index, depth, low, high, ulow, uhigh, key, g = make_root(stream)
-        base, key = search_keys(kind, stream, key)
+        base = search_keys(kind, seed_state(derive_seed(seed, trial)))
+        index, depth, low, high, ulow, uhigh = 1, 1, -math.inf, math.inf, 0.0, 1.0
+        key, g = realize(kind, base, index, depth, ulow, uhigh, math.inf)
         for d in range(1, depth_max):
             x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
             children = expand(kind, proposal, x, index, depth, low, high, ulow, uhigh)

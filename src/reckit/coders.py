@@ -41,8 +41,8 @@ from .errors import BudgetExhaustedError, DomainError, InvalidCodeError
 from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, counter_uniform, seed_state, slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
-from .tree import MAX_DEPTH, NodeRecord, PartitionKind, depth_of, expand, extra_root, locate
-from .tree import make_root, node_sample, realize, search_keys
+from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, node_sample, realize
+from .tree import search_keys
 
 INF = math.inf
 _GUMBEL = int(DrawSlot.GUMBEL)
@@ -188,38 +188,40 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
 
 
 def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
-                  max_steps: float, root: NodeRecord, incumbent: NodeRecord | None = None):
+                  max_steps: float):
     """Branch-and-bound core shared by every race variant.
 
-    ``incumbent`` is a starting candidate outside the tree (the
-    depth-limited coder's extra root): it competes in incumbent updates
-    but is never enqueued, so it costs no search step. Nodes at
-    ``max_depth`` are scored but not expanded.
+    Nodes at ``max_depth`` are scored but not expanded. A finite
+    ``max_depth`` is the depth-limited coder's search, which starts from
+    its extra root (heap index 0, a full-line Gumbel truncated at the
+    root's): it competes in incumbent updates but is never enqueued, so
+    it costs no search step.
 
     A queue entry is the node itself, as flat fields:
     (-(g + M), heap_index, M, depth, low, high, ulow, uhigh, key, g), M
     the ratio bound over (low, high). Heap indices are unique in a search,
-    so no comparison reaches past the index. A child from ``expand`` is
-    queued before its Gumbel is drawn, with key None and its parent's
-    Gumbel as g, an upper bound on its own; at the top, ``realize`` draws
-    both and it is requeued at its true priority or pruned. A Gumbel never
-    exceeds the bound it is truncated at, so the steps, their order and
-    every result are those of drawing each child at expansion. A node's
-    sample is drawn when it is popped (or, for ``incumbent``, when it
-    takes the lead). ``stream`` is ``seed_state(seed)``, mixed once by the
-    caller for ``root`` and the search.
+    so no comparison reaches past the index. The root and the extra root
+    are realized up front; a child from ``expand`` is queued before its
+    Gumbel is drawn, with key None and its parent's Gumbel as g, an upper
+    bound on its own; at the top, ``realize`` draws both and it is
+    requeued at its true priority or pruned. A Gumbel never exceeds the
+    bound it is truncated at, so the steps, their order and every result
+    are those of drawing each child at expansion. A node's sample is drawn
+    when it is popped (the extra root's at the start). ``stream`` is
+    ``seed_state(seed)``.
     Returns (winner's heap index, winner's depth, winner's sample, steps, LB).
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    base, root_key = search_keys(kind, stream, root.key)
-    root_bound = bound_M(-INF, INF)
+    base = search_keys(kind, stream)
+    key, g = realize(kind, base, 1, 1, 0.0, 1.0, INF)
     lb, best_index, best_depth, best_x = -INF, None, 0, math.nan
-    if incumbent is not None:
-        best_index, best_depth = incumbent.heap_index, incumbent.depth
-        best_x = node_sample(proposal, kind, incumbent.key, best_index, best_depth,
-                             incumbent.ulow, incumbent.uhigh)
-        lb = incumbent.g + log_ratio(best_x)
-    heap = [(-(root.g + root_bound), 1, root_bound, *root[1:6], root_key, root.g)]
+    if max_depth < INF:
+        extra_key, extra_g = realize(kind, base, 0, 1, 0.0, 1.0, g)
+        best_index, best_depth = 0, 1
+        best_x = node_sample(proposal, kind, extra_key, 0, 1, 0.0, 1.0)
+        lb = extra_g + log_ratio(best_x)
+    root_bound = bound_M(-INF, INF)
+    heap = [(-(g + root_bound), 1, root_bound, 1, -INF, INF, 0.0, 1.0, key, g)]
     heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap and lb < -heap[0][0]:
@@ -274,9 +276,7 @@ def encode_astar(
     if pair.analytic_dinf() == INF:
         raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
                                   "use the depth-limited coder")
-    stream = seed_state(seed)
-    index, depth, x, steps, lb = _astar_search(pair, kind, stream, INF, max_steps,
-                                               make_root(stream))
+    index, depth, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
     code = Code(_VARIANT_OF_KIND[kind], depth, index)
     return code, x, _stats(code, steps, depth, lb)
 
@@ -292,10 +292,8 @@ def encode_dad(
     winners take their heap index, which fits in ``budget`` bits.
     """
     check_budget(budget)
-    stream = seed_state(seed)
-    root = make_root(stream)
-    index, depth, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, stream, budget,
-                                               INF, root, extra_root(stream, root))
+    index, depth, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed),
+                                               budget, INF)
     code = Code(Variant.DAD_STAR, budget, index)
     # transmitted width is the budget regardless of where the winner sat
     return code, x, _stats(code, steps, depth, lb)

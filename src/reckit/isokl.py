@@ -272,7 +272,8 @@ def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
     The model is a list of per-coordinate records plus a kappa per
     block id. Blocks come out in order of first appearance; the returned
     permutation maps block-major coordinate order back to file order.
-    A missing key or an entry that is not a number raises DomainError.
+    A missing key, a block id that is not a string (the keys of
+    ``block_kappa`` are) or an entry that is not a number raises DomainError.
     """
     try:
         coords = data["coordinates"]
@@ -284,7 +285,10 @@ def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:
     grouped: dict[str, list[tuple[int, float, float, float]]] = {}  # in order of appearance
     try:
         for pos, rec in enumerate(coords):
-            grouped.setdefault(str(rec["block_id"]), []).append(
+            bid = rec["block_id"]
+            if not isinstance(bid, str):
+                raise TypeError(f"block_id must be a string, got {bid!r}")
+            grouped.setdefault(bid, []).append(
                 (pos, as_number(rec["prior_mean"]), as_number(rec["prior_std"]),
                  as_number(rec["target_mean"])))
         kappa_of = {bid: as_number(kappas[bid]) for bid in grouped if bid in kappas}

@@ -32,21 +32,22 @@ at its parent's Gumbel, the bound its own is truncated at, and
 ``realize`` returns its (key, g), the key state and the Gumbel, when it
 reaches the top of the queue. A node's sample (``node_sample``) waits
 until the node itself is popped, since pruning reads only the Gumbel
-and the region. ``NodeRecord`` holds the two realized root-level nodes,
-``make_root``'s and ``extra_root``'s.
+and the region. Every node is drawn by ``realize`` and ``node_sample``,
+the root included: it is node 1 at depth 1 with CDF ends 0 and 1 and an
+untruncated Gumbel, and the depth-limited coder's extra root is the
+same full-line draw at heap index 0, truncated at the root's Gumbel.
 
 This module is the one place that says how a node's draws are keyed
 (``search_keys``, ``realize``, ``node_sample``), where a region is cut
 (``_cut``; ``expand`` keeps both sides, the decode walk the one its code
 names) and how a decoder finds a node again (``locate``): the encoder's
-``make_root``/``expand``/``realize`` and the decoder share them.
+``expand``/``realize`` and the decoder share them.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
@@ -74,34 +75,6 @@ class PartitionKind(Enum):
 # The hot path compares with these: a class lookup of a member costs ~0.2 us
 _GLOBAL_BOUND, _SAMPLE_SPLIT, _DYADIC = (
     PartitionKind.GLOBAL_BOUND, PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC)
-
-
-class NodeRecord(NamedTuple):
-    """A realized root-level node: ``make_root``'s root or ``extra_root``.
-
-    ``low``/``high`` are the region endpoints and ``ulow``/``uhigh`` their
-    proposal CDF values; ``key`` is the state after (seed, heap index)
-    that the node's draws branch from (see ``node_sample``; a chain search
-    holds the root under node 1's SAMPLE slot state, see ``search_keys``);
-    ``g`` is the node's Gumbel, located at the log of the region's
-    proposal mass (zero, as both span the full line): untruncated for the
-    root and truncated at the root's ``g`` for the extra root. The search
-    holds every node below them as flat fields of its queue entry (see
-    ``expand``).
-    """
-
-    heap_index: int
-    depth: int
-    low: float
-    high: float
-    ulow: float
-    uhigh: float
-    key: int
-    g: float
-
-    @property
-    def mass(self) -> float:
-        return self.uhigh - self.ulow
 
 
 def depth_of(heap_index: int) -> int:
@@ -147,26 +120,6 @@ def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: 
     return sample_restricted_u(proposal, ulow, uhigh, u)
 
 
-def _root_level(index: int, key: int, slot: int, bound: float) -> NodeRecord:
-    """A full-line node at depth 1, its Gumbel drawn from ``key`` at
-    (slot, 0) and located at log 1 = 0."""
-    g = trunc_gumbel(slot_uniform(key, slot), 0.0, bound)
-    return NodeRecord(index, 1, *_ROOT_PIECE, key, g)
-
-
-def make_root(stream: int) -> NodeRecord:
-    """Realize the root node: the full line, mass one, untruncated Gumbel.
-    ``stream`` is the search's ``seed_state(seed)``. Every partition rule
-    keys the root alike (node 1, counter 0)."""
-    return _root_level(1, absorb(stream, 1), _GUMBEL, INF)
-
-
-def extra_root(stream: int, root: NodeRecord) -> NodeRecord:
-    """The depth-limited coder's second root-level candidate, heap index
-    0: a full-line draw whose Gumbel is truncated at the root's."""
-    return _root_level(0, absorb(stream, 0), _EXTRA_GUMBEL, root.g)
-
-
 Child = tuple[int, float, float, float, float]  # (heap_index, low, high, ulow, uhigh)
 
 
@@ -193,30 +146,30 @@ def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, 
     return children
 
 
-def search_keys(kind: PartitionKind, stream: int,
-                root_key: int) -> tuple[int | tuple[int, int], int]:
-    """``realize``'s base and the root's key as a search holds them, from
-    ``stream``, the search's ``seed_state(seed)``, and ``root_key``,
-    ``make_root``'s key. A split tree keys each node afresh, so these are
-    ``stream`` and ``root_key`` themselves. Every chain node draws from
-    node 1's GUMBEL and SAMPLE slots at counter depth - 1, so the chain
-    branches node 1's key into those two states once per search: the
-    states after (seed, 1, GUMBEL) and (seed, 1, SAMPLE) are its base,
-    and the second is the key of every chain node, the root included."""
+def search_keys(kind: PartitionKind, stream: int) -> int | tuple[int, int]:
+    """``realize``'s base, from ``stream``, the search's ``seed_state(seed)``.
+    A split tree keys each node afresh, so its base is ``stream`` itself.
+    Every chain node draws from node 1's GUMBEL and SAMPLE slots at
+    counter depth - 1, so the chain branches node 1's key into those two
+    states once per search: the states after (seed, 1, GUMBEL) and
+    (seed, 1, SAMPLE) are its base, and the second is the key of every
+    chain node, the root included."""
     if kind is _GLOBAL_BOUND:
-        sample_state = absorb(root_key, _SAMPLE)
-        return (absorb(root_key, _GUMBEL), sample_state), sample_state
-    return stream, root_key
+        node1 = absorb(stream, 1)
+        return absorb(node1, _GUMBEL), absorb(node1, _SAMPLE)
+    return stream
 
 
 def realize(kind: PartitionKind, base: int | tuple[int, int], index: int, depth: int,
             ulow: float, uhigh: float, bound: float) -> tuple[int, float]:
-    """The key state and Gumbel of a child from ``expand``, the node at
-    ``index`` and ``depth`` with CDF ends ``ulow`` and ``uhigh``: its
-    Gumbel is located at the log of its proposal mass and truncated at
-    ``bound``, its parent's Gumbel. ``base`` is what the child's key
-    branches from: in a split tree the search's ``seed_state(seed)``,
-    which absorbs the child's heap index; on the chain node 1's two slot
+    """The key state and Gumbel of the node at ``index`` and ``depth`` with
+    CDF ends ``ulow`` and ``uhigh``: its Gumbel is located at the log of
+    its proposal mass and truncated at ``bound``, its parent's Gumbel (no
+    bound, ``INF``, for the root; the root's Gumbel for the extra root).
+    ``base`` is what the node's key branches from: in a split tree the
+    search's ``seed_state(seed)``, which absorbs the node's heap index,
+    and the draw takes the GUMBEL slot, or the EXTRA_ROOT one at heap
+    index 0, as ``node_sample`` does; on the chain node 1's two slot
     states (see ``search_keys``), which every chain node shares, so a
     chain draw absorbs only its counter."""
     if kind is _GLOBAL_BOUND:
@@ -224,7 +177,7 @@ def realize(kind: PartitionKind, base: int | tuple[int, int], index: int, depth:
         u = counter_uniform(gumbels, depth - 1)
     else:
         key = absorb(base, index)
-        u = slot_uniform(key, _GUMBEL)
+        u = slot_uniform(key, _GUMBEL if index else _EXTRA_GUMBEL)
     return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
@@ -245,13 +198,13 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
 
     Any other code takes the decode walk: it rebuilds the regions on the
     heap path from the root (the index's digits after its leading 1;
-    0 = left, 1 = right) with the cuts and node keys of ``make_root``,
-    ``expand`` and ``realize``, keeping the side each digit names and
-    refusing a step into an empty slot. Only a sample-split cut reads an
-    ancestor's sample, so only that walk draws one: a level costs one
-    absorb, one ``slot_uniform``, one inv_cdf and one cdf. A chain node
-    is found by its depth alone; index 0 at depth 1 is ``extra_root``.
-    Both, and the root, are one full-line draw straight from the node's key.
+    0 = left, 1 = right) with the cuts and node keys of ``expand`` and
+    ``realize``, keeping the side each digit names and refusing a step
+    into an empty slot. Only a sample-split cut reads an ancestor's
+    sample, so only that walk draws one: a level costs one absorb, one
+    ``slot_uniform``, one inv_cdf and one cdf. A chain node is found by
+    its depth alone; index 0 at depth 1 is the extra root. Both, and the
+    root, are one full-line draw straight from the node's key.
     """
     stream = seed_state(seed)
     if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:

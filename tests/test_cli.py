@@ -375,6 +375,16 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     ("encode", "--model", {"target": {**_GAUSS, "variance": True}, "proposal": _GAUSS}),
     # a file that holds no JSON object
     ("bench-runtime", "--config", [_BIAS]),
+    # a block id that is not a string: block_kappa's keys are strings
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "block_id": 1}],
+                                 "block_kappa": {"1": 1.0}}),
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "block_id": True}],
+                                 "block_kappa": {"True": 1.0}}),
+    ("encode", "--block-model", {"coordinates": [{**_RECORD, "block_id": 1},
+                                                 {**_RECORD, "block_id": "1"}],
+                                 "block_kappa": {"1": 0.9}}),
+    # an output that is not a path: open() would take 1 as a file descriptor
+    ("bench-runtime", "--config", {**_RUNTIME, "output": 1}),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "file.json"
@@ -385,4 +395,5 @@ def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
         "decode": ["--seed", "1", "--in", str(path), "--samples", out],
     }.get(command, ["--out", out])
     assert main([command, flag, str(path), *rest]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""

@@ -41,7 +41,7 @@ from reckit.errors import (
 )
 from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, seed_state, trunc_gumbel
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, make_root
+from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, realize, search_keys
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
 # distribution tests against quadrature).
@@ -391,7 +391,8 @@ def test_dad_stabilizes_to_exact_winner_or_extra():
             PAIR_GG, PartitionKind.DYADIC, seed
         )
         code, x, _ = encode_dad(PAIR_GG, seed, 18)
-        root_g = make_root(seed_state(seed)).g
+        base = search_keys(PartitionKind.DYADIC, seed_state(seed))
+        _, root_g = realize(PartitionKind.DYADIC, base, 1, 1, 0.0, 1.0, math.inf)
         extra_g = trunc_gumbel(
             keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
             0.0, root_g,

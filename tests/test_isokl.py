@@ -340,3 +340,8 @@ def test_load_block_model():
             load_block_model({"coordinates": [bad], "block_kappa": {"x": 1.0}})
     with pytest.raises(DomainError):
         load_block_model({"coordinates": [record], "block_kappa": {"x": "big"}})
+    # a block id that is not a string, alone or beside its string spelling
+    for ids in ([1], [True], [1, "1"]):
+        coords = [{**record, "block_id": bid} for bid in ids]
+        with pytest.raises(DomainError):
+            load_block_model({"coordinates": coords, "block_kappa": {"1": 1.0, "True": 1.0}})

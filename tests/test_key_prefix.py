@@ -11,6 +11,7 @@ below without the library's helpers.
 """
 
 import math
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +32,8 @@ from reckit.randomness import (
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import MAX_DEPTH, NodeRecord, PartitionKind, _cut, expand, extra_root
-from reckit.tree import make_root, node_sample, realize, search_keys
+from reckit.tree import MAX_DEPTH, PartitionKind, _cut, expand, node_sample, realize
+from reckit.tree import search_keys
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -75,6 +76,29 @@ def test_prefix_path_matches_keyed_uniform(seed, node, slot, counter):
         reference_mix64(seed & MASK) ^ ((node + GOLDEN) & MASK))
 
 
+class Node(NamedTuple):
+    """A realized node: its heap index, depth, region and CDF ends, and
+    ``realize``'s key state and Gumbel."""
+
+    heap_index: int
+    depth: int
+    low: float
+    high: float
+    ulow: float
+    uhigh: float
+    key: int
+    g: float
+
+    @property
+    def mass(self) -> float:
+        return self.uhigh - self.ulow
+
+
+def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+    return Node(index, depth, low, high, ulow, uhigh,
+                *realize(kind, base, index, depth, ulow, uhigh, bound))
+
+
 def _check_node(node, proposal, seed, kind, bound):
     """``bound`` is the parent's Gumbel (+inf at the root). Returns the
     node's sample."""
@@ -94,10 +118,8 @@ def _check_node(node, proposal, seed, kind, bound):
 
 
 def realized_children(node, kind, proposal, base, x):
-    """``expand``'s children of ``node``, each realized, as ``NodeRecord``s."""
-    depth = node.depth + 1
-    return [NodeRecord(index, depth, low, high, ulow, uhigh,
-                       *realize(kind, base, index, depth, ulow, uhigh, node.g))
+    """``expand``'s children of ``node``, each realized."""
+    return [realize_node(kind, base, index, node.depth + 1, low, high, ulow, uhigh, node.g)
             for index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6])]
 
 
@@ -107,9 +129,8 @@ def test_tree_draws_match_per_key_calls(seed):
     stream = seed_state(seed)
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
         for kind in PartitionKind:
-            root = make_root(stream)
-            base, key = search_keys(kind, stream, root.key)
-            root = root._replace(key=key)
+            base = search_keys(kind, stream)
+            root = realize_node(kind, base, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf)
             level = [(root, math.inf)]
             for _ in range(5):
                 level = [(c, node.g) for node, bound in level
@@ -160,8 +181,11 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
         got = decode(GAUSS, Code(variant, depth, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
-    root = make_root(seed_state(seed))
-    extra = extra_root(seed_state(seed), root)
+    base = search_keys(PartitionKind.DYADIC, seed_state(seed))
+    root = realize_node(PartitionKind.DYADIC, base, 1, 1, -math.inf, math.inf, 0.0, 1.0,
+                        math.inf)
+    extra = realize_node(PartitionKind.DYADIC, base, 0, 1, -math.inf, math.inf, 0.0, 1.0,
+                         root.g)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
     extra_x = node_sample(GAUSS, PartitionKind.DYADIC, extra.key, 0, 1, 0.0, 1.0)

@@ -12,6 +12,7 @@ late draws must make far fewer Gumbel draws.
 import heapq
 import math
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 
@@ -22,8 +23,7 @@ from reckit.distributions import Gaussian, PairSpec
 from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import seed_state
-from reckit.tree import NodeRecord, PartitionKind, expand, extra_root, make_root, node_sample
-from reckit.tree import realize, search_keys
+from reckit.tree import PartitionKind, expand, node_sample, realize, search_keys
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -45,19 +45,39 @@ PAIRS = {
 }
 
 
-def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
-    """The branch-and-bound loop with every child drawn at expansion and
-    held as a ``NodeRecord``. A chain child copies its parent's key state,
-    which is node 1's SAMPLE slot state."""
+class Node(NamedTuple):
+    """A node drawn at expansion: heap index, depth, region, CDF ends, and
+    ``realize``'s key state and Gumbel."""
+
+    heap_index: int
+    depth: int
+    low: float
+    high: float
+    ulow: float
+    uhigh: float
+    key: int
+    g: float
+
+
+def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+    return Node(index, depth, low, high, ulow, uhigh,
+                *realize(kind, base, index, depth, ulow, uhigh, bound))
+
+
+def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
+    """The branch-and-bound loop with every child drawn at expansion. The
+    root is node 1, the full line, untruncated; with ``extra_root`` the
+    depth-limited coder's extra root (heap index 0, truncated at the
+    root's Gumbel) starts as the incumbent. A chain child's key state is
+    its parent's, node 1's SAMPLE slot state."""
     proposal = pair.proposal
-    stream = seed_state(seed)
-    base, root_key = search_keys(kind, stream, root.key)
-    root = root._replace(key=root_key)
+    base = search_keys(kind, seed_state(seed))
+    root = realize_node(kind, base, 1, 1, -INF, INF, 0.0, 1.0, INF)
     root_bound = pair.bound_M(-INF, INF)
     lb, best, best_x = -INF, None, math.nan
-    if incumbent is not None:
-        best_x = node_sample(proposal, kind, incumbent.key, incumbent.heap_index,
-                             incumbent.depth, incumbent.ulow, incumbent.uhigh)
+    if extra_root:
+        incumbent = realize_node(kind, base, 0, 1, -INF, INF, 0.0, 1.0, root.g)
+        best_x = node_sample(proposal, kind, incumbent.key, 0, 1, 0.0, 1.0)
         lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
     heap = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
@@ -73,8 +93,8 @@ def eager_search(pair, kind, seed, max_depth, max_steps, root, incumbent=None):
         if node.depth < max_depth:
             depth = node.depth + 1
             for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6]):
-                child = NodeRecord(child_index, depth, low, high, ulow, uhigh,
-                                   *realize(kind, base, child_index, depth, ulow, uhigh, node.g))
+                child = realize_node(kind, base, child_index, depth, low, high, ulow, uhigh,
+                                     node.g)
                 g = child.g
                 if lb < g + bound:
                     child_bound = pair.bound_M(child.low, child.high)
@@ -92,16 +112,13 @@ def eager_encode(coder, pair, seed, max_steps):
         if pair.analytic_dinf() == INF:
             raise UnboundedRatioError("unbounded ratio")
         kind = KINDS[coder]
-        root = make_root(seed_state(seed))
-        best, x, steps, lb = eager_search(pair, kind, seed, INF, max_steps, root)
+        best, x, steps, lb = eager_search(pair, kind, seed, INF, max_steps)
         code = Code(coders._VARIANT_OF_KIND[kind], best.depth, best.heap_index)
     else:
         budget = coder[1]
         check_budget(budget)
-        root = make_root(seed_state(seed))
-        extra = extra_root(seed_state(seed), root)
-        best, x, steps, lb = eager_search(pair, PartitionKind.DYADIC, seed, budget, INF, root,
-                                          extra)
+        best, x, steps, lb = eager_search(pair, PartitionKind.DYADIC, seed, budget, INF,
+                                          extra_root=True)
         code = Code(Variant.DAD_STAR, budget, best.heap_index)
     return code, x, coders._stats(code, steps, best.depth, lb)
 

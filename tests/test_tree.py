@@ -2,6 +2,7 @@
 
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from reckit.randomness import (
     trunc_gumbel,
 )
 from reckit.tree import (
-    NodeRecord,
     PartitionKind,
     _cut,
     depth_of,
     expand,
     heap_children,
-    make_root,
     node_sample,
     realize,
     search_keys,
@@ -55,24 +54,44 @@ def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
                        node.ulow, node.uhigh)
 
 
+class Node(NamedTuple):
+    """A drawn node as these tests hold it: its heap index, depth, region
+    and CDF ends, and the key state and Gumbel that ``realize`` gives."""
+
+    heap_index: int
+    depth: int
+    low: float
+    high: float
+    ulow: float
+    uhigh: float
+    key: int
+    g: float
+
+    @property
+    def mass(self) -> float:
+        return self.uhigh - self.ulow
+
+
+def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+    return Node(index, depth, low, high, ulow, uhigh,
+                *realize(kind, base, index, depth, ulow, uhigh, bound))
+
+
 def search_root(kind, seed):
-    """The root and ``realize``'s base as a search holds them: on the chain
-    the root's key is node 1's SAMPLE slot state (see ``tree.search_keys``)."""
-    stream = seed_state(seed)
-    root = make_root(stream)
-    base, key = search_keys(kind, stream, root.key)
-    return root._replace(key=key), base
+    """The root and ``realize``'s base as a search holds them: the root is
+    node 1 at depth 1, the full line, drawn untruncated; on the chain its
+    key is node 1's SAMPLE slot state (see ``tree.search_keys``)."""
+    base = search_keys(kind, seed_state(seed))
+    return realize_node(kind, base, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf), base
 
 
 def pop_and_expand(node, kind, proposal, base):
     """A popped node's children, all drawn: its sample, then its children
     (a sample-split cut reads the sample), each realized as the search
-    realizes a child that reaches the top of its queue, and held as a
-    ``NodeRecord``. ``base`` is ``search_root``'s."""
+    realizes a child that reaches the top of its queue. ``base`` is
+    ``search_root``'s."""
     children = expand(kind, proposal, sample(node, kind, proposal), *node[:6])
-    depth = node.depth + 1
-    return [NodeRecord(index, depth, low, high, ulow, uhigh,
-                       *realize(kind, base, index, depth, ulow, uhigh, node.g))
+    return [realize_node(kind, base, index, node.depth + 1, low, high, ulow, uhigh, node.g)
             for index, low, high, ulow, uhigh in children]
 
 
@@ -159,8 +178,9 @@ def test_cut_rounding_onto_a_region_end_empties_that_side():
     assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, b, c, b, c) == [(10, b, c, b, c)]
 
 
-def test_make_root():
-    root = make_root(seed_state(7))
+def test_realize_draws_the_root():
+    root, base = search_root(PartitionKind.DYADIC, 7)
+    assert base == seed_state(7)  # a split tree keys each node afresh
     assert root.heap_index == 1 and root.depth == 1
     assert (root.low, root.high) == (-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
@@ -169,15 +189,18 @@ def test_make_root():
     # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(sample(root))
-    assert make_root(seed_state(7)) == root  # deterministic
-    assert make_root(seed_state(8)) != root
+    assert search_root(PartitionKind.DYADIC, 7)[0] == root  # deterministic
+    assert search_root(PartitionKind.DYADIC, 8)[0] != root
+    # every partition rule draws the root's Gumbel alike (node 1, counter 0)
+    for kind in PartitionKind:
+        assert search_root(kind, 7)[0].g == root.g
 
 
 def test_expand_children_tile_parent():
     for seed in range(20):
-        node = make_root(seed_state(seed))
+        node, base = search_root(PartitionKind.SAMPLE_SPLIT, seed)
         for _ in range(6):
-            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, seed_state(seed))
+            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, base)
             assert 1 <= len(children) <= 2
             assert sum(c.mass for c in children) == pytest.approx(node.mass, abs=1e-12)
             for c in children:
@@ -262,7 +285,7 @@ def test_top_down_race_samples_proposal():
     over seeds it must reproduce the proposal distribution."""
     from scipy import stats
 
-    xs = [sample(make_root(seed_state(derive_seed(13, i)))) for i in range(4000)]
+    xs = [sample(search_root(PartitionKind.DYADIC, derive_seed(13, i))[0]) for i in range(4000)]
     assert stats.kstest(xs, "norm").pvalue > 0.01
 
 
@@ -285,8 +308,3 @@ def test_top_down_matches_exchangeable_race_across_kinds():
 
     assert stats.ks_2samp(split, dyad).pvalue > 0.01
 
-
-def test_node_record_mass_property():
-    root = make_root(seed_state(0))
-    node = NodeRecord(1, 1, -1.0, 1.0, 0.2, 0.7, root.key, root.g)
-    assert node.mass == pytest.approx(0.5)
