@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .distributions import Distribution1D, PairSpec, sample_restricted_u
+from .distributions import Distribution1D, PairSpec
 from .errors import BudgetExhaustedError, DomainError, InvalidCodeError
 from .errors import UnboundedRatioError
-from .randomness import DrawSlot, absorb, counter_uniform, seed_state, slot_uniform
+from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, seed_state
+from .randomness import slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, node_sample, realize
 from .tree import search_keys
@@ -323,6 +324,11 @@ def encode_mrc(
     the target support the selection falls back to uniform over the N
     draws. Each draw counts as one step, so N > ``max_steps`` is refused
     before any is made.
+
+    Candidate i is the proposal's quantile at counter i after (seed, 0,
+    SAMPLE); the N uniforms come from one ``counter_uniforms`` call, which
+    mixes them in packed batches, and ``decode_mrc`` redraws the chosen
+    one alone with ``counter_uniform``.
     """
     check_budget(bits)
     n = 1 << bits
@@ -330,8 +336,7 @@ def encode_mrc(
         raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
     proposal, node = pair.proposal, _mrc_node(seed)
     draws = absorb(node, _SAMPLE)
-    xs = [sample_restricted_u(proposal, 0.0, 1.0, counter_uniform(draws, i))
-          for i in range(n)]
+    xs = [proposal.inv_cdf(u) for u in counter_uniforms(draws, 0, n)]
     log_w = [pair.log_ratio(x) for x in xs]
     top = max(log_w)
     weights = [math.exp(lw - top) for lw in log_w] if top > -INF else [1.0] * n
@@ -351,8 +356,7 @@ def encode_mrc(
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    u = counter_uniform(absorb(_mrc_node(seed), _SAMPLE), code.payload)
-    return sample_restricted_u(proposal, 0.0, 1.0, u)
+    return proposal.inv_cdf(counter_uniform(absorb(_mrc_node(seed), _SAMPLE), code.payload))
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:

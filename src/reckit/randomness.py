@@ -27,18 +27,20 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take two shapes, each one call with the rounds written out and a
+Draws take three shapes, each one call with the rounds written out and a
 test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
-slot at counter 0 after (seed, node): split-tree and root-level draws) and
+slot at counter 0 after (seed, node): split-tree and root-level draws),
 :func:`counter_uniform` (a counter after (seed, node, slot): chain draws
-and MRC candidates). Which key each draw uses is said once:
-``reckit.tree`` keys the search nodes and ``reckit.coders`` the MRC
-candidates.
+and MRC's decode) and :func:`counter_uniforms` (a run of counters after
+(seed, node, slot), mixed together: MRC's encode). Which key each draw
+uses is said once: ``reckit.tree`` keys the search nodes and
+``reckit.coders`` the MRC candidates.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -107,6 +109,44 @@ def counter_uniform(state: int, counter: int) -> float:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16
+
+
+# counter_uniforms mixes up to _LANES counters at once, each in a _WIDTH-bit
+# lane of one int: a lane holds a 64-bit state, and the 128-bit product of
+# two 64-bit values does not reach the next lane.
+_LANES = 256
+_WIDTH = 128
+_REPEAT = int.from_bytes(b"\1".ljust(_WIDTH // 8, b"\0") * _LANES, "little")  # 1 in every lane
+_COUNTERS = int.from_bytes(  # i in lane i
+    b"".join(i.to_bytes(_WIDTH // 8, "little") for i in range(_LANES)), "little")
+_LANE64 = _MASK64 * _REPEAT
+_LANE53 = ((1 << 53) - 1) * _REPEAT
+_GOLDENS = _GOLDEN * _REPEAT
+
+
+def counter_uniforms(state: int, start: int, n: int) -> list[float]:
+    """[counter_uniform(state, start + i) for i in range(n)], bit for bit.
+
+    The rounds of mix64 run once per batch of up to 256 counters, on
+    every lane of a packed int. Each lane is masked back to 64 bits
+    before a multiply, so no product spills into the next lane, and the
+    shifts that pull a neighbour's bits into a lane's upper half are
+    masked off with them.
+    """
+    out: list[float] = []
+    for first in range(0, n, _LANES):
+        lanes = min(_LANES, n - first)
+        low = (1 << (_WIDTH * lanes)) - 1
+        repeat = _REPEAT & low
+        # the counter field (start + first + i + GOLDEN) mod 2^64 in lane i
+        fields = ((_COUNTERS & low) + ((start + first + _GOLDEN) & _MASK64) * repeat) & _LANE64
+        z = ((state * repeat ^ fields) + (_GOLDENS & low)) & _LANE64
+        z = (((z ^ (z >> 30)) & _LANE64) * 0xBF58476D1CE4E5B9) & _LANE64
+        z = (((z ^ (z >> 27)) & _LANE64) * 0x94D049BB133111EB) & _LANE64
+        z = ((z ^ (z >> 31)) >> 11) & _LANE53
+        words = memoryview(z.to_bytes(_WIDTH // 8 * lanes, sys.byteorder)).cast("Q")
+        out += [(k + 0.5) * 1.1102230246251565e-16 for k in words[::2]]  # 2^-53
+    return out
 
 
 def keyed_uniform(key: StreamKey) -> float:

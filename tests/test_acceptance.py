@@ -590,3 +590,44 @@ def test_criterion_11_serialization_roundtrips_and_block_overhead():
         f"{block_overhead:.2f} b/coord (== {header_bits}/50) vs exact-mode "
         f"{exact_overhead:.2f} >= mean gamma(depth) {mean_gamma:.2f}",
     )
+
+
+# -- 12: wire bits per symbol stay near the codelength bound -----------------------
+
+# c per coder: the largest excess of the mean over the bound on the grid
+# below when this criterion was added, rounded up to a tenth. A framing
+# that sends less must lower these, never raise them.
+CODELENGTH_SLACK = {"as": 1.7, "ad": 1.6, "dad": 2.6}
+
+
+def test_criterion_12_wire_bits_per_symbol_near_the_kl():
+    """On a KL grid of 0.5-6 nats (Q from gaussian_from_kl_dinf(kl,
+    1.6 kl + 0.5) under N(0, 1)), 200 real frames of 10 symbols per cell
+    and coder cost at most KL + 2 log2(KL + 1) + c bits per symbol, KL in
+    bits: exact `as` and `ad` frames, and block frames of `dad` codes at
+    ceil(KL) + 2 bits."""
+    excess = dict.fromkeys(CODELENGTH_SLACK, -math.inf)
+    parts = []
+    for cell, kl in enumerate((0.5, 1.0, 2.0, 4.0, 6.0)):
+        pair = gauss_pair(kl, 1.6 * kl + 0.5)
+        kl_bits = kl / LN2
+        bound = kl_bits + 2.0 * math.log2(kl_bits + 1.0)
+        budget = math.ceil(kl_bits) + 2
+        seeds = [derive_seed(120_000 + cell, f) for f in range(200)]
+        frames = {"as": [], "ad": [], "dad": []}
+        for seed in seeds:
+            symbols = [derive_seed(seed, i) for i in range(10)]
+            for name, kind in (("as", PartitionKind.SAMPLE_SPLIT), ("ad", PartitionKind.DYADIC)):
+                codes = tuple(encode_astar(pair, kind, s)[0] for s in symbols)
+                frames[name].append(MessageFrame(MODE_EXACT, codes[0].variant, codes))
+            codes = tuple(encode_dad(pair, s, budget)[0] for s in symbols)
+            frames["dad"].append(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, codes, budget))
+        cell_parts = []
+        for name, made in frames.items():
+            mean = sum(write_message(f).bit_length for f in made) / (10 * len(made))
+            excess[name] = max(excess[name], mean - bound)
+            cell_parts.append(f"{name} {mean:.2f}")
+        parts.append(f"kl={kl_bits:.2f}b bound {bound:.2f}: " + " ".join(cell_parts))
+    ok = all(excess[name] <= c for name, c in CODELENGTH_SLACK.items())
+    slack = ", ".join(f"{name} {excess[name]:.3f}<={c}" for name, c in CODELENGTH_SLACK.items())
+    report(12, ok, f"largest excess {slack}; " + "; ".join(parts))

@@ -496,8 +496,9 @@ def test_fixed_width_budgets_stop_at_the_wire_limit():
         encode_mrc(PAIR_GG, 1, 10, max_steps=1023)
     code, x, stats = encode_mrc(PAIR_GG, 1, 10, max_steps=1024)
     assert stats.steps == 1024 and decode(PAIR_GG.proposal, code, 1) == x
-    with pytest.raises(BudgetExhaustedError):
-        CODERS[Variant.MRC].encode(PAIR_GG, 1, 40, 10**6)
+    for bits in (40, MAX_DEPTH):
+        with pytest.raises(BudgetExhaustedError):
+            CODERS[Variant.MRC].encode(PAIR_GG, 1, bits, 10**6)
 
 
 def test_budget_exhaustion():

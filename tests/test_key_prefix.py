@@ -25,6 +25,7 @@ from reckit.randomness import (
     StreamKey,
     absorb,
     counter_uniform,
+    counter_uniforms,
     derive_seed,
     keyed_uniform,
     seed_state,
@@ -144,16 +145,17 @@ def test_tree_draws_match_per_key_calls(seed):
 def test_mrc_candidate_uniforms_match_per_key_calls(seed, bits):
     seen = []
 
-    def recording(dist, ulow, uhigh, u):
-        seen.append(u)
-        return sample_restricted_u(dist, ulow, uhigh, u)
+    def recording(state, start, n):
+        us = counter_uniforms(state, start, n)
+        seen.extend(us)
+        return us
 
-    original = coders.sample_restricted_u
-    coders.sample_restricted_u = recording
+    original = coders.counter_uniforms
+    coders.counter_uniforms = recording
     try:
         encode_mrc(PairSpec(Gaussian(0.4, 0.5), GAUSS), seed, bits)
     finally:
-        coders.sample_restricted_u = original
+        coders.counter_uniforms = original
     assert seen == [per_key(seed, 0, DrawSlot.SAMPLE, i) for i in range(1 << bits)]
 
 

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reckit.randomness import (
     _GOLDEN,
@@ -18,6 +20,7 @@ from reckit.randomness import (
     StreamKey,
     absorb,
     counter_uniform,
+    counter_uniforms,
     derive_seed,
     keyed_uniform,
     seed_state,
@@ -64,6 +67,19 @@ def test_draw_shapes_match_the_absorb_chain():
             assert slot_uniform(state, slot) == state_uniform(absorb(absorb(state, slot), 0))
         for counter in (0, 1, 1 << 62, MASK):
             assert counter_uniform(state, counter) == state_uniform(absorb(state, counter))
+            assert counter_uniforms(state, counter, 2) == [
+                state_uniform(absorb(state, counter + i)) for i in range(2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=st.integers(0, MASK), n=st.integers(0, 600),
+       where=st.sampled_from(("zero", "random", "top")), r=st.integers(0, MASK))
+def test_counter_uniforms_match_counter_uniform(state, n, where, r):
+    """The packed batch draw, across several 256-counter batches, equals
+    one counter_uniform per counter; "top" ends the run at counter 2^62."""
+    start = {"zero": 0, "random": r, "top": (1 << 62) - n}[where]
+    assert counter_uniforms(state, start, n) == [
+        counter_uniform(state, start + i) for i in range(n)]
 
 
 def test_draw_shapes_reproduce_the_keyed_anchors():
