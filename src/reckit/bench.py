@@ -36,7 +36,7 @@ from .distributions import (
 from .errors import DomainError, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
-from .tree import PartitionKind, expand, node_sample, realize, search_keys
+from .tree import MAX_DEPTH, PartitionKind, expand, node_sample, realize, search_keys
 
 _LN2 = math.log(2.0)
 
@@ -408,10 +408,13 @@ def verify_shrinkage(
     Descends into the larger-mass child at every level (the binding case
     for the 3/4 rate of sample splitting) and compares the per-depth mean
     mass against (3/4)^(d-1) + 3 SE; the dyadic rule must halve exactly,
-    so its masses are compared to 2^-(d-1) directly.
+    so its masses are compared to 2^-(d-1) directly. A ``depth_max``
+    outside 1..MAX_DEPTH or fewer than one trial is refused up front.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if not 1 <= depth_max <= MAX_DEPTH:
+        raise DomainError(f"depth_max must be 1 to {MAX_DEPTH}, got {depth_max}")
     proposal = Gaussian(0.0, 1.0)
     masses = [[1.0] * trials for _ in range(depth_max)]  # masses[d - 1][trial]: mass at depth d
     for trial in range(trials):

@@ -225,6 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_roundtrip(trials: int, seed: int) -> int:
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     mean, variance = gaussian_from_kl_dinf(1.0, 2.0)
     pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
     n = max(10, min(trials, 200))

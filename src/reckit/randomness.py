@@ -27,14 +27,17 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take three shapes, each one call with the rounds written out and a
+Draws take four shapes, each one call with the rounds written out and a
 test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
 slot at counter 0 after (seed, node): split-tree and root-level draws),
 :func:`counter_uniform` (a counter after (seed, node, slot): chain draws
-and MRC's decode) and :func:`counter_uniforms` (a run of counters after
-(seed, node, slot), mixed together: MRC's encode). Which key each draw
-uses is said once: ``reckit.tree`` keys the search nodes and
-``reckit.coders`` the MRC candidates.
+and MRC's decode), :func:`counter_uniforms` (a run of counters after
+(seed, node, slot), mixed together: MRC's encode) and
+:func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
+list of nodes, mixed together: a sample-split decode's whole path). The
+last two share one packed round, which holds each key in a 128-bit lane
+of one int. Which key each draw uses is said once: ``reckit.tree`` keys
+the search nodes and ``reckit.coders`` the MRC candidates.
 """
 
 from __future__ import annotations
@@ -111,9 +114,9 @@ def counter_uniform(state: int, counter: int) -> float:
     return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16
 
 
-# counter_uniforms mixes up to _LANES counters at once, each in a _WIDTH-bit
-# lane of one int: a lane holds a 64-bit state, and the 128-bit product of
-# two 64-bit values does not reach the next lane.
+# The packed draws mix up to _LANES keys at once, each in a _WIDTH-bit lane
+# of one int: a lane holds a 64-bit state, and the 128-bit product of two
+# 64-bit values does not reach the next lane.
 _LANES = 256
 _WIDTH = 128
 _REPEAT = int.from_bytes(b"\1".ljust(_WIDTH // 8, b"\0") * _LANES, "little")  # 1 in every lane
@@ -122,31 +125,61 @@ _COUNTERS = int.from_bytes(  # i in lane i
 _LANE64 = _MASK64 * _REPEAT
 _LANE53 = ((1 << 53) - 1) * _REPEAT
 _GOLDENS = _GOLDEN * _REPEAT
+_UPPER_HALF = bytes(_WIDTH // 8 - 8)
+
+
+def _packed_uniforms(state: int, fields: int, lanes: int, slot: int | None = None) -> list[float]:
+    """The uniforms of ``lanes`` keys mixed together. Lane i absorbs into
+    ``state`` its own field f_i, held (below 2^65) in the low half of lane
+    i of ``fields``; given a ``slot``, it then absorbs that slot and
+    counter 0. So lane i's uniform is counter_uniform(state, f_i), or
+    slot_uniform(absorb(state, f_i), slot).
+
+    Each round of mix64 absorbs one field on every lane of the packed int
+    at once. Each lane is masked back to 64 bits before a multiply, so no
+    product spills into the next lane, and the shifts that pull a
+    neighbour's bits into a lane's upper half are masked off with them;
+    a round's last shift leaves such bits for the next round's first mask,
+    or the uniform's 53-bit mask, to clear.
+    """
+    low = (1 << (_WIDTH * lanes)) - 1
+    repeat, goldens = _REPEAT & low, _GOLDENS & low
+    absorbed = (fields + goldens,)  # field + GOLDEN in each lane, taken mod 2^64 below
+    if slot is not None:  # the slot's and counter 0's fields, the same in every lane
+        absorbed += (((slot + _GOLDEN) & _MASK64) * repeat, goldens)
+    z = (state & _MASK64) * repeat
+    for field in absorbed:
+        z = ((z ^ field) + goldens) & _LANE64
+        z = (((z ^ (z >> 30)) & _LANE64) * 0xBF58476D1CE4E5B9) & _LANE64
+        z = (((z ^ (z >> 27)) & _LANE64) * 0x94D049BB133111EB) & _LANE64
+        z ^= z >> 31
+    words = memoryview(((z >> 11) & _LANE53).to_bytes(_WIDTH // 8 * lanes, sys.byteorder))
+    return [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[::2]]  # 2^-53
 
 
 def counter_uniforms(state: int, start: int, n: int) -> list[float]:
-    """[counter_uniform(state, start + i) for i in range(n)], bit for bit.
-
-    The rounds of mix64 run once per batch of up to 256 counters, on
-    every lane of a packed int. Each lane is masked back to 64 bits
-    before a multiply, so no product spills into the next lane, and the
-    shifts that pull a neighbour's bits into a lane's upper half are
-    masked off with them.
-    """
+    """[counter_uniform(state, start + i) for i in range(n)], bit for bit:
+    a packed draw (``_packed_uniforms``) per batch of up to 256 counters."""
     out: list[float] = []
     for first in range(0, n, _LANES):
         lanes = min(_LANES, n - first)
         low = (1 << (_WIDTH * lanes)) - 1
-        repeat = _REPEAT & low
-        # the counter field (start + first + i + GOLDEN) mod 2^64 in lane i
-        fields = ((_COUNTERS & low) + ((start + first + _GOLDEN) & _MASK64) * repeat) & _LANE64
-        z = ((state * repeat ^ fields) + (_GOLDENS & low)) & _LANE64
-        z = (((z ^ (z >> 30)) & _LANE64) * 0xBF58476D1CE4E5B9) & _LANE64
-        z = (((z ^ (z >> 27)) & _LANE64) * 0x94D049BB133111EB) & _LANE64
-        z = ((z ^ (z >> 31)) >> 11) & _LANE53
-        words = memoryview(z.to_bytes(_WIDTH // 8 * lanes, sys.byteorder)).cast("Q")
-        out += [(k + 0.5) * 1.1102230246251565e-16 for k in words[::2]]  # 2^-53
+        # the counter start + first + i in lane i
+        counters = (_COUNTERS & low) + ((start + first) & _MASK64) * (_REPEAT & low)
+        out += _packed_uniforms(state, counters, lanes)
     return out
+
+
+def slot_uniforms(stream: int, fields: list[int], slot: int) -> list[float]:
+    """[slot_uniform(absorb(stream, f), slot) for f in fields], bit for bit,
+    for fields below 2^64: a packed draw (``_packed_uniforms``) per batch
+    of up to 256 fields, each lane absorbing its own field, then ``slot``
+    and counter 0."""
+    if len(fields) > _LANES:
+        return (slot_uniforms(stream, fields[:_LANES], slot)
+                + slot_uniforms(stream, fields[_LANES:], slot))
+    packed = int.from_bytes(_UPPER_HALF.join([f.to_bytes(8, "little") for f in fields]), "little")
+    return _packed_uniforms(stream, packed, len(fields), slot)
 
 
 def keyed_uniform(key: StreamKey) -> float:

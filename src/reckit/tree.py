@@ -41,7 +41,10 @@ This module is the one place that says how a node's draws are keyed
 (``search_keys``, ``realize``, ``node_sample``), where a region is cut
 (``_cut``; ``expand`` keeps both sides, the decode walk the one its code
 names) and how a decoder finds a node again (``locate``): the encoder's
-``expand``/``realize`` and the decoder share them.
+``expand``/``realize`` and the decoder share them. A sample-split decode
+draws the samples of its whole path at once (``slot_uniforms``, the
+draws ``node_sample`` makes, mixed in one packed pass), so a level of
+its walk is one quantile and one cut.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from enum import Enum
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, counter_uniform, seed_state, slot_uniform, trunc_gumbel
+from .randomness import (DrawSlot, absorb, counter_uniform, seed_state, slot_uniform, slot_uniforms,
+                         trunc_gumbel)
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -201,9 +205,11 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
     0 = left, 1 = right) with the cuts and node keys of ``expand`` and
     ``realize``, keeping the side each digit names and refusing a step
     into an empty slot. Only a sample-split cut reads an ancestor's
-    sample, so only that walk draws one: a level costs one absorb, one
-    ``slot_uniform``, one inv_cdf and one cdf. A chain node is found by
-    its depth alone; index 0 at depth 1 is the extra root. Both, and the
+    sample, so only that walk draws: before it starts, one
+    ``slot_uniforms`` call draws the whole path, root to node, bit for bit
+    the uniforms ``node_sample`` would draw level by level, and a level
+    then costs one quantile (inv_cdf) and one cut (cdf). A chain node is found by its
+    depth alone; index 0 at depth 1 is the extra root. Both, and the
     root, are one full-line draw straight from the node's key.
     """
     stream = seed_state(seed)
@@ -217,11 +223,13 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
     low, high, ulow, uhigh = _ROOT_PIECE
     if kind is not _GLOBAL_BOUND and depth > 1:
         split_at_sample = kind is _SAMPLE_SPLIT
+        if split_at_sample:  # node_sample's draws of the path, root to node, in one pass
+            us = slot_uniforms(stream, [index >> shift for shift in range(depth - 1, -1, -1)],
+                               _SAMPLE)
         x = math.nan  # a dyadic cut reads no sample
         for shift in range(depth - 1, 0, -1):
-            if split_at_sample:  # node_sample of the ancestor index >> shift
-                x = sample_restricted_u(proposal, ulow, uhigh,
-                                        slot_uniform(absorb(stream, index >> shift), _SAMPLE))
+            if split_at_sample:  # the sample of the ancestor index >> shift
+                x = sample_restricted_u(proposal, ulow, uhigh, us[depth - 1 - shift])
             cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
             if (index >> (shift - 1)) & 1:
                 low, ulow = cut, ucut
@@ -229,6 +237,8 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
                 high, uhigh = cut, ucut
             if not low < high:
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
+        if split_at_sample:
+            return sample_restricted_u(proposal, ulow, uhigh, us[-1])
     if kind is _GLOBAL_BOUND:
         key = absorb(absorb(stream, 1), _SAMPLE)  # see search_keys
     else:

@@ -270,6 +270,34 @@ def test_verify_exit_code_on_violation(monkeypatch):
     assert main(["verify", "--suite", "shrinkage"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("--suite", "shrinkage", "--trials", "0"),
+    ("--suite", "shrinkage", "--depth-max", "0"),
+    ("--suite", "shrinkage", "--depth-max", str(MAX_DEPTH + 1)),
+    ("--suite", "all", "--depth-max", str(MAX_DEPTH + 1)),
+    ("--suite", "roundtrip", "--trials", "0"),
+    ("--suite", "roundtrip", "--trials", "-1"),
+])
+def test_verify_refuses_sizes_out_of_range_before_any_work(args, monkeypatch, capsys):
+    """A shrinkage depth outside 1..MAX_DEPTH and a trial count below 1 are
+    refused with one error line, before a single descent or encode runs."""
+    def no_work(*_):
+        raise AssertionError("verify ran a trial before refusing its arguments")
+
+    monkeypatch.setattr("reckit.bench.search_keys", no_work)
+    monkeypatch.setattr("reckit.cli.derive_seed", no_work)
+    assert main(["verify", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_checks_shrinkage_down_to_the_deepest_node(capsys):
+    assert main(["verify", "--suite", "shrinkage", "--depth-max", str(MAX_DEPTH),
+                 "--trials", "5"]) in (0, 1)  # accepted: a verdict, not a refusal
+    out = capsys.readouterr().out
+    assert "shrinkage dyadic: ok" in out and f"depth {MAX_DEPTH}:" in out
+
+
 def test_usage_exit_codes(tmp_path, model, capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from reckit import tree
 from reckit.coders import (
     CODERS,
     Code,
@@ -39,7 +40,8 @@ from reckit.errors import (
     InvalidCodeError,
     UnboundedRatioError,
 )
-from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, seed_state, trunc_gumbel
+from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, seed_state, slot_uniforms,
+                              trunc_gumbel)
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, realize, search_keys
 
@@ -285,11 +287,15 @@ def test_dyadic_decode_inverts_the_cdf_at_most_three_times(monkeypatch):
 
 
 def test_decode_walk_costs_one_cut_per_level(monkeypatch):
-    """What ``locate`` calls: a sample-split code at depth d draws the
-    samples of its d - 1 ancestors and cuts at each (one inv_cdf and one
-    cdf a level), then draws its own sample; a dyadic code at depth 2..54
-    reads its region off its index and makes at most three inv_cdf calls."""
+    """What ``locate`` calls: a sample-split code at depth d >= 2 draws the
+    samples of its whole path, its d - 1 ancestors and itself, in one
+    ``slot_uniforms`` call of d fields, with no per-level draw, then cuts
+    at each ancestor (one inv_cdf and one cdf a level) and takes its own
+    sample (one inv_cdf); a depth-1 code is one absorb and one
+    slot_uniform. A dyadic code at depth 2..54 reads its region off its
+    index and makes at most three inv_cdf calls."""
     calls = {"inv_cdf": 0, "cdf": 0}
+    draws = {"absorb": 0, "slot_uniform": 0, "slot_uniforms": []}
     inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
 
     def counting_inv_cdf(self, u):
@@ -300,16 +306,35 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
         calls["cdf"] += 1
         return cdf(self, x)
 
+    def counting(name, draw):
+        def counted(*args):
+            draws[name] += 1
+            return draw(*args)
+        return counted
+
+    def recording_path(stream, fields, slot):
+        draws["slot_uniforms"].append(len(fields))
+        return slot_uniforms(stream, fields, slot)
+
     monkeypatch.setattr(Gaussian, "inv_cdf", counting_inv_cdf)
     monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
+    monkeypatch.setattr(tree, "absorb", counting("absorb", tree.absorb))
+    monkeypatch.setattr(tree, "slot_uniform", counting("slot_uniform", tree.slot_uniform))
+    monkeypatch.setattr(tree, "slot_uniforms", recording_path)
     proposal = PAIR_GG.proposal
     rng = random.Random(20260817)
     for depth in range(1, 31):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
             calls.update(inv_cdf=0, cdf=0)
+            draws.update(absorb=0, slot_uniform=0, slot_uniforms=[])
             locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index, depth)
             assert calls == {"inv_cdf": depth, "cdf": depth - 1}, (index, depth)
+            if depth == 1:
+                assert draws == {"absorb": 1, "slot_uniform": 1, "slot_uniforms": []}
+            else:
+                assert draws == {"absorb": 0, "slot_uniform": 0, "slot_uniforms": [depth]}, (
+                    index, depth)
     for depth in range(2, 55):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)

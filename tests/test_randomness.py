@@ -25,6 +25,7 @@ from reckit.randomness import (
     keyed_uniform,
     seed_state,
     slot_uniform,
+    slot_uniforms,
     state_uniform,
     trunc_gumbel,
 )
@@ -69,6 +70,10 @@ def test_draw_shapes_match_the_absorb_chain():
             assert counter_uniform(state, counter) == state_uniform(absorb(state, counter))
             assert counter_uniforms(state, counter, 2) == [
                 state_uniform(absorb(state, counter + i)) for i in range(2)]
+        nodes = [0, 1, 1 << 62, MASK]
+        for slot in range(4):
+            assert slot_uniforms(state, nodes, slot) == [
+                state_uniform(absorb(absorb(absorb(state, node), slot), 0)) for node in nodes]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -80,6 +85,26 @@ def test_counter_uniforms_match_counter_uniform(state, n, where, r):
     start = {"zero": 0, "random": r, "top": (1 << 62) - n}[where]
     assert counter_uniforms(state, start, n) == [
         counter_uniform(state, start + i) for i in range(n)]
+
+
+FIELDS = st.one_of(st.sampled_from((0, 1, 1 << 61, (1 << 62) - 1)), st.integers(0, MASK))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stream=st.one_of(st.sampled_from((0, 1, 1 << 63, MASK)), st.integers(0, MASK)),
+       fields=st.lists(FIELDS, max_size=62), slot=st.integers(0, 3))
+def test_slot_uniforms_match_slot_uniform(stream, fields, slot):
+    """The packed path draw equals one absorb and one slot_uniform per
+    field, for every path a decode walk can name (depth 62 at most) and
+    for any 64-bit field."""
+    assert slot_uniforms(stream, fields, slot) == [
+        slot_uniform(absorb(stream, f), slot) for f in fields]
+
+
+def test_slot_uniforms_batches_past_256_fields():
+    rng = random.Random(20260817)
+    stream, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(600)]
+    assert slot_uniforms(stream, fields, 1) == [slot_uniform(absorb(stream, f), 1) for f in fields]
 
 
 def test_draw_shapes_reproduce_the_keyed_anchors():
