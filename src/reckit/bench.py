@@ -20,7 +20,6 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from .coders import CODERS, MAX_STEPS, Variant
@@ -33,27 +32,25 @@ from .distributions import (
     Gaussian,
     as_number,
 )
-from .errors import DomainError, RecError
+from .errors import DomainError, Frozen, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
 from .tree import MAX_DEPTH, PartitionKind, expand, node_sample, realize, search_keys
 
 _LN2 = math.log(2.0)
 
-@dataclass(frozen=True)
-class ResultRow:
-    algorithm: str
-    family: str
-    d_kl_nats: float
-    d_inf_nats: float
-    n_modes: int | None = None
-    t_extra_bits: int | None = None
-    trial_index: int = 0
-    steps: float | None = None
-    depth: int | None = None
-    payload_bits: int | None = None
-    kl_bias_estimate: float | None = None
-    error: str | None = None
+class ResultRow(Frozen):
+    __slots__ = _fields = (
+        "algorithm", "family", "d_kl_nats", "d_inf_nats", "n_modes", "t_extra_bits",
+        "trial_index", "steps", "depth", "payload_bits", "kl_bias_estimate", "error")
+
+    def __init__(self, algorithm: str, family: str, d_kl_nats: float, d_inf_nats: float,
+                 n_modes: int | None = None, t_extra_bits: int | None = None,
+                 trial_index: int = 0, steps: float | None = None, depth: int | None = None,
+                 payload_bits: int | None = None, kl_bias_estimate: float | None = None,
+                 error: str | None = None) -> None:
+        self._store(algorithm, family, d_kl_nats, d_inf_nats, n_modes, t_extra_bits,
+                    trial_index, steps, depth, payload_bits, kl_bias_estimate, error)
 
     def as_record(self) -> list[str]:
         def fmt(v) -> str:
@@ -66,14 +63,13 @@ class ResultRow:
         return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_COLUMNS = ResultRow._fields
 
 
 _EXACT_NAMES = tuple(v.value for v, spec in CODERS.items() if not spec.fixed_width)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """Grids and knobs for one harness run.
 
     Gaussian cells are (kl_nats, dinf_nats) pairs realized exactly through
@@ -83,29 +79,28 @@ class ExperimentConfig:
     grid.
     """
 
-    algorithms: tuple[str, ...]
-    trials: int
-    seed: int
-    gaussian_cells: tuple[tuple[float, float], ...] = ()
-    uniform_cells: tuple[float, ...] = ()
-    mixture_cells: tuple[tuple[int, float], ...] = ()
-    extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4)
-    repeats: int = 50
-    batch: int = 100
-    max_steps: int = MAX_STEPS
-    output: str | None = None
+    __slots__ = _fields = (
+        "algorithms", "trials", "seed", "gaussian_cells", "uniform_cells", "mixture_cells",
+        "extra_bits", "repeats", "batch", "max_steps", "output")
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not (self.gaussian_cells or self.uniform_cells or self.mixture_cells):
+    def __init__(
+        self, algorithms: tuple[str, ...], trials: int, seed: int,
+        gaussian_cells: tuple[tuple[float, float], ...] = (),
+        uniform_cells: tuple[float, ...] = (),
+        mixture_cells: tuple[tuple[int, float], ...] = (),
+        extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4), repeats: int = 50, batch: int = 100,
+        max_steps: int = MAX_STEPS, output: str | None = None,
+    ) -> None:
+        if trials < 1:
+            raise DomainError(f"trials must be >= 1, got {trials}")
+        if not (gaussian_cells or uniform_cells or mixture_cells):
             raise DomainError("config needs at least one grid cell")
-        unknown = set(self.algorithms) - {v.value for v in Variant}
+        unknown = set(algorithms) - {v.value for v in Variant}
         if unknown:
             raise DomainError(f"unknown algorithms {sorted(unknown)}")
-        for name in ("algorithms", "gaussian_cells", "uniform_cells",
-                     "mixture_cells", "extra_bits"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self._store(tuple(algorithms), trials, seed, tuple(gaussian_cells),
+                    tuple(uniform_cells), tuple(mixture_cells), tuple(extra_bits), repeats,
+                    batch, max_steps, output)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -154,13 +149,12 @@ _UNIFORM_PRIOR = Uniform(0.0, 2.0)
 _UNIFORM_BETA = 0.5
 
 
-@dataclass(frozen=True)
-class _Cell:
-    family: str
-    pair: PairSpec
-    kl: float
-    dinf: float
-    n_modes: int | None = None
+class _Cell(Frozen):
+    __slots__ = _fields = ("family", "pair", "kl", "dinf", "n_modes")
+
+    def __init__(self, family: str, pair: PairSpec, kl: float, dinf: float,
+                 n_modes: int | None = None) -> None:
+        self._store(family, pair, kl, dinf, n_modes)
 
 
 def mixture_pair(n_modes: int, dinf: float) -> PairSpec:
@@ -306,7 +300,7 @@ def run_mode_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Runtime grid over the mixture cells only, validating that every
     cell sits at the same D-infinity. A config without mixture cells has
     no cell left and raises DomainError."""
-    config = replace(config, gaussian_cells=(), uniform_cells=())
+    config = config._replace(gaussian_cells=(), uniform_cells=())
     dinfs = {round(c.pair.analytic_dinf(), 9) for c in _cells_for(config)}
     if len(dinfs) != 1:
         raise DomainError(f"mode sweep cells must share one dinf, got {sorted(dinfs)}")
@@ -388,13 +382,12 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
 # -- shrinkage verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShrinkageReport:
-    kind: PartitionKind
-    depths: tuple[int, ...]
-    mean_mass: tuple[float, ...]
-    bounds: tuple[float, ...]
-    passed: bool
+class ShrinkageReport(Frozen):
+    __slots__ = _fields = ("kind", "depths", "mean_mass", "bounds", "passed")
+
+    def __init__(self, kind: PartitionKind, depths: tuple[int, ...],
+                 mean_mass: tuple[float, ...], bounds: tuple[float, ...], passed: bool) -> None:
+        self._store(kind, depths, mean_mass, bounds, passed)
 
 
 def verify_shrinkage(

@@ -36,10 +36,8 @@ the cost of a read does not grow with the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coders import CODERS, Code, Variant, _read_code, check_budget
-from .errors import DomainError, InvalidCodeError, MalformedMessageError
+from .errors import DomainError, Frozen, InvalidCodeError, MalformedMessageError
 from .tree import MAX_DEPTH
 
 MODE_EXACT = "exact_per_symbol"
@@ -50,6 +48,7 @@ _VARIANT_OF_TAG = {spec.tag: variant for variant, spec in CODERS.items()}
 # A gamma spans at most 129 bits (64 zeros and 65 digits), 17 bytes from any bit offset
 _WINDOW = 17
 _from_bytes = int.from_bytes  # a bound alias skips a ~0.1 us attribute lookup per read
+_set = object.__setattr__
 
 
 class BitWriter:
@@ -159,25 +158,25 @@ class BitReader:
         return top | (window >> (avail - end)) & (top - 1)
 
 
-@dataclass(frozen=True)
-class MessageFrame:
+class MessageFrame(Frozen):
     """A self-delimiting message: mode, variant, and the codewords.
 
     Exact mode stores one unit per symbol (each self-sized); block mode
     stores one shared budget and fixed-width codewords.
     """
 
-    mode: str
-    variant: Variant
-    codes: tuple[Code, ...]
-    budget: int | None = None
+    __slots__ = _fields = ("mode", "variant", "codes", "budget")
 
-    def __post_init__(self) -> None:
-        if self.mode not in _MODE_TAGS:
-            raise DomainError(f"unknown frame mode {self.mode!r}")
-        if self.mode == MODE_BLOCK and self.budget is None:
+    def __init__(self, mode: str, variant: Variant, codes: tuple[Code, ...],
+                 budget: int | None = None) -> None:
+        if mode not in _MODE_TAGS:
+            raise DomainError(f"unknown frame mode {mode!r}")
+        if mode == MODE_BLOCK and budget is None:
             raise DomainError("block frames need a budget")
-        object.__setattr__(self, "codes", tuple(self.codes))
+        _set(self, "mode", mode)  # one call a field: half the cost of _store, once a frame
+        _set(self, "variant", variant)
+        _set(self, "codes", tuple(codes))
+        _set(self, "budget", budget)
 
     @property
     def symbol_count(self) -> int:

@@ -17,12 +17,12 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     AbsoluteContinuityError,
     DegenerateRegionError,
     DomainError,
+    Frozen,
     UnboundedRatioError,
 )
 
@@ -30,6 +30,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 INF = math.inf
+_set = object.__setattr__
 
 
 class Distribution1D:
@@ -112,21 +113,21 @@ def _std_normal_quantile(u: float) -> float:
     return z - t / (1.0 + 0.5 * z * t)
 
 
-@dataclass(frozen=True, slots=True)
-class Gaussian(Distribution1D):
+class Gaussian(Distribution1D, Frozen):
     """Normal distribution with given mean and variance. ``std`` is
     derived once, here, and takes no part in equality or ``to_dict``."""
 
-    mean: float
-    variance: float
-    std: float = field(init=False, compare=False, repr=False)
+    __slots__ = ("mean", "variance", "std")
+    _fields = ("mean", "variance")
 
-    def __post_init__(self) -> None:
-        if not self.variance > 0.0 or not math.isfinite(self.variance):
-            raise DomainError(f"variance must be finite and positive, got {self.variance}")
-        if not math.isfinite(self.mean):
-            raise DomainError(f"mean must be finite, got {self.mean}")
-        object.__setattr__(self, "std", math.sqrt(self.variance))
+    def __init__(self, mean: float, variance: float) -> None:
+        if not variance > 0.0 or not math.isfinite(variance):
+            raise DomainError(f"variance must be finite and positive, got {variance}")
+        if not math.isfinite(mean):
+            raise DomainError(f"mean must be finite, got {mean}")
+        _set(self, "mean", mean)  # one call a field: half the cost of _store
+        _set(self, "variance", variance)
+        _set(self, "std", math.sqrt(variance))
 
     def cdf(self, x: float) -> float:
         if x == -INF:
@@ -153,18 +154,17 @@ class Gaussian(Distribution1D):
         return {"family": "gaussian", "mean": self.mean, "variance": self.variance}
 
 
-@dataclass(frozen=True, slots=True)
-class Uniform(Distribution1D):
+class Uniform(Distribution1D, Frozen):
     """Uniform distribution given by its center and total width."""
 
-    center: float
-    width: float
+    __slots__ = _fields = ("center", "width")
 
-    def __post_init__(self) -> None:
-        if not self.width > 0.0 or not math.isfinite(self.width):
-            raise DomainError(f"width must be finite and positive, got {self.width}")
-        if not math.isfinite(self.center):
-            raise DomainError(f"center must be finite, got {self.center}")
+    def __init__(self, center: float, width: float) -> None:
+        if not width > 0.0 or not math.isfinite(width):
+            raise DomainError(f"width must be finite and positive, got {width}")
+        if not math.isfinite(center):
+            raise DomainError(f"center must be finite, got {center}")
+        self._store(center, width)
 
     @property
     def low(self) -> float:
@@ -197,38 +197,34 @@ class Uniform(Distribution1D):
         return {"family": "uniform", "center": self.center, "width": self.width}
 
 
-@dataclass(frozen=True, slots=True)
-class MixtureComponent:
-    weight: float
-    low: float
-    high: float
+class MixtureComponent(Frozen):
+    __slots__ = _fields = ("weight", "low", "high")
 
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise DomainError(f"component needs low < high, got ({self.low}, {self.high})")
-        if not 0.0 < self.weight <= 1.0:
-            raise DomainError(f"component weight must be in (0, 1], got {self.weight}")
+    def __init__(self, weight: float, low: float, high: float) -> None:
+        if not low < high:
+            raise DomainError(f"component needs low < high, got ({low}, {high})")
+        if not 0.0 < weight <= 1.0:
+            raise DomainError(f"component weight must be in (0, 1], got {weight}")
+        self._store(weight, low, high)
 
     @property
     def length(self) -> float:
         return self.high - self.low
 
 
-@dataclass(frozen=True, slots=True)
-class UniformMixture(Distribution1D):
+class UniformMixture(Distribution1D, Frozen):
     """Mixture of pairwise-disjoint uniform components.
 
     Components must be sorted by position, non-overlapping, and carry
     weights summing to one within 1e-12.
     """
 
-    components: tuple[MixtureComponent, ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components: tuple[MixtureComponent, ...]) -> None:
+        comps = tuple(components)
         if not comps:
             raise DomainError("mixture needs at least one component")
-        object.__setattr__(self, "components", comps)
         for a, b in zip(comps, comps[1:]):
             if b.low < a.high:
                 raise DomainError(
@@ -237,6 +233,7 @@ class UniformMixture(Distribution1D):
         total = math.fsum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"component weights sum to {total}, expected 1")
+        self._store(comps)
 
     def cdf(self, x: float) -> float:
         if x <= self.components[0].low:

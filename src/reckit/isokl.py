@@ -12,7 +12,6 @@ one budget header then serves an entire block of coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bitstream import (
@@ -25,7 +24,7 @@ from .bitstream import (
 )
 from .coders import Variant, decode_dad, encode_dad
 from .distributions import Gaussian, PairSpec, Uniform, as_number
-from .errors import DomainError, InfeasibleParameterError, MalformedMessageError
+from .errors import DomainError, Frozen, InfeasibleParameterError, MalformedMessageError
 from .randomness import absorb, seed_state
 from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it here)
 
@@ -156,30 +155,27 @@ def uniform_from_mean_kl(
     return Uniform(center, width)
 
 
-@dataclass(frozen=True)
-class IsoKLGaussianBlock:
+class IsoKLGaussianBlock(Frozen):
     """Gaussian coordinates sharing one KL divergence from their priors.
 
     Target variances are derived, never supplied: each coordinate's
     variance is the Lambert W solution for its (mean shift, kappa). The
-    prior of each coordinate is built on first use and kept.
+    prior of each coordinate is built on first use and kept, in the
+    instance ``__dict__`` that holds the fields too.
     """
 
-    prior_means: tuple[float, ...]
-    prior_stds: tuple[float, ...]
-    target_means: tuple[float, ...]
-    kappa: float
-    target_variances: tuple[float, ...] = field(init=False)
+    _fields = ("prior_means", "prior_stds", "target_means", "kappa", "target_variances")
 
-    def __post_init__(self) -> None:
-        n = len(self.prior_means)
-        if not (len(self.prior_stds) == len(self.target_means) == n) or n == 0:
+    def __init__(self, prior_means: tuple[float, ...], prior_stds: tuple[float, ...],
+                 target_means: tuple[float, ...], kappa: float) -> None:
+        n = len(prior_means)
+        if not (len(prior_stds) == len(target_means) == n) or n == 0:
             raise DomainError("block coordinate arrays must be non-empty and aligned")
         variances = tuple(
-            gaussian_from_mean_kl(nu, rho, mu, self.kappa)
-            for nu, rho, mu in zip(self.prior_means, self.prior_stds, self.target_means)
+            gaussian_from_mean_kl(nu, rho, mu, kappa)
+            for nu, rho, mu in zip(prior_means, prior_stds, target_means)
         )
-        object.__setattr__(self, "target_variances", variances)
+        self._store(prior_means, prior_stds, target_means, kappa, variances)
 
     def __len__(self) -> int:
         return len(self.prior_means)
@@ -193,12 +189,14 @@ class IsoKLGaussianBlock:
                         self.proposals[i])
 
 
-@dataclass(frozen=True)
-class BlockCodecConfig:
+class BlockCodecConfig(Frozen):
     """Codec-side knobs: the extra-bit slack t added to every block's
     ceil(kappa / ln 2) base budget."""
 
-    extra_bits: int = 2
+    __slots__ = _fields = ("extra_bits",)
+
+    def __init__(self, extra_bits: int = 2) -> None:
+        self._store(extra_bits)
 
     def budget(self, kappa: float) -> int:
         d = math.ceil(kappa / _LN2) + self.extra_bits

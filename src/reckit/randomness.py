@@ -126,6 +126,10 @@ _LANE64 = _MASK64 * _REPEAT
 _LANE53 = ((1 << 53) - 1) * _REPEAT
 _GOLDENS = _GOLDEN * _REPEAT
 _UPPER_HALF = bytes(_WIDTH // 8 - 8)
+# Lane i's low word among a packed int's 64-bit words in host byte order: lane 0
+# first and low word first if little-endian, top lane and high word first if big.
+_LOW_WORDS_OF = {"little": slice(None, None, 2), "big": slice(None, None, -2)}
+_LOW_WORDS = _LOW_WORDS_OF[sys.byteorder]
 
 
 def _packed_uniforms(state: int, fields: int, lanes: int, slot: int | None = None) -> list[float]:
@@ -154,7 +158,7 @@ def _packed_uniforms(state: int, fields: int, lanes: int, slot: int | None = Non
         z = (((z ^ (z >> 27)) & _LANE64) * 0x94D049BB133111EB) & _LANE64
         z ^= z >> 31
     words = memoryview(((z >> 11) & _LANE53).to_bytes(_WIDTH // 8 * lanes, sys.byteorder))
-    return [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[::2]]  # 2^-53
+    return [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[_LOW_WORDS]]  # 2^-53
 
 
 def counter_uniforms(state: int, start: int, n: int) -> list[float]:

@@ -1,7 +1,8 @@
 """reckit runs without numpy, and the codec path loads no harness.
 
 ``import reckit`` and the CLI's ``isokl``, ``encode`` and ``decode``
-commands load neither numpy nor ``reckit.bench``. numpy serves only the
+commands load neither numpy nor ``reckit.bench``, and nothing loads
+``dataclasses`` or ``inspect``. numpy serves only the
 harness's bias grid: ``reckit.bench`` imports it where the k-NN
 estimator and the grid's fresh target samples compute, so its pair
 builders, configs and CSV writing load none, and ``verify``,
@@ -34,6 +35,7 @@ BLOCK_MODEL = {
     "block_kappa": {"a": 0.9, "b": 1.4},
 }
 
+# dataclasses and the inspect module it loads would be about half of a fresh import
 _SCRIPT = """\
 import json, sys
 import reckit, reckit.cli
@@ -52,7 +54,8 @@ codes.append(main(["decode", "--block-model", block_model, "--seed", "3",
                    "--in", "blk.bin", "--samples", "blk.txt"]))
 missing = [n for n in reckit.__all__ if not hasattr(reckit, n)]
 print(json.dumps({"codes": codes, "missing": missing,
-                  "loaded": [m for m in ("numpy", "reckit.bench") if m in sys.modules]}))
+                  "loaded": [m for m in ("numpy", "reckit.bench", "dataclasses", "inspect")
+                             if m in sys.modules]}))
 """
 
 
@@ -113,7 +116,7 @@ mixture_pair(8, 1.0)
 with open(sys.argv[1]) as fh:
     ExperimentConfig.from_dict(json.load(fh))
 rows_to_csv([])
-before = [m for m in ("numpy", "statistics") if m in sys.modules]
+before = [m for m in ("numpy", "statistics", "dataclasses", "inspect") if m in sys.modules]
 estimate = knn_kl_estimate(json.loads(sys.argv[2]), json.loads(sys.argv[3]))
 print(json.dumps({"before": before, "after": "numpy" in sys.modules, "estimate": estimate}))
 """

@@ -8,12 +8,16 @@ output k+1 of the reference generator).
 
 import math
 import random
+import struct
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reckit import randomness
 from reckit.randomness import (
     _GOLDEN,
     DrawSlot,
@@ -105,6 +109,30 @@ def test_slot_uniforms_batches_past_256_fields():
     rng = random.Random(20260817)
     stream, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(600)]
     assert slot_uniforms(stream, fields, 1) == [slot_uniform(absorb(stream, f), 1) for f in fields]
+
+
+class _BigEndianView:
+    """A memoryview as a big-endian host builds it: ``cast("Q")`` reads
+    each 8 bytes high byte first."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def cast(self, fmt: str) -> tuple:
+        return struct.unpack(f">{len(self.data) // 8}{fmt}", self.data)
+
+
+def test_packed_draws_unpack_on_a_big_endian_host(monkeypatch):
+    """Replayed through struct, a big-endian host's layout (the top lane
+    first, high word first) reads the same uniforms as the scalar draws."""
+    assert randomness._LOW_WORDS == randomness._LOW_WORDS_OF[sys.byteorder]
+    monkeypatch.setattr(randomness, "sys", types.SimpleNamespace(byteorder="big"))
+    monkeypatch.setattr(randomness, "memoryview", _BigEndianView, raising=False)
+    monkeypatch.setattr(randomness, "_LOW_WORDS", randomness._LOW_WORDS_OF["big"])
+    rng = random.Random(4242)
+    state, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(40)]
+    assert counter_uniforms(state, 5, 300) == [counter_uniform(state, 5 + i) for i in range(300)]
+    assert slot_uniforms(state, fields, 1) == [slot_uniform(absorb(state, f), 1) for f in fields]
 
 
 def test_draw_shapes_reproduce_the_keyed_anchors():
