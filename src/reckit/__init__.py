@@ -13,9 +13,10 @@ configs come in as dicts (``PairSpec.from_dict``,
 reads files.
 
 The codec imports only the standard library. The experiment harness,
-``reckit.bench`` (behind the ``bench-*`` and ``verify`` commands), needs
-numpy and is not imported here: ``from reckit import bench``. The search
-and randomness internals live in ``reckit.tree`` and
+``reckit.bench`` (behind the ``bench-*`` and ``verify`` commands), is not
+imported here: ``from reckit import bench``. Only its bias grid needs
+numpy (the ``bench`` extra), and imports it where it computes. The
+search and randomness internals live in ``reckit.tree`` and
 ``reckit.randomness``.
 """
 

@@ -18,25 +18,34 @@ Wire format (MSB-first within each byte, final byte zero-padded):
     variant tags    1=AS_STAR 2=AD_STAR 3=PFR 4=DAD_STAR 5=MRC
 
 ``coders.CODERS`` holds each coder's tag and unit layout, and
-``coders.Unit`` implements the three unit layouts: it checks, prices,
-writes and reads one unit. This module owns the bit codes and the frame.
+``coders.Unit`` implements the three unit layouts: it checks, prices and
+writes one unit, and reads a frame's units. This module owns the bit
+codes and the frame.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
-well-formed gamma. A refused read of bits, a gamma or a delta consumes
-nothing.
+well-formed gamma.
 
-A gamma is read from one window of at most 17 bytes: the cap of 64 zeros
-bounds it at 129 bits, plus up to 7 bits of offset into the first byte.
-``int.bit_length`` counts its zero run and one shift takes its value. A
-delta, and so a heap or arrival unit, fits in the same window (at most
-13 + 63 bits). No read materialises more of the message than that, so
-the cost of a read does not grow with the message.
+``read_message`` walks a frame in one pass. ``BitReader.read`` takes n
+fields of one kind per call: gammas, deltas under a cap on their length
+field, or fixed-width words. The header takes two calls (three in a
+block frame) and the units one. A refused field is not consumed and the
+fields before it stay consumed; a budget field above ``MAX_DEPTH`` alone
+is read and then refused.
+
+Each field is cut from one window of at most 17 bytes: the cap of 64
+zeros bounds a gamma at 129 bits, plus up to 7 bits of offset into the
+first byte. A delta (at most 13 + 63 bits) and a codeword (at most 62
+bits) fit as well. The window is what the last field left over, or, when
+that is too short, a new slice of the message from the field's first
+bit. ``int.bit_length`` counts a gamma's zero run and one shift takes
+each value. No read materialises more of the message than one window, so
+the cost of a field does not grow with the message.
 """
 
 from __future__ import annotations
 
-from .coders import CODERS, Code, Variant, _read_code, check_budget
+from .coders import CODERS, Code, Variant, check_budget
 from .errors import DomainError, Frozen, InvalidCodeError, MalformedMessageError
 from .tree import MAX_DEPTH
 
@@ -99,63 +108,79 @@ class BitWriter:
 class BitReader:
     """Reads bits MSB-first; running out of bits is a malformed message."""
 
-    __slots__ = ("_data", "_pos", "_nbits")
+    __slots__ = ("_data", "_pos", "_nbits", "_window", "_avail")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
         self._nbits = 8 * len(data)
+        self._window = self._avail = 0  # the next _avail bits, what is left of the last window
 
     @property
     def bits_left(self) -> int:
         return self._nbits - self._pos
 
-    def read_bits(self, width: int) -> int:
-        if width < 0:
-            raise DomainError(f"width must be >= 0, got {width}")
-        end = self._pos + width
-        if end > self._nbits:
-            raise MalformedMessageError("bitstream truncated")
-        # the bytes the span touches, as one integer, less the bits past its end
-        stop = (end + 7) >> 3
-        span = int.from_bytes(self._data[self._pos >> 3:stop], "big")
-        self._pos = end
-        return (span >> ((stop << 3) - end)) & ((1 << width) - 1)
-
-    def _gamma_window(self) -> tuple[int, int, int]:
-        """The next bits, at most ``_WINDOW`` bytes' worth less the offset
-        into the first, as (bits, their count, the end of the gamma they
-        open). Refuses a gamma cut short or of over 64 zeros; nothing is
-        consumed."""
+    def read(self, n: int, width: int | None = None, max_length: int | None = None) -> list[int]:
+        """``n`` gammas; or, given ``max_length``, ``n`` deltas whose length
+        field is at most ``max_length`` (<= 64); or, given ``width``, ``n``
+        words of ``width`` bits. Each field is cut from one window: what is
+        left of the last one, or a new one that starts at the field's first
+        bit and spans ``_WINDOW`` bytes (more for a word of over 129 bits)."""
+        if width is not None and (width < 0 or max_length is not None):
+            raise DomainError(f"read takes a width >= 0 or a max_length, got {width}, {max_length}")
         pos = self._pos
-        chunk = self._data[pos >> 3:(pos >> 3) + _WINDOW]
-        avail = (len(chunk) << 3) - (pos & 7)
-        window = _from_bytes(chunk, "big") & ((1 << avail) - 1)
-        zeros = avail - window.bit_length()
-        end = 2 * zeros + 1
-        if end > avail or zeros > 64:
-            raise MalformedMessageError(
-                "gamma prefix exceeds 64 zeros" if zeros > 64 else "bitstream truncated")
-        return window, avail, end
+        window = self._window
+        avail = self._avail
+        cut_at = -1  # where this call last cut a window
+        out = []
+        try:
+            for _ in range(n):
+                while True:
+                    if width is None:
+                        zeros = avail - window.bit_length()  # at least the gamma's zero run
+                        if zeros > 64:
+                            raise MalformedMessageError("gamma prefix exceeds 64 zeros")
+                        end = 2 * zeros + 1
+                        if end <= avail and max_length is not None:  # a delta's length field
+                            length = window >> (avail - end)
+                            if length > max_length:
+                                raise MalformedMessageError(
+                                    f"delta length field {length} exceeds {max_length} bits")
+                            end += length - 1
+                    else:
+                        end = width
+                    if end <= avail:
+                        break
+                    if cut_at == pos:  # a new window holds no more
+                        raise MalformedMessageError("bitstream truncated")
+                    cut_at = pos
+                    start = pos >> 3
+                    chunk = self._data[start:start + (
+                        _WINDOW if width is None or width <= 129 else (width + 14) >> 3)]
+                    avail = (len(chunk) << 3) - (pos & 7)
+                    window = _from_bytes(chunk, "big") & ((1 << avail) - 1)
+                avail -= end
+                value = window >> avail
+                window ^= value << avail
+                pos += end
+                if max_length is not None:
+                    top = 1 << (length - 1)
+                    value = top | value & (top - 1)
+                out.append(value)
+        finally:  # the fields read so far stay consumed
+            self._pos = pos
+            self._window = window
+            self._avail = avail
+        return out
+
+    def read_bits(self, width: int) -> int:
+        return self.read(1, width)[0]
 
     def read_elias_gamma(self) -> int:
-        window, avail, end = self._gamma_window()
-        self._pos += end
-        return window >> (avail - end)
+        return self.read(1)[0]
 
     def read_elias_delta(self, max_length: int = 64) -> int:
-        """A delta code whose length field is at most ``max_length``
-        (<= 64): gamma(length), then the value's low length - 1 bits."""
-        window, avail, end = self._gamma_window()
-        length = window >> (avail - end)
-        if length > max_length:
-            raise MalformedMessageError(f"delta length field {length} exceeds {max_length} bits")
-        end += length - 1
-        if end > avail:
-            raise MalformedMessageError("bitstream truncated")
-        self._pos += end
-        top = 1 << (length - 1)
-        return top | (window >> (avail - end)) & (top - 1)
+        return self.read(1, None, max_length)[0]
 
 
 class MessageFrame(Frozen):
@@ -183,6 +208,17 @@ class MessageFrame(Frozen):
         return len(self.codes)
 
 
+_new = object.__new__
+_set_mode, _set_variant, _set_codes, _set_budget = (
+    MessageFrame.__dict__[name].__set__ for name in MessageFrame._fields)
+# (mode tag, variant tag) of every frame layout the wire admits
+_HEADS = {
+    (_MODE_TAGS[mode], spec.tag): (mode, variant, spec.unit)
+    for variant, spec in CODERS.items()
+    for mode in _MODE_TAGS if spec.fixed_width == (mode == MODE_BLOCK)
+}
+
+
 def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
     """Write ``frame``: its header, then each code through its coder's ``Unit``."""
     spec = CODERS[frame.variant]
@@ -206,24 +242,35 @@ def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWr
     return w
 
 
-def read_message(reader: BitReader) -> MessageFrame:
-    mode_tag = reader.read_elias_gamma()
-    variant_tag = reader.read_elias_gamma()
+def _head_error(mode_tag: int, variant_tag: int) -> MalformedMessageError:
     variant = _VARIANT_OF_TAG.get(variant_tag)
     if variant is None:
-        raise MalformedMessageError(f"unknown variant tag {variant_tag}")
+        return MalformedMessageError(f"unknown variant tag {variant_tag}")
     mode = _MODE_OF_TAG.get(mode_tag)
     if mode is None:
-        raise MalformedMessageError(f"unknown mode tag {mode_tag}")
-    spec = CODERS[variant]
-    if spec.fixed_width != (mode == MODE_BLOCK):
-        raise MalformedMessageError(f"{variant} cannot appear in a {mode} frame")
+        return MalformedMessageError(f"unknown mode tag {mode_tag}")
+    return MalformedMessageError(f"{variant} cannot appear in a {mode} frame")
+
+
+def read_message(reader: BitReader) -> MessageFrame:
+    """Read one frame: its header gammas, then its units through its
+    coder's ``Unit``. A refused field is not consumed, save a budget field
+    above ``MAX_DEPTH``, which is read and then refused."""
+    mode_tag, variant_tag = reader.read(2)
+    head = _HEADS.get((mode_tag, variant_tag))
+    if head is None:
+        raise _head_error(mode_tag, variant_tag)
+    mode, variant, unit = head
     budget = None
-    if spec.fixed_width:
-        budget = reader.read_elias_gamma()
+    if mode == MODE_BLOCK:
+        (budget,) = reader.read(1)
         if budget > MAX_DEPTH:
             raise MalformedMessageError(f"budget field {budget} exceeds packable range")
-    count = reader.read_elias_gamma() - 1
-    read = spec.unit.read
-    codes = [_read_code(variant, *read(reader, budget)) for _ in range(count)]
-    return MessageFrame(mode, variant, codes, budget)
+    (count,) = reader.read(1)
+    codes = unit.read(reader, variant, budget, count - 1)
+    frame = _new(MessageFrame)  # the walk returns only what __init__ admits
+    _set_mode(frame, mode)
+    _set_variant(frame, variant)
+    _set_codes(frame, tuple(codes))
+    _set_budget(frame, budget)
+    return frame

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 from .distributions import Distribution1D, PairSpec
@@ -82,8 +83,9 @@ def _delta_bits(n: int) -> int:
 
 class Unit(Enum):
     """How one codeword sits on the wire: the one statement of each layout.
-    ``write``/``read`` take a ``bitstream.BitWriter``/``BitReader``, and
-    ``check`` admits exactly the (width, payload) pairs ``read`` returns."""
+    ``write`` puts one unit on a ``bitstream.BitWriter``, ``read`` takes a
+    frame's units off a ``bitstream.BitReader`` as codes, and ``check``
+    admits exactly the (width, payload) pairs ``read`` can return."""
 
     HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
     ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
@@ -118,16 +120,27 @@ class Unit(Enum):
         else:  # gamma(depth) and the index below its leading 1 is delta(index)
             writer.write_elias_delta(payload)
 
-    def read(self, reader, budget: int | None) -> tuple[int, int]:
-        """Take one unit off ``reader``: (width, payload). ``budget`` is the
-        frame header's codeword width; the self-sized units ignore it."""
+    def read(self, reader, variant: Variant, budget: int | None, count: int) -> list[Code]:
+        """Take ``count`` units off ``reader`` as codes of ``variant``.
+        ``budget`` is the frame header's codeword width; the self-sized
+        units ignore it. The codes skip ``Code``'s check, which would
+        refuse nothing: a unit reads only what ``check`` admits."""
         if self is _CODEWORD:
-            return budget, reader.read_bits(budget)
-        if self is _HEAP_INDEX:
-            index = reader.read_elias_delta(MAX_DEPTH)
-            return index.bit_length(), index
-        index = reader.read_elias_delta()
-        return index, index
+            payloads = reader.read(count, budget)
+            widths = repeat(budget)
+        elif self is _HEAP_INDEX:
+            payloads = reader.read(count, None, MAX_DEPTH)
+            widths = map(int.bit_length, payloads)
+        else:
+            widths = payloads = reader.read(count, None, 64)
+        codes = []
+        for width, payload in zip(widths, payloads):
+            code = _new(Code)
+            _set_variant(code, variant)
+            _set_width(code, width)
+            _set_payload(code, payload)
+            codes.append(code)
+        return codes
 
 
 # Unit's methods compare with these: a class lookup of a member costs ~0.2 us
@@ -157,17 +170,6 @@ class Code(Frozen):
 _new, _set = object.__new__, object.__setattr__
 _set_variant, _set_width, _set_payload = (
     Code.__dict__[name].__set__ for name in Code._fields)
-
-
-def _read_code(variant: Variant, width: int, payload: int) -> Code:
-    """A ``Code`` of a (width, payload) that its unit's ``read`` returned,
-    built without ``__init__``'s check: ``Unit.read`` returns only what
-    ``Unit.check`` admits, so the check would refuse nothing."""
-    code = _new(Code)
-    _set_variant(code, variant)
-    _set_width(code, width)
-    _set_payload(code, payload)
-    return code
 
 
 class TrialStats(Frozen):

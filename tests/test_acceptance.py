@@ -5,7 +5,7 @@ stated tolerance. Each test prints exactly one summary line,
 
     [criterion NN] PASS: <the binding numbers>
 
-before asserting, so ``pytest tests/test_acceptance.py -v -s`` doubles
+before asserting (criterion 13 prints its table above it), so ``pytest tests/test_acceptance.py -v -s`` doubles
 as a readable report. Everything is deterministic: trial seeds are
 fixed functions of the criterion number, and the statistical checks
 carry their slack (3 SE, 2 SE, factor 2) inside the assertion.
@@ -48,6 +48,7 @@ from reckit.coders import (
     encode_mrc,
 )
 from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
+from reckit.errors import RecError
 from reckit.isokl import (
     BlockCodecConfig,
     IsoKLGaussianBlock,
@@ -631,3 +632,77 @@ def test_criterion_12_wire_bits_per_symbol_near_the_kl():
     ok = all(excess[name] <= c for name, c in CODELENGTH_SLACK.items())
     slack = ", ".join(f"{name} {excess[name]:.3f}<={c}" for name, c in CODELENGTH_SLACK.items())
     report(12, ok, f"largest excess {slack}; " + "; ".join(parts))
+
+
+# -- 13: the runtime law at large dinf ---------------------------------------------
+
+LADDER_DINFS = (8, 12, 16, 24, 32, 48)
+LADDER_CODERS = (("as", PartitionKind.SAMPLE_SPLIT), ("ad", PartitionKind.DYADIC))
+# Refused encodes of 200 per (dinf, coder, mean sign) when this criterion was
+# added, every other cell codes all 200. Tail-safe region arithmetic must
+# lower these, never raise them.
+LADDER_REFUSALS = {
+    (32, "as", "+"): 1, (32, "ad", "+"): 1,  # DomainError
+    (48, "as", "+"): 200, (48, "ad", "+"): 200,  # DomainError
+    (48, "as", "-"): 10, (48, "ad", "-"): 197,  # DepthExceededError
+}
+
+
+def test_criterion_13_dinf_ladder_steps_linear_to_the_tails():
+    """The paper's O(dinf) runtime at its scale: P = N(0, 1) and Q =
+    gauss_pair(0.6 kl_ceiling(dinf), dinf) and its mirror image (mean
+    negated) for dinf in 8-48 nats, 200 seeds per cell, max_steps 2e4.
+
+    For each coder and sign, the mean steps of the cells where every seed
+    codes, regressed on dinf, give R^2 >= 0.95; mirror cells that both code
+    every seed agree within 3 standard errors of their difference; and no
+    cell refuses more encodes than LADDER_REFUSALS records (refusals are
+    RecErrors, counted by class in the printed table)."""
+    means: dict[tuple[str, str], dict[int, tuple[float, float]]] = defaultdict(dict)
+    failures: list[str] = []
+    print("\n  dinf  coder sign  mean steps  (se)   refused", flush=True)
+    for ci, dinf in enumerate(LADDER_DINFS):
+        mean, variance = gaussian_from_kl_dinf(0.6 * kl_ceiling(dinf), dinf)
+        for sign, target_mean in (("+", mean), ("-", -mean)):
+            pair = PairSpec(Gaussian(target_mean, variance), Gaussian(0.0, 1.0))
+            for name, kind in LADDER_CODERS:
+                steps, refused = [], defaultdict(int)
+                for j in range(200):
+                    try:
+                        trial = encode_astar(pair, kind, derive_seed(130_000 + ci, j),
+                                             max_steps=20_000)[2]
+                    except RecError as exc:
+                        refused[type(exc).__name__] += 1
+                        continue
+                    steps.append(trial.steps)
+                cell_mean = float(np.mean(steps)) if steps else math.nan
+                cell_se = se_mean(steps) if len(steps) > 1 else math.nan
+                print(f"  {dinf:4d}  {name:5s} {sign:4s} {cell_mean:10.2f} ({cell_se:5.2f})   "
+                      f"{dict(refused) or '-'}", flush=True)
+                if not refused:
+                    means[(name, sign)][dinf] = (cell_mean, cell_se)
+                allowed = LADDER_REFUSALS.get((dinf, name, sign), 0)
+                if sum(refused.values()) > allowed:
+                    failures.append(f"{name}{sign}@{dinf}: {dict(refused)} > {allowed} refused")
+    r2s = []
+    for (name, sign), cells in means.items():
+        if len(cells) < 3:
+            failures.append(f"{name}{sign}: only {len(cells)} cells code every seed")
+            continue
+        grid = sorted(cells)
+        r2 = float(stats.linregress(grid, [cells[d][0] for d in grid]).rvalue) ** 2
+        r2s.append(r2)
+        if r2 < 0.95:
+            failures.append(f"{name}{sign}: R^2={r2:.4f} < 0.95")
+    worst_z = 0.0
+    for name, _ in LADDER_CODERS:
+        for dinf in set(means[(name, "+")]) & set(means[(name, "-")]):
+            (m_plus, se_plus), (m_minus, se_minus) = means[(name, "+")][dinf], means[(name, "-")][dinf]
+            z = abs(m_plus - m_minus) / math.hypot(se_plus, se_minus)
+            worst_z = max(worst_z, z)
+            if z > 3.0:
+                failures.append(f"{name}@{dinf}: mirror means {m_plus:.2f} / {m_minus:.2f}")
+    detail = "; ".join(failures) if failures else (
+        f"min R^2={min(r2s):.4f} (>=0.95) over {len(r2s)} coder/sign rows, "
+        f"mirror cells within {worst_z:.2f} SE (<=3), refusals at or under the record")
+    report(13, not failures, detail)

@@ -111,6 +111,8 @@ def test_read_bits_matches_bit_by_bit_reading(data, widths):
         pos += width
     with pytest.raises(DomainError):
         r.read_bits(-1)
+    with pytest.raises(DomainError):  # a word or a delta, not both
+        r.read(1, 3, 64)
 
 
 def reference_gamma(reader: BitReader) -> int:
@@ -123,10 +125,10 @@ def reference_gamma(reader: BitReader) -> int:
     return (1 << zeros) | reader.read_bits(zeros)
 
 
-def reference_delta(reader: BitReader) -> int:
+def reference_delta(reader: BitReader, max_length: int = 64) -> int:
     length = reference_gamma(reader)
-    if length > 64:
-        raise MalformedMessageError("delta length field exceeds 64 bits")
+    if length > max_length:
+        raise MalformedMessageError(f"delta length field exceeds {max_length} bits")
     return (1 << (length - 1)) | reader.read_bits(length - 1)
 
 
@@ -192,6 +194,61 @@ def test_widest_gamma_at_every_offset(offset):
     assert r.read_elias_delta() == 1 << 62
 
 
+def _bit_string_read(bits: str, pos: int, kind: tuple) -> tuple[int, int]:
+    """One field off a string of '0'/'1' at ``pos``: (value, new pos).
+    ``kind`` is ("gamma",), ("delta", max_length) or ("word", width)."""
+    if kind[0] == "word":
+        if pos + kind[1] > len(bits):
+            raise MalformedMessageError("bitstream truncated")
+        return int(bits[pos:pos + kind[1]] or "0", 2), pos + kind[1]
+    one = bits.find("1", pos)
+    zeros = (len(bits) if one < 0 else one) - pos
+    if zeros > 64 or pos + 2 * zeros + 1 > len(bits):
+        raise MalformedMessageError("bad gamma")
+    value, pos = int(bits[pos + zeros:pos + 2 * zeros + 1], 2), pos + 2 * zeros + 1
+    if kind[0] == "gamma":
+        return value, pos
+    if value > kind[1] or pos + value - 1 > len(bits):
+        raise MalformedMessageError("bad delta")
+    return int("1" + bits[pos:pos + value - 1], 2), pos + value - 1
+
+
+_KINDS = st.one_of(
+    st.just(("gamma",)),
+    st.tuples(st.just("delta"), st.sampled_from([1, 5, MAX_DEPTH, 64])),
+    st.tuples(st.just("word"), st.integers(0, 70)),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=_GAMMA_BYTES, reads=st.lists(st.tuples(_KINDS, st.integers(0, 12)), max_size=8))
+def test_field_runs_match_a_bit_string(data, reads):
+    """Runs of n fields of mixed kinds on one reader, each read through the
+    window the last one left, equal field-by-field parsing of the bits: a
+    refused field stops its run there and consumes nothing, the fields
+    before it stay consumed, and the next run carries on from it."""
+    bits = "".join(f"{byte:08b}" for byte in data)
+    reader = BitReader(data)
+    pos = 0
+    for kind, n in reads:
+        want, refused = [], False
+        for _ in range(n):
+            try:
+                value, pos = _bit_string_read(bits, pos, kind)
+            except MalformedMessageError:
+                refused = True
+                break
+            want.append(value)
+        width = kind[1] if kind[0] == "word" else None
+        max_length = kind[1] if kind[0] == "delta" else None
+        if refused:
+            with pytest.raises(MalformedMessageError):
+                reader.read(n, width, max_length)
+        else:
+            assert reader.read(n, width, max_length) == want
+        assert reader.bits_left == len(bits) - pos
+
+
 class _RecordingBytes(bytes):
     """Bytes that remember the widest slice taken of them."""
 
@@ -235,8 +292,8 @@ def unit_roundtrip(code: Code, budget: int | None = None) -> Code:
     w = BitWriter()
     unit = CODERS[code.variant].unit
     unit.write(w, code.depth_or_budget, code.payload)
-    reader = BitReader(w.getvalue())
-    return Code(code.variant, *unit.read(reader, budget))
+    (read,) = unit.read(BitReader(w.getvalue()), code.variant, budget, 1)
+    return Code(code.variant, read.depth_or_budget, read.payload)
 
 
 def test_pack_exact_golden():
@@ -405,7 +462,7 @@ def test_unpack_depth_cap_is_the_tree_cap():
     w.write_elias_gamma(MAX_DEPTH + 1)
     w.write_bits(0, 64 + 8)
     with pytest.raises(MalformedMessageError):
-        Unit.HEAP_INDEX.read(BitReader(w.getvalue()), None)
+        Unit.HEAP_INDEX.read(BitReader(w.getvalue()), Variant.AD_STAR, None, 1)
     code = Code(Variant.AD_STAR, MAX_DEPTH, (1 << (MAX_DEPTH - 1)) + 5)
     assert unit_roundtrip(code) == code
 
@@ -486,18 +543,170 @@ def test_malformed_messages_raise_only_rec_errors(data):
                 pass
 
 
-@settings(max_examples=800, deadline=None, derandomize=True)
-@given(data=st.binary(max_size=64), unit=st.sampled_from(list(Unit)),
-       budget=st.integers(1, MAX_DEPTH))
-def test_every_unit_read_passes_its_check(data, unit, budget):
-    """``read_message`` builds the codes it reads without ``Code``'s check,
-    which is redundant: every (width, payload) a unit reads off arbitrary
-    bytes is one its ``check`` admits. ``budget`` is a block header's
-    codeword width, which ``read_message`` refuses above MAX_DEPTH."""
+_VARIANT_OF_TAG = {spec.tag: variant for variant, spec in CODERS.items()}
+
+
+def reference_read_message(data: bytes, start: int = 0) -> tuple[object, int]:
+    """The field-by-field frame reader that the one-pass walk replaced,
+    built only on ``reference_gamma``, ``reference_delta`` and
+    ``read_bits``, from bit ``start`` of ``data``: (the frame, or the class
+    of the error that refused it, and the bits left). Each field is read
+    on a fresh reader, so a refused field consumes nothing; a budget field
+    above MAX_DEPTH is consumed and then refused."""
+    total = 8 * len(data)
+    pos = start
+
+    def field(read, *args):
+        nonlocal pos
+        reader = BitReader(data)
+        reader.read_bits(pos)
+        value = read(reader, *args)
+        pos = total - reader.bits_left
+        return value
+
+    try:
+        mode_tag, variant_tag = field(reference_gamma), field(reference_gamma)
+        variant = _VARIANT_OF_TAG.get(variant_tag)
+        mode = {1: MODE_EXACT, 2: MODE_BLOCK}.get(mode_tag)
+        if variant is None or mode is None:
+            raise MalformedMessageError("unknown tag")
+        unit = CODERS[variant].unit
+        if (unit is Unit.CODEWORD) != (mode == MODE_BLOCK):
+            raise MalformedMessageError("wrong layout")
+        budget = None
+        if mode == MODE_BLOCK:
+            budget = field(reference_gamma)
+            if budget > MAX_DEPTH:
+                raise MalformedMessageError("budget field exceeds MAX_DEPTH")
+        codes = []
+        for _ in range(field(reference_gamma) - 1):
+            if unit is Unit.CODEWORD:
+                codes.append(Code(variant, budget, field(BitReader.read_bits, budget)))
+            elif unit is Unit.HEAP_INDEX:
+                index = field(reference_delta, MAX_DEPTH)
+                codes.append(Code(variant, index.bit_length(), index))
+            else:
+                index = field(reference_delta)
+                codes.append(Code(variant, index, index))
+        return MessageFrame(mode, variant, tuple(codes), budget), total - pos
+    except MalformedMessageError:
+        return MalformedMessageError, total - pos
+
+
+def assert_reads_as_reference(data: bytes, start: int = 0):
+    """``read_message`` from bit ``start`` gives the reference's frame or
+    error class and leaves the same bits; returns what it read."""
+    want, want_left = reference_read_message(data, start)
     reader = BitReader(data)
-    while True:
-        try:
-            width, payload = unit.read(reader, budget)
-        except MalformedMessageError:
-            return
-        unit.check(width, payload)
+    reader.read_bits(start)
+    try:
+        got = read_message(reader)
+    except RecError as exc:
+        got = type(exc)
+    assert got == want
+    assert reader.bits_left == want_left
+    return got
+
+
+def _header(mode_tag: int, variant_tag: int, budget: int | None, count: int) -> BitWriter:
+    w = BitWriter()
+    for n in (mode_tag, variant_tag, budget, count + 1):
+        if n is not None:
+            w.write_elias_gamma(n)
+    return w
+
+
+# Frame heads of every tag pair, the valid ones included, with budgets on
+# both sides of MAX_DEPTH and small counts, then arbitrary bytes.
+_RAW_FRAMES = st.builds(
+    lambda w, tail: w.getvalue() + tail,
+    st.builds(_header, st.integers(1, 3), st.integers(1, 6),
+              st.one_of(st.none(), st.integers(1, MAX_DEPTH + 8)), st.integers(0, 40)),
+    st.binary(max_size=400),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=st.one_of(_FUZZ_BYTES, _RAW_FRAMES), start=st.integers(0, 16))
+def test_read_message_matches_the_reference_reader_on_fuzzed_bytes(data, start):
+    assert_reads_as_reference(data, min(start, 8 * len(data)))
+
+
+@pytest.mark.parametrize("variant_tag", [4, 5])
+@pytest.mark.parametrize("budget", [MAX_DEPTH + 1, MAX_DEPTH + 2, 70, 1 << 20, (1 << 65) - 1])
+def test_a_budget_field_above_max_depth_is_consumed_then_refused(variant_tag, budget):
+    w = _header(2, variant_tag, budget, 3)
+    w.write_bits(5, 64)
+    data = w.getvalue()
+    assert assert_reads_as_reference(data) is MalformedMessageError
+    reader = BitReader(data)
+    with pytest.raises(MalformedMessageError):
+        read_message(reader)
+    assert reader.bits_left == 8 * len(data) - 3 - 5 - (2 * budget.bit_length() - 1)
+
+
+def _random_code(rnd, variant: Variant, budget: int) -> Code:
+    """A code of ``variant``, at one of its layout's extremes or in between."""
+    unit = CODERS[variant].unit
+    if unit is Unit.CODEWORD:
+        return Code(variant, budget, rnd.choice([0, (1 << budget) - 1, rnd.getrandbits(budget)]))
+    if unit is Unit.HEAP_INDEX:
+        depth = rnd.choice([1, MAX_DEPTH, rnd.randint(1, MAX_DEPTH)])
+        return Code(variant, depth, (1 << (depth - 1)) | rnd.getrandbits(depth - 1))
+    k = rnd.choice([1, (1 << 64) - 1, 1 + rnd.getrandbits(rnd.randint(0, 63))])
+    return Code(variant, k, k)
+
+
+@st.composite
+def _well_formed_frames(draw):
+    variant = draw(st.sampled_from(list(Variant)))
+    budget = draw(st.sampled_from([1, MAX_DEPTH]) | st.integers(1, MAX_DEPTH))
+    rnd = draw(st.randoms(use_true_random=False))
+    codes = tuple(_random_code(rnd, variant, budget) for _ in range(draw(st.integers(0, 300))))
+    if CODERS[variant].fixed_width:
+        return MessageFrame(MODE_BLOCK, variant, codes, budget)
+    return MessageFrame(MODE_EXACT, variant, codes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frame=_well_formed_frames(), shift=st.integers(0, 15), cut=st.integers(0, 1 << 16),
+       tail=st.binary(max_size=4))
+def test_read_message_matches_the_reference_reader_on_well_formed_frames(frame, shift, cut, tail):
+    """Frames of every coder, 0-300 units at depths and budgets up to
+    MAX_DEPTH and arrival indices up to 2^64 - 1, from any bit offset: whole
+    ones read back, and cut ones fail where the reference does."""
+    w = BitWriter()
+    w.write_bits(0, shift)
+    write_message(frame, w)
+    data = w.getvalue() + tail
+    assert assert_reads_as_reference(data, shift) == frame
+    cut %= 8 * len(data) + 1
+    assert_reads_as_reference(data[:cut >> 3], min(shift, 8 * (cut >> 3)))
+
+
+# Heads of the five frame layouts with counts up to 60 over long arbitrary tails,
+# so that frames of many units read
+_RAW_RUNS = st.builds(
+    lambda head, budget, count, tail: _header(*head, budget if head[0] == 2 else None,
+                                               count).getvalue() + tail,
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)]), st.integers(1, MAX_DEPTH),
+    st.integers(0, 60), st.binary(min_size=200, max_size=600),
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(data=st.one_of(_RAW_RUNS, _RAW_FRAMES, _FUZZ_BYTES))
+def test_every_frame_read_passes_the_checks(data):
+    """``read_message`` builds its codes and frame without the checks of
+    ``Code`` and ``MessageFrame``, which would refuse nothing: every frame
+    it reads off arbitrary bytes rebuilds through them and compares equal.
+    Frames of every coder, with budgets up to MAX_DEPTH and counts up to
+    60, reach this from the raw heads; a run of k units that reads is
+    checked whenever a head carries count k."""
+    try:
+        frame = read_message(BitReader(data))
+    except MalformedMessageError:
+        return
+    codes = tuple(Code(code.variant, code.depth_or_budget, code.payload) for code in frame.codes)
+    assert MessageFrame(frame.mode, frame.variant, codes, frame.budget) == frame
+    assert all(type(code) is Code for code in frame.codes)
