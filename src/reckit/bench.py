@@ -35,7 +35,7 @@ from .distributions import (
 from .errors import DomainError, Frozen, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
 from .randomness import derive_seed, seed_state
-from .tree import MAX_DEPTH, PartitionKind, expand, node_sample, realize, search_keys
+from .tree import MAX_DEPTH, PartitionKind, expand, node_sample, realize
 
 _LN2 = math.log(2.0)
 
@@ -402,8 +402,11 @@ def verify_shrinkage(
     for the 3/4 rate of sample splitting) and compares the per-depth mean
     mass against (3/4)^(d-1) + 3 SE; the dyadic rule must halve exactly,
     so its masses are compared to 2^-(d-1) directly. A ``depth_max``
-    outside 1..MAX_DEPTH or fewer than one trial is refused up front.
+    outside 1..MAX_DEPTH, fewer than one trial or the global bound, which
+    never cuts a region, is refused up front.
     """
+    if kind is PartitionKind.GLOBAL_BOUND:
+        raise DomainError("the global-bound race has no partition to shrink")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 1 <= depth_max <= MAX_DEPTH:
@@ -411,25 +414,21 @@ def verify_shrinkage(
     proposal = Gaussian(0.0, 1.0)
     masses = [[1.0] * trials for _ in range(depth_max)]  # masses[d - 1][trial]: mass at depth d
     for trial in range(trials):
-        base = search_keys(kind, seed_state(derive_seed(seed, trial)))
-        index, depth, low, high, ulow, uhigh = 1, 1, -math.inf, math.inf, 0.0, 1.0
-        key, g = realize(kind, base, index, depth, ulow, uhigh, math.inf)
+        stream = seed_state(derive_seed(seed, trial))
+        index, low, high, ulow, uhigh = 1, -math.inf, math.inf, 0.0, 1.0
+        key, g = realize(stream, index, ulow, uhigh, math.inf)
         for d in range(1, depth_max):
-            x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
-            children = expand(kind, proposal, x, index, depth, low, high, ulow, uhigh)
+            x = node_sample(proposal, key, index, ulow, uhigh)
+            children = expand(kind, proposal, x, index, low, high, ulow, uhigh)
             if not children:
                 break
             index, low, high, ulow, uhigh = max(children, key=lambda c: c[4] - c[3])
-            depth += 1
-            key, g = realize(kind, base, index, depth, ulow, uhigh, g)
+            key, g = realize(stream, index, ulow, uhigh, g)
             masses[d][trial] = uhigh - ulow
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(math.fsum(col) / trials for col in masses)
-    if kind is PartitionKind.DYADIC or kind is PartitionKind.GLOBAL_BOUND:
-        bounds = tuple(
-            1.0 if kind is PartitionKind.GLOBAL_BOUND else 2.0 ** -(d - 1)
-            for d in depths
-        )
+    if kind is PartitionKind.DYADIC:
+        bounds = tuple(2.0 ** -(d - 1) for d in depths)
         passed = all(m == bounds[d - 1] for d in depths for m in masses[d - 1])
     else:
         from statistics import stdev

@@ -10,14 +10,16 @@ regenerate from the seed alone:
   second root-level candidate reserved for codeword 0, so every one of
   the 2^D codewords is usable.
 * PFR: the same race without region shrinking (global bound), coded by
-  the 1-based arrival index of the winner.
+  the 1-based arrival index of the winner. With no region to cut it has
+  no tree: it is a loop with one ratio bound per search and two counter
+  draws per arrival, and its decode is one draw.
 * MRC: importance selection among 2^bits independent proposal draws.
 
 ``CODERS`` is the one place that says what each coder is: its wire tag,
 its unit layout and its encode/decode pair. Every caller that picks a
 coder by name or tag reads it.
 
-The search loop follows the branch-and-bound schedule: a priority queue
+The tree search follows the branch-and-bound schedule: a priority queue
 ordered by Gumbel plus the region's ratio bound, an incumbent lower
 bound from scored samples, and pruning of children whose bound cannot
 beat the incumbent. Ties are broken toward smaller heap indices. A
@@ -43,9 +45,9 @@ from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, see
 from .randomness import slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, node_sample, realize
-from .tree import search_keys
 
 INF = math.inf
+_GLOBAL_BOUND = PartitionKind.GLOBAL_BOUND
 _GUMBEL = int(DrawSlot.GUMBEL)
 _SAMPLE = int(DrawSlot.SAMPLE)
 
@@ -152,8 +154,7 @@ class Code(Frozen):
 
     depth_or_budget is the winner's depth for the exact heap-coded
     variants, the fixed bit budget for DAD_STAR / MRC, and the arrival
-    index again for PFR (whose payload, the chain node's heap index, is
-    that index).
+    index again for PFR, whose payload is that index.
     """
 
     __slots__ = _fields = ("variant", "depth_or_budget", "payload")
@@ -195,7 +196,7 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
 
 def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
                   max_steps: float):
-    """Branch-and-bound core shared by every race variant.
+    """Branch-and-bound core of the split-tree races (AS*, AD*, DAD*).
 
     Nodes at ``max_depth`` are scored but not expanded. A finite
     ``max_depth`` is the depth-limited coder's search, which starts from
@@ -218,13 +219,12 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     Returns (winner's heap index, winner's depth, winner's sample, steps, LB).
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    base = search_keys(kind, stream)
-    key, g = realize(kind, base, 1, 1, 0.0, 1.0, INF)
+    key, g = realize(stream, 1, 0.0, 1.0, INF)
     lb, best_index, best_depth, best_x = -INF, None, 0, math.nan
     if max_depth < INF:
-        extra_key, extra_g = realize(kind, base, 0, 1, 0.0, 1.0, g)
+        extra_key, extra_g = realize(stream, 0, 0.0, 1.0, g)
         best_index, best_depth = 0, 1
-        best_x = node_sample(proposal, kind, extra_key, 0, 1, 0.0, 1.0)
+        best_x = node_sample(proposal, extra_key, 0, 0.0, 1.0)
         lb = extra_g + log_ratio(best_x)
     root_bound = bound_M(-INF, INF)
     heap = [(-(g + root_bound), 1, root_bound, 1, -INF, INF, 0.0, 1.0, key, g)]
@@ -233,7 +233,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     while heap and lb < -heap[0][0]:
         _, index, bound, depth, low, high, ulow, uhigh, key, g = heappop(heap)
         if key is None:  # its Gumbel is still to draw
-            key, g = realize(kind, base, index, depth, ulow, uhigh, g)
+            key, g = realize(stream, index, ulow, uhigh, g)
             top = g + bound
             if not lb < top:
                 continue
@@ -243,20 +243,20 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, kind, key, index, depth, ulow, uhigh)
+        x = node_sample(proposal, key, index, ulow, uhigh)
         score = g + log_ratio(x)
         if score > lb or (score == lb and (best_index is None or index < best_index)):
             lb, best_index, best_depth, best_x = score, index, depth, x
         if depth < max_depth:
             child_depth = depth + 1
-            for cindex, clow, chigh, culow, cuhigh in expand(kind, proposal, x, index, depth,
+            for cindex, clow, chigh, culow, cuhigh in expand(kind, proposal, x, index,
                                                               low, high, ulow, uhigh):
                 child_bound = bound_M(clow, chigh)
                 if child_bound > bound:
                     # Rounding put a sub-region's bound above its region's. The
                     # child must then also beat lb under the parent's bound,
                     # which needs its own Gumbel now.
-                    ckey, cg = realize(kind, base, cindex, child_depth, culow, cuhigh, g)
+                    ckey, cg = realize(stream, cindex, culow, cuhigh, g)
                     if not lb < cg + bound:
                         continue
                 else:
@@ -267,14 +267,53 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     return best_index, best_depth, best_x, steps, lb
 
 
+def _pfr_node(seed: int) -> int:
+    """The state after (seed, 1), node 1's key, which every PFR arrival's
+    GUMBEL and SAMPLE draws branch from."""
+    return absorb(seed_state(seed), 1)
+
+
+def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
+    """The PFR race, arrival by arrival: the tree search's schedule on a
+    chain that never cuts the full line, so every arrival has the ratio
+    bound M of the whole line, drawn once. Arrival k draws its Gumbel and
+    its sample from node 1's GUMBEL and SAMPLE slot states at counter
+    k - 1; its Gumbel sits at log-mass 0, truncated at the previous
+    arrival's. The race stops once the incumbent lb reaches g + M, with g
+    the last Gumbel drawn: no later arrival can beat it. Each arrival is
+    one step under the budget, and a tie keeps the earlier arrival.
+    Returns (winner's arrival index, its sample, steps, LB)."""
+    inv_cdf, log_ratio = pair.proposal.inv_cdf, pair.log_ratio
+    draw, gumbel = counter_uniform, trunc_gumbel
+    bound = pair.bound_M(-INF, INF)
+    node = _pfr_node(seed)
+    gumbels, samples = absorb(node, _GUMBEL), absorb(node, _SAMPLE)
+    g = gumbel(draw(gumbels, 0), 0.0, INF)
+    lb, best, best_x = -INF, 0, math.nan  # best 0: no arrival scored yet
+    steps = 0
+    while lb < g + bound:
+        if steps >= max_steps:
+            raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
+        x = inv_cdf(draw(samples, steps))  # sample_restricted_u over (0, 1), bit for bit
+        steps += 1
+        score = g + log_ratio(x)
+        if score > lb or (score == lb and not best):
+            lb, best, best_x = score, steps, x
+            if not lb < g + bound:  # no later arrival can win: leave its Gumbel undrawn
+                break
+        g = gumbel(draw(gumbels, steps), 0.0, g)
+    return best, best_x, steps, lb
+
+
 def encode_astar(
     pair: PairSpec, kind: PartitionKind, seed: int, max_steps: float = INF
 ) -> tuple[Code, float, TrialStats]:
     """Race the tree for a target sample; code the winner's identity.
 
-    With ``PartitionKind.GLOBAL_BOUND`` this is the PFR race, which never
-    shrinks a region and codes the winner's 1-based arrival index; its
-    expected arrival count is exp of the ratio supremum.
+    With ``PartitionKind.GLOBAL_BOUND`` this is the PFR race
+    (``_pfr_search``), which never shrinks a region and codes the
+    winner's 1-based arrival index; its expected arrival count is exp of
+    the ratio supremum.
 
     The search requires a finite ratio bound (sup log dQ/dP < inf); it
     refuses to start otherwise. ``encode_dad`` is the depth-limited race.
@@ -282,7 +321,11 @@ def encode_astar(
     if pair.analytic_dinf() == INF:
         raise UnboundedRatioError("exact search requires a finite density-ratio supremum; "
                                   "use the depth-limited coder")
-    index, depth, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
+    if kind is _GLOBAL_BOUND:
+        index, x, steps, lb = _pfr_search(pair, seed, max_steps)
+        depth = index
+    else:
+        index, depth, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
     code = Code(_VARIANT_OF_KIND[kind], depth, index)
     return code, x, _stats(code, steps, depth, lb)
 
@@ -311,6 +354,14 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
         raise InvalidCodeError(f"expected a DAD_STAR code, got {code.variant}")
     depth = code.payload.bit_length() or 1  # the extra root, index 0, sits at depth 1
     return locate(proposal, PartitionKind.DYADIC, seed, code.payload, depth)
+
+
+def decode_pfr(proposal: Distribution1D, code: Code, seed: int) -> float:
+    """Regenerate the sample of a PFR arrival index: one draw, node 1's
+    SAMPLE slot at counter index - 1, and its full-line quantile."""
+    if code.variant is not Variant.PFR:
+        raise InvalidCodeError(f"expected a PFR code, got {code.variant}")
+    return proposal.inv_cdf(counter_uniform(absorb(_pfr_node(seed), _SAMPLE), code.payload - 1))
 
 
 def _mrc_node(seed: int) -> int:
@@ -396,21 +447,25 @@ class CoderSpec(Frozen):
         return self.unit is _CODEWORD
 
 
-def _exact_spec(tag: int, unit: Unit, kind: PartitionKind, max_dinf: float = INF) -> CoderSpec:
+def _exact_spec(tag: int, unit: Unit, kind: PartitionKind) -> CoderSpec:
     def encode(pair, seed, budget, max_steps):
         return encode_astar(pair, kind, seed, max_steps=max_steps)
 
     def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
         return locate(proposal, kind, seed, code.payload, code.depth_or_budget)
 
-    return CoderSpec(tag, unit, encode, decode, kind, max_dinf)
+    return CoderSpec(tag, unit, encode, decode, kind)
 
 
 CODERS: dict[Variant, CoderSpec] = {
     Variant.AS_STAR: _exact_spec(1, Unit.HEAP_INDEX, PartitionKind.SAMPLE_SPLIT),
     Variant.AD_STAR: _exact_spec(2, Unit.HEAP_INDEX, PartitionKind.DYADIC),
     # expected arrivals grow like e^D-infinity: e^7 ~ 1100 per encode
-    Variant.PFR: _exact_spec(3, Unit.ARRIVAL_INDEX, PartitionKind.GLOBAL_BOUND, max_dinf=7.0),
+    Variant.PFR: CoderSpec(
+        3, Unit.ARRIVAL_INDEX,
+        lambda pair, seed, budget, max_steps: encode_astar(pair, _GLOBAL_BOUND, seed, max_steps),
+        decode_pfr, _GLOBAL_BOUND, max_dinf=7.0,
+    ),
     Variant.DAD_STAR: CoderSpec(
         4, Unit.CODEWORD,
         lambda pair, seed, budget, max_steps: encode_dad(pair, seed, budget),

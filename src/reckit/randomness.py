@@ -30,14 +30,15 @@ values, and so the format, are the same as absorbing every field afresh.
 Draws take four shapes, each one call with the rounds written out and a
 test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
 slot at counter 0 after (seed, node): split-tree and root-level draws),
-:func:`counter_uniform` (a counter after (seed, node, slot): chain draws
-and MRC's decode), :func:`counter_uniforms` (a run of counters after
+:func:`counter_uniform` (a counter after (seed, node, slot): PFR's
+arrival draws and MRC's decode), :func:`counter_uniforms` (a run of counters after
 (seed, node, slot), mixed together: MRC's encode) and
 :func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
 list of nodes, mixed together: a sample-split decode's whole path). The
 last two share one packed round, which holds each key in a 128-bit lane
 of one int. Which key each draw uses is said once: ``reckit.tree`` keys
-the search nodes and ``reckit.coders`` the MRC candidates.
+the search nodes and ``reckit.coders`` the PFR arrivals and the MRC
+candidates.
 """
 
 from __future__ import annotations

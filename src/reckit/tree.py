@@ -1,16 +1,17 @@
 """Heap-indexed search tree over proposal regions.
 
-Split-tree nodes are identified ahnentafel-style: the root is 1 and
-node H has children 2H and 2H+1, so a node at depth D (root depth 1)
-has an index in [2^(D-1), 2^D) and the index fits in D bits once D is
-known. Three partition rules are supported:
+Nodes are identified ahnentafel-style: the root is 1 and node H has
+children 2H and 2H+1, so a node at depth D (root depth 1) has an index
+in [2^(D-1), 2^D) and the index fits in D bits once D is known. Two
+partition rules are supported:
 
-* GLOBAL_BOUND: never shrink; one child carrying the parent's region.
-  Turns the search into a plain rejection race, a chain whose node at
-  depth k has heap index k, its 1-based arrival index.
 * SAMPLE_SPLIT: split the region at the node's own sample.
 * DYADIC: split at the proposal median of the region, so the two
   children carry exactly half the parent's proposal mass each.
+
+The global-bound race (PFR) never cuts a region, so it has no tree: it
+is a loop in ``reckit.coders``. Its member of ``PartitionKind`` only
+lets a caller pick it as it picks a split rule.
 
 Every node caches the proposal-CDF images of its endpoints. All mass and
 sampling arithmetic runs through those cached values, which makes dyadic
@@ -25,22 +26,22 @@ the walk refuses too.
 
 Draws are made as late as the search allows. The search holds a node
 as the flat fields of its queue entry, not as an object: ``expand``
-takes a node's (heap_index, depth, low, high, ulow, uhigh) and returns
-its children as (heap_index, low, high, ulow, uhigh) tuples, regions
-only, at depth + 1. A child has no key state yet; the search queues it
-at its parent's Gumbel, the bound its own is truncated at, and
-``realize`` returns its (key, g), the key state and the Gumbel, when it
-reaches the top of the queue. A node's sample (``node_sample``) waits
-until the node itself is popped, since pruning reads only the Gumbel
-and the region. Every node is drawn by ``realize`` and ``node_sample``,
-the root included: it is node 1 at depth 1 with CDF ends 0 and 1 and an
-untruncated Gumbel, and the depth-limited coder's extra root is the
-same full-line draw at heap index 0, truncated at the root's Gumbel.
+takes a node's (heap_index, low, high, ulow, uhigh) and returns its
+children as (heap_index, low, high, ulow, uhigh) tuples, regions only.
+A child has no key state yet; the search queues it at its parent's
+Gumbel, the bound its own is truncated at, and ``realize`` returns its
+(key, g), the key state and the Gumbel, when it reaches the top of the
+queue. A node's sample (``node_sample``) waits until the node itself is
+popped, since pruning reads only the Gumbel and the region. Every node
+is drawn by ``realize`` and ``node_sample``, the root included: it is
+node 1 with CDF ends 0 and 1 and an untruncated Gumbel, and the
+depth-limited coder's extra root is the same full-line draw at heap
+index 0, truncated at the root's Gumbel.
 
 This module is the one place that says how a node's draws are keyed
-(``search_keys``, ``realize``, ``node_sample``), where a region is cut
-(``_cut``; ``expand`` keeps both sides, the decode walk the one its code
-names) and how a decoder finds a node again (``locate``): the encoder's
+(``realize``, ``node_sample``), where a region is cut (``_cut``;
+``expand`` keeps both sides, the decode walk the one its code names)
+and how a decoder finds a node again (``locate``): the encoder's
 ``expand``/``realize`` and the decoder share them. A sample-split decode
 draws the samples of its whole path at once (``slot_uniforms``, the
 draws ``node_sample`` makes, mixed in one packed pass), so a level of
@@ -54,8 +55,7 @@ from enum import Enum
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import (DrawSlot, absorb, counter_uniform, seed_state, slot_uniform, slot_uniforms,
-                         trunc_gumbel)
+from .randomness import DrawSlot, absorb, seed_state, slot_uniform, slot_uniforms, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -77,8 +77,7 @@ class PartitionKind(Enum):
 
 
 # The hot path compares with these: a class lookup of a member costs ~0.2 us
-_GLOBAL_BOUND, _SAMPLE_SPLIT, _DYADIC = (
-    PartitionKind.GLOBAL_BOUND, PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC)
+_SAMPLE_SPLIT, _DYADIC = PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC
 
 
 def depth_of(heap_index: int) -> int:
@@ -108,38 +107,29 @@ def _cut(kind: PartitionKind, proposal: Distribution1D, ulow: float, uhigh: floa
     return proposal.inv_cdf(ucut), ucut
 
 
-def node_sample(proposal: Distribution1D, kind: PartitionKind, key: int, index: int,
-                depth: int, ulow: float, uhigh: float) -> float:
-    """A node's sample, drawn from its key state ``key``. In a split tree
-    that is the state after (seed, heap index), and the draw takes the
-    SAMPLE slot at counter 0; heap index 0, the extra root, takes the
-    EXTRA_ROOT slots. A chain node's index (its depth) would name a
-    split-tree node, so every chain node is keyed by node 1 and draws at
-    counter depth - 1: its ``key`` is the state after (seed, 1, SAMPLE)
-    (see ``search_keys``)."""
-    if kind is _GLOBAL_BOUND:
-        u = counter_uniform(key, depth - 1)
-    else:
-        u = slot_uniform(key, _SAMPLE if index else _EXTRA_SAMPLE)
-    return sample_restricted_u(proposal, ulow, uhigh, u)
+def node_sample(proposal: Distribution1D, key: int, index: int, ulow: float,
+                uhigh: float) -> float:
+    """A node's sample, drawn from its key state ``key``, the state after
+    (seed, heap index): the SAMPLE slot at counter 0, or the EXTRA_ROOT
+    one at heap index 0, the extra root."""
+    return sample_restricted_u(proposal, ulow, uhigh,
+                               slot_uniform(key, _SAMPLE if index else _EXTRA_SAMPLE))
 
 
 Child = tuple[int, float, float, float, float]  # (heap_index, low, high, ulow, uhigh)
 
 
-def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, depth: int,
+def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int,
            low: float, high: float, ulow: float, uhigh: float) -> list[Child]:
-    """The children of the node at ``index`` and ``depth`` whose region is
-    (``low``, ``high``) with CDF ends ``ulow`` and ``uhigh``, as
-    (heap_index, low, high, ulow, uhigh) at depth ``depth + 1``.
+    """The children of the node at ``index`` whose region is (``low``,
+    ``high``) with CDF ends ``ulow`` and ``uhigh``, as (heap_index, low,
+    high, ulow, uhigh).
 
     ``x`` is the node's sample, which a sample-split cut reads. Children
     with zero proposal mass are skipped, as are slots emptied by the
     partition rule. Nothing is drawn: ``realize`` draws a child's key
     state and Gumbel, truncated at the node's own Gumbel.
     """
-    if kind is _GLOBAL_BOUND:
-        return [(depth + 1, low, high, ulow, uhigh)]
     cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
     lindex, rindex = heap_children(index)
     children: list[Child] = []
@@ -150,45 +140,26 @@ def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int, 
     return children
 
 
-def search_keys(kind: PartitionKind, stream: int) -> int | tuple[int, int]:
-    """``realize``'s base, from ``stream``, the search's ``seed_state(seed)``.
-    A split tree keys each node afresh, so its base is ``stream`` itself.
-    Every chain node draws from node 1's GUMBEL and SAMPLE slots at
-    counter depth - 1, so the chain branches node 1's key into those two
-    states once per search: the states after (seed, 1, GUMBEL) and
-    (seed, 1, SAMPLE) are its base, and the second is the key of every
-    chain node, the root included."""
-    if kind is _GLOBAL_BOUND:
-        node1 = absorb(stream, 1)
-        return absorb(node1, _GUMBEL), absorb(node1, _SAMPLE)
-    return stream
-
-
-def realize(kind: PartitionKind, base: int | tuple[int, int], index: int, depth: int,
-            ulow: float, uhigh: float, bound: float) -> tuple[int, float]:
-    """The key state and Gumbel of the node at ``index`` and ``depth`` with
-    CDF ends ``ulow`` and ``uhigh``: its Gumbel is located at the log of
-    its proposal mass and truncated at ``bound``, its parent's Gumbel (no
+def realize(stream: int, index: int, ulow: float, uhigh: float,
+            bound: float) -> tuple[int, float]:
+    """The key state and Gumbel of the node at ``index`` with CDF ends
+    ``ulow`` and ``uhigh``: its Gumbel is located at the log of its
+    proposal mass and truncated at ``bound``, its parent's Gumbel (no
     bound, ``INF``, for the root; the root's Gumbel for the extra root).
-    ``base`` is what the node's key branches from: in a split tree the
-    search's ``seed_state(seed)``, which absorbs the node's heap index,
-    and the draw takes the GUMBEL slot, or the EXTRA_ROOT one at heap
-    index 0, as ``node_sample`` does; on the chain node 1's two slot
-    states (see ``search_keys``), which every chain node shares, so a
-    chain draw absorbs only its counter."""
-    if kind is _GLOBAL_BOUND:
-        gumbels, key = base
-        u = counter_uniform(gumbels, depth - 1)
-    else:
-        key = absorb(base, index)
-        u = slot_uniform(key, _GUMBEL if index else _EXTRA_GUMBEL)
+    The key state absorbs the heap index into ``stream``, the search's
+    ``seed_state(seed)``, and the draw takes the GUMBEL slot, or the
+    EXTRA_ROOT one at heap index 0, as ``node_sample`` does."""
+    key = absorb(stream, index)
+    u = slot_uniform(key, _GUMBEL if index else _EXTRA_GUMBEL)
     return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
            depth: int) -> float:
     """The sample of the node at ``index`` and ``depth`` (an index at that
-    depth), bit-exact against encoding.
+    depth) of a split tree, bit-exact against encoding. The global-bound
+    race has no tree to walk (``coders.decode_pfr`` decodes it), so its
+    kind is refused with ``DomainError``.
 
     A dyadic node at depth 1 < d <= 54 reads its region off its index: with
     k = index - 2^(d-1) its CDF ends are k * 2^-(d-1) and (k+1) * 2^-(d-1),
@@ -208,10 +179,12 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
     sample, so only that walk draws: before it starts, one
     ``slot_uniforms`` call draws the whole path, root to node, bit for bit
     the uniforms ``node_sample`` would draw level by level, and a level
-    then costs one quantile (inv_cdf) and one cut (cdf). A chain node is found by its
-    depth alone; index 0 at depth 1 is the extra root. Both, and the
-    root, are one full-line draw straight from the node's key.
+    then costs one quantile (inv_cdf) and one cut (cdf). The root and
+    index 0 at depth 1, the extra root, are one full-line draw straight
+    from the node's key.
     """
+    if kind is not _SAMPLE_SPLIT and kind is not _DYADIC:
+        raise DomainError(f"{kind} has no tree to walk")
     stream = seed_state(seed)
     if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:
         k = index - (1 << (depth - 1))
@@ -219,9 +192,9 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
         # an end at 0 or 1 has an infinite quantile, so only two inner ends can meet
         if 0.0 < ulow and uhigh < 1.0 and not proposal.inv_cdf(ulow) < proposal.inv_cdf(uhigh):
             raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-        return node_sample(proposal, kind, absorb(stream, index), index, depth, ulow, uhigh)
+        return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
     low, high, ulow, uhigh = _ROOT_PIECE
-    if kind is not _GLOBAL_BOUND and depth > 1:
+    if depth > 1:
         split_at_sample = kind is _SAMPLE_SPLIT
         if split_at_sample:  # node_sample's draws of the path, root to node, in one pass
             us = slot_uniforms(stream, [index >> shift for shift in range(depth - 1, -1, -1)],
@@ -239,8 +212,4 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
                 raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
         if split_at_sample:
             return sample_restricted_u(proposal, ulow, uhigh, us[-1])
-    if kind is _GLOBAL_BOUND:
-        key = absorb(absorb(stream, 1), _SAMPLE)  # see search_keys
-    else:
-        key = absorb(stream, index)
-    return node_sample(proposal, kind, key, index, depth, ulow, uhigh)
+    return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)

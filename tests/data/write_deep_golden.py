@@ -2,8 +2,8 @@
 
 For random (seed, heap index, depth) codes over depths 1 to
 ``tree.MAX_DEPTH``, every partition kind and the proposals below, it
-stores the ``float.hex`` of the sample ``tree.locate`` decodes, or the
-error class of a refused code. A dyadic or sample-split code takes a
+stores the ``float.hex`` of the sample ``tree.locate`` decodes (for a
+chain code, ``coders.decode_pfr``), or the error class of a refused code. A dyadic or sample-split code takes a
 random heap index at its depth, and every such kind also takes the
 leftmost and rightmost node at a spread of depths, where the cuts sit
 in the proposal's tails; a chain (global-bound) code is named by its
@@ -22,6 +22,7 @@ import random
 import sys
 from pathlib import Path
 
+from reckit.coders import Code, Variant, decode_pfr
 from reckit.distributions import Gaussian, MixtureComponent, Uniform, UniformMixture
 from reckit.errors import RecError
 from reckit.tree import MAX_DEPTH, PartitionKind, locate
@@ -80,6 +81,8 @@ def codes() -> list[tuple[str, PartitionKind, int, int, int]]:
 def outcome(name: str, kind: PartitionKind, seed: int, index: int, depth: int) -> str:
     """``float.hex`` of the decoded sample, or the error class."""
     try:
+        if kind is PartitionKind.GLOBAL_BOUND:  # a chain code is the PFR arrival index
+            return float.hex(decode_pfr(PROPOSALS[name], Code(Variant.PFR, depth, index), seed))
         return float.hex(locate(PROPOSALS[name], kind, seed, index, depth))
     except RecError as exc:
         return type(exc).__name__

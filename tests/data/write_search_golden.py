@@ -7,7 +7,8 @@ to 8, and pfr where the runtime grid runs it), it encodes seeds 0 to
 ``SEEDS - 1`` and stores per encode the code's payload and width, the
 ``float.hex`` of the sample, the steps, the returned depth and the
 ``float.hex`` of the lower bound, or else the error class. Next to each
-it stores how often the encode reached ``tree.trunc_gumbel``, the
+it stores how often the encode reached ``trunc_gumbel`` (looked up in
+``tree`` by the tree search, in ``coders`` by the PFR loop), the
 proposal's ``inv_cdf`` and ``cdf``, ``PairSpec.bound_M`` and
 ``coders.expand``: the search's draws and region arithmetic, counted
 where the search looks them up. ``tests/test_search_golden.py`` replays
@@ -55,6 +56,7 @@ CODER_NAMES = {"as": Variant.AS_STAR, "ad": Variant.AD_STAR, "pfr": Variant.PFR,
 # (module or class, attribute, counter) of every counted call site
 COUNTED = [
     (tree, "trunc_gumbel", "gumbel"),
+    (coders, "trunc_gumbel", "gumbel"),
     *((family, "inv_cdf", "inv_cdf") for family in (Gaussian, Uniform, UniformMixture)),
     *((family, "cdf", "cdf") for family in (Gaussian, Uniform, UniformMixture)),
     (PairSpec, "bound_M", "bound_M"),

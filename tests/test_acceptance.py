@@ -67,7 +67,7 @@ from reckit.randomness import (
     seed_state,
     trunc_gumbel,
 )
-from reckit.tree import PartitionKind, realize, search_keys
+from reckit.tree import PartitionKind, realize
 
 LN2 = math.log(2.0)
 
@@ -274,8 +274,7 @@ def test_criterion_06_region_mass_shrinkage_rates():
 
 def _extra_candidate_score(pair: PairSpec, seed: int) -> float:
     """Mirror the depth-limited coder's extra root candidate."""
-    kind = PartitionKind.DYADIC
-    _, root_g = realize(kind, search_keys(kind, seed_state(seed)), 1, 1, 0.0, 1.0, math.inf)
+    _, root_g = realize(seed_state(seed), 1, 0.0, 1.0, math.inf)
     g = trunc_gumbel(
         keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
         0.0,

@@ -282,10 +282,15 @@ def test_shrinkage_dyadic_exact():
     assert report.bounds == report.mean_mass
 
 
-def test_shrinkage_global_bound_never_shrinks():
-    report = verify_shrinkage(PartitionKind.GLOBAL_BOUND, depth_max=4, trials=30)
-    assert report.passed
-    assert report.mean_mass == (1.0, 1.0, 1.0, 1.0)
+def test_shrinkage_refuses_the_global_bound(monkeypatch):
+    """The global-bound race never cuts a region, so it has no partition
+    to check: it is refused up front, before any draw."""
+    def no_draw(*_):
+        raise AssertionError("verify_shrinkage drew before refusing the global bound")
+
+    monkeypatch.setattr("reckit.bench.realize", no_draw)
+    with pytest.raises(DomainError):
+        verify_shrinkage(PartitionKind.GLOBAL_BOUND, depth_max=4, trials=30)
 
 
 def test_shrinkage_sample_split_rate():

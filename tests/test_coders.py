@@ -43,7 +43,7 @@ from reckit.errors import (
 from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, seed_state, slot_uniforms,
                               trunc_gumbel)
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, realize, search_keys
+from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, realize
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
 # distribution tests against quadrature).
@@ -67,12 +67,13 @@ def delta_bits(n: int) -> int:
 
 # ---------------------------------------------------------------- oracles
 
-def pfr_arrival_oracle(pair: PairSpec, seed: int):
+def pfr_arrival_oracle(pair: PairSpec, seed: int, max_steps: float = math.inf):
     """Simulate the no-shrink race arrival by arrival.
 
     Arrival k >= 1 draws its Gumbel and sample at counter k - 1; the race
     stops after arrival T once the incumbent dominates the next arrival
-    plus the global ratio bound.
+    plus the global ratio bound. Scoring an arrival past ``max_steps``
+    raises ``BudgetExhaustedError``, as the search's step budget does.
     """
     bound = pair.bound_M(-math.inf, math.inf)
     proposal = pair.proposal
@@ -88,6 +89,8 @@ def pfr_arrival_oracle(pair: PairSpec, seed: int):
         gs.append(g)
         if k > 1 and best_score >= g + bound:
             return best_k, best_x, best_score, k - 1
+        if k > max_steps:
+            raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         x = sample_restricted_u(
             proposal, 0.0, 1.0,
             keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), k - 1)),
@@ -416,8 +419,7 @@ def test_dad_stabilizes_to_exact_winner_or_extra():
             PAIR_GG, PartitionKind.DYADIC, seed
         )
         code, x, _ = encode_dad(PAIR_GG, seed, 18)
-        base = search_keys(PartitionKind.DYADIC, seed_state(seed))
-        _, root_g = realize(PartitionKind.DYADIC, base, 1, 1, 0.0, 1.0, math.inf)
+        _, root_g = realize(seed_state(seed), 1, 0.0, 1.0, math.inf)
         extra_g = trunc_gumbel(
             keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_GUMBEL), 0)),
             0.0, root_g,

@@ -2,10 +2,10 @@
 
 ``tests/data/deep_golden.json`` holds, for about 2000 (proposal, kind,
 seed, heap index, depth) codes over depths 1 to ``tree.MAX_DEPTH``, the
-``float.hex`` of the sample ``tree.locate`` decodes or the error class of
-a refused code, empty partition slots included. It was written by
-``tests/data/write_deep_golden.py``, whose proposals and outcome this
-test replays.
+``float.hex`` of the sample ``tree.locate`` decodes (``coders.decode_pfr``
+for a chain code) or the error class of a refused code, empty partition
+slots included. It was written by ``tests/data/write_deep_golden.py``,
+whose proposals and outcome this test replays.
 """
 
 import importlib.util

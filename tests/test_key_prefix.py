@@ -3,11 +3,12 @@
 Every draw absorbs its key's shared prefix once and branches from the
 mixing state. ``reckit.tree`` keys every search node, the depth-limited
 coder's extra root candidate (heap index 0) included, and ``tree.locate``
-is the decode walk back to a node; MRC's candidates share one helper in
-``reckit.coders`` for encoding and decoding. Every such draw must equal
-``keyed_uniform`` of its full ``StreamKey``, and ``keyed_uniform`` must
-equal the recipe in the ``reckit.randomness`` docstring, written out
-below without the library's helpers.
+is the decode walk back to a node; the PFR loop keys its arrivals and
+MRC its candidates in ``reckit.coders``, each with one helper shared by
+encoding and decoding. Every such draw must equal ``keyed_uniform`` of
+its full ``StreamKey``, and ``keyed_uniform`` must equal the recipe in
+the ``reckit.randomness`` docstring, written out below without the
+library's helpers.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import NamedTuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckit import coders, tree
+from reckit import coders
 from reckit.coders import Code, Variant, decode, encode_astar, encode_mrc
 from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
 from reckit.isokl import gaussian_from_kl_dinf
@@ -34,7 +35,6 @@ from reckit.randomness import (
     trunc_gumbel,
 )
 from reckit.tree import MAX_DEPTH, PartitionKind, _cut, expand, node_sample, realize
-from reckit.tree import search_keys
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -95,33 +95,28 @@ class Node(NamedTuple):
         return self.uhigh - self.ulow
 
 
-def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+def realize_node(stream, index, depth, low, high, ulow, uhigh, bound):
     return Node(index, depth, low, high, ulow, uhigh,
-                *realize(kind, base, index, depth, ulow, uhigh, bound))
+                *realize(stream, index, ulow, uhigh, bound))
 
 
-def _check_node(node, proposal, seed, kind, bound):
+def _check_node(node, proposal, seed, bound):
     """``bound`` is the parent's Gumbel (+inf at the root). Returns the
     node's sample."""
-    if kind is PartitionKind.GLOBAL_BOUND:  # the chain is keyed by its counter
-        key_node, counter = 1, node.depth - 1
-        assert node.key == absorb(absorb(seed_state(seed), 1), DrawSlot.SAMPLE)
-    else:
-        key_node, counter = node.heap_index, 0
-        assert node.key == absorb(seed_state(seed), key_node)
-    u_g = per_key(seed, key_node, DrawSlot.GUMBEL, counter)
-    u_x = per_key(seed, key_node, DrawSlot.SAMPLE, counter)
+    assert node.key == absorb(seed_state(seed), node.heap_index)
+    u_g = per_key(seed, node.heap_index, DrawSlot.GUMBEL)
+    u_x = per_key(seed, node.heap_index, DrawSlot.SAMPLE)
     assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
-    x = node_sample(proposal, kind, node.key, node.heap_index, node.depth, node.ulow,
-                    node.uhigh)
+    x = node_sample(proposal, node.key, node.heap_index, node.ulow, node.uhigh)
     assert x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
     return x
 
 
-def realized_children(node, kind, proposal, base, x):
+def realized_children(node, kind, proposal, stream, x):
     """``expand``'s children of ``node``, each realized."""
-    return [realize_node(kind, base, index, node.depth + 1, low, high, ulow, uhigh, node.g)
-            for index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6])]
+    return [realize_node(stream, index, node.depth + 1, low, high, ulow, uhigh, node.g)
+            for index, low, high, ulow, uhigh in expand(kind, proposal, x, node.heap_index,
+                                                        *node[2:6])]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -129,15 +124,67 @@ def realized_children(node, kind, proposal, base, x):
 def test_tree_draws_match_per_key_calls(seed):
     stream = seed_state(seed)
     for proposal in (GAUSS, Uniform(0.5, 1.0)):
-        for kind in PartitionKind:
-            base = search_keys(kind, stream)
-            root = realize_node(kind, base, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf)
+        for kind in (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC):
+            root = realize_node(stream, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf)
             level = [(root, math.inf)]
             for _ in range(5):
                 level = [(c, node.g) for node, bound in level
-                         for c in realized_children(node, kind, proposal, base,
-                                                    _check_node(node, proposal, seed, kind, bound))]
+                         for c in realized_children(node, kind, proposal, stream,
+                                                    _check_node(node, proposal, seed, bound))]
             assert level
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_chain_draws_match_per_key_calls(seed):
+    """The PFR loop's arrival k draws its Gumbel and its sample at counter
+    k - 1 from node 1's GUMBEL and SAMPLE slot states: every draw equals
+    the per-key one, the Gumbels sit at log-mass 0, each truncated at the
+    last, so they never rise, every arrival's sample is fresh, and the
+    code names the winner by its arrival index. The Gumbel after the last
+    arrival is drawn unless the winner's score already reached its bound,
+    as every in-support sample does under a uniform pair."""
+    for pair in (PairSpec(Gaussian(0.4, 0.5), GAUSS),
+                 PairSpec(Uniform(0.5, 0.5), Uniform(0.5, 1.0))):
+        draws, gumbels = [], []
+
+        def recording_draw(state, counter):
+            draws.append((state, counter))
+            return counter_uniform(state, counter)
+
+        def recording_gumbel(u, location, bound):
+            gumbels.append((u, location, bound))
+            return trunc_gumbel(u, location, bound)
+
+        original = coders.counter_uniform, coders.trunc_gumbel
+        coders.counter_uniform, coders.trunc_gumbel = recording_draw, recording_gumbel
+        try:
+            code, x, stats = encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)
+        finally:
+            coders.counter_uniform, coders.trunc_gumbel = original
+        node = absorb(seed_state(seed), 1)
+        slot_of = {absorb(node, DrawSlot.GUMBEL): DrawSlot.GUMBEL,
+                   absorb(node, DrawSlot.SAMPLE): DrawSlot.SAMPLE}
+        steps = stats.steps
+        want = [(DrawSlot.GUMBEL, 0)]
+        for k in range(steps):
+            want += [(DrawSlot.SAMPLE, k), (DrawSlot.GUMBEL, k + 1)]
+        got = [(slot_of[state], k) for state, k in draws]
+        gs, bound = [], math.inf
+        for k, (u, location, gumbel_bound) in enumerate(gumbels):
+            assert (u, location, gumbel_bound) == (per_key(seed, 1, DrawSlot.GUMBEL, k), 0.0,
+                                                   bound)
+            bound = trunc_gumbel(u, 0.0, bound)
+            assert bound <= gumbel_bound
+            gs.append(bound)
+        reached = stats.lower_bound >= gs[steps - 1] + pair.bound_M(-math.inf, math.inf)
+        assert got == (want[:-1] if reached else want)
+        samples = [sample_restricted_u(pair.proposal, 0.0, 1.0,
+                                       per_key(seed, 1, DrawSlot.SAMPLE, k))
+                   for k in range(steps)]
+        assert len(set(samples)) == steps  # a fresh sample per arrival
+        assert code.payload == code.depth_or_budget == stats.returned_depth
+        assert x == samples[code.payload - 1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -183,14 +230,12 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
         got = decode(GAUSS, Code(variant, depth, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
-    base = search_keys(PartitionKind.DYADIC, seed_state(seed))
-    root = realize_node(PartitionKind.DYADIC, base, 1, 1, -math.inf, math.inf, 0.0, 1.0,
-                        math.inf)
-    extra = realize_node(PartitionKind.DYADIC, base, 0, 1, -math.inf, math.inf, 0.0, 1.0,
-                         root.g)
+    stream = seed_state(seed)
+    root = realize_node(stream, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf)
+    extra = realize_node(stream, 0, 1, -math.inf, math.inf, 0.0, 1.0, root.g)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
-    extra_x = node_sample(GAUSS, PartitionKind.DYADIC, extra.key, 0, 1, 0.0, 1.0)
+    extra_x = node_sample(GAUSS, extra.key, 0, 0.0, 1.0)
     assert (extra.heap_index, extra.depth, extra.key) == (0, 1, absorb(seed_state(seed), 0))
     assert (extra.g, extra_x) == (want_g, want_x)
     assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
@@ -222,9 +267,9 @@ def test_chain_step_absorbs_only_its_counters(monkeypatch):
             return draw(*args)
         return counted
 
-    monkeypatch.setattr(tree, "absorb", counting(absorb, 1))
-    monkeypatch.setattr(tree, "counter_uniform", counting(counter_uniform, 1))
-    monkeypatch.setattr(tree, "slot_uniform", counting(slot_uniform, 2))
+    monkeypatch.setattr(coders, "absorb", counting(absorb, 1))
+    monkeypatch.setattr(coders, "counter_uniform", counting(counter_uniform, 1))
+    monkeypatch.setattr(coders, "slot_uniform", counting(slot_uniform, 2))
     pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(2.1, 4.0)), GAUSS)
     total_steps = 0
     for seed in range(200):

@@ -6,7 +6,9 @@ child against the parent's bound, then its own. The search in
 ``reckit.coders`` queues a child at its parent's Gumbel plus its own
 bound and draws it later. Both must give the same code, sample, steps,
 depth and lower bound, or refuse with the same error class, and the
-late draws must make far fewer Gumbel draws.
+late draws must make far fewer Gumbel draws. PFR has no tree: its loop
+is checked against ``test_coders.pfr_arrival_oracle``, which draws
+every arrival from its full ``StreamKey`` and shares no code with it.
 """
 
 import heapq
@@ -23,7 +25,8 @@ from reckit.distributions import Gaussian, PairSpec
 from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import seed_state
-from reckit.tree import PartitionKind, expand, node_sample, realize, search_keys
+from reckit.tree import PartitionKind, expand, node_sample, realize
+from test_coders import pfr_arrival_oracle
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -59,25 +62,24 @@ class Node(NamedTuple):
     g: float
 
 
-def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+def realize_node(stream, index, depth, low, high, ulow, uhigh, bound):
     return Node(index, depth, low, high, ulow, uhigh,
-                *realize(kind, base, index, depth, ulow, uhigh, bound))
+                *realize(stream, index, ulow, uhigh, bound))
 
 
 def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
     """The branch-and-bound loop with every child drawn at expansion. The
     root is node 1, the full line, untruncated; with ``extra_root`` the
     depth-limited coder's extra root (heap index 0, truncated at the
-    root's Gumbel) starts as the incumbent. A chain child's key state is
-    its parent's, node 1's SAMPLE slot state."""
+    root's Gumbel) starts as the incumbent."""
     proposal = pair.proposal
-    base = search_keys(kind, seed_state(seed))
-    root = realize_node(kind, base, 1, 1, -INF, INF, 0.0, 1.0, INF)
+    stream = seed_state(seed)
+    root = realize_node(stream, 1, 1, -INF, INF, 0.0, 1.0, INF)
     root_bound = pair.bound_M(-INF, INF)
     lb, best, best_x = -INF, None, math.nan
     if extra_root:
-        incumbent = realize_node(kind, base, 0, 1, -INF, INF, 0.0, 1.0, root.g)
-        best_x = node_sample(proposal, kind, incumbent.key, 0, 1, 0.0, 1.0)
+        incumbent = realize_node(stream, 0, 1, -INF, INF, 0.0, 1.0, root.g)
+        best_x = node_sample(proposal, incumbent.key, 0, 0.0, 1.0)
         lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
     heap = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
@@ -86,15 +88,15 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, kind, node.key, index, node.depth, node.ulow, node.uhigh)
+        x = node_sample(proposal, node.key, index, node.ulow, node.uhigh)
         score = node.g + pair.log_ratio(x)
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
             depth = node.depth + 1
-            for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, *node[:6]):
-                child = realize_node(kind, base, child_index, depth, low, high, ulow, uhigh,
-                                     node.g)
+            for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, index,
+                                                              *node[2:6]):
+                child = realize_node(stream, child_index, depth, low, high, ulow, uhigh, node.g)
                 g = child.g
                 if lb < g + bound:
                     child_bound = pair.bound_M(child.low, child.high)
@@ -106,11 +108,15 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
 
 
 def eager_encode(coder, pair, seed, max_steps):
-    """``encode_astar``/``encode_dad`` over ``eager_search``: coder is a
-    ``KINDS`` name or ("dad", budget)."""
+    """``encode_astar``/``encode_dad`` over ``eager_search``, and PFR over
+    ``pfr_arrival_oracle``: coder is a ``KINDS`` name or ("dad", budget)."""
     if coder in KINDS:
         if pair.analytic_dinf() == INF:
             raise UnboundedRatioError("unbounded ratio")
+        if coder == "pfr":
+            arrival, x, lb, steps = pfr_arrival_oracle(pair, seed, max_steps)
+            code = Code(Variant.PFR, arrival, arrival)
+            return code, x, coders._stats(code, steps, arrival, lb)
         kind = KINDS[coder]
         best, x, steps, lb = eager_search(pair, kind, seed, INF, max_steps)
         code = Code(coders._VARIANT_OF_KIND[kind], best.depth, best.heap_index)
@@ -162,12 +168,12 @@ def test_late_draws_match_the_eager_search(name):
 
 def test_late_draws_match_the_eager_search_at_the_step_budget():
     """A child drawn at the top of the queue is no step: the budget
-    refuses at the same pop."""
+    refuses at the same pop, and PFR's at the same arrival."""
     pair = PAIRS["kl2.1-dinf4"]
     for coder in KINDS:
         seen = set()
         for seed in range(100):
-            for max_steps in (1, 2, 3, 5, 8):
+            for max_steps in (range(1, 9) if coder == "pfr" else (1, 2, 3, 5, 8)):
                 want = outcome(eager_encode, coder, pair, seed, max_steps)
                 assert outcome(lazy_encode, coder, pair, seed, max_steps) == want
                 seen.add(want if isinstance(want, str) else "ok")
@@ -197,7 +203,8 @@ def test_late_draws_match_the_eager_search_when_a_child_bound_exceeds_its_parent
 def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
     """At KL 2.1 / D-inf 4 over 200 seeds an exact search draws at most
     0.6x the Gumbels of drawing every child at expansion, and a PFR
-    encode draws one per step plus the root's."""
+    encode draws one per step plus the root's. The tree search looks
+    ``trunc_gumbel`` up in ``tree``, the PFR loop in ``coders``."""
     draws, children = [0], [0]
 
     def counting_trunc_gumbel(u, location, bound):
@@ -210,7 +217,9 @@ def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
         return out
 
     trunc_gumbel = tree.trunc_gumbel
+    assert coders.trunc_gumbel is trunc_gumbel
     monkeypatch.setattr(tree, "trunc_gumbel", counting_trunc_gumbel)
+    monkeypatch.setattr(coders, "trunc_gumbel", counting_trunc_gumbel)
     monkeypatch.setattr(coders, "expand", counting_expand)
     pair = PAIRS["kl2.1-dinf4"]
     encoders = {

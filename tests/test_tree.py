@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from reckit.coders import encode_astar
 from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DepthExceededError, DomainError
 from reckit.randomness import (
@@ -23,22 +24,20 @@ from reckit.tree import (
     depth_of,
     expand,
     heap_children,
+    locate,
     node_sample,
     realize,
-    search_keys,
 )
 
 GAUSS = Gaussian(0.0, 1.0)
+SPLITS = (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC)
 
 
 def partition(kind, region, x, proposal):
     """(left, right) child regions (low, high) of a split; None marks an
-    empty slot. The chain's one child, from ``expand``, takes the right slot."""
+    empty slot."""
     low, high = region
     ulow, uhigh = proposal.cdf(low), proposal.cdf(high)
-    if kind is PartitionKind.GLOBAL_BOUND:
-        [(_, *child, _, _)] = expand(kind, proposal, x, 1, 1, low, high, ulow, uhigh)
-        return None, tuple(child)
     cut, _ = _cut(kind, proposal, ulow, uhigh, x)
     return ((low, cut) if low < cut else None,
             (cut, high) if cut < high else None)
@@ -49,9 +48,8 @@ def mass(dist, region):
     return dist.cdf(high) - dist.cdf(low)
 
 
-def sample(node, kind=PartitionKind.DYADIC, proposal=GAUSS):
-    return node_sample(proposal, kind, node.key, node.heap_index, node.depth,
-                       node.ulow, node.uhigh)
+def sample(node, proposal=GAUSS):
+    return node_sample(proposal, node.key, node.heap_index, node.ulow, node.uhigh)
 
 
 class Node(NamedTuple):
@@ -72,26 +70,24 @@ class Node(NamedTuple):
         return self.uhigh - self.ulow
 
 
-def realize_node(kind, base, index, depth, low, high, ulow, uhigh, bound):
+def realize_node(stream, index, depth, low, high, ulow, uhigh, bound):
     return Node(index, depth, low, high, ulow, uhigh,
-                *realize(kind, base, index, depth, ulow, uhigh, bound))
+                *realize(stream, index, ulow, uhigh, bound))
 
 
-def search_root(kind, seed):
-    """The root and ``realize``'s base as a search holds them: the root is
-    node 1 at depth 1, the full line, drawn untruncated; on the chain its
-    key is node 1's SAMPLE slot state (see ``tree.search_keys``)."""
-    base = search_keys(kind, seed_state(seed))
-    return realize_node(kind, base, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf), base
+def search_root(seed):
+    """The root and the stream ``realize`` keys from, as a search holds
+    them: the root is node 1 at depth 1, the full line, drawn untruncated."""
+    stream = seed_state(seed)
+    return realize_node(stream, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf), stream
 
 
-def pop_and_expand(node, kind, proposal, base):
+def pop_and_expand(node, kind, proposal, stream):
     """A popped node's children, all drawn: its sample, then its children
     (a sample-split cut reads the sample), each realized as the search
-    realizes a child that reaches the top of its queue. ``base`` is
-    ``search_root``'s."""
-    children = expand(kind, proposal, sample(node, kind, proposal), *node[:6])
-    return [realize_node(kind, base, index, node.depth + 1, low, high, ulow, uhigh, node.g)
+    realizes a child that reaches the top of its queue."""
+    children = expand(kind, proposal, sample(node, proposal), node.heap_index, *node[2:6])
+    return [realize_node(stream, index, node.depth + 1, low, high, ulow, uhigh, node.g)
             for index, low, high, ulow, uhigh in children]
 
 
@@ -103,13 +99,13 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
     root (Gumbel(0) arrival, sample from the whole proposal); nodes at
     the depth limit are yielded but not expanded.
     """
-    root, base = search_root(kind, seed)
+    root, stream = search_root(seed)
     heap = [(-root.g, root.heap_index, root)]
     yielded = 0
     while heap and (max_yields is None or yielded < max_yields):
         _, _, node = heapq.heappop(heap)
         if node.depth < depth_limit:
-            for child in pop_and_expand(node, kind, proposal, base):
+            for child in pop_and_expand(node, kind, proposal, stream):
                 heapq.heappush(heap, (-child.g, child.heap_index, child))
         yielded += 1
         yield node
@@ -149,11 +145,12 @@ def test_partition_dyadic_halves_mass():
     assert mass(GAUSS, right) == pytest.approx(mass(GAUSS, region) / 2, abs=1e-15)
 
 
-def test_partition_global_bound_keeps_region():
-    region = (-math.inf, math.inf)
-    left, right = partition(PartitionKind.GLOBAL_BOUND, region, 0.0, GAUSS)
-    assert left is None
-    assert right == region
+def test_locate_refuses_the_global_bound_chain():
+    """The chain never cuts a region, so it has no tree to walk: a PFR code
+    decodes in one draw (``coders.decode_pfr``), and ``locate`` refuses it."""
+    for depth in (1, 2, 9):
+        with pytest.raises(DomainError):
+            locate(GAUSS, PartitionKind.GLOBAL_BOUND, 7, depth, depth)
 
 
 def test_partition_empty_side():
@@ -174,13 +171,13 @@ def test_cut_rounding_onto_a_region_end_empties_that_side():
     assert _cut(PartitionKind.DYADIC, uniform, b, c, math.nan) == (c, c)
     assert partition(PartitionKind.DYADIC, (b, c), math.nan, uniform) == ((b, c), None)
     # expand drops exactly the emptied child
-    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, a, b, a, b) == [(11, a, b, a, b)]
-    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, 3, b, c, b, c) == [(10, b, c, b, c)]
+    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, a, b, a, b) == [(11, a, b, a, b)]
+    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, b, c, b, c) == [(10, b, c, b, c)]
 
 
 def test_realize_draws_the_root():
-    root, base = search_root(PartitionKind.DYADIC, 7)
-    assert base == seed_state(7)  # a split tree keys each node afresh
+    root, stream = search_root(7)
+    assert stream == seed_state(7)  # every node is keyed afresh
     assert root.heap_index == 1 and root.depth == 1
     assert (root.low, root.high) == (-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
@@ -189,18 +186,19 @@ def test_realize_draws_the_root():
     # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(sample(root))
-    assert search_root(PartitionKind.DYADIC, 7)[0] == root  # deterministic
-    assert search_root(PartitionKind.DYADIC, 8)[0] != root
-    # every partition rule draws the root's Gumbel alike (node 1, counter 0)
-    for kind in PartitionKind:
-        assert search_root(kind, 7)[0].g == root.g
+    assert search_root(7)[0] == root  # deterministic
+    assert search_root(8)[0] != root
+    # the PFR chain's first arrival draws the root's Gumbel too (node 1,
+    # counter 0): with Q = P its race stops after that arrival, scored at it
+    stats = encode_astar(PairSpec(GAUSS, GAUSS), PartitionKind.GLOBAL_BOUND, 7)[2]
+    assert (stats.steps, stats.lower_bound) == (1, root.g)
 
 
 def test_expand_children_tile_parent():
     for seed in range(20):
-        node, base = search_root(PartitionKind.SAMPLE_SPLIT, seed)
+        node, stream = search_root(seed)
         for _ in range(6):
-            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, base)
+            children = pop_and_expand(node, PartitionKind.SAMPLE_SPLIT, GAUSS, stream)
             assert 1 <= len(children) <= 2
             assert sum(c.mass for c in children) == pytest.approx(node.mass, abs=1e-12)
             for c in children:
@@ -208,7 +206,7 @@ def test_expand_children_tile_parent():
                 assert c.heap_index in heap_children(node.heap_index)
                 assert c.g <= node.g  # race order
                 assert node.low <= c.low < c.high <= node.high
-                assert c.low < sample(c, PartitionKind.SAMPLE_SPLIT) < c.high
+                assert c.low < sample(c) < c.high
                 # cached endpoints match fresh CDF evaluation
                 assert c.ulow == pytest.approx(GAUSS.cdf(c.low), abs=1e-15)
                 assert c.uhigh == pytest.approx(GAUSS.cdf(c.high), abs=1e-15)
@@ -218,47 +216,27 @@ def test_expand_children_tile_parent():
 def test_expand_leaves_children_undrawn():
     """expand gives regions only, (heap_index, low, high, ulow, uhigh);
     realize draws the key and the Gumbel truncated at the parent's."""
-    for kind in PartitionKind:
-        node, base = search_root(kind, 4)
-        for child in expand(kind, GAUSS, sample(node, kind), *node[:6]):
+    for kind in SPLITS:
+        node, stream = search_root(4)
+        for child in expand(kind, GAUSS, sample(node), node.heap_index, *node[2:6]):
             index, low, high, ulow, uhigh = child
             assert node.low <= low < high <= node.high and ulow < uhigh
-            key, g = realize(kind, base, index, 2, ulow, uhigh, node.g)
+            key, g = realize(stream, index, ulow, uhigh, node.g)
             assert isinstance(key, int) and g <= node.g
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
-    node, base = search_root(PartitionKind.DYADIC, 99)
+    node, stream = search_root(99)
     for d in range(2, 24):
-        children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, base)
+        children = pop_and_expand(node, PartitionKind.DYADIC, GAUSS, stream)
         assert len(children) == 2
         for c in children:
             assert c.mass == 2.0 ** -(d - 1)  # exact, not approximate
         node = children[1]
 
 
-def test_expand_global_bound_is_a_chain():
-    chain = PartitionKind.GLOBAL_BOUND
-    node, base = search_root(chain, 5)
-    seen = {sample(node, chain)}
-    for k in range(2, 12):
-        children = pop_and_expand(node, chain, GAUSS, base)
-        assert len(children) == 1
-        child = children[0]
-        assert child.depth == k
-        assert child.heap_index == k  # the arrival index, coded as the PFR payload
-        assert (child.low, child.high) == (-math.inf, math.inf)
-        assert child.mass == 1.0
-        assert child.g <= node.g
-        assert child.key == node.key  # every arrival draws from node 1's SAMPLE slot state
-        x = sample(child, chain)
-        assert x not in seen  # fresh sample per arrival
-        seen.add(x)
-        node = child
-
-
 def test_top_down_gumbels_strictly_decrease():
-    for kind in PartitionKind:
+    for kind in SPLITS:
         last = math.inf
         for node in top_down_process(GAUSS, kind, seed=11, max_yields=200):
             assert node.g < last
@@ -285,7 +263,7 @@ def test_top_down_race_samples_proposal():
     over seeds it must reproduce the proposal distribution."""
     from scipy import stats
 
-    xs = [sample(search_root(PartitionKind.DYADIC, derive_seed(13, i))[0]) for i in range(4000)]
+    xs = [sample(search_root(derive_seed(13, i))[0]) for i in range(4000)]
     assert stats.kstest(xs, "norm").pvalue > 0.01
 
 
