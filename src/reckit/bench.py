@@ -34,8 +34,8 @@ from .distributions import (
 )
 from .errors import DomainError, Frozen, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
-from .randomness import derive_seed, seed_state
-from .tree import MAX_DEPTH, PartitionKind, expand, node_sample, realize
+from .randomness import absorb, derive_seed, seed_state
+from .tree import MAX_DEPTH, PartitionKind, expand, node_sample
 
 _LN2 = math.log(2.0)
 
@@ -416,14 +416,13 @@ def verify_shrinkage(
     for trial in range(trials):
         stream = seed_state(derive_seed(seed, trial))
         index, low, high, ulow, uhigh = 1, -math.inf, math.inf, 0.0, 1.0
-        key, g = realize(stream, index, ulow, uhigh, math.inf)
         for d in range(1, depth_max):
-            x = node_sample(proposal, key, index, ulow, uhigh)
+            # the node's key, as ``realize`` gives it: shrinkage reads no Gumbel
+            x = node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
             children = expand(kind, proposal, x, index, low, high, ulow, uhigh)
             if not children:
                 break
             index, low, high, ulow, uhigh = max(children, key=lambda c: c[4] - c[3])
-            key, g = realize(stream, index, ulow, uhigh, g)
             masses[d][trial] = uhigh - ulow
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(math.fsum(col) / trials for col in masses)

@@ -20,7 +20,10 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 ``coders.CODERS`` holds each coder's tag and unit layout, and
 ``coders.Unit`` implements the three unit layouts: it checks, prices and
 writes one unit, and reads a frame's units. This module owns the bit
-codes and the frame.
+codes and the frame: ``MessageFrame`` checks a frame when it is built,
+``write_message`` writes it unchecked, and ``read_message`` returns only
+what it admits. ``_HEADS`` is the one table of frame layouts; the writer
+reads it through its inverse.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
@@ -52,8 +55,13 @@ from .tree import MAX_DEPTH
 MODE_EXACT = "exact_per_symbol"
 MODE_BLOCK = "block_tied"
 _MODE_TAGS = {MODE_EXACT: 1, MODE_BLOCK: 2}
-_MODE_OF_TAG = {tag: mode for mode, tag in _MODE_TAGS.items()}
-_VARIANT_OF_TAG = {spec.tag: variant for variant, spec in CODERS.items()}
+# (mode tag, variant tag) of every frame layout the wire admits
+_HEADS = {
+    (_MODE_TAGS[mode], spec.tag): (mode, variant, spec.unit)
+    for variant, spec in CODERS.items()
+    for mode in _MODE_TAGS if spec.fixed_width == (mode == MODE_BLOCK)
+}
+_TAGS = {(mode, variant): (*tags, unit) for tags, (mode, variant, unit) in _HEADS.items()}
 # A gamma spans at most 129 bits (64 zeros and 65 digits), 17 bytes from any bit offset
 _WINDOW = 17
 _from_bytes = int.from_bytes  # a bound alias skips a ~0.1 us attribute lookup per read
@@ -187,7 +195,12 @@ class MessageFrame(Frozen):
     """A self-delimiting message: mode, variant, and the codewords.
 
     Exact mode stores one unit per symbol (each self-sized); block mode
-    stores one shared budget and fixed-width codewords.
+    stores one shared budget and fixed-width codewords. This is the one
+    place a frame is checked, so a frame that constructs writes, and reads
+    back equal: an unknown mode, a budget ``check_budget`` refuses in a
+    block frame or any budget in an exact one is a ``DomainError``; a
+    (mode, variant) with no layout, a code of another variant or of a
+    width other than the block's budget is an ``InvalidCodeError``.
     """
 
     __slots__ = _fields = ("mode", "variant", "codes", "budget")
@@ -196,11 +209,20 @@ class MessageFrame(Frozen):
                  budget: int | None = None) -> None:
         if mode not in _MODE_TAGS:
             raise DomainError(f"unknown frame mode {mode!r}")
-        if mode == MODE_BLOCK and budget is None:
-            raise DomainError("block frames need a budget")
+        if (mode, variant) not in _TAGS:
+            raise InvalidCodeError(f"{variant} cannot appear in a {mode} frame")
+        codes = tuple(codes)
+        if any(code.variant is not variant for code in codes):
+            raise InvalidCodeError("frame variant does not match its codes")
+        if mode == MODE_BLOCK:
+            check_budget(budget)
+            if any(code.depth_or_budget != budget for code in codes):
+                raise InvalidCodeError(f"a code's budget differs from the block's {budget}")
+        elif budget is not None:
+            raise DomainError(f"an exact frame carries no budget, got {budget!r}")
         _set(self, "mode", mode)  # one call a field: half the cost of _store, once a frame
         _set(self, "variant", variant)
-        _set(self, "codes", tuple(codes))
+        _set(self, "codes", codes)
         _set(self, "budget", budget)
 
     @property
@@ -211,45 +233,22 @@ class MessageFrame(Frozen):
 _new = object.__new__
 _set_mode, _set_variant, _set_codes, _set_budget = (
     MessageFrame.__dict__[name].__set__ for name in MessageFrame._fields)
-# (mode tag, variant tag) of every frame layout the wire admits
-_HEADS = {
-    (_MODE_TAGS[mode], spec.tag): (mode, variant, spec.unit)
-    for variant, spec in CODERS.items()
-    for mode in _MODE_TAGS if spec.fixed_width == (mode == MODE_BLOCK)
-}
 
 
 def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
-    """Write ``frame``: its header, then each code through its coder's ``Unit``."""
-    spec = CODERS[frame.variant]
-    if spec.fixed_width != (frame.mode == MODE_BLOCK):
-        raise InvalidCodeError(f"{frame.variant} cannot appear in a {frame.mode} frame")
-    if any(code.variant is not frame.variant for code in frame.codes):
-        raise InvalidCodeError("frame variant does not match its codes")
-    if spec.fixed_width:
-        check_budget(frame.budget)
-        if any(code.depth_or_budget != frame.budget for code in frame.codes):
-            raise InvalidCodeError(f"a code's budget differs from the block's {frame.budget}")
+    """Write ``frame``, which ``MessageFrame`` checked: its header, then
+    each code through its coder's ``Unit``."""
+    mode_tag, variant_tag, unit = _TAGS[frame.mode, frame.variant]
     w = writer or BitWriter()
-    w.write_elias_gamma(_MODE_TAGS[frame.mode])
-    w.write_elias_gamma(spec.tag)
-    if spec.fixed_width:
+    w.write_elias_gamma(mode_tag)
+    w.write_elias_gamma(variant_tag)
+    if frame.budget is not None:
         w.write_elias_gamma(frame.budget)
     w.write_elias_gamma(len(frame.codes) + 1)
-    write = spec.unit.write
+    write = unit.write
     for code in frame.codes:
         write(w, code.depth_or_budget, code.payload)
     return w
-
-
-def _head_error(mode_tag: int, variant_tag: int) -> MalformedMessageError:
-    variant = _VARIANT_OF_TAG.get(variant_tag)
-    if variant is None:
-        return MalformedMessageError(f"unknown variant tag {variant_tag}")
-    mode = _MODE_OF_TAG.get(mode_tag)
-    if mode is None:
-        return MalformedMessageError(f"unknown mode tag {mode_tag}")
-    return MalformedMessageError(f"{variant} cannot appear in a {mode} frame")
 
 
 def read_message(reader: BitReader) -> MessageFrame:
@@ -259,7 +258,8 @@ def read_message(reader: BitReader) -> MessageFrame:
     mode_tag, variant_tag = reader.read(2)
     head = _HEADS.get((mode_tag, variant_tag))
     if head is None:
-        raise _head_error(mode_tag, variant_tag)
+        raise MalformedMessageError(
+            f"no frame layout has mode tag {mode_tag} and variant tag {variant_tag}")
     mode, variant, unit = head
     budget = None
     if mode == MODE_BLOCK:

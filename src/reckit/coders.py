@@ -69,18 +69,10 @@ MAX_STEPS = 1_000_000
 
 
 def check_budget(budget: int) -> None:
-    """Refuse a fixed-width bit budget the wire cannot carry: a block
-    header holds at most ``tree.MAX_DEPTH`` bits per codeword."""
-    if not (1 <= budget <= MAX_DEPTH and int(budget) == budget):
-        raise DomainError(f"budget must be an integer of 1 to {MAX_DEPTH} bits, got {budget}")
-
-
-def _gamma_bits(n: int) -> int:
-    return 2 * (n.bit_length() - 1) + 1
-
-
-def _delta_bits(n: int) -> int:
-    return (n.bit_length() - 1) + _gamma_bits(n.bit_length())
+    """Refuse a bit budget a block header cannot carry: it holds an int of 1 to
+    ``tree.MAX_DEPTH``, and no float or bool (as ``as_number(budget, int)``)."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or not 1 <= budget <= MAX_DEPTH:
+        raise DomainError(f"budget must be an integer of 1 to {MAX_DEPTH} bits, got {budget!r}")
 
 
 class Unit(Enum):
@@ -103,17 +95,16 @@ class Unit(Enum):
         elif self is _ARRIVAL_INDEX:  # delta's length field stops at 64 bits
             if not 1 <= payload < (1 << 64) or width != payload:
                 raise InvalidCodeError(f"arrival index {payload} not in [1, 2^64) or != {width}")
-        elif width > MAX_DEPTH or not 0 <= payload < (1 << width):
-            raise InvalidCodeError(f"codeword {payload} not in a budget {width} <= {MAX_DEPTH}")
+        elif not (1 <= width <= MAX_DEPTH and 0 <= payload < (1 << width)):
+            raise InvalidCodeError(f"codeword {payload} not in a budget {width} in 1..{MAX_DEPTH}")
 
     def cost(self, width: int, payload: int) -> tuple[int, int]:
-        """(payload bits, standalone framing bits) of one unit."""
-        if self is _HEAP_INDEX:
-            return width, _gamma_bits(width) - 1  # write drops the leading index bit
-        if self is _ARRIVAL_INDEX:
-            bits = payload.bit_length()
-            return bits, _delta_bits(payload) - bits
-        return width, 0  # fixed-width codeword at the budget
+        """(payload bits, standalone framing bits) of one unit. Both index layouts
+        are delta(index): L index bits and 2 * (bit_length(L) - 1) of framing."""
+        if self is _CODEWORD:
+            return width, 0  # fixed-width codeword at the budget
+        bits = payload.bit_length()
+        return bits, 2 * (bits.bit_length() - 1)
 
     def write(self, writer, width: int, payload: int) -> None:
         """Put one unit on ``writer``; a codeword's budget is in its frame's header."""
@@ -160,8 +151,6 @@ class Code(Frozen):
     __slots__ = _fields = ("variant", "depth_or_budget", "payload")
 
     def __init__(self, variant: Variant, depth_or_budget: int, payload: int) -> None:
-        if depth_or_budget < 1:
-            raise InvalidCodeError(f"depth/budget must be >= 1, got {depth_or_budget}")
         CODERS[variant].unit.check(depth_or_budget, payload)
         _set_variant(self, variant)
         _set_width(self, depth_or_budget)
@@ -352,8 +341,7 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
     """Regenerate the sample for a depth-limited dyadic codeword."""
     if code.variant is not Variant.DAD_STAR:
         raise InvalidCodeError(f"expected a DAD_STAR code, got {code.variant}")
-    depth = code.payload.bit_length() or 1  # the extra root, index 0, sits at depth 1
-    return locate(proposal, PartitionKind.DYADIC, seed, code.payload, depth)
+    return locate(proposal, PartitionKind.DYADIC, seed, code.payload)
 
 
 def decode_pfr(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -452,7 +440,7 @@ def _exact_spec(tag: int, unit: Unit, kind: PartitionKind) -> CoderSpec:
         return encode_astar(pair, kind, seed, max_steps=max_steps)
 
     def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
-        return locate(proposal, kind, seed, code.payload, code.depth_or_budget)
+        return locate(proposal, kind, seed, code.payload)
 
     return CoderSpec(tag, unit, encode, decode, kind)
 

@@ -36,6 +36,8 @@ _set = object.__setattr__
 class Distribution1D:
     """Base class: CDF/inverse-CDF/log-density over the real line."""
 
+    __slots__ = ()
+
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 

@@ -2,8 +2,8 @@
 
 Nodes are identified ahnentafel-style: the root is 1 and node H has
 children 2H and 2H+1, so a node at depth D (root depth 1) has an index
-in [2^(D-1), 2^D) and the index fits in D bits once D is known. Two
-partition rules are supported:
+in [2^(D-1), 2^D): an index carries its own depth, its bit length, and
+fits in D bits once D is known. Two partition rules are supported:
 
 * SAMPLE_SPLIT: split the region at the node's own sample.
 * DYADIC: split at the proposal median of the region, so the two
@@ -41,11 +41,11 @@ index 0, truncated at the root's Gumbel.
 This module is the one place that says how a node's draws are keyed
 (``realize``, ``node_sample``), where a region is cut (``_cut``;
 ``expand`` keeps both sides, the decode walk the one its code names)
-and how a decoder finds a node again (``locate``): the encoder's
-``expand``/``realize`` and the decoder share them. A sample-split decode
-draws the samples of its whole path at once (``slot_uniforms``, the
-draws ``node_sample`` makes, mixed in one packed pass), so a level of
-its walk is one quantile and one cut.
+and how a decoder finds a node again from its index alone (``locate``):
+the encoder's ``expand``/``realize`` and the decoder share them. A
+sample-split decode draws the samples of its whole path at once
+(``slot_uniforms``, the draws ``node_sample`` makes, mixed in one packed
+pass), so a level of its walk is one quantile and one cut.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ _ldexp = math.ldexp
 _GUMBEL, _SAMPLE = int(DrawSlot.GUMBEL), int(DrawSlot.SAMPLE)
 _EXTRA_GUMBEL, _EXTRA_SAMPLE = int(DrawSlot.EXTRA_ROOT_GUMBEL), int(DrawSlot.EXTRA_ROOT_SAMPLE)
 _ROOT_PIECE = (-INF, INF, 0.0, 1.0)
+_END = 1 << MAX_DEPTH  # the first heap index deeper than MAX_DEPTH
 
 
 class PartitionKind(Enum):
@@ -154,12 +155,14 @@ def realize(stream: int, index: int, ulow: float, uhigh: float,
     return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
 
 
-def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
-           depth: int) -> float:
-    """The sample of the node at ``index`` and ``depth`` (an index at that
-    depth) of a split tree, bit-exact against encoding. The global-bound
-    race has no tree to walk (``coders.decode_pfr`` decodes it), so its
-    kind is refused with ``DomainError``.
+def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int) -> float:
+    """The sample of the node at heap ``index`` of a split tree, bit-exact
+    against encoding, at depth d = ``index.bit_length()`` (the extra root,
+    index 0, at depth 1). ``InvalidCodeError`` refuses an index no search
+    makes: a negative one, 0 under sample splitting, or one deeper than
+    ``MAX_DEPTH``. The global-bound race has no tree to walk
+    (``coders.decode_pfr`` decodes it), so its kind is refused with
+    ``DomainError``.
 
     A dyadic node at depth 1 < d <= 54 reads its region off its index: with
     k = index - 2^(d-1) its CDF ends are k * 2^-(d-1) and (k+1) * 2^-(d-1),
@@ -179,12 +182,14 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int,
     sample, so only that walk draws: before it starts, one
     ``slot_uniforms`` call draws the whole path, root to node, bit for bit
     the uniforms ``node_sample`` would draw level by level, and a level
-    then costs one quantile (inv_cdf) and one cut (cdf). The root and
-    index 0 at depth 1, the extra root, are one full-line draw straight
-    from the node's key.
+    then costs one quantile (inv_cdf) and one cut (cdf). The root and the
+    extra root are one full-line draw straight from the node's key.
     """
     if kind is not _SAMPLE_SPLIT and kind is not _DYADIC:
         raise DomainError(f"{kind} has no tree to walk")
+    if not 0 < index < _END and (index or kind is _SAMPLE_SPLIT):
+        raise InvalidCodeError(f"no {kind.value} search makes heap index {index}")
+    depth = index.bit_length()  # 0 for the extra root, which decodes as the root does
     stream = seed_state(seed)
     if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:
         k = index - (1 << (depth - 1))

@@ -83,7 +83,7 @@ def outcome(name: str, kind: PartitionKind, seed: int, index: int, depth: int) -
     try:
         if kind is PartitionKind.GLOBAL_BOUND:  # a chain code is the PFR arrival index
             return float.hex(decode_pfr(PROPOSALS[name], Code(Variant.PFR, depth, index), seed))
-        return float.hex(locate(PROPOSALS[name], kind, seed, index, depth))
+        return float.hex(locate(PROPOSALS[name], kind, seed, index))
     except RecError as exc:
         return type(exc).__name__
 

@@ -288,7 +288,7 @@ def test_shrinkage_refuses_the_global_bound(monkeypatch):
     def no_draw(*_):
         raise AssertionError("verify_shrinkage drew before refusing the global bound")
 
-    monkeypatch.setattr("reckit.bench.realize", no_draw)
+    monkeypatch.setattr("reckit.bench.node_sample", no_draw)
     with pytest.raises(DomainError):
         verify_shrinkage(PartitionKind.GLOBAL_BOUND, depth_max=4, trials=30)
 

@@ -413,26 +413,33 @@ def test_messages_concatenate():
 
 
 def test_message_frame_validation():
+    """``MessageFrame`` is the one place a frame is checked, so a frame that
+    ``write_message`` could not write back equal never builds."""
     with pytest.raises(DomainError):
         MessageFrame("weird", Variant.AD_STAR, ())
     with pytest.raises(DomainError):
         MessageFrame(MODE_BLOCK, Variant.DAD_STAR, ())  # no budget
     with pytest.raises(InvalidCodeError):
-        write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR,
-                                   (Code(Variant.AS_STAR, 2, 2),)))
+        MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AS_STAR, 2, 2),))
+    for budget in (5, 0, 3.0):  # an exact frame's header has no budget field
+        with pytest.raises(DomainError):
+            MessageFrame(MODE_EXACT, Variant.AS_STAR, [Code(Variant.AS_STAR, 3, 5)], budget)
+    for budget in (3.0, True, None, MAX_DEPTH + 1):
+        with pytest.raises(DomainError):
+            MessageFrame(MODE_BLOCK, Variant.DAD_STAR, [Code(Variant.DAD_STAR, 1, 1)], budget)
 
 
 def test_message_rejects_unknown_tags():
     w = BitWriter()
     w.write_elias_gamma(3)  # no such mode
     w.write_elias_gamma(1)
-    with pytest.raises(MalformedMessageError):
+    with pytest.raises(MalformedMessageError, match="mode tag 3 and variant tag 1"):
         read_message(BitReader(w.getvalue()))
     w = BitWriter()
     w.write_elias_gamma(1)
     w.write_elias_gamma(6)  # no such variant
     w.write_elias_gamma(1)
-    with pytest.raises(MalformedMessageError):
+    with pytest.raises(MalformedMessageError, match="mode tag 1 and variant tag 6"):
         read_message(BitReader(w.getvalue()))
 
 
@@ -506,6 +513,41 @@ def test_every_code_that_constructs_roundtrips(variant, case):
         return
     budget = code.depth_or_budget if CODERS[variant].fixed_width else None
     frame = MessageFrame(MODE_BLOCK if budget else MODE_EXACT, variant, (code,), budget)
+    assert read_message(BitReader(write_message(frame).getvalue())) == frame
+
+
+@st.composite
+def _frame_parts(draw):
+    """(mode, variant, codes, budget) of a frame, valid or not: codes of the
+    frame's variant or of any other, at widths on both sides of a budget,
+    and budgets the wire cannot carry."""
+    variant = draw(st.sampled_from(list(Variant)))
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_BLOCK, "weird"]))
+    budget = draw(st.sampled_from([None, 0, 1, 3, 5, MAX_DEPTH, MAX_DEPTH + 1, 3.0, True]))
+    codes = []
+    for _ in range(draw(st.integers(0, 3))):
+        code_variant = draw(st.sampled_from([variant, *Variant]))
+        width = draw(st.sampled_from([1, 3, 5, MAX_DEPTH]))
+        unit = CODERS[code_variant].unit
+        if unit is Unit.CODEWORD:
+            payload = draw(st.integers(0, (1 << width) - 1))
+        elif unit is Unit.HEAP_INDEX:
+            payload = draw(st.integers(1 << (width - 1), (1 << width) - 1))
+        else:
+            payload = width
+        codes.append(Code(code_variant, width, payload))
+    return mode, variant, codes, budget
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(parts=_frame_parts())
+def test_every_frame_that_constructs_roundtrips(parts):
+    """A ``MessageFrame`` that builds writes, and reads back equal: every
+    frame the wire cannot carry is refused when it is built, with a RecError."""
+    try:
+        frame = MessageFrame(*parts)
+    except RecError:
+        return
     assert read_message(BitReader(write_message(frame).getvalue())) == frame
 
 

@@ -285,7 +285,7 @@ def test_verify_refuses_sizes_out_of_range_before_any_work(args, monkeypatch, ca
     def no_work(*_):
         raise AssertionError("verify ran a trial before refusing its arguments")
 
-    monkeypatch.setattr("reckit.bench.realize", no_work)
+    monkeypatch.setattr("reckit.bench.node_sample", no_work)
     monkeypatch.setattr("reckit.cli.derive_seed", no_work)
     assert main(["verify", *args]) == 2
     out, err = capsys.readouterr()

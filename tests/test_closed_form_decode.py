@@ -58,9 +58,9 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
-def _both(proposal, seed, index, depth):
+def _both(proposal, seed, index):
     return (outcome(reference_walk, proposal, seed, index),
-            outcome(locate, proposal, PartitionKind.DYADIC, seed, index, depth))
+            outcome(locate, proposal, PartitionKind.DYADIC, seed, index))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -68,7 +68,7 @@ def _both(proposal, seed, index, depth):
        depth=st.integers(2, EXACT_DYADIC_DEPTH), path=st.integers(0, 2**53 - 1))
 def test_closed_form_matches_the_walk(proposal, seed, depth, path):
     index = (1 << (depth - 1)) | (path & ((1 << (depth - 1)) - 1))
-    want, got = _both(proposal, seed, index, depth)
+    want, got = _both(proposal, seed, index)
     assert got == want
 
 
@@ -80,7 +80,7 @@ def test_closed_form_refuses_the_walks_empty_slots():
     for _ in range(3000):
         depth = rng.randint(30, EXACT_DYADIC_DEPTH)
         index = rng.randrange(1 << (depth - 1), 1 << depth)
-        want, got = _both(NARROW, rng.randrange(2**64), index, depth)
+        want, got = _both(NARROW, rng.randrange(2**64), index)
         assert got == want, (index, depth)
         refused += want == "InvalidCodeError"
     assert refused >= 100

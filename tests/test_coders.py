@@ -19,6 +19,7 @@ from reckit.coders import (
     Code,
     TrialStats,
     Variant,
+    check_budget,
     decode,
     decode_dad,
     decode_mrc,
@@ -331,7 +332,7 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
             calls.update(inv_cdf=0, cdf=0)
             draws.update(absorb=0, slot_uniform=0, slot_uniforms=[])
-            locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index, depth)
+            locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index)
             assert calls == {"inv_cdf": depth, "cdf": depth - 1}, (index, depth)
             if depth == 1:
                 assert draws == {"absorb": 1, "slot_uniform": 1, "slot_uniforms": []}
@@ -343,7 +344,7 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
             calls.update(inv_cdf=0, cdf=0)
             try:
-                locate(proposal, PartitionKind.DYADIC, rng.getrandbits(64), index, depth)
+                locate(proposal, PartitionKind.DYADIC, rng.getrandbits(64), index)
             except InvalidCodeError:
                 pass  # an emptied slot is refused after its two quantiles
             assert calls["inv_cdf"] <= 3 and calls["cdf"] == 0, (index, depth)
@@ -501,14 +502,16 @@ def test_exact_search_refuses_unbounded_ratio():
 
 
 def test_parameter_validation():
-    with pytest.raises(DomainError):
-        encode_dad(PAIR_GG, 1, 0)
-    with pytest.raises(DomainError):
-        encode_dad(PAIR_GG, 1, 2.5)
-    with pytest.raises(DomainError):
-        encode_mrc(PAIR_GG, 1, 0)
-    with pytest.raises(DomainError):
-        encode_mrc(PAIR_GG, 1, 2.5)
+    """A bit budget is an int of 1 to MAX_DEPTH, as ``as_number(value, int)``
+    takes one: a whole float, a bool or None is refused with DomainError
+    before any draw, not by a TypeError from ``1 << 3.0`` or as a code of
+    width True."""
+    for budget in (0, 2.5, 3.0, float(MAX_DEPTH), True, False, None, "3"):
+        with pytest.raises(DomainError):
+            check_budget(budget)
+        for encode in (encode_dad, encode_mrc):
+            with pytest.raises(DomainError):
+                encode(PAIR_GG, 1, budget)
 
 
 def test_fixed_width_budgets_stop_at_the_wire_limit():

@@ -9,7 +9,7 @@ import pytest
 
 from reckit.coders import encode_astar
 from reckit.distributions import Gaussian, PairSpec, Uniform
-from reckit.errors import DepthExceededError, DomainError
+from reckit.errors import DepthExceededError, DomainError, InvalidCodeError
 from reckit.randomness import (
     StreamKey,
     absorb,
@@ -19,6 +19,7 @@ from reckit.randomness import (
     trunc_gumbel,
 )
 from reckit.tree import (
+    MAX_DEPTH,
     PartitionKind,
     _cut,
     depth_of,
@@ -150,7 +151,22 @@ def test_locate_refuses_the_global_bound_chain():
     decodes in one draw (``coders.decode_pfr``), and ``locate`` refuses it."""
     for depth in (1, 2, 9):
         with pytest.raises(DomainError):
-            locate(GAUSS, PartitionKind.GLOBAL_BOUND, 7, depth, depth)
+            locate(GAUSS, PartitionKind.GLOBAL_BOUND, 7, depth)
+
+
+def test_locate_reads_the_depth_off_the_index():
+    """A heap index carries its depth, its bit length, so ``locate`` takes
+    none. It decodes every depth up to MAX_DEPTH and DAD*'s extra root,
+    index 0, and refuses an index no search makes: a negative one, 0 under
+    sample splitting, which has no extra root, and one deeper than MAX_DEPTH."""
+    for kind in (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC):
+        assert math.isfinite(locate(GAUSS, kind, 7, 1 << (MAX_DEPTH - 1)))
+        for index in (-1, -5, 1 << MAX_DEPTH, (1 << MAX_DEPTH) + 1, 1 << 70):
+            with pytest.raises(InvalidCodeError):
+                locate(GAUSS, kind, 7, index)
+    assert math.isfinite(locate(GAUSS, PartitionKind.DYADIC, 7, 0))
+    with pytest.raises(InvalidCodeError):
+        locate(GAUSS, PartitionKind.SAMPLE_SPLIT, 7, 0)
 
 
 def test_partition_empty_side():

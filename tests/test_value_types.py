@@ -89,6 +89,7 @@ def test_fields_hold_their_slots():
         if isinstance(value, IsoKLGaussianBlock):
             continue  # its fields and cached proposals live in its __dict__
         assert set(value._fields) <= set(type(value).__slots__)
+        assert not hasattr(value, "__dict__"), type(value).__name__
     assert CSV_COLUMNS == ResultRow._fields
     assert Code.__slots__ == Code._fields and not hasattr(CODE, "__dict__")
 
