@@ -257,6 +257,14 @@ def _trial_seed(config_seed: int, cell_idx: int, alg_idx: int, trial: int) -> in
     return derive_seed(derive_seed(config_seed, (cell_idx << 8) | alg_idx), trial)
 
 
+def _row(cell: _Cell, algorithm: str, trial: int, t: int | None = None,
+         **measured) -> ResultRow:
+    """The row of one trial of ``algorithm`` at ``cell`` (and extra bits ``t``)
+    with its ``measured`` fields: steps, depth and payload bits, or an error."""
+    return ResultRow(algorithm, cell.family, cell.kl, cell.dinf, cell.n_modes, t, trial,
+                     **measured)
+
+
 def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
     """One exact encode per (cell, algorithm, trial) with step counting.
 
@@ -273,26 +281,12 @@ def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
                 continue  # fixed-width coders have no exact-runtime cell
             for trial in range(config.trials):
                 seed = _trial_seed(config.seed, ci, ai, trial)
-                base = dict(
-                    algorithm=alg,
-                    family=cell.family,
-                    d_kl_nats=cell.kl,
-                    d_inf_nats=cell.dinf,
-                    n_modes=cell.n_modes,
-                    trial_index=trial,
-                )
                 try:
                     _, _, st = spec.encode(cell.pair, seed, None, config.max_steps)
-                    rows.append(
-                        ResultRow(
-                            **base,
-                            steps=st.steps,
-                            depth=st.returned_depth,
-                            payload_bits=st.payload_bits,
-                        )
-                    )
+                    rows.append(_row(cell, alg, trial, steps=st.steps, depth=st.returned_depth,
+                                     payload_bits=st.payload_bits))
                 except RecError as exc:
-                    rows.append(ResultRow(**base, error=str(exc)))
+                    rows.append(_row(cell, alg, trial, error=str(exc)))
     return rows
 
 
@@ -347,15 +341,6 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                 for variant, spec in CODERS.items():
                     if not spec.fixed_width or variant.value not in config.algorithms:
                         continue
-                    base = dict(
-                        algorithm=variant.value,
-                        family=cell.family,
-                        d_kl_nats=cell.kl,
-                        d_inf_nats=cell.dinf,
-                        n_modes=cell.n_modes,
-                        t_extra_bits=t,
-                        trial_index=rep,
-                    )
                     try:
                         encoded: list[float] = []
                         steps = 0
@@ -365,17 +350,11 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                             encoded.append(x)
                             steps += st.steps
                         bias = knn_kl_estimate(encoded, fresh)
-                        rows.append(
-                            ResultRow(
-                                **base,
-                                steps=steps / config.batch,
-                                depth=budget,
-                                payload_bits=budget,
-                                kl_bias_estimate=bias,
-                            )
-                        )
+                        rows.append(_row(cell, variant.value, rep, t, steps=steps / config.batch,
+                                         depth=budget, payload_bits=budget,
+                                         kl_bias_estimate=bias))
                     except RecError as exc:
-                        rows.append(ResultRow(**base, error=str(exc)))
+                        rows.append(_row(cell, variant.value, rep, t, error=str(exc)))
     return rows
 
 

@@ -98,6 +98,11 @@ def _write_samples(path: str, xs: Sequence[float]) -> None:
         fh.write(_samples_text(xs))
 
 
+def _block_config(extra_bits: int | None) -> BlockCodecConfig:
+    """The block codec's config; ``--extra-bits`` unset keeps its default of 2."""
+    return BlockCodecConfig() if extra_bits is None else BlockCodecConfig(extra_bits)
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     if args.block_model:
         given = [flag for flag, value in (("--exact", args.exact), ("--limited", args.limited),
@@ -106,7 +111,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         if given:  # a block model names its coordinates and their budgets itself
             raise DomainError(f"--block-model does not take {', '.join(given)}")
         blocks, permutation = load_block_model(_load_object(args.block_model))
-        config = BlockCodecConfig(args.extra_bits)
+        config = _block_config(args.extra_bits)
         data = encode_block_vector(blocks, config, args.seed)
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -137,10 +142,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         code, x, _ = spec.encode(pair, absorb(stream, i), args.budget, MAX_STEPS)
         codes.append(code)
         samples.append(x)
-    if spec.fixed_width:
-        frame = MessageFrame(MODE_BLOCK, variant, tuple(codes), args.budget)
-    else:
-        frame = MessageFrame(MODE_EXACT, variant, tuple(codes))
+    # an exact coder has no --budget, and its frame no budget
+    frame = MessageFrame(MODE_BLOCK if spec.fixed_width else MODE_EXACT, variant, tuple(codes),
+                         args.budget)
     data = write_message(frame).getvalue()
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -162,7 +166,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         data = fh.read()
     if args.block_model:
         blocks, permutation = load_block_model(_load_object(args.block_model))
-        config = BlockCodecConfig(args.extra_bits)
+        config = _block_config(args.extra_bits)
         samples = _file_order(
             decode_block_vector(blocks, config, data, args.seed), permutation
         )
@@ -297,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     coder.add_argument("--limited", choices=_coder_names(fixed_width=True), help="depth-limited coder")
     enc.add_argument("--budget", type=int, help="bit budget for --limited")
     enc.add_argument("--count", type=int, help="symbols to encode (default 1)")
-    enc.add_argument("--extra-bits", type=int, default=2,
-                     help="block-model slack bits over ceil(kappa/ln 2)")
+    enc.add_argument("--extra-bits", type=int,
+                     help="block-model slack bits over ceil(kappa/ln 2) (default 2)")
     enc.add_argument("--out", required=True, help="binary message output path")
     enc.add_argument("--samples", help="also write the encoded samples here")
     enc.set_defaults(func=_cmd_encode)
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--block-model", help="blocked coordinate model JSON")
     dec.add_argument("--seed", type=int, required=True)
     dec.add_argument("--in", dest="infile", required=True, help="binary message path")
-    dec.add_argument("--extra-bits", type=int, default=2)
+    dec.add_argument("--extra-bits", type=int, help="as for encode (default 2)")
     dec.add_argument("--samples", required=True, help="decoded sample output path")
     dec.set_defaults(func=_cmd_decode)
 
@@ -359,6 +363,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command in ("encode", "decode"):
         if bool(args.block_model) == bool(getattr(args, "model", None)):
             print("error: pass exactly one of --model / --block-model", file=sys.stderr)
+            return 2
+        if args.extra_bits is not None and not args.block_model:
+            print("error: --extra-bits goes only with --block-model", file=sys.stderr)
             return 2
     try:
         return args.func(args)

@@ -23,11 +23,13 @@ The tree search follows the branch-and-bound schedule: a priority queue
 ordered by Gumbel plus the region's ratio bound, an incumbent lower
 bound from scored samples, and pruning of children whose bound cannot
 beat the incumbent. Ties are broken toward smaller heap indices. A
-queue entry is the node itself, as flat fields (priority, heap index,
-bound, depth, region ends, their CDF values, key state, Gumbel), unpacked
-once per pop. A queued child may not have its Gumbel yet: it waits at
-its parent's Gumbel, an upper bound on its own, with no key state, and
-draws both when it reaches the top.
+queue entry is the node itself, as nine flat fields (priority, heap index,
+bound, region ends, their CDF values, key state, Gumbel), unpacked once
+per pop; the index carries the depth. A queued child may not have its
+Gumbel yet: it waits at its parent's Gumbel, an upper bound on its own,
+with no key state, and draws both when it reaches the top. Both searches
+return (winner's index, sample, steps, lower bound); an encoder reads the
+winner's depth off the index.
 """
 
 from __future__ import annotations
@@ -68,10 +70,15 @@ class Variant(Enum):
 MAX_STEPS = 1_000_000
 
 
+def _is_int(value) -> bool:
+    """What a budget, a unit's width and its payload must be (as ``as_number(value, int)``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_budget(budget: int) -> None:
-    """Refuse a bit budget a block header cannot carry: it holds an int of 1 to
-    ``tree.MAX_DEPTH``, and no float or bool (as ``as_number(budget, int)``)."""
-    if isinstance(budget, bool) or not isinstance(budget, int) or not 1 <= budget <= MAX_DEPTH:
+    """Refuse a bit budget a block header cannot carry: an int (``_is_int``)
+    of 1 to ``tree.MAX_DEPTH``."""
+    if not _is_int(budget) or not 1 <= budget <= MAX_DEPTH:
         raise DomainError(f"budget must be an integer of 1 to {MAX_DEPTH} bits, got {budget!r}")
 
 
@@ -88,7 +95,11 @@ class Unit(Enum):
     __hash__ = object.__hash__  # as for Variant
 
     def check(self, width: int, payload: int) -> None:
-        """Refuse a payload this layout cannot carry at depth/budget ``width``."""
+        """Refuse a payload this layout cannot carry at depth/budget ``width``;
+        both must be ints (``_is_int``)."""
+        if not (_is_int(width) and _is_int(payload)):
+            raise InvalidCodeError(f"{self.value} unit needs int width and payload, "
+                                   f"got {width!r} and {payload!r}")
         if self is _HEAP_INDEX:
             if payload < 1 or depth_of(payload) != width or width > MAX_DEPTH:
                 raise InvalidCodeError(f"heap index {payload} not at depth {width} <= {MAX_DEPTH}")
@@ -193,9 +204,10 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     root's): it competes in incumbent updates but is never enqueued, so
     it costs no search step.
 
-    A queue entry is the node itself, as flat fields:
-    (-(g + M), heap_index, M, depth, low, high, ulow, uhigh, key, g), M
-    the ratio bound over (low, high). Heap indices are unique in a search,
+    A queue entry is the node itself, as nine flat fields:
+    (-(g + M), heap_index, M, low, high, ulow, uhigh, key, g), M the
+    ratio bound over (low, high). A node at ``max_depth``, an index of
+    at least 2^(max_depth - 1), is a leaf. Heap indices are unique in a search,
     so no comparison reaches past the index. The root and the extra root
     are realized up front; a child from ``expand`` is queued before its
     Gumbel is drawn, with key None and its parent's Gumbel as g, an upper
@@ -205,29 +217,31 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     are those of drawing each child at expansion. A node's sample is drawn
     when it is popped (the extra root's at the start). ``stream`` is
     ``seed_state(seed)``.
-    Returns (winner's heap index, winner's depth, winner's sample, steps, LB).
+    Returns (winner's heap index, its sample, steps, LB), as ``_pfr_search``.
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
     key, g = realize(stream, 1, 0.0, 1.0, INF)
-    lb, best_index, best_depth, best_x = -INF, None, 0, math.nan
+    lb, best_index, best_x = -INF, None, math.nan
+    leaves = INF  # the first heap index at max_depth: no leaf in an exact search
     if max_depth < INF:
+        leaves = 1 << (max_depth - 1)
         extra_key, extra_g = realize(stream, 0, 0.0, 1.0, g)
-        best_index, best_depth = 0, 1
+        best_index = 0
         best_x = node_sample(proposal, extra_key, 0, 0.0, 1.0)
         lb = extra_g + log_ratio(best_x)
     root_bound = bound_M(-INF, INF)
-    heap = [(-(g + root_bound), 1, root_bound, 1, -INF, INF, 0.0, 1.0, key, g)]
+    heap = [(-(g + root_bound), 1, root_bound, -INF, INF, 0.0, 1.0, key, g)]
     heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap and lb < -heap[0][0]:
-        _, index, bound, depth, low, high, ulow, uhigh, key, g = heappop(heap)
+        _, index, bound, low, high, ulow, uhigh, key, g = heappop(heap)
         if key is None:  # its Gumbel is still to draw
             key, g = realize(stream, index, ulow, uhigh, g)
             top = g + bound
             if not lb < top:
                 continue
             if heap and heap[0] < (-top, index):  # no longer on top: requeue it
-                heappush(heap, (-top, index, bound, depth, low, high, ulow, uhigh, key, g))
+                heappush(heap, (-top, index, bound, low, high, ulow, uhigh, key, g))
                 continue
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
@@ -235,9 +249,8 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         x = node_sample(proposal, key, index, ulow, uhigh)
         score = g + log_ratio(x)
         if score > lb or (score == lb and (best_index is None or index < best_index)):
-            lb, best_index, best_depth, best_x = score, index, depth, x
-        if depth < max_depth:
-            child_depth = depth + 1
+            lb, best_index, best_x = score, index, x
+        if index < leaves:
             for cindex, clow, chigh, culow, cuhigh in expand(kind, proposal, x, index,
                                                               low, high, ulow, uhigh):
                 child_bound = bound_M(clow, chigh)
@@ -251,15 +264,21 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
                 else:
                     ckey, cg = None, g
                 if lb < cg + child_bound:
-                    heappush(heap, (-(cg + child_bound), cindex, child_bound, child_depth,
-                                    clow, chigh, culow, cuhigh, ckey, cg))
-    return best_index, best_depth, best_x, steps, lb
+                    heappush(heap, (-(cg + child_bound), cindex, child_bound, clow, chigh,
+                                    culow, cuhigh, ckey, cg))
+    return best_index, best_x, steps, lb
 
 
-def _pfr_node(seed: int) -> int:
-    """The state after (seed, 1), node 1's key, which every PFR arrival's
-    GUMBEL and SAMPLE draws branch from."""
-    return absorb(seed_state(seed), 1)
+def _node(seed: int, index: int) -> int:
+    """The key state after (seed, ``index``) that a tree-less coder's draws
+    branch from: node 1 for PFR's arrivals, node 0 for MRC's candidates."""
+    return absorb(seed_state(seed), index)
+
+
+def _counter_sample(proposal: Distribution1D, seed: int, index: int, counter: int) -> float:
+    """The full-line quantile of node ``index``'s SAMPLE slot at ``counter``: PFR's
+    arrival ``counter + 1`` at node 1, MRC's candidate ``counter`` at node 0."""
+    return proposal.inv_cdf(counter_uniform(absorb(_node(seed, index), _SAMPLE), counter))
 
 
 def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
@@ -275,7 +294,7 @@ def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
     inv_cdf, log_ratio = pair.proposal.inv_cdf, pair.log_ratio
     draw, gumbel = counter_uniform, trunc_gumbel
     bound = pair.bound_M(-INF, INF)
-    node = _pfr_node(seed)
+    node = _node(seed, 1)
     gumbels, samples = absorb(node, _GUMBEL), absorb(node, _SAMPLE)
     g = gumbel(draw(gumbels, 0), 0.0, INF)
     lb, best, best_x = -INF, 0, math.nan  # best 0: no arrival scored yet
@@ -312,9 +331,10 @@ def encode_astar(
                                   "use the depth-limited coder")
     if kind is _GLOBAL_BOUND:
         index, x, steps, lb = _pfr_search(pair, seed, max_steps)
-        depth = index
+        depth = index  # an arrival index is its own width
     else:
-        index, depth, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
+        index, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
+        depth = index.bit_length()
     code = Code(_VARIANT_OF_KIND[kind], depth, index)
     return code, x, _stats(code, steps, depth, lb)
 
@@ -330,11 +350,11 @@ def encode_dad(
     winners take their heap index, which fits in ``budget`` bits.
     """
     check_budget(budget)
-    index, depth, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed),
-                                               budget, INF)
+    index, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed), budget, INF)
     code = Code(Variant.DAD_STAR, budget, index)
-    # transmitted width is the budget regardless of where the winner sat
-    return code, x, _stats(code, steps, depth, lb)
+    # transmitted width is the budget regardless of where the winner sat; the
+    # extra root, index 0, sits at depth 1
+    return code, x, _stats(code, steps, index.bit_length() or 1, lb)
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -349,12 +369,7 @@ def decode_pfr(proposal: Distribution1D, code: Code, seed: int) -> float:
     SAMPLE slot at counter index - 1, and its full-line quantile."""
     if code.variant is not Variant.PFR:
         raise InvalidCodeError(f"expected a PFR code, got {code.variant}")
-    return proposal.inv_cdf(counter_uniform(absorb(_pfr_node(seed), _SAMPLE), code.payload - 1))
-
-
-def _mrc_node(seed: int) -> int:
-    """The state after (seed, 0), which MRC's SAMPLE and GUMBEL draws branch from."""
-    return absorb(seed_state(seed), 0)
+    return _counter_sample(proposal, seed, 1, code.payload - 1)
 
 
 def encode_mrc(
@@ -378,7 +393,7 @@ def encode_mrc(
     n = 1 << bits
     if n > max_steps:
         raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
-    proposal, node = pair.proposal, _mrc_node(seed)
+    proposal, node = pair.proposal, _node(seed, 0)
     draws = absorb(node, _SAMPLE)
     xs = [proposal.inv_cdf(u) for u in counter_uniforms(draws, 0, n)]
     log_w = [pair.log_ratio(x) for x in xs]
@@ -400,7 +415,7 @@ def encode_mrc(
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    return proposal.inv_cdf(counter_uniform(absorb(_mrc_node(seed), _SAMPLE), code.payload))
+    return _counter_sample(proposal, seed, 0, code.payload)
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -459,10 +474,6 @@ CODERS: dict[Variant, CoderSpec] = {
         lambda pair, seed, budget, max_steps: encode_dad(pair, seed, budget),
         decode_dad,
     ),
-    Variant.MRC: CoderSpec(
-        5, Unit.CODEWORD,
-        lambda pair, seed, budget, max_steps: encode_mrc(pair, seed, budget, max_steps),
-        decode_mrc,
-    ),
+    Variant.MRC: CoderSpec(5, Unit.CODEWORD, encode_mrc, decode_mrc),
 }
 _VARIANT_OF_KIND = {spec.kind: v for v, spec in CODERS.items() if spec.kind is not None}

@@ -20,6 +20,7 @@ from reckit.bench import (
     summarize_rows,
     verify_shrinkage,
 )
+from reckit.cli import main
 from reckit.errors import DomainError
 from reckit.tree import PartitionKind
 
@@ -216,6 +217,61 @@ def test_runtime_grid_ignores_depth_limited_algorithms():
     config = small_config(algorithms=("ad", "dad", "mrc"), trials=4)
     rows = run_runtime_grid(config)
     assert {r.algorithm for r in rows} == {"ad"}
+
+
+# The CSVs of `reckit bench-runtime` and `bench-modes` on two small configs
+# that need no numpy, pinned byte for byte: every row field, the skipped
+# fixed-width coder, the error rows of a tight step budget and the sort.
+PINNED_RUNTIME_CONFIG = {
+    "algorithms": ["as", "ad", "pfr", "dad"], "trials": 2, "seed": 5, "max_steps": 3,
+    "gaussian_cells": [{"kl_nats": 0.5, "dinf_nats": 1.0}], "uniform_cells": [{"kl_nats": 0.7}],
+    "mixture_cells": [{"n_modes": 2, "dinf_nats": 1.0}],
+}
+PINNED_RUNTIME_CSV = GOLDEN_HEADER + """
+ad,gaussian,0.5,1.0,,,0,3,3,3,,
+ad,gaussian,0.5,1.0,,,1,2,2,2,,
+ad,uniform,0.7,0.7,,,0,1,1,1,,
+ad,uniform,0.7,0.7,,,1,1,1,1,,
+ad,uniform_mixture,1.0,1.0,2,,0,1,1,1,,
+ad,uniform_mixture,1.0,1.0,2,,1,1,1,1,,
+as,gaussian,0.5,1.0,,,0,2,2,2,,
+as,gaussian,0.5,1.0,,,1,1,1,1,,
+as,uniform,0.7,0.7,,,0,1,1,1,,
+as,uniform,0.7,0.7,,,1,1,1,1,,
+as,uniform_mixture,1.0,1.0,2,,0,,,,,search exceeded 3 steps
+as,uniform_mixture,1.0,1.0,2,,1,2,2,2,,
+pfr,gaussian,0.5,1.0,,,0,1,1,1,,
+pfr,gaussian,0.5,1.0,,,1,2,2,2,,
+pfr,uniform,0.7,0.7,,,0,3,3,2,,
+pfr,uniform,0.7,0.7,,,1,1,1,1,,
+pfr,uniform_mixture,1.0,1.0,2,,0,,,,,search exceeded 3 steps
+pfr,uniform_mixture,1.0,1.0,2,,1,2,2,2,,
+"""
+PINNED_MODES_CONFIG = {
+    "algorithms": ["as", "ad"], "trials": 2, "seed": 5,
+    "mixture_cells": [{"n_modes": 1, "dinf_nats": 1.5}, {"n_modes": 3, "dinf_nats": 1.5}],
+}
+PINNED_MODES_CSV = GOLDEN_HEADER + """
+ad,uniform_mixture,1.5,1.5,1,,0,2,2,2,,
+ad,uniform_mixture,1.5,1.5,1,,1,5,4,4,,
+ad,uniform_mixture,1.5,1.5,3,,0,3,2,2,,
+ad,uniform_mixture,1.5,1.5,3,,1,3,3,3,,
+as,uniform_mixture,1.5,1.5,1,,0,1,1,1,,
+as,uniform_mixture,1.5,1.5,1,,1,1,1,1,,
+as,uniform_mixture,1.5,1.5,3,,0,3,3,3,,
+as,uniform_mixture,1.5,1.5,3,,1,1,1,1,,
+"""
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("bench-runtime", PINNED_RUNTIME_CONFIG, PINNED_RUNTIME_CSV),
+    ("bench-modes", PINNED_MODES_CONFIG, PINNED_MODES_CSV),
+])
+def test_grid_csv_is_pinned(tmp_path, command, config, expected):
+    path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == expected
 
 
 # --------------------------------------------------------------- mode sweep

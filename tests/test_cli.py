@@ -200,6 +200,24 @@ def test_block_model_refuses_coder_budget_and_count(tmp_path, flags, capsys):
     assert not msg.exists()
 
 
+@pytest.mark.parametrize("coder", [["--exact", "ad"], ["--limited", "mrc", "--budget", "6"]])
+def test_extra_bits_goes_only_with_a_block_model(tmp_path, model, coder, capsys):
+    """--extra-bits is the block codec's slack: with --model it would be
+    ignored, so encode and decode refuse it and encode writes no message."""
+    msg = tmp_path / "msg.bin"
+    assert main(["encode", "--model", str(model), "--seed", "7", "--extra-bits", "9",
+                 "--out", str(msg)] + coder) == 2
+    assert "error: --extra-bits goes only with --block-model" in capsys.readouterr().err
+    assert not msg.exists()
+    assert main(["encode", "--model", str(model), "--seed", "7", "--out", str(msg)]
+                + coder) == 0
+    samples = tmp_path / "dec.txt"
+    assert main(["decode", "--model", str(model), "--seed", "7", "--in", str(msg),
+                 "--extra-bits", "2", "--samples", str(samples)]) == 2
+    assert "error: --extra-bits goes only with --block-model" in capsys.readouterr().err
+    assert not samples.exists()
+
+
 def test_bench_runtime_cli(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({

@@ -557,6 +557,20 @@ def test_code_validation():
         Code(Variant.AD_STAR, 0, 1)
 
 
+@pytest.mark.parametrize("variant, width, payload", [
+    (Variant.DAD_STAR, 3.0, 5),
+    (Variant.AS_STAR, 3.0, 5),
+    (Variant.AS_STAR, True, 1),
+    (Variant.PFR, 2.0, 2),
+    (Variant.AS_STAR, 1, True),
+])
+def test_code_width_and_payload_are_ints(variant, width, payload):
+    """Every layout takes an int width and payload, as a budget is checked:
+    a float or a bool is refused as a code, not with a bare TypeError."""
+    with pytest.raises(InvalidCodeError):
+        Code(variant, width, payload)
+
+
 def test_decode_variant_mismatch():
     ad_code = Code(Variant.AD_STAR, 3, 5)
     with pytest.raises(InvalidCodeError):
