@@ -30,6 +30,15 @@ Gumbel yet: it waits at its parent's Gumbel, an upper bound on its own,
 with no key state, and draws both when it reaches the top. Both searches
 return (winner's index, sample, steps, lower bound); an encoder reads the
 winner's depth off the index.
+
+A dyadic node's children and their ratio bounds depend on the pair and
+the heap index alone, never on the seed, so the AD* and DAD* searches
+share one memo on the pair (see ``_remembering``): from a pair's second
+dyadic search on, an expanded node's children and their bounds are
+stored and read back in place of ``expand`` and ``bound_M``. A pair
+searched once, as the block codec's per-coordinate pairs are, pays
+nothing for it. The sample-split, PFR and MRC searches and every decode
+do without it.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by be
 from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, node_sample, realize
 
 INF = math.inf
-_GLOBAL_BOUND = PartitionKind.GLOBAL_BOUND
+_GLOBAL_BOUND, _DYADIC = PartitionKind.GLOBAL_BOUND, PartitionKind.DYADIC
 _GUMBEL = int(DrawSlot.GUMBEL)
 _SAMPLE = int(DrawSlot.SAMPLE)
 
@@ -194,6 +203,37 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
     return TrialStats(steps, depth, *bits, lb)
 
 
+def _remembering(memo: tuple[dict, dict], bound_M: Callable[[float, float], float]):
+    """``expand`` and ``bound_M`` for a search on a pair whose dyadic memo
+    is ``memo``: each reads a result back, or computes and stores it.
+
+    The memo is (heap index: ``expand``'s children, region ends:
+    ``bound_M``). A dyadic cut is the region's proposal median, so a
+    node's children follow from the pair and its heap index alone (the
+    sample ``x`` is not read), and a bound from its region ends. A call
+    that raises (the depth cap, a median whose quantile saturates)
+    stores nothing, so it raises again on every search that reaches it.
+    Threads may share a pair: an entry is the same whichever search
+    computes it, so a race at most computes it twice.
+    """
+    children_of, bound_of = memo
+
+    def remembered_expand(kind, proposal, x, index, low, high, ulow, uhigh):
+        children = children_of.get(index)
+        if children is None:
+            children = children_of[index] = expand(kind, proposal, x, index,
+                                                   low, high, ulow, uhigh)
+        return children
+
+    def remembered_bound(low, high):
+        bound = bound_of.get((low, high))
+        if bound is None:
+            bound = bound_of[low, high] = bound_M(low, high)
+        return bound
+
+    return remembered_expand, remembered_bound
+
+
 def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
                   max_steps: float):
     """Branch-and-bound core of the split-tree races (AS*, AD*, DAD*).
@@ -217,9 +257,23 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     are those of drawing each child at expansion. A node's sample is drawn
     when it is popped (the extra root's at the start). ``stream`` is
     ``seed_state(seed)``.
+
+    A pair's first dyadic search calls ``expand`` and ``bound_M`` as a
+    sample-split search does and leaves an empty memo on the pair, so a
+    pair searched once pays nothing for it; a later one calls
+    ``_remembering``'s, which fill the memo and read it. The memo changes
+    how often ``tree.expand``, ``PairSpec.bound_M`` and the median's
+    ``inv_cdf`` run, never the steps or any result.
+
     Returns (winner's heap index, its sample, steps, LB), as ``_pfr_search``.
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
+    expand_ = expand
+    if kind is _DYADIC:
+        if pair._dyadic_memo is None:  # a first search leaves an empty memo
+            pair._dyadic_memo = ({}, {})
+        else:
+            expand_, bound_M = _remembering(pair._dyadic_memo, bound_M)
     key, g = realize(stream, 1, 0.0, 1.0, INF)
     lb, best_index, best_x = -INF, None, math.nan
     leaves = INF  # the first heap index at max_depth: no leaf in an exact search
@@ -251,8 +305,8 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         if score > lb or (score == lb and (best_index is None or index < best_index)):
             lb, best_index, best_x = score, index, x
         if index < leaves:
-            for cindex, clow, chigh, culow, cuhigh in expand(kind, proposal, x, index,
-                                                              low, high, ulow, uhigh):
+            for cindex, clow, chigh, culow, cuhigh in expand_(kind, proposal, x, index,
+                                                               low, high, ulow, uhigh):
                 child_bound = bound_M(clow, chigh)
                 if child_bound > bound:
                     # Rounding put a sub-region's bound above its region's. The

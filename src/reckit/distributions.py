@@ -468,6 +468,9 @@ class PairSpec:
     pointwise log ratio, the maximizing point, supremum bounds over
     regions, and closed-form divergences. The family pair picks its kernel
     from ``_KERNELS`` once, here.
+
+    ``_dyadic_memo`` is a slot for the pair's dyadic memo, which
+    ``coders._astar_search`` fills and ``coders._remembering`` reads.
     """
 
     def __init__(self, target: Distribution1D, proposal: Distribution1D):
@@ -485,6 +488,7 @@ class PairSpec:
         self.target, self.proposal = target, proposal
         self._low, self._high = p_low, p_high
         self._kernel = kernel(target, proposal)
+        self._dyadic_memo = None  # set by coders._astar_search
 
     def log_ratio(self, x: float) -> float:
         """log(dQ/dP)(x); -inf where q(x) = 0 inside the proposal support."""

@@ -7,7 +7,11 @@ fits in D bits once D is known. Two partition rules are supported:
 
 * SAMPLE_SPLIT: split the region at the node's own sample.
 * DYADIC: split at the proposal median of the region, so the two
-  children carry exactly half the parent's proposal mass each.
+  children carry exactly half the parent's proposal mass each. No cut
+  reads a sample, so a dyadic node's region, and with it its children
+  and their ratio bounds, follows from its heap index alone, which is
+  what lets a pair remember them across searches
+  (``coders._remembering``).
 
 The global-bound race (PFR) never cuts a region, so it has no tree: it
 is a loop in ``reckit.coders``. Its member of ``PartitionKind`` only

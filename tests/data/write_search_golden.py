@@ -11,8 +11,10 @@ it stores how often the encode reached ``trunc_gumbel`` (looked up in
 ``tree`` by the tree search, in ``coders`` by the PFR loop), the
 proposal's ``inv_cdf`` and ``cdf``, ``PairSpec.bound_M`` and
 ``coders.expand``: the search's draws and region arithmetic, counted
-where the search looks them up. ``tests/test_search_golden.py`` replays
-it. Run from the repo root:
+where the search looks them up. Each encode runs on a fresh
+``PairSpec``, so the counts are those of a pair's first search: a pair
+that has searched before remembers dyadic nodes and counts fewer calls.
+``tests/test_search_golden.py`` replays it. Run from the repo root:
 
     PYTHONPATH=src python tests/data/write_search_golden.py
 """
@@ -95,12 +97,12 @@ def counting():
 
 def outcome(pair_name: str, coder: str, seed: int) -> list:
     """[payload, width, sample, steps, depth, lower bound] or [error class],
-    then the ``COUNTERS`` counts of the encode."""
+    then the ``COUNTERS`` counts of the encode, on a fresh pair."""
     budget = int(coder[3:]) if coder.startswith("dad") else None
+    pair = PairSpec(PAIRS[pair_name].target, PAIRS[pair_name].proposal)
     with counting() as counts:
         try:
-            code, x, stats = CODERS[CODER_NAMES[coder]].encode(
-                PAIRS[pair_name], seed, budget, MAX_STEPS)
+            code, x, stats = CODERS[CODER_NAMES[coder]].encode(pair, seed, budget, MAX_STEPS)
         except RecError as exc:
             result = [type(exc).__name__]
         else:

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from reckit import tree
+from reckit import coders, tree
 from reckit.coders import (
     CODERS,
     Code,
@@ -354,22 +354,27 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
     """Pruning reads a child's Gumbel and region alone, so the search
     draws a node's sample (one inv_cdf) when it pops the node. An AS*
     step also cuts at that sample (one cdf), an AD* step at the region's
-    proposal median (one more inv_cdf); a PFR step draws the sample only."""
+    proposal median (one more inv_cdf); a PFR step draws the sample only.
+    These are the steps of a pair's first search: each encode runs on a
+    fresh pair. A pair that has searched before remembers the children
+    and bounds of the dyadic nodes it expanded, so an AD* step on a
+    remembered node draws its sample alone, with no expand and no
+    bound_M."""
     mean, variance = gaussian_from_kl_dinf(2.1, 4.0)
     pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
-    calls = {"inv_cdf": 0, "cdf": 0}
-    inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
+    calls = {"inv_cdf": 0, "cdf": 0, "expand": 0, "bound_M": 0}
+    inv_cdf, cdf, expand, bound_M = Gaussian.inv_cdf, Gaussian.cdf, tree.expand, PairSpec.bound_M
 
-    def counting_inv_cdf(self, u):
-        calls["inv_cdf"] += 1
-        return inv_cdf(self, u)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    def counting_cdf(self, x):
-        calls["cdf"] += 1
-        return cdf(self, x)
-
-    monkeypatch.setattr(Gaussian, "inv_cdf", counting_inv_cdf)
-    monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
+    monkeypatch.setattr(Gaussian, "inv_cdf", counting("inv_cdf", inv_cdf))
+    monkeypatch.setattr(Gaussian, "cdf", counting("cdf", cdf))
+    monkeypatch.setattr(coders, "expand", counting("expand", expand))
+    monkeypatch.setattr(PairSpec, "bound_M", counting("bound_M", bound_M))
     per_step = {  # kind: (inv_cdf, cdf) calls per step
         PartitionKind.SAMPLE_SPLIT: (1, 1),
         PartitionKind.DYADIC: (2, 0),
@@ -378,12 +383,23 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
     for kind, (inv_per_step, cdf_per_step) in per_step.items():
         total_steps = 0
         for seed in range(200):
+            fresh = PairSpec(pair.target, pair.proposal)
             calls.update(inv_cdf=0, cdf=0)
-            steps = encode_astar(pair, kind, seed)[2].steps
-            assert calls == {"inv_cdf": inv_per_step * steps, "cdf": cdf_per_step * steps}, (
-                kind, seed)
+            steps = encode_astar(fresh, kind, seed)[2].steps
+            assert (calls["inv_cdf"], calls["cdf"]) == (inv_per_step * steps,
+                                                       cdf_per_step * steps), (kind, seed)
             total_steps += steps
         assert total_steps > 400, kind  # the searches went past the root
+    encode_astar(pair, PartitionKind.DYADIC, 0)  # a first search leaves an empty memo
+    for seed in range(200):  # these remember every node they expand
+        encode_astar(pair, PartitionKind.DYADIC, seed)
+    total_steps = 0
+    for seed in range(200):
+        calls.update(inv_cdf=0, cdf=0, expand=0, bound_M=0)
+        steps = encode_astar(pair, PartitionKind.DYADIC, seed)[2].steps
+        assert calls == {"inv_cdf": steps, "cdf": 0, "expand": 0, "bound_M": 0}, seed
+        total_steps += steps
+    assert total_steps > 400
 
 
 def test_decode_is_target_blind():

@@ -13,7 +13,6 @@ every arrival from its full ``StreamKey`` and shares no code with it.
 
 import heapq
 import math
-from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -204,8 +203,11 @@ def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
     """At KL 2.1 / D-inf 4 over 200 seeds an exact search draws at most
     0.6x the Gumbels of drawing every child at expansion, and a PFR
     encode draws one per step plus the root's. The tree search looks
-    ``trunc_gumbel`` up in ``tree``, the PFR loop in ``coders``."""
-    draws, children = [0], [0]
+    ``trunc_gumbel`` up in ``tree``, the PFR loop in ``coders``. Each
+    encode runs on a fresh pair, whose search expands every node it pops;
+    on a pair that remembers its dyadic nodes an AD* or DAD* search
+    makes the same draws and calls ``expand`` for none of them."""
+    draws, children, expands = [0], [0], [0]
 
     def counting_trunc_gumbel(u, location, bound):
         draws[0] += 1
@@ -213,6 +215,7 @@ def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
 
     def counting_expand(*args):
         out = expand(*args)
+        expands[0] += 1
         children[0] += len(out)
         return out
 
@@ -222,18 +225,33 @@ def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
     monkeypatch.setattr(coders, "trunc_gumbel", counting_trunc_gumbel)
     monkeypatch.setattr(coders, "expand", counting_expand)
     pair = PAIRS["kl2.1-dinf4"]
+
+    def fresh():
+        return PairSpec(pair.target, pair.proposal)
+
     encoders = {
-        "as": partial(encode_astar, pair, PartitionKind.SAMPLE_SPLIT),
-        "ad": partial(encode_astar, pair, PartitionKind.DYADIC),
-        "dad8": lambda seed: encode_dad(pair, seed, 8),
+        "as": lambda pair, seed: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, seed),
+        "ad": lambda pair, seed: encode_astar(pair, PartitionKind.DYADIC, seed),
+        "dad8": lambda pair, seed: encode_dad(pair, seed, 8),
     }
     for name, encode in encoders.items():
         draws[0] = children[0] = 0
         for seed in range(200):
-            encode(seed)
+            encode(fresh(), seed)
         eager = 200 * (1 + (name == "dad8")) + children[0]  # the roots, then every child
         assert draws[0] <= 0.6 * eager, (name, draws[0], eager)
+        if name == "as":
+            continue
+        cold = draws[0]
+        warm = fresh()
+        for seed in range(200):  # the first search leaves an empty memo, the rest fill it
+            encode(warm, seed)
+        encode(warm, 0)
+        draws[0] = expands[0] = 0
+        for seed in range(200):
+            encode(warm, seed)
+        assert (draws[0], expands[0]) == (cold, 0), name
     for seed in range(200):
         draws[0] = 0
-        steps = encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)[2].steps
+        steps = encode_astar(fresh(), PartitionKind.GLOBAL_BOUND, seed)[2].steps
         assert draws[0] == steps + 1
