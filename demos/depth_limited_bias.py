@@ -18,17 +18,16 @@ KL, DINF = 1.45, 2.0
 
 config = ExperimentConfig(
     algorithms=("dad", "mrc"),
-    trials=1,
+    trials=20,
     seed=20260817,
     gaussian_cells=((KL, DINF),),
     extra_bits=(0, 1, 2, 3, 4),
-    repeats=20,
     batch=100,
 )
 rows = run_bias_grid(config)
 base = math.ceil(KL / math.log(2))
 print(f"gaussian cell: KL = {KL} nats ({KL / math.log(2):.2f} bits), dinf = {DINF}")
-print(f"base budget ceil(KL/ln2) = {base} bits, 20 repeats x 100 samples per cell")
+print(f"base budget ceil(KL/ln2) = {base} bits, 20 trials x 100 samples per cell")
 print()
 print(f"{'coder':>5} {'t':>2} {'budget':>6} {'bias (nats)':>12} {'se':>6} {'steps':>8}")
 for entry in summarize_rows(rows):

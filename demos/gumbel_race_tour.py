@@ -13,10 +13,9 @@ Run:  python3 demos/gumbel_race_tour.py
 import math
 
 from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitReader, MessageFrame, read_message, write_message
-from reckit.coders import decode, encode_astar, encode_dad, encode_mrc
+from reckit.coders import Variant, decode, encode
 from reckit.distributions import Gaussian, PairSpec
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.tree import PartitionKind
 
 SEED = 20260817
 
@@ -28,12 +27,12 @@ print(f"KL = {pair.analytic_kl():.3f} nats, sup log ratio = {pair.analytic_dinf(
 print()
 
 print("exact coders (the regenerated sample follows the target exactly)")
-for label, run in [
-    ("sample-split search", lambda: encode_astar(pair, PartitionKind.SAMPLE_SPLIT, SEED)),
-    ("dyadic search      ", lambda: encode_astar(pair, PartitionKind.DYADIC, SEED)),
-    ("global-bound race  ", lambda: encode_astar(pair, PartitionKind.GLOBAL_BOUND, SEED)),
+for label, variant in [
+    ("sample-split search", Variant.AS_STAR),
+    ("dyadic search      ", Variant.AD_STAR),
+    ("global-bound race  ", Variant.PFR),
 ]:
-    code, x, st = run()
+    code, x, st = encode(pair, variant, SEED)
     mode = MODE_EXACT
     data = write_message(MessageFrame(mode, code.variant, (code,))).getvalue()
     x_back = decode(pair.proposal, read_message(BitReader(data)).codes[0], SEED)
@@ -47,11 +46,11 @@ print()
 
 print("depth-limited coders (budget fixed up front, bias decays with slack)")
 budget = math.ceil(pair.analytic_kl() / math.log(2)) + 2
-for label, run in [
-    ("budgeted dyadic   ", lambda: encode_dad(pair, SEED, budget)),
-    ("importance select ", lambda: encode_mrc(pair, SEED, budget)),
+for label, variant in [
+    ("budgeted dyadic   ", Variant.DAD_STAR),
+    ("importance select ", Variant.MRC),
 ]:
-    code, x, st = run()
+    code, x, st = encode(pair, variant, SEED, budget)
     data = write_message(MessageFrame(MODE_BLOCK, code.variant, (code,), budget)).getvalue()
     x_back = decode(pair.proposal, read_message(BitReader(data)).codes[0], SEED)
     assert x_back == x

@@ -14,10 +14,9 @@ import math
 import random
 
 from reckit.bitstream import MODE_EXACT, MessageFrame, write_message
-from reckit.coders import Variant, encode_astar
+from reckit.coders import Variant, encode
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock, decode_block_vector, encode_block_vector
 from reckit.randomness import derive_seed
-from reckit.tree import PartitionKind
 
 SEED = 20260817
 rng = random.Random(7)
@@ -56,7 +55,7 @@ index = 0
 for block in blocks:
     codes = []
     for i in range(len(block)):
-        code, _, _ = encode_astar(block.pair(i), PartitionKind.DYADIC, derive_seed(SEED, index))
+        code, _, _ = encode(block.pair(i), Variant.AD_STAR, derive_seed(SEED, index))
         codes.append(code)
         exact_index_bits += code.depth_or_budget - 1
         index += 1

@@ -6,7 +6,8 @@ KL(Q||P) bits: the encoder runs a race of keyed random draws and sends
 only the winner's identity, and the decoder regenerates the same draw
 from the shared stream. Exact searches (sample-split, dyadic, and the
 unshrunk rejection race) are joined by two fixed-budget coders and the
-constant-divergence parameterizations used to build test pairs.
+constant-divergence parameterizations used to build test pairs. Any coder
+runs through ``encode(pair, variant, seed, budget, max_steps)``, and
 ``decode(proposal, code, seed)`` decodes every coder's codes. Models and
 configs come in as dicts (``PairSpec.from_dict``,
 ``distribution_from_dict``, ``load_block_model``); only ``reckit.cli``
@@ -35,9 +36,7 @@ from .coders import (
     TrialStats,
     Variant,
     decode,
-    encode_astar,
-    encode_dad,
-    encode_mrc,
+    encode,
 )
 from .distributions import (
     Distribution1D,
@@ -72,7 +71,6 @@ from .isokl import (
     uniform_from_mean_kl,
 )
 from .randomness import derive_seed
-from .tree import PartitionKind
 
 __version__ = "0.1.0"
 
@@ -98,7 +96,6 @@ __all__ = [
     "MessageFrame",
     "MixtureComponent",
     "PairSpec",
-    "PartitionKind",
     "RecError",
     "TrialStats",
     "UnboundedRatioError",
@@ -109,10 +106,8 @@ __all__ = [
     "decode_block_vector",
     "derive_seed",
     "distribution_from_dict",
-    "encode_astar",
+    "encode",
     "encode_block_vector",
-    "encode_dad",
-    "encode_mrc",
     "gaussian_from_kl_dinf",
     "gaussian_from_mean_kl",
     "lambert_w0",

@@ -75,21 +75,21 @@ class ExperimentConfig(Frozen):
     Gaussian cells are (kl_nats, dinf_nats) pairs realized exactly through
     the joint KL/D-infinity inversion; uniform cells are kl values inside
     a fixed uniform prior; mixture cells hold a mode count at a shared
-    dinf. ``extra_bits``/``repeats``/``batch`` only matter to the bias
-    grid.
+    dinf. ``trials`` is the runtime grids' encodes per (cell, algorithm)
+    and the bias grid's batches per (cell, algorithm, t); ``extra_bits``
+    and ``batch`` only matter to the bias grid.
     """
 
     __slots__ = _fields = (
         "algorithms", "trials", "seed", "gaussian_cells", "uniform_cells", "mixture_cells",
-        "extra_bits", "repeats", "batch", "max_steps", "output")
+        "extra_bits", "batch", "max_steps")
 
     def __init__(
         self, algorithms: tuple[str, ...], trials: int, seed: int,
         gaussian_cells: tuple[tuple[float, float], ...] = (),
         uniform_cells: tuple[float, ...] = (),
         mixture_cells: tuple[tuple[int, float], ...] = (),
-        extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4), repeats: int = 50, batch: int = 100,
-        max_steps: int = MAX_STEPS, output: str | None = None,
+        extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4), batch: int = 100, max_steps: int = MAX_STEPS,
     ) -> None:
         if trials < 1:
             raise DomainError(f"trials must be >= 1, got {trials}")
@@ -98,15 +98,17 @@ class ExperimentConfig(Frozen):
         unknown = set(algorithms) - {v.value for v in Variant}
         if unknown:
             raise DomainError(f"unknown algorithms {sorted(unknown)}")
-        self._store(tuple(algorithms), trials, seed, tuple(gaussian_cells),
-                    tuple(uniform_cells), tuple(mixture_cells), tuple(extra_bits), repeats,
-                    batch, max_steps, output)
+        self._store(tuple(algorithms), trials, seed, tuple(gaussian_cells), tuple(uniform_cells),
+                    tuple(mixture_cells), tuple(extra_bits), batch, max_steps)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         """The config a dict describes (the CLI reads it from a JSON file).
         A key the dict leaves out keeps its default. A missing required
-        key or a value of the wrong type raises DomainError."""
+        key, an unknown key or a value of the wrong type raises DomainError."""
+        unknown = set(data) - {"algorithms", "trials", "seed", *_OPTIONAL_KEYS}
+        if unknown:
+            raise DomainError(f"bad experiment config: unknown keys {sorted(unknown)}")
         try:
             return ExperimentConfig(
                 algorithms=tuple(data.get("algorithms", _EXACT_NAMES)),
@@ -122,12 +124,6 @@ def _int(value) -> int:
     return as_number(value, int)
 
 
-def _path(value) -> str:
-    if not isinstance(value, str):  # open() takes an integer as a file descriptor
-        raise TypeError(f"expected a path string, got {value!r}")
-    return value
-
-
 # How ``from_dict`` reads each optional key of a config dict
 _OPTIONAL_KEYS = {
     "gaussian_cells": lambda cells: tuple(
@@ -136,10 +132,8 @@ _OPTIONAL_KEYS = {
     "mixture_cells": lambda cells: tuple(
         (_int(c["n_modes"]), as_number(c["dinf_nats"])) for c in cells),
     "extra_bits": lambda bits: tuple(_int(t) for t in bits),
-    "repeats": _int,
     "batch": _int,
     "max_steps": _int,
-    "output": _path,
 }
 
 
@@ -265,13 +259,22 @@ def _row(cell: _Cell, algorithm: str, trial: int, t: int | None = None,
                      **measured)
 
 
+def _check_runs_a_coder(config: ExperimentConfig, fixed_width: bool) -> None:
+    """Refuse a config under which a grid would run no coder: the bias grid
+    runs the fixed-width coders alone, the runtime grids the exact ones."""
+    names = [v.value for v, spec in CODERS.items() if spec.fixed_width == fixed_width]
+    if not set(names) & set(config.algorithms):
+        raise DomainError(f"config names none of {names}, so the grid would run no coder")
+
+
 def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
     """One exact encode per (cell, algorithm, trial) with step counting.
 
     A coder is skipped above its tractable D-infinity (``max_dinf`` in its
     table entry: 7 nats for PFR); per-trial failures become rows carrying
-    an error flag.
+    an error flag. A config that names no exact coder raises DomainError.
     """
+    _check_runs_a_coder(config, fixed_width=False)
     rows: list[ResultRow] = []
     cells = _cells_for(config)
     for ci, cell in enumerate(cells):
@@ -311,33 +314,29 @@ def _fresh_target_samples(target: Distribution1D, seed: int, count: int) -> list
 def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
     """Bias of the depth-limited coders versus the extra-bit slack.
 
-    Per (cell, t, repeat): encode a batch with DAD* and with MRC at the
+    Per (cell, t, trial): encode a batch with DAD* and with MRC at the
     shared budget ceil(KL/ln2) + t, then score each batch against fresh
     target samples with the k-NN estimator. One row per (cell,
-    algorithm, t, repeat) carrying the batch's mean steps and its bias
-    estimate.
+    algorithm, t, trial) carrying the batch's mean steps and its bias
+    estimate. A config that names neither DAD* nor MRC raises DomainError.
 
-    Common random numbers: within a repeat, both coders at every budget
+    Common random numbers: within a trial, both coders at every budget
     reuse the same per-symbol seeds (their keyed streams are disjoint by
     slot) and are scored against the same fresh reference set, so
     bias comparisons across algorithms and across t are paired rather
     than compounding three sources of independent noise.
     """
+    _check_runs_a_coder(config, fixed_width=True)
     rows: list[ResultRow] = []
     cells = _cells_for(config)
     for ci, cell in enumerate(cells):
         base_bits = math.ceil(cell.kl / _LN2)
-        for rep in range(config.repeats):
-            enc_base = _trial_seed(config.seed, ci, 0xE0, rep)
-            fresh = _fresh_target_samples(
-                cell.pair.target,
-                _trial_seed(config.seed, ci, 0xF0, rep),
-                config.batch,
-            )
+        for trial in range(config.trials):
+            enc_base = _trial_seed(config.seed, ci, 0xE0, trial)
+            fresh = _fresh_target_samples(cell.pair.target,
+                                          _trial_seed(config.seed, ci, 0xF0, trial), config.batch)
             for t in config.extra_bits:
-                budget = base_bits + t
-                if budget < 1:
-                    budget = 1
+                budget = max(1, base_bits + t)
                 for variant, spec in CODERS.items():
                     if not spec.fixed_width or variant.value not in config.algorithms:
                         continue
@@ -350,11 +349,11 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                             encoded.append(x)
                             steps += st.steps
                         bias = knn_kl_estimate(encoded, fresh)
-                        rows.append(_row(cell, variant.value, rep, t, steps=steps / config.batch,
+                        rows.append(_row(cell, variant.value, trial, t, steps=steps / config.batch,
                                          depth=budget, payload_bits=budget,
                                          kl_bias_estimate=bias))
                     except RecError as exc:
-                        rows.append(_row(cell, variant.value, rep, t, error=str(exc)))
+                        rows.append(_row(cell, variant.value, trial, t, error=str(exc)))
     return rows
 
 

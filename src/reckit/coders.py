@@ -17,7 +17,8 @@ regenerate from the seed alone:
 
 ``CODERS`` is the one place that says what each coder is: its wire tag,
 its unit layout and its encode/decode pair. Every caller that picks a
-coder by name or tag reads it.
+coder by name or tag reads it; ``encode`` and ``decode`` dispatch
+through it.
 
 The tree search follows the branch-and-bound schedule: a priority queue
 ordered by Gumbel plus the region's ratio bound, an incumbent lower
@@ -470,6 +471,12 @@ def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
     if code.variant is not Variant.MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
     return _counter_sample(proposal, seed, 0, code.payload)
+
+
+def encode(pair: PairSpec, variant: Variant, seed: int, budget: int | None = None,
+           max_steps: float = INF) -> tuple[Code, float, TrialStats]:
+    """Code a sample of ``pair``'s target with ``variant``'s coder: the mirror of ``decode``."""
+    return CODERS[variant].encode(pair, seed, budget, max_steps)
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:

@@ -331,11 +331,10 @@ def test_criterion_08_extra_bits_close_the_bias_gap():
     most a tenth of its draws once t >= 2."""
     config = ExperimentConfig(
         algorithms=("dad", "mrc"),
-        trials=1,
+        trials=50,
         seed=80_000,
         gaussian_cells=BIAS_CELLS,
         extra_bits=(0, 1, 2, 3, 4),
-        repeats=50,
         batch=100,
     )
     rows = run_bias_grid(config)

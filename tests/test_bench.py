@@ -140,7 +140,7 @@ def test_config_from_json():
     assert config.uniform_cells == (0.25,)
     assert config.mixture_cells == ((2, 0.7),)
     assert config.extra_bits == (0, 2)
-    assert config.batch == 64 and config.repeats == 50
+    assert config.batch == 64 and config.max_steps == 1_000_000
     # an integer where a real is expected loads as a float
     config = ExperimentConfig.from_dict({"trials": 1, "seed": 1, "uniform_cells": [{"kl_nats": 1}]})
     assert config.uniform_cells == (1.0,) and type(config.uniform_cells[0]) is float
@@ -152,6 +152,18 @@ def test_config_from_json():
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"trials": 1, "seed": 1, "extra_bits": extra_bits,
                                         "gaussian_cells": [{"kl_nats": 1, "dinf_nats": 2}]})
+
+
+def test_config_refuses_unknown_keys():
+    """A misspelt key is refused rather than dropped, which would leave its
+    default in force without a word; so is a key the config no longer has:
+    the bias grid's repeat count is ``trials``, and the CSV path is ``--out``."""
+    cells = {"trials": 3, "seed": 1, "gaussian_cells": [{"kl_nats": 1, "dinf_nats": 2}]}
+    assert ExperimentConfig.from_dict(cells).trials == 3
+    for key, value in (("repeat", 5), ("extra_bit", [9]), ("algorithm", ["dad"]),
+                       ("repeats", 5), ("output", "rows.csv")):
+        with pytest.raises(DomainError, match=f"unknown keys \\['{key}'\\]"):
+            ExperimentConfig.from_dict({**cells, key: value})
 
 
 def test_mixture_pair_properties():
@@ -288,6 +300,20 @@ def test_mode_sweep_shared_dinf():
     assert all(r.d_inf_nats == 0.7 for r in rows)
 
 
+@pytest.mark.parametrize("runner, algorithms", [
+    (run_runtime_grid, ("dad", "mrc")),
+    (run_mode_sweep, ("mrc",)),
+    (run_bias_grid, ("as", "ad", "pfr")),
+])
+def test_grid_refuses_a_config_that_runs_no_coder(runner, algorithms):
+    """The runtime grids run only exact coders and the bias grid only the
+    fixed-width ones: a config naming none of a grid's coders is refused,
+    rather than giving a header-only CSV."""
+    config = small_config(algorithms=algorithms, mixture_cells=((2, 0.7),))
+    with pytest.raises(DomainError, match="run no coder"):
+        runner(config)
+
+
 def test_mode_sweep_rejects_mixed_dinf():
     config = ExperimentConfig(
         algorithms=("ad",), trials=5, seed=5,
@@ -303,11 +329,12 @@ def test_mode_sweep_rejects_mixed_dinf():
 
 def test_bias_grid_shape_and_budgets():
     config = ExperimentConfig(
-        algorithms=("dad", "mrc"), trials=1, seed=3,
-        gaussian_cells=((1.0, 2.0),), extra_bits=(0, 3), repeats=3, batch=40,
+        algorithms=("dad", "mrc"), trials=3, seed=3,
+        gaussian_cells=((1.0, 2.0),), extra_bits=(0, 3), batch=40,
     )
     rows = run_bias_grid(config)
-    assert len(rows) == 12  # 1 cell x 2 t x 2 algorithms x 3 repeats
+    assert len(rows) == 12  # 1 cell x 2 t x 2 algorithms x 3 trials
+    assert sorted({r.trial_index for r in rows}) == [0, 1, 2]
     base_bits = math.ceil(1.0 / math.log(2.0))
     for row in rows:
         assert row.error is None
@@ -322,8 +349,8 @@ def test_bias_grid_shape_and_budgets():
 
 def test_bias_grid_deterministic():
     config = ExperimentConfig(
-        algorithms=("dad",), trials=1, seed=8,
-        gaussian_cells=((0.7, 1.4),), extra_bits=(1,), repeats=2, batch=30,
+        algorithms=("dad",), trials=2, seed=8,
+        gaussian_cells=((0.7, 1.4),), extra_bits=(1,), batch=30,
     )
     assert rows_to_csv(run_bias_grid(config)) == rows_to_csv(run_bias_grid(config))
 

@@ -237,35 +237,34 @@ def test_bench_runtime_cli(tmp_path, capsys):
     assert again.read_bytes() == out.read_bytes()
 
 
-def test_bench_output_from_config(tmp_path):
-    out = tmp_path / "sweep.csv"
-    config = tmp_path / "modes.json"
-    config.write_text(json.dumps({
-        "algorithms": ["ad"],
-        "trials": 5,
-        "seed": 4,
-        "mixture_cells": [{"n_modes": 1, "dinf_nats": 0.7},
-                          {"n_modes": 4, "dinf_nats": 0.7}],
-        "output": str(out),
-    }))
-    assert main(["bench-modes", "--config", str(config)]) == 0
-    assert out.read_text().startswith(GOLDEN_HEADER)
-
-
 def test_bench_bias_cli(tmp_path):
     config = tmp_path / "bias.json"
     config.write_text(json.dumps({
         "algorithms": ["dad", "mrc"],
-        "trials": 1,
+        "trials": 2,
         "seed": 9,
         "gaussian_cells": [{"kl_nats": 1.0, "dinf_nats": 2.0}],
         "extra_bits": [0, 2],
-        "repeats": 2,
         "batch": 30,
     }))
     out = tmp_path / "bias.csv"
     assert main(["bench-bias", "--config", str(config), "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 9  # header + 2t x 2alg x 2rep
+    assert len(out.read_text().splitlines()) == 9  # header + 2t x 2alg x 2 trials
+
+
+@pytest.mark.parametrize("command", ["bench-runtime", "bench-bias", "bench-modes"])
+def test_bench_without_out_exits_2(tmp_path, monkeypatch, capsys, command):
+    """The CSV path is ``--out`` alone: without it no grid runs and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"algorithms": ["ad", "dad"], "trials": 1, "seed": 9,
+                                  "mixture_cells": [{"n_modes": 2, "dinf_nats": 0.7}]}))
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"reckit {command}: error: the following arguments are required: --out"]
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
 
 
 def test_verify_cli(capsys):
@@ -381,7 +380,7 @@ def test_bad_input_exit_codes(tmp_path, capsys):
 
 _GAUSS = {"family": "gaussian", "mean": 0.0, "variance": 1.0}
 _RECORD = {"block_id": "a", "prior_mean": 0.0, "prior_std": 1.0, "target_mean": 0.4}
-_BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "repeats": 1, "batch": 20,
+_BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "batch": 20,
          "gaussian_cells": [{"kl_nats": 1.0, "dinf_nats": 2.0}]}
 _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
             "gaussian_cells": [{"kl_nats": 0.34, "dinf_nats": 1.0}]}
@@ -408,7 +407,7 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     # field takes no float, a real model or config field no bool or string
     ("bench-runtime", "--config", {**_RUNTIME, "trials": 2.9}),
     ("bench-runtime", "--config", {**_RUNTIME, "seed": "7"}),
-    ("bench-runtime", "--config", {**_RUNTIME, "repeats": 1.9}),
+    ("bench-runtime", "--config", {**_RUNTIME, "batch": 1.9}),
     ("bench-runtime", "--config", {**_RUNTIME, "gaussian_cells": [{"kl_nats": "0.34",
                                                                    "dinf_nats": 1.0}]}),
     ("bench-runtime", "--config", {**_RUNTIME, "gaussian_cells": [{"kl_nats": 0.34,
@@ -430,8 +429,15 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     ("encode", "--block-model", {"coordinates": [{**_RECORD, "block_id": 1},
                                                  {**_RECORD, "block_id": "1"}],
                                  "block_kappa": {"1": 0.9}}),
-    # an output that is not a path: open() would take 1 as a file descriptor
+    # a config key that is not one: the CSV path is --out alone, so "output"
+    # is refused as unknown (an integer path would be a file descriptor to open())
     ("bench-runtime", "--config", {**_RUNTIME, "output": 1}),
+    # a config that names none of its grid's coders, rather than a header-only
+    # CSV: bench-bias runs only dad/mrc, and the default algorithms are as/ad/pfr
+    ("bench-bias", "--config", {k: v for k, v in _BIAS.items() if k != "algorithms"}),
+    ("bench-runtime", "--config", {**_RUNTIME, "algorithms": ["dad", "mrc"]}),
+    ("bench-modes", "--config", {**_RUNTIME, "algorithms": ["mrc"],
+                                 "mixture_cells": [{"n_modes": 2, "dinf_nats": 0.7}]}),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "file.json"
@@ -444,3 +450,4 @@ def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     assert main([command, flag, str(path), *rest]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.count("\n") == 1 and not (tmp_path / "out").exists()

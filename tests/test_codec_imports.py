@@ -84,18 +84,19 @@ PUBLIC_NAMES = {
     "DepthExceededError", "Distribution1D", "DomainError", "Gaussian",
     "InfeasibleParameterError", "InvalidCodeError", "IsoKLGaussianBlock",
     "MODE_BLOCK", "MODE_EXACT", "MalformedMessageError", "MessageFrame",
-    "MixtureComponent", "PairSpec", "PartitionKind", "RecError", "TrialStats",
+    "MixtureComponent", "PairSpec", "RecError", "TrialStats",
     "UnboundedRatioError", "Uniform", "UniformMixture", "Variant", "decode",
-    "decode_block_vector", "derive_seed", "distribution_from_dict", "encode_astar",
-    "encode_block_vector", "encode_dad", "encode_mrc", "gaussian_from_kl_dinf",
-    "gaussian_from_mean_kl", "lambert_w0", "load_block_model", "read_message",
-    "uniform_from_mean_kl", "write_message",
+    "decode_block_vector", "derive_seed", "distribution_from_dict", "encode",
+    "encode_block_vector", "gaussian_from_kl_dinf", "gaussian_from_mean_kl",
+    "lambert_w0", "load_block_model", "read_message", "uniform_from_mean_kl",
+    "write_message",
 }
 
 
 def test_public_names_are_pinned():
-    # one decoder, dict-based model loading: no per-coder decoders, no JSON wrappers
-    assert len(reckit.__all__) == len(PUBLIC_NAMES) == 43
+    # one encoder and one decoder, dict-based model loading: no per-coder
+    # entry points, no partition kinds, no JSON wrappers
+    assert len(reckit.__all__) == len(PUBLIC_NAMES) == 40
     assert set(reckit.__all__) == PUBLIC_NAMES
 
 
@@ -152,7 +153,7 @@ HARNESS_CONFIGS = {
     "modes.json": {"algorithms": ["as", "ad"], "trials": 4, "seed": 3,
                    "mixture_cells": [{"n_modes": 1, "dinf_nats": 1.0},
                                      {"n_modes": 4, "dinf_nats": 1.0}]},
-    "bias.json": {"algorithms": ["dad"], "trials": 1, "seed": 3, "repeats": 1,
+    "bias.json": {"algorithms": ["dad"], "trials": 1, "seed": 3,
                   "batch": 20, "extra_bits": [2],
                   "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}]},
 }

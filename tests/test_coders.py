@@ -39,6 +39,7 @@ from reckit.errors import (
     BudgetExhaustedError,
     DomainError,
     InvalidCodeError,
+    RecError,
     UnboundedRatioError,
 )
 from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, seed_state, slot_uniforms,
@@ -252,6 +253,46 @@ def test_mrc_all_miss_falls_back_to_uniform():
             assert code.payload == min(int(math.ceil(u_sel * 8.0)) - 1, 7) if u_sel > 0 else 0
         assert decode_mrc(pair.proposal, code, seed) == x
     assert hit_fallback
+
+
+# -------------------------------------------------------- the one encoder
+
+def _outcome(run):
+    """What an encode gives, (code, sample hex, stats), or its refusal class."""
+    try:
+        code, x, stats = run()
+    except RecError as exc:
+        return type(exc)
+    return code, x.hex(), stats
+
+
+# a tail pair each way (DomainError, and a dive to the depth or step limit)
+# and one whose ratio is unbounded
+TAIL_PAIRS = [PairSpec(Gaussian(3.0, 0.9), Gaussian(0.0, 1.0)),
+              PairSpec(Gaussian(-3.0, 0.9), Gaussian(0.0, 1.0)),
+              PairSpec(Gaussian(0.0, 2.0), Gaussian(0.0, 1.0))]
+
+
+def test_encode_is_the_coder_tables_encode():
+    """``coders.encode(pair, variant, seed, budget, max_steps)`` gives what
+    ``CODERS[variant].encode`` gives, code, sample and stats or the same
+    refusal class, for every coder; its defaults are no budget (which a
+    fixed-width coder refuses) and no step limit."""
+    cases = [(pair, 6, math.inf) for pair in ALL_PAIRS]
+    cases += [(pair, 6, 300) for pair in TAIL_PAIRS]
+    cases += [(PAIR_GG, 10, 1023), (PAIR_GG, None, math.inf)]
+    refusals = set()
+    for pair, budget, max_steps in cases:
+        for variant, spec in CODERS.items():
+            for seed in range(3100, 3106):
+                got = _outcome(lambda: coders.encode(pair, variant, seed, budget, max_steps))
+                assert got == _outcome(lambda: spec.encode(pair, seed, budget, max_steps))
+                if budget is None:
+                    assert got == _outcome(lambda: coders.encode(pair, variant, seed))
+                if isinstance(got, type):
+                    refusals.add(got.__name__)
+    assert refusals == {"BudgetExhaustedError", "DepthExceededError", "DomainError",
+                        "UnboundedRatioError"}
 
 
 # ------------------------------------------------------------ round trips

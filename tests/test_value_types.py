@@ -51,8 +51,8 @@ RECORDED = [
      "payload_bits=None, kl_bias_estimate=None, error=None)"),
     (ExperimentConfig(["as"], 1, 7, gaussian_cells=[(0.9, 2.0)]),
      "ExperimentConfig(algorithms=('as',), trials=1, seed=7, gaussian_cells=((0.9, 2.0),), "
-     "uniform_cells=(), mixture_cells=(), extra_bits=(0, 1, 2, 3, 4), repeats=50, "
-     "batch=100, max_steps=1000000, output=None)"),
+     "uniform_cells=(), mixture_cells=(), extra_bits=(0, 1, 2, 3, 4), batch=100, "
+     "max_steps=1000000)"),
     (_Cell("gaussian", None, 0.9, 2.0),
      "_Cell(family='gaussian', pair=None, kl=0.9, dinf=2.0, n_modes=None)"),
     (ShrinkageReport(PartitionKind.DYADIC, (1, 2), (1.0, 0.5), (1.0, 0.5), True),
