@@ -368,6 +368,10 @@ class ShrinkageReport(Frozen):
         self._store(kind, depths, mean_mass, bounds, passed)
 
 
+def _no_bound(low: float, high: float) -> float:
+    return 0.0  # a shrinkage descent has no target, so its children need no ratio bound
+
+
 def verify_shrinkage(
     kind: PartitionKind,
     depth_max: int = 10,
@@ -395,12 +399,12 @@ def verify_shrinkage(
         stream = seed_state(derive_seed(seed, trial))
         index, low, high, ulow, uhigh = 1, -math.inf, math.inf, 0.0, 1.0
         for d in range(1, depth_max):
-            # the node's key, as ``realize`` gives it: shrinkage reads no Gumbel
+            # the node's sample, drawn as a decoder draws it: shrinkage reads no Gumbel
             x = node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
-            children = expand(kind, proposal, x, index, low, high, ulow, uhigh)
+            children = expand(kind, proposal, _no_bound, x, index, low, high, ulow, uhigh)
             if not children:
                 break
-            index, low, high, ulow, uhigh = max(children, key=lambda c: c[4] - c[3])
+            index, low, high, ulow, uhigh, _ = max(children, key=lambda c: c[4] - c[3])
             masses[d][trial] = uhigh - ulow
     depths = tuple(range(1, depth_max + 1))
     mean_mass = tuple(math.fsum(col) / trials for col in masses)

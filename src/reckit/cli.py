@@ -234,8 +234,8 @@ def _verify_roundtrip(trials: int, seed: int) -> int:
     bad = 0
     for i in range(trials):
         s = derive_seed(seed, i)
-        for variant in CODERS:
-            code, x, _ = encode(pair, variant, s, 8, MAX_STEPS)
+        for variant, spec in CODERS.items():
+            code, x, _ = encode(pair, variant, s, 8 if spec.fixed_width else None, MAX_STEPS)
             if decode(pair.proposal, code, s) != x:
                 print(f"roundtrip {variant.value}: MISMATCH at trial {i}")
                 bad += 1

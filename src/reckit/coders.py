@@ -25,21 +25,22 @@ ordered by Gumbel plus the region's ratio bound, an incumbent lower
 bound from scored samples, and pruning of children whose bound cannot
 beat the incumbent. Ties are broken toward smaller heap indices. A
 queue entry is the node itself, as nine flat fields (priority, heap index,
-bound, region ends, their CDF values, key state, Gumbel), unpacked once
-per pop; the index carries the depth. A queued child may not have its
-Gumbel yet: it waits at its parent's Gumbel, an upper bound on its own,
-with no key state, and draws both when it reaches the top. Both searches
-return (winner's index, sample, steps, lower bound); an encoder reads the
+bound, region ends, their CDF values, sample uniform, Gumbel), unpacked
+once per pop; the index carries the depth. A queued child may not have
+its Gumbel yet: it waits at its parent's Gumbel, an upper bound on its
+own, with no sample uniform, and draws both in one two-lane draw
+(``tree.realize``) when it reaches the top. Both searches return
+(winner's index, sample, steps, lower bound); an encoder reads the
 winner's depth off the index.
 
 A dyadic node's children and their ratio bounds depend on the pair and
 the heap index alone, never on the seed, so the AD* and DAD* searches
 share one memo on the pair (see ``_remembering``): from a pair's second
-dyadic search on, an expanded node's children and their bounds are
-stored and read back in place of ``expand`` and ``bound_M``. A pair
-searched once, as the block codec's per-coordinate pairs are, pays
-nothing for it. The sample-split, PFR and MRC searches and every decode
-do without it.
+dyadic search on, an expanded node's children, each with its bound, are
+stored by heap index and read back in place of ``expand``, which calls
+``bound_M``. A pair searched once, as the block codec's per-coordinate
+pairs are, pays nothing for it. The sample-split, PFR and MRC searches
+and every decode do without it.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable
 
-from .distributions import Distribution1D, PairSpec
+from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, Frozen, InvalidCodeError
 from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, seed_state
 from .randomness import slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
-from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, node_sample, realize
+from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, realize
 
 INF = math.inf
 _GLOBAL_BOUND, _DYADIC = PartitionKind.GLOBAL_BOUND, PartitionKind.DYADIC
@@ -204,35 +205,32 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
     return TrialStats(steps, depth, *bits, lb)
 
 
-def _remembering(memo: tuple[dict, dict], bound_M: Callable[[float, float], float]):
-    """``expand`` and ``bound_M`` for a search on a pair whose dyadic memo
-    is ``memo``: each reads a result back, or computes and stores it.
+def _remembering(memo: dict, bound_M: Callable[[float, float], float]):
+    """``expand`` for a search on a pair whose dyadic memo is ``memo``, and
+    the root's bound: each is read back, or computed and stored.
 
-    The memo is (heap index: ``expand``'s children, region ends:
-    ``bound_M``). A dyadic cut is the region's proposal median, so a
-    node's children follow from the pair and its heap index alone (the
-    sample ``x`` is not read), and a bound from its region ends. A call
-    that raises (the depth cap, a median whose quantile saturates)
-    stores nothing, so it raises again on every search that reaches it.
-    Threads may share a pair: an entry is the same whichever search
-    computes it, so a race at most computes it twice.
+    The memo maps a heap index to ``expand``'s children, each carrying its
+    ``bound_M``. A dyadic cut is the region's proposal median, so a node's
+    children and their bounds follow from the pair and its heap index
+    alone (the sample ``x`` is not read). The root is stored as the one
+    child of heap index 0, which no search expands. An expansion that
+    raises (the depth cap, a median whose quantile saturates) stores
+    nothing, so it raises again on every search that reaches it. Threads
+    may share a pair: an entry is the same whichever search computes it,
+    so a race at most computes it twice.
     """
-    children_of, bound_of = memo
+    roots = memo.get(0)
+    if roots is None:
+        roots = memo[0] = [(1, -INF, INF, 0.0, 1.0, bound_M(-INF, INF))]
 
-    def remembered_expand(kind, proposal, x, index, low, high, ulow, uhigh):
-        children = children_of.get(index)
+    def remembered_expand(kind, proposal, bound_M, x, index, low, high, ulow, uhigh):
+        children = memo.get(index)
         if children is None:
-            children = children_of[index] = expand(kind, proposal, x, index,
-                                                   low, high, ulow, uhigh)
+            children = memo[index] = expand(kind, proposal, bound_M, x, index,
+                                            low, high, ulow, uhigh)
         return children
 
-    def remembered_bound(low, high):
-        bound = bound_of.get((low, high))
-        if bound is None:
-            bound = bound_of[low, high] = bound_M(low, high)
-        return bound
-
-    return remembered_expand, remembered_bound
+    return remembered_expand, roots[0][-1]
 
 
 def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
@@ -246,18 +244,19 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     it costs no search step.
 
     A queue entry is the node itself, as nine flat fields:
-    (-(g + M), heap_index, M, low, high, ulow, uhigh, key, g), M the
-    ratio bound over (low, high). A node at ``max_depth``, an index of
+    (-(g + M), heap_index, M, low, high, ulow, uhigh, u, g), M the
+    ratio bound over (low, high) that ``expand`` gives with the child and
+    u the node's sample uniform. A node at ``max_depth``, an index of
     at least 2^(max_depth - 1), is a leaf. Heap indices are unique in a search,
     so no comparison reaches past the index. The root and the extra root
     are realized up front; a child from ``expand`` is queued before its
-    Gumbel is drawn, with key None and its parent's Gumbel as g, an upper
+    Gumbel is drawn, with u None and its parent's Gumbel as g, an upper
     bound on its own; at the top, ``realize`` draws both and it is
     requeued at its true priority or pruned. A Gumbel never exceeds the
     bound it is truncated at, so the steps, their order and every result
-    are those of drawing each child at expansion. A node's sample is drawn
-    when it is popped (the extra root's at the start). ``stream`` is
-    ``seed_state(seed)``.
+    are those of drawing each child at expansion. A node's sample, the
+    quantile of u over its region, is taken when it is popped (the extra
+    root's at the start). ``stream`` is ``seed_state(seed)``.
 
     A pair's first dyadic search calls ``expand`` and ``bound_M`` as a
     sample-split search does and leaves an empty memo on the pair, so a
@@ -269,58 +268,59 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     Returns (winner's heap index, its sample, steps, LB), as ``_pfr_search``.
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    expand_ = expand
+    expand_, root_bound = expand, None
     if kind is _DYADIC:
         if pair._dyadic_memo is None:  # a first search leaves an empty memo
-            pair._dyadic_memo = ({}, {})
+            pair._dyadic_memo = {}
         else:
-            expand_, bound_M = _remembering(pair._dyadic_memo, bound_M)
-    key, g = realize(stream, 1, 0.0, 1.0, INF)
+            expand_, root_bound = _remembering(pair._dyadic_memo, bound_M)
+    u, g = realize(stream, 1, 0.0, 1.0, INF)
     lb, best_index, best_x = -INF, None, math.nan
     leaves = INF  # the first heap index at max_depth: no leaf in an exact search
     if max_depth < INF:
         leaves = 1 << (max_depth - 1)
-        extra_key, extra_g = realize(stream, 0, 0.0, 1.0, g)
+        extra_u, extra_g = realize(stream, 0, 0.0, 1.0, g)
         best_index = 0
-        best_x = node_sample(proposal, extra_key, 0, 0.0, 1.0)
+        best_x = sample_restricted_u(proposal, 0.0, 1.0, extra_u)
         lb = extra_g + log_ratio(best_x)
-    root_bound = bound_M(-INF, INF)
-    heap = [(-(g + root_bound), 1, root_bound, -INF, INF, 0.0, 1.0, key, g)]
+    if root_bound is None:
+        root_bound = bound_M(-INF, INF)
+    heap = [(-(g + root_bound), 1, root_bound, -INF, INF, 0.0, 1.0, u, g)]
     heappop, heappush = heapq.heappop, heapq.heappush
+    sample = sample_restricted_u
     steps = 0
     while heap and lb < -heap[0][0]:
-        _, index, bound, low, high, ulow, uhigh, key, g = heappop(heap)
-        if key is None:  # its Gumbel is still to draw
-            key, g = realize(stream, index, ulow, uhigh, g)
+        _, index, bound, low, high, ulow, uhigh, u, g = heappop(heap)
+        if u is None:  # its Gumbel is still to draw
+            u, g = realize(stream, index, ulow, uhigh, g)
             top = g + bound
             if not lb < top:
                 continue
             if heap and heap[0] < (-top, index):  # no longer on top: requeue it
-                heappush(heap, (-top, index, bound, low, high, ulow, uhigh, key, g))
+                heappush(heap, (-top, index, bound, low, high, ulow, uhigh, u, g))
                 continue
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, key, index, ulow, uhigh)
+        x = sample(proposal, ulow, uhigh, u)
         score = g + log_ratio(x)
         if score > lb or (score == lb and (best_index is None or index < best_index)):
             lb, best_index, best_x = score, index, x
         if index < leaves:
-            for cindex, clow, chigh, culow, cuhigh in expand_(kind, proposal, x, index,
-                                                               low, high, ulow, uhigh):
-                child_bound = bound_M(clow, chigh)
+            for cindex, clow, chigh, culow, cuhigh, child_bound in expand_(
+                    kind, proposal, bound_M, x, index, low, high, ulow, uhigh):
                 if child_bound > bound:
                     # Rounding put a sub-region's bound above its region's. The
                     # child must then also beat lb under the parent's bound,
                     # which needs its own Gumbel now.
-                    ckey, cg = realize(stream, cindex, culow, cuhigh, g)
+                    cu, cg = realize(stream, cindex, culow, cuhigh, g)
                     if not lb < cg + bound:
                         continue
                 else:
-                    ckey, cg = None, g
+                    cu, cg = None, g
                 if lb < cg + child_bound:
                     heappush(heap, (-(cg + child_bound), cindex, child_bound, clow, chigh,
-                                    culow, cuhigh, ckey, cg))
+                                    culow, cuhigh, cu, cg))
     return best_index, best_x, steps, lb
 
 
@@ -395,17 +395,19 @@ def encode_astar(
 
 
 def encode_dad(
-    pair: PairSpec, seed: int, budget: int
+    pair: PairSpec, seed: int, budget: int, max_steps: float = INF
 ) -> tuple[Code, float, TrialStats]:
     """Depth-limited dyadic coder with a fixed budget of ``budget`` bits.
 
     Runs the dyadic race over the tree of depth <= budget plus one extra
     root-level candidate (a second full-line draw, arrival-truncated at
     the root's Gumbel). The extra candidate takes codeword 0; tree
-    winners take their heap index, which fits in ``budget`` bits.
+    winners take their heap index, which fits in ``budget`` bits. A
+    search past ``max_steps`` pops is refused, as an exact search's is.
     """
     check_budget(budget)
-    index, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed), budget, INF)
+    index, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed), budget,
+                                        max_steps)
     code = Code(Variant.DAD_STAR, budget, index)
     # transmitted width is the budget regardless of where the winner sat; the
     # extra root, index 0, sits at depth 1
@@ -475,8 +477,12 @@ def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
 
 def encode(pair: PairSpec, variant: Variant, seed: int, budget: int | None = None,
            max_steps: float = INF) -> tuple[Code, float, TrialStats]:
-    """Code a sample of ``pair``'s target with ``variant``'s coder: the mirror of ``decode``."""
-    return CODERS[variant].encode(pair, seed, budget, max_steps)
+    """Code a sample of ``pair``'s target with ``variant``'s coder: the mirror
+    of ``decode``. A ``variant`` that names no coder is refused."""
+    spec = CODERS.get(variant)
+    if spec is None:
+        raise DomainError(f"no coder is named {variant!r}; pick a Variant")
+    return spec.encode(pair, seed, budget, max_steps)
 
 
 def decode(proposal: Distribution1D, code: Code, seed: int) -> float:
@@ -489,9 +495,9 @@ class CoderSpec(Frozen):
     wire, and its encode/decode pair.
 
     ``encode(pair, seed, budget, max_steps)`` returns (code, sample,
-    stats): ``budget`` is the bit budget of a fixed-width coder and
-    ``max_steps`` the step budget of an exact search or of MRC's draws;
-    each coder ignores what it has no use for. ``kind`` is the partition rule of an exact
+    stats): ``budget`` is the bit budget of a fixed-width coder, which an
+    exact coder refuses unless it is None, and ``max_steps`` the step
+    budget of every search and of MRC's draws. ``kind`` is the partition rule of an exact
     search (None for the fixed-width coders); ``max_dinf`` is the largest
     D-infinity in nats at which the runtime grid runs the coder.
     """
@@ -511,30 +517,31 @@ class CoderSpec(Frozen):
         return self.unit is _CODEWORD
 
 
-def _exact_spec(tag: int, unit: Unit, kind: PartitionKind) -> CoderSpec:
+def _exact_encode(kind: PartitionKind):
+    """An exact coder's ``encode``: it refuses a bit budget, which its codes
+    do not have."""
     def encode(pair, seed, budget, max_steps):
-        return encode_astar(pair, kind, seed, max_steps=max_steps)
+        if budget is not None:
+            raise DomainError(f"an exact coder takes no bit budget, got {budget!r}")
+        return encode_astar(pair, kind, seed, max_steps)
 
+    return encode
+
+
+def _exact_spec(tag: int, unit: Unit, kind: PartitionKind) -> CoderSpec:
     def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
         return locate(proposal, kind, seed, code.payload)
 
-    return CoderSpec(tag, unit, encode, decode, kind)
+    return CoderSpec(tag, unit, _exact_encode(kind), decode, kind)
 
 
 CODERS: dict[Variant, CoderSpec] = {
     Variant.AS_STAR: _exact_spec(1, Unit.HEAP_INDEX, PartitionKind.SAMPLE_SPLIT),
     Variant.AD_STAR: _exact_spec(2, Unit.HEAP_INDEX, PartitionKind.DYADIC),
     # expected arrivals grow like e^D-infinity: e^7 ~ 1100 per encode
-    Variant.PFR: CoderSpec(
-        3, Unit.ARRIVAL_INDEX,
-        lambda pair, seed, budget, max_steps: encode_astar(pair, _GLOBAL_BOUND, seed, max_steps),
-        decode_pfr, _GLOBAL_BOUND, max_dinf=7.0,
-    ),
-    Variant.DAD_STAR: CoderSpec(
-        4, Unit.CODEWORD,
-        lambda pair, seed, budget, max_steps: encode_dad(pair, seed, budget),
-        decode_dad,
-    ),
+    Variant.PFR: CoderSpec(3, Unit.ARRIVAL_INDEX, _exact_encode(_GLOBAL_BOUND), decode_pfr,
+                           _GLOBAL_BOUND, max_dinf=7.0),
+    Variant.DAD_STAR: CoderSpec(4, Unit.CODEWORD, encode_dad, decode_dad),
     Variant.MRC: CoderSpec(5, Unit.CODEWORD, encode_mrc, decode_mrc),
 }
 _VARIANT_OF_KIND = {spec.kind: v for v, spec in CODERS.items() if spec.kind is not None}

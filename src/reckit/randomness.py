@@ -27,18 +27,20 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take four shapes, each one call with the rounds written out and a
+Draws take five shapes, each one call with the rounds written out and a
 test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
-slot at counter 0 after (seed, node): split-tree and root-level draws),
+slot at counter 0 after (seed, node): a decode's node draws and MRC's
+selection), :func:`slot_uniform_pair` (two slots at counter 0 after
+(seed, node), mixed together: a search node's Gumbel and sample),
 :func:`counter_uniform` (a counter after (seed, node, slot): PFR's
 arrival draws and MRC's decode), :func:`counter_uniforms` (a run of counters after
 (seed, node, slot), mixed together: MRC's encode) and
 :func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
 list of nodes, mixed together: a sample-split decode's whole path). The
-last two share one packed round, which holds each key in a 128-bit lane
-of one int. Which key each draw uses is said once: ``reckit.tree`` keys
-the search nodes and ``reckit.coders`` the PFR arrivals and the MRC
-candidates.
+packed shapes hold each key in a 128-bit lane of one int and mask every
+lane back to 64 bits before a multiply. Which key each draw uses is said
+once: ``reckit.tree`` keys the search nodes and ``reckit.coders`` the PFR
+arrivals and the MRC candidates.
 """
 
 from __future__ import annotations
@@ -104,6 +106,37 @@ def slot_uniform(key: int, slot: int) -> float:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16  # 2^-53
+
+
+# slot_uniform_pair's two lanes: 1 in each, a 64-bit mask in each, GOLDEN in each
+_PAIR = 1 | (1 << 128)
+_PAIR64 = _MASK64 * _PAIR
+_PAIR_GOLDENS = _GOLDEN * _PAIR
+
+
+def slot_uniform_pair(stream: int, field: int, slot_a: int, slot_b: int) -> tuple[float, float]:
+    """(slot_uniform(key, slot_a), slot_uniform(key, slot_b)), key =
+    absorb(stream, field), bit for bit, in one call: the field is absorbed
+    once on a 64-bit state, which is then copied into two 128-bit lanes of
+    one int (lane a low, lane b high) that absorb their own slot, then
+    counter 0, together. Each lane is masked back to 64 bits before a
+    multiply, as in ``_packed_uniforms``."""
+    z = ((stream ^ ((field + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
+         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    slots = (((slot_a + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+             | ((slot_b + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) << 128)
+    z = ((((z ^ (z >> 31)) * _PAIR) ^ slots) + _PAIR_GOLDENS) & _PAIR64  # the key in both lanes
+    z = (((z ^ (z >> 30)) & _PAIR64) * 0xBF58476D1CE4E5B9) & _PAIR64
+    z = (((z ^ (z >> 27)) & _PAIR64) * 0x94D049BB133111EB) & _PAIR64
+    # counter 0 XORs in GOLDEN itself
+    z = ((z ^ (z >> 31) ^ _PAIR_GOLDENS) + _PAIR_GOLDENS) & _PAIR64
+    z = (((z ^ (z >> 30)) & _PAIR64) * 0xBF58476D1CE4E5B9) & _PAIR64
+    z = (((z ^ (z >> 27)) & _PAIR64) * 0x94D049BB133111EB) & _PAIR64
+    z ^= z >> 31  # lane b's bits shifted into lane a's upper half stay above bit 63
+    return ((((z >> 11) & 0x1FFFFFFFFFFFFF) + 0.5) * 1.1102230246251565e-16,  # 2^-53
+            (((z >> 139) & 0x1FFFFFFFFFFFFF) + 0.5) * 1.1102230246251565e-16)
 
 
 def counter_uniform(state: int, counter: int) -> float:

@@ -10,8 +10,8 @@ fits in D bits once D is known. Two partition rules are supported:
   children carry exactly half the parent's proposal mass each. No cut
   reads a sample, so a dyadic node's region, and with it its children
   and their ratio bounds, follows from its heap index alone, which is
-  what lets a pair remember them across searches
-  (``coders._remembering``).
+  what lets a pair remember a node's children, bounds included, across
+  searches (``coders._remembering``).
 
 The global-bound race (PFR) never cuts a region, so it has no tree: it
 is a loop in ``reckit.coders``. Its member of ``PartitionKind`` only
@@ -30,17 +30,20 @@ the walk refuses too.
 
 Draws are made as late as the search allows. The search holds a node
 as the flat fields of its queue entry, not as an object: ``expand``
-takes a node's (heap_index, low, high, ulow, uhigh) and returns its
-children as (heap_index, low, high, ulow, uhigh) tuples, regions only.
-A child has no key state yet; the search queues it at its parent's
-Gumbel, the bound its own is truncated at, and ``realize`` returns its
-(key, g), the key state and the Gumbel, when it reaches the top of the
-queue. A node's sample (``node_sample``) waits until the node itself is
-popped, since pruning reads only the Gumbel and the region. Every node
-is drawn by ``realize`` and ``node_sample``, the root included: it is
-node 1 with CDF ends 0 and 1 and an untruncated Gumbel, and the
-depth-limited coder's extra root is the same full-line draw at heap
-index 0, truncated at the root's Gumbel.
+takes a node's (heap_index, low, high, ulow, uhigh) and the pair's
+``bound_M`` and returns its children as (heap_index, low, high, ulow,
+uhigh, bound) tuples, regions and their ratio bounds only. A child has
+no draws yet; the search queues it at its parent's Gumbel, the bound
+its own is truncated at, and ``realize`` returns its (u, g), the sample
+uniform and the Gumbel, from one two-lane draw (``slot_uniform_pair``)
+when it reaches the top of the queue. A node's sample, the quantile of
+``u`` over its region, waits until the node itself is popped, since
+pruning reads only the Gumbel and the region. Every node is drawn by
+``realize``, the root included: it is node 1 with CDF ends 0 and 1 and
+an untruncated Gumbel, and the depth-limited coder's extra root is the
+same full-line draw at heap index 0, truncated at the root's Gumbel.
+A decoder draws a node's sample uniform alone (``node_sample``), the
+same value from the same key.
 
 This module is the one place that says how a node's draws are keyed
 (``realize``, ``node_sample``), where a region is cut (``_cut``;
@@ -56,10 +59,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, seed_state, slot_uniform, slot_uniforms, trunc_gumbel
+from .randomness import DrawSlot, absorb, seed_state, slot_uniform, slot_uniform_pair
+from .randomness import slot_uniforms, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -116,47 +121,57 @@ def node_sample(proposal: Distribution1D, key: int, index: int, ulow: float,
                 uhigh: float) -> float:
     """A node's sample, drawn from its key state ``key``, the state after
     (seed, heap index): the SAMPLE slot at counter 0, or the EXTRA_ROOT
-    one at heap index 0, the extra root."""
+    one at heap index 0, the extra root. Its uniform is the ``u`` that
+    ``realize`` gives the search."""
     return sample_restricted_u(proposal, ulow, uhigh,
                                slot_uniform(key, _SAMPLE if index else _EXTRA_SAMPLE))
 
 
-Child = tuple[int, float, float, float, float]  # (heap_index, low, high, ulow, uhigh)
+# (heap_index, low, high, ulow, uhigh, bound)
+Child = tuple[int, float, float, float, float, float]
 
 
-def expand(kind: PartitionKind, proposal: Distribution1D, x: float, index: int,
+def expand(kind: PartitionKind, proposal: Distribution1D,
+           bound_M: Callable[[float, float], float], x: float, index: int,
            low: float, high: float, ulow: float, uhigh: float) -> list[Child]:
     """The children of the node at ``index`` whose region is (``low``,
     ``high``) with CDF ends ``ulow`` and ``uhigh``, as (heap_index, low,
-    high, ulow, uhigh).
+    high, ulow, uhigh, bound), ``bound`` the pair's ``bound_M(low, high)``
+    of the child's region, taken left child first.
 
     ``x`` is the node's sample, which a sample-split cut reads. Children
     with zero proposal mass are skipped, as are slots emptied by the
-    partition rule. Nothing is drawn: ``realize`` draws a child's key
-    state and Gumbel, truncated at the node's own Gumbel.
+    partition rule. Nothing is drawn: ``realize`` draws a child's sample
+    uniform and Gumbel, truncated at the node's own Gumbel.
     """
     cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
     lindex, rindex = heap_children(index)
     children: list[Child] = []
     if low < cut and ulow < ucut:
-        children.append((lindex, low, cut, ulow, ucut))
+        children.append((lindex, low, cut, ulow, ucut, bound_M(low, cut)))
     if cut < high and ucut < uhigh:
-        children.append((rindex, cut, high, ucut, uhigh))
+        children.append((rindex, cut, high, ucut, uhigh, bound_M(cut, high)))
     return children
 
 
 def realize(stream: int, index: int, ulow: float, uhigh: float,
-            bound: float) -> tuple[int, float]:
-    """The key state and Gumbel of the node at ``index`` with CDF ends
-    ``ulow`` and ``uhigh``: its Gumbel is located at the log of its
-    proposal mass and truncated at ``bound``, its parent's Gumbel (no
-    bound, ``INF``, for the root; the root's Gumbel for the extra root).
-    The key state absorbs the heap index into ``stream``, the search's
-    ``seed_state(seed)``, and the draw takes the GUMBEL slot, or the
-    EXTRA_ROOT one at heap index 0, as ``node_sample`` does."""
-    key = absorb(stream, index)
-    u = slot_uniform(key, _GUMBEL if index else _EXTRA_GUMBEL)
-    return key, trunc_gumbel(u, math.log(uhigh - ulow), bound)
+            bound: float) -> tuple[float, float]:
+    """The sample uniform and Gumbel of the node at ``index`` with CDF
+    ends ``ulow`` and ``uhigh``, (u, g), from one two-lane draw
+    (``slot_uniform_pair``) on the key state after (seed, heap index),
+    ``stream`` being the search's ``seed_state(seed)``. ``u`` is the
+    SAMPLE slot's uniform at counter 0 (the EXTRA_ROOT one at heap index
+    0), the one ``node_sample`` draws, and the node's sample is its
+    quantile over the region, ``sample_restricted_u(proposal, ulow,
+    uhigh, u)``. ``g`` is the GUMBEL slot's Gumbel, located at the log of
+    the node's proposal mass and truncated at ``bound``, its parent's
+    Gumbel (no bound, ``INF``, for the root; the root's Gumbel for the
+    extra root)."""
+    if index:
+        u, ug = slot_uniform_pair(stream, index, _SAMPLE, _GUMBEL)
+    else:
+        u, ug = slot_uniform_pair(stream, 0, _EXTRA_SAMPLE, _EXTRA_GUMBEL)
+    return u, trunc_gumbel(ug, math.log(uhigh - ulow), bound)
 
 
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int) -> float:

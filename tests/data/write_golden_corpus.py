@@ -89,7 +89,7 @@ def code_symbol(pair: PairSpec, variant: Variant, seed: int) -> dict:
     """Encode one symbol, frame it, read it back and decode it."""
     spec = CODERS[variant]
     try:
-        code, x, stats = spec.encode(pair, seed, BUDGET, MAX_STEPS)
+        code, x, stats = spec.encode(pair, seed, BUDGET if spec.fixed_width else None, MAX_STEPS)
     except RecError as exc:
         return {"error": type(exc).__name__}
     if spec.fixed_width:

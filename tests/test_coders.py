@@ -9,6 +9,7 @@ with a bound certificate proving no deeper node can win.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -277,22 +278,48 @@ def test_encode_is_the_coder_tables_encode():
     """``coders.encode(pair, variant, seed, budget, max_steps)`` gives what
     ``CODERS[variant].encode`` gives, code, sample and stats or the same
     refusal class, for every coder; its defaults are no budget (which a
-    fixed-width coder refuses) and no step limit."""
+    fixed-width coder refuses) and no step limit. Each case's budget goes
+    to the fixed-width coders; the exact ones get none, and refuse one."""
     cases = [(pair, 6, math.inf) for pair in ALL_PAIRS]
     cases += [(pair, 6, 300) for pair in TAIL_PAIRS]
     cases += [(PAIR_GG, 10, 1023), (PAIR_GG, None, math.inf)]
     refusals = set()
-    for pair, budget, max_steps in cases:
+    for pair, case_budget, max_steps in cases:
         for variant, spec in CODERS.items():
+            budget = case_budget if spec.fixed_width else None
             for seed in range(3100, 3106):
                 got = _outcome(lambda: coders.encode(pair, variant, seed, budget, max_steps))
                 assert got == _outcome(lambda: spec.encode(pair, seed, budget, max_steps))
-                if budget is None:
+                if case_budget is None:
                     assert got == _outcome(lambda: coders.encode(pair, variant, seed))
                 if isinstance(got, type):
                     refusals.add(got.__name__)
     assert refusals == {"BudgetExhaustedError", "DepthExceededError", "DomainError",
                         "UnboundedRatioError"}
+
+
+def test_encode_refuses_a_variant_that_names_no_coder():
+    for variant in ("ad", 2, None, Variant):
+        with pytest.raises(DomainError, match=re.escape(repr(variant))):
+            coders.encode(PAIR_GG, variant, 7)
+
+
+def test_no_coder_drops_a_setting():
+    """An exact coder refuses a bit budget it has no use for, and DAD*
+    honours the step budget as the exact searches and MRC do."""
+    for variant in (Variant.AS_STAR, Variant.AD_STAR, Variant.PFR):
+        for budget in (3, 0, 8):
+            with pytest.raises(DomainError, match="no bit budget"):
+                coders.encode(PAIR_GG, variant, 7, budget)
+    steps = [coders.encode(PAIR_GG, Variant.DAD_STAR, seed, 8)[2].steps for seed in range(40)]
+    assert max(steps) > 1
+    for seed, needed in enumerate(steps):
+        want = coders.encode(PAIR_GG, Variant.DAD_STAR, seed, 8)
+        got = coders.encode(PAIR_GG, Variant.DAD_STAR, seed, 8, needed)
+        assert (got[0], got[1].hex(), got[2].steps) == (want[0], want[1].hex(), needed)
+        if needed > 1:
+            with pytest.raises(BudgetExhaustedError):
+                coders.encode(PAIR_GG, Variant.DAD_STAR, seed, 8, needed - 1)
 
 
 # ------------------------------------------------------------ round trips
@@ -301,7 +328,7 @@ def test_encode_is_the_coder_tables_encode():
 def test_roundtrip_every_variant(pair):
     for seed in range(7000, 7150):
         for variant, spec in CODERS.items():
-            code, x, _ = spec.encode(pair, seed, 6, math.inf)
+            code, x, _ = spec.encode(pair, seed, 6 if spec.fixed_width else None, math.inf)
             assert code.variant is variant
             assert decode(pair.proposal, code, seed) == x
 
@@ -397,13 +424,14 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
     step also cuts at that sample (one cdf), an AD* step at the region's
     proposal median (one more inv_cdf); a PFR step draws the sample only.
     These are the steps of a pair's first search: each encode runs on a
-    fresh pair. A pair that has searched before remembers the children
-    and bounds of the dyadic nodes it expanded, so an AD* step on a
-    remembered node draws its sample alone, with no expand and no
-    bound_M."""
+    fresh pair, and a tree search expands every node it pops, taking one
+    bound_M per child inside expand, plus the root's. A pair that has
+    searched before remembers the children and bounds of the dyadic nodes
+    it expanded, so an AD* step on a remembered node draws its sample
+    alone, with no expand and no bound_M."""
     mean, variance = gaussian_from_kl_dinf(2.1, 4.0)
     pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
-    calls = {"inv_cdf": 0, "cdf": 0, "expand": 0, "bound_M": 0}
+    calls = {"inv_cdf": 0, "cdf": 0, "expand": 0, "bound_M": 0, "children": 0}
     inv_cdf, cdf, expand, bound_M = Gaussian.inv_cdf, Gaussian.cdf, tree.expand, PairSpec.bound_M
 
     def counting(name, fn):
@@ -414,7 +442,13 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
 
     monkeypatch.setattr(Gaussian, "inv_cdf", counting("inv_cdf", inv_cdf))
     monkeypatch.setattr(Gaussian, "cdf", counting("cdf", cdf))
-    monkeypatch.setattr(coders, "expand", counting("expand", expand))
+
+    def expanding(*args):
+        children = counting("expand", expand)(*args)
+        calls["children"] += len(children)
+        return children
+
+    monkeypatch.setattr(coders, "expand", expanding)
     monkeypatch.setattr(PairSpec, "bound_M", counting("bound_M", bound_M))
     per_step = {  # kind: (inv_cdf, cdf) calls per step
         PartitionKind.SAMPLE_SPLIT: (1, 1),
@@ -425,10 +459,13 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
         total_steps = 0
         for seed in range(200):
             fresh = PairSpec(pair.target, pair.proposal)
-            calls.update(inv_cdf=0, cdf=0)
+            calls.update(inv_cdf=0, cdf=0, expand=0, bound_M=0, children=0)
             steps = encode_astar(fresh, kind, seed)[2].steps
             assert (calls["inv_cdf"], calls["cdf"]) == (inv_per_step * steps,
                                                        cdf_per_step * steps), (kind, seed)
+            tree_steps = 0 if kind is PartitionKind.GLOBAL_BOUND else steps
+            assert calls["expand"] == tree_steps, (kind, seed)
+            assert calls["bound_M"] == 1 + calls["children"], (kind, seed)
             total_steps += steps
         assert total_steps > 400, kind  # the searches went past the root
     encode_astar(pair, PartitionKind.DYADIC, 0)  # a first search leaves an empty memo
@@ -436,9 +473,10 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
         encode_astar(pair, PartitionKind.DYADIC, seed)
     total_steps = 0
     for seed in range(200):
-        calls.update(inv_cdf=0, cdf=0, expand=0, bound_M=0)
+        calls.update(inv_cdf=0, cdf=0, expand=0, bound_M=0, children=0)
         steps = encode_astar(pair, PartitionKind.DYADIC, seed)[2].steps
-        assert calls == {"inv_cdf": steps, "cdf": 0, "expand": 0, "bound_M": 0}, seed
+        assert calls == {"inv_cdf": steps, "cdf": 0, "expand": 0, "bound_M": 0,
+                         "children": 0}, seed
         total_steps += steps
     assert total_steps > 400
 

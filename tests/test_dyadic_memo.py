@@ -2,12 +2,12 @@
 
 A dyadic region is cut at its proposal median, so a node's children,
 their x-ends and their ratio bounds depend on the pair and the heap
-index alone, and a bound on its region ends. ``coders._astar_search``
-keeps them in the pair's memo, (heap index: children, region ends:
-bound), from the pair's second dyadic search on, and reads them in
-place of ``expand`` and ``bound_M``. A
-warm pair must give what a fresh pair gives, bit for bit: the same
-code, sample, steps, depth and lower bound, or the same error class.
+index alone. ``coders._astar_search`` keeps them in the pair's memo, one
+dict of heap index: children, each child with its bound (the root as
+the one child of index 0), from the pair's second dyadic search on, and
+reads them in place of ``expand``, which calls ``bound_M``. A warm pair
+must give what a fresh pair gives, bit for bit: the same code, sample,
+steps, depth and lower bound, or the same error class.
 """
 
 import math
@@ -41,7 +41,7 @@ def warmed(pair):
     """A fresh pair past its first dyadic search, which leaves an empty memo."""
     warm = fresh(pair)
     encode_dad(warm, 0, 1)
-    assert warm._dyadic_memo == ({}, {})
+    assert warm._dyadic_memo == {}
     return warm
 
 
@@ -116,7 +116,7 @@ def test_warm_pairs_match_the_search_golden(name):
                 assert outcome(pair, coder, seed) == want, (coder, seed)
                 searched += 1
     assert searched == 7 * writer.SEEDS
-    assert pair._dyadic_memo[0] and pair._dyadic_memo[1]
+    assert pair._dyadic_memo[0] and pair._dyadic_memo[1] and len(pair._dyadic_memo) > 2
 
 
 def test_a_first_dyadic_search_counts_todays_calls_and_leaves_an_empty_memo():
@@ -130,7 +130,7 @@ def test_a_first_dyadic_search_counts_todays_calls_and_leaves_an_empty_memo():
                 assert outcome(pair, coder, seed) == want, (source, coder, seed)
             assert [counts[name] for name in writer.COUNTERS] == want_counts, (
                 source, coder, seed)
-            assert pair._dyadic_memo == ({}, {}), (source, coder, seed)
+            assert pair._dyadic_memo == {}, (source, coder, seed)
 
 
 def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
@@ -142,7 +142,7 @@ def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
                 continue
             for seed in range(20):
                 try:
-                    spec.encode(pair, seed, 4, MAX_STEPS)
+                    spec.encode(pair, seed, 4 if spec.fixed_width else None, MAX_STEPS)
                 except RecError:
                     pass
         assert pair._dyadic_memo is None
@@ -151,13 +151,14 @@ def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
 @pytest.mark.parametrize("name", list(SOURCES))
 def test_a_memo_holds_only_expansions_that_returned(monkeypatch, name):
     """Every entry is a node some search expanded without raising, stored
-    as ``expand``'s children, or the ``bound_M`` of the root's region or
-    of a stored child's; a node whose expansion raised is never stored."""
+    as ``expand``'s children, or the root as the one child of index 0;
+    each child's bound is the ``bound_M`` of its region. A node whose
+    expansion raised is never stored."""
     returned, raised = {}, set()
 
-    def recording_expand(kind, proposal, x, index, *region):
+    def recording_expand(kind, proposal, bound_M, x, index, *region):
         try:
-            children = expand(kind, proposal, x, index, *region)
+            children = expand(kind, proposal, bound_M, x, index, *region)
         except RecError:
             raised.add(index)
             raise
@@ -169,16 +170,15 @@ def test_a_memo_holds_only_expansions_that_returned(monkeypatch, name):
     for seed in range(150):
         for coder in ("ad", 4, 8):
             outcome(pair, coder, seed)
-    children_of, bound_of = pair._dyadic_memo
+    children_of = dict(pair._dyadic_memo)
+    root = children_of.pop(0)
+    assert root == [(1, -math.inf, math.inf, 0.0, 1.0, pair.bound_M(-math.inf, math.inf))]
     assert children_of and set(children_of) <= set(returned)
     assert not set(children_of) & raised
     for index, children in children_of.items():
         assert children == returned[index], index
-    regions = {(-math.inf, math.inf)} | {
-        (low, high) for children in children_of.values() for _, low, high, *_ in children}
-    assert bound_of and set(bound_of) <= regions
-    for (low, high), bound in bound_of.items():
-        assert bound == pair.bound_M(low, high), (low, high)
+        for _, low, high, _, _, bound in children:
+            assert bound == pair.bound_M(low, high), (index, low, high)
     if name.startswith("tail"):
         assert raised  # the refused dives expand nothing they could store
 

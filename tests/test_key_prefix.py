@@ -79,7 +79,7 @@ def test_prefix_path_matches_keyed_uniform(seed, node, slot, counter):
 
 class Node(NamedTuple):
     """A realized node: its heap index, depth, region and CDF ends, and
-    ``realize``'s key state and Gumbel."""
+    ``realize``'s sample uniform and Gumbel."""
 
     heap_index: int
     depth: int
@@ -87,7 +87,7 @@ class Node(NamedTuple):
     high: float
     ulow: float
     uhigh: float
-    key: int
+    u: float
     g: float
 
     @property
@@ -103,11 +103,13 @@ def realize_node(stream, index, depth, low, high, ulow, uhigh, bound):
 def _check_node(node, proposal, seed, bound):
     """``bound`` is the parent's Gumbel (+inf at the root). Returns the
     node's sample."""
-    assert node.key == absorb(seed_state(seed), node.heap_index)
     u_g = per_key(seed, node.heap_index, DrawSlot.GUMBEL)
     u_x = per_key(seed, node.heap_index, DrawSlot.SAMPLE)
+    assert node.u == u_x
     assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
-    x = node_sample(proposal, node.key, node.heap_index, node.ulow, node.uhigh)
+    # the decoder's draw, from the state after (seed, node), is the same sample
+    key = absorb(seed_state(seed), node.heap_index)
+    x = node_sample(proposal, key, node.heap_index, node.ulow, node.uhigh)
     assert x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
     return x
 
@@ -115,8 +117,13 @@ def _check_node(node, proposal, seed, bound):
 def realized_children(node, kind, proposal, stream, x):
     """``expand``'s children of ``node``, each realized."""
     return [realize_node(stream, index, node.depth + 1, low, high, ulow, uhigh, node.g)
-            for index, low, high, ulow, uhigh in expand(kind, proposal, x, node.heap_index,
-                                                        *node[2:6])]
+            for index, low, high, ulow, uhigh, _ in expand(kind, proposal, no_bound, x,
+                                                           node.heap_index, *node[2:6])]
+
+
+def no_bound(low, high):
+    """The ratio bound ``expand`` gives these children, which read none."""
+    return 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -235,9 +242,11 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     extra = realize_node(stream, 0, 1, -math.inf, math.inf, 0.0, 1.0, root.g)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
-    extra_x = node_sample(GAUSS, extra.key, 0, 0.0, 1.0)
-    assert (extra.heap_index, extra.depth, extra.key) == (0, 1, absorb(seed_state(seed), 0))
+    extra_x = node_sample(GAUSS, absorb(seed_state(seed), 0), 0, 0.0, 1.0)
+    assert (extra.heap_index, extra.depth) == (0, 1)
+    assert extra.u == per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE)
     assert (extra.g, extra_x) == (want_g, want_x)
+    assert sample_restricted_u(GAUSS, 0.0, 1.0, extra.u) == want_x
     assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
 
 

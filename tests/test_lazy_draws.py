@@ -23,7 +23,7 @@ from reckit.coders import Code, Variant, check_budget, encode_astar, encode_dad
 from reckit.distributions import Gaussian, PairSpec
 from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.randomness import seed_state
+from reckit.randomness import absorb, seed_state
 from reckit.tree import PartitionKind, expand, node_sample, realize
 from test_coders import pfr_arrival_oracle
 
@@ -49,7 +49,7 @@ PAIRS = {
 
 class Node(NamedTuple):
     """A node drawn at expansion: heap index, depth, region, CDF ends, and
-    ``realize``'s key state and Gumbel."""
+    ``realize``'s sample uniform and Gumbel."""
 
     heap_index: int
     depth: int
@@ -57,7 +57,7 @@ class Node(NamedTuple):
     high: float
     ulow: float
     uhigh: float
-    key: int
+    u: float
     g: float
 
 
@@ -70,7 +70,9 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
     """The branch-and-bound loop with every child drawn at expansion. The
     root is node 1, the full line, untruncated; with ``extra_root`` the
     depth-limited coder's extra root (heap index 0, truncated at the
-    root's Gumbel) starts as the incumbent."""
+    root's Gumbel) starts as the incumbent. A node's sample is drawn as a
+    decoder draws it, from its key state (``node_sample``), not from the
+    ``u`` that ``realize`` gives the search."""
     proposal = pair.proposal
     stream = seed_state(seed)
     root = realize_node(stream, 1, 1, -INF, INF, 0.0, 1.0, INF)
@@ -78,7 +80,7 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
     lb, best, best_x = -INF, None, math.nan
     if extra_root:
         incumbent = realize_node(stream, 0, 1, -INF, INF, 0.0, 1.0, root.g)
-        best_x = node_sample(proposal, incumbent.key, 0, 0.0, 1.0)
+        best_x = node_sample(proposal, absorb(stream, 0), 0, 0.0, 1.0)
         lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
     heap = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
@@ -87,18 +89,17 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, node.key, index, node.ulow, node.uhigh)
+        x = node_sample(proposal, absorb(stream, index), index, node.ulow, node.uhigh)
         score = node.g + pair.log_ratio(x)
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x
         if node.depth < max_depth:
             depth = node.depth + 1
-            for child_index, low, high, ulow, uhigh in expand(kind, proposal, x, index,
-                                                              *node[2:6]):
+            for child_index, low, high, ulow, uhigh, child_bound in expand(
+                    kind, proposal, pair.bound_M, x, index, *node[2:6]):
                 child = realize_node(stream, child_index, depth, low, high, ulow, uhigh, node.g)
                 g = child.g
                 if lb < g + bound:
-                    child_bound = pair.bound_M(child.low, child.high)
                     if lb < g + child_bound:
                         heapq.heappush(
                             heap, (-(g + child_bound), child.heap_index, child_bound, child)

@@ -29,6 +29,7 @@ from reckit.randomness import (
     keyed_uniform,
     seed_state,
     slot_uniform,
+    slot_uniform_pair,
     slot_uniforms,
     state_uniform,
     trunc_gumbel,
@@ -78,6 +79,10 @@ def test_draw_shapes_match_the_absorb_chain():
         for slot in range(4):
             assert slot_uniforms(state, nodes, slot) == [
                 state_uniform(absorb(absorb(absorb(state, node), slot), 0)) for node in nodes]
+        for node in nodes:
+            key = absorb(state, node)
+            assert slot_uniform_pair(state, node, 1, 0) == (
+                state_uniform(absorb(absorb(key, 1), 0)), state_uniform(absorb(absorb(key, 0), 0)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -103,6 +108,26 @@ def test_slot_uniforms_match_slot_uniform(stream, fields, slot):
     for any 64-bit field."""
     assert slot_uniforms(stream, fields, slot) == [
         slot_uniform(absorb(stream, f), slot) for f in fields]
+
+
+# the (SAMPLE, GUMBEL) slots a search node draws, and the extra root's
+TREE_SLOT_PAIRS = ((DrawSlot.SAMPLE, DrawSlot.GUMBEL),
+                   (DrawSlot.EXTRA_ROOT_SAMPLE, DrawSlot.EXTRA_ROOT_GUMBEL))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(stream=st.one_of(st.sampled_from((0, 1, 1 << 63, MASK)), st.integers(0, MASK)),
+       field=st.one_of(st.sampled_from((0, MASK)), st.integers(0, MASK)),
+       slots=st.one_of(st.sampled_from(TREE_SLOT_PAIRS),
+                       st.tuples(st.integers(0, MASK), st.integers(0, MASK))))
+def test_slot_uniform_pair_matches_two_slot_uniforms(stream, field, slots):
+    """The two-lane draw equals one absorb and two slot_uniforms, bit for
+    bit, over every 64-bit stream and field and on both slot pairs that
+    ``reckit.tree`` draws (and any other pair of slots)."""
+    slot_a, slot_b = map(int, slots)
+    key = absorb(stream, field)
+    assert slot_uniform_pair(stream, field, slot_a, slot_b) == (
+        slot_uniform(key, slot_a), slot_uniform(key, slot_b))
 
 
 def test_slot_uniforms_batches_past_256_fields():
@@ -141,6 +166,9 @@ def test_draw_shapes_reproduce_the_keyed_anchors():
         assert counter_uniform(absorb(node_state, slot), counter) == expected
         if counter == 0:
             assert slot_uniform(node_state, slot) == expected
+            stream = seed_state(seed)
+            assert slot_uniform_pair(stream, node, slot, slot ^ 1)[0] == expected
+            assert slot_uniform_pair(stream, node, slot ^ 1, slot)[1] == expected
 
 
 def test_keyed_uniform_is_pure():

@@ -61,7 +61,7 @@ def test_every_coder_round_trips_through_the_wire(case, seed, count, budget):
         seeds = [derive_seed(seed, i) for i in range(count)]
         codes, xs = [], []
         for s in seeds:
-            code, x, _ = spec.encode(pair, s, budget, MAX_STEPS)
+            code, x, _ = spec.encode(pair, s, budget if spec.fixed_width else None, MAX_STEPS)
             codes.append(code)
             xs.append(x)
         if spec.fixed_width:

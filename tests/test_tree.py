@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from reckit.coders import encode_astar
-from reckit.distributions import Gaussian, PairSpec, Uniform
+from reckit.distributions import Gaussian, PairSpec, Uniform, sample_restricted_u
 from reckit.errors import DepthExceededError, DomainError, InvalidCodeError
 from reckit.randomness import (
+    DrawSlot,
     StreamKey,
     absorb,
     derive_seed,
@@ -50,12 +51,19 @@ def mass(dist, region):
 
 
 def sample(node, proposal=GAUSS):
-    return node_sample(proposal, node.key, node.heap_index, node.ulow, node.uhigh)
+    """A realized node's sample, as the search takes it at a pop."""
+    return sample_restricted_u(proposal, node.ulow, node.uhigh, node.u)
+
+
+def no_bound(low, high):
+    """The ratio bound ``expand`` gives the race oracle's children, which
+    read none."""
+    return 0.0
 
 
 class Node(NamedTuple):
     """A drawn node as these tests hold it: its heap index, depth, region
-    and CDF ends, and the key state and Gumbel that ``realize`` gives."""
+    and CDF ends, and the sample uniform and Gumbel that ``realize`` gives."""
 
     heap_index: int
     depth: int
@@ -63,7 +71,7 @@ class Node(NamedTuple):
     high: float
     ulow: float
     uhigh: float
-    key: int
+    u: float
     g: float
 
     @property
@@ -87,9 +95,10 @@ def pop_and_expand(node, kind, proposal, stream):
     """A popped node's children, all drawn: its sample, then its children
     (a sample-split cut reads the sample), each realized as the search
     realizes a child that reaches the top of its queue."""
-    children = expand(kind, proposal, sample(node, proposal), node.heap_index, *node[2:6])
+    children = expand(kind, proposal, no_bound, sample(node, proposal), node.heap_index,
+                      *node[2:6])
     return [realize_node(stream, index, node.depth + 1, low, high, ulow, uhigh, node.g)
-            for index, low, high, ulow, uhigh in children]
+            for index, low, high, ulow, uhigh, _ in children]
 
 
 def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf):
@@ -187,8 +196,10 @@ def test_cut_rounding_onto_a_region_end_empties_that_side():
     assert _cut(PartitionKind.DYADIC, uniform, b, c, math.nan) == (c, c)
     assert partition(PartitionKind.DYADIC, (b, c), math.nan, uniform) == ((b, c), None)
     # expand drops exactly the emptied child
-    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, a, b, a, b) == [(11, a, b, a, b)]
-    assert expand(PartitionKind.DYADIC, uniform, math.nan, 5, b, c, b, c) == [(10, b, c, b, c)]
+    assert expand(PartitionKind.DYADIC, uniform, no_bound, math.nan, 5, a, b, a, b) == [
+        (11, a, b, a, b, 0.0)]
+    assert expand(PartitionKind.DYADIC, uniform, no_bound, math.nan, 5, b, c, b, c) == [
+        (10, b, c, b, c, 0.0)]
 
 
 def test_realize_draws_the_root():
@@ -198,10 +209,13 @@ def test_realize_draws_the_root():
     assert (root.low, root.high) == (-math.inf, math.inf)
     assert (root.ulow, root.uhigh) == (0.0, 1.0)
     assert root.mass == 1.0
-    assert root.key == absorb(seed_state(7), 1)  # the state after (seed, node 1)
+    # the SAMPLE slot's uniform of the state after (seed, node 1)
+    assert root.u == keyed_uniform(StreamKey(7, 1, DrawSlot.SAMPLE, 0))
     # the untruncated Gumbel(0) of the root's key (node 1, GUMBEL slot)
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(sample(root))
+    # a decoder draws the same sample from the key state alone
+    assert sample(root) == node_sample(GAUSS, absorb(seed_state(7), 1), 1, 0.0, 1.0)
     assert search_root(7)[0] == root  # deterministic
     assert search_root(8)[0] != root
     # the PFR chain's first arrival draws the root's Gumbel too (node 1,
@@ -230,15 +244,20 @@ def test_expand_children_tile_parent():
 
 
 def test_expand_leaves_children_undrawn():
-    """expand gives regions only, (heap_index, low, high, ulow, uhigh);
-    realize draws the key and the Gumbel truncated at the parent's."""
+    """expand gives regions and their ratio bounds only, (heap_index, low,
+    high, ulow, uhigh, bound), the bound the pair's ``bound_M`` of the
+    child's region; realize draws the sample uniform and the Gumbel
+    truncated at the parent's."""
+    pair = PairSpec(Gaussian(0.8, 0.3), GAUSS)
     for kind in SPLITS:
         node, stream = search_root(4)
-        for child in expand(kind, GAUSS, sample(node), node.heap_index, *node[2:6]):
-            index, low, high, ulow, uhigh = child
+        for child in expand(kind, GAUSS, pair.bound_M, sample(node), node.heap_index,
+                            *node[2:6]):
+            index, low, high, ulow, uhigh, bound = child
             assert node.low <= low < high <= node.high and ulow < uhigh
-            key, g = realize(stream, index, ulow, uhigh, node.g)
-            assert isinstance(key, int) and g <= node.g
+            assert bound == pair.bound_M(low, high)
+            u, g = realize(stream, index, ulow, uhigh, node.g)
+            assert 0.0 < u < 1.0 and g <= node.g
 
 
 def test_expand_dyadic_mass_is_exact_power_of_two():
