@@ -77,7 +77,8 @@ class ExperimentConfig(Frozen):
     a fixed uniform prior; mixture cells hold a mode count at a shared
     dinf. ``trials`` is the runtime grids' encodes per (cell, algorithm)
     and the bias grid's batches per (cell, algorithm, t); ``extra_bits``
-    and ``batch`` only matter to the bias grid.
+    and ``batch`` only matter to the bias grid. A batch needs k + 2 = 3
+    encodes, the fewest ``knn_kl_estimate`` scores (a self-excluded 1-NN).
     """
 
     __slots__ = _fields = (
@@ -93,6 +94,8 @@ class ExperimentConfig(Frozen):
     ) -> None:
         if trials < 1:
             raise DomainError(f"trials must be >= 1, got {trials}")
+        if batch < 3:
+            raise DomainError(f"batch must be >= 3 for the k-NN bias estimate, got {batch}")
         if not (gaussian_cells or uniform_cells or mixture_cells):
             raise DomainError("config needs at least one grid cell")
         unknown = set(algorithms) - {v.value for v in Variant}

@@ -35,12 +35,9 @@ winner's depth off the index.
 
 A dyadic node's children and their ratio bounds depend on the pair and
 the heap index alone, never on the seed, so the AD* and DAD* searches
-share one memo on the pair (see ``_remembering``): from a pair's second
-dyadic search on, an expanded node's children, each with its bound, are
-stored by heap index and read back in place of ``expand``, which calls
-``bound_M``. A pair searched once, as the block codec's per-coordinate
-pairs are, pays nothing for it. The sample-split, PFR and MRC searches
-and every decode do without it.
+share one memo on the pair, which ``_astar_search`` alone reads and
+fills and its docstring describes. The PFR and MRC searches and every
+decode do without it.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ from typing import Callable
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, Frozen, InvalidCodeError
 from .errors import UnboundedRatioError
-from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, seed_state
-from .randomness import slot_uniform
+from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, derive_seed
+from .randomness import seed_state, slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, realize
 
@@ -205,34 +202,6 @@ def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
     return TrialStats(steps, depth, *bits, lb)
 
 
-def _remembering(memo: dict, bound_M: Callable[[float, float], float]):
-    """``expand`` for a search on a pair whose dyadic memo is ``memo``, and
-    the root's bound: each is read back, or computed and stored.
-
-    The memo maps a heap index to ``expand``'s children, each carrying its
-    ``bound_M``. A dyadic cut is the region's proposal median, so a node's
-    children and their bounds follow from the pair and its heap index
-    alone (the sample ``x`` is not read). The root is stored as the one
-    child of heap index 0, which no search expands. An expansion that
-    raises (the depth cap, a median whose quantile saturates) stores
-    nothing, so it raises again on every search that reaches it. Threads
-    may share a pair: an entry is the same whichever search computes it,
-    so a race at most computes it twice.
-    """
-    roots = memo.get(0)
-    if roots is None:
-        roots = memo[0] = [(1, -INF, INF, 0.0, 1.0, bound_M(-INF, INF))]
-
-    def remembered_expand(kind, proposal, bound_M, x, index, low, high, ulow, uhigh):
-        children = memo.get(index)
-        if children is None:
-            children = memo[index] = expand(kind, proposal, bound_M, x, index,
-                                            low, high, ulow, uhigh)
-        return children
-
-    return remembered_expand, roots[0][-1]
-
-
 def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: float,
                   max_steps: float):
     """Branch-and-bound core of the split-tree races (AS*, AD*, DAD*).
@@ -258,22 +227,27 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     quantile of u over its region, is taken when it is popped (the extra
     root's at the start). ``stream`` is ``seed_state(seed)``.
 
-    A pair's first dyadic search calls ``expand`` and ``bound_M`` as a
-    sample-split search does and leaves an empty memo on the pair, so a
-    pair searched once pays nothing for it; a later one calls
-    ``_remembering``'s, which fill the memo and read it. The memo changes
-    how often ``tree.expand``, ``PairSpec.bound_M`` and the median's
+    A dyadic cut is the region's proposal median, so a dyadic node's
+    children and their bounds follow from the pair and the heap index
+    alone, and the search keeps them in ``pair._dyadic_memo``: heap index
+    to ``expand``'s children, each with its bound, and index 0, which no
+    search expands, to the root's bound. A pair's first dyadic search
+    stores nothing and leaves ``{}``, so a pair searched once (as the block
+    codec's are) pays nothing for it; a later one reads each entry it
+    needs, or computes and stores it. An expansion that raises (the depth
+    cap, a saturated median) is never stored, so it raises again. Threads
+    may share a pair: an entry is the same whichever search computes it.
+    The memo changes how often ``expand``, ``bound_M`` and the median's
     ``inv_cdf`` run, never the steps or any result.
 
     Returns (winner's heap index, its sample, steps, LB), as ``_pfr_search``.
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    expand_, root_bound = expand, None
+    memo = None  # the memo this search reads and fills, if any
     if kind is _DYADIC:
-        if pair._dyadic_memo is None:  # a first search leaves an empty memo
+        memo = pair._dyadic_memo
+        if memo is None:  # a first search
             pair._dyadic_memo = {}
-        else:
-            expand_, root_bound = _remembering(pair._dyadic_memo, bound_M)
     u, g = realize(stream, 1, 0.0, 1.0, INF)
     lb, best_index, best_x = -INF, None, math.nan
     leaves = INF  # the first heap index at max_depth: no leaf in an exact search
@@ -283,8 +257,11 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         best_index = 0
         best_x = sample_restricted_u(proposal, 0.0, 1.0, extra_u)
         lb = extra_g + log_ratio(best_x)
+    root_bound = memo.get(0) if memo else None
     if root_bound is None:
         root_bound = bound_M(-INF, INF)
+        if memo is not None:
+            memo[0] = root_bound
     heap = [(-(g + root_bound), 1, root_bound, -INF, INF, 0.0, 1.0, u, g)]
     heappop, heappush = heapq.heappop, heapq.heappush
     sample = sample_restricted_u
@@ -307,8 +284,12 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         if score > lb or (score == lb and (best_index is None or index < best_index)):
             lb, best_index, best_x = score, index, x
         if index < leaves:
-            for cindex, clow, chigh, culow, cuhigh, child_bound in expand_(
-                    kind, proposal, bound_M, x, index, low, high, ulow, uhigh):
+            children = memo.get(index) if memo else None
+            if children is None:
+                children = expand(kind, proposal, bound_M, x, index, low, high, ulow, uhigh)
+                if memo is not None:
+                    memo[index] = children
+            for cindex, clow, chigh, culow, cuhigh, child_bound in children:
                 if child_bound > bound:
                     # Rounding put a sub-region's bound above its region's. The
                     # child must then also beat lb under the parent's bound,
@@ -324,16 +305,10 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     return best_index, best_x, steps, lb
 
 
-def _node(seed: int, index: int) -> int:
-    """The key state after (seed, ``index``) that a tree-less coder's draws
-    branch from: node 1 for PFR's arrivals, node 0 for MRC's candidates."""
-    return absorb(seed_state(seed), index)
-
-
 def _counter_sample(proposal: Distribution1D, seed: int, index: int, counter: int) -> float:
-    """The full-line quantile of node ``index``'s SAMPLE slot at ``counter``: PFR's
-    arrival ``counter + 1`` at node 1, MRC's candidate ``counter`` at node 0."""
-    return proposal.inv_cdf(counter_uniform(absorb(_node(seed, index), _SAMPLE), counter))
+    """The full-line quantile of the SAMPLE slot at ``counter`` after (seed, ``index``):
+    PFR's arrival ``counter + 1`` at node 1, MRC's candidate ``counter`` at node 0."""
+    return proposal.inv_cdf(counter_uniform(absorb(derive_seed(seed, index), _SAMPLE), counter))
 
 
 def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
@@ -349,7 +324,7 @@ def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
     inv_cdf, log_ratio = pair.proposal.inv_cdf, pair.log_ratio
     draw, gumbel = counter_uniform, trunc_gumbel
     bound = pair.bound_M(-INF, INF)
-    node = _node(seed, 1)
+    node = derive_seed(seed, 1)
     gumbels, samples = absorb(node, _GUMBEL), absorb(node, _SAMPLE)
     g = gumbel(draw(gumbels, 0), 0.0, INF)
     lb, best, best_x = -INF, 0, math.nan  # best 0: no arrival scored yet
@@ -450,7 +425,7 @@ def encode_mrc(
     n = 1 << bits
     if n > max_steps:
         raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
-    proposal, node = pair.proposal, _node(seed, 0)
+    proposal, node = pair.proposal, derive_seed(seed, 0)
     draws = absorb(node, _SAMPLE)
     xs = [proposal.inv_cdf(u) for u in counter_uniforms(draws, 0, n)]
     log_w = [pair.log_ratio(x) for x in xs]
@@ -517,30 +492,27 @@ class CoderSpec(Frozen):
         return self.unit is _CODEWORD
 
 
-def _exact_encode(kind: PartitionKind):
-    """An exact coder's ``encode``: it refuses a bit budget, which its codes
-    do not have."""
+def _exact_spec(tag: int, unit: Unit, kind: PartitionKind, decode=None,
+                max_dinf: float = INF) -> CoderSpec:
+    """An exact coder: its ``encode`` refuses a bit budget, which its codes
+    do not have, and its ``decode`` walks ``kind``'s tree unless it is given."""
     def encode(pair, seed, budget, max_steps):
         if budget is not None:
             raise DomainError(f"an exact coder takes no bit budget, got {budget!r}")
         return encode_astar(pair, kind, seed, max_steps)
 
-    return encode
+    if decode is None:
+        def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
+            return locate(proposal, kind, seed, code.payload)
 
-
-def _exact_spec(tag: int, unit: Unit, kind: PartitionKind) -> CoderSpec:
-    def decode(proposal, code, seed):  # ``decode`` picked this spec by code.variant
-        return locate(proposal, kind, seed, code.payload)
-
-    return CoderSpec(tag, unit, _exact_encode(kind), decode, kind)
+    return CoderSpec(tag, unit, encode, decode, kind, max_dinf)
 
 
 CODERS: dict[Variant, CoderSpec] = {
     Variant.AS_STAR: _exact_spec(1, Unit.HEAP_INDEX, PartitionKind.SAMPLE_SPLIT),
     Variant.AD_STAR: _exact_spec(2, Unit.HEAP_INDEX, PartitionKind.DYADIC),
     # expected arrivals grow like e^D-infinity: e^7 ~ 1100 per encode
-    Variant.PFR: CoderSpec(3, Unit.ARRIVAL_INDEX, _exact_encode(_GLOBAL_BOUND), decode_pfr,
-                           _GLOBAL_BOUND, max_dinf=7.0),
+    Variant.PFR: _exact_spec(3, Unit.ARRIVAL_INDEX, _GLOBAL_BOUND, decode_pfr, max_dinf=7.0),
     Variant.DAD_STAR: CoderSpec(4, Unit.CODEWORD, encode_dad, decode_dad),
     Variant.MRC: CoderSpec(5, Unit.CODEWORD, encode_mrc, decode_mrc),
 }

@@ -469,8 +469,7 @@ class PairSpec:
     regions, and closed-form divergences. The family pair picks its kernel
     from ``_KERNELS`` once, here.
 
-    ``_dyadic_memo`` is a slot for the pair's dyadic memo, which
-    ``coders._astar_search`` fills and ``coders._remembering`` reads.
+    ``_dyadic_memo`` is the slot of the dyadic memo ``coders._astar_search`` keeps.
     """
 
     def __init__(self, target: Distribution1D, proposal: Distribution1D):

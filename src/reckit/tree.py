@@ -11,7 +11,7 @@ fits in D bits once D is known. Two partition rules are supported:
   reads a sample, so a dyadic node's region, and with it its children
   and their ratio bounds, follows from its heap index alone, which is
   what lets a pair remember a node's children, bounds included, across
-  searches (``coders._remembering``).
+  searches (``coders._astar_search``).
 
 The global-bound race (PFR) never cuts a region, so it has no tree: it
 is a loop in ``reckit.coders``. Its member of ``PartitionKind`` only

@@ -117,6 +117,10 @@ def test_knn_matches_kdtree_reference():
 def test_config_validation():
     with pytest.raises(DomainError):
         small_config(trials=0)
+    for batch in (-1, 0, 2):  # the k-NN estimate needs k + 2 = 3 points a batch
+        with pytest.raises(DomainError, match="batch must be >= 3"):
+            small_config(batch=batch)
+    assert small_config(batch=3).batch == 3
     with pytest.raises(DomainError):
         ExperimentConfig(algorithms=("as",), trials=5, seed=1)  # no cells
     with pytest.raises(DomainError):

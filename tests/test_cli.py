@@ -438,6 +438,8 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     ("bench-runtime", "--config", {**_RUNTIME, "algorithms": ["dad", "mrc"]}),
     ("bench-modes", "--config", {**_RUNTIME, "algorithms": ["mrc"],
                                  "mixture_cells": [{"n_modes": 2, "dinf_nats": 0.7}]}),
+    # a bias batch the k-NN estimator cannot score
+    ("bench-bias", "--config", {**_BIAS, "batch": -1}),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "file.json"

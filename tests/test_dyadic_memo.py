@@ -3,8 +3,8 @@
 A dyadic region is cut at its proposal median, so a node's children,
 their x-ends and their ratio bounds depend on the pair and the heap
 index alone. ``coders._astar_search`` keeps them in the pair's memo, one
-dict of heap index: children, each child with its bound (the root as
-the one child of index 0), from the pair's second dyadic search on, and
+dict of heap index: children, each child with its bound (and index 0:
+the root's bound), from the pair's second dyadic search on, and
 reads them in place of ``expand``, which calls ``bound_M``. A warm pair
 must give what a fresh pair gives, bit for bit: the same code, sample,
 steps, depth and lower bound, or the same error class.
@@ -151,9 +151,9 @@ def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
 @pytest.mark.parametrize("name", list(SOURCES))
 def test_a_memo_holds_only_expansions_that_returned(monkeypatch, name):
     """Every entry is a node some search expanded without raising, stored
-    as ``expand``'s children, or the root as the one child of index 0;
-    each child's bound is the ``bound_M`` of its region. A node whose
-    expansion raised is never stored."""
+    as ``expand``'s children, or the root's bound under index 0; each
+    child's bound is the ``bound_M`` of its region. A node whose expansion
+    raised is never stored."""
     returned, raised = {}, set()
 
     def recording_expand(kind, proposal, bound_M, x, index, *region):
@@ -171,8 +171,7 @@ def test_a_memo_holds_only_expansions_that_returned(monkeypatch, name):
         for coder in ("ad", 4, 8):
             outcome(pair, coder, seed)
     children_of = dict(pair._dyadic_memo)
-    root = children_of.pop(0)
-    assert root == [(1, -math.inf, math.inf, 0.0, 1.0, pair.bound_M(-math.inf, math.inf))]
+    assert children_of.pop(0) == pair.bound_M(-math.inf, math.inf)
     assert children_of and set(children_of) <= set(returned)
     assert not set(children_of) & raised
     for index, children in children_of.items():
