@@ -79,6 +79,8 @@ class ExperimentConfig(Frozen):
     and the bias grid's batches per (cell, algorithm, t); ``extra_bits``
     and ``batch`` only matter to the bias grid. A batch needs k + 2 = 3
     encodes, the fewest ``knn_kl_estimate`` scores (a self-excluded 1-NN).
+    ``max_steps`` is at least 1, an extra-bit count at least 0, and no
+    list repeats an entry.
     """
 
     __slots__ = _fields = (
@@ -92,10 +94,11 @@ class ExperimentConfig(Frozen):
         mixture_cells: tuple[tuple[int, float], ...] = (),
         extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4), batch: int = 100, max_steps: int = MAX_STEPS,
     ) -> None:
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {trials}")
-        if batch < 3:
-            raise DomainError(f"batch must be >= 3 for the k-NN bias estimate, got {batch}")
+        for name, value, least in (("trials", trials, 1), ("batch", batch, 3),
+                                   ("max_steps", max_steps, 1),
+                                   *(("extra_bits", t, 0) for t in extra_bits)):
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
         if not (gaussian_cells or uniform_cells or mixture_cells):
             raise DomainError("config needs at least one grid cell")
         unknown = set(algorithms) - {v.value for v in Variant}
@@ -103,6 +106,11 @@ class ExperimentConfig(Frozen):
             raise DomainError(f"unknown algorithms {sorted(unknown)}")
         self._store(tuple(algorithms), trials, seed, tuple(gaussian_cells), tuple(uniform_cells),
                     tuple(mixture_cells), tuple(extra_bits), batch, max_steps)
+        for name in ("algorithms", "gaussian_cells", "uniform_cells", "mixture_cells",
+                     "extra_bits"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise DomainError(f"{name} repeats an entry: {list(entries)}")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -297,10 +305,12 @@ def run_runtime_grid(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_mode_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """Runtime grid over the mixture cells only, validating that every
-    cell sits at the same D-infinity. A config without mixture cells has
-    no cell left and raises DomainError."""
-    config = config._replace(gaussian_cells=(), uniform_cells=())
+    """Runtime grid over mixture cells that all sit at the same D-infinity.
+    A config with a gaussian or uniform cell, or cells at two D-infinities,
+    raises DomainError."""
+    _check_runs_a_coder(config, fixed_width=False)
+    if config.gaussian_cells or config.uniform_cells:
+        raise DomainError("the mode sweep runs mixture cells alone, not gaussian or uniform ones")
     dinfs = {round(c.pair.analytic_dinf(), 9) for c in _cells_for(config)}
     if len(dinfs) != 1:
         raise DomainError(f"mode sweep cells must share one dinf, got {sorted(dinfs)}")
@@ -432,19 +442,19 @@ def verify_shrinkage(
 # -- CSV ------------------------------------------------------------------------
 
 
+def _row_order(r: ResultRow) -> tuple:
+    """The order of the CSV rows, and so of the summary groups: numbers in
+    numeric order, an unset mode count or extra-bit count first."""
+    return (r.algorithm, r.family, r.d_kl_nats, r.d_inf_nats,
+            -1 if r.n_modes is None else r.n_modes,
+            -1 if r.t_extra_bits is None else r.t_extra_bits, r.trial_index)
+
+
 def rows_to_csv(rows: Iterable[ResultRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in sorted(
-        rows,
-        key=lambda r: (
-            r.algorithm, r.family, r.d_kl_nats, r.d_inf_nats,
-            r.n_modes if r.n_modes is not None else -1,
-            r.t_extra_bits if r.t_extra_bits is not None else -1,
-            r.trial_index,
-        ),
-    ):
+    for row in sorted(rows, key=_row_order):
         writer.writerow(row.as_record())
     return buf.getvalue()
 
@@ -464,17 +474,17 @@ def _quantile(xs: Sequence[float], q: float) -> float:
 
 def summarize_rows(rows: Iterable[ResultRow]) -> list[dict]:
     """Per-cell mean and quartiles of steps / payload bits (and bias when
-    present), mirroring how the grids are usually plotted."""
+    present), mirroring how the grids are usually plotted. The groups come
+    in the CSV's order."""
     groups: dict[tuple, list[ResultRow]] = {}
-    for row in rows:
+    for row in sorted(rows, key=_row_order):
         if row.error is not None:
             continue
         key = (row.algorithm, row.family, row.d_kl_nats, row.d_inf_nats,
                row.n_modes, row.t_extra_bits)
         groups.setdefault(key, []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
-        rows_g = groups[key]
+    for key, rows_g in groups.items():
         steps = sorted(float(r.steps) for r in rows_g)
         entry = {
             "algorithm": key[0],

@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="encode target samples into a message file")
-    enc.add_argument("--model", help="pair model JSON (target + proposal)")
-    enc.add_argument("--block-model", help="blocked coordinate model JSON")
+    model = enc.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="pair model JSON (target + proposal)")
+    model.add_argument("--block-model", help="blocked coordinate model JSON")
     enc.add_argument("--seed", type=int, required=True, help="shared randomness seed")
     coder = enc.add_mutually_exclusive_group()
     coder.add_argument("--exact", choices=_coder_names(fixed_width=False), help="exact coder")
@@ -306,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc.set_defaults(func=_cmd_encode)
 
     dec = sub.add_parser("decode", help="decode a message file back to samples")
-    dec.add_argument("--model", help="pair or proposal model JSON")
-    dec.add_argument("--block-model", help="blocked coordinate model JSON")
+    model = dec.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="pair or proposal model JSON")
+    model.add_argument("--block-model", help="blocked coordinate model JSON")
     dec.add_argument("--seed", type=int, required=True)
     dec.add_argument("--in", dest="infile", required=True, help="binary message path")
     dec.add_argument("--extra-bits", type=int, help="as for encode (default 2)")
@@ -358,13 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors with code 2
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command in ("encode", "decode"):
-        if bool(args.block_model) == bool(getattr(args, "model", None)):
-            print("error: pass exactly one of --model / --block-model", file=sys.stderr)
-            return 2
-        if args.extra_bits is not None and not args.block_model:
-            print("error: --extra-bits goes only with --block-model", file=sys.stderr)
-            return 2
+    if getattr(args, "extra_bits", None) is not None and not args.block_model:  # encode, decode
+        print("error: --extra-bits goes only with --block-model", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (RecError, OSError) as exc:

@@ -229,12 +229,10 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
 
     A dyadic cut is the region's proposal median, so a dyadic node's
     children and their bounds follow from the pair and the heap index
-    alone, and the search keeps them in ``pair._dyadic_memo``: heap index
-    to ``expand``'s children, each with its bound, and index 0, which no
-    search expands, to the root's bound. A pair's first dyadic search
-    stores nothing and leaves ``{}``, so a pair searched once (as the block
-    codec's are) pays nothing for it; a later one reads each entry it
-    needs, or computes and stores it. An expansion that raises (the depth
+    alone, and every AD* or DAD* search keeps them in ``pair._dyadic_memo``:
+    heap index to ``expand``'s children, each with its bound, and index 0,
+    which no search expands, to the root's bound. A search reads each entry
+    it needs, or computes and stores it. An expansion that raises (the depth
     cap, a saturated median) is never stored, so it raises again. Threads
     may share a pair: an entry is the same whichever search computes it.
     The memo changes how often ``expand``, ``bound_M`` and the median's
@@ -243,11 +241,7 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     Returns (winner's heap index, its sample, steps, LB), as ``_pfr_search``.
     """
     proposal, bound_M, log_ratio = pair.proposal, pair.bound_M, pair.log_ratio
-    memo = None  # the memo this search reads and fills, if any
-    if kind is _DYADIC:
-        memo = pair._dyadic_memo
-        if memo is None:  # a first search
-            pair._dyadic_memo = {}
+    memo, dyadic = pair._dyadic_memo, kind is _DYADIC  # only a dyadic search touches the memo
     u, g = realize(stream, 1, 0.0, 1.0, INF)
     lb, best_index, best_x = -INF, None, math.nan
     leaves = INF  # the first heap index at max_depth: no leaf in an exact search
@@ -257,10 +251,10 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         best_index = 0
         best_x = sample_restricted_u(proposal, 0.0, 1.0, extra_u)
         lb = extra_g + log_ratio(best_x)
-    root_bound = memo.get(0) if memo else None
+    root_bound = memo.get(0) if dyadic else None
     if root_bound is None:
         root_bound = bound_M(-INF, INF)
-        if memo is not None:
+        if dyadic:
             memo[0] = root_bound
     heap = [(-(g + root_bound), 1, root_bound, -INF, INF, 0.0, 1.0, u, g)]
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -284,10 +278,10 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
         if score > lb or (score == lb and (best_index is None or index < best_index)):
             lb, best_index, best_x = score, index, x
         if index < leaves:
-            children = memo.get(index) if memo else None
+            children = memo.get(index) if dyadic else None
             if children is None:
                 children = expand(kind, proposal, bound_M, x, index, low, high, ulow, uhigh)
-                if memo is not None:
+                if dyadic:
                     memo[index] = children
             for cindex, clow, chigh, culow, cuhigh, child_bound in children:
                 if child_bound > bound:

@@ -469,7 +469,7 @@ class PairSpec:
     regions, and closed-form divergences. The family pair picks its kernel
     from ``_KERNELS`` once, here.
 
-    ``_dyadic_memo`` is the slot of the dyadic memo ``coders._astar_search`` keeps.
+    ``_dyadic_memo`` is the dyadic memo ``coders._astar_search`` reads and fills.
     """
 
     def __init__(self, target: Distribution1D, proposal: Distribution1D):
@@ -487,7 +487,7 @@ class PairSpec:
         self.target, self.proposal = target, proposal
         self._low, self._high = p_low, p_high
         self._kernel = kernel(target, proposal)
-        self._dyadic_memo = None  # set by coders._astar_search
+        self._dyadic_memo = {}  # filled by coders._astar_search
 
     def log_ratio(self, x: float) -> float:
         """log(dQ/dP)(x); -inf where q(x) = 0 inside the proposal support."""

@@ -82,7 +82,3 @@ class Frozen:
         for part in state if isinstance(state, tuple) else (state,):
             for name, value in (part or {}).items():
                 object.__setattr__(self, name, value)
-
-    def _replace(self, **changes):
-        """A copy with ``changes``, of a type whose fields are all ``__init__`` arguments."""
-        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)

@@ -1,10 +1,14 @@
-"""A reference encoder for the split-tree coders: AS*, AD* and DAD* as one
-plain best-first loop, written from the A* coding algorithm and none of
-``reckit.coders``' shortcuts (late draws, flat queue entries, packed
-draws, the dyadic memo). It uses reckit only for the keyed draws
-(``keyed_uniform``, the reference the fast draws are tested against,
-and ``trunc_gumbel``) and for the pair's ``log_ratio``, ``bound_M`` and
-the proposal's ``cdf`` and ``inv_cdf``.
+"""A reference encoder for every coder: AS*, AD* and DAD* as one plain
+best-first loop (``encode``), PFR as a loop over arrivals (``pfr``) and
+MRC as a loop over candidates (``mrc``), written from the algorithms and
+none of ``reckit.coders``' shortcuts (late draws, flat queue entries,
+packed draws, the dyadic memo, the PFR chain's branched key states). It
+uses reckit only for the keyed draws (``keyed_uniform``, the reference
+the fast draws are tested against, and ``trunc_gumbel``) and for the
+pair's ``log_ratio``, ``bound_M`` and the proposal's ``cdf`` and
+``inv_cdf``. MRC's 2^bits candidates share their key but the counter,
+so it absorbs that prefix once and each counter after it, one field at a
+time with ``absorb``, as ``keyed_uniform`` is defined.
 
 A node is one object: its heap index (the root is 1 and node H has
 children 2H and 2H+1), its region (low, high) with proposal-CDF ends
@@ -37,13 +41,28 @@ Refusals: a split is cut first, then refused with ``DepthExceededError``
 when the children would pass depth ``MAX_DEPTH``; a step past
 ``max_steps`` is refused with ``BudgetExhaustedError``. A quantile that
 saturates raises whatever the proposal raises.
+
+PFR is the same race on a chain that never cuts the full line: every
+arrival has the whole line's bound M. Arrival k >= 1 draws its Gumbel
+and its sample from node 1's GUMBEL and SAMPLE slots at counter k - 1;
+the Gumbel sits at location 0, truncated at the previous arrival's. The
+race ends before arrival k once lb >= g_k + M, and the code is the
+winner's arrival index. Each arrival is one step under ``max_steps``.
+
+MRC draws 2^bits candidates, candidate i the proposal's quantile of node
+0's SAMPLE slot at counter i, weights each by its density ratio (scaled
+by the largest, or all 1 when every candidate misses the target) and
+picks the first whose running weight sum reaches u times the total, u
+node 0's GUMBEL slot. More candidates than ``max_steps`` are refused up
+front.
 """
 
 import heapq
 import math
 
 from reckit.distributions import PairSpec
-from reckit.randomness import DrawSlot, StreamKey, keyed_uniform, trunc_gumbel
+from reckit.randomness import DrawSlot, StreamKey, absorb, keyed_uniform, seed_state
+from reckit.randomness import state_uniform, trunc_gumbel
 
 INF = math.inf
 MAX_DEPTH = 62  # the deepest heap index a code may name
@@ -113,3 +132,41 @@ def encode(pair: PairSpec, seed: int, dyadic: bool, budget: int | None = None,
                 if lb < child.g + min(child.bound, node.bound):
                     heapq.heappush(queue, (-(child.g + child.bound), child.index, child))
     return best, best_x, steps, lb
+
+
+def pfr(pair: PairSpec, seed: int, max_steps: float = INF) -> tuple[int, float, int, float]:
+    """(winner's arrival index, its sample, steps, lb) of the PFR race."""
+    bound = pair.bound_M(-INF, INF)
+    lb, best, best_x, g, steps = -INF, None, math.nan, INF, 0
+    while True:
+        g = trunc_gumbel(keyed_uniform(StreamKey(seed, 1, DrawSlot.GUMBEL, steps)), 0.0, g)
+        if lb >= g + bound:
+            return best, best_x, steps, lb
+        if steps >= max_steps:
+            raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
+        x = pair.proposal.inv_cdf(keyed_uniform(StreamKey(seed, 1, DrawSlot.SAMPLE, steps)))
+        steps += 1
+        score = g + pair.log_ratio(x)
+        if score > lb or (score == lb and best is None):
+            lb, best, best_x = score, steps, x
+
+
+def mrc(pair: PairSpec, seed: int, bits: int,
+        max_steps: float = INF) -> tuple[int, float, int, float]:
+    """(chosen candidate, its sample, steps, its log ratio) of MRC at ``bits``."""
+    n = 1 << bits
+    if n > max_steps:
+        raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
+    prefix = absorb(absorb(seed_state(seed), 0), DrawSlot.SAMPLE)  # all but the counter
+    xs = [pair.proposal.inv_cdf(state_uniform(absorb(prefix, i))) for i in range(n)]
+    log_w = [pair.log_ratio(x) for x in xs]
+    top = max(log_w)
+    weights = [math.exp(w - top) if top > -INF else 1.0 for w in log_w]
+    threshold = keyed_uniform(StreamKey(seed, 0, DrawSlot.GUMBEL)) * math.fsum(weights)
+    chosen, total = n - 1, 0.0
+    for i, w in enumerate(weights):
+        total += w
+        if total >= threshold:
+            chosen = i
+            break
+    return chosen, xs[chosen], n, log_w[chosen]

@@ -125,6 +125,22 @@ def test_config_validation():
         ExperimentConfig(algorithms=("as",), trials=5, seed=1)  # no cells
     with pytest.raises(DomainError):
         small_config(algorithms=("as", "bogus"))
+    # max_steps 0 would turn every encode into an error row
+    for max_steps in (0, -5):
+        with pytest.raises(DomainError, match="max_steps must be >= 1"):
+            small_config(max_steps=max_steps)
+    assert small_config(max_steps=1).max_steps == 1
+    # a negative extra-bit count would run at the budget floor of 1 under its own label
+    with pytest.raises(DomainError, match="extra_bits must be >= 0"):
+        small_config(extra_bits=(0, -5))
+    # a repeated entry would write two rows under one (cell, trial) key
+    for repeated in (dict(algorithms=("ad", "ad")), dict(extra_bits=(1, 2, 1)),
+                     dict(gaussian_cells=((0.5, 1.0), (0.5, 1.0))),
+                     dict(uniform_cells=(0.5, 0.5)),
+                     dict(mixture_cells=((2, 0.7), (4, 0.7), (2, 0.7)))):
+        with pytest.raises(DomainError, match="repeats an entry"):
+            small_config(**repeated)
+    assert small_config(uniform_cells=(0.5,)).uniform_cells == (0.5,)
 
 
 def test_config_from_json():
@@ -327,6 +343,10 @@ def test_mode_sweep_rejects_mixed_dinf():
         run_mode_sweep(config)
     with pytest.raises(DomainError):
         run_mode_sweep(small_config())  # no mixture cells
+    # a gaussian or uniform cell is refused, not dropped
+    for other in (dict(), dict(gaussian_cells=(), uniform_cells=(0.5,))):
+        with pytest.raises(DomainError, match="mixture cells alone"):
+            run_mode_sweep(small_config(mixture_cells=((2, 0.7),), **other))
 
 
 # ---------------------------------------------------------------- bias grid
@@ -408,6 +428,27 @@ def test_summarize_rows():
     assert entry["payload_bits_mean"] == 3.0
     assert entry["bias_mean"] == pytest.approx(0.15)
     assert entry["bias_se"] > 0.0
+
+
+def test_summary_groups_come_in_the_csv_order():
+    # numbers sort as numbers: mode count 16 after 8, and kl 10.0 after 2.0,
+    # where the strings "16" and "10.0" would sort first
+    rows = [ResultRow("ad", "uniform_mixture", 1.0, 1.0, n, trial_index=i, steps=n + i)
+            for n in (16, 4, 1, 8, 2) for i in range(2)]
+    rows += [ResultRow("as", "gaussian", kl, 2 * kl, trial_index=0, steps=3)
+             for kl in (10.0, 2.0)]
+    random.Random(3).shuffle(rows)
+    summary = summarize_rows(rows)
+    assert [(e["algorithm"], e["n_modes"]) for e in summary if e["algorithm"] == "ad"] == [
+        ("ad", 1), ("ad", 2), ("ad", 4), ("ad", 8), ("ad", 16)]
+    assert [e["d_kl_nats"] for e in summary if e["algorithm"] == "as"] == [2.0, 10.0]
+    csv_cells = []
+    for line in rows_to_csv(rows).splitlines()[1:]:
+        cell = line.split(",")[:5]
+        if cell not in csv_cells:
+            csv_cells.append(cell)
+    assert [[e["algorithm"], e["family"], repr(e["d_kl_nats"]), repr(e["d_inf_nats"]),
+             "" if e["n_modes"] is None else str(e["n_modes"])] for e in summary] == csv_cells
 
 
 def test_summary_statistics_match_numpy():

@@ -325,6 +325,9 @@ def test_usage_exit_codes(tmp_path, model, capsys):
     assert main(["encode", "--seed", "1", "--out", str(msg)]) == 2
     assert main(["encode", "--model", str(model), "--block-model", str(model),
                  "--seed", "1", "--out", str(msg)]) == 2
+    err = capsys.readouterr().err  # argparse's own messages
+    assert "one of the arguments --model --block-model is required" in err
+    assert "not allowed with argument" in err
     # model present but no coder selected
     assert main(["encode", "--model", str(model), "--seed", "1",
                  "--out", str(msg)]) == 2
@@ -440,6 +443,16 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
                                  "mixture_cells": [{"n_modes": 2, "dinf_nats": 0.7}]}),
     # a bias batch the k-NN estimator cannot score
     ("bench-bias", "--config", {**_BIAS, "batch": -1}),
+    # a step budget that refuses every encode, a negative extra-bit count and
+    # a repeated entry, which would write two rows under one (cell, trial) key
+    ("bench-runtime", "--config", {**_RUNTIME, "max_steps": 0}),
+    ("bench-bias", "--config", {**_BIAS, "extra_bits": [0, -5]}),
+    ("bench-runtime", "--config", {**_RUNTIME, "algorithms": ["ad", "ad"]}),
+    ("bench-bias", "--config", {**_BIAS, "extra_bits": [2, 2]}),
+    ("bench-runtime", "--config", {**_RUNTIME, "gaussian_cells": 2 * _RUNTIME["gaussian_cells"]}),
+    # the mode sweep runs mixture cells alone: a gaussian cell is refused
+    ("bench-modes", "--config", {**_RUNTIME, "mixture_cells": [{"n_modes": 2,
+                                                                "dinf_nats": 0.7}]}),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "file.json"

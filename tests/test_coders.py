@@ -2,9 +2,9 @@
 
 The oracles rebuild each race from the keyed stream with their own tree
 arithmetic (no calls into the search code): the global-bound chain is
-simulated arrival by arrival, and the exact variants are checked by
-exhaustively enumerating every node down to a frontier depth together
-with a bound certificate proving no deeper node can win.
+``reference_coder.pfr``'s loop over arrivals, and the exact variants are
+checked by exhaustively enumerating every node down to a frontier depth
+together with a bound certificate proving no deeper node can win.
 """
 
 import math
@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import reference_coder
 from reckit import coders, tree
 from reckit.coders import (
     CODERS,
@@ -69,40 +70,6 @@ def delta_bits(n: int) -> int:
 
 
 # ---------------------------------------------------------------- oracles
-
-def pfr_arrival_oracle(pair: PairSpec, seed: int, max_steps: float = math.inf):
-    """Simulate the no-shrink race arrival by arrival.
-
-    Arrival k >= 1 draws its Gumbel and sample at counter k - 1; the race
-    stops after arrival T once the incumbent dominates the next arrival
-    plus the global ratio bound. Scoring an arrival past ``max_steps``
-    raises ``BudgetExhaustedError``, as the search's step budget does.
-    """
-    bound = pair.bound_M(-math.inf, math.inf)
-    proposal = pair.proposal
-    g_prev = math.inf
-    best_score = -math.inf
-    best_k = best_x = None
-    gs = []
-    k = 0
-    while True:
-        k += 1
-        u_g = keyed_uniform(StreamKey(seed, 1, int(DrawSlot.GUMBEL), k - 1))
-        g = trunc_gumbel(u_g, 0.0, g_prev)
-        gs.append(g)
-        if k > 1 and best_score >= g + bound:
-            return best_k, best_x, best_score, k - 1
-        if k > max_steps:
-            raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
-        x = sample_restricted_u(
-            proposal, 0.0, 1.0,
-            keyed_uniform(StreamKey(seed, 1, int(DrawSlot.SAMPLE), k - 1)),
-        )
-        score = g + pair.log_ratio(x)
-        if score > best_score:
-            best_score, best_k, best_x = score, k, x
-        g_prev = g
-
 
 def enumerate_race(pair: PairSpec, kind: PartitionKind, seed: int, depth_max: int):
     """Score every node of the race tree down to depth_max.
@@ -174,7 +141,7 @@ def test_coder_table_lookup_by_value_finds_the_same_spec():
 @pytest.mark.parametrize("pair", ALL_PAIRS)
 def test_pfr_matches_arrival_chain(pair):
     for seed in range(300, 420):
-        want_k, want_x, want_score, want_steps = pfr_arrival_oracle(pair, seed)
+        want_k, want_x, want_steps, want_score = reference_coder.pfr(pair, seed)
         code, x, stats = encode_astar(pair, PartitionKind.GLOBAL_BOUND, seed)
         assert code.variant is Variant.PFR
         assert code.payload == want_k
@@ -468,7 +435,6 @@ def test_search_draws_a_sample_only_when_it_pops_a_node(monkeypatch):
             assert calls["bound_M"] == 1 + calls["children"], (kind, seed)
             total_steps += steps
         assert total_steps > 400, kind  # the searches went past the root
-    encode_astar(pair, PartitionKind.DYADIC, 0)  # a first search leaves an empty memo
     for seed in range(200):  # these remember every node they expand
         encode_astar(pair, PartitionKind.DYADIC, seed)
     total_steps = 0

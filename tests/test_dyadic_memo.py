@@ -4,10 +4,10 @@ A dyadic region is cut at its proposal median, so a node's children,
 their x-ends and their ratio bounds depend on the pair and the heap
 index alone. ``coders._astar_search`` keeps them in the pair's memo, one
 dict of heap index: children, each child with its bound (and index 0:
-the root's bound), from the pair's second dyadic search on, and
-reads them in place of ``expand``, which calls ``bound_M``. A warm pair
-must give what a fresh pair gives, bit for bit: the same code, sample,
-steps, depth and lower bound, or the same error class.
+the root's bound), filled by every AD* and DAD* search from the pair's
+first, and reads them in place of ``expand``, which calls ``bound_M``.
+A warm pair must give what a fresh pair gives, bit for bit: the same
+code, sample, steps, depth and lower bound, or the same error class.
 """
 
 import math
@@ -38,10 +38,9 @@ def fresh(pair):
 
 
 def warmed(pair):
-    """A fresh pair past its first dyadic search, which leaves an empty memo."""
+    """A fresh pair past its first dyadic search."""
     warm = fresh(pair)
     encode_dad(warm, 0, 1)
-    assert warm._dyadic_memo == {}
     return warm
 
 
@@ -119,18 +118,27 @@ def test_warm_pairs_match_the_search_golden(name):
     assert pair._dyadic_memo[0] and pair._dyadic_memo[1] and len(pair._dyadic_memo) > 2
 
 
-def test_a_first_dyadic_search_counts_todays_calls_and_leaves_an_empty_memo():
+def test_a_first_dyadic_search_counts_todays_calls_and_fills_the_memo(monkeypatch):
     """A pair's first dyadic search makes the counted calls of the search
-    golden, whose every encode runs on a fresh pair, and leaves an empty
-    memo: only a second search fills it."""
+    golden, whose every encode runs on a fresh pair, and leaves in the
+    memo the root's bound and every expansion that returned."""
+    returned = {}
+
+    def recording_expand(kind, proposal, bound_M, x, index, *region):
+        returned[index] = expand(kind, proposal, bound_M, x, index, *region)
+        return returned[index]
+
+    monkeypatch.setattr(coders, "expand", recording_expand)  # counted inside writer.counting
     for source, coder, rows in dyadic_groups():
         for seed, (want, want_counts) in enumerate(rows[:3]):
             pair = fresh(writer.PAIRS[source])
+            returned.clear()
             with writer.counting() as counts:
                 assert outcome(pair, coder, seed) == want, (source, coder, seed)
             assert [counts[name] for name in writer.COUNTERS] == want_counts, (
                 source, coder, seed)
-            assert pair._dyadic_memo == {}, (source, coder, seed)
+            root_bound = pair.bound_M(-math.inf, math.inf)
+            assert pair._dyadic_memo == {0: root_bound, **returned}, (source, coder, seed)
 
 
 def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
@@ -145,7 +153,7 @@ def test_a_pair_searched_without_a_dyadic_tree_gets_no_memo():
                     spec.encode(pair, seed, 4 if spec.fixed_width else None, MAX_STEPS)
                 except RecError:
                     pass
-        assert pair._dyadic_memo is None
+        assert pair._dyadic_memo == {}
 
 
 @pytest.mark.parametrize("name", list(SOURCES))
@@ -183,8 +191,8 @@ def test_a_memo_holds_only_expansions_that_returned(monkeypatch, name):
 
 
 def test_threads_sharing_a_pair_search_as_a_fresh_one():
-    """Threads that share one pair race on its memo: two may set it up or
-    fill one entry at once. Every entry is the same whichever thread
+    """Threads that share one pair race on its memo: two may fill one
+    entry at once. Every entry is the same whichever thread
     computes it, so each search still gives the fresh pair's outcome."""
     source = PAIRS["kl3.0-dinf6"]
     seeds = range(60)

@@ -7,8 +7,8 @@ child against the parent's bound, then its own. The search in
 bound and draws it later. Both must give the same code, sample, steps,
 depth and lower bound, or refuse with the same error class, and the
 late draws must make far fewer Gumbel draws. PFR has no tree: its loop
-is checked against ``test_coders.pfr_arrival_oracle``, which draws
-every arrival from its full ``StreamKey`` and shares no code with it.
+is checked against ``reference_coder.pfr``, which draws every arrival
+from its full ``StreamKey`` and shares no code with it.
 """
 
 import heapq
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import pytest
 
+import reference_coder
 from reckit import coders, tree
 from reckit.bench import mixture_pair
 from reckit.coders import Code, Variant, check_budget, encode_astar, encode_dad
@@ -25,7 +26,6 @@ from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.randomness import absorb, seed_state
 from reckit.tree import PartitionKind, expand, node_sample, realize
-from test_coders import pfr_arrival_oracle
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -109,12 +109,12 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
 
 def eager_encode(coder, pair, seed, max_steps):
     """``encode_astar``/``encode_dad`` over ``eager_search``, and PFR over
-    ``pfr_arrival_oracle``: coder is a ``KINDS`` name or ("dad", budget)."""
+    ``reference_coder.pfr``: coder is a ``KINDS`` name or ("dad", budget)."""
     if coder in KINDS:
         if pair.analytic_dinf() == INF:
             raise UnboundedRatioError("unbounded ratio")
         if coder == "pfr":
-            arrival, x, lb, steps = pfr_arrival_oracle(pair, seed, max_steps)
+            arrival, x, steps, lb = reference_coder.pfr(pair, seed, max_steps)
             code = Code(Variant.PFR, arrival, arrival)
             return code, x, coders._stats(code, steps, arrival, lb)
         kind = KINDS[coder]
@@ -138,7 +138,7 @@ def lazy_encode(coder, pair, seed, max_steps):
 def outcome(encode, coder, pair, seed, max_steps):
     try:
         code, x, stats = encode(coder, pair, seed, max_steps)
-    except RecError as error:
+    except (RecError, reference_coder.BudgetExhaustedError) as error:
         return type(error).__name__
     return code, x.hex(), stats
 
@@ -245,9 +245,8 @@ def test_late_draws_make_fewer_gumbel_draws(monkeypatch):
             continue
         cold = draws[0]
         warm = fresh()
-        for seed in range(200):  # the first search leaves an empty memo, the rest fill it
+        for seed in range(200):  # every search fills the memo
             encode(warm, seed)
-        encode(warm, 0)
         draws[0] = expands[0] = 0
         for seed in range(200):
             encode(warm, seed)

@@ -15,7 +15,7 @@ from reckit.bench import CSV_COLUMNS, ExperimentConfig, ResultRow, ShrinkageRepo
 from reckit.bitstream import MODE_EXACT, MessageFrame
 from reckit.coders import CODERS, Code, CoderSpec, TrialStats, Unit, Variant
 from reckit.distributions import Gaussian, MixtureComponent, Uniform, UniformMixture
-from reckit.errors import DomainError, Frozen
+from reckit.errors import Frozen
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock
 from reckit.tree import PartitionKind
 
@@ -102,15 +102,3 @@ def test_equality_reads_only_the_fields():
     assert Gaussian(0.0, 1.0) != Uniform(0.0, 1.0)
     assert len({Gaussian(0.0, 1.0), Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)}) == 2
     assert CODERS[Variant.MRC] == CODERS[Variant.MRC]
-
-
-def test_replace_builds_through_the_checks():
-    config = ExperimentConfig(["as"], 1, 7, gaussian_cells=[(0.9, 2.0)],
-                              mixture_cells=[(2, 1.0)])
-    swept = config._replace(gaussian_cells=())
-    assert swept.gaussian_cells == () and swept.mixture_cells == ((2, 1.0),)
-    assert swept.algorithms == config.algorithms and config.gaussian_cells == ((0.9, 2.0),)
-    with pytest.raises(DomainError):
-        config._replace(gaussian_cells=(), mixture_cells=())
-    with pytest.raises(TypeError):
-        config._replace(no_such_field=1)
