@@ -44,6 +44,12 @@ class Distribution1D:
     def inv_cdf(self, u: float) -> float:
         raise NotImplementedError
 
+    def inv_cdfs(self, us: list[float]) -> list[float]:
+        """``[self.inv_cdf(u) for u in us]``: a family's batch form equals
+        this bit for bit and refuses what it refuses."""
+        inv_cdf = self.inv_cdf
+        return [inv_cdf(u) for u in us]
+
     def log_pdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -142,6 +148,14 @@ class Gaussian(Distribution1D, Frozen):
         if not 0.0 < u < 1.0:  # also refuses NaN
             raise DomainError(f"inverse CDF needs u in (0, 1), got {u}")
         return self.mean + self.std * _std_normal_quantile(u)
+
+    def inv_cdfs(self, us: list[float]) -> list[float]:
+        """``inv_cdf`` of each u, with the range checked once for the batch:
+        ``min`` and ``max`` can miss a NaN, which the sum cannot."""
+        if us and not (0.0 < min(us) and max(us) < 1.0 and not math.isnan(sum(us))):
+            return [self.inv_cdf(u) for u in us]  # raises inv_cdf's DomainError
+        mean, std, quantile = self.mean, self.std, _std_normal_quantile
+        return [mean + std * quantile(u) for u in us]
 
     def log_pdf(self, x: float) -> float:
         if not math.isfinite(x):
@@ -332,10 +346,17 @@ def sample_restricted_u(dist: Distribution1D, ulow: float, uhigh: float, u: floa
 # when the pair is built: ``mode`` (a point attaining sup log r, or None
 # where the ratio is unbounded), ``kl`` and ``dinf`` in nats,
 # ``log_ratio(x)`` for x inside the proposal support, and
-# ``bound(low, high)``, the supremum of log r over the open interval.
+# ``bound(low, high)``, the supremum of log r over the open interval, and
+# ``log_ratios(xs)``, the list of ``log_ratio(x)``.
 
 
-class _GaussianPair:
+class _Kernel:
+    def log_ratios(self, xs: list[float]) -> list[float]:
+        log_ratio = self.log_ratio
+        return [log_ratio(x) for x in xs]
+
+
+class _GaussianPair(_Kernel):
     """Gaussian target under a Gaussian proposal. log r is a quadratic, so
     its supremum over an interval sits at the mode (when the target variance
     is the smaller one) or at an end, an infinite end giving its limit."""
@@ -369,6 +390,13 @@ class _GaussianPair:
         zp = x - self.p_mean
         return self.half_log_vr + zp * zp / self.two_pv - zs * zs / self.two_qv
 
+    def log_ratios(self, xs: list[float]) -> list[float]:
+        """``log_ratio``'s expression, in the same order, once per x."""
+        c, q_mean, p_mean = self.half_log_vr, self.q_mean, self.p_mean
+        two_qv, two_pv = self.two_qv, self.two_pv
+        return [c + (zp := x - p_mean) * zp / two_pv - (zs := x - q_mean) * zs / two_qv
+                for x in xs]
+
     def bound(self, low: float, high: float) -> float:
         lo = self.tails[0] if low == -INF else self.log_ratio(low)
         hi = self.tails[1] if high == INF else self.log_ratio(high)
@@ -378,7 +406,7 @@ class _GaussianPair:
         return best
 
 
-class _UniformTarget:
+class _UniformTarget(_Kernel):
     """Uniform target: log r = -log(width) - log p(x) on its support, convex
     for both supported proposals, so its supremum over an interval sits at an
     end of the interval's overlap with the support (-inf if they miss)."""
@@ -422,7 +450,7 @@ class _UniformGaussian(_UniformTarget):
                    + second_moment / (2.0 * p.variance))
 
 
-class _MixtureUniform:
+class _MixtureUniform(_Kernel):
     """Uniform-mixture target under a uniform proposal: log r is one
     constant per component, so the bound over an interval is the largest
     constant among the components it overlaps."""
@@ -494,6 +522,15 @@ class PairSpec:
         if not self._low <= x <= self._high or not math.isfinite(x):
             raise DomainError(f"x={x} outside proposal support")
         return self._kernel.log_ratio(x)
+
+    def log_ratios(self, xs: list[float]) -> list[float]:
+        """``[self.log_ratio(x) for x in xs]``, bit for bit, with support and
+        finiteness checked once for the batch (the sum of the xs is finite
+        only if each x is, NaN included)."""
+        if xs and not (self._low <= min(xs) and max(xs) <= self._high
+                       and math.isfinite(sum(xs))):
+            return [self.log_ratio(x) for x in xs]  # raises log_ratio's DomainError
+        return self._kernel.log_ratios(xs)
 
     def ratio_mode(self) -> float:
         """A point attaining sup log r over the proposal support.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import reference_coder
-from reckit import coders, tree
+from reckit import coders, distributions, tree
 from reckit.coders import (
     CODERS,
     Code,
@@ -221,6 +221,61 @@ def test_mrc_all_miss_falls_back_to_uniform():
             assert code.payload == min(int(math.ceil(u_sel * 8.0)) - 1, 7) if u_sel > 0 else 0
         assert decode_mrc(pair.proposal, code, seed) == x
     assert hit_fallback
+
+
+def test_mrc_encode_takes_one_quantile_per_candidate(monkeypatch):
+    """An MRC encode on a Gaussian proposal evaluates the standard normal
+    quantile once per candidate, through ``inv_cdfs``, and scores the
+    candidates through ``log_ratios``: neither scalar form runs."""
+    calls = {"quantile": 0, "inv_cdf": 0, "log_ratio": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(distributions, "_std_normal_quantile",
+                        counting("quantile", distributions._std_normal_quantile))
+    monkeypatch.setattr(Gaussian, "inv_cdf", counting("inv_cdf", Gaussian.inv_cdf))
+    monkeypatch.setattr(PairSpec, "log_ratio", counting("log_ratio", PairSpec.log_ratio))
+    for bits in (1, 6, 9):
+        for seed in range(5):
+            calls.update(quantile=0, inv_cdf=0, log_ratio=0)
+            code, x, _ = encode_mrc(PAIR_GG, seed, bits)
+            assert calls == {"quantile": 1 << bits, "inv_cdf": 0, "log_ratio": 0}
+            assert decode_mrc(PAIR_GG.proposal, code, seed) == x
+
+
+def test_mrc_picks_the_sequential_scans_index_at_the_top_uniform(monkeypatch):
+    """With the selection uniform at 1 - 2^-53 the threshold sits at the
+    top of the weights' exact sum, so the left-to-right partial sums may
+    all stay below it; the encoder must pick what a plain scan picks, the
+    last candidate then included."""
+    top_u = 1.0 - 2.0 ** -53
+    monkeypatch.setattr(coders, "slot_uniform", lambda state, slot: top_u)
+    bits, n = 6, 64
+    fallbacks = reached = 0
+    for pair in ALL_PAIRS:
+        for seed in range(60):
+            xs = [pair.proposal.inv_cdf(keyed_uniform(StreamKey(seed, 0, int(DrawSlot.SAMPLE), i)))
+                  for i in range(n)]
+            log_w = [pair.log_ratio(x) for x in xs]
+            top = max(log_w)
+            weights = [math.exp(lw - top) for lw in log_w] if top > -math.inf else [1.0] * n
+            threshold = top_u * math.fsum(weights)
+            acc, want = 0.0, n - 1
+            for i, w in enumerate(weights):
+                acc += w
+                if acc >= threshold:
+                    want = i
+                    reached += 1
+                    break
+            else:
+                fallbacks += 1
+            code, x, _ = encode_mrc(pair, seed, bits)
+            assert (code.payload, x) == (want, xs[want]), (pair.target, seed)
+    assert fallbacks and reached
 
 
 # -------------------------------------------------------- the one encoder

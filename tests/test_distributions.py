@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from reckit.distributions import (
@@ -147,6 +149,95 @@ def test_inv_cdf_refuses_u_outside_the_open_unit_interval(dist):
     for u in (math.nan, 0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DomainError):
             dist.inv_cdf(u)
+
+
+# -- batch forms -----------------------------------------------------------------
+# ``inv_cdfs`` and ``PairSpec.log_ratios`` restate their scalar forms for a
+# list; each must give the scalar list bit for bit and refuse what it refuses.
+
+BATCH_DISTS = [Gaussian(0.5, 2.0), Uniform(1.0, 4.0), MIX]
+BATCH_PAIRS = [  # one pair for each of the four kernels
+    PairSpec(Gaussian(1.3, 0.45), Gaussian(0.0, 1.0)),
+    PairSpec(Uniform(0.25, 1.5), Gaussian(0.0, 1.0)),
+    PairSpec(Uniform(1.2, 0.5), Uniform(1.0, 2.0)),
+    PairSpec(MIX, Uniform(0.5, 1.0)),
+]
+BATCH_DIST_IDS = ["gaussian", "uniform", "mixture"]
+BATCH_PAIR_IDS = ["gauss-gauss", "uniform-gauss", "uniform-uniform", "mixture-uniform"]
+UNITS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# the range of a keyed uniform, whose quantile is finite (no overflow)
+KEYED_UNITS = st.floats(2.0 ** -54, 1.0 - 2.0 ** -54)
+
+
+def _batches(elements):
+    """Lists of 1 or 256 elements (the ends of one packed draw batch), or of 0 to 40."""
+    return (st.sampled_from([1, 256]).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n))
+        | st.lists(elements, max_size=40))
+
+
+def _points(pair):
+    """Points inside the proposal support; a finite float of any size on the line."""
+    low, high = pair.proposal.support()
+    if low == -math.inf:
+        return st.floats(-50.0, 50.0) | st.floats(allow_nan=False, allow_infinity=False)
+    return st.floats(low, high)
+
+
+def _outcome(form, values):
+    """What a form gives, as hex strings, or the error it raises. A u below
+    about 1e-310 overflows the quantile's residual step in both forms."""
+    try:
+        return [v.hex() for v in form(values)]
+    except (DomainError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _scalar(form):
+    return lambda values: [form(v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(us=_batches(UNITS))
+@pytest.mark.parametrize("dist", BATCH_DISTS, ids=BATCH_DIST_IDS)
+def test_inv_cdfs_is_inv_cdf_bit_for_bit(dist, us):
+    assert _outcome(dist.inv_cdfs, us) == _outcome(_scalar(dist.inv_cdf), us)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("pair", BATCH_PAIRS, ids=BATCH_PAIR_IDS)
+def test_log_ratios_is_log_ratio_bit_for_bit(pair, data):
+    xs = data.draw(_batches(_points(pair)))
+    assert _outcome(pair.log_ratios, xs) == _outcome(_scalar(pair.log_ratio), xs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0],
+                         ids=["nan", "inf", "-inf", "0", "1"])
+@pytest.mark.parametrize("dist", BATCH_DISTS, ids=BATCH_DIST_IDS)
+def test_inv_cdfs_refuses_what_inv_cdf_refuses(dist, bad, data):
+    us = data.draw(_batches(KEYED_UNITS).filter(bool))
+    us[data.draw(st.integers(0, len(us) - 1))] = bad
+    refusal = _outcome(_scalar(dist.inv_cdf), us)
+    assert refusal.startswith("DomainError: ")
+    assert _outcome(dist.inv_cdfs, us) == refusal
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("pair", BATCH_PAIRS, ids=BATCH_PAIR_IDS)
+def test_log_ratios_refuses_what_log_ratio_refuses(pair, data):
+    low, high = pair.proposal.support()
+    bad = [math.nan, math.inf, -math.inf]
+    if high < math.inf:  # just outside a bounded proposal's support
+        bad += [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+    xs = data.draw(_batches(_points(pair)).filter(bool))
+    xs[data.draw(st.integers(0, len(xs) - 1))] = data.draw(st.sampled_from(bad))
+    refusal = _outcome(_scalar(pair.log_ratio), xs)
+    assert refusal.startswith("DomainError: ")
+    assert _outcome(pair.log_ratios, xs) == refusal
 
 
 def test_gaussian_caches_std_outside_its_identity():
