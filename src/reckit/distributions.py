@@ -87,7 +87,8 @@ def _std_normal_cdf(z: float) -> float:
 def _std_normal_quantile(u: float) -> float:
     """Standard normal inverse CDF for u in (0, 1), which the caller
     checks: rational approximation plus one residual correction step
-    evaluated through erfc."""
+    evaluated through erfc. Below about u = 1e-310 the step's exp
+    overflows, and the quantile is refused with DomainError."""
     if u < _ACK_LOW:
         q = _sqrt(-2.0 * _log(u))
         z = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
@@ -117,7 +118,10 @@ def _std_normal_quantile(u: float) -> float:
     else:
         resid = (1.0 - u) - 0.5 * _erfc(z / _SQRT2)
     # One Newton-type step with a second-order (Halley) correction term.
-    t = resid * _SQRT_2PI * _exp(0.5 * z * z)
+    try:  # on CPython 3.11+ a no-op and a jump unless it raises
+        t = resid * _SQRT_2PI * _exp(0.5 * z * z)
+    except OverflowError:  # only a u below about 1e-310 takes z past -37.7
+        raise DomainError(f"the normal quantile's residual step overflows at u = {u}") from None
     return z - t / (1.0 + 0.5 * z * t)
 
 

@@ -22,11 +22,13 @@ from .bitstream import (
     read_message,
     write_message,
 )
-from .coders import Variant, decode_dad, encode_dad
+from .coders import Variant, encode_dad
+from .coders import decode_dad  # noqa: F401  (benchmarks/run.py traces it here)
 from .distributions import Gaussian, PairSpec, Uniform, as_number
-from .errors import DomainError, Frozen, InfeasibleParameterError, MalformedMessageError
+from .errors import DomainError, Frozen, InfeasibleParameterError, MalformedMessageError, RecError
 from .randomness import absorb, seed_state
 from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it here)
+from .tree import locate_dyadic_vector
 
 _LN2 = math.log(2.0)
 _BRANCH_POINT = -math.exp(-1.0)
@@ -241,26 +243,39 @@ def decode_block_vector(
     seed: int,
 ) -> list[float]:
     """Exact inverse of encode_block_vector (target means are not needed
-    to decode; only priors, kappas, and block sizes are read)."""
+    to decode; only priors, kappas, and block sizes are read).
+
+    The frames are read and checked block by block; then one call to
+    ``tree.locate_dyadic_vector`` decodes every coordinate, drawing their
+    sample uniforms in one packed pass. A refused vector raises what a
+    block-by-block decode meets first: when a frame fails its read or a
+    check, the coordinates of the blocks before it are decoded, and the
+    first of their refusals is raised ahead of the frame's.
+    """
     reader = BitReader(data)
-    stream = seed_state(seed)
-    samples: list[float] = []
-    index = 0
-    for block in blocks:
-        frame = read_message(reader)
-        if frame.variant is not Variant.DAD_STAR:  # a DAD_STAR frame is a block frame
-            raise MalformedMessageError("expected a tied-budget block frame")
-        if frame.budget != config.budget(block.kappa):
-            raise MalformedMessageError(
-                f"frame budget {frame.budget} != configured {config.budget(block.kappa)}"
-            )
-        if frame.symbol_count != len(block):
-            raise MalformedMessageError(
-                f"frame holds {frame.symbol_count} codes, block has {len(block)}"
-            )
-        for proposal, code in zip(block.proposals, frame.codes):
-            samples.append(decode_dad(proposal, code, absorb(stream, index)))
-            index += 1
+    proposals: list[Gaussian] = []
+    payloads: list[int] = []
+    failure = None
+    try:
+        for block in blocks:
+            frame = read_message(reader)
+            if frame.variant is not Variant.DAD_STAR:  # a DAD_STAR frame is a block frame
+                raise MalformedMessageError("expected a tied-budget block frame")
+            if frame.budget != config.budget(block.kappa):
+                raise MalformedMessageError(
+                    f"frame budget {frame.budget} != configured {config.budget(block.kappa)}"
+                )
+            if frame.symbol_count != len(block):
+                raise MalformedMessageError(
+                    f"frame holds {frame.symbol_count} codes, block has {len(block)}"
+                )
+            proposals += block.proposals
+            payloads += [code.payload for code in frame.codes]
+    except RecError as exc:
+        failure = exc
+    samples = locate_dyadic_vector(proposals, seed_state(seed), payloads)
+    if failure is not None:
+        raise failure
     return samples
 
 

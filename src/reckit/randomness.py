@@ -27,20 +27,24 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take five shapes, each one call with the rounds written out and a
+Draws take six shapes, each one call with the rounds written out and a
 test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
 slot at counter 0 after (seed, node): a decode's node draws and MRC's
 selection), :func:`slot_uniform_pair` (two slots at counter 0 after
 (seed, node), mixed together: a search node's Gumbel and sample),
 :func:`counter_uniform` (a counter after (seed, node, slot): PFR's
 arrival draws and MRC's decode), :func:`counter_uniforms` (a run of counters after
-(seed, node, slot), mixed together: MRC's encode) and
+(seed, node, slot), mixed together: MRC's encode),
 :func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
-list of nodes, mixed together: a sample-split decode's whole path). The
-packed shapes hold each key in a 128-bit lane of one int and mask every
-lane back to 64 bits before a multiply. Which key each draw uses is said
-once: ``reckit.tree`` keys the search nodes and ``reckit.coders`` the PFR
-arrivals and the MRC candidates.
+list of nodes, mixed together: a sample-split decode's whole path) and
+:func:`derived_slot_uniforms` (for i = 0, 1, ..., node i's slot i at
+counter 0 in the stream derive_seed(seed, i), mixed together: a block
+vector's samples). The last one's lane i absorbs five fields into
+mix64(seed): i, the zero field of ``seed_state`` (an XOR of 0), node i,
+slot i and counter 0. The packed shapes hold each key in a 128-bit lane
+of one int and mask every lane back to 64 bits before a multiply. Which
+key each draw uses is said once: ``reckit.tree`` keys the search nodes
+and ``reckit.coders`` the PFR arrivals and the MRC candidates.
 """
 
 from __future__ import annotations
@@ -166,12 +170,14 @@ _LOW_WORDS_OF = {"little": slice(None, None, 2), "big": slice(None, None, -2)}
 _LOW_WORDS = _LOW_WORDS_OF[sys.byteorder]
 
 
-def _packed_uniforms(state: int, fields: int, lanes: int, slot: int | None = None) -> list[float]:
-    """The uniforms of ``lanes`` keys mixed together. Lane i absorbs into
-    ``state`` its own field f_i, held (below 2^65) in the low half of lane
-    i of ``fields``; given a ``slot``, it then absorbs that slot and
-    counter 0. So lane i's uniform is counter_uniform(state, f_i), or
-    slot_uniform(absorb(state, f_i), slot).
+def _packed_uniforms(state: int, rounds: tuple[int, ...], low: int) -> list[float]:
+    """The uniforms of the keys in the lanes ``low`` holds (all ones in
+    each lane in use), mixed together. Lane i absorbs into ``state`` one
+    field a round: each of ``rounds`` holds in lane i the XOR word
+    f + GOLDEN of lane i's field f, below 2^66 (taken mod 2^64 below; a
+    word of 0 absorbs the field -GOLDEN, the zero field of
+    ``seed_state``). So lane i's uniform is state_uniform(absorb(...
+    absorb(state, f_1) ..., f_k)) for its fields f_1 .. f_k.
 
     Each round of mix64 absorbs one field on every lane of the packed int
     at once. Each lane is masked back to 64 bits before a multiply, so no
@@ -180,19 +186,27 @@ def _packed_uniforms(state: int, fields: int, lanes: int, slot: int | None = Non
     a round's last shift leaves such bits for the next round's first mask,
     or the uniform's 53-bit mask, to clear.
     """
-    low = (1 << (_WIDTH * lanes)) - 1
-    repeat, goldens = _REPEAT & low, _GOLDENS & low
-    absorbed = (fields + goldens,)  # field + GOLDEN in each lane, taken mod 2^64 below
-    if slot is not None:  # the slot's and counter 0's fields, the same in every lane
-        absorbed += (((slot + _GOLDEN) & _MASK64) * repeat, goldens)
-    z = (state & _MASK64) * repeat
-    for field in absorbed:
-        z = ((z ^ field) + goldens) & _LANE64
-        z = (((z ^ (z >> 30)) & _LANE64) * 0xBF58476D1CE4E5B9) & _LANE64
-        z = (((z ^ (z >> 27)) & _LANE64) * 0x94D049BB133111EB) & _LANE64
+    goldens, lane64 = _GOLDENS & low, _LANE64
+    z = (state & _MASK64) * (_REPEAT & low)
+    for word in rounds:
+        z = ((z ^ word) + goldens) & lane64
+        z = (((z ^ (z >> 30)) & lane64) * 0xBF58476D1CE4E5B9) & lane64
+        z = (((z ^ (z >> 27)) & lane64) * 0x94D049BB133111EB) & lane64
         z ^= z >> 31
-    words = memoryview(((z >> 11) & _LANE53).to_bytes(_WIDTH // 8 * lanes, sys.byteorder))
+    words = memoryview(((z >> 11) & _LANE53).to_bytes(low.bit_length() // 8, sys.byteorder))
     return [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[_LOW_WORDS]]  # 2^-53
+
+
+def _run_word(start: int, low: int) -> int:
+    """The XOR word of the fields start, start + 1, ..., one a lane of ``low``."""
+    return (_COUNTERS & low) + ((start & _MASK64) + _GOLDEN) * (_REPEAT & low)
+
+
+def _field_word(fields: list[int], goldens: int) -> int:
+    """The XOR word of a list of fields below 2^64, one a lane, given
+    GOLDEN in each of those lanes."""
+    packed = int.from_bytes(_UPPER_HALF.join([f.to_bytes(8, "little") for f in fields]), "little")
+    return packed + goldens
 
 
 def counter_uniforms(state: int, start: int, n: int) -> list[float]:
@@ -200,11 +214,8 @@ def counter_uniforms(state: int, start: int, n: int) -> list[float]:
     a packed draw (``_packed_uniforms``) per batch of up to 256 counters."""
     out: list[float] = []
     for first in range(0, n, _LANES):
-        lanes = min(_LANES, n - first)
-        low = (1 << (_WIDTH * lanes)) - 1
-        # the counter start + first + i in lane i
-        counters = (_COUNTERS & low) + ((start + first) & _MASK64) * (_REPEAT & low)
-        out += _packed_uniforms(state, counters, lanes)
+        low = (1 << (_WIDTH * min(_LANES, n - first))) - 1
+        out += _packed_uniforms(state, (_run_word(start + first, low),), low)
     return out
 
 
@@ -216,8 +227,28 @@ def slot_uniforms(stream: int, fields: list[int], slot: int) -> list[float]:
     if len(fields) > _LANES:
         return (slot_uniforms(stream, fields[:_LANES], slot)
                 + slot_uniforms(stream, fields[_LANES:], slot))
-    packed = int.from_bytes(_UPPER_HALF.join([f.to_bytes(8, "little") for f in fields]), "little")
-    return _packed_uniforms(stream, packed, len(fields), slot)
+    low = (1 << (_WIDTH * len(fields))) - 1
+    goldens = _GOLDENS & low
+    slot_word = ((slot + _GOLDEN) & _MASK64) * (_REPEAT & low)
+    return _packed_uniforms(stream, (_field_word(fields, goldens), slot_word, goldens), low)
+
+
+def derived_slot_uniforms(stream: int, nodes: list[int], slots: list[int]) -> list[float]:
+    """[slot_uniform(absorb(seed_state(absorb(stream, i)), nodes[i]), slots[i])
+    for i in range(len(nodes))], bit for bit, for nodes and slots below
+    2^64: with ``stream`` = seed_state(seed), lane i draws node i's slot
+    in the stream derive_seed(seed, i). A packed draw (``_packed_uniforms``)
+    per batch of up to 256 lanes, lane i absorbing i, ``seed_state``'s zero
+    field, nodes[i], slots[i] and counter 0."""
+    out: list[float] = []
+    for first in range(0, len(nodes), _LANES):
+        batch = nodes[first:first + _LANES]
+        low = (1 << (_WIDTH * len(batch))) - 1
+        goldens = _GOLDENS & low  # counter 0's XOR word
+        rounds = (_run_word(first, low), 0, _field_word(batch, goldens),
+                  _field_word(slots[first:first + _LANES], goldens), goldens)
+        out += _packed_uniforms(stream, rounds, low)
+    return out
 
 
 def keyed_uniform(key: StreamKey) -> float:

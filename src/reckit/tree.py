@@ -52,7 +52,11 @@ and how a decoder finds a node again from its index alone (``locate``):
 the encoder's ``expand``/``realize`` and the decoder share them. A
 sample-split decode draws the samples of its whole path at once
 (``slot_uniforms``, the draws ``node_sample`` makes, mixed in one packed
-pass), so a level of its walk is one quantile and one cut.
+pass), so a level of its walk is one quantile and one cut. A block
+vector's dyadic codes are decoded together (``locate_dyadic_vector``):
+one packed pass (``derived_slot_uniforms``) draws every code's sample
+uniform, and each code reads its region off its index through the
+helper ``locate`` uses (``_dyadic_sample``).
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from typing import Callable
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, seed_state, slot_uniform, slot_uniform_pair
-from .randomness import slot_uniforms, trunc_gumbel
+from .randomness import DrawSlot, absorb, derived_slot_uniforms, seed_state, slot_uniform
+from .randomness import slot_uniform_pair, slot_uniforms, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -174,6 +178,29 @@ def realize(stream: int, index: int, ulow: float, uhigh: float,
     return u, trunc_gumbel(ug, math.log(uhigh - ulow), bound)
 
 
+def _dyadic_sample(proposal: Distribution1D, index: int, u: float) -> float:
+    """The sample of the dyadic node at heap ``index`` for its sample
+    uniform ``u``, its region read off the index, for an index at depth
+    d = ``index.bit_length()`` <= ``EXACT_DYADIC_DEPTH``. The root and the
+    extra root (index 0) hold the whole line. With k = index - 2^(d-1) a
+    deeper node's CDF ends are k * 2^-(d-1) and (k+1) * 2^-(d-1), the very
+    floats the partition arithmetic gives, since halving a sum of dyadic
+    rationals is exact while d - 1 <= 53. Its x-ends are the proposal
+    quantiles q of those ends (q(0) = -inf, q(1) = +inf), and the code is
+    refused with ``InvalidCodeError``, as an empty partition slot, unless
+    q(ulow) < q(uhigh): q does not decrease, so a slot emptied on the way
+    down empties every node below it. At most three ``inv_cdf`` calls."""
+    if index < 2:
+        return sample_restricted_u(proposal, 0.0, 1.0, u)
+    depth = index.bit_length()
+    k = index - (1 << (depth - 1))
+    ulow, uhigh = _ldexp(k, 1 - depth), _ldexp(k + 1, 1 - depth)
+    # an end at 0 or 1 has an infinite quantile, so only two inner ends can meet
+    if 0.0 < ulow and uhigh < 1.0 and not proposal.inv_cdf(ulow) < proposal.inv_cdf(uhigh):
+        raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
+    return sample_restricted_u(proposal, ulow, uhigh, u)
+
+
 def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int) -> float:
     """The sample of the node at heap ``index`` of a split tree, bit-exact
     against encoding, at depth d = ``index.bit_length()`` (the extra root,
@@ -183,15 +210,9 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
     (``coders.decode_pfr`` decodes it), so its kind is refused with
     ``DomainError``.
 
-    A dyadic node at depth 1 < d <= 54 reads its region off its index: with
-    k = index - 2^(d-1) its CDF ends are k * 2^-(d-1) and (k+1) * 2^-(d-1),
-    the very floats the partition arithmetic gives, since halving a sum of
-    dyadic rationals is exact while d - 1 <= 53. Its x-ends are the
-    proposal quantiles q of those ends (q(0) = -inf, q(1) = +inf), and the
-    code is refused, as an empty partition slot, unless q(ulow) < q(uhigh):
-    q does not decrease, so a slot emptied on the way down empties every
-    node below it. The decode is one draw and at most two more ``inv_cdf``
-    calls.
+    A dyadic node at depth d <= 54 reads its region off its index
+    (``_dyadic_sample``, which refuses an emptied slot), so its decode is
+    ``node_sample``'s draw and at most three ``inv_cdf`` calls.
 
     Any other code takes the decode walk: it rebuilds the regions on the
     heap path from the root (the index's digits after its leading 1;
@@ -210,13 +231,10 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
         raise InvalidCodeError(f"no {kind.value} search makes heap index {index}")
     depth = index.bit_length()  # 0 for the extra root, which decodes as the root does
     stream = seed_state(seed)
-    if kind is _DYADIC and 1 < depth <= EXACT_DYADIC_DEPTH:
-        k = index - (1 << (depth - 1))
-        ulow, uhigh = _ldexp(k, 1 - depth), _ldexp(k + 1, 1 - depth)
-        # an end at 0 or 1 has an infinite quantile, so only two inner ends can meet
-        if 0.0 < ulow and uhigh < 1.0 and not proposal.inv_cdf(ulow) < proposal.inv_cdf(uhigh):
-            raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-        return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
+    if kind is _DYADIC and depth <= EXACT_DYADIC_DEPTH:
+        # node_sample's draw, made here so that the closed form costs no extra call
+        u = slot_uniform(absorb(stream, index), _SAMPLE if index else _EXTRA_SAMPLE)
+        return _dyadic_sample(proposal, index, u)
     low, high, ulow, uhigh = _ROOT_PIECE
     if depth > 1:
         split_at_sample = kind is _SAMPLE_SPLIT
@@ -237,3 +255,25 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
         if split_at_sample:
             return sample_restricted_u(proposal, ulow, uhigh, us[-1])
     return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
+
+
+def locate_dyadic_vector(proposals: list[Distribution1D], stream: int,
+                         indices: list[int]) -> list[float]:
+    """[locate(p, DYADIC, derive_seed(seed, i), h) for i, (p, h) in
+    enumerate(zip(proposals, indices))], bit for bit, for heap indices
+    0 <= h < 2^62 and ``stream`` = seed_state(seed): the samples of a
+    vector of dyadic codes, code i drawing in the stream derive_seed(seed,
+    i). One packed pass (``derived_slot_uniforms``) draws every code's
+    sample uniform, the one ``node_sample`` draws, SAMPLE's or codeword
+    0's EXTRA_ROOT one. A code at depth <= 54 then reads its region off
+    its index as ``locate`` does (``_dyadic_sample``); a deeper one takes
+    ``locate``'s walk. The codes decode in order, so a refused vector
+    raises the refusal of its first refused code."""
+    us = derived_slot_uniforms(stream, indices, [_SAMPLE if h else _EXTRA_SAMPLE for h in indices])
+    samples = []
+    for i, (proposal, index, u) in enumerate(zip(proposals, indices, us)):
+        if index >> EXACT_DYADIC_DEPTH:
+            samples.append(locate(proposal, _DYADIC, absorb(stream, i), index))
+        else:
+            samples.append(_dyadic_sample(proposal, index, u))
+    return samples

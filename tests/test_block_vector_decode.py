@@ -1,0 +1,135 @@
+"""The block vector decode equals decoding its coordinates one at a time.
+
+``isokl.decode_block_vector`` reads a vector's frames and decodes every
+coordinate of it. The reference below is the scalar loop the codec is
+defined by: coordinate i is ``decode_dad`` of its code in the stream
+``absorb(seed_state(seed), i)`` (which is ``derive_seed(seed, i)``), in
+coordinate order, frame checks interleaved block by block. The samples
+must be identical bit for bit, and a refused vector must raise the
+refusal the loop meets first: a coordinate's refusal before a later
+frame's fault, a frame's fault before the coordinates after it.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reckit.bitstream import MODE_BLOCK, BitWriter, MessageFrame, write_message
+from reckit.coders import Code, Variant, decode_dad
+from reckit.errors import InvalidCodeError, MalformedMessageError, RecError
+from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock, decode_block_vector
+from reckit.randomness import absorb, seed_state
+from reckit.tree import MAX_DEPTH
+
+CONFIG = BlockCodecConfig(extra_bits=0)
+# 1e-30: every inner dyadic end has one quantile, so inner codes name emptied slots
+STDS = (1e-30, 1e-6, 0.5, 1.0, 3.0)
+
+
+def block_at(budget: int, prior_means, prior_stds) -> IsoKLGaussianBlock:
+    """A block whose configured budget is ``budget``: kappa = (budget - 0.5) ln 2."""
+    block = IsoKLGaussianBlock(tuple(prior_means), tuple(prior_stds), tuple(prior_means),
+                               (budget - 0.5) * math.log(2.0))
+    assert CONFIG.budget(block.kappa) == budget
+    return block
+
+
+def message(frames) -> bytes:
+    """Block frames of (budget, payloads), written as they stand."""
+    writer = BitWriter()
+    for budget, payloads in frames:
+        codes = tuple(Code(Variant.DAD_STAR, budget, h) for h in payloads)
+        write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, codes, budget), writer)
+    return writer.getvalue()
+
+
+def outcome(fn, *args):
+    try:
+        return [x.hex() for x in fn(*args)]
+    except RecError as exc:
+        return type(exc).__name__
+
+
+def scalar_decode(blocks, frames, seed):
+    """Each coordinate alone, in order: decode_dad in its derived stream,
+    after its frame's budget check."""
+    samples, index = [], 0
+    for block, (budget, payloads) in zip(blocks, frames):
+        if budget != CONFIG.budget(block.kappa):
+            raise MalformedMessageError("frame budget differs from the block's")
+        for proposal, h in zip(block.proposals, payloads):
+            code = Code(Variant.DAD_STAR, budget, h)
+            samples.append(decode_dad(proposal, code, absorb(seed_state(seed), index)))
+            index += 1
+    return samples
+
+
+@st.composite
+def vectors(draw):
+    """(blocks, frames): one to three blocks of one to four coordinates at
+    budgets 1-62, with codeword 0, the first and last codes and inner ones.
+    Now and then a frame carries a budget other than its block's."""
+    blocks, frames = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        budget = draw(st.integers(1, MAX_DEPTH))
+        configured = draw(st.integers(1, MAX_DEPTH)) if draw(st.integers(0, 5)) == 0 else budget
+        n = draw(st.integers(1, 4))
+        means = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        stds = draw(st.lists(st.sampled_from(STDS), min_size=n, max_size=n))
+        top = (1 << budget) - 1
+        payloads = draw(st.lists(
+            st.one_of(st.sampled_from((0, 1, top >> 1, (top >> 1) + 1, top)),
+                      st.integers(0, top)),
+            min_size=n, max_size=n))
+        blocks.append(block_at(configured, means, stds))
+        frames.append((budget, payloads))
+    return blocks, frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=vectors(), seed=st.integers(0, 2**64 - 1))
+def test_vector_decode_is_the_scalar_loop(vector, seed):
+    blocks, frames = vector
+    assert (outcome(decode_block_vector, blocks, CONFIG, message(frames), seed)
+            == outcome(scalar_decode, blocks, frames, seed))
+
+
+def test_the_loop_covers_every_path():
+    """The cases the pin needs, each decoded by both: codeword 0, a walk
+    below the closed form's depth and an emptied slot."""
+    narrow = block_at(8, [0.5], [1e-30])
+    empty = (8, [(1 << 7) + 5])  # an inner depth-8 code: both its ends have quantile 0.5
+    with pytest.raises(InvalidCodeError):
+        scalar_decode([narrow], [empty], 3)
+    assert outcome(decode_block_vector, [narrow], CONFIG, message([empty]), 3) == \
+        "InvalidCodeError"
+    wide = block_at(MAX_DEPTH, [0.1, -0.4], [1.0, 2.0])
+    frames = [(MAX_DEPTH, [0, (1 << 60) + 12345])]  # codeword 0, a depth-61 walk
+    for seed in (0, 7, 2**64 - 1):
+        decoded = decode_block_vector([wide], CONFIG, message(frames), seed)
+        assert [x.hex() for x in decoded] == \
+            [x.hex() for x in scalar_decode([wide], frames, seed)]
+
+
+def test_a_coordinate_refusal_comes_before_a_later_frames_fault():
+    """An emptied slot in block 0 and a wrong budget in block 1: the loop
+    decodes block 0 before it reads frame 1, so the code's refusal wins."""
+    narrow, wide = block_at(8, [0.5], [1e-30]), block_at(5, [0.0], [1.0])
+    frames = [(8, [(1 << 7) + 5]), (6, [3])]  # frame 1 says 6, its block 5
+    data = message(frames)
+    with pytest.raises(InvalidCodeError):
+        decode_block_vector([narrow, wide], CONFIG, data, 11)
+    # truncated inside frame 1: the code's refusal still comes first
+    with pytest.raises(InvalidCodeError):
+        decode_block_vector([narrow, wide], CONFIG, data[:len(message(frames[:1]))], 11)
+
+
+def test_a_frame_fault_comes_before_a_later_coordinate_refusal():
+    """The reverse: a wrong budget in block 0 and an emptied slot in block
+    1. The frame is refused before any code after it is decoded."""
+    wide, narrow = block_at(5, [0.0], [1.0]), block_at(8, [0.5], [1e-30])
+    data = message([(6, [3]), (8, [(1 << 7) + 5])])
+    with pytest.raises(MalformedMessageError):
+        decode_block_vector([wide, narrow], CONFIG, data, 11)

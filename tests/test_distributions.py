@@ -113,6 +113,35 @@ def test_std_normal_quantile_is_bit_identical_to_the_frozen_formula():
         frozen_std_normal_quantile(u).hex() for u in us]
 
 
+def test_std_normal_quantile_refuses_where_its_residual_step_overflows():
+    """Below about u = 1e-310 the residual step's exp overflows: the
+    quantile refuses with DomainError where the frozen formula raises
+    OverflowError, and returns the frozen value bit for bit everywhere
+    else, 1e-310 (-37.66) included."""
+    g = Gaussian(0.0, 1.0)
+    for u in (5e-324, 1e-315):
+        with pytest.raises(DomainError):
+            g.inv_cdf(u)
+        with pytest.raises(DomainError):
+            g.inv_cdfs([0.5, u])
+    assert g.inv_cdf(1e-310) == frozen_std_normal_quantile(1e-310) == -37.663060331949524
+    rng = random.Random(20260817)
+    us = [5e-324, 1e-315, 1e-310] + [10.0 ** -rng.uniform(300.0, 323.5) for _ in range(2_000)]
+    us += [rng.random() * 1e-308 for _ in range(2_000)]  # the subnormals
+    outcomes = set()
+    for u in us:
+        try:
+            expected = frozen_std_normal_quantile(u).hex()
+        except OverflowError:
+            with pytest.raises(DomainError):
+                _std_normal_quantile(u)
+            outcomes.add("refused")
+        else:
+            assert _std_normal_quantile(u).hex() == expected
+            outcomes.add("returned")
+    assert outcomes == {"refused", "returned"}
+
+
 def test_gaussian_quantile_roundtrip():
     g = Gaussian(-3.0, 0.25)
     for u in np.linspace(1e-9, 1 - 1e-9, 1001):
@@ -185,11 +214,11 @@ def _points(pair):
 
 
 def _outcome(form, values):
-    """What a form gives, as hex strings, or the error it raises. A u below
-    about 1e-310 overflows the quantile's residual step in both forms."""
+    """What a form gives, as hex strings, or the DomainError it raises (a
+    u below about 1e-310 is refused by the quantile's residual step)."""
     try:
         return [v.hex() for v in form(values)]
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -26,6 +26,7 @@ from reckit.randomness import (
     counter_uniform,
     counter_uniforms,
     derive_seed,
+    derived_slot_uniforms,
     keyed_uniform,
     seed_state,
     slot_uniform,
@@ -130,6 +131,25 @@ def test_slot_uniform_pair_matches_two_slot_uniforms(stream, field, slots):
         slot_uniform(key, slot_a), slot_uniform(key, slot_b))
 
 
+NODES = st.one_of(st.sampled_from((0, 1, (1 << 62) - 1)), st.integers(0, (1 << 62) - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), stream=st.one_of(st.sampled_from((0, MASK)), st.integers(0, MASK)),
+       n=st.sampled_from((1, 6, 256, 257)))
+def test_derived_slot_uniforms_match_the_absorb_chain(data, stream, n):
+    """Lane i of the packed draw equals its five-field absorb chain: the
+    lane index (derive_seed), seed_state's zero field, the node, the slot
+    and counter 0, for heap indices below 2^62, a vector of 1, 6, 256 or
+    257 lanes (two batches) and any slots a decoder draws."""
+    nodes = data.draw(st.lists(NODES, min_size=n, max_size=n))
+    slots = data.draw(st.lists(st.sampled_from((DrawSlot.SAMPLE, DrawSlot.EXTRA_ROOT_SAMPLE)),
+                               min_size=n, max_size=n))
+    assert derived_slot_uniforms(stream, nodes, slots) == [
+        state_uniform(absorb(absorb(absorb(absorb(absorb(stream, i), -_GOLDEN), node), slot), 0))
+        for i, (node, slot) in enumerate(zip(nodes, slots))]
+
+
 def test_slot_uniforms_batches_past_256_fields():
     rng = random.Random(20260817)
     stream, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(600)]
@@ -158,6 +178,10 @@ def test_packed_draws_unpack_on_a_big_endian_host(monkeypatch):
     state, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(40)]
     assert counter_uniforms(state, 5, 300) == [counter_uniform(state, 5 + i) for i in range(300)]
     assert slot_uniforms(state, fields, 1) == [slot_uniform(absorb(state, f), 1) for f in fields]
+    slots = [1, 3] * 160
+    assert derived_slot_uniforms(state, fields * 8, slots) == [
+        slot_uniform(absorb(seed_state(absorb(state, i)), f), slot)
+        for i, (f, slot) in enumerate(zip(fields * 8, slots))]
 
 
 def test_draw_shapes_reproduce_the_keyed_anchors():
