@@ -19,17 +19,22 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 
 ``coders.CODERS`` holds each coder's tag and unit layout, and
 ``coders.Unit`` implements the three unit layouts: it checks, prices and
-writes one unit, and reads a frame's units. This module owns the bit
-codes and the frame: ``MessageFrame`` checks a frame when it is built,
-``write_message`` writes it unchecked, and ``read_message`` returns only
-what it admits. ``_HEADS`` is the one table of frame layouts; the writer
-reads it through its inverse.
+writes one unit, reads a frame's payloads and makes them codes. This
+module owns the bit codes and the frame: ``MessageFrame`` checks a frame
+when it is built, ``write_message`` writes it unchecked, and
+``read_frame`` and ``read_message`` return only what it admits.
+``_HEADS`` is the one table of frame layouts; the writer reads it
+through its inverse.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
 well-formed gamma.
 
-``read_message`` walks a frame in one pass. ``BitReader.read`` takes n
+``read_frame`` walks a frame in one pass and returns its fields bare;
+``read_message`` is that walk with the payloads made ``Code`` objects in
+a ``MessageFrame``. A caller that wants only the payloads, as the block
+codec's decode does, reads through ``read_frame`` and builds no object
+per unit or frame. ``BitReader.read`` takes n
 fields of one kind per call: gammas, deltas under a cap on their length
 field, or fixed-width words. The header takes two calls (three in a
 block frame) and the units one. A refused field is not consumed and the
@@ -251,10 +256,12 @@ def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWr
     return w
 
 
-def read_message(reader: BitReader) -> MessageFrame:
-    """Read one frame: its header gammas, then its units through its
-    coder's ``Unit``. A refused field is not consumed, save a budget field
-    above ``MAX_DEPTH``, which is read and then refused."""
+def read_frame(reader: BitReader) -> tuple[str, Variant, int | None, list[int]]:
+    """Walk one frame: its header gammas, then its units' payloads through
+    its coder's ``Unit``. Returns (mode, variant, budget, payloads), the
+    budget None in an exact frame and the payloads bare ints. A refused
+    field is not consumed, save a budget field above ``MAX_DEPTH``, which
+    is read and then refused."""
     mode_tag, variant_tag = reader.read(2)
     head = _HEADS.get((mode_tag, variant_tag))
     if head is None:
@@ -267,10 +274,17 @@ def read_message(reader: BitReader) -> MessageFrame:
         if budget > MAX_DEPTH:
             raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     (count,) = reader.read(1)
-    codes = unit.read(reader, variant, budget, count - 1)
+    return mode, variant, budget, unit.read(reader, budget, count - 1)
+
+
+def read_message(reader: BitReader) -> MessageFrame:
+    """Read one frame as a ``MessageFrame``: ``read_frame``'s walk, with
+    its refusals and reader positions, and its payloads made codes by the
+    coder's ``Unit``."""
+    mode, variant, budget, payloads = read_frame(reader)
     frame = _new(MessageFrame)  # the walk returns only what __init__ admits
     _set_mode(frame, mode)
     _set_variant(frame, variant)
-    _set_codes(frame, tuple(codes))
+    _set_codes(frame, tuple(CODERS[variant].unit.codes(variant, budget, payloads)))
     _set_budget(frame, budget)
     return frame

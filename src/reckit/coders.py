@@ -94,8 +94,9 @@ def check_budget(budget: int) -> None:
 class Unit(Enum):
     """How one codeword sits on the wire: the one statement of each layout.
     ``write`` puts one unit on a ``bitstream.BitWriter``, ``read`` takes a
-    frame's units off a ``bitstream.BitReader`` as codes, and ``check``
-    admits exactly the (width, payload) pairs ``read`` can return."""
+    frame's payloads off a ``bitstream.BitReader`` as bare ints, ``codes``
+    makes them codes, and ``check`` admits exactly the (width, payload)
+    pairs that ``read`` and ``codes`` can return."""
 
     HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
     ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
@@ -133,19 +134,25 @@ class Unit(Enum):
         else:  # gamma(depth) and the index below its leading 1 is delta(index)
             writer.write_elias_delta(payload)
 
-    def read(self, reader, variant: Variant, budget: int | None, count: int) -> list[Code]:
-        """Take ``count`` units off ``reader`` as codes of ``variant``.
-        ``budget`` is the frame header's codeword width; the self-sized
-        units ignore it. The codes skip ``Code``'s check, which would
-        refuse nothing: a unit reads only what ``check`` admits."""
+    def read(self, reader, budget: int | None, count: int) -> list[int]:
+        """Take the payloads of ``count`` units off ``reader``. ``budget`` is
+        the frame header's codeword width; the self-sized units ignore it."""
         if self is _CODEWORD:
-            payloads = reader.read(count, budget)
+            return reader.read(count, budget)
+        return reader.read(count, None, MAX_DEPTH if self is _HEAP_INDEX else 64)
+
+    def codes(self, variant: Variant, budget: int | None, payloads: list[int]) -> list[Code]:
+        """The codes of ``variant`` that ``read``'s payloads name: each one's
+        width is the budget, the payload's ``bit_length`` (a heap index) or
+        the payload itself (an arrival index). The codes skip ``Code``'s
+        check, which would refuse nothing: a unit reads only what ``check``
+        admits."""
+        if self is _CODEWORD:
             widths = repeat(budget)
         elif self is _HEAP_INDEX:
-            payloads = reader.read(count, None, MAX_DEPTH)
             widths = map(int.bit_length, payloads)
         else:
-            widths = payloads = reader.read(count, None, 64)
+            widths = payloads
         codes = []
         for width, payload in zip(widths, payloads):
             code = _new(Code)

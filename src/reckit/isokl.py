@@ -14,15 +14,9 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .bitstream import (
-    MODE_BLOCK,
-    BitReader,
-    BitWriter,
-    MessageFrame,
-    read_message,
-    write_message,
-)
-from .coders import Variant, encode_dad
+from .bitstream import MODE_BLOCK, BitReader, BitWriter, MessageFrame, read_frame, write_message
+from .bitstream import read_message  # noqa: F401  (benchmarks/run.py traces it here)
+from .coders import Variant, _is_int, encode_dad
 from .coders import decode_dad  # noqa: F401  (benchmarks/run.py traces it here)
 from .distributions import Gaussian, PairSpec, Uniform, as_number
 from .errors import DomainError, Frozen, InfeasibleParameterError, MalformedMessageError, RecError
@@ -31,6 +25,7 @@ from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it 
 from .tree import locate_dyadic_vector
 
 _LN2 = math.log(2.0)
+_DAD_STAR = Variant.DAD_STAR
 _BRANCH_POINT = -math.exp(-1.0)
 
 
@@ -193,11 +188,14 @@ class IsoKLGaussianBlock(Frozen):
 
 class BlockCodecConfig(Frozen):
     """Codec-side knobs: the extra-bit slack t added to every block's
-    ceil(kappa / ln 2) base budget."""
+    ceil(kappa / ln 2) base budget. t must be an int (``coders._is_int``:
+    a bool or a float is refused)."""
 
     __slots__ = _fields = ("extra_bits",)
 
     def __init__(self, extra_bits: int = 2) -> None:
+        if not _is_int(extra_bits):
+            raise DomainError(f"extra_bits must be an integer, got {extra_bits!r}")
         self._store(extra_bits)
 
     def budget(self, kappa: float) -> int:
@@ -245,12 +243,16 @@ def decode_block_vector(
     """Exact inverse of encode_block_vector (target means are not needed
     to decode; only priors, kappas, and block sizes are read).
 
-    The frames are read and checked block by block; then one call to
-    ``tree.locate_dyadic_vector`` decodes every coordinate, drawing their
-    sample uniforms in one packed pass. A refused vector raises what a
-    block-by-block decode meets first: when a frame fails its read or a
-    check, the coordinates of the blocks before it are decoded, and the
-    first of their refusals is raised ahead of the frame's.
+    Each block's frame is walked by ``bitstream.read_frame``, which returns
+    its variant, budget and payloads bare, and checked on those fields
+    against the block (each block's configured budget computed once); no
+    ``Code`` or ``MessageFrame`` is built. Then one call to
+    ``tree.locate_dyadic_vector`` decodes every coordinate from the
+    payloads, drawing their sample uniforms in one packed pass. A refused
+    vector raises what a block-by-block decode meets first: when a frame
+    fails its read or a check, the coordinates of the blocks before it are
+    decoded, and the first of their refusals is raised ahead of the
+    frame's.
     """
     reader = BitReader(data)
     proposals: list[Gaussian] = []
@@ -258,19 +260,17 @@ def decode_block_vector(
     failure = None
     try:
         for block in blocks:
-            frame = read_message(reader)
-            if frame.variant is not Variant.DAD_STAR:  # a DAD_STAR frame is a block frame
+            _, variant, budget, frame_payloads = read_frame(reader)
+            if variant is not _DAD_STAR:  # a DAD_STAR frame is a block frame
                 raise MalformedMessageError("expected a tied-budget block frame")
-            if frame.budget != config.budget(block.kappa):
+            configured = config.budget(block.kappa)
+            if budget != configured:
+                raise MalformedMessageError(f"frame budget {budget} != configured {configured}")
+            if len(frame_payloads) != len(block):
                 raise MalformedMessageError(
-                    f"frame budget {frame.budget} != configured {config.budget(block.kappa)}"
-                )
-            if frame.symbol_count != len(block):
-                raise MalformedMessageError(
-                    f"frame holds {frame.symbol_count} codes, block has {len(block)}"
-                )
+                    f"frame holds {len(frame_payloads)} codes, block has {len(block)}")
             proposals += block.proposals
-            payloads += [code.payload for code in frame.codes]
+            payloads += frame_payloads
     except RecError as exc:
         failure = exc
     samples = locate_dyadic_vector(proposals, seed_state(seed), payloads)

@@ -16,6 +16,7 @@ from reckit.bitstream import (
     MODE_BLOCK,
     MODE_EXACT,
     MessageFrame,
+    read_frame,
     read_message,
     write_message,
 )
@@ -292,7 +293,7 @@ def unit_roundtrip(code: Code, budget: int | None = None) -> Code:
     w = BitWriter()
     unit = CODERS[code.variant].unit
     unit.write(w, code.depth_or_budget, code.payload)
-    (read,) = unit.read(BitReader(w.getvalue()), code.variant, budget, 1)
+    (read,) = unit.codes(code.variant, budget, unit.read(BitReader(w.getvalue()), budget, 1))
     return Code(code.variant, read.depth_or_budget, read.payload)
 
 
@@ -469,7 +470,7 @@ def test_unpack_depth_cap_is_the_tree_cap():
     w.write_elias_gamma(MAX_DEPTH + 1)
     w.write_bits(0, 64 + 8)
     with pytest.raises(MalformedMessageError):
-        Unit.HEAP_INDEX.read(BitReader(w.getvalue()), Variant.AD_STAR, None, 1)
+        Unit.HEAP_INDEX.read(BitReader(w.getvalue()), None, 1)
     code = Code(Variant.AD_STAR, MAX_DEPTH, (1 << (MAX_DEPTH - 1)) + 5)
     assert unit_roundtrip(code) == code
 
@@ -637,17 +638,23 @@ def reference_read_message(data: bytes, start: int = 0) -> tuple[object, int]:
 
 def assert_reads_as_reference(data: bytes, start: int = 0):
     """``read_message`` from bit ``start`` gives the reference's frame or
-    error class and leaves the same bits; returns what it read."""
+    error class and leaves the same bits, and so does ``read_frame``, with
+    the frame's fields and bare payloads; returns what ``read_message``
+    read."""
     want, want_left = reference_read_message(data, start)
-    reader = BitReader(data)
-    reader.read_bits(start)
-    try:
-        got = read_message(reader)
-    except RecError as exc:
-        got = type(exc)
-    assert got == want
-    assert reader.bits_left == want_left
-    return got
+    fields = want if isinstance(want, type) else (
+        want.mode, want.variant, want.budget, [code.payload for code in want.codes])
+    got = []
+    for read, expect in ((read_message, want), (read_frame, fields)):
+        reader = BitReader(data)
+        reader.read_bits(start)
+        try:
+            got.append(read(reader))
+        except RecError as exc:
+            got.append(type(exc))
+        assert got[-1] == expect
+        assert reader.bits_left == want_left
+    return got[0]
 
 
 def _header(mode_tag: int, variant_tag: int, budget: int | None, count: int) -> BitWriter:

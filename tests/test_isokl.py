@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from reckit.bitstream import MODE_BLOCK, BitWriter, MessageFrame, write_message
-from reckit.coders import Variant, encode_dad
+from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitWriter, MessageFrame, write_message
+from reckit.coders import Code, Variant, encode_dad
 from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DomainError, InfeasibleParameterError, MalformedMessageError
 from reckit.isokl import (
@@ -247,6 +247,11 @@ def test_codec_budget():
     assert BlockCodecConfig(extra_bits=1).budget(0.0) == 1
     with pytest.raises(DomainError):
         BlockCodecConfig(extra_bits=0).budget(0.0)
+    # a slack that is not an int is refused when the config is built, not
+    # at encode or decode: a str, a float, a bool or None
+    for extra_bits in ("2", 2.5, 2.0, True, False, None):
+        with pytest.raises(DomainError, match="^extra_bits must be an integer"):
+            BlockCodecConfig(extra_bits=extra_bits)
 
 
 def test_block_vector_roundtrip():
@@ -307,6 +312,29 @@ def test_block_vector_decode_validation():
         decode_block_vector([make_block(0.8, 5, 1)], config, data, 5)
     with pytest.raises(MalformedMessageError):
         decode_block_vector(blocks, config, data[:1], 5)
+
+
+def test_block_vector_decode_refuses_frames_on_their_fields():
+    """Each block's frame is checked on its bare fields, with its own
+    message: a frame of another coder (an MRC block frame, an exact AD*
+    frame), a budget other than the block's and a count other than its
+    size."""
+    blocks = [make_block(0.8, 4, 1)]  # budget ceil(0.8 / ln 2) + 2 = 4
+    config = BlockCodecConfig(extra_bits=2)
+    mrc = MessageFrame(MODE_BLOCK, Variant.MRC,
+                       tuple(Code(Variant.MRC, 4, h) for h in (0, 1, 2, 15)), 4)
+    ad = MessageFrame(MODE_EXACT, Variant.AD_STAR,
+                      tuple(Code(Variant.AD_STAR, 3, h) for h in (4, 5, 6, 7)))
+    for frame in (mrc, ad):
+        with pytest.raises(MalformedMessageError, match="^expected a tied-budget block frame$"):
+            decode_block_vector(blocks, config, write_message(frame).getvalue(), 5)
+    data = encode_block_vector(blocks, config, 5)
+    with pytest.raises(MalformedMessageError, match="^frame budget 4 != configured 5$"):
+        decode_block_vector(blocks, BlockCodecConfig(extra_bits=3), data, 5)
+    with pytest.raises(MalformedMessageError, match="^frame holds 4 codes, block has 5$"):
+        decode_block_vector([make_block(0.8, 5, 1)], config, data, 5)
+    with pytest.raises(MalformedMessageError, match="^frame holds 4 codes, block has 3$"):
+        decode_block_vector([make_block(0.8, 3, 1)], config, data, 5)
 
 
 def test_load_block_model():
