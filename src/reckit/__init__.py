@@ -13,12 +13,10 @@ configs come in as dicts (``PairSpec.from_dict``,
 ``distribution_from_dict``, ``load_block_model``); only ``reckit.cli``
 reads files.
 
-The codec imports only the standard library. The experiment harness,
+Every module imports only the standard library. The experiment harness,
 ``reckit.bench`` (behind the ``bench-*`` and ``verify`` commands), is not
-imported here: ``from reckit import bench``. Only its bias grid needs
-numpy (the ``bench`` extra), and imports it where it computes. The
-search and randomness internals live in ``reckit.tree`` and
-``reckit.randomness``.
+imported here: ``from reckit import bench``. The search and randomness
+internals live in ``reckit.tree`` and ``reckit.randomness``.
 """
 
 from .bitstream import (

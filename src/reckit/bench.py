@@ -1,6 +1,6 @@
 """Experiment harness: runtime/codelength grids, bias-vs-slack grids, the
-mode sweep, Monte-Carlo shrinkage verification, and the k-NN divergence
-estimator that scores encoded batches.
+mode sweep, Monte-Carlo shrinkage verification, and the PIT score that
+rates an encoded batch's bias against its target's CDF.
 
 Everything is driven by an :class:`ExperimentConfig` (built from a dict) and
 emits :class:`ResultRow` records with a fixed CSV schema. Runs are fully
@@ -8,10 +8,9 @@ deterministic: every trial's stream seed is derived from the config seed
 and the trial's position, and rows are sorted before writing, so a given
 config always produces byte-identical CSV.
 
-numpy serves the bias grid alone (the ``bench`` extra): the k-NN estimator
-and its fresh target samples import it where they compute. Everything else,
-shrinkage verification and ``summarize_rows`` included, runs on the standard
-library and loads nothing beyond ``math`` until a statistic runs.
+The harness runs on the standard library alone, and loads nothing beyond
+``math`` until a statistic (shrinkage verification, ``summarize_rows``)
+runs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from typing import Iterable, Sequence
 
 from .coders import CODERS, MAX_STEPS, Variant
@@ -77,8 +75,9 @@ class ExperimentConfig(Frozen):
     a fixed uniform prior; mixture cells hold a mode count at a shared
     dinf. ``trials`` is the runtime grids' encodes per (cell, algorithm)
     and the bias grid's batches per (cell, algorithm, t); ``extra_bits``
-    and ``batch`` only matter to the bias grid. A batch needs k + 2 = 3
-    encodes, the fewest ``knn_kl_estimate`` scores (a self-excluded 1-NN).
+    and ``batch`` only matter to the bias grid. A batch needs 4 encodes,
+    the fewest whose ``pit_kl`` score has two bins (isqrt(batch) of them):
+    one bin scores 0 whatever the coder.
     ``max_steps`` is at least 1, an extra-bit count at least 0, and no
     list repeats an entry.
     """
@@ -94,7 +93,7 @@ class ExperimentConfig(Frozen):
         mixture_cells: tuple[tuple[int, float], ...] = (),
         extra_bits: tuple[int, ...] = (0, 1, 2, 3, 4), batch: int = 100, max_steps: int = MAX_STEPS,
     ) -> None:
-        for name, value, least in (("trials", trials, 1), ("batch", batch, 3),
+        for name, value, least in (("trials", trials, 1), ("batch", batch, 4),
                                    ("max_steps", max_steps, 1),
                                    *(("extra_bits", t, 0) for t in extra_bits)):
             if value < least:
@@ -200,59 +199,25 @@ def _cells_for(config: ExperimentConfig) -> list[_Cell]:
     return cells
 
 
-# -- the k-NN divergence estimator -------------------------------------------
+# -- the bias score -------------------------------------------------------------
 
 
-def _kth_distance(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each query to its k-th nearest of the sorted ``points``.
-
-    In one dimension the k nearest lie within k slots of the query's
-    insertion point, so a window of k + 1 slots on either side holds them.
-    """
-    import numpy as np
-
-    pos = np.searchsorted(points, queries)
-    idx = pos[:, None] + np.arange(-(k + 1), k + 2)
-    dist = np.abs(points[np.clip(idx, 0, len(points) - 1)] - queries[:, None])
-    dist[(idx < 0) | (idx >= len(points))] = np.inf
-    return np.sort(dist, axis=1)[:, k - 1]
-
-
-def knn_kl_estimate(
-    samples_p: Sequence[float], samples_q: Sequence[float], k: int = 1
-) -> float:
-    """1-D k-nearest-neighbour estimate of KL(P-hat || Q-hat) in nats.
-
-    (1/n) sum log(nu_k / rho_k) + log(m / (n - 1)), with rho_k the k-NN
-    distance within samples_p (self excluded) and nu_k the k-NN distance
-    into samples_q. The estimate is not sign-constrained. Duplicate
-    values would produce zero distances; they are perturbed by
-    index-proportional 1e-12 offsets (with a warning) before querying.
-    """
-    import numpy as np
-
-    x = np.asarray(samples_p, dtype=float)
-    y = np.asarray(samples_q, dtype=float)
-    n, m = len(x), len(y)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if n < k + 2:
-        raise DomainError(
-            f"samples_p needs at least k+2 = {k + 2} points for a self-excluded "
-            f"k-th neighbour, got {n}"
-        )
-    if m < k + 1:
-        raise DomainError(f"samples_q needs at least k+1 = {k + 1} points, got {m}")
-    if len(np.unique(np.concatenate([x, y]))) < n + m:
-        warnings.warn(
-            "duplicate sample values; applying index-proportional 1e-12 jitter",
-            stacklevel=2,
-        )
-        x = x + 1e-12 * np.arange(n)
-        y = y + 1e-12 * math.sqrt(2.0) * np.arange(m)
-    rho = _kth_distance(np.sort(x), x, k + 1)  # the nearest is the point itself
-    nu = _kth_distance(np.sort(y), x, k)
-    return float(np.mean(np.log(nu / rho)) + math.log(m / (n - 1)))
+def pit_kl(target: Distribution1D, xs: Sequence[float], bins: int) -> float:
+    """How far the batch ``xs`` is from ``target``, in nats, scored through
+    the probability integral transform: ``target.cdf(x)`` is uniform when x
+    follows the target. The values fall into ``bins`` equal bins (1.0 in
+    the last), and the score is the plug-in KL of the binned law against a
+    uniform, less the Miller-Madow correction (bins - 1) / (2n). It reads
+    about 0 on exact samples and is not sign-constrained; 2n times it plus
+    bins - 1 is the G statistic, chi-square with bins - 1 degrees of
+    freedom under the target."""
+    n = len(xs)
+    if n < 1 or bins < 1:
+        raise DomainError(f"pit_kl needs a sample and a bin, got {n} and {bins}")
+    counts = [0] * bins
+    for x in xs:
+        counts[min(int(target.cdf(x) * bins), bins - 1)] += 1
+    return math.fsum(c * math.log(c * bins / n) for c in counts if c) / n - (bins - 1) / (2 * n)
 
 
 # -- grids --------------------------------------------------------------------
@@ -317,37 +282,29 @@ def run_mode_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return run_runtime_grid(config)
 
 
-def _fresh_target_samples(target: Distribution1D, seed: int, count: int) -> list[float]:
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return [target.inv_cdf(u) for u in rng.random(count)]
-
-
 def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
     """Bias of the depth-limited coders versus the extra-bit slack.
 
     Per (cell, t, trial): encode a batch with DAD* and with MRC at the
-    shared budget ceil(KL/ln2) + t, then score each batch against fresh
-    target samples with the k-NN estimator. One row per (cell,
-    algorithm, t, trial) carrying the batch's mean steps and its bias
-    estimate. A config that names neither DAD* nor MRC raises DomainError.
+    shared budget ceil(KL/ln2) + t, then score each batch against the
+    target's CDF with ``pit_kl`` in isqrt(batch) bins. One row per (cell,
+    algorithm, t, trial) carrying the batch's mean steps and its score in
+    ``kl_bias_estimate``. A config that names neither DAD* nor MRC raises
+    DomainError.
 
     Common random numbers: within a trial, both coders at every budget
     reuse the same per-symbol seeds (their keyed streams are disjoint by
-    slot) and are scored against the same fresh reference set, so
-    bias comparisons across algorithms and across t are paired rather
-    than compounding three sources of independent noise.
+    slot), so bias comparisons across algorithms and across t are paired
+    rather than compounding independent noise.
     """
     _check_runs_a_coder(config, fixed_width=True)
     rows: list[ResultRow] = []
     cells = _cells_for(config)
+    bins = math.isqrt(config.batch)
     for ci, cell in enumerate(cells):
         base_bits = math.ceil(cell.kl / _LN2)
         for trial in range(config.trials):
             enc_base = _trial_seed(config.seed, ci, 0xE0, trial)
-            fresh = _fresh_target_samples(cell.pair.target,
-                                          _trial_seed(config.seed, ci, 0xF0, trial), config.batch)
             for t in config.extra_bits:
                 budget = max(1, base_bits + t)
                 for variant, spec in CODERS.items():
@@ -361,7 +318,7 @@ def run_bias_grid(config: ExperimentConfig) -> list[ResultRow]:
                             _, x, st = spec.encode(cell.pair, seed, budget, config.max_steps)
                             encoded.append(x)
                             steps += st.steps
-                        bias = knn_kl_estimate(encoded, fresh)
+                        bias = pit_kl(cell.pair.target, encoded, bins)
                         rows.append(_row(cell, variant.value, trial, t, steps=steps / config.batch,
                                          depth=budget, payload_bits=budget,
                                          kl_bias_estimate=bias))

@@ -8,11 +8,12 @@ Subcommands:
   compared byte for byte). Symbol i of a multi-symbol message uses the
   stream derived from the seed by its index.
 * ``bench-runtime`` / ``bench-bias`` / ``bench-modes``: read an
-  experiment config JSON and write the CSV to ``--out`` (``bench-bias`` needs numpy).
+  experiment config JSON and write the CSV to ``--out``.
 * ``verify``: run Monte-Carlo property suites (region-mass shrinkage, and
   round trips through ``coders.encode``); exits 1 on violation.
 * ``isokl``: solve the constant-divergence parameterizations and print
-  the resulting pair as JSON.
+  the resulting pair as JSON; a flag the chosen recipe does not read is
+  refused.
 
 Usage problems (bad flags, malformed config or model files, unreadable
 messages) exit with status 2; a failed verification exits with 1.
@@ -182,7 +183,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace, runner: str) -> int:
-    from . import bench  # the codec commands never load the harness; its bias grid needs numpy
+    from . import bench  # the codec commands never load the harness
 
     config = bench.ExperimentConfig.from_dict(_load_object(args.config))
     rows = getattr(bench, runner)(config)
@@ -243,26 +244,42 @@ def _verify_roundtrip(trials: int, seed: int) -> int:
     return 1 if bad else 0
 
 
+# The flags each isokl recipe reads (all but --beta, which defaults to 0,
+# are required); a recipe refuses the others' flags
+_ISOKL_RECIPES = {
+    "--kl/--dinf": ("kl", "dinf"),
+    "--family gaussian": ("prior_mean", "prior_std", "target_mean", "kappa"),
+    "--family uniform": ("prior_center", "prior_width", "kappa", "beta"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_isokl(args: argparse.Namespace) -> int:
-    if args.kl is not None or args.dinf is not None:
-        if args.kl is None or args.dinf is None:
-            raise DomainError("--kl and --dinf go together")
+    joint = args.kl is not None or args.dinf is not None
+    recipe = "--kl/--dinf" if joint else f"--family {args.family}"
+    reads = _ISOKL_RECIPES[recipe]
+    given = [_flag(n) for n in dict.fromkeys(sum(_ISOKL_RECIPES.values(), ()))
+             if n not in reads and getattr(args, n) is not None]
+    if joint and args.family != "gaussian":  # the joint inversion builds a gaussian pair
+        given.insert(0, f"--family {args.family}")
+    if given:
+        raise DomainError(f"{recipe} does not take {', '.join(given)}")
+    missing = [_flag(n) for n in reads if n != "beta" and getattr(args, n) is None]
+    if missing:
+        raise DomainError(f"{recipe} needs {', '.join(missing)}")
+    if joint:
         mean, variance = gaussian_from_kl_dinf(args.kl, args.dinf)
         pair = PairSpec(Gaussian(mean, variance), Gaussian(0.0, 1.0))
     elif args.family == "uniform":
-        for name in ("prior_center", "prior_width", "kappa"):
-            if getattr(args, name) is None:
-                raise DomainError(f"uniform family needs --{name.replace('_', '-')}")
         target = uniform_from_mean_kl(
-            args.prior_center, args.prior_width, args.kappa, args.beta
+            args.prior_center, args.prior_width, args.kappa,
+            0.0 if args.beta is None else args.beta,
         )
         pair = PairSpec(target, Uniform(args.prior_center, args.prior_width))
     else:
-        for name in ("prior_mean", "prior_std", "target_mean", "kappa"):
-            if getattr(args, name) is None:
-                raise DomainError(
-                    f"gaussian family needs --{name.replace('_', '-')} (or --kl/--dinf)"
-                )
         variance = gaussian_from_mean_kl(
             args.prior_mean, args.prior_std, args.target_mean, args.kappa
         )
@@ -346,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("--prior-center", type=float)
     iso.add_argument("--prior-width", type=float)
     iso.add_argument("--kappa", type=float, help="KL divergence in nats")
-    iso.add_argument("--beta", type=float, default=0.0,
-                     help="where in the slack the uniform target sits")
+    iso.add_argument("--beta", type=float,
+                     help="where in the slack the uniform target sits (default 0)")
     iso.add_argument("--out", help="write JSON here instead of stdout")
     iso.set_defaults(func=_cmd_isokl)
 
@@ -367,11 +384,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (RecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModuleNotFoundError as exc:  # bench-bias without the bench extra
-        if exc.name != "numpy":
-            raise
-        print(f"error: {args.command} needs numpy: pip install 'reckit[bench]'", file=sys.stderr)
         return 2
 
 

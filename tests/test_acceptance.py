@@ -25,10 +25,11 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, stats
 
+from knn import fresh_target_samples, knn_kl_estimate
 from reckit.bench import (
     ExperimentConfig,
+    _trial_seed,
     mixture_pair,
-    run_bias_grid,
     run_mode_sweep,
     verify_shrinkage,
 )
@@ -41,8 +42,10 @@ from reckit.bitstream import (
     write_message,
 )
 from reckit.coders import (
+    MAX_STEPS,
     Variant,
     decode,
+    encode,
     encode_astar,
     encode_dad,
     encode_mrc,
@@ -328,24 +331,33 @@ def test_criterion_08_extra_bits_close_the_bias_gap():
     """Depth-limited coding at budget ceil(kl/ln2) + t: the k-NN bias is
     non-increasing in t (2 SE slack per step), matches the
     2^budget-draw selection coder within 2 SE at t >= 1, and costs at
-    most a tenth of its draws once t >= 2."""
-    config = ExperimentConfig(
-        algorithms=("dad", "mrc"),
-        trials=50,
-        seed=80_000,
-        gaussian_cells=BIAS_CELLS,
-        extra_bits=(0, 1, 2, 3, 4),
-        batch=100,
-    )
-    rows = run_bias_grid(config)
-    errors = [r.error for r in rows if r.error]
-    assert not errors, errors[:3]
+    most a tenth of its draws once t >= 2.
+
+    The batches are the bias grid's at config seed 80000: 50 trials of 100
+    encodes per (cell, coder, t), seeded as ``run_bias_grid`` seeds them.
+    Each is scored with the k-NN estimate against 100 fresh PCG64 draws of
+    the target at the trial's seed under tag 0xF0, where the grid drew them
+    while it scored with that estimate."""
+    seed, trials, batch = 80_000, 50, 100
     biases = defaultdict(list)
     steps = defaultdict(list)
-    for r in rows:
-        key = (r.d_inf_nats, r.algorithm, r.t_extra_bits)
-        biases[key].append(r.kl_bias_estimate)
-        steps[key].append(r.steps)
+    for ci, (kl, dinf) in enumerate(BIAS_CELLS):
+        pair = gauss_pair(kl, dinf)
+        base_bits = math.ceil(kl / LN2)
+        for trial in range(trials):
+            enc_base = _trial_seed(seed, ci, 0xE0, trial)
+            fresh = fresh_target_samples(pair.target, _trial_seed(seed, ci, 0xF0, trial), batch)
+            for t in range(5):
+                for variant in (Variant.DAD_STAR, Variant.MRC):
+                    encoded, total = [], 0
+                    for b in range(batch):
+                        _, x, st = encode(pair, variant, derive_seed(enc_base, b),
+                                          base_bits + t, MAX_STEPS)
+                        encoded.append(x)
+                        total += st.steps
+                    key = (dinf, variant.value, t)
+                    biases[key].append(knn_kl_estimate(encoded, fresh))
+                    steps[key].append(total / batch)
     ok = True
     parts = []
     for kl, dinf in BIAS_CELLS:

@@ -1,4 +1,4 @@
-"""Harness tests: estimator calibration, grid semantics, CSV stability."""
+"""Harness tests: bias scores, grid semantics, CSV stability."""
 
 import json
 import math
@@ -7,12 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from knn import knn_kl_estimate
 from reckit.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
-    knn_kl_estimate,
+    _trial_seed,
     mixture_pair,
+    pit_kl,
     rows_to_csv,
     run_bias_grid,
     run_mode_sweep,
@@ -21,7 +23,11 @@ from reckit.bench import (
     verify_shrinkage,
 )
 from reckit.cli import main
+from reckit.coders import MAX_STEPS, Variant, encode
+from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DomainError
+from reckit.isokl import gaussian_from_kl_dinf
+from reckit.randomness import derive_seed
 from reckit.tree import PartitionKind
 
 GOLDEN_HEADER = (
@@ -117,10 +123,10 @@ def test_knn_matches_kdtree_reference():
 def test_config_validation():
     with pytest.raises(DomainError):
         small_config(trials=0)
-    for batch in (-1, 0, 2):  # the k-NN estimate needs k + 2 = 3 points a batch
-        with pytest.raises(DomainError, match="batch must be >= 3"):
+    for batch in (-1, 0, 3):  # isqrt(batch) PIT bins: 3 encodes would fill one
+        with pytest.raises(DomainError, match="batch must be >= 4"):
             small_config(batch=batch)
-    assert small_config(batch=3).batch == 3
+    assert small_config(batch=4).batch == 4
     with pytest.raises(DomainError):
         ExperimentConfig(algorithms=("as",), trials=5, seed=1)  # no cells
     with pytest.raises(DomainError):
@@ -350,6 +356,64 @@ def test_mode_sweep_rejects_mixed_dinf():
 
 
 # ---------------------------------------------------------------- bias grid
+
+def test_pit_kl_counts_by_hand():
+    # Uniform(0.5, 1) has cdf(x) = x on [0, 1]; four bins take 2, 1, 0 and 2
+    # of the five values, 1.0 in the last bin with 0.95
+    unit = Uniform(0.5, 1.0)
+    plug_in = (2 * math.log(2 * 4 / 5) + math.log(4 / 5) + 2 * math.log(2 * 4 / 5)) / 5
+    assert pit_kl(unit, [0.05, 0.1, 0.3, 0.95, 1.0], 4) == pytest.approx(plug_in - 3 / 10,
+                                                                        rel=1e-12)
+    # a Gaussian's cdf is 1.0 far out in its tail: the last bin, not one past it
+    assert Gaussian(0.0, 1.0).cdf(40.0) == 1.0
+    assert pit_kl(Gaussian(0.0, 1.0), [40.0], 3) == pytest.approx(math.log(3) - 1.0)
+    assert pit_kl(unit, [0.1, 0.6], 2) == -1 / 4  # an even split scores -(bins - 1) / 2n
+    for xs, bins in (([], 4), ([0.5], 0)):
+        with pytest.raises(DomainError):
+            pit_kl(unit, xs, bins)
+
+
+PIT_N = 1600
+
+
+def test_pit_kl_passes_exact_coders_and_flags_dad_at_the_floor():
+    """The PIT score's chi-square test on batches of n = 1600 encodes in
+    isqrt(n) = 40 bins, as the bias grid bins: G = 2n pit_kl + bins - 1 is
+    chi-square with bins - 1 degrees of freedom for exact samples. Three
+    rows share a Bonferroni threshold at family-wise level 0.01:
+    - false-alarm rows: exact AD* on criterion 08's two cells, (1.45, 2)
+      and (2.114, 4) nats, stay below it;
+    - a power row: DAD* at t = 0 (budget 3) on the first cell, biased by
+      about 0.05 nats, clears it.
+    All rows share the seeds derive_seed(3400, j). It runs in about 0.6 s
+    on one core of a 2-vCPU VM."""
+    from scipy.stats import chi2
+
+    bins = math.isqrt(PIT_N)
+    threshold = chi2.ppf(1.0 - 0.01 / 3, bins - 1)
+    seeds = [derive_seed(3400, j) for j in range(PIT_N)]
+
+    def g_statistic(kl, dinf, variant, budget):
+        pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(kl, dinf)), Gaussian(0.0, 1.0))
+        xs = [encode(pair, variant, s, budget, MAX_STEPS)[1] for s in seeds]
+        return 2 * PIT_N * pit_kl(pair.target, xs, bins) + bins - 1
+
+    for kl, dinf in ((1.45, 2.0), (2.114, 4.0)):
+        assert g_statistic(kl, dinf, Variant.AD_STAR, None) < threshold
+    assert g_statistic(1.45, 2.0, Variant.DAD_STAR, 3) > threshold
+
+
+def test_bias_grid_scores_each_batch_with_pit_kl():
+    config = ExperimentConfig(algorithms=("dad",), trials=2, seed=5,
+                              gaussian_cells=((1.0, 2.0),), extra_bits=(1,), batch=30)
+    rows = run_bias_grid(config)
+    pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(1.0, 2.0)), Gaussian(0.0, 1.0))
+    for row in rows:
+        enc_base = _trial_seed(config.seed, 0, 0xE0, row.trial_index)
+        xs = [encode(pair, Variant.DAD_STAR, derive_seed(enc_base, b), row.depth, MAX_STEPS)[1]
+              for b in range(config.batch)]
+        assert row.kl_bias_estimate == pit_kl(pair.target, xs, 5)  # isqrt(30) bins
+
 
 def test_bias_grid_shape_and_budgets():
     config = ExperimentConfig(

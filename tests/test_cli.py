@@ -381,6 +381,49 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+_UNIFORM_RECIPE = ["--family", "uniform", "--prior-center", "0.0", "--prior-width", "2.0",
+                   "--kappa", "0.8"]
+_GAUSSIAN_RECIPE = ["--prior-mean", "0.0", "--prior-std", "1.0", "--target-mean", "0.5",
+                    "--kappa", "0.3"]
+
+
+@pytest.mark.parametrize("argv,unread", [
+    # the joint inversion builds a gaussian pair from --kl and --dinf alone
+    (["--family", "uniform", "--kl", "1.0", "--dinf", "2.0"], "--family uniform"),
+    (["--kl", "1.0", "--dinf", "2.0", "--beta", "0.5"], "--beta"),
+    (["--kl", "1.0", "--dinf", "2.0", "--kappa", "1.0"], "--kappa"),
+    (["--kl", "1.0", "--dinf", "2.0", "--prior-mean", "0.3", "--prior-center", "1.0"],
+     "--prior-mean, --prior-center"),
+    # the gaussian recipe reads no uniform prior and no --beta
+    (_GAUSSIAN_RECIPE + ["--prior-center", "1.0"], "--prior-center"),
+    (_GAUSSIAN_RECIPE + ["--prior-width", "3.0"], "--prior-width"),
+    (_GAUSSIAN_RECIPE + ["--beta", "0.5"], "--beta"),
+    # the uniform recipe reads no gaussian prior and no target mean
+    (_UNIFORM_RECIPE + ["--prior-mean", "0.3"], "--prior-mean"),
+    (_UNIFORM_RECIPE + ["--prior-std", "1.5"], "--prior-std"),
+    (_UNIFORM_RECIPE + ["--target-mean", "0.5"], "--target-mean"),
+])
+def test_isokl_refuses_a_flag_its_recipe_does_not_read(tmp_path, capsys, argv, unread):
+    out = tmp_path / "pair.json"
+    assert main(["isokl", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(f" does not take {unread}\n")
+    assert not out.exists()
+
+
+def test_isokl_recipes_take_their_own_flags(tmp_path):
+    # --beta unset is 0.0, and --family gaussian, the default, goes with --kl/--dinf
+    unset, zero = tmp_path / "unset.json", tmp_path / "zero.json"
+    assert main(["isokl", *_UNIFORM_RECIPE, "--out", str(unset)]) == 0
+    assert main(["isokl", *_UNIFORM_RECIPE, "--beta", "0.0", "--out", str(zero)]) == 0
+    assert unset.read_bytes() == zero.read_bytes()
+    assert main(["isokl", *_GAUSSIAN_RECIPE, "--out", str(tmp_path / "g.json")]) == 0
+    assert main(["isokl", "--family", "gaussian", "--kl", "1.0", "--dinf", "2.0",
+                 "--out", str(tmp_path / "joint.json")]) == 0
+
+
 _GAUSS = {"family": "gaussian", "mean": 0.0, "variance": 1.0}
 _RECORD = {"block_id": "a", "prior_mean": 0.0, "prior_std": 1.0, "target_mean": 0.4}
 _BIAS = {"algorithms": ["dad"], "trials": 1, "seed": 9, "batch": 20,
@@ -441,7 +484,7 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     ("bench-runtime", "--config", {**_RUNTIME, "algorithms": ["dad", "mrc"]}),
     ("bench-modes", "--config", {**_RUNTIME, "algorithms": ["mrc"],
                                  "mixture_cells": [{"n_modes": 2, "dinf_nats": 0.7}]}),
-    # a bias batch the k-NN estimator cannot score
+    # a bias batch too small to fill two PIT bins
     ("bench-bias", "--config", {**_BIAS, "batch": -1}),
     # a step budget that refuses every encode, a negative extra-bit count and
     # a repeated entry, which would write two rows under one (cell, trial) key

@@ -2,13 +2,12 @@
 
 ``import reckit`` and the CLI's ``isokl``, ``encode`` and ``decode``
 commands load neither numpy nor ``reckit.bench``, and nothing loads
-``dataclasses`` or ``inspect``. numpy serves only the
-harness's bias grid: ``reckit.bench`` imports it where the k-NN
-estimator and the grid's fresh target samples compute, so its pair
-builders, configs and CSV writing load none, and ``verify``,
-``bench-runtime`` and ``bench-modes`` run where numpy is not installed.
-Each check runs in a fresh interpreter, since the test process itself
-has numpy loaded.
+``dataclasses`` or ``inspect``. The harness, ``reckit.bench``, needs no
+numpy either: its set-up loads none of numpy, ``statistics``,
+``dataclasses`` and ``inspect``, its three grids run without loading
+numpy, and ``verify`` and the three ``bench-*`` commands write the same
+output and the same CSVs where numpy is not installed. Each check runs in
+a fresh interpreter, since the test process itself has numpy loaded.
 """
 
 import contextlib
@@ -20,7 +19,6 @@ import sys
 from pathlib import Path
 
 import reckit
-from reckit.bench import knn_kl_estimate
 from reckit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,29 +104,42 @@ def test_import_loads_no_json(tmp_path):
     assert run_fresh(script, cwd=tmp_path) is False
 
 
-SAMPLES_P = [0.1, 0.7, -0.4, 1.9, 0.25, -1.3, 0.9, 0.05]
-SAMPLES_Q = [0.3, -0.2, 1.1, 0.6, -0.9, 2.2]
+HARNESS_CONFIGS = {
+    "runtime.json": {"algorithms": ["as", "ad", "pfr"], "trials": 4, "seed": 3,
+                     "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}],
+                     "uniform_cells": [{"kl_nats": 1.0}]},
+    "modes.json": {"algorithms": ["as", "ad"], "trials": 4, "seed": 3,
+                   "mixture_cells": [{"n_modes": 1, "dinf_nats": 1.0},
+                                     {"n_modes": 4, "dinf_nats": 1.0}]},
+    "bias.json": {"algorithms": ["dad"], "trials": 1, "seed": 3,
+                  "batch": 20, "extra_bits": [2],
+                  "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}]},
+}
 
 _HARNESS_SCRIPT = """\
 import json, sys
-from reckit.bench import ExperimentConfig, knn_kl_estimate, mixture_pair, rows_to_csv
+from reckit.bench import (ExperimentConfig, mixture_pair, rows_to_csv, run_bias_grid,
+                          run_mode_sweep, run_runtime_grid, summarize_rows)
 
 mixture_pair(8, 1.0)
-with open(sys.argv[1]) as fh:
-    ExperimentConfig.from_dict(json.load(fh))
 rows_to_csv([])
-before = [m for m in ("numpy", "statistics", "dataclasses", "inspect") if m in sys.modules]
-estimate = knn_kl_estimate(json.loads(sys.argv[2]), json.loads(sys.argv[3]))
-print(json.dumps({"before": before, "after": "numpy" in sys.modules, "estimate": estimate}))
+loaded = {"set-up": [m for m in ("numpy", "statistics", "dataclasses", "inspect")
+                     if m in sys.modules]}
+for runner, config in zip((run_runtime_grid, run_mode_sweep, run_bias_grid),
+                          json.loads(sys.argv[1])):
+    rows = runner(ExperimentConfig.from_dict(config))
+    rows_to_csv(rows)
+    summarize_rows(rows)
+    loaded[runner.__name__] = [m for m in sys.modules if m.split(".")[0] == "numpy"]
+print(json.dumps(loaded))
 """
 
 
-def test_harness_loads_numpy_only_for_statistics(tmp_path):
-    result = run_fresh(_HARNESS_SCRIPT, ROOT / "configs" / "runtime_grid.json",
-                       json.dumps(SAMPLES_P), json.dumps(SAMPLES_Q), cwd=tmp_path)
-    assert result["before"] == []
-    assert result["after"] is True
-    assert result["estimate"] == knn_kl_estimate(SAMPLES_P, SAMPLES_Q)
+def test_harness_loads_no_numpy(tmp_path):
+    result = run_fresh(_HARNESS_SCRIPT, json.dumps(list(HARNESS_CONFIGS.values())),
+                       cwd=tmp_path)
+    assert result == {"set-up": [], "run_runtime_grid": [], "run_mode_sweep": [],
+                      "run_bias_grid": []}
 
 
 _NO_NUMPY_SCRIPT = """\
@@ -146,17 +157,6 @@ for name, argv in json.loads(sys.argv[1]).items():
 print(json.dumps(results))
 """
 
-HARNESS_CONFIGS = {
-    "runtime.json": {"algorithms": ["as", "ad", "pfr"], "trials": 4, "seed": 3,
-                     "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}],
-                     "uniform_cells": [{"kl_nats": 1.0}]},
-    "modes.json": {"algorithms": ["as", "ad"], "trials": 4, "seed": 3,
-                   "mixture_cells": [{"n_modes": 1, "dinf_nats": 1.0},
-                                     {"n_modes": 4, "dinf_nats": 1.0}]},
-    "bias.json": {"algorithms": ["dad"], "trials": 1, "seed": 3,
-                  "batch": 20, "extra_bits": [2],
-                  "gaussian_cells": [{"kl_nats": 0.9, "dinf_nats": 2.0}]},
-}
 HARNESS_COMMANDS = {
     "verify": ["verify", "--suite", "all", "--trials", "50"],
     "runtime": ["bench-runtime", "--config", "runtime.json", "--out", "runtime.csv"],
@@ -165,7 +165,7 @@ HARNESS_COMMANDS = {
 }
 
 
-def test_harness_runs_without_numpy_but_the_bias_grid(tmp_path, monkeypatch):
+def test_harness_writes_the_same_csvs_without_numpy(tmp_path, monkeypatch):
     without, with_numpy = tmp_path / "without", tmp_path / "with"
     for folder in (without, with_numpy):
         folder.mkdir()
@@ -173,14 +173,10 @@ def test_harness_runs_without_numpy_but_the_bias_grid(tmp_path, monkeypatch):
             (folder / name).write_text(json.dumps(config))
     result = run_fresh(_NO_NUMPY_SCRIPT, json.dumps(HARNESS_COMMANDS), cwd=without)
     monkeypatch.chdir(with_numpy)
-    for name in ("verify", "runtime", "modes"):
+    for name, argv in HARNESS_COMMANDS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(HARNESS_COMMANDS[name]) == 0
+            assert main(argv) == 0
         assert result[name] == [0, out.getvalue(), ""]
-    for csv_name in ("runtime.csv", "modes.csv"):
+    for csv_name in ("runtime.csv", "modes.csv", "bias.csv"):
         assert (without / csv_name).read_bytes() == (with_numpy / csv_name).read_bytes()
-    code, out, err = result["bias"]
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "reckit[bench]" in err
-    assert not (without / "bias.csv").exists()
