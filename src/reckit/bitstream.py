@@ -4,10 +4,10 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 
     gamma(n)        floor(log2 n) zero bits, then the binary digits of n
     delta(n)        gamma(bit_length(n)), then the low bit_length(n)-1 bits
-    heap unit       gamma(D), then the low D-1 bits of the heap index
-                    (the index's leading 1 bit is implied by D; D <= 62),
-                    which is delta of the index
-    arrival unit    delta(K) for the 1-based arrival index (K < 2^64)
+    heap unit       delta(H) of the heap index H: gamma(D), then the low
+                    D-1 bits of H, D its depth (D <= 62, the length cap)
+    arrival unit    delta(K) of the 1-based arrival index K (K < 2^64,
+                    the length cap 64)
     codeword unit   the payload in D bits, D the block's budget (D <= 62)
     message frame   gamma(mode), gamma(variant), then the body:
                       mode 1 (exact per symbol): gamma(count + 1), count
@@ -15,29 +15,31 @@ Wire format (MSB-first within each byte, final byte zero-padded):
                       mode 2 (block tied): gamma(D), gamma(count + 1),
                         count codeword units
                     (gamma cannot carry 0, hence the +1 on count)
+    message         its frames (one per block of a block vector), then 0
+                    to 7 zero pad bits to the end of the byte
     variant tags    1=AS_STAR 2=AD_STAR 3=PFR 4=DAD_STAR 5=MRC
 
 ``coders.CODERS`` holds each coder's tag and unit layout, and
-``coders.Unit`` implements the three unit layouts: it checks, prices and
-writes one unit, reads a frame's payloads and makes them codes. This
-module owns the bit codes and the frame: ``MessageFrame`` checks a frame
-when it is built, ``write_message`` writes it unchecked, and
-``read_frame`` and ``read_message`` return only what it admits.
-``_HEADS`` is the one table of frame layouts; the writer reads it
-through its inverse.
+``coders.Unit`` implements the unit layouts: it checks, prices and
+writes one unit and reads a frame's payloads. This module owns the bit
+codes and the frame: ``MessageFrame`` checks a frame when it is built,
+``write_message`` writes it unchecked, and ``read_frame`` and
+``read_message`` return only what it admits. ``_HEADS`` is the one
+table of frame layouts; the writer reads it through its inverse.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
-well-formed gamma.
+well-formed gamma. A decoder of a whole message refuses data after it
+with ``BitReader.check_end``: it ends on zero pad bits in its last byte.
 
 ``read_frame`` walks a frame in one pass and returns its fields bare;
-``read_message`` is that walk with the payloads made ``Code`` objects in
-a ``MessageFrame``. A caller that wants only the payloads, as the block
-codec's decode does, reads through ``read_frame`` and builds no object
-per unit or frame. ``BitReader.read`` takes n
-fields of one kind per call: gammas, deltas under a cap on their length
-field, or fixed-width words. The header takes two calls (three in a
-block frame) and the units one. A refused field is not consumed and the
+``read_message`` is that walk with the payloads made ``Code`` objects,
+each with the frame's budget, in a ``MessageFrame``. A caller that wants
+only the payloads, as the block codec's decode does, reads through
+``read_frame`` and builds no object per unit or frame. ``BitReader.read``
+takes n fields of one kind per call: gammas, deltas under a cap on their
+length field, or fixed-width words. The header takes two calls (three in
+a block frame) and the units one. A refused field is not consumed and the
 fields before it stay consumed; a budget field above ``MAX_DEPTH`` alone
 is read and then refused.
 
@@ -195,6 +197,12 @@ class BitReader:
     def read_elias_delta(self, max_length: int = 64) -> int:
         return self.read(1, None, max_length)[0]
 
+    def check_end(self) -> None:
+        """Refuse a whole byte after the read position, or a pad bit of 1."""
+        left = self._nbits - self._pos
+        if left >= 8 or (left and self._data[-1] & ((1 << left) - 1)):
+            raise MalformedMessageError(f"{left} bits after the last frame are not zero padding")
+
 
 class MessageFrame(Frozen):
     """A self-delimiting message: mode, variant, and the codewords.
@@ -204,8 +212,8 @@ class MessageFrame(Frozen):
     place a frame is checked, so a frame that constructs writes, and reads
     back equal: an unknown mode, a budget ``check_budget`` refuses in a
     block frame or any budget in an exact one is a ``DomainError``; a
-    (mode, variant) with no layout, a code of another variant or of a
-    width other than the block's budget is an ``InvalidCodeError``.
+    (mode, variant) with no layout, a code of another variant or with a
+    budget other than the block's is an ``InvalidCodeError``.
     """
 
     __slots__ = _fields = ("mode", "variant", "codes", "budget")
@@ -221,7 +229,7 @@ class MessageFrame(Frozen):
             raise InvalidCodeError("frame variant does not match its codes")
         if mode == MODE_BLOCK:
             check_budget(budget)
-            if any(code.depth_or_budget != budget for code in codes):
+            if any(code.budget != budget for code in codes):
                 raise InvalidCodeError(f"a code's budget differs from the block's {budget}")
         elif budget is not None:
             raise DomainError(f"an exact frame carries no budget, got {budget!r}")
@@ -238,21 +246,24 @@ class MessageFrame(Frozen):
 _new = object.__new__
 _set_mode, _set_variant, _set_codes, _set_budget = (
     MessageFrame.__dict__[name].__set__ for name in MessageFrame._fields)
+_code_variant, _code_payload, _code_budget = (
+    Code.__dict__[name].__set__ for name in Code._fields)
 
 
 def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
     """Write ``frame``, which ``MessageFrame`` checked: its header, then
     each code through its coder's ``Unit``."""
     mode_tag, variant_tag, unit = _TAGS[frame.mode, frame.variant]
+    budget = frame.budget
     w = writer or BitWriter()
     w.write_elias_gamma(mode_tag)
     w.write_elias_gamma(variant_tag)
-    if frame.budget is not None:
-        w.write_elias_gamma(frame.budget)
+    if budget is not None:
+        w.write_elias_gamma(budget)
     w.write_elias_gamma(len(frame.codes) + 1)
     write = unit.write
     for code in frame.codes:
-        write(w, code.depth_or_budget, code.payload)
+        write(w, code.payload, budget)
     return w
 
 
@@ -279,12 +290,20 @@ def read_frame(reader: BitReader) -> tuple[str, Variant, int | None, list[int]]:
 
 def read_message(reader: BitReader) -> MessageFrame:
     """Read one frame as a ``MessageFrame``: ``read_frame``'s walk, with
-    its refusals and reader positions, and its payloads made codes by the
-    coder's ``Unit``."""
+    its refusals and reader positions, and its payloads made codes with the
+    frame's budget. The walk returns only what ``MessageFrame`` and
+    ``Unit.check`` admit, so neither checks again."""
     mode, variant, budget, payloads = read_frame(reader)
-    frame = _new(MessageFrame)  # the walk returns only what __init__ admits
+    codes = []
+    for payload in payloads:
+        code = _new(Code)
+        _code_variant(code, variant)
+        _code_payload(code, payload)
+        _code_budget(code, budget)
+        codes.append(code)
+    frame = _new(MessageFrame)
     _set_mode(frame, mode)
     _set_variant(frame, variant)
-    _set_codes(frame, tuple(CODERS[variant].unit.codes(variant, budget, payloads)))
+    _set_codes(frame, tuple(codes))
     _set_budget(frame, budget)
     return frame

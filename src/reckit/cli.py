@@ -174,7 +174,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         )
     else:
         proposal = _load_proposal(args.model)
-        frame = read_message(BitReader(data))
+        reader = BitReader(data)
+        frame = read_message(reader)
+        reader.check_end()
         stream = seed_state(args.seed)
         samples = [decode(proposal, code, absorb(stream, i)) for i, code in enumerate(frame.codes)]
     _write_samples(args.samples, samples)

@@ -20,6 +20,9 @@ its unit layout and its encode/decode pair. Every caller that picks a
 coder by name or tag reads it; ``encode`` and ``decode`` dispatch
 through it.
 
+A ``Code`` stores what the wire carries, its payload and a fixed-width
+code's budget, and derives its width (``Code.depth_or_budget``).
+
 The tree search follows the branch-and-bound schedule: a priority queue
 ordered by Gumbel plus the region's ratio bound, an incumbent lower
 bound from scored samples, and pruning of children whose bound cannot
@@ -30,8 +33,8 @@ once per pop; the index carries the depth. A queued child may not have
 its Gumbel yet: it waits at its parent's Gumbel, an upper bound on its
 own, with no sample uniform, and draws both in one two-lane draw
 (``tree.realize``) when it reaches the top. Both searches return
-(winner's index, sample, steps, lower bound); an encoder reads the
-winner's depth off the index.
+(winner's index, sample, steps, lower bound); the winner's depth is
+the index's bit length.
 
 A dyadic node's children and their ratio bounds depend on the pair and
 the heap index alone, never on the seed, so the AD* and DAD* searches
@@ -46,7 +49,7 @@ import heapq
 import math
 from bisect import bisect_left
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable
 
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
@@ -55,7 +58,7 @@ from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, derive_seed
 from .randomness import seed_state, slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
-from .tree import MAX_DEPTH, PartitionKind, depth_of, expand, locate, realize
+from .tree import MAX_DEPTH, PartitionKind, expand, locate, realize
 
 INF = math.inf
 _GLOBAL_BOUND, _DYADIC = PartitionKind.GLOBAL_BOUND, PartitionKind.DYADIC
@@ -80,7 +83,7 @@ MAX_STEPS = 1_000_000
 
 
 def _is_int(value) -> bool:
-    """What a budget, a unit's width and its payload must be (as ``as_number(value, int)``)."""
+    """What a budget and a unit's payload must be (as ``as_number(value, int)``)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -94,9 +97,10 @@ def check_budget(budget: int) -> None:
 class Unit(Enum):
     """How one codeword sits on the wire: the one statement of each layout.
     ``write`` puts one unit on a ``bitstream.BitWriter``, ``read`` takes a
-    frame's payloads off a ``bitstream.BitReader`` as bare ints, ``codes``
-    makes them codes, and ``check`` admits exactly the (width, payload)
-    pairs that ``read`` and ``codes`` can return."""
+    frame's payloads off a ``bitstream.BitReader`` as bare ints, ``cost``
+    prices one, and ``check`` admits exactly the (payload, budget) pairs
+    that ``read`` can return. The two index layouts are one delta code,
+    with a cap on its length field (``_DELTA_CAPS``)."""
 
     HEAP_INDEX = "heap_index"  # gamma(depth), then the index below its leading 1
     ARRIVAL_INDEX = "arrival_index"  # delta(K) of the 1-based arrival index
@@ -104,89 +108,70 @@ class Unit(Enum):
 
     __hash__ = object.__hash__  # as for Variant
 
-    def check(self, width: int, payload: int) -> None:
-        """Refuse a payload this layout cannot carry at depth/budget ``width``;
-        both must be ints (``_is_int``)."""
-        if not (_is_int(width) and _is_int(payload)):
-            raise InvalidCodeError(f"{self.value} unit needs int width and payload, "
-                                   f"got {width!r} and {payload!r}")
-        if self is _HEAP_INDEX:
-            if payload < 1 or depth_of(payload) != width or width > MAX_DEPTH:
-                raise InvalidCodeError(f"heap index {payload} not at depth {width} <= {MAX_DEPTH}")
-        elif self is _ARRIVAL_INDEX:  # delta's length field stops at 64 bits
-            if not 1 <= payload < (1 << 64) or width != payload:
-                raise InvalidCodeError(f"arrival index {payload} not in [1, 2^64) or != {width}")
-        elif not (1 <= width <= MAX_DEPTH and 0 <= payload < (1 << width)):
-            raise InvalidCodeError(f"codeword {payload} not in a budget {width} in 1..{MAX_DEPTH}")
+    def check(self, payload: int, budget: int | None) -> None:
+        """Refuse a unit this layout cannot carry: an index is an int in
+        [1, 2^cap) with no budget, a codeword an int in [0, 2^budget) with a
+        budget of 1 to ``MAX_DEPTH`` bits, each an int (``_is_int``)."""
+        cap = _DELTA_CAPS.get(self)
+        if cap is not None:
+            ok = budget is None and _is_int(payload) and 1 <= payload < (1 << cap)
+        else:
+            ok = (_is_int(budget) and 1 <= budget <= MAX_DEPTH
+                  and _is_int(payload) and 0 <= payload < (1 << budget))
+        if not ok:
+            raise InvalidCodeError(f"a {self.value} unit cannot carry payload {payload!r} "
+                                   f"with budget {budget!r}")
 
-    def cost(self, width: int, payload: int) -> tuple[int, int]:
-        """(payload bits, standalone framing bits) of one unit. Both index layouts
-        are delta(index): L index bits and 2 * (bit_length(L) - 1) of framing."""
+    def cost(self, payload: int, budget: int | None) -> tuple[int, int]:
+        """(payload bits, standalone framing bits) of one unit. An index is
+        delta(index): L index bits and 2 * (bit_length(L) - 1) of framing."""
         if self is _CODEWORD:
-            return width, 0  # fixed-width codeword at the budget
+            return budget, 0  # fixed-width codeword at the budget
         bits = payload.bit_length()
         return bits, 2 * (bits.bit_length() - 1)
 
-    def write(self, writer, width: int, payload: int) -> None:
+    def write(self, writer, payload: int, budget: int | None) -> None:
         """Put one unit on ``writer``; a codeword's budget is in its frame's header."""
         if self is _CODEWORD:
-            writer.write_bits(payload, width)
-        else:  # gamma(depth) and the index below its leading 1 is delta(index)
+            writer.write_bits(payload, budget)
+        else:
             writer.write_elias_delta(payload)
 
     def read(self, reader, budget: int | None, count: int) -> list[int]:
-        """Take the payloads of ``count`` units off ``reader``. ``budget`` is
-        the frame header's codeword width; the self-sized units ignore it."""
-        if self is _CODEWORD:
-            return reader.read(count, budget)
-        return reader.read(count, None, MAX_DEPTH if self is _HEAP_INDEX else 64)
-
-    def codes(self, variant: Variant, budget: int | None, payloads: list[int]) -> list[Code]:
-        """The codes of ``variant`` that ``read``'s payloads name: each one's
-        width is the budget, the payload's ``bit_length`` (a heap index) or
-        the payload itself (an arrival index). The codes skip ``Code``'s
-        check, which would refuse nothing: a unit reads only what ``check``
-        admits."""
-        if self is _CODEWORD:
-            widths = repeat(budget)
-        elif self is _HEAP_INDEX:
-            widths = map(int.bit_length, payloads)
-        else:
-            widths = payloads
-        codes = []
-        for width, payload in zip(widths, payloads):
-            code = _new(Code)
-            _set_variant(code, variant)
-            _set_width(code, width)
-            _set_payload(code, payload)
-            codes.append(code)
-        return codes
+        """Take the payloads of ``count`` units off ``reader``: codewords of
+        the frame header's ``budget`` bits, or deltas under their cap."""
+        return reader.read(count, budget, _DELTA_CAPS.get(self))
 
 
 # Unit's methods compare with these: a class lookup of a member costs ~0.2 us
 _HEAP_INDEX, _ARRIVAL_INDEX, _CODEWORD = Unit.HEAP_INDEX, Unit.ARRIVAL_INDEX, Unit.CODEWORD
+# The longest delta length field of each index layout
+_DELTA_CAPS = {_HEAP_INDEX: MAX_DEPTH, _ARRIVAL_INDEX: 64}
+_set = object.__setattr__
 
 
 class Code(Frozen):
-    """A transmitted codeword.
+    """A transmitted codeword: its variant, the payload its unit carries (a
+    heap index, a 1-based arrival index or a codeword) and, keyword-only,
+    the bit budget that a fixed-width code needs and an exact code refuses."""
 
-    depth_or_budget is the winner's depth for the exact heap-coded
-    variants, the fixed bit budget for DAD_STAR / MRC, and the arrival
-    index again for PFR, whose payload is that index.
-    """
+    __slots__ = _fields = ("variant", "payload", "budget")
 
-    __slots__ = _fields = ("variant", "depth_or_budget", "payload")
+    def __init__(self, variant: Variant, payload: int, *, budget: int | None = None) -> None:
+        CODERS[variant].unit.check(payload, budget)
+        _set(self, "variant", variant)
+        _set(self, "payload", payload)
+        _set(self, "budget", budget)
 
-    def __init__(self, variant: Variant, depth_or_budget: int, payload: int) -> None:
-        CODERS[variant].unit.check(depth_or_budget, payload)
-        _set_variant(self, variant)
-        _set_width(self, depth_or_budget)
-        _set_payload(self, payload)
-
-
-_new, _set = object.__new__, object.__setattr__
-_set_variant, _set_width, _set_payload = (
-    Code.__dict__[name].__set__ for name in Code._fields)
+    @property
+    def depth_or_budget(self) -> int:
+        """The code's width, the one statement of its rule: the budget, else a
+        heap index's bit length, else an arrival index itself."""
+        if self.budget is not None:
+            return self.budget
+        if CODERS[self.variant].unit is _ARRIVAL_INDEX:
+            return self.payload
+        return self.payload.bit_length()
 
 
 class TrialStats(Frozen):
@@ -206,7 +191,7 @@ class TrialStats(Frozen):
 
 
 def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
-    bits = CODERS[code.variant].unit.cost(code.depth_or_budget, code.payload)
+    bits = CODERS[code.variant].unit.cost(code.payload, code.budget)
     return TrialStats(steps, depth, *bits, lb)
 
 
@@ -363,12 +348,10 @@ def encode_astar(
                                   "use the depth-limited coder")
     if kind is _GLOBAL_BOUND:
         index, x, steps, lb = _pfr_search(pair, seed, max_steps)
-        depth = index  # an arrival index is its own width
     else:
         index, x, steps, lb = _astar_search(pair, kind, seed_state(seed), INF, max_steps)
-        depth = index.bit_length()
-    code = Code(_VARIANT_OF_KIND[kind], depth, index)
-    return code, x, _stats(code, steps, depth, lb)
+    code = Code(_VARIANT_OF_KIND[kind], index)
+    return code, x, _stats(code, steps, code.depth_or_budget, lb)
 
 
 def encode_dad(
@@ -385,7 +368,7 @@ def encode_dad(
     check_budget(budget)
     index, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed), budget,
                                         max_steps)
-    code = Code(Variant.DAD_STAR, budget, index)
+    code = Code(Variant.DAD_STAR, index, budget=budget)
     # transmitted width is the budget regardless of where the winner sat; the
     # extra root, index 0, sits at depth 1
     return code, x, _stats(code, steps, index.bit_length() or 1, lb)
@@ -422,13 +405,9 @@ def encode_mrc(
     SAMPLE); the N uniforms come from one ``counter_uniforms`` call, which
     mixes them in packed batches, and ``decode_mrc`` redraws the chosen
     one alone with ``counter_uniform``. The candidates are scored in one
-    batch pass: ``inv_cdfs`` takes their quantiles (one per candidate,
-    with the range checked once) and ``PairSpec.log_ratios`` their log
-    weights (support checked once), each equal to its scalar form bit
-    for bit. That pass raised mrc_select ``encode_sym_s`` 5059 -> 5406
-    symbols/s (+6.9%, medians of ten alternating 20 s runs of
-    ``benchmarks/run.py`` at seed 7 against the scalar calls, 10 of 10
-    pairs won, CPython 3.11.7 on a shared 2-vCPU x86-64 VM).
+    batch pass, which checks the range and the support once for all of
+    them: ``inv_cdfs`` takes their quantiles and ``PairSpec.log_ratios``
+    their log weights, each equal to its scalar form bit for bit.
     """
     check_budget(bits)
     n = 1 << bits
@@ -443,7 +422,7 @@ def encode_mrc(
     threshold = slot_uniform(node, _GUMBEL) * math.fsum(weights)
     # the first left-to-right partial sum to reach the threshold, else the last
     chosen = min(bisect_left(list(accumulate(weights)), threshold), n - 1)
-    code = Code(Variant.MRC, bits, chosen)
+    code = Code(Variant.MRC, chosen, budget=bits)
     return code, xs[chosen], _stats(code, n, bits, log_w[chosen])
 
 

@@ -221,8 +221,8 @@ class MixtureComponent(Frozen):
     __slots__ = _fields = ("weight", "low", "high")
 
     def __init__(self, weight: float, low: float, high: float) -> None:
-        if not low < high:
-            raise DomainError(f"component needs low < high, got ({low}, {high})")
+        if not low < high or not math.isfinite(high - low):
+            raise DomainError(f"component needs low < high, finitely apart, got ({low}, {high})")
         if not 0.0 < weight <= 1.0:
             raise DomainError(f"component weight must be in (0, 1], got {weight}")
         self._store(weight, low, high)

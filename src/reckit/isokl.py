@@ -252,7 +252,8 @@ def decode_block_vector(
     vector raises what a block-by-block decode meets first: when a frame
     fails its read or a check, the coordinates of the blocks before it are
     decoded, and the first of their refusals is raised ahead of the
-    frame's.
+    frame's. Data after the last frame (``BitReader.check_end``) is a
+    fault of that frame.
     """
     reader = BitReader(data)
     proposals: list[Gaussian] = []
@@ -271,6 +272,7 @@ def decode_block_vector(
                     f"frame holds {len(frame_payloads)} codes, block has {len(block)}")
             proposals += block.proposals
             payloads += frame_payloads
+        reader.check_end()
     except RecError as exc:
         failure = exc
     samples = locate_dyadic_vector(proposals, seed_state(seed), payloads)

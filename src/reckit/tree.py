@@ -94,13 +94,6 @@ class PartitionKind(Enum):
 _SAMPLE_SPLIT, _DYADIC = PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC
 
 
-def depth_of(heap_index: int) -> int:
-    """Depth of a heap index; the root (index 1) has depth 1."""
-    if heap_index < 1:
-        raise DomainError(f"heap index must be >= 1, got {heap_index}")
-    return heap_index.bit_length()
-
-
 def heap_children(heap_index: int) -> tuple[int, int]:
     """Child indices (2H, 2H+1), refusing to grow past packable depth."""
     if heap_index.bit_length() + 1 > MAX_DEPTH:

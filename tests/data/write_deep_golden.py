@@ -82,7 +82,7 @@ def outcome(name: str, kind: PartitionKind, seed: int, index: int, depth: int) -
     """``float.hex`` of the decoded sample, or the error class."""
     try:
         if kind is PartitionKind.GLOBAL_BOUND:  # a chain code is the PFR arrival index
-            return float.hex(decode_pfr(PROPOSALS[name], Code(Variant.PFR, depth, index), seed))
+            return float.hex(decode_pfr(PROPOSALS[name], Code(Variant.PFR, index), seed))
         return float.hex(locate(PROPOSALS[name], kind, seed, index))
     except RecError as exc:
         return type(exc).__name__

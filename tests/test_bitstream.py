@@ -266,12 +266,12 @@ def test_long_frames_roundtrip_through_fixed_windows():
     """An exact frame of 100 000 heap-index units and a block frame at the
     widest budget read back, and no read slices more than one window."""
     depths = [1 + (7 * i) % MAX_DEPTH for i in range(100_000)]
-    codes = tuple(Code(Variant.AD_STAR, d, (1 << (d - 1)) | (i * 2654435761) % (1 << (d - 1)))
+    codes = tuple(Code(Variant.AD_STAR, (1 << (d - 1)) | (i * 2654435761) % (1 << (d - 1)))
                   for i, d in enumerate(depths))
     frames = [
         MessageFrame(MODE_EXACT, Variant.AD_STAR, codes),
         MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
-                     tuple(Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1 - i)
+                     tuple(Code(Variant.DAD_STAR, (1 << MAX_DEPTH) - 1 - i, budget=MAX_DEPTH)
                            for i in range(1000)), MAX_DEPTH),
     ]
     for frame in frames:
@@ -285,53 +285,68 @@ def test_long_frames_roundtrip_through_fixed_windows():
 
 def unit_bits(code: Code) -> str:
     w = BitWriter()
-    CODERS[code.variant].unit.write(w, code.depth_or_budget, code.payload)
+    CODERS[code.variant].unit.write(w, code.payload, code.budget)
     return bits_of(w)
 
 
-def unit_roundtrip(code: Code, budget: int | None = None) -> Code:
+def unit_roundtrip(code: Code) -> Code:
+    """``code`` written and read back by its unit, under its own budget."""
     w = BitWriter()
     unit = CODERS[code.variant].unit
-    unit.write(w, code.depth_or_budget, code.payload)
-    (read,) = unit.codes(code.variant, budget, unit.read(BitReader(w.getvalue()), budget, 1))
-    return Code(code.variant, read.depth_or_budget, read.payload)
+    unit.write(w, code.payload, code.budget)
+    (payload,) = unit.read(BitReader(w.getvalue()), code.budget, 1)
+    return Code(code.variant, payload, budget=code.budget)
 
 
 def test_pack_exact_golden():
     # depth 1, index 1: bare gamma(1)
-    assert unit_bits(Code(Variant.AD_STAR, 1, 1)) == "1"
+    assert unit_bits(Code(Variant.AD_STAR, 1)) == "1"
     # depth 3, index 5: gamma(3) then the two trailing index bits
-    assert unit_bits(Code(Variant.AD_STAR, 3, 5)) == "01101"
-    assert unit_bits(Code(Variant.AS_STAR, 2, 3)) == "0101"
+    assert unit_bits(Code(Variant.AD_STAR, 5)) == "01101"
+    assert unit_bits(Code(Variant.AS_STAR, 3)) == "0101"
 
 
 def test_pack_exact_roundtrip():
     for depth, index in [(1, 1), (2, 2), (2, 3), (5, 21), (20, (1 << 19) + 12345)]:
-        code = Code(Variant.AD_STAR, depth, index)
-        assert unit_roundtrip(code) == code
+        code = Code(Variant.AD_STAR, index)
+        assert unit_roundtrip(code) == code and code.depth_or_budget == depth
 
 
 def test_pack_exact_rejects_fixed_width_variants():
     # an exact heap-index frame takes no codeword and no arrival index
-    for other in (Code(Variant.DAD_STAR, 3, 5), Code(Variant.PFR, 3, 3)):
+    for other in (Code(Variant.DAD_STAR, 5, budget=3), Code(Variant.PFR, 3)):
         with pytest.raises(InvalidCodeError):
             write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (other,)))
 
 
 def test_pack_pfr_golden_and_roundtrip():
-    assert unit_bits(Code(Variant.PFR, 5, 5)) == DELTA_GOLDEN[5]
-    for k in (1, 2, 3, 17, 1000):
-        code = Code(Variant.PFR, k, k)
+    assert unit_bits(Code(Variant.PFR, 5)) == DELTA_GOLDEN[5]
+    for k in (1, 2, 3, 17, 1000, (1 << MAX_DEPTH) - 1):
+        code = Code(Variant.PFR, k)
         assert unit_roundtrip(code) == code
+        # a heap index and an arrival index are one delta code on the wire
+        assert unit_bits(code) == unit_bits(Code(Variant.AD_STAR, k))
+    # and differ in the cap on its length field alone: MAX_DEPTH for a heap
+    # index, 64 for an arrival index
+    for k in (1 << (MAX_DEPTH - 1), 1 << MAX_DEPTH, 1 << 63, (1 << 64) - 1):
+        w = BitWriter()
+        w.write_elias_delta(k)
+        data = w.getvalue()
+        assert Unit.ARRIVAL_INDEX.read(BitReader(data), None, 1) == [k]
+        if k.bit_length() <= MAX_DEPTH:
+            assert Unit.HEAP_INDEX.read(BitReader(data), None, 1) == [k]
+        else:
+            with pytest.raises(MalformedMessageError, match="exceeds 62 bits"):
+                Unit.HEAP_INDEX.read(BitReader(data), None, 1)
 
 
 def test_pack_block_layout():
-    codes = (Code(Variant.DAD_STAR, 3, 5), Code(Variant.DAD_STAR, 3, 0))
+    codes = (Code(Variant.DAD_STAR, 5, budget=3), Code(Variant.DAD_STAR, 0, budget=3))
     w = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, codes, 3))
     # gamma(mode 2) + gamma(tag 4) + gamma(3) + gamma(3) + two 3-bit payloads
     assert bits_of(w) == "010" + "00100" + "011" + "011" + "101" + "000"
     assert [unit_bits(code) for code in codes] == ["101", "000"]
-    assert unit_roundtrip(codes[0], 3) == codes[0]
+    assert unit_roundtrip(codes[0]) == codes[0]
     frame = read_message(BitReader(w.getvalue()))
     assert frame.budget == 3 and frame.codes == codes
 
@@ -345,10 +360,10 @@ def test_pack_block_empty():
 def test_pack_block_validation():
     with pytest.raises(InvalidCodeError):  # an exact code in a block frame
         write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
-                                   (Code(Variant.AD_STAR, 3, 5),), 3))
+                                   (Code(Variant.AD_STAR, 5),), 3))
     with pytest.raises(InvalidCodeError):
         write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR,
-                                   (Code(Variant.DAD_STAR, 2, 1),), 3))  # budget mismatch
+                                   (Code(Variant.DAD_STAR, 1, budget=2),), 3))  # budget mismatch
     with pytest.raises(DomainError):
         write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), 0))
 
@@ -364,9 +379,9 @@ def test_coder_table_wire_tags():
     }
     # each layout reads back its own unit: heap index, arrival index, codeword
     for code, mode, budget in [
-        (Code(Variant.AS_STAR, 4, 9), MODE_EXACT, None),
-        (Code(Variant.PFR, 7, 7), MODE_EXACT, None),
-        (Code(Variant.MRC, 4, 11), MODE_BLOCK, 4),
+        (Code(Variant.AS_STAR, 9), MODE_EXACT, None),
+        (Code(Variant.PFR, 7), MODE_EXACT, None),
+        (Code(Variant.MRC, 11, budget=4), MODE_BLOCK, 4),
     ]:
         data = write_message(MessageFrame(mode, code.variant, (code,), budget)).getvalue()
         frame = read_message(BitReader(data))
@@ -374,9 +389,9 @@ def test_coder_table_wire_tags():
 
 
 @pytest.mark.parametrize("variant,codes", [
-    (Variant.AD_STAR, [Code(Variant.AD_STAR, 3, 5), Code(Variant.AD_STAR, 1, 1)]),
-    (Variant.AS_STAR, [Code(Variant.AS_STAR, 2, 2)]),
-    (Variant.PFR, [Code(Variant.PFR, 4, 4), Code(Variant.PFR, 1, 1)]),
+    (Variant.AD_STAR, [Code(Variant.AD_STAR, 5), Code(Variant.AD_STAR, 1)]),
+    (Variant.AS_STAR, [Code(Variant.AS_STAR, 2)]),
+    (Variant.PFR, [Code(Variant.PFR, 4), Code(Variant.PFR, 1)]),
 ])
 def test_message_exact_roundtrip(variant, codes):
     w = write_message(MessageFrame(MODE_EXACT, variant, tuple(codes)))
@@ -388,7 +403,7 @@ def test_message_exact_roundtrip(variant, codes):
 
 @pytest.mark.parametrize("variant", [Variant.DAD_STAR, Variant.MRC])
 def test_message_block_roundtrip(variant):
-    codes = tuple(Code(variant, 5, p) for p in (0, 1, 31, 16))
+    codes = tuple(Code(variant, p, budget=5) for p in (0, 1, 31, 16))
     w = write_message(MessageFrame(MODE_BLOCK, variant, codes, budget=5))
     frame = read_message(BitReader(w.getvalue()))
     assert frame.mode == MODE_BLOCK
@@ -404,8 +419,9 @@ def test_message_empty_exact():
 
 def test_messages_concatenate():
     w = BitWriter()
-    write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AD_STAR, 3, 5),)), w)
-    write_message(MessageFrame(MODE_BLOCK, Variant.MRC, (Code(Variant.MRC, 2, 3),), budget=2), w)
+    write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AD_STAR, 5),)), w)
+    mrc = Code(Variant.MRC, 3, budget=2)
+    write_message(MessageFrame(MODE_BLOCK, Variant.MRC, (mrc,), budget=2), w)
     r = BitReader(w.getvalue())
     first = read_message(r)
     second = read_message(r)
@@ -421,13 +437,14 @@ def test_message_frame_validation():
     with pytest.raises(DomainError):
         MessageFrame(MODE_BLOCK, Variant.DAD_STAR, ())  # no budget
     with pytest.raises(InvalidCodeError):
-        MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AS_STAR, 2, 2),))
+        MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AS_STAR, 2),))
     for budget in (5, 0, 3.0):  # an exact frame's header has no budget field
         with pytest.raises(DomainError):
-            MessageFrame(MODE_EXACT, Variant.AS_STAR, [Code(Variant.AS_STAR, 3, 5)], budget)
+            MessageFrame(MODE_EXACT, Variant.AS_STAR, [Code(Variant.AS_STAR, 5)], budget)
     for budget in (3.0, True, None, MAX_DEPTH + 1):
         with pytest.raises(DomainError):
-            MessageFrame(MODE_BLOCK, Variant.DAD_STAR, [Code(Variant.DAD_STAR, 1, 1)], budget)
+            MessageFrame(MODE_BLOCK, Variant.DAD_STAR, [Code(Variant.DAD_STAR, 1, budget=1)],
+                         budget)
 
 
 def test_message_rejects_unknown_tags():
@@ -471,14 +488,14 @@ def test_unpack_depth_cap_is_the_tree_cap():
     w.write_bits(0, 64 + 8)
     with pytest.raises(MalformedMessageError):
         Unit.HEAP_INDEX.read(BitReader(w.getvalue()), None, 1)
-    code = Code(Variant.AD_STAR, MAX_DEPTH, (1 << (MAX_DEPTH - 1)) + 5)
+    code = Code(Variant.AD_STAR, (1 << (MAX_DEPTH - 1)) + 5)
     assert unit_roundtrip(code) == code
 
 
 def test_pack_block_refuses_budgets_unpack_cannot_read():
     # the writer stops where read_message's budget cap does, so no block
     # message can be written that its own reader refuses
-    code = Code(Variant.DAD_STAR, MAX_DEPTH, (1 << MAX_DEPTH) - 1)
+    code = Code(Variant.DAD_STAR, (1 << MAX_DEPTH) - 1, budget=MAX_DEPTH)
     data = write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (code,), MAX_DEPTH))
     assert read_message(BitReader(data.getvalue())).codes == (code,)
     for budget in (MAX_DEPTH + 1, 70, 2.5):
@@ -489,7 +506,7 @@ def test_pack_block_refuses_budgets_unpack_cannot_read():
 def test_block_mode_rejects_exact_variants():
     with pytest.raises((InvalidCodeError, MalformedMessageError)):
         write_message(MessageFrame(MODE_BLOCK, Variant.AD_STAR,
-                                   (Code(Variant.AD_STAR, 3, 5),), budget=3))
+                                   (Code(Variant.AD_STAR, 5),), budget=3))
 
 
 def _near_extremes(width):
@@ -508,11 +525,12 @@ _WIDTHS = st.one_of(st.integers(0, 70), st.sampled_from([2**62, 2**63, 2**64 - 1
        case=_WIDTHS.flatmap(lambda w: st.tuples(st.just(w), _near_extremes(w))))
 def test_every_code_that_constructs_roundtrips(variant, case):
     """``Code`` admits exactly what the frame reader can return."""
+    width, payload = case
     try:
-        code = Code(variant, *case)
+        code = Code(variant, payload, budget=width if CODERS[variant].fixed_width else None)
     except InvalidCodeError:
         return
-    budget = code.depth_or_budget if CODERS[variant].fixed_width else None
+    budget = code.budget
     frame = MessageFrame(MODE_BLOCK if budget else MODE_EXACT, variant, (code,), budget)
     assert read_message(BitReader(write_message(frame).getvalue())) == frame
 
@@ -536,7 +554,8 @@ def _frame_parts(draw):
             payload = draw(st.integers(1 << (width - 1), (1 << width) - 1))
         else:
             payload = width
-        codes.append(Code(code_variant, width, payload))
+        codes.append(Code(code_variant, payload,
+                          budget=width if unit is Unit.CODEWORD else None))
     return mode, variant, codes, budget
 
 
@@ -555,9 +574,9 @@ def test_every_frame_that_constructs_roundtrips(parts):
 # Well-formed message heads of every coder, so that fuzzed tails also reach
 # the unit readers and the decoders past the tag checks.
 _FUZZ_HEADS = [
-    write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AD_STAR, 3, 5),))),
+    write_message(MessageFrame(MODE_EXACT, Variant.AD_STAR, (Code(Variant.AD_STAR, 5),))),
     write_message(MessageFrame(MODE_EXACT, Variant.AS_STAR, ())),
-    write_message(MessageFrame(MODE_EXACT, Variant.PFR, (Code(Variant.PFR, 4, 4),))),
+    write_message(MessageFrame(MODE_EXACT, Variant.PFR, (Code(Variant.PFR, 4),))),
     write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, (), budget=3)),
     write_message(MessageFrame(MODE_BLOCK, Variant.MRC, (), budget=5)),
 ]
@@ -624,13 +643,11 @@ def reference_read_message(data: bytes, start: int = 0) -> tuple[object, int]:
         codes = []
         for _ in range(field(reference_gamma) - 1):
             if unit is Unit.CODEWORD:
-                codes.append(Code(variant, budget, field(BitReader.read_bits, budget)))
+                codes.append(Code(variant, field(BitReader.read_bits, budget), budget=budget))
             elif unit is Unit.HEAP_INDEX:
-                index = field(reference_delta, MAX_DEPTH)
-                codes.append(Code(variant, index.bit_length(), index))
+                codes.append(Code(variant, field(reference_delta, MAX_DEPTH)))
             else:
-                index = field(reference_delta)
-                codes.append(Code(variant, index, index))
+                codes.append(Code(variant, field(reference_delta)))
         return MessageFrame(mode, variant, tuple(codes), budget), total - pos
     except MalformedMessageError:
         return MalformedMessageError, total - pos
@@ -698,12 +715,12 @@ def _random_code(rnd, variant: Variant, budget: int) -> Code:
     """A code of ``variant``, at one of its layout's extremes or in between."""
     unit = CODERS[variant].unit
     if unit is Unit.CODEWORD:
-        return Code(variant, budget, rnd.choice([0, (1 << budget) - 1, rnd.getrandbits(budget)]))
+        payload = rnd.choice([0, (1 << budget) - 1, rnd.getrandbits(budget)])
+        return Code(variant, payload, budget=budget)
     if unit is Unit.HEAP_INDEX:
         depth = rnd.choice([1, MAX_DEPTH, rnd.randint(1, MAX_DEPTH)])
-        return Code(variant, depth, (1 << (depth - 1)) | rnd.getrandbits(depth - 1))
-    k = rnd.choice([1, (1 << 64) - 1, 1 + rnd.getrandbits(rnd.randint(0, 63))])
-    return Code(variant, k, k)
+        return Code(variant, (1 << (depth - 1)) | rnd.getrandbits(depth - 1))
+    return Code(variant, rnd.choice([1, (1 << 64) - 1, 1 + rnd.getrandbits(rnd.randint(0, 63))]))
 
 
 @st.composite
@@ -756,6 +773,6 @@ def test_every_frame_read_passes_the_checks(data):
         frame = read_message(BitReader(data))
     except MalformedMessageError:
         return
-    codes = tuple(Code(code.variant, code.depth_or_budget, code.payload) for code in frame.codes)
+    codes = tuple(Code(code.variant, code.payload, budget=code.budget) for code in frame.codes)
     assert MessageFrame(frame.mode, frame.variant, codes, frame.budget) == frame
     assert all(type(code) is Code for code in frame.codes)

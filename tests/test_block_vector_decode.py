@@ -40,7 +40,7 @@ def message(frames) -> bytes:
     """Block frames of (budget, payloads), written as they stand."""
     writer = BitWriter()
     for budget, payloads in frames:
-        codes = tuple(Code(Variant.DAD_STAR, budget, h) for h in payloads)
+        codes = tuple(Code(Variant.DAD_STAR, h, budget=budget) for h in payloads)
         write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, codes, budget), writer)
     return writer.getvalue()
 
@@ -60,7 +60,7 @@ def scalar_decode(blocks, frames, seed):
         if budget != CONFIG.budget(block.kappa):
             raise MalformedMessageError("frame budget differs from the block's")
         for proposal, h in zip(block.proposals, payloads):
-            code = Code(Variant.DAD_STAR, budget, h)
+            code = Code(Variant.DAD_STAR, h, budget=budget)
             samples.append(decode_dad(proposal, code, absorb(seed_state(seed), index)))
             index += 1
     return samples
@@ -124,6 +124,9 @@ def test_a_coordinate_refusal_comes_before_a_later_frames_fault():
     # truncated inside frame 1: the code's refusal still comes first
     with pytest.raises(InvalidCodeError):
         decode_block_vector([narrow, wide], CONFIG, data[:len(message(frames[:1]))], 11)
+    # a byte after the last frame is that frame's fault, and comes after it too
+    with pytest.raises(InvalidCodeError):
+        decode_block_vector([narrow], CONFIG, message(frames[:1]) + b"\x00", 11)
 
 
 def test_a_frame_fault_comes_before_a_later_coordinate_refusal():

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from reckit.bitstream import BitReader, read_message
+from reckit.bitstream import BitReader, read_frame, read_message
 from reckit.cli import main
 from reckit.tree import MAX_DEPTH
 
@@ -145,6 +145,51 @@ def test_decode_needs_only_the_proposal(tmp_path, model):
     assert main(["decode", "--model", str(bare), "--seed", "7",
                  "--in", str(msg), "--samples", str(out)]) == 0
     assert out.read_bytes() == enc
+    # a proposal whose mixture component has an infinite end (JSON's
+    # -Infinity) is refused: its CDF and quantile would read nan
+    bare.write_text('{"family": "uniform_mixture", "components": '
+                    '[{"weight": 1.0, "low": -Infinity, "high": 0.0}]}')
+    out.unlink()
+    assert main(["decode", "--model", str(bare), "--seed", "7",
+                 "--in", str(msg), "--samples", str(out)]) == 2
+    assert not out.exists()
+
+
+def _pad_bit_set(data: bytes) -> bytes:
+    """``data``, one message, with its lowest pad bit set to 1."""
+    reader = BitReader(data)
+    while reader.bits_left >= 8:
+        read_frame(reader)
+    assert reader.bits_left > 0
+    return data[:-1] + bytes([data[-1] | 1])
+
+
+@pytest.mark.parametrize("tail", ["ff", "appended byte", "second message", "pad bit"])
+@pytest.mark.parametrize("source", ["exact", "block"])
+def test_decode_refuses_data_after_the_message(tmp_path, model, capsys, source, tail):
+    """A message ends within a byte of its last frame, on zero pad bits:
+    data after it (so two messages one after the other) and a pad bit of 1
+    exit 2 with one error line and write no samples."""
+    if source == "exact":
+        flags = ["--model", str(model)]
+        encode = ["--exact", "ad", "--count", "5"]
+    else:
+        flags = ["--block-model", str(tmp_path / "blocks.json")]
+        encode = []
+        (tmp_path / "blocks.json").write_text(json.dumps({
+            "coordinates": [_RECORD, {**_RECORD, "target_mean": 0.1}, _RECORD],
+            "block_kappa": {"a": 0.9}}))
+    msg = tmp_path / "msg.bin"
+    assert main(["encode", *flags, "--seed", "7", "--out", str(msg), *encode]) == 0
+    data = msg.read_bytes()
+    msg.write_bytes({"ff": data + b"\xff\xff\xff", "appended byte": data + b"\x00",
+                     "second message": data + data, "pad bit": _pad_bit_set(data)}[tail])
+    capsys.readouterr()
+    out = tmp_path / "dec.txt"
+    assert main(["decode", *flags, "--seed", "7", "--in", str(msg), "--samples", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not zero padding" in captured.err
+    assert captured.err.count("\n") == 1 and not out.exists()
 
 
 def test_block_model_roundtrip(tmp_path):

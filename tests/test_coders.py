@@ -47,7 +47,7 @@ from reckit.errors import (
 from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, seed_state, slot_uniforms,
                               trunc_gumbel)
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.tree import MAX_DEPTH, PartitionKind, depth_of, locate, realize
+from reckit.tree import MAX_DEPTH, PartitionKind, locate, realize
 
 # Gaussian target with KL = 1 nat, ratio supremum = 2 nats (frozen in the
 # distribution tests against quadrature).
@@ -173,7 +173,7 @@ def test_exact_search_matches_exhaustive_race(kind, variant):
             code, x, stats = encode_astar(pair, kind, seed)
             assert code.variant is variant
             assert code.payload == want_index, (pair.target, seed)
-            assert code.depth_or_budget == depth_of(want_index)
+            assert code.depth_or_budget == want_index.bit_length()
             assert x == want_x
             assert stats.lower_bound == want_score
     assert certified == 75
@@ -562,7 +562,7 @@ def test_dad_payload_zero_decodes_extra_sample():
         PAIR_GG.proposal, 0.0, 1.0,
         keyed_uniform(StreamKey(seed, 0, int(DrawSlot.EXTRA_ROOT_SAMPLE), 0)),
     )
-    assert decode_dad(PAIR_GG.proposal, Code(Variant.DAD_STAR, 4, 0), seed) == want
+    assert decode_dad(PAIR_GG.proposal, Code(Variant.DAD_STAR, 0, budget=4), seed) == want
 
 
 def test_depth_limit_caps_dyadic_search():
@@ -581,7 +581,7 @@ def written_bits(code):
     from reckit.bitstream import BitWriter
 
     w = BitWriter()
-    CODERS[code.variant].unit.write(w, code.depth_or_budget, code.payload)
+    CODERS[code.variant].unit.write(w, code.payload, code.budget)
     return w.bit_length
 
 
@@ -590,7 +590,7 @@ def test_stats_bit_accounting():
         for kind in (PartitionKind.SAMPLE_SPLIT, PartitionKind.DYADIC):
             code, _, stats = encode_astar(PAIR_GG, kind, seed)
             d = code.depth_or_budget
-            assert stats.returned_depth == d == depth_of(code.payload)
+            assert stats.returned_depth == d == code.payload.bit_length()
             assert stats.payload_bits == d
             assert stats.overhead_bits == gamma_bits(d) - 1
             assert written_bits(code) == stats.payload_bits + stats.overhead_bits
@@ -660,35 +660,60 @@ def test_budget_exhaustion():
 
 def test_code_validation():
     with pytest.raises(InvalidCodeError):
-        Code(Variant.AD_STAR, 2, 5)  # index 5 sits at depth 3
+        Code(Variant.AS_STAR, 0)
     with pytest.raises(InvalidCodeError):
-        Code(Variant.AS_STAR, 3, 0)
+        Code(Variant.AD_STAR, 1 << MAX_DEPTH)  # an index at depth MAX_DEPTH + 1
     with pytest.raises(InvalidCodeError):
-        Code(Variant.DAD_STAR, 3, 8)  # needs 4 bits
+        Code(Variant.DAD_STAR, 8, budget=3)  # needs 4 bits
     with pytest.raises(InvalidCodeError):
-        Code(Variant.PFR, 1, 0)
+        Code(Variant.PFR, 0)
     with pytest.raises(InvalidCodeError):
-        Code(Variant.MRC, 2, -1)
+        Code(Variant.PFR, 1 << 64)  # past delta's 64-bit length field
     with pytest.raises(InvalidCodeError):
-        Code(Variant.AD_STAR, 0, 1)
+        Code(Variant.MRC, -1, budget=2)
+    for budget in (0, MAX_DEPTH + 1):
+        with pytest.raises(InvalidCodeError):
+            Code(Variant.MRC, 0, budget=budget)
+    # the widest code of each layout constructs, and its width is derived
+    assert Code(Variant.AD_STAR, (1 << MAX_DEPTH) - 1).depth_or_budget == MAX_DEPTH
+    assert Code(Variant.PFR, (1 << 64) - 1).depth_or_budget == (1 << 64) - 1
+    assert Code(Variant.MRC, (1 << MAX_DEPTH) - 1, budget=MAX_DEPTH).depth_or_budget == MAX_DEPTH
+    # an exact code refuses a budget, and a fixed-width code needs one
+    for variant, payload in ((Variant.AS_STAR, 5), (Variant.AD_STAR, 5), (Variant.PFR, 3)):
+        with pytest.raises(InvalidCodeError):
+            Code(variant, payload, budget=3)
+    for variant in (Variant.DAD_STAR, Variant.MRC):
+        with pytest.raises(InvalidCodeError):
+            Code(variant, 5)
+    # the budget is keyword-only: a call in the (variant, width, payload)
+    # order fails instead of building another valid code
+    with pytest.raises(TypeError):
+        Code(Variant.MRC, 4, 11)
+    with pytest.raises(TypeError):
+        Code(Variant.AD_STAR, 3, 5)
 
 
-@pytest.mark.parametrize("variant, width, payload", [
+@pytest.mark.parametrize("variant, budget, payload", [
     (Variant.DAD_STAR, 3.0, 5),
     (Variant.AS_STAR, 3.0, 5),
     (Variant.AS_STAR, True, 1),
     (Variant.PFR, 2.0, 2),
     (Variant.AS_STAR, 1, True),
+    (Variant.MRC, True, 1),
+    (Variant.MRC, 3, 1.0),
+    (Variant.AD_STAR, None, 5.0),
+    (Variant.PFR, None, True),
 ])
-def test_code_width_and_payload_are_ints(variant, width, payload):
-    """Every layout takes an int width and payload, as a budget is checked:
-    a float or a bool is refused as a code, not with a bare TypeError."""
+def test_code_width_and_payload_are_ints(variant, budget, payload):
+    """A fixed-width code takes an int budget and payload, as a budget is
+    checked, and an exact code an int payload and no budget: a float or a
+    bool is refused as a code, not with a bare TypeError."""
     with pytest.raises(InvalidCodeError):
-        Code(variant, width, payload)
+        Code(variant, payload, budget=budget)
 
 
 def test_decode_variant_mismatch():
-    ad_code = Code(Variant.AD_STAR, 3, 5)
+    ad_code = Code(Variant.AD_STAR, 5)
     with pytest.raises(InvalidCodeError):
         decode_dad(PAIR_GG.proposal, ad_code, 1)
     with pytest.raises(InvalidCodeError):

@@ -309,6 +309,11 @@ def test_mixture_validation():
         UniformMixture((MixtureComponent(0.5, 0.0, 0.5), MixtureComponent(0.5, 0.4, 0.8)))
     with pytest.raises(DomainError):  # weights do not sum to 1
         UniformMixture((MixtureComponent(0.5, 0.0, 0.1), MixtureComponent(0.4, 0.2, 0.3)))
+    # a component must span a finite length: an infinite end, or finite ends
+    # whose difference overflows, would read nan or a wrong CDF and quantile
+    for low, high in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            MixtureComponent(1.0, low, high)
 
 
 def test_serialization_roundtrip():
@@ -323,7 +328,9 @@ def test_serialization_roundtrip():
     for bad in ({"no": "family"}, ["gaussian"], {"family": "gaussian", "mean": 0.0},
                 {"family": "uniform", "center": "x", "width": 1},
                 {"family": "uniform_mixture", "components": [{"weight": 1.0, "low": 0.0}]},
-                {"family": "uniform_mixture", "components": 3}):
+                {"family": "uniform_mixture", "components": 3},
+                json.loads('{"family": "uniform_mixture", "components": '
+                           '[{"weight": 1.0, "low": -Infinity, "high": 0.0}]}')):
         with pytest.raises(DomainError):
             distribution_from_dict(bad)
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitWriter, MessageFrame, write_message
+from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitReader, BitWriter, MessageFrame
+from reckit.bitstream import read_frame, write_message
 from reckit.coders import Code, Variant, encode_dad
 from reckit.distributions import Gaussian, PairSpec, Uniform
 from reckit.errors import DomainError, InfeasibleParameterError, MalformedMessageError
@@ -314,6 +315,24 @@ def test_block_vector_decode_validation():
         decode_block_vector(blocks, config, data[:1], 5)
 
 
+def test_block_vector_decode_refuses_data_after_the_last_frame():
+    """A vector message ends on zero pad bits within a byte of its last
+    frame: an appended byte, a second message and a pad bit of 1 are each
+    refused, as a frame's fault."""
+    blocks = [make_block(0.8, 4, 1)]
+    config = BlockCodecConfig(extra_bits=2)
+    data = encode_block_vector(blocks, config, 5)
+    reader = BitReader(data)
+    read_frame(reader)
+    pad = reader.bits_left
+    assert 0 < pad < 8
+    padded = data[:-1] + bytes([data[-1] | 1 << (pad - 1)])
+    for bad in (data + b"\x00", data + b"\xff", data + data, padded):
+        with pytest.raises(MalformedMessageError, match="not zero padding"):
+            decode_block_vector(blocks, config, bad, 5)
+    assert len(decode_block_vector(blocks, config, data, 5)) == 4
+
+
 def test_block_vector_decode_refuses_frames_on_their_fields():
     """Each block's frame is checked on its bare fields, with its own
     message: a frame of another coder (an MRC block frame, an exact AD*
@@ -322,9 +341,9 @@ def test_block_vector_decode_refuses_frames_on_their_fields():
     blocks = [make_block(0.8, 4, 1)]  # budget ceil(0.8 / ln 2) + 2 = 4
     config = BlockCodecConfig(extra_bits=2)
     mrc = MessageFrame(MODE_BLOCK, Variant.MRC,
-                       tuple(Code(Variant.MRC, 4, h) for h in (0, 1, 2, 15)), 4)
+                       tuple(Code(Variant.MRC, h, budget=4) for h in (0, 1, 2, 15)), 4)
     ad = MessageFrame(MODE_EXACT, Variant.AD_STAR,
-                      tuple(Code(Variant.AD_STAR, 3, h) for h in (4, 5, 6, 7)))
+                      tuple(Code(Variant.AD_STAR, h) for h in (4, 5, 6, 7)))
     for frame in (mrc, ad):
         with pytest.raises(MalformedMessageError, match="^expected a tied-budget block frame$"):
             decode_block_vector(blocks, config, write_message(frame).getvalue(), 5)

@@ -235,7 +235,7 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     index = (1 << (depth - 1)) | (path & ((1 << (depth - 1)) - 1))
     for kind, variant in ((PartitionKind.DYADIC, Variant.AD_STAR),
                           (PartitionKind.SAMPLE_SPLIT, Variant.AS_STAR)):
-        got = decode(GAUSS, Code(variant, depth, index), seed)
+        got = decode(GAUSS, Code(variant, index), seed)
         assert got == per_key_walk(GAUSS, kind, index, seed)
     stream = seed_state(seed)
     root = realize_node(stream, 1, 1, -math.inf, math.inf, 0.0, 1.0, math.inf)
@@ -247,7 +247,7 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     assert extra.u == per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE)
     assert (extra.g, extra_x) == (want_g, want_x)
     assert sample_restricted_u(GAUSS, 0.0, 1.0, extra.u) == want_x
-    assert decode(GAUSS, Code(Variant.DAD_STAR, depth, 0), seed) == want_x
+    assert decode(GAUSS, Code(Variant.DAD_STAR, 0, budget=depth), seed) == want_x
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -256,9 +256,9 @@ def test_single_draw_decodes_match_per_key_calls(seed, k):
     """MRC's codeword and PFR's arrival index name one draw each, up to the
     widest a code carries: a MAX_DEPTH-bit codeword, an index below 2^64."""
     i = (k - 1) & ((1 << MAX_DEPTH) - 1)
-    mrc = decode(GAUSS, Code(Variant.MRC, MAX_DEPTH, i), seed)
+    mrc = decode(GAUSS, Code(Variant.MRC, i, budget=MAX_DEPTH), seed)
     assert mrc == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.SAMPLE, i))
-    pfr = decode(GAUSS, Code(Variant.PFR, k, k), seed)
+    pfr = decode(GAUSS, Code(Variant.PFR, k), seed)
     assert pfr == sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 1, DrawSlot.SAMPLE, k - 1))
 
 

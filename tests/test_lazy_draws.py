@@ -115,17 +115,17 @@ def eager_encode(coder, pair, seed, max_steps):
             raise UnboundedRatioError("unbounded ratio")
         if coder == "pfr":
             arrival, x, steps, lb = reference_coder.pfr(pair, seed, max_steps)
-            code = Code(Variant.PFR, arrival, arrival)
+            code = Code(Variant.PFR, arrival)
             return code, x, coders._stats(code, steps, arrival, lb)
         kind = KINDS[coder]
         best, x, steps, lb = eager_search(pair, kind, seed, INF, max_steps)
-        code = Code(coders._VARIANT_OF_KIND[kind], best.depth, best.heap_index)
+        code = Code(coders._VARIANT_OF_KIND[kind], best.heap_index)
     else:
         budget = coder[1]
         check_budget(budget)
         best, x, steps, lb = eager_search(pair, PartitionKind.DYADIC, seed, budget, INF,
                                           extra_root=True)
-        code = Code(Variant.DAD_STAR, budget, best.heap_index)
+        code = Code(Variant.DAD_STAR, best.heap_index, budget=budget)
     return code, x, coders._stats(code, steps, best.depth, lb)
 
 

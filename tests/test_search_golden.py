@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 from test_lazy_draws import PAIRS as LAZY_PAIRS
 
+from reckit.coders import Code
+
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location("write_search_golden",
                                                DATA / "write_search_golden.py")
@@ -45,3 +47,12 @@ def test_search_golden_covers_every_coder_pair_and_refusal():
     assert {group.split()[1] for group in SEARCHES} == set(writer.CODER_NAMES)
     errors = {row[0] for rows in SEARCHES.values() for row in rows if isinstance(row[0], str)}
     assert {"DepthExceededError", "DomainError"} <= errors  # the tail pair's refusals
+    # each stored width is the one a code rebuilt from its payload (and a
+    # dad code's budget) derives
+    for group, rows in SEARCHES.items():
+        coder = group.split()[1]
+        budget = int(coder[3:]) if coder.startswith("dad") else None
+        for row in rows:
+            if not isinstance(row[0], str):
+                code = Code(writer.CODER_NAMES[coder], row[0], budget=budget)
+                assert code.depth_or_budget == row[1], (group, row)

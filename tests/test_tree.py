@@ -23,7 +23,6 @@ from reckit.tree import (
     MAX_DEPTH,
     PartitionKind,
     _cut,
-    depth_of,
     expand,
     heap_children,
     locate,
@@ -121,22 +120,13 @@ def top_down_process(proposal, kind, seed, max_yields=None, depth_limit=math.inf
         yield node
 
 
-def test_depth_of():
-    assert depth_of(1) == 1
-    assert depth_of(2) == depth_of(3) == 2
-    assert depth_of(4) == depth_of(7) == 3
-    assert depth_of((1 << 20) + 5) == 21
-    with pytest.raises(DomainError):
-        depth_of(0)
-
-
 def test_heap_children():
     assert heap_children(1) == (2, 3)
     assert heap_children(5) == (10, 11)
     # indices at depth d occupy [2^(d-1), 2^d)
     for h in (1, 2, 3, 6, 13):
         lo, hi = heap_children(h)
-        assert depth_of(lo) == depth_of(hi) == depth_of(h) + 1
+        assert lo.bit_length() == hi.bit_length() == h.bit_length() + 1
     with pytest.raises(DepthExceededError):
         heap_children(1 << 61)
 

@@ -19,8 +19,8 @@ from reckit.errors import Frozen
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock
 from reckit.tree import PartitionKind
 
-CODE = Code(Variant.AS_STAR, 3, 5)
-CODE_REPR = "Code(variant=<Variant.AS_STAR: 'as'>, depth_or_budget=3, payload=5)"
+CODE = Code(Variant.AS_STAR, 5)
+CODE_REPR = "Code(variant=<Variant.AS_STAR: 'as'>, payload=5, budget=None)"
 COMPONENTS = [MixtureComponent(0.5, 0.0, 0.25), MixtureComponent(0.5, 0.5, 1.0)]
 
 RECORDED = [
@@ -91,14 +91,22 @@ def test_fields_hold_their_slots():
         assert set(value._fields) <= set(type(value).__slots__)
         assert not hasattr(value, "__dict__"), type(value).__name__
     assert CSV_COLUMNS == ResultRow._fields
-    assert Code.__slots__ == Code._fields and not hasattr(CODE, "__dict__")
+    assert Code.__slots__ == Code._fields == ("variant", "payload", "budget")
+    assert not hasattr(CODE, "__dict__")
 
 
 def test_equality_reads_only_the_fields():
     # std is derived from the variance, a slot outside equality and repr
     assert Gaussian(0.0, 4.0).std == 2.0 and "std" not in Gaussian._fields
     assert Gaussian(0.0, 4.0) == Gaussian(0.0, 4.0) != Gaussian(0.0, 4.5)
-    assert Code(Variant.AD_STAR, 3, 5) != CODE
+    assert Code(Variant.AD_STAR, 5) != CODE
+    # a code's width is derived, outside equality and repr; a fixed-width
+    # code's budget is a field, and copies and pickles with it
+    assert CODE.depth_or_budget == 3 and "depth_or_budget" not in Code._fields
+    mrc = Code(Variant.MRC, 11, budget=4)
+    assert mrc != Code(Variant.MRC, 11, budget=5)
+    for twin in (copy.copy(mrc), copy.deepcopy(mrc), pickle.loads(pickle.dumps(mrc))):
+        assert twin == mrc and twin.budget == twin.depth_or_budget == 4
     assert Gaussian(0.0, 1.0) != Uniform(0.0, 1.0)
     assert len({Gaussian(0.0, 1.0), Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)}) == 2
     assert CODERS[Variant.MRC] == CODERS[Variant.MRC]
