@@ -23,9 +23,13 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 ``coders.Unit`` implements the unit layouts: it checks, prices and
 writes one unit and reads a frame's payloads. This module owns the bit
 codes and the frame: ``MessageFrame`` checks a frame when it is built,
-``write_message`` writes it unchecked, and ``read_frame`` and
-``read_message`` return only what it admits. ``_HEADS`` is the one
-table of frame layouts; the writer reads it through its inverse.
+and ``read_frame`` and ``read_message`` return only what it admits.
+``write_frame`` is the one frame writer, the mirror of ``read_frame``: it
+writes a header and bare payloads unchecked, for a caller that vouches
+for them. ``write_message`` writes a ``MessageFrame`` through it, and the
+block codec's encode writes its searches' codewords through it with no
+object per unit or frame. ``_HEADS`` is the one table of frame layouts:
+the reader walks it, and the writer reads it through its inverse.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
@@ -250,20 +254,29 @@ _code_variant, _code_payload, _code_budget = (
     Code.__dict__[name].__set__ for name in Code._fields)
 
 
-def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
-    """Write ``frame``, which ``MessageFrame`` checked: its header, then
-    each code through its coder's ``Unit``."""
-    mode_tag, variant_tag, unit = _TAGS[frame.mode, frame.variant]
-    budget = frame.budget
-    w = writer or BitWriter()
-    w.write_elias_gamma(mode_tag)
-    w.write_elias_gamma(variant_tag)
+def write_frame(writer: BitWriter, mode: str, variant: Variant, budget: int | None,
+                payloads: list[int]) -> None:
+    """Write one frame, the mirror of ``read_frame``: its header gammas,
+    then each payload through its coder's ``Unit``. It writes unchecked: the
+    caller vouches for the frame (``write_message`` through ``MessageFrame``,
+    the block codec through its search and ``check_budget``), and only
+    ``BitWriter.write_bits`` still refuses a codeword wider than its budget."""
+    mode_tag, variant_tag, unit = _TAGS[mode, variant]
+    writer.write_elias_gamma(mode_tag)
+    writer.write_elias_gamma(variant_tag)
     if budget is not None:
-        w.write_elias_gamma(budget)
-    w.write_elias_gamma(len(frame.codes) + 1)
+        writer.write_elias_gamma(budget)
+    writer.write_elias_gamma(len(payloads) + 1)
     write = unit.write
-    for code in frame.codes:
-        write(w, code.payload, budget)
+    for payload in payloads:
+        write(writer, payload, budget)
+
+
+def write_message(frame: MessageFrame, writer: BitWriter | None = None) -> BitWriter:
+    """Write ``frame``, which ``MessageFrame`` checked, through ``write_frame``."""
+    w = writer or BitWriter()
+    payloads = [code.payload for code in frame.codes]
+    write_frame(w, frame.mode, frame.variant, frame.budget, payloads)
     return w
 
 

@@ -50,7 +50,7 @@ import math
 from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable
 
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, Frozen, InvalidCodeError
@@ -372,6 +372,16 @@ def encode_dad(
     # transmitted width is the budget regardless of where the winner sat; the
     # extra root, index 0, sits at depth 1
     return code, x, _stats(code, steps, index.bit_length() or 1, lb)
+
+
+def dad_payloads(pairs: Iterable[PairSpec], stream: int, first: int, budget: int) -> list[int]:
+    """The DAD* codewords of a block of pairs at one ``budget``, bare: pair
+    i's is ``encode_dad(pair, absorb(stream, first + i), budget)[0].payload``,
+    bit for bit, with ``stream`` a ``seed_state``. The budget is checked once
+    for the block, and no ``Code`` or ``TrialStats`` is built."""
+    check_budget(budget)
+    return [_astar_search(pair, _DYADIC, seed_state(absorb(stream, index)), budget, INF)[0]
+            for index, pair in enumerate(pairs, first)]
 
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .bitstream import MODE_BLOCK, BitReader, BitWriter, MessageFrame, read_frame, write_message
-from .bitstream import read_message  # noqa: F401  (benchmarks/run.py traces it here)
-from .coders import Variant, _is_int, encode_dad
-from .coders import decode_dad  # noqa: F401  (benchmarks/run.py traces it here)
+from .bitstream import MODE_BLOCK, BitReader, BitWriter, read_frame, write_frame
+from .bitstream import read_message, write_message  # noqa: F401  (benchmarks/run.py traces them)
+from .coders import Variant, _is_int, check_budget, dad_payloads
+from .coders import decode_dad, encode_dad  # noqa: F401  (benchmarks/run.py traces them)
 from .distributions import Gaussian, PairSpec, Uniform, as_number
 from .errors import DomainError, Frozen, InfeasibleParameterError, MalformedMessageError, RecError
-from .randomness import absorb, seed_state
+from .randomness import seed_state
 from .randomness import derive_seed  # noqa: F401  (benchmarks/run.py traces it here)
 from .tree import locate_dyadic_vector
 
@@ -199,11 +199,11 @@ class BlockCodecConfig(Frozen):
         self._store(extra_bits)
 
     def budget(self, kappa: float) -> int:
-        d = math.ceil(kappa / _LN2) + self.extra_bits
-        if d < 1:
-            raise DomainError(
-                f"budget ceil({kappa}/ln2) + {self.extra_bits} = {d} must be >= 1"
-            )
+        """ceil(kappa / ln 2) + t, refused (a nan or infinite kappa's too) by
+        ``coders.check_budget``, alike for the encoder and the decoder."""
+        bits = kappa / _LN2
+        d = math.ceil(bits) + self.extra_bits if math.isfinite(bits) else bits
+        check_budget(d)
         return d
 
 
@@ -217,20 +217,21 @@ def encode_block_vector(
     derive_seed(seed, i), so coordinates are independent and the decoder
     can regenerate any of them in isolation. The vector's seed is mixed
     once; each coordinate absorbs its index into that state.
+
+    Per block: its budget, its codewords bare from ``coders.dad_payloads``
+    and its frame from ``bitstream.write_frame``, so no ``Code``,
+    ``TrialStats`` or ``MessageFrame`` is built. The bytes are those of
+    ``encode_dad`` per coordinate and ``write_message`` per block.
     """
     writer = BitWriter()
     stream = seed_state(seed)
     index = 0
     for block in blocks:
         budget = config.budget(block.kappa)
-        codes = []
-        for i in range(len(block)):
-            code, _, _ = encode_dad(block.pair(i), absorb(stream, index), budget)
-            codes.append(code)
-            index += 1
-        write_message(
-            MessageFrame(MODE_BLOCK, Variant.DAD_STAR, tuple(codes), budget), writer
-        )
+        n = len(block)
+        payloads = dad_payloads(map(block.pair, range(n)), stream, index, budget)
+        write_frame(writer, MODE_BLOCK, _DAD_STAR, budget, payloads)
+        index += n
     return writer.getvalue()
 
 

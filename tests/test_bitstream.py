@@ -18,6 +18,7 @@ from reckit.bitstream import (
     MessageFrame,
     read_frame,
     read_message,
+    write_frame,
     write_message,
 )
 from reckit.coders import CODERS, Code, Unit, Variant, decode
@@ -381,11 +382,29 @@ def test_coder_table_wire_tags():
     for code, mode, budget in [
         (Code(Variant.AS_STAR, 9), MODE_EXACT, None),
         (Code(Variant.PFR, 7), MODE_EXACT, None),
+        (Code(Variant.DAD_STAR, 0, budget=3), MODE_BLOCK, 3),
         (Code(Variant.MRC, 11, budget=4), MODE_BLOCK, 4),
     ]:
         data = write_message(MessageFrame(mode, code.variant, (code,), budget)).getvalue()
         frame = read_message(BitReader(data))
         assert (frame.mode, frame.variant, frame.codes) == (mode, code.variant, (code,))
+        assert_write_frame_is_write_message(frame)
+
+
+def assert_write_frame_is_write_message(frame: MessageFrame) -> None:
+    """``write_frame`` over ``frame``'s bare payloads writes the bits that
+    ``write_message`` writes, and ``read_frame`` returns those payloads and
+    stops at the bit where ``read_message`` stops."""
+    payloads = [code.payload for code in frame.codes]
+    bare = BitWriter()
+    write_frame(bare, frame.mode, frame.variant, frame.budget, payloads)
+    framed = write_message(frame)
+    assert (bare.getvalue(), bare.bit_length) == (framed.getvalue(), framed.bit_length)
+    tail = b"\x5a"  # a next frame's bits must stay unread
+    reader, reference = BitReader(bare.getvalue() + tail), BitReader(framed.getvalue() + tail)
+    assert read_frame(reader) == (frame.mode, frame.variant, frame.budget, payloads)
+    assert read_message(reference) == frame
+    assert reader.bits_left == reference.bits_left
 
 
 @pytest.mark.parametrize("variant,codes", [
@@ -563,12 +582,15 @@ def _frame_parts(draw):
 @given(parts=_frame_parts())
 def test_every_frame_that_constructs_roundtrips(parts):
     """A ``MessageFrame`` that builds writes, and reads back equal: every
-    frame the wire cannot carry is refused when it is built, with a RecError."""
+    frame the wire cannot carry is refused when it is built, with a RecError.
+    Its bare payloads write through ``write_frame`` and read back through
+    ``read_frame`` alike, in every layout: heap, arrival, DAD* and MRC."""
     try:
         frame = MessageFrame(*parts)
     except RecError:
         return
     assert read_message(BitReader(write_message(frame).getvalue())) == frame
+    assert_write_frame_is_write_message(frame)
 
 
 # Well-formed message heads of every coder, so that fuzzed tails also reach

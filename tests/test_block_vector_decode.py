@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reckit.bitstream import MODE_BLOCK, BitWriter, MessageFrame, write_message
 from reckit.coders import Code, Variant, decode_dad
-from reckit.errors import InvalidCodeError, MalformedMessageError, RecError
+from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError, RecError
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock, decode_block_vector
 from reckit.randomness import absorb, seed_state
 from reckit.tree import MAX_DEPTH
@@ -136,3 +136,12 @@ def test_a_frame_fault_comes_before_a_later_coordinate_refusal():
     data = message([(6, [3]), (8, [(1 << 7) + 5])])
     with pytest.raises(MalformedMessageError):
         decode_block_vector([wide, narrow], CONFIG, data, 11)
+    # a block whose configured budget no header carries (63) is refused
+    # there, with the encoder's DomainError, before the codes after it
+    unframable = IsoKLGaussianBlock((0.0,), (1.0,), (0.0,), (MAX_DEPTH + 0.5) * math.log(2.0))
+    with pytest.raises(DomainError, match="^budget must be"):
+        decode_block_vector([unframable, narrow], CONFIG, data, 11)
+    # and after the refusals of the codes before it
+    data = message([(8, [(1 << 7) + 5]), (6, [3])])
+    with pytest.raises(InvalidCodeError):
+        decode_block_vector([narrow, unframable], CONFIG, data, 11)

@@ -5,6 +5,7 @@ input problems.
 """
 
 import json
+import math
 
 import pytest
 
@@ -192,7 +193,7 @@ def test_decode_refuses_data_after_the_message(tmp_path, model, capsys, source, 
     assert captured.err.count("\n") == 1 and not out.exists()
 
 
-def test_block_model_roundtrip(tmp_path):
+def test_block_model_roundtrip(tmp_path, capsys):
     bm = tmp_path / "blocks.json"
     bm.write_text(json.dumps({
         "coordinates": [
@@ -217,6 +218,17 @@ def test_block_model_roundtrip(tmp_path):
     assert main(["decode", "--block-model", str(bm), "--seed", "3",
                  "--in", str(msg), "--samples", str(second),
                  "--extra-bits", "3"]) == 2
+    # a slack that puts block a's budget at 63 bits, past what a header
+    # carries, is the budget rule's refusal on both sides, not a malformed
+    # message: encode writes no message and decode no samples
+    capsys.readouterr()
+    refused, samples = tmp_path / "refused.bin", tmp_path / "refused.txt"
+    for argv in (["encode", "--out", str(refused)],
+                 ["decode", "--in", str(msg), "--samples", str(samples)]):
+        assert main(argv + ["--block-model", str(bm), "--seed", "3", "--extra-bits", "61"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: budget must be an integer of 1 to 62 bits, got 63\n"
+    assert not refused.exists() and not samples.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -541,6 +553,8 @@ _RUNTIME = {"algorithms": ["ad"], "trials": 2, "seed": 9,
     # the mode sweep runs mixture cells alone: a gaussian cell is refused
     ("bench-modes", "--config", {**_RUNTIME, "mixture_cells": [{"n_modes": 2,
                                                                 "dinf_nats": 0.7}]}),
+    # an infinite kappa (JSON's Infinity), whose block budget no header carries
+    ("encode", "--block-model", {"coordinates": [_RECORD], "block_kappa": {"a": math.inf}}),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, command, flag, content):
     path = tmp_path / "file.json"

@@ -10,13 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
+from test_block_vector_decode import STDS
 
 from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitReader, BitWriter, MessageFrame
 from reckit.bitstream import read_frame, write_message
 from reckit.coders import Code, Variant, encode_dad
 from reckit.distributions import Gaussian, PairSpec, Uniform
-from reckit.errors import DomainError, InfeasibleParameterError, MalformedMessageError
+from reckit.errors import DomainError, InfeasibleParameterError, MalformedMessageError, RecError
 from reckit.isokl import (
     BlockCodecConfig,
     IsoKLGaussianBlock,
@@ -29,6 +32,7 @@ from reckit.isokl import (
     uniform_from_mean_kl,
 )
 from reckit.randomness import absorb, derive_seed, seed_state
+from reckit.tree import MAX_DEPTH
 
 # brentq on KL(N(1, v) || N(0, 1)) = 1 over v in (1e-8, 1), frozen
 BRENTQ_VAR_SHIFT1_KL1 = 0.1585943395630394
@@ -248,6 +252,24 @@ def test_codec_budget():
     assert BlockCodecConfig(extra_bits=1).budget(0.0) == 1
     with pytest.raises(DomainError):
         BlockCodecConfig(extra_bits=0).budget(0.0)
+    # the one budget rule is coders.check_budget: 1 to MAX_DEPTH bits
+    assert BlockCodecConfig(extra_bits=0).budget(61.5 * math.log(2.0)) == MAX_DEPTH
+    assert BlockCodecConfig(extra_bits=60).budget(0.9) == MAX_DEPTH
+    for config, kappa in ((BlockCodecConfig(extra_bits=0), 62.5 * math.log(2.0)),
+                          (BlockCodecConfig(extra_bits=61), 0.9),
+                          (BlockCodecConfig(extra_bits=-5), 0.9),
+                          (BlockCodecConfig(), math.inf), (BlockCodecConfig(), math.nan)):
+        with pytest.raises(DomainError, match="^budget must be an integer of 1 to 62 bits"):
+            config.budget(kappa)
+    # so the encoder and the decoder refuse a block at budget 63 alike
+    config = BlockCodecConfig(extra_bits=0)
+    wide = [IsoKLGaussianBlock((0.0, 1.0), (1.0, 2.0), (0.5, 1.5), 62.5 * math.log(2.0))]
+    with pytest.raises(DomainError, match="^budget must be"):
+        encode_block_vector(wide, config, 7)
+    narrow = [IsoKLGaussianBlock((0.0, 1.0), (1.0, 2.0), (0.5, 1.5), 1.5 * math.log(2.0))]
+    data = encode_block_vector(narrow, config, 7)  # a valid frame at budget 2
+    with pytest.raises(DomainError, match="^budget must be an integer of 1 to 62 bits, got 63$"):
+        decode_block_vector(wide, config, data, 7)
     # a slack that is not an int is refused when the config is built, not
     # at encode or decode: a str, a float, a bool or None
     for extra_bits in ("2", 2.5, 2.0, True, False, None):
@@ -270,28 +292,62 @@ def test_block_vector_roundtrip():
         assert out[:4] == solo
 
 
-def test_block_vector_coordinate_i_draws_from_derive_seed():
+def coded_one_by_one(blocks, config, seed):
+    """The codec's definition: ``encode_dad`` of every coordinate alone from
+    derive_seed(seed, i), then a ``MessageFrame`` per block through
+    ``write_message``. Returns (bytes, samples)."""
+    writer, samples, index = BitWriter(), [], 0
+    for block in blocks:
+        budget = config.budget(block.kappa)
+        codes = []
+        for i in range(len(block)):
+            code, x, _ = encode_dad(block.pair(i), derive_seed(seed, index), budget)
+            codes.append(code)
+            samples.append(x)
+            index += 1
+        write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, tuple(codes), budget), writer)
+    return writer.getvalue(), samples
+
+
+@st.composite
+def block_vectors(draw):
+    """One to three blocks of one to four coordinates at budgets 1-16 under
+    ``extra_bits=0`` (kappa = (budget - 0.5) ln 2), target means inside the
+    Lambert-W radius and prior stds down to 1e-30."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kappa = (draw(st.integers(1, 16)) - 0.5) * math.log(2.0)
+        n = draw(st.integers(1, 4))
+        means = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        stds = draw(st.lists(st.sampled_from(STDS), min_size=n, max_size=n))
+        shifts = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
+        targets = [nu + rho * math.sqrt(2.0 * kappa) * u
+                   for nu, rho, u in zip(means, stds, shifts)]
+        blocks.append(IsoKLGaussianBlock(tuple(means), tuple(stds), tuple(targets), kappa))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(blocks=block_vectors(), seed=st.one_of(st.sampled_from((0, -3, 2**64 + 5, 20260817)),
+                                              st.integers(0, 2**64 - 1)))
+def test_block_vector_coordinate_i_draws_from_derive_seed(blocks, seed):
     """The codec mixes the vector's seed once and absorbs each coordinate's
     index into that state, which is derive_seed(seed, i): the frames equal
-    those of coding every coordinate alone from its derived seed."""
-    blocks = [make_block(0.8, 4, 1), make_block(2.5, 3, 2)]
-    config = BlockCodecConfig(extra_bits=2)
-    for seed in (0, -3, 2**64 + 5, 20260817):
-        assert all(absorb(seed_state(seed), i) == derive_seed(seed, i) for i in range(7))
-        writer, samples, index = BitWriter(), [], 0
-        for block in blocks:
-            budget = config.budget(block.kappa)
-            codes = []
-            for i in range(len(block)):
-                code, x, _ = encode_dad(block.pair(i), derive_seed(seed, index), budget)
-                codes.append(code)
-                samples.append(x)
-                index += 1
-            write_message(MessageFrame(MODE_BLOCK, Variant.DAD_STAR, tuple(codes), budget),
-                          writer)
-        data = encode_block_vector(blocks, config, seed)
-        assert data == writer.getvalue()
-        assert decode_block_vector(blocks, config, data, seed) == samples
+    those of coding every coordinate alone from its derived seed
+    (``coded_one_by_one``), and decode to its samples. Where that
+    composition refuses, the codec refuses with the same class."""
+    n = sum(len(block) for block in blocks)
+    assert all(absorb(seed_state(seed), i) == derive_seed(seed, i) for i in range(n))
+    config = BlockCodecConfig(extra_bits=0)
+    try:
+        expected, samples = coded_one_by_one(blocks, config, seed)
+    except RecError as exc:
+        with pytest.raises(type(exc)):
+            encode_block_vector(blocks, config, seed)
+        return
+    data = encode_block_vector(blocks, config, seed)
+    assert data == expected
+    assert decode_block_vector(blocks, config, data, seed) == samples
 
 
 def test_block_builds_its_proposals_once_on_first_use():
@@ -350,6 +406,9 @@ def test_block_vector_decode_refuses_frames_on_their_fields():
     data = encode_block_vector(blocks, config, 5)
     with pytest.raises(MalformedMessageError, match="^frame budget 4 != configured 5$"):
         decode_block_vector(blocks, BlockCodecConfig(extra_bits=3), data, 5)
+    # a configured budget no header carries is the config's fault, not the message's
+    with pytest.raises(DomainError, match="^budget must be an integer of 1 to 62 bits, got 63$"):
+        decode_block_vector(blocks, BlockCodecConfig(extra_bits=61), data, 5)
     with pytest.raises(MalformedMessageError, match="^frame holds 4 codes, block has 5$"):
         decode_block_vector([make_block(0.8, 5, 1)], config, data, 5)
     with pytest.raises(MalformedMessageError, match="^frame holds 4 codes, block has 3$"):
