@@ -24,12 +24,17 @@ Wire format (MSB-first within each byte, final byte zero-padded):
 writes one unit and reads a frame's payloads. This module owns the bit
 codes and the frame: ``MessageFrame`` checks a frame when it is built,
 and ``read_frame`` and ``read_message`` return only what it admits.
-``write_frame`` is the one frame writer, the mirror of ``read_frame``: it
-writes a header and bare payloads unchecked, for a caller that vouches
-for them. ``write_message`` writes a ``MessageFrame`` through it, and the
-block codec's encode writes its searches' codewords through it with no
-object per unit or frame. ``_HEADS`` is the one table of frame layouts:
-the reader walks it, and the writer reads it through its inverse.
+``frame_head`` states a frame's header, its gammas side by side as one
+(bits, width); ``write_frame``, the one frame writer and the mirror of
+``read_frame``, writes that header and then bare payloads unchecked, for
+a caller that vouches for them. ``write_message`` writes a
+``MessageFrame`` through it, and the block codec's encode writes its
+searches' codewords through it with no object per unit or frame.
+``read_frame`` parses a header, and ``match_block_frames`` compares a
+whole block message against the headers its model implies, which is how
+the block codec's decode reads what its encode wrote. ``_HEADS`` is the
+one table of frame layouts: the reader walks it, and the writer and
+``frame_head`` read it through its inverse.
 
 Reading past the end of a stream raises MalformedMessageError, which is
 how truncation is detected; pad bits are zero and can never start a
@@ -39,8 +44,9 @@ with ``BitReader.check_end``: it ends on zero pad bits in its last byte.
 ``read_frame`` walks a frame in one pass and returns its fields bare;
 ``read_message`` is that walk with the payloads made ``Code`` objects,
 each with the frame's budget, in a ``MessageFrame``. A caller that wants
-only the payloads, as the block codec's decode does, reads through
-``read_frame`` and builds no object per unit or frame. ``BitReader.read``
+only the payloads, as the block codec's decode does when a message is not
+the one its model implies, reads through ``read_frame`` and builds no
+object per unit or frame. ``BitReader.read``
 takes n fields of one kind per call: gammas, deltas under a cap on their
 length field, or fixed-width words. The header takes two calls (three in
 a block frame) and the units one. A refused field is not consumed and the
@@ -54,10 +60,15 @@ bits) fit as well. The window is what the last field left over, or, when
 that is too short, a new slice of the message from the field's first
 bit. ``int.bit_length`` counts a gamma's zero run and one shift takes
 each value. No read materialises more of the message than one window, so
-the cost of a field does not grow with the message.
+the cost of a field does not grow with the message. The matcher keeps the
+same rule at a frame's scale: it converts each frame, in slices of at
+most ``_RUN`` codeword bits, once, and never shifts an int the size of
+the message.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .coders import CODERS, Code, Variant, check_budget
 from .errors import DomainError, Frozen, InvalidCodeError, MalformedMessageError
@@ -75,6 +86,8 @@ _HEADS = {
 _TAGS = {(mode, variant): (*tags, unit) for tags, (mode, variant, unit) in _HEADS.items()}
 # A gamma spans at most 129 bits (64 zeros and 65 digits), 17 bytes from any bit offset
 _WINDOW = 17
+# The longest run of codewords ``match_block_frames`` cuts from one int
+_RUN = 512
 _from_bytes = int.from_bytes  # a bound alias skips a ~0.1 us attribute lookup per read
 _set = object.__setattr__
 
@@ -254,20 +267,36 @@ _code_variant, _code_payload, _code_budget = (
     Code.__dict__[name].__set__ for name in Code._fields)
 
 
+@lru_cache(maxsize=256, typed=True)  # a block codec states a few shapes over and over
+def frame_head(mode: str, variant: Variant, budget: int | None, count: int) -> tuple[int, int]:
+    """(bits, width): the header of a frame of ``count`` units, the one
+    statement of its layout. Its fields, gamma(mode tag), gamma(variant
+    tag), gamma(budget) when there is one and gamma(count + 1), sit side by
+    side, and gamma(n) is n itself in 2 * bit_length(n) - 1 bits (its zero
+    run is n's own leading zeros). A field below 1 is refused as
+    ``BitWriter.write_elias_gamma`` refuses it."""
+    mode_tag, variant_tag, _ = _TAGS[mode, variant]
+    fields = (mode_tag, variant_tag) + ((count + 1,) if budget is None else (budget, count + 1))
+    bits = width = 0
+    for n in fields:
+        if n < 1:
+            raise DomainError(f"gamma codes need n >= 1, got {n}")
+        w = 2 * n.bit_length() - 1
+        bits = bits << w | n
+        width += w
+    return bits, width
+
+
 def write_frame(writer: BitWriter, mode: str, variant: Variant, budget: int | None,
                 payloads: list[int]) -> None:
-    """Write one frame, the mirror of ``read_frame``: its header gammas,
-    then each payload through its coder's ``Unit``. It writes unchecked: the
-    caller vouches for the frame (``write_message`` through ``MessageFrame``,
-    the block codec through its search and ``check_budget``), and only
-    ``BitWriter.write_bits`` still refuses a codeword wider than its budget."""
-    mode_tag, variant_tag, unit = _TAGS[mode, variant]
-    writer.write_elias_gamma(mode_tag)
-    writer.write_elias_gamma(variant_tag)
-    if budget is not None:
-        writer.write_elias_gamma(budget)
-    writer.write_elias_gamma(len(payloads) + 1)
-    write = unit.write
+    """Write one frame, the mirror of ``read_frame``: its header
+    (``frame_head``) in one call, then each payload through its coder's
+    ``Unit``. It writes unchecked: the caller vouches for the frame
+    (``write_message`` through ``MessageFrame``, the block codec through its
+    search and ``check_budget``), and only ``BitWriter.write_bits`` still
+    refuses a codeword wider than its budget."""
+    writer.write_bits(*frame_head(mode, variant, budget, len(payloads)))
+    write = _TAGS[mode, variant][2].write
     for payload in payloads:
         write(writer, payload, budget)
 
@@ -299,6 +328,55 @@ def read_frame(reader: BitReader) -> tuple[str, Variant, int | None, list[int]]:
             raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     (count,) = reader.read(1)
     return mode, variant, budget, unit.read(reader, budget, count - 1)
+
+
+def match_block_frames(data: bytes, variant: Variant,
+                       shapes: list[tuple[int, int]]) -> list[int] | None:
+    """The codewords of ``data`` when it is exactly one block frame of
+    ``variant`` per (budget, count) of ``shapes``, in order, each its
+    header ``frame_head(MODE_BLOCK, variant, budget, count)`` and then
+    ``count`` codewords of ``budget`` bits, and the frames are followed by
+    fewer than 8 zero pad bits; in every other case None.
+
+    Gamma codes are prefix-free, so the bits equal that header exactly when
+    ``read_frame`` would return (MODE_BLOCK, variant, budget, count), and
+    the pad rule is ``BitReader.check_end``: the match accepts what a walk
+    of the frames with those checks accepts, and returns its payloads. A
+    budget above ``MAX_DEPTH``, which no frame carries, matches nothing.
+
+    One linear pass: each slice of a frame, its header and at most
+    ``_RUN`` bits of codewords, is one ``int.from_bytes`` of the bytes that
+    cover it, and the fields are cut from that int with shifts."""
+    nbits = len(data) << 3
+    pos = 0
+    words: list[int] = []
+    append = words.append
+    for budget, count in shapes:
+        if budget > MAX_DEPTH:
+            return None
+        head, width = frame_head(MODE_BLOCK, variant, budget, count)
+        mask = (1 << budget) - 1
+        per = _RUN // budget  # codewords a slice
+        while True:
+            n = count if count <= per else per
+            body = n * budget
+            end = pos + width + body
+            if end > nbits:
+                return None
+            run = _from_bytes(data[pos >> 3:(end + 7) >> 3], "big") >> (-end & 7)
+            if run >> body & ((1 << width) - 1) != head:
+                return None
+            for shift in range(body - budget, -1, -budget):
+                append(run >> shift & mask)
+            pos = end
+            count -= n
+            if not count:
+                break
+            head = width = 0  # the header is in the first slice alone
+    left = nbits - pos
+    if left >= 8 or (left and data[-1] & ((1 << left) - 1)):
+        return None
+    return words
 
 
 def read_message(reader: BitReader) -> MessageFrame:

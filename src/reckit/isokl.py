@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .bitstream import MODE_BLOCK, BitReader, BitWriter, read_frame, write_frame
+from .bitstream import MODE_BLOCK, BitReader, BitWriter, match_block_frames, read_frame
+from .bitstream import write_frame
 from .bitstream import read_message, write_message  # noqa: F401  (benchmarks/run.py traces them)
 from .coders import Variant, _is_int, check_budget, dad_payloads
 from .coders import decode_dad, encode_dad  # noqa: F401  (benchmarks/run.py traces them)
@@ -76,8 +77,8 @@ def gaussian_from_mean_kl(
     |target_mean - prior_mean| < prior_std * sqrt(2 kappa); kappa = 0
     forces the target to equal the prior exactly.
     """
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    if not 0.0 <= kappa < math.inf:  # also refuses nan
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
     if prior_std <= 0.0:
         raise DomainError(f"prior std must be > 0, got {prior_std}")
     if kappa == 0.0:
@@ -145,8 +146,8 @@ def uniform_from_mean_kl(
     Width shrinks by e^-kappa; the center moves to tanh(beta) of the
     slack, keeping the support strictly inside the prior for finite beta.
     """
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    if not 0.0 <= kappa < math.inf:  # also refuses nan
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
     width = prior_width * math.exp(-kappa)
     center = prior_center + 0.5 * (prior_width - width) * math.tanh(beta)
     return Uniform(center, width)
@@ -244,18 +245,34 @@ def decode_block_vector(
     """Exact inverse of encode_block_vector (target means are not needed
     to decode; only priors, kappas, and block sizes are read).
 
-    Each block's frame is walked by ``bitstream.read_frame``, which returns
-    its variant, budget and payloads bare, and checked on those fields
-    against the block (each block's configured budget computed once); no
-    ``Code`` or ``MessageFrame`` is built. Then one call to
+    The model fixes every header field of a frame before a bit is read:
+    mode, variant DAD*, the block's configured budget and its size. So the
+    message is first matched against the frames the blocks imply
+    (``bitstream.match_block_frames``, one linear pass); when it is exactly
+    those frames and their pad bits, one call to
     ``tree.locate_dyadic_vector`` decodes every coordinate from the
-    payloads, drawing their sample uniforms in one packed pass. A refused
-    vector raises what a block-by-block decode meets first: when a frame
-    fails its read or a check, the coordinates of the blocks before it are
-    decoded, and the first of their refusals is raised ahead of the
-    frame's. Data after the last frame (``BitReader.check_end``) is a
-    fault of that frame.
+    codewords, drawing their sample uniforms in one packed pass.
+
+    Any other message, or a block whose budget ``config.budget`` refuses,
+    takes the walk that names the fault: each frame is read by
+    ``bitstream.read_frame`` and checked on its variant, budget and count
+    against its block, and ``BitReader.check_end`` refuses data after the
+    last frame, as a fault of that frame. Gamma codes are prefix-free, so
+    the match accepts exactly the messages the walk accepts, with the same
+    codewords. A refused vector raises what a block-by-block decode meets
+    first: when a frame fails its read or a check, the coordinates of the
+    blocks before it are decoded, and the first of their refusals is raised
+    ahead of the frame's.
     """
+    try:
+        shapes = [(config.budget(block.kappa), len(block)) for block in blocks]
+    except RecError:  # the walk raises it in its place, after the refusals before it
+        payloads = None
+    else:
+        payloads = match_block_frames(data, _DAD_STAR, shapes)
+    if payloads is not None:
+        proposals = [p for block in blocks for p in block.proposals]
+        return locate_dyadic_vector(proposals, seed_state(seed), payloads)
     reader = BitReader(data)
     proposals: list[Gaussian] = []
     payloads: list[int] = []

@@ -182,14 +182,17 @@ def _dyadic_sample(proposal: Distribution1D, index: int, u: float) -> float:
     quantiles q of those ends (q(0) = -inf, q(1) = +inf), and the code is
     refused with ``InvalidCodeError``, as an empty partition slot, unless
     q(ulow) < q(uhigh): q does not decrease, so a slot emptied on the way
-    down empties every node below it. At most three ``inv_cdf`` calls."""
+    down empties every node below it. The test is the proposal's
+    ``quantiles_differ``, which a Gaussian answers without a quantile
+    wherever its bound decides, so a code costs one ``inv_cdf`` call for its
+    sample and at most two more for the test."""
     if index < 2:
         return sample_restricted_u(proposal, 0.0, 1.0, u)
     depth = index.bit_length()
     k = index - (1 << (depth - 1))
     ulow, uhigh = _ldexp(k, 1 - depth), _ldexp(k + 1, 1 - depth)
     # an end at 0 or 1 has an infinite quantile, so only two inner ends can meet
-    if 0.0 < ulow and uhigh < 1.0 and not proposal.inv_cdf(ulow) < proposal.inv_cdf(uhigh):
+    if 0.0 < ulow and uhigh < 1.0 and not proposal.quantiles_differ(ulow, uhigh):
         raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
     return sample_restricted_u(proposal, ulow, uhigh, u)
 
@@ -205,7 +208,9 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
 
     A dyadic node at depth d <= 54 reads its region off its index
     (``_dyadic_sample``, which refuses an emptied slot), so its decode is
-    ``node_sample``'s draw and at most three ``inv_cdf`` calls.
+    ``node_sample``'s draw and at most three ``inv_cdf`` calls: one for the
+    sample, and the two of the emptied-slot test only where the proposal's
+    ``quantiles_differ`` cannot decide without them.
 
     Any other code takes the decode walk: it rebuilds the regions on the
     heap path from the root (the index's digits after its leading 1;

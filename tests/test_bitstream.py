@@ -16,6 +16,8 @@ from reckit.bitstream import (
     MODE_BLOCK,
     MODE_EXACT,
     MessageFrame,
+    frame_head,
+    match_block_frames,
     read_frame,
     read_message,
     write_frame,
@@ -798,3 +800,126 @@ def test_every_frame_read_passes_the_checks(data):
     codes = tuple(Code(code.variant, code.payload, budget=code.budget) for code in frame.codes)
     assert MessageFrame(frame.mode, frame.variant, codes, frame.budget) == frame
     assert all(type(code) is Code for code in frame.codes)
+
+
+# ------------------------------------------------ frame headers and the matcher
+
+@pytest.mark.parametrize("mode,variant,budget,payloads", [
+    (MODE_EXACT, Variant.AS_STAR, None, [1, 5, 1 << 40]),  # heap units
+    (MODE_EXACT, Variant.AD_STAR, None, []),
+    (MODE_EXACT, Variant.PFR, None, [1, 2, (1 << 64) - 1]),  # arrival units
+    (MODE_BLOCK, Variant.DAD_STAR, 3, [5, 0]),  # codeword units
+    (MODE_BLOCK, Variant.DAD_STAR, MAX_DEPTH, list(range(300))),
+    (MODE_BLOCK, Variant.MRC, 7, [127]),
+])
+def test_frame_head_is_the_header_write_frame_writes(mode, variant, budget, payloads):
+    """``frame_head`` states the header of every layout, heap, arrival,
+    DAD* and MRC: its bits lead what ``write_frame`` writes, and a frame of
+    no units is its header alone."""
+    bits, width = frame_head(mode, variant, budget, len(payloads))
+    w = BitWriter()
+    write_frame(w, mode, variant, budget, payloads)
+    assert bits_of(w)[:width] == format(bits, f"0{width}b")
+    if not payloads:
+        assert w.bit_length == width
+    assert read_frame(BitReader(w.getvalue()))[:3] == (mode, variant, budget)
+
+
+def test_frame_head_golden_and_refusals():
+    # gamma(2) gamma(4) gamma(3) gamma(3), as test_pack_block_layout pins
+    assert frame_head(MODE_BLOCK, Variant.DAD_STAR, 3, 2) == (0b010_00100_011_011, 14)
+    # it refuses what write_elias_gamma refuses: a budget field below 1
+    for budget in (0, -1):
+        with pytest.raises(DomainError, match="^gamma codes need n >= 1"):
+            frame_head(MODE_BLOCK, Variant.DAD_STAR, budget, 2)
+    with pytest.raises(DomainError, match="^gamma codes need n >= 1"):
+        frame_head(MODE_EXACT, Variant.AD_STAR, None, -1)
+
+
+def block_message(shapes, variant=Variant.DAD_STAR):
+    """(bytes, codewords, header spans): one block frame per (budget, count),
+    its codewords spread over the budget's range, and the (first bit,
+    width) of each frame's header."""
+    w, words, heads = BitWriter(), [], []
+    for j, (budget, count) in enumerate(shapes):
+        payloads = [(i * 2654435761 + j) % (1 << budget) for i in range(count)]
+        heads.append((w.bit_length, frame_head(MODE_BLOCK, variant, budget, count)[1]))
+        write_frame(w, MODE_BLOCK, variant, budget, payloads)
+        words += payloads
+    return w.getvalue(), words, heads
+
+
+def _flip(data, bit):
+    out = bytearray(data)
+    out[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(out)
+
+
+def flipped_words(shapes, heads, words, bit):
+    """What the matcher returns for ``bit`` flipped: the codewords with one
+    of their bits flipped, or None for a header or pad bit."""
+    index = 0
+    for (budget, count), (start, width) in zip(shapes, heads):
+        offset = bit - start - width
+        if offset < 0:
+            return None  # a header bit
+        if offset < budget * count:
+            k, at = divmod(offset, budget)
+            out = list(words)
+            out[index + k] ^= 1 << (budget - 1 - at)
+            return out
+        index += count
+    return None  # a pad bit
+
+
+SHAPES = [
+    [(3, 2)],
+    [(5, 2), (3, 2), (8, 2)],  # a block_codec vector
+    [(1, 1), (62, 3), (7, 4), (2, 5)],
+    [(5, 300), (3, 1), (62, 40)],  # frames of several slices
+]
+
+
+@pytest.mark.parametrize("shapes", SHAPES)
+def test_match_block_frames_returns_the_codewords_of_a_written_message(shapes):
+    """The codewords of a written message, and for damage the walk
+    refuses, None: a cut, an appended byte, a changed header or pad bit,
+    another variant, a budget or count other than the frame's, a frame
+    missing or one too many. A flipped codeword bit is another codeword."""
+    data, words, heads = block_message(shapes)
+    match = match_block_frames
+    assert match(data, Variant.DAD_STAR, shapes) == words
+    assert match(data, Variant.MRC, shapes) is None
+    for cut in range(len(data)):
+        assert match(data[:cut], Variant.DAD_STAR, shapes) is None
+    for tail in (b"\x00", b"\x01", b"\xff"):
+        assert match(data + tail, Variant.DAD_STAR, shapes) is None
+    for bit in range(8 * len(data)):
+        assert match(_flip(data, bit), Variant.DAD_STAR, shapes) == \
+            flipped_words(shapes, heads, words, bit), bit
+    for j, (budget, count) in enumerate(shapes):
+        for wrong in ((budget - 1, count), (budget + 1, count), (budget, count - 1),
+                      (budget, count + 1)):
+            if 1 <= wrong[0] <= MAX_DEPTH and wrong[1] >= 0:
+                other = shapes[:j] + [wrong] + shapes[j + 1:]
+                assert match(data, Variant.DAD_STAR, other) is None, other
+    assert match(data, Variant.DAD_STAR, shapes[:-1]) is None
+    assert match(data, Variant.DAD_STAR, shapes + [(3, 1)]) is None
+
+
+def test_match_block_frames_at_every_bit_offset():
+    """A frame longer than one slice, behind a lead frame of 0 to 7 more
+    bits, matches from every offset into its first byte."""
+    for lead in range(8):
+        shapes = [(1, lead + 1), (7, 200)]  # the lead's body moves the second frame
+        data, words, _ = block_message(shapes)
+        assert match_block_frames(data, Variant.DAD_STAR, shapes) == words
+
+
+def test_match_block_frames_edges():
+    assert match_block_frames(b"", Variant.DAD_STAR, []) == []
+    assert match_block_frames(b"\x00", Variant.DAD_STAR, []) is None  # a whole byte left
+    data, words, _ = block_message([(MAX_DEPTH, 2)])
+    assert match_block_frames(data, Variant.DAD_STAR, [(MAX_DEPTH, 2)]) == words
+    # no frame carries a budget past MAX_DEPTH, so none is matched
+    assert match_block_frames(data, Variant.DAD_STAR, [(MAX_DEPTH + 1, 2)]) is None

@@ -8,6 +8,13 @@ coordinate order, frame checks interleaved block by block. The samples
 must be identical bit for bit, and a refused vector must raise the
 refusal the loop meets first: a coordinate's refusal before a later
 frame's fault, a frame's fault before the coordinates after it.
+
+The decoder matches a message against the frames its blocks imply and
+walks the frames only when that match fails. A damaged message (cut,
+extended, a bit flipped, a pad bit set, a header bit changed) must give
+what a decode that walks every frame with ``read_frame`` gives
+(``walked_decode``): the same samples bit for bit, or a refusal of the
+same class with the same message.
 """
 
 import math
@@ -16,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckit.bitstream import MODE_BLOCK, BitWriter, MessageFrame, write_message
+from reckit.bitstream import (MODE_BLOCK, BitReader, BitWriter, MessageFrame, frame_head,
+                              read_frame, write_message)
 from reckit.coders import Code, Variant, decode_dad
 from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError, RecError
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock, decode_block_vector
@@ -50,6 +58,64 @@ def outcome(fn, *args):
         return [x.hex() for x in fn(*args)]
     except RecError as exc:
         return type(exc).__name__
+
+
+def full_outcome(fn, *args):
+    """The samples, or the refusal's class and message."""
+    try:
+        return [x.hex() for x in fn(*args)]
+    except RecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def walked_decode(blocks, data, seed):
+    """Block by block, every frame walked: ``read_frame``, its fields
+    checked against the block, its coordinates decoded one at a time with
+    ``decode_dad``; then the pad bits."""
+    reader, samples, index = BitReader(data), [], 0
+    for block in blocks:
+        _, variant, budget, payloads = read_frame(reader)
+        if variant is not Variant.DAD_STAR:
+            raise MalformedMessageError("expected a tied-budget block frame")
+        configured = CONFIG.budget(block.kappa)
+        if budget != configured:
+            raise MalformedMessageError(f"frame budget {budget} != configured {configured}")
+        if len(payloads) != len(block):
+            raise MalformedMessageError(
+                f"frame holds {len(payloads)} codes, block has {len(block)}")
+        for proposal, h in zip(block.proposals, payloads):
+            code = Code(Variant.DAD_STAR, h, budget=budget)
+            samples.append(decode_dad(proposal, code, absorb(seed_state(seed), index)))
+            index += 1
+    reader.check_end()
+    return samples
+
+
+def damaged(data, frames, draw):
+    """``data`` cut, extended by a byte, with one bit flipped, with a pad
+    bit set (a bit flipped where there is no pad), or with a bit of one
+    frame's header changed; the kind drawn."""
+    kind = draw(st.sampled_from(("cut", "append", "flip", "pad", "header")))
+    nbits = 8 * len(data)
+    heads, at = [], 0
+    for budget, payloads in frames:
+        width = frame_head(MODE_BLOCK, Variant.DAD_STAR, budget, len(payloads))[1]
+        heads.append((at, width))
+        at += width + budget * len(payloads)
+    if kind == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + bytes([draw(st.integers(0, 255))])
+    if kind == "pad" and at < nbits:
+        bit = draw(st.integers(at, nbits - 1))
+    elif kind == "header":
+        start, width = draw(st.sampled_from(heads))
+        bit = draw(st.integers(start, start + width - 1))
+    else:
+        bit = draw(st.integers(0, nbits - 1))
+    out = bytearray(data)
+    out[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(out)
 
 
 def scalar_decode(blocks, frames, seed):
@@ -89,11 +155,16 @@ def vectors(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(vector=vectors(), seed=st.integers(0, 2**64 - 1))
-def test_vector_decode_is_the_scalar_loop(vector, seed):
+@given(vector=vectors(), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_vector_decode_is_the_scalar_loop(vector, seed, data):
     blocks, frames = vector
-    assert (outcome(decode_block_vector, blocks, CONFIG, message(frames), seed)
+    written = message(frames)
+    assert (outcome(decode_block_vector, blocks, CONFIG, written, seed)
             == outcome(scalar_decode, blocks, frames, seed))
+    bad = damaged(written, frames, data.draw)
+    for msg in (written, bad):
+        assert (full_outcome(decode_block_vector, blocks, CONFIG, msg, seed)
+                == full_outcome(walked_decode, blocks, msg, seed))
 
 
 def test_the_loop_covers_every_path():

@@ -470,6 +470,17 @@ def test_isokl_refuses_a_flag_its_recipe_does_not_read(tmp_path, capsys, argv, u
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_isokl_refuses_a_kappa_that_is_not_finite(tmp_path, capsys, kappa):
+    """Refused as a kappa: inf used to print a variance of -0.0."""
+    out = tmp_path / "pair.json"
+    assert main(["isokl", "--family", "gaussian", "--prior-mean", "0", "--prior-std", "1",
+                 "--target-mean", "0", "--kappa", kappa, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: kappa must be finite and >= 0, got {kappa}\n"
+    assert not out.exists()
+
+
 def test_isokl_recipes_take_their_own_flags(tmp_path):
     # --beta unset is 0.0, and --family gaussian, the default, goes with --kl/--dinf
     unset, zero = tmp_path / "unset.json", tmp_path / "zero.json"

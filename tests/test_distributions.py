@@ -9,6 +9,7 @@ independently computed numbers.
 import json
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -267,6 +268,71 @@ def test_log_ratios_refuses_what_log_ratio_refuses(pair, data):
     refusal = _outcome(_scalar(pair.log_ratio), xs)
     assert refusal.startswith("DomainError: ")
     assert _outcome(pair.log_ratios, xs) == refusal
+
+
+def test_std_normal_quantile_is_within_1e_12_of_the_exact_quantile():
+    """The bound ``Gaussian.quantiles_differ`` rests on (it assumes 1e-9)
+    over [2^-53, 1 - 2^-53], against ``statistics.NormalDist``: every
+    dyadic u to depth 18, the powers 2^-j and 1 - 2^-j for j <= 53, and
+    2 * 10^5 seeded random u. The quantile stays below 9 in magnitude."""
+    exact = statistics.NormalDist().inv_cdf
+    us = [k / 2**18 for k in range(1, 2**18)]
+    us += [2.0**-j for j in range(1, 54)] + [1.0 - 2.0**-j for j in range(1, 54)]
+    rng = random.Random(20260817)
+    us += [rng.random() or 0.5 for _ in range(200_000)]
+    worst = max(abs(_std_normal_quantile(u) - exact(u)) for u in us)
+    assert worst < 1e-12
+    assert abs(_std_normal_quantile(2.0**-53)) < 9 and abs(_std_normal_quantile(1 - 2.0**-53)) < 9
+
+
+def dyadic_ends(depth):
+    """Inner CDF ends (k, k + 1) * 2^-(depth - 1) of dyadic nodes at ``depth``:
+    the first and last inner nodes, those around the middle and a spread."""
+    top = 1 << (depth - 1)
+    ks = {1, 2, top // 2 - 1, top // 2, top - 3, top - 2}
+    ks |= {(i * 2654435761) % top for i in range(8)}
+    return [(math.ldexp(k, 1 - depth), math.ldexp(k + 1, 1 - depth))
+            for k in sorted(ks) if 0 < k < top - 1]
+
+
+class _NoQuantile(Gaussian):
+    """A Gaussian whose quantile refuses to be drawn."""
+
+    __slots__ = ()
+
+    def inv_cdf(self, u):
+        raise LookupError("a quantile was drawn")
+
+
+def test_gaussian_quantiles_differ_is_the_two_quantile_comparison():
+    """Wherever the bound decides it answers True without a quantile, and
+    otherwise compares the quantiles: equal to inv_cdf(ulow) < inv_cdf(uhigh)
+    at every mean, std and dyadic end below, which take both answers."""
+    answers, decided = set(), 0
+    for mean in (0.0, 0.5, -3.0, 1e10):
+        for std in (1e-150, 1e-30, 1e-6, 1.0, 1e10):
+            g, bare = Gaussian(mean, std * std), _NoQuantile(mean, std * std)
+            for depth in range(2, 55):
+                for ulow, uhigh in dyadic_ends(depth):
+                    got = g.quantiles_differ(ulow, uhigh)
+                    assert got == (g.inv_cdf(ulow) < g.inv_cdf(uhigh)), (mean, std, ulow, uhigh)
+                    answers.add(got)
+                    try:
+                        assert bare.quantiles_differ(ulow, uhigh) is True
+                        decided += 1
+                    except LookupError:
+                        pass
+    assert answers == {True, False} and decided > 0
+    # an N(0, 1) dyadic node of a block_codec budget takes no quantile
+    bare = _NoQuantile(0.0, 1.0)
+    assert all(bare.quantiles_differ(*ends) for depth in range(2, 9) for ends in dyadic_ends(depth))
+    # out of the bound's range, or refused, it is inv_cdf's answer or refusal
+    g = Gaussian(0.0, 1.0)
+    assert g.quantiles_differ(1e-300, 0.5) is True
+    with pytest.raises(DomainError):
+        g.quantiles_differ(0.0, 0.5)
+    with pytest.raises(DomainError):
+        g.quantiles_differ(0.5, math.nan)
 
 
 def test_gaussian_caches_std_outside_its_identity():

@@ -7,6 +7,7 @@ fsolve on the joint KL / sup-ratio system) and frozen here as constants.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 from test_block_vector_decode import STDS
 
+from reckit import isokl
 from reckit.bitstream import MODE_BLOCK, MODE_EXACT, BitReader, BitWriter, MessageFrame
 from reckit.bitstream import read_frame, write_message
 from reckit.coders import Code, Variant, encode_dad
@@ -124,6 +126,13 @@ def test_mean_kl_edges():
         gaussian_from_mean_kl(0.0, 1.0, 0.0, -0.1)
     with pytest.raises(DomainError):
         gaussian_from_mean_kl(0.0, 0.0, 0.0, 1.0)
+    # a kappa that is not finite has no variance: inf gave -0.0, nan an
+    # InfeasibleParameterError about a nan radius
+    for kappa in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="^kappa must be finite and >= 0"):
+            gaussian_from_mean_kl(0.0, 1.0, 0.0, kappa)
+        with pytest.raises(DomainError, match="^kappa must be finite and >= 0"):
+            IsoKLGaussianBlock((0.0,), (1.0,), (0.0,), kappa)
 
 
 def test_unconstrained_map_always_feasible():
@@ -207,6 +216,9 @@ def test_uniform_support_and_edges():
     assert same.low == prior.low and same.high == prior.high
     with pytest.raises(DomainError):
         uniform_from_mean_kl(0.0, 1.0, -0.5, 0.0)
+    for kappa in (math.inf, math.nan):  # refused as a kappa, not as a width of 0 or nan
+        with pytest.raises(DomainError, match="^kappa must be finite and >= 0"):
+            uniform_from_mean_kl(0.0, 1.0, kappa, 0.0)
 
 
 # -------------------------------------------------------------- block codec
@@ -335,7 +347,9 @@ def test_block_vector_coordinate_i_draws_from_derive_seed(blocks, seed):
     index into that state, which is derive_seed(seed, i): the frames equal
     those of coding every coordinate alone from its derived seed
     (``coded_one_by_one``), and decode to its samples. Where that
-    composition refuses, the codec refuses with the same class."""
+    composition refuses, the codec refuses with the same class. The
+    decode matches the frames its blocks imply and never walks them with
+    ``read_frame``."""
     n = sum(len(block) for block in blocks)
     assert all(absorb(seed_state(seed), i) == derive_seed(seed, i) for i in range(n))
     config = BlockCodecConfig(extra_bits=0)
@@ -347,7 +361,8 @@ def test_block_vector_coordinate_i_draws_from_derive_seed(blocks, seed):
         return
     data = encode_block_vector(blocks, config, seed)
     assert data == expected
-    assert decode_block_vector(blocks, config, data, seed) == samples
+    with mock.patch.object(isokl, "read_frame", side_effect=AssertionError("walked")):
+        assert decode_block_vector(blocks, config, data, seed) == samples
 
 
 def test_block_builds_its_proposals_once_on_first_use():
