@@ -50,8 +50,8 @@ object per unit or frame. ``BitReader.read``
 takes n fields of one kind per call: gammas, deltas under a cap on their
 length field, or fixed-width words. The header takes two calls (three in
 a block frame) and the units one. A refused field is not consumed and the
-fields before it stay consumed; a budget field above ``MAX_DEPTH`` alone
-is read and then refused.
+fields before it stay consumed; a budget field that ``coders.is_budget``
+refuses alone is read and then refused.
 
 Each field is cut from one window of at most 17 bytes: the cap of 64
 zeros bounds a gamma at 129 bits, plus up to 7 bits of offset into the
@@ -70,9 +70,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coders import CODERS, Code, Variant, check_budget
+from .coders import CODERS, Code, Variant, check_budget, is_budget
 from .errors import DomainError, Frozen, InvalidCodeError, MalformedMessageError
-from .tree import MAX_DEPTH
 
 MODE_EXACT = "exact_per_symbol"
 MODE_BLOCK = "block_tied"
@@ -89,7 +88,20 @@ _WINDOW = 17
 # The longest run of codewords ``match_block_frames`` cuts from one int
 _RUN = 512
 _from_bytes = int.from_bytes  # a bound alias skips a ~0.1 us attribute lookup per read
-_set = object.__setattr__
+
+
+def _gamma_width(n: int) -> int:
+    """gamma(n) is n itself in 2 * bit_length(n) - 1 bits (its zero run is
+    n's own leading zeros): that width, refusing n below 1."""
+    if n < 1:
+        raise DomainError(f"gamma codes need n >= 1, got {n}")
+    return 2 * n.bit_length() - 1
+
+
+def _ends_in_pad(data: bytes, pos: int) -> bool:
+    """Whether ``data`` ends on its pad at bit ``pos``: under 8 bits, all zero."""
+    left = (len(data) << 3) - pos
+    return left < 8 and not (left and data[-1] & ((1 << left) - 1))
 
 
 class BitWriter:
@@ -115,9 +127,7 @@ class BitWriter:
         self._acc &= (1 << self._nacc) - 1
 
     def write_elias_gamma(self, n: int) -> None:
-        if n < 1:
-            raise DomainError(f"gamma codes need n >= 1, got {n}")
-        self.write_bits(n, 2 * n.bit_length() - 1)  # the zero run is n's own leading zeros
+        self.write_bits(n, _gamma_width(n))
 
     def write_elias_delta(self, n: int) -> None:
         if n < 1:
@@ -216,9 +226,9 @@ class BitReader:
 
     def check_end(self) -> None:
         """Refuse a whole byte after the read position, or a pad bit of 1."""
-        left = self._nbits - self._pos
-        if left >= 8 or (left and self._data[-1] & ((1 << left) - 1)):
-            raise MalformedMessageError(f"{left} bits after the last frame are not zero padding")
+        if not _ends_in_pad(self._data, self._pos):
+            raise MalformedMessageError(
+                f"{self._nbits - self._pos} bits after the last frame are not zero padding")
 
 
 class MessageFrame(Frozen):
@@ -250,10 +260,7 @@ class MessageFrame(Frozen):
                 raise InvalidCodeError(f"a code's budget differs from the block's {budget}")
         elif budget is not None:
             raise DomainError(f"an exact frame carries no budget, got {budget!r}")
-        _set(self, "mode", mode)  # one call a field: half the cost of _store, once a frame
-        _set(self, "variant", variant)
-        _set(self, "codes", codes)
-        _set(self, "budget", budget)
+        self._store(mode, variant, codes, budget)
 
     @property
     def symbol_count(self) -> int:
@@ -261,8 +268,6 @@ class MessageFrame(Frozen):
 
 
 _new = object.__new__
-_set_mode, _set_variant, _set_codes, _set_budget = (
-    MessageFrame.__dict__[name].__set__ for name in MessageFrame._fields)
 _code_variant, _code_payload, _code_budget = (
     Code.__dict__[name].__set__ for name in Code._fields)
 
@@ -271,17 +276,14 @@ _code_variant, _code_payload, _code_budget = (
 def frame_head(mode: str, variant: Variant, budget: int | None, count: int) -> tuple[int, int]:
     """(bits, width): the header of a frame of ``count`` units, the one
     statement of its layout. Its fields, gamma(mode tag), gamma(variant
-    tag), gamma(budget) when there is one and gamma(count + 1), sit side by
-    side, and gamma(n) is n itself in 2 * bit_length(n) - 1 bits (its zero
-    run is n's own leading zeros). A field below 1 is refused as
-    ``BitWriter.write_elias_gamma`` refuses it."""
+    tag), gamma(budget) in a block frame and gamma(count + 1), sit side by
+    side, each refused below 1 by ``_gamma_width``."""
     mode_tag, variant_tag, _ = _TAGS[mode, variant]
-    fields = (mode_tag, variant_tag) + ((count + 1,) if budget is None else (budget, count + 1))
+    fields = ((mode_tag, variant_tag, budget, count + 1) if mode == MODE_BLOCK
+              else (mode_tag, variant_tag, count + 1))
     bits = width = 0
     for n in fields:
-        if n < 1:
-            raise DomainError(f"gamma codes need n >= 1, got {n}")
-        w = 2 * n.bit_length() - 1
+        w = _gamma_width(n)
         bits = bits << w | n
         width += w
     return bits, width
@@ -313,7 +315,7 @@ def read_frame(reader: BitReader) -> tuple[str, Variant, int | None, list[int]]:
     """Walk one frame: its header gammas, then its units' payloads through
     its coder's ``Unit``. Returns (mode, variant, budget, payloads), the
     budget None in an exact frame and the payloads bare ints. A refused
-    field is not consumed, save a budget field above ``MAX_DEPTH``, which
+    field is not consumed, save a budget field ``is_budget`` refuses, which
     is read and then refused."""
     mode_tag, variant_tag = reader.read(2)
     head = _HEADS.get((mode_tag, variant_tag))
@@ -324,7 +326,7 @@ def read_frame(reader: BitReader) -> tuple[str, Variant, int | None, list[int]]:
     budget = None
     if mode == MODE_BLOCK:
         (budget,) = reader.read(1)
-        if budget > MAX_DEPTH:
+        if not is_budget(budget):
             raise MalformedMessageError(f"budget field {budget} exceeds packable range")
     (count,) = reader.read(1)
     return mode, variant, budget, unit.read(reader, budget, count - 1)
@@ -340,9 +342,9 @@ def match_block_frames(data: bytes, variant: Variant,
 
     Gamma codes are prefix-free, so the bits equal that header exactly when
     ``read_frame`` would return (MODE_BLOCK, variant, budget, count), and
-    the pad rule is ``BitReader.check_end``: the match accepts what a walk
+    the pad rule is ``BitReader.check_end``'s: the match accepts what a walk
     of the frames with those checks accepts, and returns its payloads. A
-    budget above ``MAX_DEPTH``, which no frame carries, matches nothing.
+    budget ``is_budget`` refuses, which no frame carries, matches nothing.
 
     One linear pass: each slice of a frame, its header and at most
     ``_RUN`` bits of codewords, is one ``int.from_bytes`` of the bytes that
@@ -352,7 +354,7 @@ def match_block_frames(data: bytes, variant: Variant,
     words: list[int] = []
     append = words.append
     for budget, count in shapes:
-        if budget > MAX_DEPTH:
+        if not is_budget(budget):
             return None
         head, width = frame_head(MODE_BLOCK, variant, budget, count)
         mask = (1 << budget) - 1
@@ -373,10 +375,7 @@ def match_block_frames(data: bytes, variant: Variant,
             if not count:
                 break
             head = width = 0  # the header is in the first slice alone
-    left = nbits - pos
-    if left >= 8 or (left and data[-1] & ((1 << left) - 1)):
-        return None
-    return words
+    return words if _ends_in_pad(data, pos) else None
 
 
 def read_message(reader: BitReader) -> MessageFrame:
@@ -393,8 +392,5 @@ def read_message(reader: BitReader) -> MessageFrame:
         _code_budget(code, budget)
         codes.append(code)
     frame = _new(MessageFrame)
-    _set_mode(frame, mode)
-    _set_variant(frame, variant)
-    _set_codes(frame, tuple(codes))
-    _set_budget(frame, budget)
+    frame._store(mode, variant, tuple(codes), budget)
     return frame

@@ -87,10 +87,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_budget(budget) -> bool:
+    """The one statement of a budget a block header can carry: an int
+    (``_is_int``) of 1 to ``tree.MAX_DEPTH``. Each caller picks its error."""
+    return _is_int(budget) and 1 <= budget <= MAX_DEPTH
+
+
 def check_budget(budget: int) -> None:
-    """Refuse a bit budget a block header cannot carry: an int (``_is_int``)
-    of 1 to ``tree.MAX_DEPTH``."""
-    if not _is_int(budget) or not 1 <= budget <= MAX_DEPTH:
+    """Refuse a budget ``is_budget`` refuses, with DomainError."""
+    if not is_budget(budget):
         raise DomainError(f"budget must be an integer of 1 to {MAX_DEPTH} bits, got {budget!r}")
 
 
@@ -111,13 +116,12 @@ class Unit(Enum):
     def check(self, payload: int, budget: int | None) -> None:
         """Refuse a unit this layout cannot carry: an index is an int in
         [1, 2^cap) with no budget, a codeword an int in [0, 2^budget) with a
-        budget of 1 to ``MAX_DEPTH`` bits, each an int (``_is_int``)."""
+        budget ``is_budget`` admits, each an int (``_is_int``)."""
         cap = _DELTA_CAPS.get(self)
         if cap is not None:
             ok = budget is None and _is_int(payload) and 1 <= payload < (1 << cap)
         else:
-            ok = (_is_int(budget) and 1 <= budget <= MAX_DEPTH
-                  and _is_int(payload) and 0 <= payload < (1 << budget))
+            ok = is_budget(budget) and _is_int(payload) and 0 <= payload < (1 << budget)
         if not ok:
             raise InvalidCodeError(f"a {self.value} unit cannot carry payload {payload!r} "
                                    f"with budget {budget!r}")

@@ -98,14 +98,7 @@ def _std_normal_quantile(u: float) -> float:
     checks: rational approximation plus one residual correction step
     evaluated through erfc. Below about u = 1e-310 the step's exp
     overflows, and the quantile is refused with DomainError."""
-    if u < _ACK_LOW:
-        q = _sqrt(-2.0 * _log(u))
-        z = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
-                 - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
-               + 4.374664141464968e+00) * q + 2.938163982698783e+00)
-             / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
-                  + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
-    elif u <= _ACK_HIGH:
+    if _ACK_LOW <= u <= _ACK_HIGH:
         q = u - 0.5
         r = q * q
         z = ((((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r
@@ -114,13 +107,15 @@ def _std_normal_quantile(u: float) -> float:
              / (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
                    - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
                  - 1.328068155288572e+01) * r + 1.0))
-    else:
-        q = _sqrt(-2.0 * _log1p(-u))
-        z = -((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
-                  - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
-                + 4.374664141464968e+00) * q + 2.938163982698783e+00)
-              / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
-                   + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
+    else:  # a tail: the lower tail's rational, negated in the upper one (exactly)
+        q = _sqrt(-2.0 * (_log(u) if u < _ACK_LOW else _log1p(-u)))
+        z = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                 - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+               + 4.374664141464968e+00) * q + 2.938163982698783e+00)
+             / ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+                  + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
+        if u > _ACK_HIGH:
+            z = -z
     # Residual in probability, formed on whichever side avoids cancellation.
     if u <= 0.5:
         resid = 0.5 * _erfc(-z / _SQRT2) - u
@@ -412,11 +407,9 @@ class _GaussianPair(_Kernel):
             self.mode, self.dinf, self.tails = p.mean, 0.0, (0.0, 0.0)
         elif q.variance > p.variance:
             self.mode, self.dinf, self.tails = None, INF, (INF, INF)
-        else:  # equal variances: log r is linear, the sign of its slope decides
-            slope = (q.mean - p.mean) / q.variance
+        else:  # equal variances, unequal means: log r is linear, rising when dm > 0
             self.mode, self.dinf = None, INF
-            self.tails = ((-INF, INF) if slope > 0.0 else (INF, -INF) if slope < 0.0
-                          else (0.0, 0.0))
+            self.tails = (-INF, INF) if dm > 0.0 else (INF, -INF)
         self.at_mode = None if self.mode is None else self.log_ratio(self.mode)
 
     def log_ratio(self, x: float) -> float:

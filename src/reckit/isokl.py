@@ -41,6 +41,8 @@ def lambert_w0(x: float) -> float:
         raise DomainError(f"lambert_w0 needs x >= -1/e, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return x
     if x < -0.3285:
         # branch-point expansion in p = sqrt(2(ex + 1))
         p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
@@ -104,7 +106,11 @@ def gaussian_from_kl_dinf(kl: float, dinf: float) -> tuple[float, float]:
     parameterization is symmetric in it). Raises when no Gaussian attains
     the requested pair, including the degenerate corner where the algebra
     closes but the produced pair's divergences disagree with the request.
+    A kl or dinf that is not finite, or a pair whose Lambert W argument
+    overflows (at kl = 1, a dinf past about 352.5 nats), is a DomainError.
     """
+    if not (math.isfinite(kl) and math.isfinite(dinf)):
+        raise DomainError(f"kl and dinf must be finite, got kl={kl}, dinf={dinf}")
     if kl < 0.0 or dinf < kl:
         raise InfeasibleParameterError(
             f"need dinf >= kl >= 0, got kl={kl}, dinf={dinf}"
@@ -113,12 +119,17 @@ def gaussian_from_kl_dinf(kl: float, dinf: float) -> tuple[float, float]:
         return 0.0, 1.0
     a = 2.0 * dinf - 2.0 * kl - 1.0
     b = 2.0 * dinf - 1.0
-    arg = a * math.exp(b)
+    try:
+        arg = a * math.exp(b)
+    except OverflowError:  # b past about 709.78
+        arg = math.inf
     if not arg >= _BRANCH_POINT:
         raise InfeasibleParameterError(
             f"(kl={kl}, dinf={dinf}) lies outside the feasible wedge "
             "(kl too close to dinf)"
         )
+    if arg == math.inf:
+        raise DomainError(f"(kl={kl}, dinf={dinf}) leaves the float range of the inversion")
     variance = math.exp(lambert_w0(arg) - b)
     mean_sq = 2.0 * kl - variance + math.log(variance) + 1.0
     mean_sq_alt = 2.0 * (1.0 - variance) * (dinf + 0.5 * math.log(variance))
@@ -255,48 +266,49 @@ def decode_block_vector(
 
     Any other message, or a block whose budget ``config.budget`` refuses,
     takes the walk that names the fault: each frame is read by
-    ``bitstream.read_frame`` and checked on its variant, budget and count
-    against its block, and ``BitReader.check_end`` refuses data after the
-    last frame, as a fault of that frame. Gamma codes are prefix-free, so
-    the match accepts exactly the messages the walk accepts, with the same
-    codewords. A refused vector raises what a block-by-block decode meets
-    first: when a frame fails its read or a check, the coordinates of the
-    blocks before it are decoded, and the first of their refusals is raised
-    ahead of the frame's.
+    ``bitstream.read_frame`` and checked against its block's shape (a
+    refused block's on its variant, then refused), and ``check_end`` refuses
+    data after the last frame, as a fault of that frame. Gamma codes are
+    prefix-free, so the match accepts exactly the messages the walk accepts,
+    and the walk never succeeds. A refused vector raises what a
+    block-by-block decode meets first: when a frame fails its read or a
+    check, the coordinates of the blocks before it are decoded, and the
+    first of their refusals is raised ahead of the frame's.
     """
+    shapes, refusal = [], None  # each block's (budget, size), up to a refused one
     try:
-        shapes = [(config.budget(block.kappa), len(block)) for block in blocks]
-    except RecError:  # the walk raises it in its place, after the refusals before it
-        payloads = None
-    else:
-        payloads = match_block_frames(data, _DAD_STAR, shapes)
+        for block in blocks:
+            shapes.append((config.budget(block.kappa), len(block)))
+    except RecError as exc:  # the walk raises it at its block, after the refusals before it
+        refusal = exc
+    payloads = None if refusal is not None else match_block_frames(data, _DAD_STAR, shapes)
     if payloads is not None:
         proposals = [p for block in blocks for p in block.proposals]
         return locate_dyadic_vector(proposals, seed_state(seed), payloads)
     reader = BitReader(data)
     proposals: list[Gaussian] = []
-    payloads: list[int] = []
-    failure = None
+    payloads = []
     try:
-        for block in blocks:
+        for block, shape in zip(blocks, shapes + [None]):  # None: the refused block
             _, variant, budget, frame_payloads = read_frame(reader)
             if variant is not _DAD_STAR:  # a DAD_STAR frame is a block frame
                 raise MalformedMessageError("expected a tied-budget block frame")
-            configured = config.budget(block.kappa)
+            if shape is None:
+                raise refusal
+            configured, count = shape
             if budget != configured:
                 raise MalformedMessageError(f"frame budget {budget} != configured {configured}")
-            if len(frame_payloads) != len(block):
+            if len(frame_payloads) != count:
                 raise MalformedMessageError(
-                    f"frame holds {len(frame_payloads)} codes, block has {len(block)}")
+                    f"frame holds {len(frame_payloads)} codes, block has {count}")
             proposals += block.proposals
             payloads += frame_payloads
         reader.check_end()
+        raise AssertionError("the frame walk accepted a message the match refused")
     except RecError as exc:
         failure = exc
-    samples = locate_dyadic_vector(proposals, seed_state(seed), payloads)
-    if failure is not None:
-        raise failure
-    return samples
+    locate_dyadic_vector(proposals, seed_state(seed), payloads)
+    raise failure
 
 
 def load_block_model(data: dict) -> tuple[list[IsoKLGaussianBlock], list[int]]:

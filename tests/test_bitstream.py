@@ -54,6 +54,8 @@ def test_write_bits_validation():
         w.write_bits(4, 2)  # value does not fit
     with pytest.raises(DomainError):
         w.write_bits(-1, 3)
+    with pytest.raises(DomainError, match="width must be >= 0"):
+        w.write_bits(0, -1)
 
 
 def test_elias_gamma_golden():
@@ -921,5 +923,6 @@ def test_match_block_frames_edges():
     assert match_block_frames(b"\x00", Variant.DAD_STAR, []) is None  # a whole byte left
     data, words, _ = block_message([(MAX_DEPTH, 2)])
     assert match_block_frames(data, Variant.DAD_STAR, [(MAX_DEPTH, 2)]) == words
-    # no frame carries a budget past MAX_DEPTH, so none is matched
+    # no frame carries a budget of 0 or past MAX_DEPTH, so none is matched
     assert match_block_frames(data, Variant.DAD_STAR, [(MAX_DEPTH + 1, 2)]) is None
+    assert match_block_frames(data, Variant.DAD_STAR, [(0, 2)]) is None

@@ -14,7 +14,8 @@ walks the frames only when that match fails. A damaged message (cut,
 extended, a bit flipped, a pad bit set, a header bit changed) must give
 what a decode that walks every frame with ``read_frame`` gives
 (``walked_decode``): the same samples bit for bit, or a refusal of the
-same class with the same message.
+same class with the same message. And the match refuses exactly the
+messages whose frame walk refuses, and returns that walk's codewords.
 """
 
 import math
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reckit.bitstream import (MODE_BLOCK, BitReader, BitWriter, MessageFrame, frame_head,
-                              read_frame, write_message)
+                              match_block_frames, read_frame, write_message)
 from reckit.coders import Code, Variant, decode_dad
 from reckit.errors import DomainError, InvalidCodeError, MalformedMessageError, RecError
 from reckit.isokl import BlockCodecConfig, IsoKLGaussianBlock, decode_block_vector
@@ -37,10 +38,11 @@ STDS = (1e-30, 1e-6, 0.5, 1.0, 3.0)
 
 
 def block_at(budget: int, prior_means, prior_stds) -> IsoKLGaussianBlock:
-    """A block whose configured budget is ``budget``: kappa = (budget - 0.5) ln 2."""
+    """A block whose configured budget is ``budget``: kappa = (budget - 0.5) ln 2.
+    ``CONFIG.budget`` refuses a budget past ``MAX_DEPTH``."""
     block = IsoKLGaussianBlock(tuple(prior_means), tuple(prior_stds), tuple(prior_means),
                                (budget - 0.5) * math.log(2.0))
-    assert CONFIG.budget(block.kappa) == budget
+    assert budget > MAX_DEPTH or CONFIG.budget(block.kappa) == budget
     return block
 
 
@@ -71,7 +73,8 @@ def full_outcome(fn, *args):
 def walked_decode(blocks, data, seed):
     """Block by block, every frame walked: ``read_frame``, its fields
     checked against the block, its coordinates decoded one at a time with
-    ``decode_dad``; then the pad bits."""
+    ``decode_dad`` (given a seed of None, its codewords collected); then the
+    pad bits."""
     reader, samples, index = BitReader(data), [], 0
     for block in blocks:
         _, variant, budget, payloads = read_frame(reader)
@@ -84,6 +87,9 @@ def walked_decode(blocks, data, seed):
             raise MalformedMessageError(
                 f"frame holds {len(payloads)} codes, block has {len(block)}")
         for proposal, h in zip(block.proposals, payloads):
+            if seed is None:
+                samples.append(h)
+                continue
             code = Code(Variant.DAD_STAR, h, budget=budget)
             samples.append(decode_dad(proposal, code, absorb(seed_state(seed), index)))
             index += 1
@@ -134,13 +140,19 @@ def scalar_decode(blocks, frames, seed):
 
 @st.composite
 def vectors(draw):
-    """(blocks, frames): one to three blocks of one to four coordinates at
-    budgets 1-62, with codeword 0, the first and last codes and inner ones.
-    Now and then a frame carries a budget other than its block's."""
-    blocks, frames = [], []
+    """(blocks, frames, shapes): one to three blocks of one to four
+    coordinates at budgets 1-62, with codeword 0, the first and last codes
+    and inner ones, and each block's (configured budget, size). Now and
+    then a frame carries a budget other than its block's, and now and then
+    the block's is past 62, which ``CONFIG.budget`` refuses."""
+    blocks, frames, shapes = [], [], []
     for _ in range(draw(st.integers(1, 3))):
         budget = draw(st.integers(1, MAX_DEPTH))
-        configured = draw(st.integers(1, MAX_DEPTH)) if draw(st.integers(0, 5)) == 0 else budget
+        configured, kind = budget, draw(st.integers(0, 6))
+        if kind == 0:
+            configured = draw(st.integers(1, MAX_DEPTH))
+        elif kind == 1:
+            configured = draw(st.integers(MAX_DEPTH + 1, 2 * MAX_DEPTH))
         n = draw(st.integers(1, 4))
         means = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
         stds = draw(st.lists(st.sampled_from(STDS), min_size=n, max_size=n))
@@ -151,13 +163,14 @@ def vectors(draw):
             min_size=n, max_size=n))
         blocks.append(block_at(configured, means, stds))
         frames.append((budget, payloads))
-    return blocks, frames
+        shapes.append((configured, n))
+    return blocks, frames, shapes
 
 
 @settings(max_examples=300, deadline=None)
 @given(vector=vectors(), seed=st.integers(0, 2**64 - 1), data=st.data())
 def test_vector_decode_is_the_scalar_loop(vector, seed, data):
-    blocks, frames = vector
+    blocks, frames, shapes = vector
     written = message(frames)
     assert (outcome(decode_block_vector, blocks, CONFIG, written, seed)
             == outcome(scalar_decode, blocks, frames, seed))
@@ -165,6 +178,11 @@ def test_vector_decode_is_the_scalar_loop(vector, seed, data):
     for msg in (written, bad):
         assert (full_outcome(decode_block_vector, blocks, CONFIG, msg, seed)
                 == full_outcome(walked_decode, blocks, msg, seed))
+        try:
+            walked = walked_decode(blocks, msg, None)
+        except RecError:
+            walked = None
+        assert match_block_frames(msg, Variant.DAD_STAR, shapes) == walked
 
 
 def test_the_loop_covers_every_path():

@@ -25,6 +25,7 @@ from reckit.coders import (
     decode,
     decode_dad,
     decode_mrc,
+    decode_pfr,
     encode_astar,
     encode_dad,
     encode_mrc,
@@ -718,3 +719,5 @@ def test_decode_variant_mismatch():
         decode_dad(PAIR_GG.proposal, ad_code, 1)
     with pytest.raises(InvalidCodeError):
         decode_mrc(PAIR_GG.proposal, ad_code, 1)
+    with pytest.raises(InvalidCodeError, match="expected a PFR code"):
+        decode_pfr(PAIR_GG.proposal, ad_code, 1)

@@ -355,6 +355,9 @@ def test_uniform_basics():
     assert u.cdf(1.0) - u.cdf(0.0) == pytest.approx(0.25)
     with pytest.raises(DomainError):
         Uniform(0.0, 0.0)
+    for center in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="center must be finite"):
+            Uniform(center, 1.0)
 
 
 def test_mixture_cdf_inverse_consistency():
@@ -380,6 +383,9 @@ def test_mixture_validation():
     for low, high in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)):
         with pytest.raises(DomainError):
             MixtureComponent(1.0, low, high)
+    for weight in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match="component weight must be in"):
+            MixtureComponent(weight, 0.0, 1.0)
 
 
 def test_serialization_roundtrip():
@@ -543,6 +549,13 @@ def test_analytic_dinf():
     assert ug.analytic_dinf() == pytest.approx(UG_DINF, abs=1e-12)
     assert PairSpec(Gaussian(1.0, 1.0), Gaussian(0.0, 1.0)).analytic_dinf() == math.inf
     assert PairSpec(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)).analytic_dinf() == 0.0
+    # equal variances, means 5e-324 apart: the slope of log r underflows to
+    # 0, and log r still grows without bound toward the target's side
+    for q_mean, p_mean in ((5e-324, 0.0), (0.0, 5e-324)):
+        pair = PairSpec(Gaussian(q_mean, 2.0), Gaussian(p_mean, 2.0))
+        rising = q_mean > p_mean
+        assert pair.bound_M(0.0, math.inf) == (math.inf if rising else pair.log_ratio(0.0))
+        assert pair.bound_M(-math.inf, 0.0) == (pair.log_ratio(0.0) if rising else math.inf)
 
 
 def test_identical_pair_divergences_vanish():

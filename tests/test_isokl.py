@@ -7,6 +7,7 @@ fsolve on the joint KL / sup-ratio system) and frozen here as constants.
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,7 @@ def test_lambert_special_points():
         lambert_w0(-0.5)
     with pytest.raises(DomainError):
         lambert_w0(math.nan)
+    assert lambert_w0(math.inf) == math.inf
 
 
 # --------------------------------------------------- variance from (mean, kl)
@@ -188,6 +190,13 @@ def test_joint_inversion_edges():
     # just inside the wedge still solves
     mean, var = gaussian_from_kl_dinf(0.999 * kl_ceiling(2.0), 2.0)
     assert var > 0.0
+    # a kl or dinf that is not finite, or a dinf past the inversion's float
+    # range (about 352.5 nats at kl = 1), is refused and named
+    assert gaussian_from_kl_dinf(1.0, 352.0)[1] > 0.0
+    for kl, dinf in ((1.0, 352.5), (1.0, 355.0), (1.0, 356.0), (1.0, 1e300), (1.0, math.inf),
+                     (1.0, math.nan), (math.nan, 1.0), (math.inf, 5.0), (math.inf, math.inf)):
+        with pytest.raises(DomainError, match=re.escape(f"kl={kl}, dinf={dinf}")):
+            gaussian_from_kl_dinf(kl, dinf)
 
 
 # ------------------------------------------------------------ uniform pairs
