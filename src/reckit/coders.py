@@ -56,7 +56,7 @@ from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, Frozen, InvalidCodeError
 from .errors import UnboundedRatioError
 from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, derive_seed
-from .randomness import seed_state, slot_uniform
+from .randomness import seed_state, seed_uniform, slot_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, PartitionKind, expand, locate, realize
 
@@ -77,6 +77,9 @@ class Variant(Enum):
     # keeps every dict and set the same and skips Enum's Python-level hash.
     __hash__ = object.__hash__
 
+
+# The coders build and check codes with these: a class lookup of a member costs ~0.2 us
+_DAD_STAR, _PFR, _MRC = Variant.DAD_STAR, Variant.PFR, Variant.MRC
 
 # Step budget of the exact searches that the CLI and the bench grids run.
 MAX_STEPS = 1_000_000
@@ -151,7 +154,6 @@ class Unit(Enum):
 _HEAP_INDEX, _ARRIVAL_INDEX, _CODEWORD = Unit.HEAP_INDEX, Unit.ARRIVAL_INDEX, Unit.CODEWORD
 # The longest delta length field of each index layout
 _DELTA_CAPS = {_HEAP_INDEX: MAX_DEPTH, _ARRIVAL_INDEX: 64}
-_set = object.__setattr__
 
 
 class Code(Frozen):
@@ -163,9 +165,7 @@ class Code(Frozen):
 
     def __init__(self, variant: Variant, payload: int, *, budget: int | None = None) -> None:
         CODERS[variant].unit.check(payload, budget)
-        _set(self, "variant", variant)
-        _set(self, "payload", payload)
-        _set(self, "budget", budget)
+        self._store(variant, payload, budget)
 
     @property
     def depth_or_budget(self) -> int:
@@ -187,11 +187,7 @@ class TrialStats(Frozen):
 
     def __init__(self, steps: int, returned_depth: int, payload_bits: int,
                  overhead_bits: int, lower_bound: float) -> None:
-        _set(self, "steps", steps)  # one call a field: half the cost of _store, once per encode
-        _set(self, "returned_depth", returned_depth)
-        _set(self, "payload_bits", payload_bits)
-        _set(self, "overhead_bits", overhead_bits)
-        _set(self, "lower_bound", lower_bound)
+        self._store(steps, returned_depth, payload_bits, overhead_bits, lower_bound)
 
 
 def _stats(code: Code, steps: int, depth: int, lb: float) -> TrialStats:
@@ -296,12 +292,6 @@ def _astar_search(pair: PairSpec, kind: PartitionKind, stream: int, max_depth: f
     return best_index, best_x, steps, lb
 
 
-def _counter_sample(proposal: Distribution1D, seed: int, index: int, counter: int) -> float:
-    """The full-line quantile of the SAMPLE slot at ``counter`` after (seed, ``index``):
-    PFR's arrival ``counter + 1`` at node 1, MRC's candidate ``counter`` at node 0."""
-    return proposal.inv_cdf(counter_uniform(absorb(derive_seed(seed, index), _SAMPLE), counter))
-
-
 def _pfr_search(pair: PairSpec, seed: int, max_steps: float):
     """The PFR race, arrival by arrival: the tree search's schedule on a
     chain that never cuts the full line, so every arrival has the ratio
@@ -372,7 +362,7 @@ def encode_dad(
     check_budget(budget)
     index, x, steps, lb = _astar_search(pair, PartitionKind.DYADIC, seed_state(seed), budget,
                                         max_steps)
-    code = Code(Variant.DAD_STAR, index, budget=budget)
+    code = Code(_DAD_STAR, index, budget=budget)
     # transmitted width is the budget regardless of where the winner sat; the
     # extra root, index 0, sits at depth 1
     return code, x, _stats(code, steps, index.bit_length() or 1, lb)
@@ -390,7 +380,7 @@ def dad_payloads(pairs: Iterable[PairSpec], stream: int, first: int, budget: int
 
 def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
     """Regenerate the sample for a depth-limited dyadic codeword."""
-    if code.variant is not Variant.DAD_STAR:
+    if code.variant is not _DAD_STAR:
         raise InvalidCodeError(f"expected a DAD_STAR code, got {code.variant}")
     return locate(proposal, PartitionKind.DYADIC, seed, code.payload)
 
@@ -398,9 +388,9 @@ def decode_dad(proposal: Distribution1D, code: Code, seed: int) -> float:
 def decode_pfr(proposal: Distribution1D, code: Code, seed: int) -> float:
     """Regenerate the sample of a PFR arrival index: one draw, node 1's
     SAMPLE slot at counter index - 1, and its full-line quantile."""
-    if code.variant is not Variant.PFR:
+    if code.variant is not _PFR:
         raise InvalidCodeError(f"expected a PFR code, got {code.variant}")
-    return _counter_sample(proposal, seed, 1, code.payload - 1)
+    return proposal.inv_cdf(seed_uniform(seed, 1, _SAMPLE, code.payload - 1))
 
 
 def encode_mrc(
@@ -418,7 +408,7 @@ def encode_mrc(
     Candidate i is the proposal's quantile at counter i after (seed, 0,
     SAMPLE); the N uniforms come from one ``counter_uniforms`` call, which
     mixes them in packed batches, and ``decode_mrc`` redraws the chosen
-    one alone with ``counter_uniform``. The candidates are scored in one
+    one alone with ``seed_uniform``. The candidates are scored in one
     batch pass, which checks the range and the support once for all of
     them: ``inv_cdfs`` takes their quantiles and ``PairSpec.log_ratios``
     their log weights, each equal to its scalar form bit for bit.
@@ -436,14 +426,16 @@ def encode_mrc(
     threshold = slot_uniform(node, _GUMBEL) * math.fsum(weights)
     # the first left-to-right partial sum to reach the threshold, else the last
     chosen = min(bisect_left(list(accumulate(weights)), threshold), n - 1)
-    code = Code(Variant.MRC, chosen, budget=bits)
+    code = Code(_MRC, chosen, budget=bits)
     return code, xs[chosen], _stats(code, n, bits, log_w[chosen])
 
 
 def decode_mrc(proposal: Distribution1D, code: Code, seed: int) -> float:
-    if code.variant is not Variant.MRC:
+    """Regenerate the sample of an MRC codeword: one draw, node 0's SAMPLE
+    slot at counter ``code.payload``, and its full-line quantile."""
+    if code.variant is not _MRC:
         raise InvalidCodeError(f"expected an MRC code, got {code.variant}")
-    return _counter_sample(proposal, seed, 0, code.payload)
+    return proposal.inv_cdf(seed_uniform(seed, 0, _SAMPLE, code.payload))
 
 
 def encode(pair: PairSpec, variant: Variant, seed: int, budget: int | None = None,

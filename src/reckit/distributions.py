@@ -141,8 +141,7 @@ class Gaussian(Distribution1D, Frozen):
             raise DomainError(f"variance must be finite and positive, got {variance}")
         if not math.isfinite(mean):
             raise DomainError(f"mean must be finite, got {mean}")
-        _set(self, "mean", mean)  # one call a field: half the cost of _store
-        _set(self, "variance", variance)
+        self._store(mean, variance)
         _set(self, "std", math.sqrt(variance))
 
     def cdf(self, x: float) -> float:

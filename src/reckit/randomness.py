@@ -27,24 +27,33 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take six shapes, each one call with the rounds written out and a
-test holding it to its :func:`absorb` chain: :func:`slot_uniform` (a
-slot at counter 0 after (seed, node): a decode's node draws and MRC's
-selection), :func:`slot_uniform_pair` (two slots at counter 0 after
-(seed, node), mixed together: a search node's Gumbel and sample),
-:func:`counter_uniform` (a counter after (seed, node, slot): PFR's
-arrival draws and MRC's decode), :func:`counter_uniforms` (a run of counters after
-(seed, node, slot), mixed together: MRC's encode),
+Draws take seven shapes, each one call with the rounds written out and a
+test holding it to its :func:`absorb` chain: :func:`seed_uniform` (a
+whole key from the seed, all four rounds: a decode's single draws, that
+is PFR's arrival, MRC's candidate and ``tree.locate``'s closed-form
+dyadic node, root and extra root), :func:`slot_uniform` (a slot at
+counter 0 after (seed, node): MRC's selection and a deep dyadic walk's
+node), :func:`slot_uniform_pair` (two slots at counter 0 after (seed,
+node), mixed together: a search node's Gumbel and sample; the two slots
+come as one slot word, :func:`slot_pair`, which ``reckit.tree`` packs
+once at import), :func:`counter_uniform` (a counter after (seed, node,
+slot): PFR's arrival draws), :func:`counter_uniforms` (a run of counters
+after (seed, node, slot), mixed together: MRC's encode),
 :func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
 list of nodes, mixed together: a sample-split decode's whole path) and
 :func:`derived_slot_uniforms` (for i = 0, 1, ..., node i's slot i at
 counter 0 in the stream derive_seed(seed, i), mixed together: a block
 vector's samples). The last one's lane i absorbs five fields into
 mix64(seed): i, the zero field of ``seed_state`` (an XOR of 0), node i,
-slot i and counter 0. The packed shapes hold each key in a 128-bit lane
-of one int and mask every lane back to 64 bits before a multiply. Which
-key each draw uses is said once: ``reckit.tree`` keys the search nodes
-and ``reckit.coders`` the PFR arrivals and the MRC candidates.
+slot i and counter 0. :func:`derive_seed` is written out the same way,
+its two rounds in one call. The scalar shapes and
+:func:`slot_uniform_pair` key a field's word as :func:`absorb` does,
+(field + GOLDEN) mod 2^64, so a negative field or one of 2^64 or more
+keys the same draw as its residue; the batch shapes take fields below
+2^64. The packed shapes hold each key in a 128-bit lane of one int and
+mask every lane back to 64 bits before a multiply. Which key each draw uses is said once:
+``reckit.tree`` keys the search nodes and ``reckit.coders`` the PFR
+arrivals and the MRC candidates.
 """
 
 from __future__ import annotations
@@ -112,25 +121,50 @@ def slot_uniform(key: int, slot: int) -> float:
     return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16  # 2^-53
 
 
+def seed_uniform(seed: int, node: int, slot: int, counter: int) -> float:
+    """keyed_uniform(StreamKey(seed, node, slot, counter)) in one call:
+    mix64(seed), then the node, the slot and the counter absorbed. A
+    field's word needs no mask of its own: the low 64 bits of
+    (z XOR word) + GOLDEN read only the word's low 64 bits, so the round's
+    mask keys the field's residue mod 2^64, as ``absorb`` does."""
+    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # seed_state's zero field XORs in 0
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 31) ^ (node + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 31) ^ (slot + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 31) ^ (counter + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16  # 2^-53
+
+
 # slot_uniform_pair's two lanes: 1 in each, a 64-bit mask in each, GOLDEN in each
 _PAIR = 1 | (1 << 128)
 _PAIR64 = _MASK64 * _PAIR
 _PAIR_GOLDENS = _GOLDEN * _PAIR
 
 
-def slot_uniform_pair(stream: int, field: int, slot_a: int, slot_b: int) -> tuple[float, float]:
+def slot_pair(slot_a: int, slot_b: int) -> int:
+    """The slot word of ``slot_uniform_pair``: the XOR word of each slot,
+    (slot + GOLDEN) mod 2^64, lane a's low and lane b's 128 bits up."""
+    return ((slot_a + _GOLDEN) & _MASK64) | ((slot_b + _GOLDEN) & _MASK64) << 128
+
+
+def slot_uniform_pair(stream: int, field: int, slots: int) -> tuple[float, float]:
     """(slot_uniform(key, slot_a), slot_uniform(key, slot_b)), key =
-    absorb(stream, field), bit for bit, in one call: the field is absorbed
-    once on a 64-bit state, which is then copied into two 128-bit lanes of
-    one int (lane a low, lane b high) that absorb their own slot, then
-    counter 0, together. Each lane is masked back to 64 bits before a
-    multiply, as in ``_packed_uniforms``."""
+    absorb(stream, field) and ``slots`` = slot_pair(slot_a, slot_b), bit for
+    bit, in one call: the field is absorbed once on a 64-bit state, which is
+    then copied into two 128-bit lanes of one int (lane a low, lane b high)
+    that absorb their own slot, then counter 0, together. Each lane is
+    masked back to 64 bits before a multiply, as in ``_packed_uniforms``."""
     z = ((stream ^ ((field + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
          + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    slots = (((slot_a + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
-             | ((slot_b + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) << 128)
     z = ((((z ^ (z >> 31)) * _PAIR) ^ slots) + _PAIR_GOLDENS) & _PAIR64  # the key in both lanes
     z = (((z ^ (z >> 30)) & _PAIR64) * 0xBF58476D1CE4E5B9) & _PAIR64
     z = (((z ^ (z >> 27)) & _PAIR64) * 0x94D049BB133111EB) & _PAIR64
@@ -262,8 +296,16 @@ def keyed_uniform(key: StreamKey) -> float:
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for an independent stream (used per coordinate in
     block coding). Also splitmix64-based and part of the wire format:
-    mix64(mix64(seed) XOR (index + GOLDEN))."""
-    return absorb(seed_state(seed), index)
+    mix64(mix64(seed) XOR (index + GOLDEN)), that is
+    absorb(seed_state(seed), index), in one call (masked as
+    ``seed_uniform`` is)."""
+    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # seed_state's zero field XORs in 0
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 31) ^ (index + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
 
 
 def trunc_gumbel(u: float, location: float, bound: float) -> float:

@@ -42,8 +42,10 @@ pruning reads only the Gumbel and the region. Every node is drawn by
 ``realize``, the root included: it is node 1 with CDF ends 0 and 1 and
 an untruncated Gumbel, and the depth-limited coder's extra root is the
 same full-line draw at heap index 0, truncated at the root's Gumbel.
-A decoder draws a node's sample uniform alone (``node_sample``), the
-same value from the same key.
+A decoder draws a node's sample uniform alone, the same value from the
+same key: in one ``seed_uniform`` call from the seed where it reads the
+node's region off its index, else from the node's key state
+(``node_sample``).
 
 This module is the one place that says how a node's draws are keyed
 (``realize``, ``node_sample``), where a region is cut (``_cut``;
@@ -67,8 +69,8 @@ from typing import Callable
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, derived_slot_uniforms, seed_state, slot_uniform
-from .randomness import slot_uniform_pair, slot_uniforms, trunc_gumbel
+from .randomness import DrawSlot, absorb, derived_slot_uniforms, seed_state, seed_uniform
+from .randomness import slot_pair, slot_uniform, slot_uniform_pair, slot_uniforms, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -80,6 +82,8 @@ INF = math.inf
 _ldexp = math.ldexp
 _GUMBEL, _SAMPLE = int(DrawSlot.GUMBEL), int(DrawSlot.SAMPLE)
 _EXTRA_GUMBEL, _EXTRA_SAMPLE = int(DrawSlot.EXTRA_ROOT_GUMBEL), int(DrawSlot.EXTRA_ROOT_SAMPLE)
+# realize's slot words: a node's (SAMPLE, GUMBEL), and the extra root's
+_NODE_SLOTS, _EXTRA_SLOTS = slot_pair(_SAMPLE, _GUMBEL), slot_pair(_EXTRA_SAMPLE, _EXTRA_GUMBEL)
 _ROOT_PIECE = (-INF, INF, 0.0, 1.0)
 _END = 1 << MAX_DEPTH  # the first heap index deeper than MAX_DEPTH
 
@@ -156,7 +160,9 @@ def realize(stream: int, index: int, ulow: float, uhigh: float,
     """The sample uniform and Gumbel of the node at ``index`` with CDF
     ends ``ulow`` and ``uhigh``, (u, g), from one two-lane draw
     (``slot_uniform_pair``) on the key state after (seed, heap index),
-    ``stream`` being the search's ``seed_state(seed)``. ``u`` is the
+    ``stream`` being the search's ``seed_state(seed)``; its slot word,
+    (SAMPLE, GUMBEL) or the extra root's pair, is packed once, at
+    import (``randomness.slot_pair``). ``u`` is the
     SAMPLE slot's uniform at counter 0 (the EXTRA_ROOT one at heap index
     0), the one ``node_sample`` draws, and the node's sample is its
     quantile over the region, ``sample_restricted_u(proposal, ulow,
@@ -164,10 +170,7 @@ def realize(stream: int, index: int, ulow: float, uhigh: float,
     the node's proposal mass and truncated at ``bound``, its parent's
     Gumbel (no bound, ``INF``, for the root; the root's Gumbel for the
     extra root)."""
-    if index:
-        u, ug = slot_uniform_pair(stream, index, _SAMPLE, _GUMBEL)
-    else:
-        u, ug = slot_uniform_pair(stream, 0, _EXTRA_SAMPLE, _EXTRA_GUMBEL)
+    u, ug = slot_uniform_pair(stream, index, _NODE_SLOTS if index else _EXTRA_SLOTS)
     return u, trunc_gumbel(ug, math.log(uhigh - ulow), bound)
 
 
@@ -206,52 +209,53 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
     (``coders.decode_pfr`` decodes it), so its kind is refused with
     ``DomainError``.
 
-    A dyadic node at depth d <= 54 reads its region off its index
-    (``_dyadic_sample``, which refuses an emptied slot), so its decode is
-    ``node_sample``'s draw and at most three ``inv_cdf`` calls: one for the
-    sample, and the two of the emptied-slot test only where the proposal's
-    ``quantiles_differ`` cannot decide without them.
+    The root and the extra root, and a dyadic node at depth d <= 54,
+    take their sample uniform, ``node_sample``'s, in one
+    ``randomness.seed_uniform`` call from the seed, and read their region
+    off the index (``_dyadic_sample``, which refuses an emptied slot), so
+    such a decode is one draw and at most three ``inv_cdf`` calls: one for
+    the sample, and the two of the emptied-slot test only where the
+    proposal's ``quantiles_differ`` cannot decide without them.
 
-    Any other code takes the decode walk: it rebuilds the regions on the
-    heap path from the root (the index's digits after its leading 1;
-    0 = left, 1 = right) with the cuts and node keys of ``expand`` and
+    Any other code takes the decode walk, which mixes the seed's state
+    once (``seed_state``) and keys its nodes from it: it rebuilds the
+    regions on the heap path from the root (the index's digits after its
+    leading 1; 0 = left, 1 = right) with the cuts and node keys of ``expand`` and
     ``realize``, keeping the side each digit names and refusing a step
     into an empty slot. Only a sample-split cut reads an ancestor's
     sample, so only that walk draws: before it starts, one
     ``slot_uniforms`` call draws the whole path, root to node, bit for bit
     the uniforms ``node_sample`` would draw level by level, and a level
-    then costs one quantile (inv_cdf) and one cut (cdf). The root and the
-    extra root are one full-line draw straight from the node's key.
+    then costs one quantile (inv_cdf) and one cut (cdf). A deep dyadic
+    walk ends with ``node_sample``'s draw.
     """
     if kind is not _SAMPLE_SPLIT and kind is not _DYADIC:
         raise DomainError(f"{kind} has no tree to walk")
     if not 0 < index < _END and (index or kind is _SAMPLE_SPLIT):
         raise InvalidCodeError(f"no {kind.value} search makes heap index {index}")
     depth = index.bit_length()  # 0 for the extra root, which decodes as the root does
+    if depth < 2 or (kind is _DYADIC and depth <= EXACT_DYADIC_DEPTH):
+        u = seed_uniform(seed, index, _SAMPLE if index else _EXTRA_SAMPLE, 0)
+        return _dyadic_sample(proposal, index, u)  # the whole line below depth 2
     stream = seed_state(seed)
-    if kind is _DYADIC and depth <= EXACT_DYADIC_DEPTH:
-        # node_sample's draw, made here so that the closed form costs no extra call
-        u = slot_uniform(absorb(stream, index), _SAMPLE if index else _EXTRA_SAMPLE)
-        return _dyadic_sample(proposal, index, u)
     low, high, ulow, uhigh = _ROOT_PIECE
-    if depth > 1:
-        split_at_sample = kind is _SAMPLE_SPLIT
-        if split_at_sample:  # node_sample's draws of the path, root to node, in one pass
-            us = slot_uniforms(stream, [index >> shift for shift in range(depth - 1, -1, -1)],
-                               _SAMPLE)
-        x = math.nan  # a dyadic cut reads no sample
-        for shift in range(depth - 1, 0, -1):
-            if split_at_sample:  # the sample of the ancestor index >> shift
-                x = sample_restricted_u(proposal, ulow, uhigh, us[depth - 1 - shift])
-            cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
-            if (index >> (shift - 1)) & 1:
-                low, ulow = cut, ucut
-            else:
-                high, uhigh = cut, ucut
-            if not low < high:
-                raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-        if split_at_sample:
-            return sample_restricted_u(proposal, ulow, uhigh, us[-1])
+    split_at_sample = kind is _SAMPLE_SPLIT
+    if split_at_sample:  # node_sample's draws of the path, root to node, in one pass
+        us = slot_uniforms(stream, [index >> shift for shift in range(depth - 1, -1, -1)],
+                           _SAMPLE)
+    x = math.nan  # a dyadic cut reads no sample
+    for shift in range(depth - 1, 0, -1):
+        if split_at_sample:  # the sample of the ancestor index >> shift
+            x = sample_restricted_u(proposal, ulow, uhigh, us[depth - 1 - shift])
+        cut, ucut = _cut(kind, proposal, ulow, uhigh, x)
+        if (index >> (shift - 1)) & 1:
+            low, ulow = cut, ucut
+        else:
+            high, uhigh = cut, ucut
+        if not low < high:
+            raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
+    if split_at_sample:
+        return sample_restricted_u(proposal, ulow, uhigh, us[-1])
     return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
 
 

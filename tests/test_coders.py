@@ -381,16 +381,72 @@ def test_dyadic_decode_inverts_the_cdf_at_most_three_times(monkeypatch):
     assert len(depths) >= 4
 
 
+def test_single_draw_decodes_mix_their_key_in_one_call(monkeypatch):
+    """A PFR decode, an MRC decode and a dyadic decode at depth <= 54 (the
+    root and DAD*'s extra root, codeword 0, included) each draw their one
+    uniform straight from the seed: one ``seed_uniform`` call, which mixes
+    the whole key, and no ``absorb``, ``seed_state`` or ``derive_seed``
+    call (nor any other draw). A dyadic code at depth 55 walks instead,
+    from one ``seed_state``."""
+    rng = random.Random(20260817)
+    cases = []
+    for seed in range(3900, 3940):
+        for code, x, _ in (encode_astar(PAIR_GG, PartitionKind.GLOBAL_BOUND, seed),
+                           encode_mrc(PAIR_GG, seed, 6), encode_dad(PAIR_GG, seed, 8),
+                           encode_astar(PAIR_GG, PartitionKind.DYADIC, seed)):
+            cases.append((code, seed, x))
+    for depth in range(1, 55):
+        index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
+        cases.append((Code(Variant.AD_STAR, index), rng.getrandbits(64), None))
+    cases.append((Code(Variant.DAD_STAR, 0, budget=8), 7, None))
+    calls = {}
+
+    def counting(module, name):
+        draw = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return draw(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("seed_uniform", "absorb", "seed_state", "derive_seed", "slot_uniform",
+                 "counter_uniform", "counter_uniforms"):
+        counting(coders, name)
+    for name in ("seed_uniform", "absorb", "seed_state", "slot_uniform", "slot_uniform_pair",
+                 "slot_uniforms", "derived_slot_uniforms"):
+        counting(tree, name)
+    variants = set()
+    for code, seed, x in cases:
+        calls.clear()
+        try:
+            sample = decode(PAIR_GG.proposal, code, seed)
+        except InvalidCodeError:  # an emptied slot, refused after its one draw
+            sample = None
+        assert calls == {"seed_uniform": 1}, (code, seed)
+        if x is not None:
+            assert sample == x, (code, seed)
+        variants.add(code.variant)
+    assert variants == {Variant.PFR, Variant.MRC, Variant.DAD_STAR, Variant.AD_STAR}
+    for _ in range(8):
+        calls.clear()
+        index = (1 << 54) | rng.getrandbits(54)
+        try:
+            decode(PAIR_GG.proposal, Code(Variant.AD_STAR, index), rng.getrandbits(64))
+        except InvalidCodeError:
+            pass
+        assert calls.get("seed_uniform", 0) == 0 and calls["seed_state"] == 1, index
+
+
 def test_decode_walk_costs_one_cut_per_level(monkeypatch):
     """What ``locate`` calls: a sample-split code at depth d >= 2 draws the
     samples of its whole path, its d - 1 ancestors and itself, in one
     ``slot_uniforms`` call of d fields, with no per-level draw, then cuts
     at each ancestor (one inv_cdf and one cdf a level) and takes its own
-    sample (one inv_cdf); a depth-1 code is one absorb and one
-    slot_uniform. A dyadic code at depth 2..54 reads its region off its
+    sample (one inv_cdf); a depth-1 code is one seed_uniform draw from
+    the seed, with no absorb or slot_uniform. A dyadic code at depth 2..54 reads its region off its
     index and makes at most three inv_cdf calls."""
     calls = {"inv_cdf": 0, "cdf": 0}
-    draws = {"absorb": 0, "slot_uniform": 0, "slot_uniforms": []}
+    draws = {"absorb": 0, "slot_uniform": 0, "seed_uniform": 0, "slot_uniforms": []}
     inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
 
     def counting_inv_cdf(self, u):
@@ -415,6 +471,7 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
     monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
     monkeypatch.setattr(tree, "absorb", counting("absorb", tree.absorb))
     monkeypatch.setattr(tree, "slot_uniform", counting("slot_uniform", tree.slot_uniform))
+    monkeypatch.setattr(tree, "seed_uniform", counting("seed_uniform", tree.seed_uniform))
     monkeypatch.setattr(tree, "slot_uniforms", recording_path)
     proposal = PAIR_GG.proposal
     rng = random.Random(20260817)
@@ -422,14 +479,15 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
             calls.update(inv_cdf=0, cdf=0)
-            draws.update(absorb=0, slot_uniform=0, slot_uniforms=[])
+            draws.update(absorb=0, slot_uniform=0, seed_uniform=0, slot_uniforms=[])
             locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index)
             assert calls == {"inv_cdf": depth, "cdf": depth - 1}, (index, depth)
             if depth == 1:
-                assert draws == {"absorb": 1, "slot_uniform": 1, "slot_uniforms": []}
+                assert draws == {"absorb": 0, "slot_uniform": 0, "seed_uniform": 1,
+                                 "slot_uniforms": []}
             else:
-                assert draws == {"absorb": 0, "slot_uniform": 0, "slot_uniforms": [depth]}, (
-                    index, depth)
+                assert draws == {"absorb": 0, "slot_uniform": 0, "seed_uniform": 0,
+                                 "slot_uniforms": [depth]}, (index, depth)
     for depth in range(2, 55):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)

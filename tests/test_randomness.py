@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckit import randomness
+from reckit import randomness, tree
 from reckit.randomness import (
     _GOLDEN,
     DrawSlot,
@@ -29,6 +29,8 @@ from reckit.randomness import (
     derived_slot_uniforms,
     keyed_uniform,
     seed_state,
+    seed_uniform,
+    slot_pair,
     slot_uniform,
     slot_uniform_pair,
     slot_uniforms,
@@ -66,7 +68,16 @@ def test_keyed_uniform_anchors():
         assert keyed_uniform(StreamKey(*key)) == expected
 
 
+# fields a key may carry past the 64-bit range: each keys its residue mod 2^64
+WIDE_FIELDS = [-1, -2, -_GOLDEN, -MASK, -(1 << 64) - 3, 1 << 64, (1 << 64) + 1, MASK + _GOLDEN,
+               1 << 70, (1 << 200) + 5]
+
+
 def test_draw_shapes_match_the_absorb_chain():
+    """Each written-out shape equals its absorb chain, and the shapes that
+    start from a seed equal ``keyed_uniform`` too: ``seed_uniform`` and
+    ``derive_seed`` over negative seeds, seeds of 2^64 or more, and node,
+    slot and counter fields of 2^64 or more or below 0."""
     rng = random.Random(20260817)
     states = [0, 1, MASK, 1 << 63] + [rng.getrandbits(64) for _ in range(500)]
     for state in states:
@@ -82,8 +93,28 @@ def test_draw_shapes_match_the_absorb_chain():
                 state_uniform(absorb(absorb(absorb(state, node), slot), 0)) for node in nodes]
         for node in nodes:
             key = absorb(state, node)
-            assert slot_uniform_pair(state, node, 1, 0) == (
+            assert slot_uniform_pair(state, node, slot_pair(1, 0)) == (
                 state_uniform(absorb(absorb(key, 1), 0)), state_uniform(absorb(absorb(key, 0), 0)))
+    seeds = states[:40] + WIDE_FIELDS + [rng.getrandbits(80), -rng.getrandbits(80)]
+    fields = [0, 1, 2, 3, MASK] + WIDE_FIELDS
+    for seed in seeds:
+        stream = seed_state(seed)
+        for i, field in enumerate(fields):
+            assert derive_seed(seed, field) == absorb(stream, field)
+            for where in range(3):
+                key = [rng.choice(fields) for _ in range(3)]
+                key[where] = field
+                node, slot, counter = key
+                node_state = derive_seed(seed, node)
+                want = keyed_uniform(StreamKey(seed, node, slot, counter))
+                assert want == state_uniform(absorb(absorb(absorb(stream, node), slot), counter))
+                assert seed_uniform(seed, node, slot, counter) == want, (seed, key)
+                assert counter_uniform(absorb(node_state, slot), counter) == want
+                other = fields[i - 1]
+                at_zero = keyed_uniform(StreamKey(seed, node, slot, 0))
+                assert slot_uniform(node_state, slot) == at_zero
+                assert slot_uniform_pair(stream, node, slot_pair(slot, other)) == (
+                    at_zero, keyed_uniform(StreamKey(seed, node, other, 0)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -120,15 +151,27 @@ TREE_SLOT_PAIRS = ((DrawSlot.SAMPLE, DrawSlot.GUMBEL),
 @given(stream=st.one_of(st.sampled_from((0, 1, 1 << 63, MASK)), st.integers(0, MASK)),
        field=st.one_of(st.sampled_from((0, MASK)), st.integers(0, MASK)),
        slots=st.one_of(st.sampled_from(TREE_SLOT_PAIRS),
-                       st.tuples(st.integers(0, MASK), st.integers(0, MASK))))
+                       st.tuples(st.integers(0, MASK), st.integers(0, MASK)),
+                       st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))))
 def test_slot_uniform_pair_matches_two_slot_uniforms(stream, field, slots):
-    """The two-lane draw equals one absorb and two slot_uniforms, bit for
-    bit, over every 64-bit stream and field and on both slot pairs that
-    ``reckit.tree`` draws (and any other pair of slots)."""
+    """The two-lane draw on the slot word ``slot_pair(slot_a, slot_b)``
+    equals one absorb and two slot_uniforms, bit for bit, over every
+    64-bit stream and field and on both slot pairs that ``reckit.tree``
+    draws (and any other pair of slots, past 64 bits or below 0 too)."""
     slot_a, slot_b = map(int, slots)
     key = absorb(stream, field)
-    assert slot_uniform_pair(stream, field, slot_a, slot_b) == (
+    # each slot's XOR word, mod 2^64, in its own 128-bit lane
+    assert slot_pair(slot_a, slot_b) == (slot_a + _GOLDEN) % (1 << 64) | (
+        (slot_b + _GOLDEN) % (1 << 64)) << 128
+    assert slot_uniform_pair(stream, field, slot_pair(slot_a, slot_b)) == (
         slot_uniform(key, slot_a), slot_uniform(key, slot_b))
+
+
+def test_tree_packs_its_slot_words_once():
+    """``tree.realize`` draws on the slot words of (SAMPLE, GUMBEL) and the
+    extra root's (EXTRA_ROOT_SAMPLE, EXTRA_ROOT_GUMBEL), packed at import."""
+    assert tree._NODE_SLOTS == slot_pair(DrawSlot.SAMPLE, DrawSlot.GUMBEL)
+    assert tree._EXTRA_SLOTS == slot_pair(DrawSlot.EXTRA_ROOT_SAMPLE, DrawSlot.EXTRA_ROOT_GUMBEL)
 
 
 NODES = st.one_of(st.sampled_from((0, 1, (1 << 62) - 1)), st.integers(0, (1 << 62) - 1))
@@ -187,12 +230,14 @@ def test_packed_draws_unpack_on_a_big_endian_host(monkeypatch):
 def test_draw_shapes_reproduce_the_keyed_anchors():
     for (seed, node, slot, counter), expected in KEYED_ANCHORS:
         node_state = absorb(seed_state(seed), node)
+        assert derive_seed(seed, node) == node_state
+        assert seed_uniform(seed, node, slot, counter) == expected
         assert counter_uniform(absorb(node_state, slot), counter) == expected
         if counter == 0:
             assert slot_uniform(node_state, slot) == expected
             stream = seed_state(seed)
-            assert slot_uniform_pair(stream, node, slot, slot ^ 1)[0] == expected
-            assert slot_uniform_pair(stream, node, slot ^ 1, slot)[1] == expected
+            assert slot_uniform_pair(stream, node, slot_pair(slot, slot ^ 1))[0] == expected
+            assert slot_uniform_pair(stream, node, slot_pair(slot ^ 1, slot))[1] == expected
 
 
 def test_keyed_uniform_is_pure():
