@@ -29,11 +29,12 @@ from .distributions import (
     UniformMixture,
     Gaussian,
     as_number,
+    sample_restricted_u,
 )
 from .errors import DomainError, Frozen, RecError
 from .isokl import gaussian_from_kl_dinf, uniform_from_mean_kl
-from .randomness import absorb, derive_seed, seed_state
-from .tree import MAX_DEPTH, PartitionKind, expand, node_sample
+from .randomness import DrawSlot, derive_seed, seed_uniform
+from .tree import MAX_DEPTH, PartitionKind, expand
 
 _LN2 = math.log(2.0)
 
@@ -366,11 +367,12 @@ def verify_shrinkage(
     proposal = Gaussian(0.0, 1.0)
     masses = [[1.0] * trials for _ in range(depth_max)]  # masses[d - 1][trial]: mass at depth d
     for trial in range(trials):
-        stream = seed_state(derive_seed(seed, trial))
+        trial_seed = derive_seed(seed, trial)
         index, low, high, ulow, uhigh = 1, -math.inf, math.inf, 0.0, 1.0
         for d in range(1, depth_max):
             # the node's sample, drawn as a decoder draws it: shrinkage reads no Gumbel
-            x = node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
+            u = seed_uniform(trial_seed, index, DrawSlot.SAMPLE, 0)
+            x = sample_restricted_u(proposal, ulow, uhigh, u)
             children = expand(kind, proposal, _no_bound, x, index, low, high, ulow, uhigh)
             if not children:
                 break

@@ -268,8 +268,6 @@ class MessageFrame(Frozen):
 
 
 _new = object.__new__
-_code_variant, _code_payload, _code_budget = (
-    Code.__dict__[name].__set__ for name in Code._fields)
 
 
 @lru_cache(maxsize=256, typed=True)  # a block codec states a few shapes over and over
@@ -384,12 +382,10 @@ def read_message(reader: BitReader) -> MessageFrame:
     frame's budget. The walk returns only what ``MessageFrame`` and
     ``Unit.check`` admit, so neither checks again."""
     mode, variant, budget, payloads = read_frame(reader)
-    codes = []
+    codes, store = [], Code._store
     for payload in payloads:
         code = _new(Code)
-        _code_variant(code, variant)
-        _code_payload(code, payload)
-        _code_budget(code, budget)
+        store(code, variant, payload, budget)
         codes.append(code)
     frame = _new(MessageFrame)
     frame._store(mode, variant, tuple(codes), budget)

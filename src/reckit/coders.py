@@ -55,8 +55,8 @@ from typing import Callable, Iterable
 from .distributions import Distribution1D, PairSpec, sample_restricted_u
 from .errors import BudgetExhaustedError, DomainError, Frozen, InvalidCodeError
 from .errors import UnboundedRatioError
-from .randomness import DrawSlot, absorb, counter_uniform, counter_uniforms, derive_seed
-from .randomness import seed_state, seed_uniform, slot_uniform
+from .randomness import DrawSlot, absorb, counter_uniform, derive_seed, packed_uniforms
+from .randomness import seed_state, seed_uniform
 from .randomness import keyed_uniform, trunc_gumbel  # noqa: F401  (traced by benchmarks/run.py)
 from .tree import MAX_DEPTH, PartitionKind, expand, locate, realize
 
@@ -406,12 +406,14 @@ def encode_mrc(
     before any is made.
 
     Candidate i is the proposal's quantile at counter i after (seed, 0,
-    SAMPLE); the N uniforms come from one ``counter_uniforms`` call, which
-    mixes them in packed batches, and ``decode_mrc`` redraws the chosen
-    one alone with ``seed_uniform``. The candidates are scored in one
-    batch pass, which checks the range and the support once for all of
-    them: ``inv_cdfs`` takes their quantiles and ``PairSpec.log_ratios``
-    their log weights, each equal to its scalar form bit for bit.
+    SAMPLE): the N uniforms come from one ``packed_uniforms`` call over
+    the counters ``range(N)``, and ``decode_mrc`` redraws the chosen one
+    alone with ``seed_uniform``. The selection uniform is one
+    ``counter_uniform`` call on the state after (seed, 0, GUMBEL). The
+    candidates are scored in one batch pass, which checks the range and
+    the support once for all of them: ``inv_cdfs`` takes their quantiles
+    and ``PairSpec.log_ratios`` their log weights, each equal to its
+    scalar form bit for bit.
     """
     check_budget(bits)
     n = 1 << bits
@@ -419,11 +421,11 @@ def encode_mrc(
         raise BudgetExhaustedError(f"{n} MRC draws exceed the budget of {max_steps} steps")
     proposal, node = pair.proposal, derive_seed(seed, 0)
     draws = absorb(node, _SAMPLE)
-    xs = proposal.inv_cdfs(counter_uniforms(draws, 0, n))
+    xs = proposal.inv_cdfs(packed_uniforms(draws, n, range(n)))
     log_w = pair.log_ratios(xs)
     top = max(log_w)
     weights = [math.exp(lw - top) for lw in log_w] if top > -INF else [1.0] * n
-    threshold = slot_uniform(node, _GUMBEL) * math.fsum(weights)
+    threshold = counter_uniform(absorb(node, _GUMBEL), 0) * math.fsum(weights)
     # the first left-to-right partial sum to reach the threshold, else the last
     chosen = min(bisect_left(list(accumulate(weights)), threshold), n - 1)
     code = Code(_MRC, chosen, budget=bits)

@@ -27,45 +27,51 @@ mixing step and :func:`keyed_uniform` is written on it; a search keeps
 the state after (seed, node) to branch both of a node's draws from it,
 or the state after (seed, node, slot) to branch a run of counters. The
 values, and so the format, are the same as absorbing every field afresh.
-Draws take seven shapes, each one call with the rounds written out and a
-test holding it to its :func:`absorb` chain: :func:`seed_uniform` (a
-whole key from the seed, all four rounds: a decode's single draws, that
-is PFR's arrival, MRC's candidate and ``tree.locate``'s closed-form
-dyadic node, root and extra root), :func:`slot_uniform` (a slot at
-counter 0 after (seed, node): MRC's selection and a deep dyadic walk's
-node), :func:`slot_uniform_pair` (two slots at counter 0 after (seed,
-node), mixed together: a search node's Gumbel and sample; the two slots
-come as one slot word, :func:`slot_pair`, which ``reckit.tree`` packs
-once at import), :func:`counter_uniform` (a counter after (seed, node,
-slot): PFR's arrival draws), :func:`counter_uniforms` (a run of counters
-after (seed, node, slot), mixed together: MRC's encode),
-:func:`slot_uniforms` (one slot at counter 0 after (seed, node) for a
-list of nodes, mixed together: a sample-split decode's whole path) and
-:func:`derived_slot_uniforms` (for i = 0, 1, ..., node i's slot i at
-counter 0 in the stream derive_seed(seed, i), mixed together: a block
-vector's samples). The last one's lane i absorbs five fields into
-mix64(seed): i, the zero field of ``seed_state`` (an XOR of 0), node i,
-slot i and counter 0. :func:`derive_seed` is written out the same way,
-its two rounds in one call. The scalar shapes and
-:func:`slot_uniform_pair` key a field's word as :func:`absorb` does,
-(field + GOLDEN) mod 2^64, so a negative field or one of 2^64 or more
-keys the same draw as its residue; the batch shapes take fields below
-2^64. The packed shapes hold each key in a 128-bit lane of one int and
-mask every lane back to 64 bits before a multiply. Which key each draw uses is said once:
-``reckit.tree`` keys the search nodes and ``reckit.coders`` the PFR
-arrivals and the MRC candidates.
+Draws take four shapes, each one call with the rounds written out and a
+test holding it to its :func:`absorb` chain:
+
+* :func:`seed_uniform`: a whole key from the seed, all four rounds (a
+  decode's single draws: PFR's arrival, MRC's candidate and
+  ``tree.locate``'s node, and a shrinkage descent's samples);
+* :func:`counter_uniform`: a counter after (seed, node, slot) (PFR's
+  arrival draws and MRC's selection);
+* :func:`slot_uniform_pair`: two slots at counter 0 after (seed, node),
+  mixed together (a search node's sample and Gumbel); the two slots come
+  as one slot word, :func:`slot_pair`, which ``reckit.tree`` packs once
+  at import;
+* :func:`packed_uniforms`: n keys that share a state, mixed together,
+  lane i absorbing its field of each round in order; a round is one
+  field for every lane (an int), consecutive fields (a ``range``) or a
+  field a lane (a list). MRC's candidates are the counters ``range(n)``
+  after (seed, 0, SAMPLE); a sample-split decode's path is its heap
+  indices, then SAMPLE and counter 0; a block vector's samples are
+  ``range(n), SEED_FIELD, indices, slots, 0`` after mix64(seed), lane i
+  drawing in the stream derive_seed(seed, i).
+
+:func:`derive_seed` is written out the same way, its two rounds in one
+call. A field's word is (field + GOLDEN); a round masks its sum after
+the add, which reads only the word's low 64 bits, so a negative field or
+one of 2^64 or more keys the same draw as its residue (a list field
+must lie in [0, 2^64)). The packed shapes hold each key in a 128-bit
+lane of one int and mask every lane back to 64 bits before a multiply.
+Which key each draw uses is said once: ``reckit.tree`` keys the search
+nodes and ``reckit.coders`` the PFR arrivals and the MRC candidates.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TO_UNIT = 2.0 ** -53
+# The field whose word, SEED_FIELD + GOLDEN, is 0: absorbing it is mix64 alone
+SEED_FIELD = -_GOLDEN
 
 
 class DrawSlot(IntEnum):
@@ -92,7 +98,7 @@ class StreamKey(NamedTuple):
 def absorb(state: int, field: int) -> int:
     """Absorb one key field into a mixing state:
     mix64(state XOR (field + GOLDEN)). The one copy of mix64."""
-    z = ((state ^ ((field + _GOLDEN) & _MASK64)) + _GOLDEN) & _MASK64
+    z = ((state ^ (field + _GOLDEN)) + _GOLDEN) & _MASK64  # keys the field's residue
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -100,7 +106,7 @@ def absorb(state: int, field: int) -> int:
 
 def seed_state(seed: int) -> int:
     """The mixing state of a stream before any key field: mix64(seed)."""
-    return absorb(seed & _MASK64, -_GOLDEN)  # the field -GOLDEN XORs in zero
+    return absorb(seed, SEED_FIELD)
 
 
 def state_uniform(state: int) -> float:
@@ -108,26 +114,10 @@ def state_uniform(state: int) -> float:
     return ((state >> 11) + 0.5) * _TO_UNIT
 
 
-def slot_uniform(key: int, slot: int) -> float:
-    """state_uniform(absorb(absorb(key, slot), 0)) in one call."""
-    z = ((key ^ ((slot + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
-         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    # counter 0 XORs in GOLDEN itself
-    z = ((z ^ (z >> 31) ^ 0x9E3779B97F4A7C15) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16  # 2^-53
-
-
 def seed_uniform(seed: int, node: int, slot: int, counter: int) -> float:
     """keyed_uniform(StreamKey(seed, node, slot, counter)) in one call:
-    mix64(seed), then the node, the slot and the counter absorbed. A
-    field's word needs no mask of its own: the low 64 bits of
-    (z XOR word) + GOLDEN read only the word's low 64 bits, so the round's
-    mask keys the field's residue mod 2^64, as ``absorb`` does."""
-    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # seed_state's zero field XORs in 0
+    mix64(seed), then the node, the slot and the counter absorbed."""
+    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # SEED_FIELD's word is 0: mix64(seed)
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 31) ^ (node + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -155,14 +145,14 @@ def slot_pair(slot_a: int, slot_b: int) -> int:
 
 
 def slot_uniform_pair(stream: int, field: int, slots: int) -> tuple[float, float]:
-    """(slot_uniform(key, slot_a), slot_uniform(key, slot_b)), key =
-    absorb(stream, field) and ``slots`` = slot_pair(slot_a, slot_b), bit for
-    bit, in one call: the field is absorbed once on a 64-bit state, which is
-    then copied into two 128-bit lanes of one int (lane a low, lane b high)
-    that absorb their own slot, then counter 0, together. Each lane is
-    masked back to 64 bits before a multiply, as in ``_packed_uniforms``."""
-    z = ((stream ^ ((field + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
-         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    """The uniforms of slots a and b at counter 0 after (stream, field),
+    state_uniform(absorb(absorb(absorb(stream, field), slot), 0)) for each,
+    with ``slots`` = slot_pair(slot_a, slot_b), bit for bit, in one call:
+    the field is absorbed once on a 64-bit state, which is then copied
+    into two 128-bit lanes of one int (lane a low, lane b high) that absorb
+    their own slot, then counter 0, together. Each lane is
+    masked back to 64 bits before a multiply, as in ``packed_uniforms``."""
+    z = ((stream ^ (field + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     z = ((((z ^ (z >> 31)) * _PAIR) ^ slots) + _PAIR_GOLDENS) & _PAIR64  # the key in both lanes
@@ -179,8 +169,7 @@ def slot_uniform_pair(stream: int, field: int, slots: int) -> tuple[float, float
 
 def counter_uniform(state: int, counter: int) -> float:
     """state_uniform(absorb(state, counter)) in one call."""
-    z = ((state ^ ((counter + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF))
-         + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((state ^ (counter + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (((z ^ (z >> 31)) >> 11) + 0.5) * 1.1102230246251565e-16
@@ -197,91 +186,58 @@ _COUNTERS = int.from_bytes(  # i in lane i
 _LANE64 = _MASK64 * _REPEAT
 _LANE53 = ((1 << 53) - 1) * _REPEAT
 _GOLDENS = _GOLDEN * _REPEAT
-_UPPER_HALF = bytes(_WIDTH // 8 - 8)
 # Lane i's low word among a packed int's 64-bit words in host byte order: lane 0
 # first and low word first if little-endian, top lane and high word first if big.
 _LOW_WORDS_OF = {"little": slice(None, None, 2), "big": slice(None, None, -2)}
 _LOW_WORDS = _LOW_WORDS_OF[sys.byteorder]
 
 
-def _packed_uniforms(state: int, rounds: tuple[int, ...], low: int) -> list[float]:
-    """The uniforms of the keys in the lanes ``low`` holds (all ones in
-    each lane in use), mixed together. Lane i absorbs into ``state`` one
-    field a round: each of ``rounds`` holds in lane i the XOR word
-    f + GOLDEN of lane i's field f, below 2^66 (taken mod 2^64 below; a
-    word of 0 absorbs the field -GOLDEN, the zero field of
-    ``seed_state``). So lane i's uniform is state_uniform(absorb(...
-    absorb(state, f_1) ..., f_k)) for its fields f_1 .. f_k.
+@lru_cache(maxsize=None)  # a batch has 1 to _LANES lanes: at most 256 packers
+def _lane_packer(lanes: int):
+    """Packs ``lanes`` fields below 2^64, one a lane, into the bytes of a
+    packed int, low lane first and each field in its lane's low 64 bits."""
+    return struct.Struct("<" + "Q8x" * lanes).pack
 
-    Each round of mix64 absorbs one field on every lane of the packed int
-    at once. Each lane is masked back to 64 bits before a multiply, so no
-    product spills into the next lane, and the shifts that pull a
-    neighbour's bits into a lane's upper half are masked off with them;
-    a round's last shift leaves such bits for the next round's first mask,
-    or the uniform's 53-bit mask, to clear.
+
+def packed_uniforms(state: int, n: int, *rounds: int | range | list[int]) -> list[float]:
+    """The uniforms of n keys that share the mixing state ``state``, bit
+    for bit their ``absorb`` chains: lane i's is state_uniform(absorb(...
+    absorb(state, f_1) ..., f_k)), f_j its field of the j-th round. A
+    round is an int, the same field in every lane; a ``range`` of step 1,
+    consecutive fields, start + i in lane i; or a list, its item i in lane
+    i, each in [0, 2^64).
+
+    The keys are mixed in batches of up to 256, a batch's lanes in one
+    int. A round's word holds in each lane the XOR word f + GOLDEN of the
+    lane's field f, below 2^66 (its low 64 bits are what the round reads),
+    and one round of mix64 absorbs it on every lane at once. Each lane is
+    masked back to 64 bits before a multiply, so no product spills into
+    the next lane, and the shifts that pull a neighbour's bits into a
+    lane's upper half are masked off with them; a round's last shift
+    leaves such bits for the next round's first mask, or the uniform's
+    53-bit mask, to clear.
     """
-    goldens, lane64 = _GOLDENS & low, _LANE64
-    z = (state & _MASK64) * (_REPEAT & low)
-    for word in rounds:
-        z = ((z ^ word) + goldens) & lane64
-        z = (((z ^ (z >> 30)) & lane64) * 0xBF58476D1CE4E5B9) & lane64
-        z = (((z ^ (z >> 27)) & lane64) * 0x94D049BB133111EB) & lane64
-        z ^= z >> 31
-    words = memoryview(((z >> 11) & _LANE53).to_bytes(low.bit_length() // 8, sys.byteorder))
-    return [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[_LOW_WORDS]]  # 2^-53
-
-
-def _run_word(start: int, low: int) -> int:
-    """The XOR word of the fields start, start + 1, ..., one a lane of ``low``."""
-    return (_COUNTERS & low) + ((start & _MASK64) + _GOLDEN) * (_REPEAT & low)
-
-
-def _field_word(fields: list[int], goldens: int) -> int:
-    """The XOR word of a list of fields below 2^64, one a lane, given
-    GOLDEN in each of those lanes."""
-    packed = int.from_bytes(_UPPER_HALF.join([f.to_bytes(8, "little") for f in fields]), "little")
-    return packed + goldens
-
-
-def counter_uniforms(state: int, start: int, n: int) -> list[float]:
-    """[counter_uniform(state, start + i) for i in range(n)], bit for bit:
-    a packed draw (``_packed_uniforms``) per batch of up to 256 counters."""
     out: list[float] = []
+    lane64 = _LANE64
     for first in range(0, n, _LANES):
-        low = (1 << (_WIDTH * min(_LANES, n - first))) - 1
-        out += _packed_uniforms(state, (_run_word(start + first, low),), low)
-    return out
-
-
-def slot_uniforms(stream: int, fields: list[int], slot: int) -> list[float]:
-    """[slot_uniform(absorb(stream, f), slot) for f in fields], bit for bit,
-    for fields below 2^64: a packed draw (``_packed_uniforms``) per batch
-    of up to 256 fields, each lane absorbing its own field, then ``slot``
-    and counter 0."""
-    if len(fields) > _LANES:
-        return (slot_uniforms(stream, fields[:_LANES], slot)
-                + slot_uniforms(stream, fields[_LANES:], slot))
-    low = (1 << (_WIDTH * len(fields))) - 1
-    goldens = _GOLDENS & low
-    slot_word = ((slot + _GOLDEN) & _MASK64) * (_REPEAT & low)
-    return _packed_uniforms(stream, (_field_word(fields, goldens), slot_word, goldens), low)
-
-
-def derived_slot_uniforms(stream: int, nodes: list[int], slots: list[int]) -> list[float]:
-    """[slot_uniform(absorb(seed_state(absorb(stream, i)), nodes[i]), slots[i])
-    for i in range(len(nodes))], bit for bit, for nodes and slots below
-    2^64: with ``stream`` = seed_state(seed), lane i draws node i's slot
-    in the stream derive_seed(seed, i). A packed draw (``_packed_uniforms``)
-    per batch of up to 256 lanes, lane i absorbing i, ``seed_state``'s zero
-    field, nodes[i], slots[i] and counter 0."""
-    out: list[float] = []
-    for first in range(0, len(nodes), _LANES):
-        batch = nodes[first:first + _LANES]
-        low = (1 << (_WIDTH * len(batch))) - 1
-        goldens = _GOLDENS & low  # counter 0's XOR word
-        rounds = (_run_word(first, low), 0, _field_word(batch, goldens),
-                  _field_word(slots[first:first + _LANES], goldens), goldens)
-        out += _packed_uniforms(stream, rounds, low)
+        lanes = min(_LANES, n - first)
+        low = (1 << (_WIDTH * lanes)) - 1
+        repeat, goldens = _REPEAT & low, _GOLDENS & low
+        z = (state & _MASK64) * repeat
+        for fields in rounds:
+            if isinstance(fields, int):
+                word = ((fields + _GOLDEN) & _MASK64) * repeat
+            elif isinstance(fields, range):
+                word = (_COUNTERS & low) + ((fields.start + first + _GOLDEN) & _MASK64) * repeat
+            else:
+                packed = _lane_packer(lanes)(*fields[first:first + lanes])
+                word = int.from_bytes(packed, "little") + goldens
+            z = ((z ^ word) + goldens) & lane64
+            z = (((z ^ (z >> 30)) & lane64) * 0xBF58476D1CE4E5B9) & lane64
+            z = (((z ^ (z >> 27)) & lane64) * 0x94D049BB133111EB) & lane64
+            z ^= z >> 31
+        words = memoryview(((z >> 11) & _LANE53).to_bytes(_WIDTH // 8 * lanes, sys.byteorder))
+        out += [(k + 0.5) * 1.1102230246251565e-16 for k in words.cast("Q")[_LOW_WORDS]]  # 2^-53
     return out
 
 
@@ -297,9 +253,8 @@ def derive_seed(seed: int, index: int) -> int:
     """Child seed for an independent stream (used per coordinate in
     block coding). Also splitmix64-based and part of the wire format:
     mix64(mix64(seed) XOR (index + GOLDEN)), that is
-    absorb(seed_state(seed), index), in one call (masked as
-    ``seed_uniform`` is)."""
-    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # seed_state's zero field XORs in 0
+    absorb(seed_state(seed), index), in one call."""
+    z = (seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF  # SEED_FIELD's word is 0: mix64(seed)
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 31) ^ (index + 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF

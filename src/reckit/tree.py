@@ -42,23 +42,20 @@ pruning reads only the Gumbel and the region. Every node is drawn by
 ``realize``, the root included: it is node 1 with CDF ends 0 and 1 and
 an untruncated Gumbel, and the depth-limited coder's extra root is the
 same full-line draw at heap index 0, truncated at the root's Gumbel.
-A decoder draws a node's sample uniform alone, the same value from the
-same key: in one ``seed_uniform`` call from the seed where it reads the
-node's region off its index, else from the node's key state
-(``node_sample``).
+A decoder (``locate``) draws a node's sample uniform alone, the same
+value from the same key, starting from the seed.
 
 This module is the one place that says how a node's draws are keyed
-(``realize``, ``node_sample``), where a region is cut (``_cut``;
-``expand`` keeps both sides, the decode walk the one its code names)
-and how a decoder finds a node again from its index alone (``locate``):
-the encoder's ``expand``/``realize`` and the decoder share them. A
-sample-split decode draws the samples of its whole path at once
-(``slot_uniforms``, the draws ``node_sample`` makes, mixed in one packed
-pass), so a level of its walk is one quantile and one cut. A block
-vector's dyadic codes are decoded together (``locate_dyadic_vector``):
-one packed pass (``derived_slot_uniforms``) draws every code's sample
-uniform, and each code reads its region off its index through the
-helper ``locate`` uses (``_dyadic_sample``).
+(``realize``, ``locate``), where a region is cut (``_cut``; ``expand``
+keeps both sides, the decode walk the one its code names) and how a
+decoder finds a node again from its index alone (``locate``): the
+encoder's ``expand``/``realize`` and the decoder share them. A
+sample-split decode draws the samples of its whole path at once, in one
+``packed_uniforms`` call, so a level of its walk is one quantile and one
+cut. A block vector's dyadic codes are decoded together
+(``locate_dyadic_vector``): one ``packed_uniforms`` call draws every
+code's sample uniform, and each code reads its region off its index
+through the helper ``locate`` uses (``_dyadic_sample``).
 """
 
 from __future__ import annotations
@@ -69,8 +66,8 @@ from typing import Callable
 
 from .distributions import Distribution1D, sample_restricted_u
 from .errors import DepthExceededError, DomainError, InvalidCodeError
-from .randomness import DrawSlot, absorb, derived_slot_uniforms, seed_state, seed_uniform
-from .randomness import slot_pair, slot_uniform, slot_uniform_pair, slot_uniforms, trunc_gumbel
+from .randomness import SEED_FIELD, DrawSlot, absorb, packed_uniforms, seed_state, seed_uniform
+from .randomness import slot_pair, slot_uniform_pair, trunc_gumbel
 from .randomness import keyed_uniform  # noqa: F401  (benchmarks/run.py traces it here)
 
 MAX_DEPTH = 62  # packed heap indices must fit in 64 bits with headroom
@@ -118,16 +115,6 @@ def _cut(kind: PartitionKind, proposal: Distribution1D, ulow: float, uhigh: floa
     return proposal.inv_cdf(ucut), ucut
 
 
-def node_sample(proposal: Distribution1D, key: int, index: int, ulow: float,
-                uhigh: float) -> float:
-    """A node's sample, drawn from its key state ``key``, the state after
-    (seed, heap index): the SAMPLE slot at counter 0, or the EXTRA_ROOT
-    one at heap index 0, the extra root. Its uniform is the ``u`` that
-    ``realize`` gives the search."""
-    return sample_restricted_u(proposal, ulow, uhigh,
-                               slot_uniform(key, _SAMPLE if index else _EXTRA_SAMPLE))
-
-
 # (heap_index, low, high, ulow, uhigh, bound)
 Child = tuple[int, float, float, float, float, float]
 
@@ -164,7 +151,7 @@ def realize(stream: int, index: int, ulow: float, uhigh: float,
     (SAMPLE, GUMBEL) or the extra root's pair, is packed once, at
     import (``randomness.slot_pair``). ``u`` is the
     SAMPLE slot's uniform at counter 0 (the EXTRA_ROOT one at heap index
-    0), the one ``node_sample`` draws, and the node's sample is its
+    0), the one ``locate`` draws, and the node's sample is its
     quantile over the region, ``sample_restricted_u(proposal, ulow,
     uhigh, u)``. ``g`` is the GUMBEL slot's Gumbel, located at the log of
     the node's proposal mass and truncated at ``bound``, its parent's
@@ -209,40 +196,41 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
     (``coders.decode_pfr`` decodes it), so its kind is refused with
     ``DomainError``.
 
-    The root and the extra root, and a dyadic node at depth d <= 54,
-    take their sample uniform, ``node_sample``'s, in one
-    ``randomness.seed_uniform`` call from the seed, and read their region
-    off the index (``_dyadic_sample``, which refuses an emptied slot), so
-    such a decode is one draw and at most three ``inv_cdf`` calls: one for
-    the sample, and the two of the emptied-slot test only where the
-    proposal's ``quantiles_differ`` cannot decide without them.
+    Every code's own sample uniform is drawn up front, from its key
+    (seed, index, SAMPLE, 0), or EXTRA_ROOT_SAMPLE at index 0: for the
+    root and the extra root and every dyadic code, one
+    ``randomness.seed_uniform`` call from the seed. The root and the extra
+    root, and a dyadic node at depth d <= 54, then read their region off
+    the index (``_dyadic_sample``, which refuses an emptied slot), so such
+    a decode is one draw and at most three ``inv_cdf`` calls: one for the
+    sample, and the two of the emptied-slot test only where the proposal's
+    ``quantiles_differ`` cannot decide without them.
 
-    Any other code takes the decode walk, which mixes the seed's state
-    once (``seed_state``) and keys its nodes from it: it rebuilds the
-    regions on the heap path from the root (the index's digits after its
-    leading 1; 0 = left, 1 = right) with the cuts and node keys of ``expand`` and
-    ``realize``, keeping the side each digit names and refusing a step
-    into an empty slot. Only a sample-split cut reads an ancestor's
-    sample, so only that walk draws: before it starts, one
-    ``slot_uniforms`` call draws the whole path, root to node, bit for bit
-    the uniforms ``node_sample`` would draw level by level, and a level
-    then costs one quantile (inv_cdf) and one cut (cdf). A deep dyadic
-    walk ends with ``node_sample``'s draw.
+    Any other code takes the decode walk: it rebuilds the regions on the
+    heap path from the root (the index's digits after its leading 1; 0 =
+    left, 1 = right) with the cuts of ``expand``, keeping the side each
+    digit names and refusing a step into an empty slot, and ends with the
+    node's sample over its region. Only a sample-split cut reads an
+    ancestor's sample, so that walk draws its whole path, root to node,
+    in one ``packed_uniforms`` call from ``seed_state(seed)`` (each node's
+    SAMPLE slot at counter 0) before it starts, and a level then costs
+    one quantile (inv_cdf) and one cut (cdf).
     """
     if kind is not _SAMPLE_SPLIT and kind is not _DYADIC:
         raise DomainError(f"{kind} has no tree to walk")
     if not 0 < index < _END and (index or kind is _SAMPLE_SPLIT):
         raise InvalidCodeError(f"no {kind.value} search makes heap index {index}")
     depth = index.bit_length()  # 0 for the extra root, which decodes as the root does
-    if depth < 2 or (kind is _DYADIC and depth <= EXACT_DYADIC_DEPTH):
+    split_at_sample = kind is _SAMPLE_SPLIT and depth > 1
+    if split_at_sample:  # the path's sample uniforms, root to node
+        us = packed_uniforms(seed_state(seed), depth,
+                             [index >> shift for shift in range(depth - 1, -1, -1)], _SAMPLE, 0)
+        u = us[-1]
+    else:
         u = seed_uniform(seed, index, _SAMPLE if index else _EXTRA_SAMPLE, 0)
-        return _dyadic_sample(proposal, index, u)  # the whole line below depth 2
-    stream = seed_state(seed)
+        if depth <= EXACT_DYADIC_DEPTH:
+            return _dyadic_sample(proposal, index, u)  # the whole line below depth 2
     low, high, ulow, uhigh = _ROOT_PIECE
-    split_at_sample = kind is _SAMPLE_SPLIT
-    if split_at_sample:  # node_sample's draws of the path, root to node, in one pass
-        us = slot_uniforms(stream, [index >> shift for shift in range(depth - 1, -1, -1)],
-                           _SAMPLE)
     x = math.nan  # a dyadic cut reads no sample
     for shift in range(depth - 1, 0, -1):
         if split_at_sample:  # the sample of the ancestor index >> shift
@@ -254,9 +242,7 @@ def locate(proposal: Distribution1D, kind: PartitionKind, seed: int, index: int)
             high, uhigh = cut, ucut
         if not low < high:
             raise InvalidCodeError(f"heap index {index} leads into an empty partition slot")
-    if split_at_sample:
-        return sample_restricted_u(proposal, ulow, uhigh, us[-1])
-    return node_sample(proposal, absorb(stream, index), index, ulow, uhigh)
+    return sample_restricted_u(proposal, ulow, uhigh, u)
 
 
 def locate_dyadic_vector(proposals: list[Distribution1D], stream: int,
@@ -265,13 +251,17 @@ def locate_dyadic_vector(proposals: list[Distribution1D], stream: int,
     enumerate(zip(proposals, indices))], bit for bit, for heap indices
     0 <= h < 2^62 and ``stream`` = seed_state(seed): the samples of a
     vector of dyadic codes, code i drawing in the stream derive_seed(seed,
-    i). One packed pass (``derived_slot_uniforms``) draws every code's
-    sample uniform, the one ``node_sample`` draws, SAMPLE's or codeword
-    0's EXTRA_ROOT one. A code at depth <= 54 then reads its region off
-    its index as ``locate`` does (``_dyadic_sample``); a deeper one takes
-    ``locate``'s walk. The codes decode in order, so a refused vector
-    raises the refusal of its first refused code."""
-    us = derived_slot_uniforms(stream, indices, [_SAMPLE if h else _EXTRA_SAMPLE for h in indices])
+    i). One ``packed_uniforms`` call draws every code's sample uniform,
+    the one ``locate`` draws, SAMPLE's or codeword 0's EXTRA_ROOT one:
+    lane i absorbs i and ``SEED_FIELD`` (the state of the stream
+    derive_seed(seed, i)), its index, its slot and counter 0. A code at
+    depth <= 54 then reads its region off its index as ``locate`` does
+    (``_dyadic_sample``); a deeper one takes ``locate``'s walk. The codes
+    decode in order, so a refused vector raises the refusal of its first
+    refused code."""
+    n = len(indices)
+    us = packed_uniforms(stream, n, range(n), SEED_FIELD, indices,
+                         [_SAMPLE if h else _EXTRA_SAMPLE for h in indices], 0)
     samples = []
     for i, (proposal, index, u) in enumerate(zip(proposals, indices, us)):
         if index >> EXACT_DYADIC_DEPTH:

@@ -459,9 +459,24 @@ def test_shrinkage_refuses_the_global_bound(monkeypatch):
     def no_draw(*_):
         raise AssertionError("verify_shrinkage drew before refusing the global bound")
 
-    monkeypatch.setattr("reckit.bench.node_sample", no_draw)
+    monkeypatch.setattr("reckit.bench.seed_uniform", no_draw)
     with pytest.raises(DomainError):
         verify_shrinkage(PartitionKind.GLOBAL_BOUND, depth_max=4, trials=30)
+
+
+# verify_shrinkage(SAMPLE_SPLIT, depth_max=6, trials=50, seed=1)'s mean masses,
+# written before the descent drew through ``seed_uniform``
+SAMPLE_SPLIT_MEAN_MASS_HEX = ("0x1.0000000000000p+0", "0x1.7bd329f3874eap-1",
+                              "0x1.1f56fab7c8efap-1", "0x1.adf07c8a51c66p-2",
+                              "0x1.3edc2256b2433p-2", "0x1.f13e844a64458p-3")
+
+
+def test_shrinkage_sample_split_masses_are_pinned():
+    """A sample-split descent's masses follow from its draws, so a moved key
+    or uniform moves them: they are pinned bit for bit."""
+    report = verify_shrinkage(PartitionKind.SAMPLE_SPLIT, depth_max=6, trials=50, seed=1)
+    assert report.passed
+    assert tuple(m.hex() for m in report.mean_mass) == SAMPLE_SPLIT_MEAN_MASS_HEX
 
 
 def test_shrinkage_sample_split_rate():

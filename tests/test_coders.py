@@ -45,7 +45,7 @@ from reckit.errors import (
     RecError,
     UnboundedRatioError,
 )
-from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, seed_state, slot_uniforms,
+from reckit.randomness import (DrawSlot, StreamKey, keyed_uniform, packed_uniforms, seed_state,
                               trunc_gumbel)
 from reckit.isokl import gaussian_from_kl_dinf
 from reckit.tree import MAX_DEPTH, PartitionKind, locate, realize
@@ -254,7 +254,7 @@ def test_mrc_picks_the_sequential_scans_index_at_the_top_uniform(monkeypatch):
     all stay below it; the encoder must pick what a plain scan picks, the
     last candidate then included."""
     top_u = 1.0 - 2.0 ** -53
-    monkeypatch.setattr(coders, "slot_uniform", lambda state, slot: top_u)
+    monkeypatch.setattr(coders, "counter_uniform", lambda state, counter: top_u)
     bits, n = 6, 64
     fallbacks = reached = 0
     for pair in ALL_PAIRS:
@@ -382,12 +382,12 @@ def test_dyadic_decode_inverts_the_cdf_at_most_three_times(monkeypatch):
 
 
 def test_single_draw_decodes_mix_their_key_in_one_call(monkeypatch):
-    """A PFR decode, an MRC decode and a dyadic decode at depth <= 54 (the
-    root and DAD*'s extra root, codeword 0, included) each draw their one
-    uniform straight from the seed: one ``seed_uniform`` call, which mixes
-    the whole key, and no ``absorb``, ``seed_state`` or ``derive_seed``
-    call (nor any other draw). A dyadic code at depth 55 walks instead,
-    from one ``seed_state``."""
+    """A PFR decode, an MRC decode and every dyadic decode (the root and
+    DAD*'s extra root, codeword 0, included) draw their one uniform
+    straight from the seed: one ``seed_uniform`` call, which mixes the
+    whole key, and no ``absorb``, ``seed_state`` or ``derive_seed`` call
+    (nor any other draw). A dyadic code deeper than 54 walks to its region
+    after that draw, at every depth to 62, and draws nothing more."""
     rng = random.Random(20260817)
     cases = []
     for seed in range(3900, 3940):
@@ -395,9 +395,10 @@ def test_single_draw_decodes_mix_their_key_in_one_call(monkeypatch):
                            encode_mrc(PAIR_GG, seed, 6), encode_dad(PAIR_GG, seed, 8),
                            encode_astar(PAIR_GG, PartitionKind.DYADIC, seed)):
             cases.append((code, seed, x))
-    for depth in range(1, 55):
-        index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
-        cases.append((Code(Variant.AD_STAR, index), rng.getrandbits(64), None))
+    for depth in range(1, MAX_DEPTH + 1):
+        for _ in range(1 if depth <= 54 else 4):
+            index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
+            cases.append((Code(Variant.AD_STAR, index), rng.getrandbits(64), None))
     cases.append((Code(Variant.DAD_STAR, 0, budget=8), 7, None))
     calls = {}
 
@@ -409,13 +410,12 @@ def test_single_draw_decodes_mix_their_key_in_one_call(monkeypatch):
             return draw(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("seed_uniform", "absorb", "seed_state", "derive_seed", "slot_uniform",
-                 "counter_uniform", "counter_uniforms"):
+    for name in ("seed_uniform", "absorb", "seed_state", "derive_seed", "counter_uniform",
+                 "packed_uniforms"):
         counting(coders, name)
-    for name in ("seed_uniform", "absorb", "seed_state", "slot_uniform", "slot_uniform_pair",
-                 "slot_uniforms", "derived_slot_uniforms"):
+    for name in ("seed_uniform", "absorb", "seed_state", "slot_uniform_pair", "packed_uniforms"):
         counting(tree, name)
-    variants = set()
+    variants, deep = set(), 0
     for code, seed, x in cases:
         calls.clear()
         try:
@@ -426,27 +426,21 @@ def test_single_draw_decodes_mix_their_key_in_one_call(monkeypatch):
         if x is not None:
             assert sample == x, (code, seed)
         variants.add(code.variant)
+        deep += code.payload.bit_length() > 54
     assert variants == {Variant.PFR, Variant.MRC, Variant.DAD_STAR, Variant.AD_STAR}
-    for _ in range(8):
-        calls.clear()
-        index = (1 << 54) | rng.getrandbits(54)
-        try:
-            decode(PAIR_GG.proposal, Code(Variant.AD_STAR, index), rng.getrandbits(64))
-        except InvalidCodeError:
-            pass
-        assert calls.get("seed_uniform", 0) == 0 and calls["seed_state"] == 1, index
+    assert deep == 4 * (MAX_DEPTH - 54)
 
 
 def test_decode_walk_costs_one_cut_per_level(monkeypatch):
     """What ``locate`` calls: a sample-split code at depth d >= 2 draws the
     samples of its whole path, its d - 1 ancestors and itself, in one
-    ``slot_uniforms`` call of d fields, with no per-level draw, then cuts
+    ``packed_uniforms`` call of d lanes, with no per-level draw, then cuts
     at each ancestor (one inv_cdf and one cdf a level) and takes its own
     sample (one inv_cdf); a depth-1 code is one seed_uniform draw from
-    the seed, with no absorb or slot_uniform. A dyadic code at depth 2..54 reads its region off its
-    index and makes at most three inv_cdf calls."""
+    the seed, with no absorb. A dyadic code at depth 2..54 reads its
+    region off its index and makes at most three inv_cdf calls."""
     calls = {"inv_cdf": 0, "cdf": 0}
-    draws = {"absorb": 0, "slot_uniform": 0, "seed_uniform": 0, "slot_uniforms": []}
+    draws = {"absorb": 0, "seed_uniform": 0, "packed_uniforms": []}
     inv_cdf, cdf = Gaussian.inv_cdf, Gaussian.cdf
 
     def counting_inv_cdf(self, u):
@@ -463,31 +457,29 @@ def test_decode_walk_costs_one_cut_per_level(monkeypatch):
             return draw(*args)
         return counted
 
-    def recording_path(stream, fields, slot):
-        draws["slot_uniforms"].append(len(fields))
-        return slot_uniforms(stream, fields, slot)
+    def recording_path(stream, n, *rounds):
+        draws["packed_uniforms"].append(n)
+        return packed_uniforms(stream, n, *rounds)
 
     monkeypatch.setattr(Gaussian, "inv_cdf", counting_inv_cdf)
     monkeypatch.setattr(Gaussian, "cdf", counting_cdf)
     monkeypatch.setattr(tree, "absorb", counting("absorb", tree.absorb))
-    monkeypatch.setattr(tree, "slot_uniform", counting("slot_uniform", tree.slot_uniform))
     monkeypatch.setattr(tree, "seed_uniform", counting("seed_uniform", tree.seed_uniform))
-    monkeypatch.setattr(tree, "slot_uniforms", recording_path)
+    monkeypatch.setattr(tree, "packed_uniforms", recording_path)
     proposal = PAIR_GG.proposal
     rng = random.Random(20260817)
     for depth in range(1, 31):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)
             calls.update(inv_cdf=0, cdf=0)
-            draws.update(absorb=0, slot_uniform=0, seed_uniform=0, slot_uniforms=[])
+            draws.update(absorb=0, seed_uniform=0, packed_uniforms=[])
             locate(proposal, PartitionKind.SAMPLE_SPLIT, rng.getrandbits(64), index)
             assert calls == {"inv_cdf": depth, "cdf": depth - 1}, (index, depth)
             if depth == 1:
-                assert draws == {"absorb": 0, "slot_uniform": 0, "seed_uniform": 1,
-                                 "slot_uniforms": []}
+                assert draws == {"absorb": 0, "seed_uniform": 1, "packed_uniforms": []}
             else:
-                assert draws == {"absorb": 0, "slot_uniform": 0, "seed_uniform": 0,
-                                 "slot_uniforms": [depth]}, (index, depth)
+                assert draws == {"absorb": 0, "seed_uniform": 0,
+                                 "packed_uniforms": [depth]}, (index, depth)
     for depth in range(2, 55):
         for _ in range(4):
             index = (1 << (depth - 1)) | rng.getrandbits(depth - 1)

@@ -26,15 +26,15 @@ from reckit.randomness import (
     StreamKey,
     absorb,
     counter_uniform,
-    counter_uniforms,
     derive_seed,
     keyed_uniform,
+    packed_uniforms,
     seed_state,
-    slot_uniform,
+    seed_uniform,
     state_uniform,
     trunc_gumbel,
 )
-from reckit.tree import MAX_DEPTH, PartitionKind, _cut, expand, node_sample, realize
+from reckit.tree import MAX_DEPTH, PartitionKind, _cut, expand, locate, realize
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -107,10 +107,9 @@ def _check_node(node, proposal, seed, bound):
     u_x = per_key(seed, node.heap_index, DrawSlot.SAMPLE)
     assert node.u == u_x
     assert node.g == trunc_gumbel(u_g, math.log(node.mass), bound)
-    # the decoder's draw, from the state after (seed, node), is the same sample
-    key = absorb(seed_state(seed), node.heap_index)
-    x = node_sample(proposal, key, node.heap_index, node.ulow, node.uhigh)
-    assert x == sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
+    # the decoder's draw, from the seed, is the same sample
+    assert seed_uniform(seed, node.heap_index, DrawSlot.SAMPLE, 0) == u_x
+    x = sample_restricted_u(proposal, node.ulow, node.uhigh, u_x)
     return x
 
 
@@ -199,17 +198,17 @@ def test_chain_draws_match_per_key_calls(seed):
 def test_mrc_candidate_uniforms_match_per_key_calls(seed, bits):
     seen = []
 
-    def recording(state, start, n):
-        us = counter_uniforms(state, start, n)
+    def recording(state, n, *rounds):
+        us = packed_uniforms(state, n, *rounds)
         seen.extend(us)
         return us
 
-    original = coders.counter_uniforms
-    coders.counter_uniforms = recording
+    original = coders.packed_uniforms
+    coders.packed_uniforms = recording
     try:
         encode_mrc(PairSpec(Gaussian(0.4, 0.5), GAUSS), seed, bits)
     finally:
-        coders.counter_uniforms = original
+        coders.packed_uniforms = original
     assert seen == [per_key(seed, 0, DrawSlot.SAMPLE, i) for i in range(1 << bits)]
 
 
@@ -242,7 +241,7 @@ def test_decode_walk_and_extra_root_match_per_key_calls(seed, depth, path):
     extra = realize_node(stream, 0, 1, -math.inf, math.inf, 0.0, 1.0, root.g)
     want_g = trunc_gumbel(per_key(seed, 0, DrawSlot.EXTRA_ROOT_GUMBEL), 0.0, root.g)
     want_x = sample_restricted_u(GAUSS, 0.0, 1.0, per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE))
-    extra_x = node_sample(GAUSS, absorb(seed_state(seed), 0), 0, 0.0, 1.0)
+    extra_x = locate(GAUSS, PartitionKind.DYADIC, seed, 0)
     assert (extra.heap_index, extra.depth) == (0, 1)
     assert extra.u == per_key(seed, 0, DrawSlot.EXTRA_ROOT_SAMPLE)
     assert (extra.g, extra_x) == (want_g, want_x)
@@ -278,7 +277,6 @@ def test_chain_step_absorbs_only_its_counters(monkeypatch):
 
     monkeypatch.setattr(coders, "absorb", counting(absorb, 1))
     monkeypatch.setattr(coders, "counter_uniform", counting(counter_uniform, 1))
-    monkeypatch.setattr(coders, "slot_uniform", counting(slot_uniform, 2))
     pair = PairSpec(Gaussian(*gaussian_from_kl_dinf(2.1, 4.0)), GAUSS)
     total_steps = 0
     for seed in range(200):

@@ -21,11 +21,11 @@ import reference_coder
 from reckit import coders, tree
 from reckit.bench import mixture_pair
 from reckit.coders import Code, Variant, check_budget, encode_astar, encode_dad
-from reckit.distributions import Gaussian, PairSpec
+from reckit.distributions import Gaussian, PairSpec, sample_restricted_u
 from reckit.errors import BudgetExhaustedError, RecError, UnboundedRatioError
 from reckit.isokl import gaussian_from_kl_dinf
-from reckit.randomness import absorb, seed_state
-from reckit.tree import PartitionKind, expand, node_sample, realize
+from reckit.randomness import DrawSlot, seed_state, seed_uniform
+from reckit.tree import PartitionKind, expand, realize
 
 INF = math.inf
 STD = Gaussian(0.0, 1.0)
@@ -66,12 +66,19 @@ def realize_node(stream, index, depth, low, high, ulow, uhigh, bound):
                 *realize(stream, index, ulow, uhigh, bound))
 
 
+def decoder_sample(proposal, seed, index, ulow, uhigh):
+    """A node's sample as a decoder draws it: its SAMPLE slot at counter 0
+    (EXTRA_ROOT_SAMPLE at heap index 0), keyed from the seed."""
+    slot = DrawSlot.SAMPLE if index else DrawSlot.EXTRA_ROOT_SAMPLE
+    return sample_restricted_u(proposal, ulow, uhigh, seed_uniform(seed, index, slot, 0))
+
+
 def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
     """The branch-and-bound loop with every child drawn at expansion. The
     root is node 1, the full line, untruncated; with ``extra_root`` the
     depth-limited coder's extra root (heap index 0, truncated at the
     root's Gumbel) starts as the incumbent. A node's sample is drawn as a
-    decoder draws it, from its key state (``node_sample``), not from the
+    decoder draws it, from the seed (``decoder_sample``), not from the
     ``u`` that ``realize`` gives the search."""
     proposal = pair.proposal
     stream = seed_state(seed)
@@ -80,7 +87,7 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
     lb, best, best_x = -INF, None, math.nan
     if extra_root:
         incumbent = realize_node(stream, 0, 1, -INF, INF, 0.0, 1.0, root.g)
-        best_x = node_sample(proposal, absorb(stream, 0), 0, 0.0, 1.0)
+        best_x = decoder_sample(proposal, seed, 0, 0.0, 1.0)
         lb, best = incumbent.g + pair.log_ratio(best_x), incumbent
     heap = [(-(root.g + root_bound), root.heap_index, root_bound, root)]
     steps = 0
@@ -89,7 +96,7 @@ def eager_search(pair, kind, seed, max_depth, max_steps, extra_root=False):
         if steps >= max_steps:
             raise BudgetExhaustedError(f"search exceeded {max_steps} steps")
         steps += 1
-        x = node_sample(proposal, absorb(stream, index), index, node.ulow, node.uhigh)
+        x = decoder_sample(proposal, seed, index, node.ulow, node.uhigh)
         score = node.g + pair.log_ratio(x)
         if score > lb or (score == lb and (best is None or index < best.heap_index)):
             lb, best, best_x = score, node, x

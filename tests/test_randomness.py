@@ -20,25 +20,30 @@ from hypothesis import strategies as st
 from reckit import randomness, tree
 from reckit.randomness import (
     _GOLDEN,
+    SEED_FIELD,
     DrawSlot,
     StreamKey,
     absorb,
     counter_uniform,
-    counter_uniforms,
     derive_seed,
-    derived_slot_uniforms,
     keyed_uniform,
+    packed_uniforms,
     seed_state,
     seed_uniform,
     slot_pair,
-    slot_uniform,
     slot_uniform_pair,
-    slot_uniforms,
     state_uniform,
     trunc_gumbel,
 )
 
 MASK = (1 << 64) - 1
+
+
+def chain_uniform(state: int, *fields: int) -> float:
+    """The uniform of ``fields`` absorbed into ``state`` one by one."""
+    for field in fields:
+        state = absorb(state, field)
+    return state_uniform(state)
 
 
 def gumbel(u: float, location: float = 0.0) -> float:
@@ -81,50 +86,88 @@ def test_draw_shapes_match_the_absorb_chain():
     rng = random.Random(20260817)
     states = [0, 1, MASK, 1 << 63] + [rng.getrandbits(64) for _ in range(500)]
     for state in states:
-        for slot in range(4):
-            assert slot_uniform(state, slot) == state_uniform(absorb(absorb(state, slot), 0))
         for counter in (0, 1, 1 << 62, MASK):
             assert counter_uniform(state, counter) == state_uniform(absorb(state, counter))
-            assert counter_uniforms(state, counter, 2) == [
-                state_uniform(absorb(state, counter + i)) for i in range(2)]
-        nodes = [0, 1, 1 << 62, MASK]
-        for slot in range(4):
-            assert slot_uniforms(state, nodes, slot) == [
-                state_uniform(absorb(absorb(absorb(state, node), slot), 0)) for node in nodes]
-        for node in nodes:
-            key = absorb(state, node)
+        for node in (0, 1, 1 << 62, MASK):
             assert slot_uniform_pair(state, node, slot_pair(1, 0)) == (
-                state_uniform(absorb(absorb(key, 1), 0)), state_uniform(absorb(absorb(key, 0), 0)))
+                chain_uniform(state, node, 1, 0), chain_uniform(state, node, 0, 0))
     seeds = states[:40] + WIDE_FIELDS + [rng.getrandbits(80), -rng.getrandbits(80)]
     fields = [0, 1, 2, 3, MASK] + WIDE_FIELDS
     for seed in seeds:
         stream = seed_state(seed)
+        assert stream == absorb(seed, SEED_FIELD) == absorb(seed & MASK, SEED_FIELD)
         for i, field in enumerate(fields):
             assert derive_seed(seed, field) == absorb(stream, field)
+            assert counter_uniform(stream, field) == chain_uniform(stream, field)
             for where in range(3):
                 key = [rng.choice(fields) for _ in range(3)]
                 key[where] = field
                 node, slot, counter = key
                 node_state = derive_seed(seed, node)
                 want = keyed_uniform(StreamKey(seed, node, slot, counter))
-                assert want == state_uniform(absorb(absorb(absorb(stream, node), slot), counter))
+                assert want == chain_uniform(stream, node, slot, counter)
                 assert seed_uniform(seed, node, slot, counter) == want, (seed, key)
                 assert counter_uniform(absorb(node_state, slot), counter) == want
                 other = fields[i - 1]
                 at_zero = keyed_uniform(StreamKey(seed, node, slot, 0))
-                assert slot_uniform(node_state, slot) == at_zero
                 assert slot_uniform_pair(stream, node, slot_pair(slot, other)) == (
                     at_zero, keyed_uniform(StreamKey(seed, node, other, 0)))
+
+
+# lane counts: none, one, a batch less one, a full batch, and two and three batches
+LANE_COUNTS = (0, 1, 255, 256, 257, 600)
+# the starts of an int or range round: past 2^64 and below 0 they key their residue
+STARTS = st.one_of(st.sampled_from([0, 1, (1 << 62) - 600, MASK, MASK - 300, *WIDE_FIELDS]),
+                   st.integers(0, MASK), st.integers(-(1 << 80), 1 << 80))
+# a list round's fields, each below 2^64
+LIST_FIELDS = st.one_of(st.sampled_from((0, 1, (1 << 62) - 1, MASK)), st.integers(0, MASK))
+
+
+@st.composite
+def packed_rounds(draw, n):
+    """Up to five rounds for n lanes, each an int, a range or a list:
+    (the rounds, each round's field in lane i as a function of i)."""
+    rounds, fields_of = [], []
+    for kind in draw(st.lists(st.sampled_from(("int", "range", "list")), max_size=5)):
+        if kind == "int":
+            field = draw(STARTS)
+            rounds.append(field)
+            fields_of.append(lambda i, f=field: f)
+        elif kind == "range":
+            start = draw(STARTS)
+            rounds.append(range(start, start + n))
+            fields_of.append(lambda i, s=start: s + i)
+        else:
+            fields = draw(st.lists(LIST_FIELDS, min_size=n, max_size=n))
+            rounds.append(fields)
+            fields_of.append(fields.__getitem__)
+    return rounds, fields_of
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), state=st.one_of(st.sampled_from((0, 1, 1 << 63, MASK)),
+                                       st.integers(0, MASK)),
+       n=st.sampled_from(LANE_COUNTS))
+def test_packed_uniforms_match_the_absorb_chain(data, state, n):
+    """Lane i of the packed draw equals its absorb chain, its field of
+    each round absorbed in order, for every round kind (int, range, list)
+    and mix of them, over lane counts across batch edges (0, 1, 255, 256,
+    257, 600), list fields 0 to 2^64 - 1, and int and range starts below
+    0 or of 2^64 or more, which key their residue."""
+    rounds, fields_of = data.draw(packed_rounds(n))
+    assert packed_uniforms(state, n, *rounds) == [
+        chain_uniform(state, *[field(i) for field in fields_of]) for i in range(n)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(state=st.integers(0, MASK), n=st.integers(0, 600),
        where=st.sampled_from(("zero", "random", "top")), r=st.integers(0, MASK))
 def test_counter_uniforms_match_counter_uniform(state, n, where, r):
-    """The packed batch draw, across several 256-counter batches, equals
-    one counter_uniform per counter; "top" ends the run at counter 2^62."""
+    """A run of counters as one range round (the shape of a coder's
+    proposal batch), across several 256-lane batches, equals one
+    counter_uniform per counter; "top" ends the run at counter 2^62."""
     start = {"zero": 0, "random": r, "top": (1 << 62) - n}[where]
-    assert counter_uniforms(state, start, n) == [
+    assert packed_uniforms(state, n, range(start, start + n)) == [
         counter_uniform(state, start + i) for i in range(n)]
 
 
@@ -135,11 +178,41 @@ FIELDS = st.one_of(st.sampled_from((0, 1, 1 << 61, (1 << 62) - 1)), st.integers(
 @given(stream=st.one_of(st.sampled_from((0, 1, 1 << 63, MASK)), st.integers(0, MASK)),
        fields=st.lists(FIELDS, max_size=62), slot=st.integers(0, 3))
 def test_slot_uniforms_match_slot_uniform(stream, fields, slot):
-    """The packed path draw equals one absorb and one slot_uniform per
-    field, for every path a decode walk can name (depth 62 at most) and
-    for any 64-bit field."""
-    assert slot_uniforms(stream, fields, slot) == [
-        slot_uniform(absorb(stream, f), slot) for f in fields]
+    """A path of fields, then a slot and counter 0 (the shape of a decode
+    walk's path draw), equals one seed_uniform per field, for every path a
+    decode walk can name (depth 62 at most) and for any 64-bit field."""
+    assert packed_uniforms(stream, len(fields), fields, slot, 0) == [
+        chain_uniform(stream, f, slot, 0) for f in fields]
+    seed = 0x5EED
+    assert packed_uniforms(seed_state(seed), len(fields), fields, slot, 0) == [
+        seed_uniform(seed, f, slot, 0) for f in fields]
+
+
+NODES = st.one_of(st.sampled_from((0, 1, (1 << 62) - 1)), st.integers(0, (1 << 62) - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), stream=st.one_of(st.sampled_from((0, MASK)), st.integers(0, MASK)),
+       n=st.sampled_from((1, 6, 256, 257)))
+def test_derived_slot_uniforms_match_the_absorb_chain(data, stream, n):
+    """A block vector's key (lane index, SEED_FIELD, node, slot, counter
+    0) drawn packed equals lane i's five-field absorb chain: the lane
+    index (derive_seed), seed_state's field, the node, the slot and
+    counter 0, for heap indices below 2^62, a vector of 1, 6, 256 or 257
+    lanes (two batches) and any slots a decoder draws."""
+    nodes = data.draw(st.lists(NODES, min_size=n, max_size=n))
+    slots = data.draw(st.lists(st.sampled_from((DrawSlot.SAMPLE, DrawSlot.EXTRA_ROOT_SAMPLE)),
+                               min_size=n, max_size=n))
+    assert packed_uniforms(stream, n, range(n), SEED_FIELD, nodes, slots, 0) == [
+        state_uniform(absorb(absorb(absorb(absorb(absorb(stream, i), -_GOLDEN), node), slot), 0))
+        for i, (node, slot) in enumerate(zip(nodes, slots))]
+
+
+def test_slot_uniforms_batches_past_256_fields():
+    rng = random.Random(20260817)
+    stream, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(600)]
+    assert packed_uniforms(stream, 600, fields, 1, 0) == [
+        chain_uniform(stream, f, 1, 0) for f in fields]
 
 
 # the (SAMPLE, GUMBEL) slots a search node draws, and the extra root's
@@ -155,7 +228,7 @@ TREE_SLOT_PAIRS = ((DrawSlot.SAMPLE, DrawSlot.GUMBEL),
                        st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))))
 def test_slot_uniform_pair_matches_two_slot_uniforms(stream, field, slots):
     """The two-lane draw on the slot word ``slot_pair(slot_a, slot_b)``
-    equals one absorb and two slot_uniforms, bit for bit, over every
+    equals the two slots' absorb chains at counter 0, bit for bit, over every
     64-bit stream and field and on both slot pairs that ``reckit.tree``
     draws (and any other pair of slots, past 64 bits or below 0 too)."""
     slot_a, slot_b = map(int, slots)
@@ -164,7 +237,7 @@ def test_slot_uniform_pair_matches_two_slot_uniforms(stream, field, slots):
     assert slot_pair(slot_a, slot_b) == (slot_a + _GOLDEN) % (1 << 64) | (
         (slot_b + _GOLDEN) % (1 << 64)) << 128
     assert slot_uniform_pair(stream, field, slot_pair(slot_a, slot_b)) == (
-        slot_uniform(key, slot_a), slot_uniform(key, slot_b))
+        chain_uniform(key, slot_a, 0), chain_uniform(key, slot_b, 0))
 
 
 def test_tree_packs_its_slot_words_once():
@@ -172,31 +245,6 @@ def test_tree_packs_its_slot_words_once():
     extra root's (EXTRA_ROOT_SAMPLE, EXTRA_ROOT_GUMBEL), packed at import."""
     assert tree._NODE_SLOTS == slot_pair(DrawSlot.SAMPLE, DrawSlot.GUMBEL)
     assert tree._EXTRA_SLOTS == slot_pair(DrawSlot.EXTRA_ROOT_SAMPLE, DrawSlot.EXTRA_ROOT_GUMBEL)
-
-
-NODES = st.one_of(st.sampled_from((0, 1, (1 << 62) - 1)), st.integers(0, (1 << 62) - 1))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data(), stream=st.one_of(st.sampled_from((0, MASK)), st.integers(0, MASK)),
-       n=st.sampled_from((1, 6, 256, 257)))
-def test_derived_slot_uniforms_match_the_absorb_chain(data, stream, n):
-    """Lane i of the packed draw equals its five-field absorb chain: the
-    lane index (derive_seed), seed_state's zero field, the node, the slot
-    and counter 0, for heap indices below 2^62, a vector of 1, 6, 256 or
-    257 lanes (two batches) and any slots a decoder draws."""
-    nodes = data.draw(st.lists(NODES, min_size=n, max_size=n))
-    slots = data.draw(st.lists(st.sampled_from((DrawSlot.SAMPLE, DrawSlot.EXTRA_ROOT_SAMPLE)),
-                               min_size=n, max_size=n))
-    assert derived_slot_uniforms(stream, nodes, slots) == [
-        state_uniform(absorb(absorb(absorb(absorb(absorb(stream, i), -_GOLDEN), node), slot), 0))
-        for i, (node, slot) in enumerate(zip(nodes, slots))]
-
-
-def test_slot_uniforms_batches_past_256_fields():
-    rng = random.Random(20260817)
-    stream, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(600)]
-    assert slot_uniforms(stream, fields, 1) == [slot_uniform(absorb(stream, f), 1) for f in fields]
 
 
 class _BigEndianView:
@@ -212,18 +260,21 @@ class _BigEndianView:
 
 def test_packed_draws_unpack_on_a_big_endian_host(monkeypatch):
     """Replayed through struct, a big-endian host's layout (the top lane
-    first, high word first) reads the same uniforms as the scalar draws."""
+    first, high word first) reads the same uniforms as the absorb chains,
+    for each round kind and across batches."""
     assert randomness._LOW_WORDS == randomness._LOW_WORDS_OF[sys.byteorder]
     monkeypatch.setattr(randomness, "sys", types.SimpleNamespace(byteorder="big"))
     monkeypatch.setattr(randomness, "memoryview", _BigEndianView, raising=False)
     monkeypatch.setattr(randomness, "_LOW_WORDS", randomness._LOW_WORDS_OF["big"])
     rng = random.Random(4242)
     state, fields = rng.getrandbits(64), [rng.getrandbits(64) for _ in range(40)]
-    assert counter_uniforms(state, 5, 300) == [counter_uniform(state, 5 + i) for i in range(300)]
-    assert slot_uniforms(state, fields, 1) == [slot_uniform(absorb(state, f), 1) for f in fields]
+    assert packed_uniforms(state, 300, range(5, 305)) == [
+        counter_uniform(state, 5 + i) for i in range(300)]
+    assert packed_uniforms(state, 40, fields, 1, 0) == [chain_uniform(state, f, 1, 0)
+                                                       for f in fields]
     slots = [1, 3] * 160
-    assert derived_slot_uniforms(state, fields * 8, slots) == [
-        slot_uniform(absorb(seed_state(absorb(state, i)), f), slot)
+    assert packed_uniforms(state, 320, range(320), SEED_FIELD, fields * 8, slots, 0) == [
+        chain_uniform(state, i, SEED_FIELD, f, slot, 0)
         for i, (f, slot) in enumerate(zip(fields * 8, slots))]
 
 
@@ -234,7 +285,6 @@ def test_draw_shapes_reproduce_the_keyed_anchors():
         assert seed_uniform(seed, node, slot, counter) == expected
         assert counter_uniform(absorb(node_state, slot), counter) == expected
         if counter == 0:
-            assert slot_uniform(node_state, slot) == expected
             stream = seed_state(seed)
             assert slot_uniform_pair(stream, node, slot_pair(slot, slot ^ 1))[0] == expected
             assert slot_uniform_pair(stream, node, slot_pair(slot ^ 1, slot))[1] == expected

@@ -13,7 +13,6 @@ from reckit.errors import DepthExceededError, DomainError, InvalidCodeError
 from reckit.randomness import (
     DrawSlot,
     StreamKey,
-    absorb,
     derive_seed,
     keyed_uniform,
     seed_state,
@@ -26,7 +25,6 @@ from reckit.tree import (
     expand,
     heap_children,
     locate,
-    node_sample,
     realize,
 )
 
@@ -205,7 +203,7 @@ def test_realize_draws_the_root():
     assert root.g == trunc_gumbel(keyed_uniform(StreamKey(7, 1, 0, 0)), 0.0, math.inf)
     assert math.isfinite(sample(root))
     # a decoder draws the same sample from the key state alone
-    assert sample(root) == node_sample(GAUSS, absorb(seed_state(7), 1), 1, 0.0, 1.0)
+    assert sample(root) == locate(GAUSS, PartitionKind.SAMPLE_SPLIT, 7, 1)
     assert search_root(7)[0] == root  # deterministic
     assert search_root(8)[0] != root
     # the PFR chain's first arrival draws the root's Gumbel too (node 1,
